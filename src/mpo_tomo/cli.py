@@ -5,10 +5,11 @@ rejected) and writes its artifacts under the output directory:
 
     mpo-tomo simulate   --config cfg.json --out run/
     mpo-tomo reconstruct --config cfg.json --out run/
-    mpo-tomo analyze    --config cfg.json --out run/ [--threads K]
+    mpo-tomo analyze    --config cfg.json --out run/
 
 Exit codes: 0 success, 2 validation error, 3 data-completeness error,
-4 numerical non-convergence (partial outputs are still written).
+4 numerical non-convergence (partial outputs are still written), 5 unphysical
+data.
 The MPO_TOMO_LOG environment variable (error | info | debug) sets verbosity.
 """
 
@@ -33,7 +34,7 @@ from .correlations import (
     save_correlation_csv,
     zshifted_to_pauli,
 )
-from .errors import CompletenessError, ValidationError
+from .errors import CompletenessError, ConvergenceError, DataError, ValidationError
 from .measurement import MomentTable
 
 log = logging.getLogger("mpo_tomo")
@@ -147,7 +148,7 @@ def _dataset_dir(out):
     return os.path.join(out, "dataset")
 
 
-def cmd_simulate(cfg, out: str, threads: int) -> int:
+def cmd_simulate(cfg, out: str) -> int:
     n = cfg["protocol"]["n_qubits"]
     m = cfg["measurement"]
     window = m["window"]
@@ -204,7 +205,7 @@ def _load_dataset(cfg, out) -> MomentTable:
     return table
 
 
-def cmd_reconstruct(cfg, out: str, threads: int) -> int:
+def cmd_reconstruct(cfg, out: str) -> int:
     m = cfg["measurement"]
     fit_cfg = cfg["fit"]
     table = _load_dataset(cfg, out)
@@ -274,7 +275,7 @@ def _stabilizer_table(fit, n):
     return np.array(values), np.array(ses)
 
 
-def cmd_analyze(cfg, out: str, threads: int) -> int:
+def cmd_analyze(cfg, out: str) -> int:
     n = cfg["protocol"]["n_qubits"]
     ana = cfg["analysis"]
     fit_dir = os.path.join(out, "fit")
@@ -320,9 +321,7 @@ def cmd_analyze(cfg, out: str, threads: int) -> int:
     for r, rp in pairs:
         plan = entanglement.default_plan(n, r, rp)
         if n <= 15:
-            res = entanglement.localizable_entanglement(
-                fit.mpo, plan, measure, fit=fit, threads=threads
-            )
+            res = entanglement.localizable_entanglement(fit.mpo, plan, measure, fit=fit)
         else:
             if ana["subset_seed"] is None:
                 raise ValidationError(
@@ -405,6 +404,14 @@ _COMMANDS = {
     "analyze": cmd_analyze,
 }
 
+# failures that end a command, with their documented exit codes
+_EXIT_CODES = {
+    ValidationError: 2,
+    CompletenessError: 3,
+    ConvergenceError: 4,
+    DataError: 5,
+}
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -414,7 +421,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker thread cap")
     args = parser.parse_args(argv)
 
     level = os.environ.get("MPO_TOMO_LOG", "error").upper()
@@ -425,18 +431,12 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        if args.threads < 1:
-            raise ValidationError("--threads must be >= 1")
         os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](cfg, args.out, args.threads)
-    except CompletenessError as exc:
+        return _COMMANDS[args.command](cfg, args.out)
+    except tuple(_EXIT_CODES) as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValidationError as exc:
-        log.error("%s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

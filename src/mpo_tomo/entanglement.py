@@ -11,14 +11,13 @@ lower bound of the textbook definition.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._validation import check_positive_int
 from .errors import ValidationError
-from .mpo import Mpo
+from .mpo import Mpo, left_environments, right_environments
 from .pauli import PAULIS
 from .standard_form import pack
 
@@ -118,15 +117,12 @@ def _site_vectors(mpo: Mpo, plan: MeasurementPlan, outcomes) -> list:
     return vectors
 
 
-def _branch_coefficients(mpo: Mpo, vectors) -> np.ndarray:
-    """(4, 4) Pauli coefficients of the unnormalized two-qubit branch state."""
-    left = np.ones((1, 1))
-    for t, v in zip(mpo.tensors, vectors):
-        if v is None:
-            left = np.einsum("fb,bay->fay", left, t).reshape(-1, t.shape[2])
-        else:
-            left = left @ np.einsum("a,bay->by", v, t)
-    return left[:, 0].reshape(4, 4)
+def _site_maps(mpo: Mpo, vectors) -> list:
+    """Site maps of one branch: measured sites summed against their vector."""
+    return [
+        t if v is None else np.einsum("a,bay->by", v, t)
+        for t, v in zip(mpo.tensors, vectors)
+    ]
 
 
 def _coeffs_to_matrix(c: np.ndarray) -> np.ndarray:
@@ -140,7 +136,7 @@ def post_measurement_state(mpo: Mpo, plan: MeasurementPlan, outcomes) -> TwoQubi
     all 2^(N-2) outcome strings sum to the trace of the MPO.
     """
     vectors = _site_vectors(mpo, plan, outcomes)
-    c = _branch_coefficients(mpo, vectors)
+    c = left_environments(_site_maps(mpo, vectors))[-1].reshape(4, 4)
     return TwoQubitState(matrix=_coeffs_to_matrix(c), weight=float(c[0, 0]))
 
 
@@ -269,51 +265,51 @@ class LeResult:
     raw_negative: float = 0.0
 
 
-def _branch_gradient_to_params(mpo, vectors, w, masks):
-    """Chain rule from d(term)/d(coefficients) to the free MPO parameters."""
-    n = mpo.n_qubits
-    fw = [np.ones((1, 1))]
-    for t, v in zip(mpo.tensors, vectors):
-        if v is None:
-            fw.append(np.einsum("fb,bay->fay", fw[-1], t).reshape(-1, t.shape[2]))
-        else:
-            fw.append(fw[-1] @ np.einsum("a,bay->by", v, t))
-    bw = [np.ones((1, 1))]
-    for t, v in zip(reversed(mpo.tensors), reversed(vectors)):
-        if v is None:
-            nxt = np.einsum("bay,yf->baf", t, bw[-1]).reshape(t.shape[0], -1)
-        else:
-            nxt = np.einsum("a,bay->by", v, t) @ bw[-1]
-        bw.append(nxt)
-    bw.reverse()
+def _branch_gradient_to_params(maps, vectors, lefts, w, masks):
+    """Chain rule from d(term)/d(coefficients) to the free MPO parameters.
+
+    ``lefts`` are the branch's left environments over ``maps``.
+    """
+    rights = right_environments(maps)
     grads = []
-    free_seen = 0
-    for s in range(1, n + 1):
-        t = mpo.tensors[s - 1]
-        v = vectors[s - 1]
-        n_before = free_seen
+    n_open = 0
+    for s, v in enumerate(vectors):
+        lt, rt = lefts[s], rights[s + 1]
         if v is None:
-            w3 = w.reshape(4**n_before, 4, -1)
-            g = np.einsum("fx,fag,yg->xay", fw[s - 1], w3, bw[s])
-            free_seen += 1
+            w3 = w.reshape(4**n_open, 4, -1)
+            g = np.einsum("fx,fag,yg->xay", lt, w3, rt)
+            n_open += 1
         else:
-            w2 = w.reshape(4**n_before, -1)
-            u = fw[s - 1].T @ w2 @ bw[s].T
+            u = lt.T @ w.reshape(4**n_open, -1) @ rt.T
             g = np.einsum("xy,a->xay", u, v)
         grads.append(g)
     return pack(grads, masks)
 
 
 def _evaluate_branches(mpo, plan, measure, indices, want_gradient, masks=None):
+    """Branch values summed over outcome strings ``indices``.
+
+    Bit ``k`` of an index set means the ``k``-th measured site gave -1.
+    """
+    if measure not in ("negativity", "concurrence"):
+        raise ValidationError(f"unknown measure {measure!r}")
     n = mpo.n_qubits
+    # (outcome +1, outcome -1) vectors and maps of every site, built once
+    plus = _site_vectors(mpo, plan, [1] * (n - 2))
+    minus = _site_vectors(mpo, plan, [-1] * (n - 2))
+    vectors = list(zip(plus, minus))
+    maps = list(zip(_site_maps(mpo, plus), _site_maps(mpo, minus)))
+    measured = [s for s, v in enumerate(plus) if v is not None]
+    site_bits = np.zeros((len(indices), n), dtype=int)
+    site_bits[:, measured] = (np.asarray(indices)[:, None] >> np.arange(n - 2)) & 1
     total_value = 0.0
     total_raw_negative = 0.0
     grad = None
     terms = np.empty(len(indices))
-    for pos, idx in enumerate(indices):
-        bits = [(1 if not (idx >> k) & 1 else -1) for k in range(n - 2)]
-        vectors = _site_vectors(mpo, plan, bits)
-        c = _branch_coefficients(mpo, vectors)
+    for pos, bits in enumerate(site_bits.tolist()):
+        branch_maps = [m[b] for m, b in zip(maps, bits)]
+        lefts = left_environments(branch_maps)
+        c = lefts[-1].reshape(4, 4)
         if measure == "negativity":
             value, dvdc = _branch_negativity(c, want_gradient)
         else:
@@ -323,7 +319,8 @@ def _evaluate_branches(mpo, plan, measure, indices, want_gradient, masks=None):
         terms[pos] = value
         total_value += value
         if want_gradient:
-            g = _branch_gradient_to_params(mpo, vectors, dvdc, masks)
+            branch_vectors = [v[b] for v, b in zip(vectors, bits)]
+            g = _branch_gradient_to_params(branch_maps, branch_vectors, lefts, dvdc, masks)
             grad = g if grad is None else grad + g
     return total_value, terms, grad, total_raw_negative
 
@@ -333,7 +330,6 @@ def localizable_entanglement(
     plan: MeasurementPlan,
     measure: str = "negativity",
     fit=None,
-    threads: int = 1,
 ) -> LeResult:
     """Exact localizable entanglement by enumeration of all outcome branches.
 
@@ -344,43 +340,19 @@ def localizable_entanglement(
         measure: "negativity" or "concurrence".
         fit: optional FitResult whose covariance propagates a parameter SE
             (the fit's MPO must be the one analyzed).
-        threads: worker threads for the branch sum.
     """
-    if measure not in ("negativity", "concurrence"):
-        raise ValidationError(f"unknown measure {measure!r}")
     n = mpo.n_qubits
     if n > _EXACT_ENUMERATION_LIMIT:
         raise ValidationError(
             f"exact enumeration limited to N <= {_EXACT_ENUMERATION_LIMIT}; "
             "use le_subset_estimate"
         )
-    plan.validate(n)
     n_branches = 2 ** (n - 2)
     want_gradient = fit is not None
     masks = fit.masks if fit is not None else None
-    indices = np.arange(n_branches)
-    if threads > 1 and n_branches >= 64:
-        chunks = np.array_split(indices, threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda ch: _evaluate_branches(
-                        mpo, plan, measure, ch, want_gradient, masks
-                    ),
-                    chunks,
-                )
-            )
-        value = sum(p[0] for p in parts)
-        raw_neg = sum(p[3] for p in parts)
-        grad = None
-        if want_gradient:
-            grad = parts[0][2]
-            for p in parts[1:]:
-                grad = grad + p[2]
-    else:
-        value, _, grad, raw_neg = _evaluate_branches(
-            mpo, plan, measure, indices, want_gradient, masks
-        )
+    value, _, grad, raw_neg = _evaluate_branches(
+        mpo, plan, measure, np.arange(n_branches), want_gradient, masks
+    )
     se_param = None
     if want_gradient:
         var = float(grad @ fit.covariance @ grad)
@@ -449,7 +421,7 @@ def le_subset_estimate(
 
 
 def pairwise_le_matrix(
-    mpo: Mpo, measure: str = "negativity", fit=None, threads: int = 1
+    mpo: Mpo, measure: str = "negativity", fit=None
 ) -> dict[tuple[int, int], LeResult]:
     """Localizable entanglement for every pair under the default X/Z plans."""
     n = mpo.n_qubits
@@ -457,9 +429,7 @@ def pairwise_le_matrix(
     for r in range(1, n):
         for rp in range(r + 1, n + 1):
             plan = default_plan(n, r, rp)
-            out[(r, rp)] = localizable_entanglement(
-                mpo, plan, measure, fit=fit, threads=threads
-            )
+            out[(r, rp)] = localizable_entanglement(mpo, plan, measure, fit=fit)
     return out
 
 

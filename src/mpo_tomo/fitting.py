@@ -25,7 +25,15 @@ from .correlations import (
     zshifted_to_pauli,
 )
 from .errors import DataError, ValidationError
-from .mpo import Mpo, is_standard_form, load_json, save_json, to_standard_form
+from .mpo import (
+    Mpo,
+    is_standard_form,
+    left_environments,
+    load_json,
+    right_environments,
+    save_json,
+    to_standard_form,
+)
 from .reconstruct import (
     build_corr_matrices,
     compress,
@@ -51,13 +59,9 @@ def _window_values_jacobian(mpo: Mpo, window: int, basis_k=None, want_jacobian=T
     tensors = list(mpo.tensors)
     if basis_k is not None:
         tensors = [np.einsum("ji,dia->dja", basis_k, t) for t in tensors]
-    prefix = [np.ones(1)]
-    for t in tensors:
-        prefix.append(prefix[-1] @ t[:, 0, :])
-    suffix = [np.ones(1)]
-    for t in reversed(tensors):
-        suffix.append(t[:, 0, :] @ suffix[-1])
-    suffix.reverse()
+    ident = [t[:, 0, :] for t in tensors]
+    prefix = left_environments(ident)
+    suffix = right_environments(ident)
 
     # per-site flat offsets of the free parameters inside the packed vector
     offsets = np.cumsum([0] + [int(m.sum()) for m in masks])
@@ -65,44 +69,29 @@ def _window_values_jacobian(mpo: Mpo, window: int, basis_k=None, want_jacobian=T
 
     values = {}
     jacs = {} if want_jacobian else None
-    eye4 = np.eye(4)
-    k_mat = eye4 if basis_k is None else np.asarray(basis_k, dtype=float)
+    k_mat = np.eye(4) if basis_k is None else np.asarray(basis_k, dtype=float)
     for start in range(1, n - window + 2):
-        sites = list(range(start - 1, start - 1 + window))
-        lefts = [prefix[start - 1][None, :]]  # (4^k, D) partial products
-        for t in (tensors[s] for s in sites):
-            nxt = np.einsum("wx,xiy->wiy", lefts[-1], t)
-            lefts.append(nxt.reshape(-1, t.shape[2]))
-        rights = [suffix[start - 1 + window][:, None].T]  # (4^k, D) from the right
-        for t in (tensors[s] for s in reversed(sites)):
-            prev = rights[-1]  # (4^k, D_right-of-site)
-            nxt = np.einsum("xiy,wy->iwx", t, prev)
-            rights.append(nxt.reshape(-1, t.shape[0]))
-        rights.reverse()  # rights[k] pairs with window position k as right factor
-
-        values[start] = lefts[window] @ suffix[start - 1 + window]
+        first, end = start - 1, start - 1 + window
+        sites = tensors[first:end]
+        lefts = left_environments(sites, prefix[first])  # (4^k, D)
+        values[start] = (lefts[window] @ suffix[end])[:, 0]
         if not want_jacobian:
             continue
+        # sites left of the window enter through their identity slices, so
+        # one right sweep from the window's end covers every derivative
+        rights = right_environments(ident[:first] + sites, suffix[end])
         jac = np.zeros((4**window, n_par))
-        for k, s in enumerate(sites):
-            lt = lefts[k]  # (4^k, Dl)
-            rt = rights[k + 1]  # (4^{window-k-1}, Dr)
-            # block[a, w, b, i, x, y] = K[w, i] lt[a, x] rt[b, y]
-            block = np.einsum("wi,ax,by->awbixy", k_mat, lt, rt)
+        for s in range(end):
+            rt = rights[s + 1]  # (D_right-of-site, 4^{open right of s})
+            if s >= first:
+                # block[a, w, b, i, x, y] = K[w, i] lt[a, x] rt[y, b]
+                block = np.einsum("wi,ax,yb->awbixy", k_mat, lefts[s - first], rt)
+            else:
+                # d value / d (A_s^(0))_{x,y} = prefix[s][x] * rt[y, w]
+                block = np.zeros((4**window, 4) + ident[s].shape)
+                block[:, 0] = np.einsum("x,yw->wxy", prefix[s][0], rt)
             block = block.reshape(4**window, -1)
-            free = site_free[s]
-            jac[:, offsets[s] : offsets[s + 1]] = block[:, free]
-        # sites left of the window contribute through their identity slices
-        vt = rights[0]  # (4^window, D_left-of-window)
-        for s in range(start - 2, -1, -1):
-            t = tensors[s]
-            # d value / d (A_s^(0))_{x,y} = prefix[s][x] * tail[w, y]
-            blk = np.einsum("x,wy->wxy", prefix[s], vt)  # (4^w, Dl, Dr)
-            full = np.zeros((4**window, 4, t.shape[0], t.shape[2]))
-            full[:, 0] = blk
-            free = site_free[s]
-            jac[:, offsets[s] : offsets[s + 1]] = full.reshape(4**window, -1)[:, free]
-            vt = np.einsum("xy,wy->wx", t[:, 0, :], vt)
+            jac[:, offsets[s] : offsets[s + 1]] = block[:, site_free[s]]
         jacs[start] = jac
     return values, jacs
 
@@ -178,6 +167,9 @@ def gauss_newton_fit(
     if not np.all(np.isfinite(y)):
         raise DataError("correlation data contains NaN")
     w = 1.0 / np.clip(se, se_floor, None)
+    # the weighted SSE that rounding of the model values alone leaves; a fit
+    # below it has nothing left to polish
+    rounding_sse = float(y.size * (np.finfo(float).eps * w.max()) ** 2)
 
     masks = free_masks(initial)
     theta = pack(initial.tensors, masks)
@@ -200,7 +192,7 @@ def gauss_newton_fit(
     sse = float(resid @ resid)
     lam = damping
     iterations = 0
-    converged = sse == 0.0
+    converged = sse <= rounding_sse
     jac = None
     fd_step = 0.1
     while not converged and iterations < max_iter:
@@ -242,9 +234,7 @@ def gauss_newton_fit(
             break
         decrease = sse - cand_sse
         theta, sse = cand_theta, cand_sse
-        # the 1e-20 floor stops the loop from polishing float dust once an
-        # exact-data fit has effectively reached zero
-        if decrease <= tol * max(sse, 1e-20):
+        if decrease <= tol * sse or sse <= rounding_sse:
             converged = True
     current = unpack(theta, initial, masks)
     # covariance of the free parameters at the final iterate
@@ -408,9 +398,21 @@ def load_fit_bundle(directory) -> FitResult:
     mpo = load_json(os.path.join(directory, "mpo.json"))
     with open(os.path.join(directory, "covariance_header.json")) as fh:
         header = json.load(fh)
-    cov = np.fromfile(
-        os.path.join(directory, "covariance.bin"), dtype=np.float64
-    ).reshape(header["shape"])
+    masks = free_masks(mpo)
+    n_free = n_free_parameters(masks)
+    shape = tuple(header["shape"])
+    if shape != (n_free, n_free):
+        raise ValidationError(
+            f"covariance shape {list(shape)} does not match the MPO's "
+            f"{n_free} free parameters"
+        )
+    cov = np.fromfile(os.path.join(directory, "covariance.bin"), dtype=np.float64)
+    if cov.size != n_free * n_free:
+        raise ValidationError(
+            f"covariance.bin holds {cov.size} values, the header declares "
+            f"{n_free} x {n_free}"
+        )
+    cov = cov.reshape(shape)
     with open(os.path.join(directory, "fit_report.json")) as fh:
         report = json.load(fh)
     return FitResult(
@@ -421,5 +423,5 @@ def load_fit_bundle(directory) -> FitResult:
         iterations=report["iterations"],
         converged=report["converged"],
         basis=report["basis"],
-        masks=free_masks(mpo),
+        masks=masks,
     )

@@ -23,6 +23,54 @@ from .pauli import PauliWord
 _TRACE_TOL = 1e-14
 
 
+def left_environments(maps, boundary=None) -> list[np.ndarray]:
+    """Left partial products of a chain of site maps.
+
+    Each site map is either a ``(D_l, D_r)`` matrix, whose Pauli index is
+    already summed, or a ``(D_l, 4, D_r)`` tensor, whose Pauli index stays
+    open.
+
+    Args:
+        maps: site maps in chain order.
+        boundary: ``(W, D)`` environment left of the first map; defaults to
+            ``ones((1, 1))``.
+
+    Returns:
+        ``len(maps) + 1`` environments; entry ``k`` is the boundary times the
+        first ``k`` maps, shaped ``(W_k, D_k)``.  Its rows run over the open
+        indices so far in site order (the leftmost index varies slowest).
+    """
+    env = np.ones((1, 1)) if boundary is None else boundary
+    envs = [env]
+    for m in maps:
+        if m.ndim == 2:
+            env = env @ m
+        else:
+            env = (env @ m.reshape(m.shape[0], -1)).reshape(-1, m.shape[2])
+        envs.append(env)
+    return envs
+
+
+def right_environments(maps, boundary=None) -> list[np.ndarray]:
+    """Right partial products of a chain of site maps.
+
+    The mirror image of :func:`left_environments`: entry ``k`` is the product
+    of maps ``k..`` and the ``(D, W)`` boundary (default ``ones((1, 1))``),
+    shaped ``(D_k, W_k)``, with its columns running over the open indices
+    from site ``k`` on in site order.
+    """
+    env = np.ones((1, 1)) if boundary is None else boundary
+    envs = [env]
+    for m in reversed(maps):
+        if m.ndim == 2:
+            env = m @ env
+        else:
+            env = (m.reshape(-1, m.shape[2]) @ env).reshape(m.shape[0], -1)
+        envs.append(env)
+    envs.reverse()
+    return envs
+
+
 class Mpo:
     """Immutable chain of real site tensors representing a density operator.
 
@@ -79,10 +127,8 @@ class Mpo:
 
     def trace(self) -> float:
         """Trace of the represented operator (product of identity slices)."""
-        v = self.tensors[0][0, 0, :]
-        for t in self.tensors[1:]:
-            v = v @ t[:, 0, :]
-        return float(v[0])
+        ident = [t[:, 0, :] for t in self.tensors]
+        return float(left_environments(ident)[-1][0, 0])
 
     def correlation(self, word) -> float:
         """Expectation value of a Pauli word.
@@ -99,10 +145,8 @@ class Mpo:
                     f"letter tuple of length {len(letters)} does not match "
                     f"{self.n_qubits} qubits"
                 )
-        v = self.tensors[0][0, letters[0], :]
-        for t, a in zip(self.tensors[1:], letters[1:]):
-            v = v @ t[:, a, :]
-        return float(v[0])
+        maps = [t[:, a, :] for t, a in zip(self.tensors, letters)]
+        return float(left_environments(maps)[-1][0, 0])
 
     def window_correlations(self, window: int) -> dict[int, np.ndarray]:
         """All Pauli correlations of every length-``window`` site window.
@@ -114,23 +158,14 @@ class Mpo:
         n = self.n_qubits
         if not 1 <= window <= n:
             raise ValidationError(f"window must be in 1..{n}, got {window}")
-        # prefix[s] = product of identity slices of sites 1..s (row vector)
-        prefix = [np.ones(1)]
-        for t in self.tensors:
-            prefix.append(prefix[-1] @ t[:, 0, :])
-        suffix = [np.ones(1)]
-        for t in reversed(self.tensors):
-            suffix.append(t[:, 0, :] @ suffix[-1])
-        suffix.reverse()
+        ident = [t[:, 0, :] for t in self.tensors]
+        prefix = left_environments(ident)
+        suffix = right_environments(ident)
         out = {}
         for start in range(1, n - window + 2):
-            block = prefix[start - 1]  # shape (D,)
-            block = block[:, None]  # (D, 1): trailing axis collects letters
-            for k in range(window):
-                t = self.tensors[start - 1 + k]
-                block = np.einsum("dw,die->wie", block, t)
-                block = block.reshape(-1, t.shape[2]).T  # (D_right, 4^{k+1})
-            vals = block.T @ suffix[start - 1 + window]
+            sites = self.tensors[start - 1 : start - 1 + window]
+            block = left_environments(sites, prefix[start - 1])[-1]
+            vals = block @ suffix[start - 1 + window]
             out[start] = vals.reshape((4,) * window)
         return out
 
@@ -287,22 +322,29 @@ def is_standard_form(mpo: Mpo, tol: float = 1e-9) -> bool:
     return True
 
 
+def _pair_maps(mpo: Mpo, target: Mpo) -> list[np.ndarray]:
+    """Site transfer matrices of the target/MPO pair, Pauli index summed."""
+    if target.n_qubits != mpo.n_qubits:
+        raise ValidationError(
+            f"length mismatch: {mpo.n_qubits} vs {target.n_qubits}"
+        )
+    mats = []
+    for t, a in zip(target.tensors, mpo.tensors):
+        m = np.einsum("uiv,xiy->uxvy", t, a)
+        mats.append(
+            m.reshape(t.shape[0] * a.shape[0], t.shape[2] * a.shape[2])
+        )
+    return mats
+
+
 def fidelity(mpo: Mpo, target: Mpo) -> float:
     """Quantum state fidelity ``<psi| rho |psi>`` against a pure target MPO.
 
     The caller asserts that ``target`` encodes a pure state; the contraction
     pairs the two chains site by site, which costs O(N D_a^2 D_t^2).
     """
-    if target.n_qubits != mpo.n_qubits:
-        raise ValidationError(
-            f"length mismatch: {mpo.n_qubits} vs {target.n_qubits}"
-        )
-    v = np.ones((1, 1)).reshape(1)
-    for t, a in zip(target.tensors, mpo.tensors):
-        m = np.einsum("uiv,xiy->uxvy", t, a)
-        m = m.reshape(t.shape[0] * a.shape[0], t.shape[2] * a.shape[2])
-        v = v @ m
-    return float(v[0]) / 2**mpo.n_qubits
+    v = left_environments(_pair_maps(mpo, target))[-1]
+    return float(v[0, 0]) / 2**mpo.n_qubits
 
 
 def fidelity_gradient(mpo: Mpo, target: Mpo) -> list[np.ndarray]:
@@ -312,30 +354,14 @@ def fidelity_gradient(mpo: Mpo, target: Mpo) -> list[np.ndarray]:
         one array per site, shaped like the site tensor, obtained by removing
         that site from the pair contraction.
     """
-    if target.n_qubits != mpo.n_qubits:
-        raise ValidationError(
-            f"length mismatch: {mpo.n_qubits} vs {target.n_qubits}"
-        )
-    n = mpo.n_qubits
-    mats = []
-    for t, a in zip(target.tensors, mpo.tensors):
-        m = np.einsum("uiv,xiy->uxvy", t, a)
-        mats.append(
-            m.reshape(t.shape[0] * a.shape[0], t.shape[2] * a.shape[2])
-        )
-    lefts = [np.ones(1)]
-    for m in mats[:-1]:
-        lefts.append(lefts[-1] @ m)
-    rights = [np.ones(1)]
-    for m in reversed(mats[1:]):
-        rights.append(m @ rights[-1])
-    rights.reverse()
-    scale = 1.0 / 2**n
+    mats = _pair_maps(mpo, target)
+    lefts = left_environments(mats)
+    rights = right_environments(mats)
+    scale = 1.0 / 2**mpo.n_qubits
     grads = []
-    for s in range(n):
-        t, a = target.tensors[s], mpo.tensors[s]
+    for s, (t, a) in enumerate(zip(target.tensors, mpo.tensors)):
         lv = lefts[s].reshape(t.shape[0], a.shape[0])
-        rv = rights[s].reshape(t.shape[2], a.shape[2])
+        rv = rights[s + 1].reshape(t.shape[2], a.shape[2])
         g = np.einsum("ux,uiv,vy->xiy", lv, t, rv) * scale
         grads.append(g)
     return grads
@@ -347,17 +373,12 @@ def correlation_gradient(mpo: Mpo, letters) -> list[np.ndarray]:
     if len(letters) != mpo.n_qubits:
         raise ValidationError("letters must cover the full chain")
     mats = [t[:, a, :] for t, a in zip(mpo.tensors, letters)]
-    lefts = [np.ones(1)]
-    for m in mats[:-1]:
-        lefts.append(lefts[-1] @ m)
-    rights = [np.ones(1)]
-    for m in reversed(mats[1:]):
-        rights.append(m @ rights[-1])
-    rights.reverse()
+    lefts = left_environments(mats)
+    rights = right_environments(mats)
     grads = []
     for s, t in enumerate(mpo.tensors):
         g = np.zeros(t.shape)
-        g[:, letters[s], :] = np.outer(lefts[s], rights[s])
+        g[:, letters[s], :] = np.outer(lefts[s], rights[s + 1])
         grads.append(g)
     return grads
 
@@ -370,11 +391,12 @@ def matrix_element(mpo: Mpo, bra_bits, ket_bits) -> complex:
     ket = tuple(int(b) for b in ket_bits)
     if len(bra) != mpo.n_qubits or len(ket) != mpo.n_qubits:
         raise ValidationError("bit strings must cover the full chain")
-    v = np.ones(1, dtype=complex)
-    for t, i, j in zip(mpo.tensors, bra, ket):
-        u = PAULIS[:, i, j] / 2.0  # <i| P_a |j> / 2 per site
-        v = v @ np.einsum("a,dae->de", u, t.astype(complex))
-    return complex(v[0])
+    # <i| P_a |j> / 2 summed against each site's Pauli index
+    maps = [
+        np.einsum("a,dae->de", PAULIS[:, i, j] / 2.0, t.astype(complex))
+        for t, i, j in zip(mpo.tensors, bra, ket)
+    ]
+    return complex(left_environments(maps)[-1][0, 0])
 
 
 def save_json(mpo: Mpo, path) -> None:

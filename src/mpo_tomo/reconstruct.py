@@ -15,7 +15,7 @@ import numpy as np
 
 from .correlations import PAULI_BASIS, PauliCorrelationSet
 from .errors import DataError, ValidationError
-from .mpo import Mpo
+from .mpo import Mpo, left_environments, right_environments
 
 _SE_FLOOR_REL = 1e-11  # absolute floor on singular-value SEs, relative to sigma_max
 
@@ -326,34 +326,22 @@ def check_reconstructibility(truth: Mpo, L: int = 5) -> ReconstructibilityReport
         raise ValidationError(f"L must be 3, 4 or 5, got {L}")
     n = truth.n_qubits
     ts = truth.tensors
-    # cumulative products of identity slices, kept as row/column matrices
-    prefix = [np.ones((1, 1))]
-    for t in ts:
-        prefix.append(prefix[-1] @ t[:, 0, :])
-    suffix = [np.ones((1, 1))]
-    for t in reversed(ts):
-        suffix.append(t[:, 0, :] @ suffix[-1])
-    suffix.reverse()
+    ident = [t[:, 0, :] for t in ts]
+    prefix = left_environments(ident)
+    suffix = right_environments(ident)
 
     left_sites = 1 if L == 3 else 2
     right_sites = 1 if L in (3, 4) else 2
     l_ranks, l_expected = {}, {}
     for s in range((2 if L == 3 else 1), n - left_sites):
-        rows = prefix[s - 1]  # (1, D_left-of-site-s)
-        block = rows
-        for k in range(left_sites):
-            t = ts[s - 1 + k]
-            block = np.einsum("wd,die->wie", block, t).reshape(-1, t.shape[2])
-        l_ranks[s] = _rank(block)
-        l_expected[s] = ts[s - 1 + left_sites - 1].shape[2]
+        sites = ts[s - 1 : s - 1 + left_sites]
+        l_ranks[s] = _rank(left_environments(sites, prefix[s - 1])[-1])
+        l_expected[s] = sites[-1].shape[2]
     r_ranks, r_expected = {}, {}
     for s in range(3, n):
-        block = suffix[s - 1 + right_sites]  # (bond, 1) product of trailing slices
-        for k in reversed(range(right_sites)):
-            t = ts[s - 1 + k]
-            block = np.einsum("die,ew->diw", t, block).reshape(t.shape[0], -1)
-        r_ranks[s] = _rank(block)
-        r_expected[s] = ts[s - 1].shape[0]
+        sites = ts[s - 1 : s - 1 + right_sites]
+        r_ranks[s] = _rank(right_environments(sites, suffix[s - 1 + right_sites])[0])
+        r_expected[s] = sites[0].shape[0]
     ok = all(l_ranks[s] == l_expected[s] for s in l_ranks) and all(
         r_ranks[s] == r_expected[s] for s in r_ranks
     )

@@ -139,6 +139,18 @@ class TestReconstruct:
         code = main(["reconstruct", "--config", cfg, "--out", str(broken)])
         assert code == 3
 
+    def test_unphysical_data_exit_code(self, pipeline_run, tmp_path):
+        cfg, out = pipeline_run
+        broken = tmp_path / "broken"
+        shutil.copytree(out, broken)
+        path = sorted((broken / "dataset").iterdir())[0]
+        with open(path) as fh:
+            rows = list(csv.reader(fh))
+        rows[1][2] = "50.0"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert main(["reconstruct", "--config", cfg, "--out", str(broken)]) == 5
+
     def test_end_to_end_exact_recovery(self, tmp_path):
         # an exact (zero-SE) ideal dataset reconstructs the ideal state
         from mpo_tomo.cli import _setting_of_word
@@ -195,6 +207,38 @@ class TestReconstruct:
 
 
 class TestAnalyze:
+    def test_truncated_covariance(self, pipeline_run, tmp_path):
+        cfg, out = pipeline_run
+        broken = tmp_path / "broken"
+        shutil.copytree(out, broken)
+        path = broken / "fit" / "covariance.bin"
+        data = path.read_bytes()
+        path.write_bytes(data[:-8])
+        assert main(["analyze", "--config", cfg, "--out", str(broken)]) == 2
+
+    def test_covariance_shape_must_match_mpo(self, pipeline_run, tmp_path):
+        cfg, out = pipeline_run
+        broken = tmp_path / "broken"
+        shutil.copytree(out, broken)
+        path = broken / "fit" / "covariance_header.json"
+        header = json.loads(path.read_text())
+        header["shape"] = [1, header["shape"][0] ** 2]
+        path.write_text(json.dumps(header))
+        assert main(["analyze", "--config", cfg, "--out", str(broken)]) == 2
+
+    def test_error_model_non_convergence_exit_code(self, pipeline_run, tmp_path, monkeypatch):
+        from mpo_tomo import cluster
+        from mpo_tomo.errors import ConvergenceError
+
+        def fail(*args, **kwargs):
+            raise ConvergenceError("error model fit did not converge")
+
+        monkeypatch.setattr(cluster, "fit_error_model", fail)
+        cfg, out = pipeline_run
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        assert main(["analyze", "--config", cfg, "--out", str(copy)]) == 4
+
     def test_report_values(self, pipeline_run):
         _, out = pipeline_run
         report = json.load(open(os.path.join(out, "report.json")))
@@ -245,7 +289,3 @@ class TestLogging:
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
-    def test_threads_validated(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.json")
-        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "0"])
-        assert code == 2

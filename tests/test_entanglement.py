@@ -162,12 +162,6 @@ class TestLocalizableEntanglement:
             values.append(le.value)
         assert np.ptp(values) < 1e-9
 
-    def test_threads_agree(self, noisy6):
-        plan = default_plan(6, 1, 6)
-        a = localizable_entanglement(noisy6, plan, "negativity", threads=1)
-        b = localizable_entanglement(noisy6, plan, "negativity", threads=4)
-        assert a.value == pytest.approx(b.value, abs=1e-12)
-
     def test_size_limit_directs_to_subset(self):
         m = noisy_cluster_model(16, ErrorModel.uniform(16, 0.05, 0.05))
         with pytest.raises(ValidationError, match="subset"):
@@ -260,6 +254,10 @@ class TestSubsetEstimator:
     def test_sample_count_validated(self, noisy6):
         with pytest.raises(ValidationError):
             le_subset_estimate(noisy6, default_plan(6, 1, 6), samples=17, seed=0)
+
+    def test_unknown_measure_rejected(self, noisy6):
+        with pytest.raises(ValidationError, match="negatvity"):
+            le_subset_estimate(noisy6, default_plan(6, 1, 6), "negatvity", 16, 0)
 
 
 class TestReports:

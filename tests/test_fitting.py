@@ -96,10 +96,11 @@ class TestGaussNewton:
         assert fit.sse == 0.0
         assert fit.converged
 
-    def test_perturbed_initial_recovers(self, sf_noisy6):
+    @pytest.mark.parametrize("seed", range(2, 8))
+    def test_perturbed_initial_recovers(self, sf_noisy6, seed):
         masks = free_masks(sf_noisy6)
         theta = pack(sf_noisy6.tensors, masks)
-        local = np.random.default_rng(2)
+        local = np.random.default_rng(seed)
         start = unpack(theta + local.normal(scale=1e-2, size=theta.size), sf_noisy6, masks)
         fit = gauss_newton_fit(start, window_correlation_set(sf_noisy6, 5))
         assert fit.converged

@@ -21,8 +21,11 @@ import glob
 import itertools
 import json
 import logging
+import math
 import os
 import sys
+from contextlib import contextmanager
+from time import perf_counter
 
 import numpy as np
 
@@ -96,7 +99,31 @@ def load_config(path) -> dict:
         raise ValidationError("measurement.shots must be an integer >= 100")
     if not 0.0 < m["eta"] <= 1.0:
         raise ValidationError("measurement.eta must lie in (0, 1]")
+    f = cfg["fit"]
+    if not _is_int(f["max_iterations"]) or f["max_iterations"] < 0:
+        raise ValidationError("fit.max_iterations must be an integer >= 0")
+    if not _is_finite(f["tol"]) or f["tol"] < 0:
+        raise ValidationError("fit.tol must be a finite number >= 0")
+    for key in ("se_floor", "k_sigma"):
+        if not _is_finite(f[key]) or f[key] <= 0:
+            raise ValidationError(f"fit.{key} must be a finite number > 0")
     return cfg
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_finite(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+@contextmanager
+def _timed(timings: dict, stage: str):
+    """Record the wall time of the enclosed block as ``timings[stage]`` (s)."""
+    start = perf_counter()
+    yield
+    timings[stage] = perf_counter() - start
 
 
 def _error_model(cfg) -> cluster.ErrorModel:
@@ -208,13 +235,18 @@ def _load_dataset(cfg, out) -> MomentTable:
 def cmd_reconstruct(cfg, out: str) -> int:
     m = cfg["measurement"]
     fit_cfg = cfg["fit"]
-    table = _load_dataset(cfg, out)
+    timings: dict = {}
+    with _timed(timings, "load"):
+        table = _load_dataset(cfg, out)
     stages: dict = {}
-    corrs = moments_to_zshifted(table)
+    with _timed(timings, "moments"):
+        corrs = moments_to_zshifted(table)
     if m["eta"] < 1.0:
-        corrs = correct_inefficiency(corrs, m["eta"], m["eta_se"])
+        with _timed(timings, "eta_correction"):
+            corrs = correct_inefficiency(corrs, m["eta"], m["eta_se"])
         stages["eta_correction"] = {"eta": m["eta"], "eta_se": m["eta_se"]}
-    corrs, angles = align_phases(corrs)
+    with _timed(timings, "alignment"):
+        corrs, angles = align_phases(corrs)
     stages["alignment_angles"] = angles.tolist()
     estimator = fitting.MpoLeastSquares(
         k_sigma=fit_cfg["k_sigma"],
@@ -222,7 +254,8 @@ def cmd_reconstruct(cfg, out: str) -> int:
         tol=fit_cfg["tol"],
         se_floor=fit_cfg["se_floor"],
     )
-    estimator.fit(corrs)
+    with _timed(timings, "fit"):
+        estimator.fit(corrs)
     stages["bond_dimensions"] = {
         str(s): {
             "estimate": estimator.bond_estimate_.dims[s],
@@ -240,22 +273,31 @@ def cmd_reconstruct(cfg, out: str) -> int:
     stages["gauss_newton"] = {
         "iterations": fr.iterations,
         "converged": fr.converged,
+        "exit_reason": fr.exit_reason,
         "sse": fr.sse,
         "dof": fr.dof,
+        "trace": fr.trace,
     }
     fit_dir = os.path.join(out, "fit")
-    fitting.save_fit_bundle(fr, fit_dir)
-    save_correlation_csv(
-        zshifted_to_pauli(corrs),
-        os.path.join(fit_dir, "correlations_pauli.csv"),
-        os.path.join(fit_dir, "correlations_meta.json"),
-    )
+    with _timed(timings, "write"):
+        fitting.save_fit_bundle(fr, fit_dir)
+        save_correlation_csv(
+            zshifted_to_pauli(corrs),
+            os.path.join(fit_dir, "correlations_pauli.csv"),
+            os.path.join(fit_dir, "correlations_meta.json"),
+        )
+    stages["timings"] = timings
     with open(os.path.join(fit_dir, "stages.json"), "w") as fh:
         json.dump(stages, fh, sort_keys=True)
     if not fr.converged:
         log.error("fit did not converge in %d iterations", fr.iterations)
         return 4
-    log.info("fit converged in %d iterations, sse/dof=%.3f", fr.iterations, fr.reduced_sse)
+    log.info(
+        "fit converged in %d iterations (%s), sse/dof=%.3f",
+        fr.iterations,
+        fr.exit_reason,
+        fr.reduced_sse,
+    )
     return 0
 
 
@@ -281,34 +323,38 @@ def cmd_analyze(cfg, out: str) -> int:
     fit_dir = os.path.join(out, "fit")
     if not os.path.isdir(fit_dir):
         raise ValidationError(f"no fit bundle under {fit_dir}; run reconstruct first")
-    fit = fitting.load_fit_bundle(fit_dir)
-    ideal = cluster.ideal_cluster_mpo(n)
-    fidelity, fidelity_se = fitting.propagate_covariance(
-        fit, fitting.fidelity_functional(ideal)
-    )
+    timings: dict = {}
+    with _timed(timings, "load"):
+        fit = fitting.load_fit_bundle(fit_dir)
+    with _timed(timings, "fidelity"):
+        ideal = cluster.ideal_cluster_mpo(n)
+        fidelity, fidelity_se = fitting.propagate_covariance(
+            fit, fitting.fidelity_functional(ideal)
+        )
+    with _timed(timings, "stabilizers"):
+        stab_values, stab_ses = _stabilizer_table(fit, n)
+        bound = cluster.stabilizer_fidelity_bound(stab_values, stab_ses)
+    with _timed(timings, "error_model"):
+        excitations = cluster.mean_excitations(fit.mpo)
+        exc_ses = []
+        for s in range(1, n + 1):
+            letters = tuple(3 if t == s else 0 for t in range(1, n + 1))
 
-    stab_values, stab_ses = _stabilizer_table(fit, n)
-    bound = cluster.stabilizer_fidelity_bound(stab_values, stab_ses)
-    excitations = cluster.mean_excitations(fit.mpo)
-    exc_ses = []
-    for s in range(1, n + 1):
-        letters = tuple(3 if t == s else 0 for t in range(1, n + 1))
+            def functional(m, letters=letters):
+                return m.correlation(letters), mpo_mod.correlation_gradient(m, letters)
 
-        def functional(m, letters=letters):
-            return m.correlation(letters), mpo_mod.correlation_gradient(m, letters)
-
-        _, se = fitting.propagate_covariance(fit, functional)
-        exc_ses.append(se / 2.0)
-    model = cluster.fit_error_model(
-        excitations, exc_ses, stab_values, stab_ses, uniform=True
-    )
-    model_stabs = cluster.stabilizer_expectations(
-        cluster.noisy_cluster_model(n, model)
-    )
-    cluster.write_stabilizer_report(
-        os.path.join(out, "stabilizers.csv"), stab_values, stab_ses, model_stabs
-    )
-    model.to_json(os.path.join(out, "error_model.json"))
+            _, se = fitting.propagate_covariance(fit, functional)
+            exc_ses.append(se / 2.0)
+        model = cluster.fit_error_model(
+            excitations, exc_ses, stab_values, stab_ses, uniform=True
+        )
+        model_stabs = cluster.stabilizer_expectations(
+            cluster.noisy_cluster_model(n, model)
+        )
+        cluster.write_stabilizer_report(
+            os.path.join(out, "stabilizers.csv"), stab_values, stab_ses, model_stabs
+        )
+        model.to_json(os.path.join(out, "error_model.json"))
 
     # localizable entanglement
     measure = ana["le_measure"]
@@ -317,20 +363,23 @@ def cmd_analyze(cfg, out: str) -> int:
         pairs = [(r, rp) for r in range(1, n) for rp in range(r + 1, n + 1)]
     else:
         pairs = [tuple(p) for p in pairs]
-    le_rows = []
-    for r, rp in pairs:
-        plan = entanglement.default_plan(n, r, rp)
-        if n <= 15:
-            res = entanglement.localizable_entanglement(fit.mpo, plan, measure, fit=fit)
-        else:
-            if ana["subset_seed"] is None:
-                raise ValidationError(
-                    "analysis.subset_seed is required for N > 15 (no implicit seeds)"
+    with _timed(timings, "le"):
+        le_rows = []
+        for r, rp in pairs:
+            plan = entanglement.default_plan(n, r, rp)
+            if n <= 15:
+                res = entanglement.localizable_entanglement(
+                    fit.mpo, plan, measure, fit=fit
                 )
-            res = entanglement.le_subset_estimate(
-                fit.mpo, plan, measure, ana["subset_samples"], ana["subset_seed"]
-            )
-        le_rows.append(res)
+            else:
+                if ana["subset_seed"] is None:
+                    raise ValidationError(
+                        "analysis.subset_seed is required for N > 15 (no implicit seeds)"
+                    )
+                res = entanglement.le_subset_estimate(
+                    fit.mpo, plan, measure, ana["subset_samples"], ana["subset_seed"]
+                )
+            le_rows.append(res)
     with open(os.path.join(out, "le_matrix.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["r", "r_prime", "value", "se_parameter", "se_sampling"])
@@ -360,7 +409,9 @@ def cmd_analyze(cfg, out: str) -> int:
 
     # density-matrix corner dump (first/last 16 basis states)
     corner = sorted(set(range(min(16, 2**n))) | set(range(max(0, 2**n - 16), 2**n)))
-    with open(os.path.join(out, "density_corner.csv"), "w", newline="") as fh:
+    with _timed(timings, "corner"), open(
+        os.path.join(out, "density_corner.csv"), "w", newline=""
+    ) as fh:
         writer = csv.writer(fh)
         writer.writerow(["bra", "ket", "abs", "arg"])
         for i in corner:
@@ -391,6 +442,7 @@ def cmd_analyze(cfg, out: str) -> int:
         },
         "le_measure": measure,
         "fit": {"sse": fit.sse, "dof": fit.dof, "converged": fit.converged},
+        "timings": timings,
     }
     with open(os.path.join(out, "report.json"), "w") as fh:
         json.dump(report, fh, sort_keys=True)

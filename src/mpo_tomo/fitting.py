@@ -4,14 +4,19 @@ Residuals are the differences between measured window correlations and the
 chain-product values of the MPO, each weighted by the reciprocal standard
 error.  The analytic Jacobian follows from the product rule: removing one
 site from the chain leaves a left prefix and a right suffix whose outer
-product is the derivative block.  Data in the Z-shifted basis is fit
-directly there (the model chain is contracted with the involution F on the
-window sites), which keeps the residual weights statistically independent.
+product is the derivative block.  In standard form a window's values depend
+only on its own sites and on the identity slices of the sites left of it, so
+each window carries a compact Jacobian block over just those columns, and
+the normal equations are scatter-added window by window; the dense stacked
+Jacobian is never formed.  Data in the Z-shifted basis is fit directly there
+(the model chain is contracted with the involution F on the window sites),
+which keeps the residual weights statistically independent.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,20 +47,44 @@ from .reconstruct import (
 )
 from .standard_form import free_masks, n_free_parameters, pack, unpack
 
+log = logging.getLogger(__name__)
+
+
+def _window_columns(masks, window: int) -> dict:
+    """Packed-parameter indices each window's model values can depend on.
+
+    Returns:
+        dict start -> int array: the identity-slice free entries of each
+        site left of the window (site-major packing puts them first in the
+        site's range), then every free entry of the window's own sites.
+    """
+    offsets = np.cumsum([0] + [int(m.sum()) for m in masks])
+    n_ident = [int(m[:, 0, :].sum()) for m in masks]
+    cols = {}
+    for start in range(1, len(masks) - window + 2):
+        first, end = start - 1, start - 1 + window
+        parts = [np.arange(offsets[s], offsets[s] + n_ident[s]) for s in range(first)]
+        parts.append(np.arange(offsets[first], offsets[end]))
+        cols[start] = np.concatenate(parts)
+    return cols
+
 
 def _window_values_jacobian(mpo: Mpo, window: int, basis_k=None, want_jacobian=True):
-    """Model values (and Jacobian) of all window words w.r.t. free parameters.
+    """Model values (and compact Jacobian) of all window words.
 
     Requires standard form, so sites right of a window never contribute
-    derivatives through their pinned identity columns.
+    derivatives through their pinned identity columns, and sites left of it
+    only through their identity slices.
 
     Returns:
         values: dict start -> (4**window,) array in site-major word order.
-        jac: dict start -> (4**window, n_params) array, or None.
+        jac: dict start -> (4**window, len(cols[start])) array of the
+            derivatives w.r.t. the packed parameters
+            ``cols = _window_columns(free_masks(mpo), window)`` (every other
+            derivative is exactly zero), or None.
     """
     n = mpo.n_qubits
     masks = free_masks(mpo)
-    n_par = n_free_parameters(masks)
     tensors = list(mpo.tensors)
     if basis_k is not None:
         tensors = [np.einsum("ji,dia->dja", basis_k, t) for t in tensors]
@@ -63,9 +92,9 @@ def _window_values_jacobian(mpo: Mpo, window: int, basis_k=None, want_jacobian=T
     prefix = left_environments(ident)
     suffix = right_environments(ident)
 
-    # per-site flat offsets of the free parameters inside the packed vector
-    offsets = np.cumsum([0] + [int(m.sum()) for m in masks])
+    # free entries of a whole site (site-major) and of its identity slice
     site_free = [m.transpose(1, 0, 2).ravel() for m in masks]
+    ident_free = [m[:, 0, :].ravel() for m in masks]
 
     values = {}
     jacs = {} if want_jacobian else None
@@ -80,25 +109,54 @@ def _window_values_jacobian(mpo: Mpo, window: int, basis_k=None, want_jacobian=T
         # sites left of the window enter through their identity slices, so
         # one right sweep from the window's end covers every derivative
         rights = right_environments(ident[:first] + sites, suffix[end])
-        jac = np.zeros((4**window, n_par))
+        blocks = []
         for s in range(end):
             rt = rights[s + 1]  # (D_right-of-site, 4^{open right of s})
             if s >= first:
                 # block[a, w, b, i, x, y] = K[w, i] lt[a, x] rt[y, b]
                 block = np.einsum("wi,ax,yb->awbixy", k_mat, lefts[s - first], rt)
+                free = site_free[s]
             else:
                 # d value / d (A_s^(0))_{x,y} = prefix[s][x] * rt[y, w]
-                block = np.zeros((4**window, 4) + ident[s].shape)
-                block[:, 0] = np.einsum("x,yw->wxy", prefix[s][0], rt)
-            block = block.reshape(4**window, -1)
-            jac[:, offsets[s] : offsets[s + 1]] = block[:, site_free[s]]
-        jacs[start] = jac
+                block = np.einsum("x,yw->wxy", prefix[s][0], rt)
+                free = ident_free[s]
+            blocks.append(block.reshape(4**window, -1)[:, free])
+        jacs[start] = np.hstack(blocks)
     return values, jacs
+
+
+def _gram(blocks, cols, n_par: int) -> np.ndarray:
+    """J^T J of the stacked Jacobian, from its compact window blocks.
+
+    ``blocks[i]`` holds window i's rows over the columns ``cols[i]``; every
+    other entry of those rows is zero.
+    """
+    out = np.zeros((n_par, n_par))
+    for block, c in zip(blocks, cols):
+        out[np.ix_(c, c)] += block.T @ block
+    return out
+
+
+def _transpose_dot(blocks, cols, n_par: int, vec) -> np.ndarray:
+    """J^T v of the stacked Jacobian; ``vec[i]`` holds window i's rows."""
+    out = np.zeros(n_par)
+    for block, c, v in zip(blocks, cols, vec):
+        out[c] += v @ block
+    return out
 
 
 @dataclass
 class FitResult:
-    """Fitted standard-form MPO with covariance and convergence metadata."""
+    """Fitted standard-form MPO with covariance and convergence metadata.
+
+    ``exit_reason`` says why the fit stopped: ``tolerance`` (relative SSE
+    decrease below ``tol``), ``rounding_floor`` (SSE at the level rounding
+    of the model values alone leaves), ``no_acceptable_step`` (no damping
+    gave a non-increasing SSE) or ``max_iter``; None for a bundle written
+    before it was recorded.  ``trace`` holds one dict per iteration: the SSE
+    after it, the damping of its last trial, the number of inner trials, the
+    |d2|/|d1| ratio of its last trial and the model evaluations it made.
+    """
 
     mpo: Mpo
     covariance: np.ndarray = field(repr=False)
@@ -108,17 +166,12 @@ class FitResult:
     converged: bool
     basis: str
     masks: list = field(repr=False, default=None)
+    exit_reason: str | None = None
+    trace: list = field(repr=False, default_factory=list)
 
     @property
     def reduced_sse(self) -> float:
         return self.sse / max(self.dof, 1)
-
-
-def _row_filter(window: int) -> np.ndarray:
-    """Boolean selector dropping the all-identity word (constant 1)."""
-    keep = np.ones(4**window, dtype=bool)
-    keep[0] = False
-    return keep
 
 
 def gauss_newton_fit(
@@ -131,12 +184,13 @@ def gauss_newton_fit(
 ) -> FitResult:
     """Levenberg-damped Gauss-Newton weighted least squares.
 
-    The normal equations are solved in the Hessian eigenbasis with the
-    residual gauge directions of the standard form projected out, and each
-    step carries a geodesic-acceleration correction (the second directional
-    derivative of the residuals along the step); the damping shrinks by 10
-    on accepted steps and grows gently (x2) on rejections.  Accepted steps
-    never increase the weighted SSE.
+    The normal equations are assembled window by window from compact
+    Jacobian blocks (see :func:`_window_values_jacobian`) and solved in the
+    Hessian eigenbasis with the residual gauge directions of the standard
+    form projected out; each step carries a geodesic-acceleration correction
+    (the second directional derivative of the residuals along the step).
+    The damping shrinks by 10 on accepted steps and grows gently (x2) on
+    rejections.  Accepted steps never increase the weighted SSE.
 
     Args:
         initial: standard-form starting point; its pinned entries stay fixed.
@@ -145,7 +199,8 @@ def gauss_newton_fit(
 
     Returns:
         FitResult; ``converged`` is False when ``max_iter`` was exhausted
-        (the result is usable but flagged).
+        (the result is usable but flagged).  ``exit_reason`` and ``trace``
+        record why and how the iteration stopped.
     """
     if not is_standard_form(initial):
         raise ValidationError("initial MPO must be in standard form")
@@ -156,14 +211,10 @@ def gauss_newton_fit(
     else:  # pragma: no cover - guarded by PauliCorrelationSet
         raise ValidationError(f"unknown basis {data.basis}")
     window = data.window
-    keep = _row_filter(window)
     starts = data.starts
-    y, se = [], []
-    for s in starts:
-        y.append(data.values[s].ravel()[keep])
-        se.append(data.ses[s].ravel()[keep])
-    y = np.concatenate(y)
-    se = np.concatenate(se)
+    # one row per window; word 0 (all identity, constant 1) is always first
+    y = np.stack([data.values[s].ravel()[1:] for s in starts])
+    se = np.stack([data.ses[s].ravel()[1:] for s in starts])
     if not np.all(np.isfinite(y)):
         raise DataError("correlation data contains NaN")
     w = 1.0 / np.clip(se, se_floor, None)
@@ -172,80 +223,100 @@ def gauss_newton_fit(
     rounding_sse = float(y.size * (np.finfo(float).eps * w.max()) ** 2)
 
     masks = free_masks(initial)
+    n_par = n_free_parameters(masks)
+    window_cols = _window_columns(masks, window)
+    cols = [window_cols[s] for s in starts]
     theta = pack(initial.tensors, masks)
-    current = initial
+    evals_made = 0
 
     def model(mpo, want_jacobian):
+        nonlocal evals_made
+        evals_made += 1
         vals, jacs = _window_values_jacobian(mpo, window, basis_k, want_jacobian)
-        v = np.concatenate([vals[s][keep] for s in starts])
+        v = np.stack([vals[s][1:] for s in starts])
         if not want_jacobian:
             return v, None
-        j = np.vstack([jacs[s][keep] for s in starts])
-        return v, j
+        # weighted compact blocks, one per window
+        return v, [jacs[s][1:] * ws[:, None] for s, ws in zip(starts, w)]
 
     def values_at(th):
         v, _ = model(unpack(th, initial, masks), False)
         return v
 
+    def weighted_sse(v):
+        r = ((y - v) * w).ravel()
+        return float(r @ r)
+
     vals = values_at(theta)
-    resid = (y - vals) * w
-    sse = float(resid @ resid)
+    sse = weighted_sse(vals)
     lam = damping
     iterations = 0
-    converged = sse <= rounding_sse
-    jac = None
+    exit_reason = "rounding_floor" if sse <= rounding_sse else None
+    trace = []
     fd_step = 0.1
-    while not converged and iterations < max_iter:
-        current = unpack(theta, initial, masks)
-        vals, jac = model(current, True)
+    while exit_reason is None and iterations < max_iter:
+        evals_made = 0
+        vals, jw = model(unpack(theta, initial, masks), True)
         resid = (y - vals) * w
-        jw = jac * w[:, None]
-        grad = jw.T @ resid
+        grad = _transpose_dot(jw, cols, n_par, resid)
         # work in the Hessian eigenbasis: residual gauge freedom of the
         # standard form leaves exact null directions that must not enter the
         # step regardless of the damping
-        evals, evecs = np.linalg.eigh(jw.T @ jw)
+        evals, evecs = np.linalg.eigh(_gram(jw, cols, n_par))
         cut = 1e-12 * max(evals[-1], 1e-300)
         live = evals > cut
         gproj = evecs.T @ grad
         accepted = False
-        for _ in range(80):
+        for trial in range(1, 81):
+            step_lam = lam
             d1 = evecs @ np.where(live, gproj / (evals + lam), 0.0)
             # geodesic acceleration: second directional derivative of the
             # residuals along d1, solved against the same damped system
             vp = values_at(theta + fd_step * d1)
             vm = values_at(theta - fd_step * d1)
             curv = ((vp - 2.0 * vals + vm) / fd_step**2) * w
-            cproj = evecs.T @ (jw.T @ curv)
+            cproj = evecs.T @ _transpose_dot(jw, cols, n_par, curv)
             d2 = -0.5 * (evecs @ np.where(live, cproj / (evals + lam), 0.0))
-            if np.linalg.norm(d2) <= 0.75 * np.linalg.norm(d1):
+            n1, n2 = np.linalg.norm(d1), np.linalg.norm(d2)
+            if n2 <= 0.75 * n1:
                 cand_theta = theta + d1 + d2
-                cand_vals = values_at(cand_theta)
-                cand_resid = (y - cand_vals) * w
-                cand_sse = float(cand_resid @ cand_resid)
+                cand_sse = weighted_sse(values_at(cand_theta))
                 if cand_sse <= sse:
                     accepted = True
                     lam = max(lam / 10.0, 1e-15)
                     break
             lam *= 2.0
         iterations += 1
-        if not accepted:
-            converged = True  # no acceptable step left: relative decrease is 0
-            break
-        decrease = sse - cand_sse
-        theta, sse = cand_theta, cand_sse
-        if decrease <= tol * sse or sse <= rounding_sse:
-            converged = True
+        if accepted:
+            decrease = sse - cand_sse
+            theta, sse = cand_theta, cand_sse
+            if sse <= rounding_sse:
+                exit_reason = "rounding_floor"
+            elif decrease <= tol * sse:
+                exit_reason = "tolerance"
+        else:
+            exit_reason = "no_acceptable_step"
+        row = {
+            "sse": sse,
+            "lambda": step_lam,
+            "trials": trial,
+            "d2_over_d1": float(n2 / n1) if n1 > 0 else 0.0,
+            "model_evals": evals_made,
+        }
+        trace.append(row)
+        log.debug("gauss-newton iteration %d: %s", iterations, row)
+    # no acceptable step left is reported as converged: its relative decrease is 0
+    converged = exit_reason is not None
+    if exit_reason is None:
+        exit_reason = "max_iter"
     current = unpack(theta, initial, masks)
     # covariance of the free parameters at the final iterate
-    _, jac = model(current, True)
-    jw = jac * w[:, None]
-    hess = jw.T @ jw
-    evals, evecs = np.linalg.eigh(hess)
+    _, jw = model(current, True)
+    evals, evecs = np.linalg.eigh(_gram(jw, cols, n_par))
     cutoff = 1e-12 * max(evals.max(), 1e-300)
     inv = np.where(evals > cutoff, 1.0 / np.where(evals > cutoff, evals, 1.0), 0.0)
     cov = (evecs * inv) @ evecs.T
-    dof = y.size - n_free_parameters(masks)
+    dof = y.size - n_par
     return FitResult(
         mpo=current,
         covariance=cov,
@@ -255,6 +326,8 @@ def gauss_newton_fit(
         converged=converged,
         basis=data.basis,
         masks=masks,
+        exit_reason=exit_reason,
+        trace=trace,
     )
 
 
@@ -386,6 +459,7 @@ def save_fit_bundle(fit: FitResult, directory) -> None:
         "dof": fit.dof,
         "iterations": fit.iterations,
         "converged": fit.converged,
+        "exit_reason": fit.exit_reason,
         "basis": fit.basis,
     }
     with open(os.path.join(directory, "fit_report.json"), "w") as fh:
@@ -424,4 +498,5 @@ def load_fit_bundle(directory) -> FitResult:
         converged=report["converged"],
         basis=report["basis"],
         masks=masks,
+        exit_reason=report.get("exit_reason"),
     )

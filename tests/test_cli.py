@@ -104,6 +104,27 @@ class TestConfigValidation:
         cfg = write_config(tmp_path / "bad.json", bad)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("max_iterations", "10"),
+            ("max_iterations", -1),
+            ("max_iterations", 2.5),
+            ("max_iterations", True),
+            ("tol", -1.0),
+            ("tol", "1e-10"),
+            ("k_sigma", -1),
+            ("k_sigma", 0),
+            ("se_floor", 0.0),
+            ("se_floor", None),
+        ],
+    )
+    def test_fit_section_validated(self, tmp_path, key, value):
+        bad = json.loads(json.dumps(CONFIG))
+        bad["fit"] = {key: value}
+        cfg = write_config(tmp_path / "bad.json", bad)
+        assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
     def test_analyze_without_fit(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -129,6 +150,19 @@ class TestReconstruct:
         header = json.load(open(os.path.join(fit_dir, "covariance_header.json")))
         assert header["order"] == "row-major"
         assert "site-major" in header["parameter_ordering"]
+
+    def test_exit_reason_trace_and_timings(self, pipeline_run):
+        _, out = pipeline_run
+        fit_dir = os.path.join(out, "fit")
+        stages = json.load(open(os.path.join(fit_dir, "stages.json")))
+        gn = stages["gauss_newton"]
+        assert gn["exit_reason"] in ("tolerance", "rounding_floor")
+        assert len(gn["trace"]) == gn["iterations"]
+        assert gn["trace"][-1]["sse"] == gn["sse"]
+        assert set(stages["timings"]) == {"load", "moments", "alignment", "fit", "write"}
+        assert all(t >= 0 for t in stages["timings"].values())
+        report = json.load(open(os.path.join(fit_dir, "fit_report.json")))
+        assert report["exit_reason"] == gn["exit_reason"]
 
     def test_missing_setting_file(self, pipeline_run, tmp_path):
         cfg, out = pipeline_run
@@ -247,6 +281,18 @@ class TestAnalyze:
         assert 0 < report["fidelity_se"] < 0.01
         assert abs(report["error_model"]["eps_ad"][0] - 0.098) < 0.01
         assert abs(report["error_model"]["eps_pd"][0] - 0.092) < 0.02
+
+    def test_report_timings(self, pipeline_run):
+        _, out = pipeline_run
+        report = json.load(open(os.path.join(out, "report.json")))
+        assert set(report["timings"]) == {
+            "load",
+            "fidelity",
+            "stabilizers",
+            "error_model",
+            "le",
+            "corner",
+        }
 
     def test_le_matrix_upper_triangle(self, pipeline_run):
         _, out = pipeline_run

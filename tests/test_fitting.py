@@ -1,9 +1,11 @@
 """Gauss-Newton fit, covariance propagation, and the estimator surface."""
 
+import logging
+
 import numpy as np
 import pytest
 
-from mpo_tomo.cluster import ideal_cluster_mpo
+from mpo_tomo.cluster import ErrorModel, ideal_cluster_mpo, noisy_cluster_model
 from mpo_tomo.correlations import (
     F_MATRIX,
     pauli_to_zshifted,
@@ -12,6 +14,9 @@ from mpo_tomo.correlations import (
 from mpo_tomo.errors import DataError, ValidationError
 from mpo_tomo.fitting import (
     MpoLeastSquares,
+    _gram,
+    _transpose_dot,
+    _window_columns,
     _window_values_jacobian,
     fidelity_functional,
     gauss_newton_fit,
@@ -27,6 +32,28 @@ from mpo_tomo.standard_form import free_masks, n_free_parameters, pack, unpack
 @pytest.fixture(scope="module")
 def sf_noisy6(noisy6):
     return to_standard_form(noisy6)
+
+
+@pytest.fixture(scope="module")
+def sf_perturbed8():
+    """A generic N=8 standard-form MPO: a noisy cluster with perturbed parameters."""
+    base = to_standard_form(noisy_cluster_model(8, ErrorModel.uniform(8, 0.09, 0.06)))
+    masks = free_masks(base)
+    theta = pack(base.tensors, masks)
+    local = np.random.default_rng(8)
+    return unpack(theta + local.normal(scale=1e-2, size=theta.size), base, masks)
+
+
+def dense_jacobian(mpo, jacs, window=5):
+    """Stack the compact window blocks into the full rows x n_params Jacobian."""
+    masks = free_masks(mpo)
+    cols = _window_columns(masks, window)
+    rows = []
+    for s in sorted(jacs):
+        full = np.zeros((jacs[s].shape[0], n_free_parameters(masks)))
+        full[:, cols[s]] = jacs[s]
+        rows.append(full)
+    return np.vstack(rows)
 
 
 class TestStandardFormParameters:
@@ -64,7 +91,7 @@ class TestJacobian:
         masks = free_masks(sf_noisy6)
         theta0 = pack(sf_noisy6.tensors, masks)
         vals, jacs = _window_values_jacobian(sf_noisy6, 5, basis_k, True)
-        jac = np.vstack([jacs[s] for s in sorted(jacs)])
+        jac = dense_jacobian(sf_noisy6, jacs)
 
         def value_vec(th):
             m = unpack(th, sf_noisy6, masks)
@@ -82,6 +109,52 @@ class TestJacobian:
             denom = max(np.max(np.abs(fd)), 1e-8)
             assert np.max(np.abs(fd - jac[:, i])) / denom < 1e-6
 
+    @pytest.mark.parametrize("basis_k", [None, F_MATRIX])
+    def test_no_dependence_outside_window_columns(self, sf_perturbed8, basis_k):
+        # the per-window assembly drops these derivatives as exact zeros
+        masks = free_masks(sf_perturbed8)
+        theta0 = pack(sf_perturbed8.tensors, masks)
+        cols = _window_columns(masks, 5)
+
+        def values(th):
+            v, _ = _window_values_jacobian(unpack(th, sf_perturbed8, masks), 5, basis_k, False)
+            return v
+
+        eps = 1e-6
+        for i in range(theta0.size):
+            tp = theta0.copy()
+            tp[i] += eps
+            tm = theta0.copy()
+            tm[i] -= eps
+            vp, vm = values(tp), values(tm)
+            for s, c in cols.items():
+                if i not in c:
+                    fd = (vp[s] - vm[s]) / (2 * eps)
+                    assert np.max(np.abs(fd)) < 1e-12, (s, i)
+
+    @pytest.mark.parametrize("mpo_name", ["sf_noisy6", "sf_perturbed8"])
+    def test_assembly_matches_dense_products(self, mpo_name, request):
+        mpo = request.getfixturevalue(mpo_name)
+        masks = free_masks(mpo)
+        n_par = n_free_parameters(masks)
+        _, jacs = _window_values_jacobian(mpo, 5, F_MATRIX, True)
+        starts = sorted(jacs)
+        cols = _window_columns(masks, 5)
+        local = np.random.default_rng(3)
+        w = local.uniform(0.5, 2.0, size=(len(starts), 4**5 - 1))
+        r = local.normal(size=w.shape)
+        blocks = [jacs[s][1:] * ws[:, None] for s, ws in zip(starts, w)]
+        col_list = [cols[s] for s in starts]
+        dense = dense_jacobian(mpo, {s: jacs[s][1:] for s in starts})
+        jw = dense * w.ravel()[:, None]
+        hess = jw.T @ jw
+        grad = jw.T @ (w * r).ravel()
+        assert np.max(np.abs(_gram(blocks, col_list, n_par) - hess)) <= 1e-12 * np.max(
+            np.abs(hess)
+        )
+        got = _transpose_dot(blocks, col_list, n_par, w * r)
+        assert np.max(np.abs(got - grad)) <= 1e-12 * np.max(np.abs(grad))
+
     def test_values_match_correlations(self, sf_noisy6):
         vals, _ = _window_values_jacobian(sf_noisy6, 5, None, False)
         truth = window_correlation_set(sf_noisy6, 5)
@@ -95,6 +168,28 @@ class TestGaussNewton:
         assert fit.iterations == 0
         assert fit.sse == 0.0
         assert fit.converged
+
+    def test_exact_start_exit_reason(self, sf_noisy6):
+        fit = gauss_newton_fit(sf_noisy6, window_correlation_set(sf_noisy6, 5))
+        assert fit.exit_reason == "rounding_floor"
+        assert fit.trace == []
+
+    def test_max_iter_exit(self, sf_noisy6, caplog):
+        masks = free_masks(sf_noisy6)
+        theta = pack(sf_noisy6.tensors, masks)
+        local = np.random.default_rng(2)
+        start = unpack(theta + local.normal(scale=1e-2, size=theta.size), sf_noisy6, masks)
+        with caplog.at_level(logging.DEBUG, logger="mpo_tomo.fitting"):
+            fit = gauss_newton_fit(start, window_correlation_set(sf_noisy6, 5), max_iter=1)
+        assert len(caplog.records) == 1  # one debug line per trace row
+        assert fit.iterations == 1
+        assert not fit.converged
+        assert fit.exit_reason == "max_iter"
+        (row,) = fit.trace
+        assert set(row) == {"sse", "lambda", "trials", "d2_over_d1", "model_evals"}
+        assert row["sse"] == fit.sse
+        # one Jacobian, then two curvature probes and at most one candidate per trial
+        assert row["trials"] * 2 + 1 <= row["model_evals"] <= row["trials"] * 3 + 1
 
     @pytest.mark.parametrize("seed", range(2, 8))
     def test_perturbed_initial_recovers(self, sf_noisy6, seed):
@@ -254,3 +349,18 @@ class TestPersistence:
         # the covariance file is plain row-major float64
         raw = np.fromfile(tmp_path / "fit" / "covariance.bin", dtype=np.float64)
         assert raw.size == fit.covariance.size
+
+    def test_bundle_without_exit_reason_loads(self, fitted_noisy5, tmp_path):
+        import json
+
+        fit = fitted_noisy5.fit_result_
+        save_fit_bundle(fit, tmp_path / "fit")
+        assert load_fit_bundle(tmp_path / "fit").exit_reason == fit.exit_reason
+        assert fit.exit_reason in ("tolerance", "rounding_floor")
+        path = tmp_path / "fit" / "fit_report.json"
+        report = json.loads(path.read_text())
+        del report["exit_reason"]
+        path.write_text(json.dumps(report))
+        back = load_fit_bundle(tmp_path / "fit")
+        assert back.exit_reason is None
+        assert back.converged == fit.converged

@@ -97,8 +97,12 @@ def load_config(path) -> dict:
         raise ValidationError("measurement.seed must be an explicit integer")
     if not isinstance(m["shots"], int) or m["shots"] < 100:
         raise ValidationError("measurement.shots must be an integer >= 100")
-    if not 0.0 < m["eta"] <= 1.0:
-        raise ValidationError("measurement.eta must lie in (0, 1]")
+    if not _is_int(m["window"]) or m["window"] != 5:
+        raise ValidationError("measurement.window must be 5")
+    if not _is_finite(m["eta"]) or not 0.0 < m["eta"] <= 1.0:
+        raise ValidationError("measurement.eta must be a number in (0, 1]")
+    if not _is_finite(m["eta_se"]) or m["eta_se"] < 0:
+        raise ValidationError("measurement.eta_se must be a finite number >= 0")
     f = cfg["fit"]
     if not _is_int(f["max_iterations"]) or f["max_iterations"] < 0:
         raise ValidationError("fit.max_iterations must be an integer >= 0")
@@ -367,14 +371,15 @@ def cmd_analyze(cfg, out: str) -> int:
         le_rows = []
         for r, rp in pairs:
             plan = entanglement.default_plan(n, r, rp)
-            if n <= 15:
+            if n <= entanglement.EXACT_ENUMERATION_LIMIT:
                 res = entanglement.localizable_entanglement(
                     fit.mpo, plan, measure, fit=fit
                 )
             else:
                 if ana["subset_seed"] is None:
                     raise ValidationError(
-                        "analysis.subset_seed is required for N > 15 (no implicit seeds)"
+                        "analysis.subset_seed is required for N > "
+                        f"{entanglement.EXACT_ENUMERATION_LIMIT} (no implicit seeds)"
                     )
                 res = entanglement.le_subset_estimate(
                     fit.mpo, plan, measure, ana["subset_samples"], ana["subset_seed"]

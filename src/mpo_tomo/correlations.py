@@ -16,9 +16,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._validation import check_efficiency
+from .channels import z_rotation
 from .errors import CompletenessError, DataError, ValidationError
 from .measurement import MomentTable, moment_word_string
 from .mpo import Mpo
+from .pauli import apply_site_maps
 
 PAULI_BASIS = "pauli"
 ZSHIFTED_BASIS = "z-shifted"
@@ -72,24 +74,27 @@ class PauliCorrelationSet:
     def starts(self) -> list[int]:
         return sorted(self.values)
 
-    def word_value(self, letters, start_site: int) -> tuple[float, float]:
-        """Value and SE of a (sub-window) word via identity padding.
+    def marginal(self, first: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+        """Values and SEs of the correlations at sites ``first .. first+length-1``.
 
-        The word is looked up inside the canonical window covering sites
-        ``start_site .. start_site + len(letters) - 1``.
+        The only rule for which measured window supplies a marginal: the one
+        that starts at ``first``, else the last window; its other sites are
+        set to the identity.  Returns ``(4,)*length`` views into the table.
         """
-        letters = tuple(int(a) for a in letters)
-        end = start_site + len(letters) - 1
-        if len(letters) > self.window or start_site < 1 or end > self.n_sites:
-            raise ValidationError(
-                f"word at sites {start_site}..{end} does not fit the table"
-            )
-        w0 = min(max(1, start_site), self.n_sites - self.window + 1)
-        w0 = max(w0, end - self.window + 1)
+        end = first + length - 1
+        if length > self.window or first < 1 or end > self.n_sites:
+            raise ValidationError(f"sites {first}..{end} do not fit the table")
+        w0 = min(first, self.n_sites - self.window + 1)
         idx = [0] * self.window
-        idx[start_site - w0 : start_site - w0 + len(letters)] = letters
+        idx[first - w0 : first - w0 + length] = [slice(None)] * length
         idx = tuple(idx)
-        return float(self.values[w0][idx]), float(self.ses[w0][idx])
+        return self.values[w0][idx], self.ses[w0][idx]
+
+    def word_value(self, letters, start_site: int) -> tuple[float, float]:
+        """Value and SE of a (sub-window) word via identity padding."""
+        letters = tuple(int(a) for a in letters)
+        values, ses = self.marginal(start_site, len(letters))
+        return float(values[letters]), float(ses[letters])
 
     def word_names(self):
         return _PAULI_NAMES if self.basis == PAULI_BASIS else _R_NAMES
@@ -110,15 +115,10 @@ def window_correlation_set(mpo: Mpo, window: int) -> PauliCorrelationSet:
 def _apply_site_map(values, ses, mat):
     """Contract a per-site linear map over every axis, propagating variances
     under the independence assumption."""
-    sq = mat**2
     out_v, out_s = {}, {}
     for start, v in values.items():
-        var = ses[start] ** 2
-        for _ in range(v.ndim):
-            v = np.tensordot(v, mat, axes=([0], [1]))
-            var = np.tensordot(var, sq, axes=([0], [1]))
-        out_v[start] = v
-        out_s[start] = np.sqrt(var)
+        out_v[start] = apply_site_maps(v, [mat] * v.ndim)
+        out_s[start] = np.sqrt(apply_site_maps(ses[start] ** 2, [mat**2] * v.ndim))
     return out_v, out_s
 
 
@@ -225,13 +225,10 @@ def correct_inefficiency(
         deinv = _inverse_loss_deta(eta)
         for start, v in corrs.values.items():
             dv = np.zeros_like(v)
-            L = v.ndim
-            for site in range(L):
-                term = v
-                for k in range(L):
-                    mat = deinv if k == site else einv
-                    term = np.tensordot(term, mat, axes=([0], [1]))
-                dv += term
+            for site in range(v.ndim):
+                dv += apply_site_maps(
+                    v, [deinv if k == site else einv for k in range(v.ndim)]
+                )
             out_s[start] = np.sqrt(out_s[start] ** 2 + (dv * eta_se) ** 2)
     meta = dict(corrs.meta)
     meta.update({"eta": eta, "eta_se": eta_se})
@@ -317,21 +314,13 @@ def rotate_sites(corrs: PauliCorrelationSet, angles) -> PauliCorrelationSet:
     angles = np.asarray(angles, dtype=float)
     if angles.shape != (corrs.n_sites,):
         raise ValidationError(f"need one angle per site, got {angles.shape}")
-    out_v = {}
-    out_s = {}
+    out_v, out_s = {}, {}
     for start, v in corrs.values.items():
-        var = corrs.ses[start] ** 2
-        L = v.ndim
-        for k in range(L):
-            th = angles[start - 1 + k]
-            c, s = np.cos(th), np.sin(th)
-            rot = np.array(
-                [[1, 0, 0, 0], [0, c, -s, 0], [0, s, c, 0], [0, 0, 0, 1.0]]
-            )
-            v = np.tensordot(v, rot, axes=([0], [1]))
-            var = np.tensordot(var, rot**2, axes=([0], [1]))
-        out_v[start] = v
-        out_s[start] = np.sqrt(var)
+        rots = [z_rotation(th) for th in angles[start - 1 : start - 1 + v.ndim]]
+        out_v[start] = apply_site_maps(v, rots)
+        out_s[start] = np.sqrt(
+            apply_site_maps(corrs.ses[start] ** 2, [rot**2 for rot in rots])
+        )
     meta = dict(corrs.meta)
     meta["alignment_angles"] = angles.tolist()
     return replace(corrs, values=out_v, ses=out_s, meta=meta)

@@ -66,17 +66,6 @@ def gate_process_matrix(u: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("aij,bji->ab", basis, transformed)) / d
 
 
-def kraus_process_matrix(kraus, basis: np.ndarray) -> np.ndarray:
-    """Transfer matrix of a Kraus-operator channel on the emitter."""
-    d = basis.shape[1]
-    out = np.zeros((d * d, d * d))
-    for k in kraus:
-        k = np.asarray(k, dtype=complex)
-        transformed = np.einsum("ij,bjk,lk->bil", k, basis, np.conj(k))
-        out += np.real(np.einsum("aij,bji->ab", basis, transformed)) / d
-    return out
-
-
 def emission_tensor(u: np.ndarray, d: int, basis: np.ndarray | None = None) -> np.ndarray:
     """Process tensor of a joint emitter-photon unitary with a vacuum photon.
 
@@ -107,11 +96,6 @@ def emission_tensor(u: np.ndarray, d: int, basis: np.ndarray | None = None) -> n
 def apply_photon_channel(em: np.ndarray, channel: np.ndarray) -> np.ndarray:
     """Contract a 4x4 process matrix with the photon axis of an emission tensor."""
     return np.einsum("ij,bja->bia", np.asarray(channel, dtype=float), em)
-
-
-def apply_emitter_channel(em: np.ndarray, channel: np.ndarray) -> np.ndarray:
-    """Apply a d^2 x d^2 process matrix to the emitter output of an emission tensor."""
-    return np.einsum("xa,bia->bix", np.asarray(channel, dtype=float), em)
 
 
 @dataclass(frozen=True)

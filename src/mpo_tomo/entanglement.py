@@ -21,7 +21,7 @@ from .mpo import Mpo, left_environments, right_environments
 from .pauli import PAULIS
 from .standard_form import pack
 
-_EXACT_ENUMERATION_LIMIT = 15
+EXACT_ENUMERATION_LIMIT = 15
 
 
 @dataclass(frozen=True)
@@ -342,9 +342,9 @@ def localizable_entanglement(
             (the fit's MPO must be the one analyzed).
     """
     n = mpo.n_qubits
-    if n > _EXACT_ENUMERATION_LIMIT:
+    if n > EXACT_ENUMERATION_LIMIT:
         raise ValidationError(
-            f"exact enumeration limited to N <= {_EXACT_ENUMERATION_LIMIT}; "
+            f"exact enumeration limited to N <= {EXACT_ENUMERATION_LIMIT}; "
             "use le_subset_estimate"
         )
     n_branches = 2 ** (n - 2)

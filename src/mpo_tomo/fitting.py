@@ -314,9 +314,11 @@ def gauss_newton_fit(
     _, jw = model(current, True)
     evals, evecs = np.linalg.eigh(_gram(jw, cols, n_par))
     cutoff = 1e-12 * max(evals.max(), 1e-300)
-    inv = np.where(evals > cutoff, 1.0 / np.where(evals > cutoff, evals, 1.0), 0.0)
+    live = evals > cutoff
+    inv = np.where(live, 1.0 / np.where(live, evals, 1.0), 0.0)
     cov = (evecs * inv) @ evecs.T
-    dof = y.size - n_par
+    # the gauge null directions dropped here carry no degree of freedom
+    dof = y.size - int(live.sum())
     return FitResult(
         mpo=current,
         covariance=cov,

@@ -18,7 +18,7 @@ from ._validation import check_efficiency, check_positive_int
 from .channels import measurement_loss
 from .errors import CompletenessError, ValidationError
 from .mpo import Mpo, apply_local_channels
-from .pauli import PAULIS
+from .pauli import PAULIS, apply_site_maps
 
 QUAD_LETTERS = ("Q0", "P0", "Q1", "P1", "Q2", "P2")
 
@@ -127,16 +127,6 @@ def empty_moment_table(n_sites: int, window: int, shots: int = 0) -> MomentTable
     )
 
 
-def _window_moments(corr_tensor: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Contract a (4,)*L Pauli tensor with a per-site 4x6 moment table."""
-    out = corr_tensor
-    L = corr_tensor.ndim
-    for _ in range(L):
-        # contract the leading Pauli axis, appending the letter axis at the end
-        out = np.tensordot(out, table, axes=([0], [0]))
-    return out
-
-
 def exact_local_moments(mpo: Mpo, window: int, eta: float = 1.0) -> MomentTable:
     """Exact quadrature moments of every window, measured at efficiency eta.
 
@@ -149,7 +139,7 @@ def exact_local_moments(mpo: Mpo, window: int, eta: float = 1.0) -> MomentTable:
         raise ValidationError(f"window must be in 1..{mpo.n_qubits}")
     lossy = apply_local_channels(mpo, [measurement_loss(eta)] * mpo.n_qubits)
     corrs = lossy.window_correlations(window)
-    values = {s: _window_moments(c, _T1) for s, c in corrs.items()}
+    values = {s: apply_site_maps(c, [_T1.T] * window) for s, c in corrs.items()}
     ses = {s: np.zeros((6,) * window) for s in corrs}
     return MomentTable(mpo.n_qubits, window, values, ses, shots=0)
 
@@ -161,8 +151,8 @@ def moment_variances(mpo: Mpo, window: int, eta: float = 1.0) -> dict[int, np.nd
     corrs = lossy.window_correlations(window)
     out = {}
     for s, c in corrs.items():
-        first = _window_moments(c, _T1)
-        second = _window_moments(c, _T2)
+        first = apply_site_maps(c, [_T1.T] * window)
+        second = apply_site_maps(c, [_T2.T] * window)
         out[s] = np.clip(second - first**2, 0.0, None)
     return out
 
@@ -205,26 +195,49 @@ def save_moment_csv(table: MomentTable, path) -> None:
             writer.writerow([start, moment_word_string(word), repr(value), repr(se), table.shots])
 
 
+_CSV_HEADER = ["window_start", "basis_word", "value", "se", "shots"]
+
+
 def load_moment_csv(paths, n_sites: int, window: int) -> MomentTable:
-    """Merge one or more moment CSV files into a single table."""
+    """Merge one or more moment CSV files into a single table.
+
+    Raises:
+        ValidationError: naming the file and line of a wrong header, a
+            non-numeric field or a row that does not fit the table.
+    """
     if isinstance(paths, (str, bytes)) or hasattr(paths, "read"):
         paths = [paths]
     table = empty_moment_table(n_sites, window)
+    # one word -> flat index map per call instead of parsing every row
+    index = {
+        moment_word_string(word): i
+        for i, word in enumerate(np.ndindex(*(6,) * window))
+    }
+    flat_v = {s: v.reshape(-1) for s, v in table.values.items()}
+    flat_s = {s: v.reshape(-1) for s, v in table.ses.items()}
     shots = 0
     for path in paths:
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
+            reader = csv.reader(fh)
+            if next(reader, None) != _CSV_HEADER:
+                raise ValidationError(f"{path}: header is not {','.join(_CSV_HEADER)}")
             for row in reader:
-                start = int(row["window_start"])
-                word = parse_moment_word(row["basis_word"])
-                if len(word) != window or start not in table.values:
+                try:
+                    start, word, value, se, row_shots = row
+                    start, value, se = int(start), float(value), float(se)
+                    shots = max(shots, int(row_shots))
+                except ValueError:
                     raise ValidationError(
-                        f"row (start={start}, word={row['basis_word']}) does not fit "
-                        f"an N={n_sites}, L={window} table"
+                        f"{path}, line {reader.line_num}: malformed row {row}"
+                    ) from None
+                i = index.get(word)
+                if i is None or start not in flat_v:
+                    raise ValidationError(
+                        f"{path}, line {reader.line_num}: row (start={start}, "
+                        f"word={word}) does not fit an N={n_sites}, L={window} table"
                     )
-                table.values[start][word] = float(row["value"])
-                table.ses[start][word] = float(row["se"])
-                shots = max(shots, int(row["shots"]))
+                flat_v[start][i] = value
+                flat_s[start][i] = se
     table.shots = shots
     return table
 

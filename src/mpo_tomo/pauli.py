@@ -49,10 +49,6 @@ class PauliWord:
     def end_site(self) -> int:
         return self.start_site + len(self.indices) - 1
 
-    @classmethod
-    def from_string(cls, letters: str, start_site: int = 1) -> "PauliWord":
-        return cls(tuple(PAULI_LETTERS.index(c) for c in letters.upper()), start_site)
-
     def __str__(self):
         return "".join(PAULI_LETTERS[i] for i in self.indices)
 
@@ -68,20 +64,15 @@ class PauliWord:
         return tuple(out)
 
 
-def word_matrix(word: PauliWord | tuple[int, ...], n_sites: int) -> np.ndarray:
-    """Dense 2^N x 2^N matrix of a Pauli word (identity padding outside)."""
-    if isinstance(word, PauliWord):
-        letters = word.padded(n_sites)
-    else:
-        letters = tuple(word)
-        if len(letters) != n_sites:
-            raise ValidationError("plain tuples must cover the full chain")
-    out = np.eye(1, dtype=complex)
-    for a in letters:
-        out = np.kron(out, PAULIS[a])
-    return out
+def apply_site_maps(tensor: np.ndarray, mats) -> np.ndarray:
+    """Apply one linear map per axis: ``mats[k]`` (shape ``(out, in)``) to axis k.
 
-
-def all_words(length: int):
-    """Iterate all 4^length letter tuples in row-major (site-major) order."""
-    return np.ndindex(*(4,) * length)
+    The workhorse of every per-site basis change of a window tensor (moment
+    tables, the Z-shifted/Pauli conversion, loss inversion, phase rotation);
+    squared maps applied to variances propagate independent errors.
+    """
+    for mat in mats:
+        # contract the leading axis; its image is appended last, so after
+        # one map per axis the site order is restored
+        tensor = np.tensordot(tensor, mat, axes=([0], [1]))
+    return tensor

@@ -1,10 +1,15 @@
 """MPO reconstruction from local correlations: rank analysis and inversion.
 
-The four-qubit correlation matrix ``B_s`` (rows ``4a+b`` over sites s, s+1,
-columns ``4c+d`` over sites s+2, s+3) factorizes through the bond between
-sites s+1 and s+2, so its rank equals the bond dimension required there.
-Solving ``B_{s-2} A_s = C_{s-2}`` site by site reconstructs the chain
-explicitly; the same singular value decompositions compress the result.
+Every matrix here is a marginal of the measured correlations cut into row
+sites | an optional open site | column sites.  From L-qubit windows the
+inversion takes r = (L-1)//2 column sites and l = L-1-r row sites: site s
+solves ``B(s-l..s-1 | s..s+r-1) A_s = C(s-l..s-1 | s | s+1..s+r)`` (fewer
+column sites at the right edge), and site 2 is read directly as
+``C(1 | 2 | 3..2+r)``.  For L = 5 the four-qubit matrix ``B_s`` (rows
+``4a+b`` over sites s, s+1, columns ``4c+d`` over sites s+2, s+3)
+factorizes through the bond between sites s+1 and s+2, so its rank equals
+the bond dimension required there; the same singular value decompositions
+compress the result.
 """
 
 from __future__ import annotations
@@ -35,23 +40,33 @@ class CorrMatrices:
     b: dict[int, np.ndarray] = field(repr=False)
     b_se: dict[int, np.ndarray] = field(repr=False)
     c: dict[int, np.ndarray] = field(repr=False)
-    c_se: dict[int, np.ndarray] = field(repr=False)
     b1: np.ndarray = field(repr=False)
-    b1_se: np.ndarray = field(repr=False)
     bn3: np.ndarray = field(repr=False)
-    bn3_se: np.ndarray = field(repr=False)
 
 
-def _four_qubit_window(corrs: PauliCorrelationSet, start: int):
-    """(4,4,4,4) tensor of correlations at sites start..start+3 and its SEs."""
-    n = corrs.n_sites
-    if start <= n - 4:
-        v = corrs.values[start][..., 0]
-        se = corrs.ses[start][..., 0]
-    else:  # rightmost window, marginalize the leading site instead
-        v = corrs.values[n - 4][0, ...]
-        se = corrs.ses[n - 4][0, ...]
-    return v, se
+def _split(L: int) -> tuple[int, int]:
+    """(l, r): the row and column sites of the inversion from L-qubit windows."""
+    r = (L - 1) // 2
+    return L - 1 - r, r
+
+
+def _corr_matrix(corrs, first: int, rows: int, cols: int, open_site: bool = True):
+    """Marginal at sites ``first ..`` cut into a matrix, and its SEs.
+
+    Rows run over the first ``rows`` sites and columns over the last
+    ``cols``.  With ``open_site`` the site between them stays a leading Pauli
+    axis, giving ``C(rows | open | cols)`` of shape (4, 4**rows, 4**cols);
+    without, ``B(rows | cols)`` of shape (4**rows, 4**cols).
+    """
+    v, se = corrs.marginal(first, rows + int(open_site) + cols)
+
+    def cut(t):
+        if not open_site:
+            return t.reshape(4**rows, 4**cols)
+        # contiguous, so every Pauli slice reaches BLAS in the same layout
+        return np.ascontiguousarray(t.reshape(4**rows, 4, 4**cols).transpose(1, 0, 2))
+
+    return cut(v), cut(se)
 
 
 def build_corr_matrices(corrs: PauliCorrelationSet, sigma_check: float = 5.0) -> CorrMatrices:
@@ -76,26 +91,16 @@ def build_corr_matrices(corrs: PauliCorrelationSet, sigma_check: float = 5.0) ->
                 f"correlations at window {start} exceed 1 beyond "
                 f"{sigma_check} sigma"
             )
+    ell, r = _split(corrs.window)
     b, b_se = {}, {}
-    for s in range(1, n - 2):
-        v, se = _four_qubit_window(corrs, s)
-        b[s] = v.reshape(16, 16)
-        b_se[s] = se.reshape(16, 16)
+    for s in range(1, n - ell - r + 2):
+        b[s], b_se[s] = _corr_matrix(corrs, s, ell, r, open_site=False)
         if abs(b[s][0, 0] - 1.0) > max(0.3, 5 * b_se[s][0, 0]):
             raise DataError(f"B_{s}[0, 0] should be 1 after normalization")
-    c, c_se = {}, {}
-    for s in range(1, n - 3):
-        v = corrs.values[s]
-        se = corrs.ses[s]
-        c[s] = np.stack([v[:, :, i, :, :].reshape(16, 16) for i in range(4)])
-        c_se[s] = np.stack([se[:, :, i, :, :].reshape(16, 16) for i in range(4)])
-    v1, se1 = _four_qubit_window(corrs, 1)
-    b1 = np.stack([v1[:, i, :, :].reshape(4, 16) for i in range(4)])
-    b1_se = np.stack([se1[:, i, :, :].reshape(4, 16) for i in range(4)])
-    vn, sen = _four_qubit_window(corrs, n - 3)
-    bn3 = np.stack([vn[:, :, i, :].reshape(16, 4) for i in range(4)])
-    bn3_se = np.stack([sen[:, :, i, :].reshape(16, 4) for i in range(4)])
-    return CorrMatrices(n, b, b_se, c, c_se, b1, b1_se, bn3, bn3_se)
+    c = {s: _corr_matrix(corrs, s, ell, r)[0] for s in range(1, n - corrs.window + 2)}
+    b1 = _corr_matrix(corrs, 1, 1, r)[0]
+    bn3 = _corr_matrix(corrs, n - ell - 1, ell, 1)[0]
+    return CorrMatrices(n, b, b_se, c, b1, bn3)
 
 
 def singular_value_ses(mat: np.ndarray, mat_se: np.ndarray):
@@ -141,30 +146,6 @@ def _truncated_pinv(mat: np.ndarray, rank: int | None, rcond: float):
     return (vt[:rank].T / s[:rank]) @ u[:, :rank].T
 
 
-def _l3_matrices(corrs: PauliCorrelationSet, s: int):
-    """(B_s, C_s stack) for the three-qubit reconstruction at window s."""
-    b = np.empty((4, 4))
-    b_stack = np.empty((4, 4, 4))
-    for a in range(4):
-        for bb in range(4):
-            b[a, bb] = corrs.word_value((a, bb), s)[0]
-            for i in range(4):
-                b_stack[i, a, bb] = corrs.word_value((a, i, bb), s)[0]
-    return b, b_stack
-
-
-def _l4_matrices(corrs: PauliCorrelationSet, s: int):
-    b = np.empty((16, 4))
-    c = np.empty((4, 16, 4))
-    for a in range(4):
-        for bb in range(4):
-            for cc in range(4):
-                b[4 * a + bb, cc] = corrs.word_value((a, bb, cc), s)[0]
-                for i in range(4):
-                    c[i, 4 * a + bb, cc] = corrs.word_value((a, bb, i, cc), s)[0]
-    return b, c
-
-
 @dataclass
 class InversionResult:
     """Outcome of the explicit inversion; a failed solve is data, not a crash.
@@ -208,15 +189,17 @@ def invert_reconstruct(
 ) -> InversionResult:
     """Reconstruct an MPO from L-qubit local correlations by pseudoinversion.
 
-    Boundary sites are pinned to the Pauli row/column; interior sites solve
-    ``B A = C`` in least squares via a Moore-Penrose pseudoinverse whose
-    truncation is either ``rcond`` (exact data) or the externally estimated
-    per-bond ranks (measured data).
+    Boundary sites are pinned to the Pauli row/column and site 2 is read
+    directly from the data; sites s = 3..N-1 solve ``B A = C`` (see the
+    module docstring for the one row/column rule) in least squares via a
+    Moore-Penrose pseudoinverse whose truncation is either ``rcond`` (exact
+    data) or the externally estimated per-bond ranks (measured data).
 
     Args:
         corrs: pauli-basis correlations with window length >= L.
         L: 3, 4 or 5 consecutive qubits used by the inversion.
-        ranks: optional pseudoinverse rank per B-matrix index.
+        ranks: optional pseudoinverse rank per B-matrix index (its first
+            row site).
         residual_tol: per-site Frobenius residual above which the site is
             declared unsolvable and no MPO is returned.
     """
@@ -227,41 +210,26 @@ def invert_reconstruct(
     if corrs.window < min(L, corrs.n_sites):
         raise ValidationError(f"window {corrs.window} too short for L={L}")
     n = corrs.n_sites
+    ell, r = _split(L)
     ranks = ranks or {}
     sites: list[np.ndarray | None] = [None] * n
     sites[0] = _boundary_site(True)
     sites[-1] = _boundary_site(False)
+    sites[1] = _corr_matrix(corrs, 1, 1, r)[0].transpose(1, 0, 2)
     site_res: dict[int, float] = {}
     col_res: dict[int, np.ndarray] = {}
-
-    def solve(site_index: int, bmat: np.ndarray, cstack: np.ndarray, b_index: int):
-        pinv = _truncated_pinv(bmat, ranks.get(b_index), rcond)
+    for s in range(3, n):
+        first = s - ell
+        bmat = _corr_matrix(corrs, first, ell, r, open_site=False)[0]
+        cstack = _corr_matrix(corrs, first, ell, min(r, n - s))[0]
+        pinv = _truncated_pinv(bmat, ranks.get(first), rcond)
         slices = np.stack([pinv @ cstack[i] for i in range(4)])
         resid = np.stack([bmat @ slices[i] - cstack[i] for i in range(4)])
-        col_res[site_index] = np.linalg.norm(resid, axis=1)
-        site_res[site_index] = float(np.linalg.norm(resid))
-        sites[site_index - 1] = np.transpose(slices, (1, 0, 2))
+        col_res[s] = np.linalg.norm(resid, axis=1)
+        site_res[s] = float(np.linalg.norm(resid))
+        sites[s - 1] = np.transpose(slices, (1, 0, 2))
 
-    if L == 3:
-        _, c1 = _l3_matrices(corrs, 1)
-        sites[1] = np.transpose(c1, (1, 0, 2))
-        for s_site in range(3, n):
-            b, c = _l3_matrices(corrs, s_site - 1)
-            solve(s_site, b, c, s_site - 1)
-    elif L == 4:
-        _, c1 = _l3_matrices(corrs, 1)
-        sites[1] = np.transpose(c1, (1, 0, 2))
-        for s_site in range(3, n):
-            b, c = _l4_matrices(corrs, s_site - 2)
-            solve(s_site, b, c, s_site - 2)
-    else:
-        cm = build_corr_matrices(corrs)
-        sites[1] = np.transpose(cm.b1, (1, 0, 2))
-        for s_site in range(3, n - 1):
-            solve(s_site, cm.b[s_site - 2], cm.c[s_site - 2], s_site - 2)
-        solve(n - 1, cm.b[n - 3], cm.bn3, n - 3)
-
-    failed = sorted(s for s, r in site_res.items() if r > residual_tol)
+    failed = sorted(s for s, res in site_res.items() if res > residual_tol)
     if failed:
         worst = max(failed, key=lambda s: site_res[s])
         return InversionResult(
@@ -330,17 +298,16 @@ def check_reconstructibility(truth: Mpo, L: int = 5) -> ReconstructibilityReport
     prefix = left_environments(ident)
     suffix = right_environments(ident)
 
-    left_sites = 1 if L == 3 else 2
-    right_sites = 1 if L in (3, 4) else 2
+    ell, r = _split(L)
     l_ranks, l_expected = {}, {}
-    for s in range((2 if L == 3 else 1), n - left_sites):
-        sites = ts[s - 1 : s - 1 + left_sites]
+    for s in range(3 - ell, n - ell):
+        sites = ts[s - 1 : s - 1 + ell]
         l_ranks[s] = _rank(left_environments(sites, prefix[s - 1])[-1])
         l_expected[s] = sites[-1].shape[2]
     r_ranks, r_expected = {}, {}
     for s in range(3, n):
-        sites = ts[s - 1 : s - 1 + right_sites]
-        r_ranks[s] = _rank(right_environments(sites, suffix[s - 1 + right_sites])[0])
+        sites = ts[s - 1 : s - 1 + r]
+        r_ranks[s] = _rank(right_environments(sites, suffix[s - 1 + r])[0])
         r_expected[s] = sites[0].shape[0]
     ok = all(l_ranks[s] == l_expected[s] for s in l_ranks) and all(
         r_ranks[s] == r_expected[s] for s in r_ranks

@@ -125,6 +125,24 @@ class TestConfigValidation:
         cfg = write_config(tmp_path / "bad.json", bad)
         assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("eta", "0.9"),
+            ("eta", None),
+            ("eta_se", -0.01),
+            ("eta_se", float("inf")),
+            ("eta_se", float("nan")),
+            ("window", 4),
+            ("window", 5.0),
+        ],
+    )
+    def test_measurement_section_validated(self, tmp_path, key, value):
+        bad = json.loads(json.dumps(CONFIG))
+        bad["measurement"][key] = value
+        cfg = write_config(tmp_path / "bad.json", bad)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
     def test_analyze_without_fit(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -184,6 +202,24 @@ class TestReconstruct:
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
         assert main(["reconstruct", "--config", cfg, "--out", str(broken)]) == 5
+
+    @pytest.mark.parametrize(
+        "line, cell, text",
+        [(0, 1, "word"), (1, 2, "0.5x"), (2, 0, "one"), (3, 4, ""), (4, 1, "Q9")],
+    )
+    def test_malformed_dataset_file(self, pipeline_run, tmp_path, capsys, line, cell, text):
+        # a wrong header, a non-numeric value, start or shots count, a bad word
+        cfg, out = pipeline_run
+        broken = tmp_path / "broken"
+        shutil.copytree(out, broken)
+        path = sorted((broken / "dataset").iterdir())[0]
+        with open(path) as fh:
+            rows = list(csv.reader(fh))
+        rows[line][cell] = text
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert main(["reconstruct", "--config", cfg, "--out", str(broken)]) == 2
+        assert path.name in capsys.readouterr().err
 
     def test_end_to_end_exact_recovery(self, tmp_path):
         # an exact (zero-SE) ideal dataset reconstructs the ideal state
@@ -335,3 +371,24 @@ class TestLogging:
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+
+
+class TestTooling:
+    def test_benchmark_trace_targets_resolve(self):
+        # bench/run.py --trace 1 wraps these names; a refactor must keep them
+        import importlib
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("bench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        for module, attr, _ in tracing.TARGETS:
+            target = importlib.import_module(f"mpo_tomo.{module}")
+            assert callable(getattr(target, attr, None)), f"{module}.{attr}"
+
+    def test_commands(self):
+        from mpo_tomo.cli import _COMMANDS
+
+        assert set(_COMMANDS) == {"simulate", "reconstruct", "analyze"}

@@ -237,6 +237,25 @@ class TestGaussNewton:
         fit = gauss_newton_fit(start, data)
         assert fit.sse <= sse0
 
+    def test_dof_counts_only_identifiable_directions(self, noisy6):
+        from mpo_tomo.correlations import moments_to_zshifted
+
+        data = moments_to_zshifted(synthesize_dataset(noisy6, 5, 1.0, 10**7, seed=1))
+        fit = MpoLeastSquares().fit(data).fit_result_
+        masks = free_masks(fit.mpo)
+        n_par = n_free_parameters(masks)
+        _, jacs = _window_values_jacobian(fit.mpo, 5, F_MATRIX, True)
+        cols = _window_columns(masks, 5)
+        blocks = [
+            jacs[s][1:] / np.clip(data.ses[s].ravel()[1:], 1e-9, None)[:, None]
+            for s in data.starts
+        ]
+        hess = _gram(blocks, [cols[s] for s in data.starts], n_par)
+        rank = np.linalg.matrix_rank(hess)
+        rows = len(data.starts) * (4**5 - 1)
+        assert rank < n_par  # the standard form keeps gauge null directions
+        assert fit.dof == rows - rank
+
     def test_chi_square_consistency(self, fitted_noisy5):
         assert 0.7 <= fitted_noisy5.fit_result_.reduced_sse <= 1.3
 

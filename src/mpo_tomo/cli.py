@@ -143,7 +143,6 @@ def _error_model(cfg) -> cluster.ErrorModel:
 
 
 def _truth_mpo(cfg) -> mpo_mod.Mpo:
-    from .channels import amplitude_damping, compose, pure_dephasing
     from .emission import ProtocolImperfections, build_cluster_protocol, emit_mpo
 
     p = cfg["protocol"]
@@ -152,13 +151,9 @@ def _truth_mpo(cfg) -> mpo_mod.Mpo:
     offsets = p.get("rotation_offsets")
     if offsets is None:
         return cluster.noisy_cluster_model(n, model)
-    channels = tuple(
-        compose(pure_dephasing(pd), amplitude_damping(ad))
-        for ad, pd in zip(model.eps_ad, model.eps_pd)
-    )
     imp = ProtocolImperfections(
         rotation_offsets=tuple(float(x) for x in offsets),
-        photon_channels=channels,
+        photon_channels=tuple(model.channels()),
     )
     return emit_mpo(build_cluster_protocol(n, imp))
 
@@ -281,6 +276,9 @@ def cmd_reconstruct(cfg, out: str) -> int:
         "sse": fr.sse,
         "dof": fr.dof,
         "trace": fr.trace,
+        "null_directions": fr.null_directions,
+        "largest_null_ratio": fr.largest_null_ratio,
+        "smallest_live_ratio": fr.smallest_live_ratio,
     }
     fit_dir = os.path.join(out, "fit")
     with _timed(timings, "write"):
@@ -305,20 +303,28 @@ def cmd_reconstruct(cfg, out: str) -> int:
     return 0
 
 
+def _correlation_se(fit, letters) -> float:
+    """Propagated SE of the fitted correlation of the Pauli string ``letters``."""
+
+    def functional(m):
+        return m.correlation(letters), mpo_mod.correlation_gradient(m, letters)
+
+    return fitting.propagate_covariance(fit, functional)[1]
+
+
 def _stabilizer_table(fit, n):
-    words = cluster.stabilizer_words(n)
     values, ses = [], []
-    for word in words:
+    for word in cluster.stabilizer_words(n):
         letters = word.padded(n)
-        val = fit.mpo.correlation(letters)
-
-        def functional(m, letters=letters):
-            return m.correlation(letters), mpo_mod.correlation_gradient(m, letters)
-
-        _, se = fitting.propagate_covariance(fit, functional)
-        values.append(val)
-        ses.append(se)
+        values.append(fit.mpo.correlation(letters))
+        ses.append(_correlation_se(fit, letters))
     return np.array(values), np.array(ses)
+
+
+def _le_fields(res) -> list:
+    """CSV fields value, se_parameter (empty without a fit), se_sampling."""
+    se_parameter = "" if res.se_parameter is None else repr(res.se_parameter)
+    return [repr(res.value), se_parameter, repr(res.se_sampling)]
 
 
 def cmd_analyze(cfg, out: str) -> int:
@@ -343,12 +349,7 @@ def cmd_analyze(cfg, out: str) -> int:
         exc_ses = []
         for s in range(1, n + 1):
             letters = tuple(3 if t == s else 0 for t in range(1, n + 1))
-
-            def functional(m, letters=letters):
-                return m.correlation(letters), mpo_mod.correlation_gradient(m, letters)
-
-            _, se = fitting.propagate_covariance(fit, functional)
-            exc_ses.append(se / 2.0)
+            exc_ses.append(_correlation_se(fit, letters) / 2.0)
         model = cluster.fit_error_model(
             excitations, exc_ses, stab_values, stab_ses, uniform=True
         )
@@ -389,28 +390,13 @@ def cmd_analyze(cfg, out: str) -> int:
         writer = csv.writer(fh)
         writer.writerow(["r", "r_prime", "value", "se_parameter", "se_sampling"])
         for res in le_rows:
-            writer.writerow(
-                [
-                    res.pair[0],
-                    res.pair[1],
-                    repr(res.value),
-                    "" if res.se_parameter is None else repr(res.se_parameter),
-                    repr(res.se_sampling),
-                ]
-            )
+            writer.writerow([res.pair[0], res.pair[1], *_le_fields(res)])
     with open(os.path.join(out, "le_distance.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "value", "se_parameter", "se_sampling"])
         for res in le_rows:
             if res.pair[0] == 1:
-                writer.writerow(
-                    [
-                        res.pair[1] - res.pair[0],
-                        repr(res.value),
-                        "" if res.se_parameter is None else repr(res.se_parameter),
-                        repr(res.se_sampling),
-                    ]
-                )
+                writer.writerow([res.pair[1] - res.pair[0], *_le_fields(res)])
 
     # density-matrix corner dump (first/last 16 basis states)
     corner = sorted(set(range(min(16, 2**n))) | set(range(max(0, 2**n - 16), 2**n)))

@@ -362,25 +362,3 @@ def save_correlation_csv(corrs: PauliCorrelationSet, path, meta_path=None) -> No
         doc.update(corrs.meta)
         with open(meta_path, "w") as fh:
             json.dump(doc, fh, sort_keys=True)
-
-
-def _parse_word(s: str, names) -> tuple[int, ...]:
-    width = len(names[0])
-    if len(s) % width:
-        raise ValidationError(f"malformed word {s!r}")
-    return tuple(names.index(s[i : i + width]) for i in range(0, len(s), width))
-
-
-def load_correlation_csv(path, n_sites: int, window: int, basis: str) -> PauliCorrelationSet:
-    names = _PAULI_NAMES if basis == PAULI_BASIS else _R_NAMES
-    shape = (4,) * window
-    values = {s: np.full(shape, np.nan) for s in range(1, n_sites - window + 2)}
-    ses = {s: np.full(shape, np.nan) for s in range(1, n_sites - window + 2)}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            start = int(row["window_start"])
-            word = _parse_word(row["word"], names)
-            values[start][word] = float(row["value"])
-            ses[start][word] = float(row["se"])
-    return PauliCorrelationSet(n_sites, window, basis, values, ses)

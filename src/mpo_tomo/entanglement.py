@@ -93,40 +93,46 @@ class TwoQubitState:
         return self.matrix / self.weight
 
 
-def _site_vectors(mpo: Mpo, plan: MeasurementPlan, outcomes) -> list:
-    """Per-site Pauli-axis contraction vectors; None at the unmeasured pair."""
-    n = mpo.n_qubits
-    plan.validate(n)
-    outcomes = list(outcomes)
-    if len(outcomes) != n - 2:
-        raise ValidationError(f"need {n - 2} outcomes, got {len(outcomes)}")
-    if any(m not in (1, -1) for m in outcomes):
-        raise ValidationError("outcomes must be +1 or -1")
-    vectors = []
-    k = 0
-    for s in range(1, n + 1):
-        if s in plan.pair:
-            vectors.append(None)
+def _outcome_maps(mpo: Mpo, plan: MeasurementPlan):
+    """Each site's outcome vectors, its map with the outcome index open, and
+    the 0-based measured sites in chain order.
+
+    A measured site's two outcome vectors are the Pauli-axis vectors
+    (1, +b)/2 and (1, -b)/2 of outcomes +1 and -1, and its map is the
+    ``(D_l, 2, D_r)`` tensor they make of the site; each site of the
+    unmeasured pair keeps its ``(D_l, 4, D_r)`` Pauli index, the identity as
+    outcome vectors.
+    """
+    plan.validate(mpo.n_qubits)
+    vectors, maps, measured = [], [], []
+    for s, t in enumerate(mpo.tensors):
+        if s + 1 in plan.pair:
+            vectors.append(np.eye(4))
+            maps.append(t)
             continue
-        bloch = plan.basis_vector(s)
-        v = np.zeros(4)
-        v[0] = 0.5
-        v[1:] = 0.5 * outcomes[k] * bloch
+        b = 0.5 * plan.basis_vector(s + 1)
+        v = np.array([[0.5, *b], [0.5, *-b]])
         vectors.append(v)
-        k += 1
-    return vectors
+        maps.append(np.einsum("oa,xay->xoy", v, t))
+        measured.append(s)
+    return vectors, maps, measured
 
 
-def _site_maps(mpo: Mpo, vectors) -> list:
-    """Site maps of one branch: measured sites summed against their vector."""
-    return [
-        t if v is None else np.einsum("a,bay->by", v, t)
-        for t, v in zip(mpo.tensors, vectors)
-    ]
+def _string_coefficients(maps, measured, index: int) -> np.ndarray:
+    """Pauli coefficients (4, 4) of the pair for one outcome string.
+
+    Bit ``k`` of ``index`` set means the ``k``-th measured site gave -1.
+    """
+    chosen = list(maps)
+    for k, s in enumerate(measured):
+        chosen[s] = maps[s][:, (index >> k) & 1]
+    return left_environments(chosen)[-1].reshape(4, 4)
 
 
 def _coeffs_to_matrix(c: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,iab,jcd->acbd", c, PAULIS, PAULIS).reshape(4, 4) / 4.0
+    """Two-qubit density matrices of Pauli coefficients ``(..., 4, 4)``."""
+    rho = np.einsum("...ij,iab,jcd->...acbd", c, PAULIS, PAULIS)
+    return rho.reshape(c.shape[:-2] + (4, 4)) / 4.0
 
 
 def post_measurement_state(mpo: Mpo, plan: MeasurementPlan, outcomes) -> TwoQubitState:
@@ -135,8 +141,14 @@ def post_measurement_state(mpo: Mpo, plan: MeasurementPlan, outcomes) -> TwoQubi
     The weight equals the probability of the outcome string; weights over
     all 2^(N-2) outcome strings sum to the trace of the MPO.
     """
-    vectors = _site_vectors(mpo, plan, outcomes)
-    c = left_environments(_site_maps(mpo, vectors))[-1].reshape(4, 4)
+    _, maps, measured = _outcome_maps(mpo, plan)
+    outcomes = list(outcomes)
+    if len(outcomes) != len(measured):
+        raise ValidationError(f"need {len(measured)} outcomes, got {len(outcomes)}")
+    if any(m not in (1, -1) for m in outcomes):
+        raise ValidationError("outcomes must be +1 or -1")
+    index = sum(1 << k for k, m in enumerate(outcomes) if m == -1)
+    c = _string_coefficients(maps, measured, index)
     return TwoQubitState(matrix=_coeffs_to_matrix(c), weight=float(c[0, 0]))
 
 
@@ -158,11 +170,12 @@ def negativity(state: TwoQubitState) -> float:
 
 
 def _wootters_lambdas(rho: np.ndarray) -> np.ndarray:
+    """Wootters' lambdas of density matrices ``(..., 4, 4)``, descending."""
     yy = np.kron(PAULIS[2], PAULIS[2])
     m = rho @ yy @ np.conj(rho) @ yy
     ev = np.linalg.eigvals(m)
     lam = np.sqrt(np.clip(ev.real, 0.0, None))
-    return np.sort(lam)[::-1]
+    return np.sort(lam, axis=-1)[..., ::-1]
 
 
 def concurrence(state: TwoQubitState) -> float:
@@ -183,68 +196,63 @@ _PT_KERNELS = np.stack(
 ).reshape(4, 4, 4, 4)  # [i, j] -> 4x4 kernel
 
 
-def _branch_negativity(c: np.ndarray, want_gradient: bool, sv_gap_tol: float = 1e-10):
-    """Branch value (trace-norm form) and its gradient w.r.t. c entries.
+def _transposed_pair(c: np.ndarray) -> np.ndarray:
+    """Partial transposes of the states with coefficients ``(..., 4, 4)``."""
+    return np.einsum("...ij,ijab->...ab", c, _PT_KERNELS)
 
-    For an unnormalized branch, ``P * N(rho/P) = (|rho^T2|_1 - tr rho) / 2``.
-    The trace-norm gradient uses ``d|M|_1 / dM = U V+``; if the singular
-    spectrum is nearly degenerate the gradient falls back to central finite
-    differences, where the formula's derivative is ill-defined.
+
+def _trace_norm(c: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(_transposed_pair(c), compute_uv=False).sum(-1)
+
+
+def _raw_concurrence(c: np.ndarray) -> np.ndarray:
+    lam = _wootters_lambdas(_coeffs_to_matrix(c))
+    return lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+
+
+def _central_difference(f, c: np.ndarray, h: float = 1e-7) -> np.ndarray:
+    """d f / d c entry by entry, for ``f`` mapping ``(..., 4, 4) -> (...)``."""
+    step = h * np.eye(16).reshape(16, 4, 4)
+    return ((f(c[:, None] + step) - f(c[:, None] - step)) / (2.0 * h)).reshape(c.shape)
+
+
+def _branch_terms(c: np.ndarray, measure: str, want_gradient: bool, sv_gap_tol=1e-10):
+    """Branch values of stacked coefficient matrices ``c`` (B, 4, 4).
+
+    Negativity: for an unnormalized branch ``P * N(rho/P) = (|rho^T2|_1 -
+    tr rho) / 2``; the trace norm's gradient is ``U V+`` where the singular
+    spectrum is well separated, and central differences where it is nearly
+    degenerate and the formula's derivative is ill-defined.  Concurrence
+    scales linearly with the state, so the branch term is evaluated on the
+    unnormalized state directly; negative raw values (possible for
+    non-positive fitted states) are clamped to zero and summed separately,
+    and positive branches take central differences.
+
+    Returns:
+        (values (B,), d(value)/dc (B, 4, 4) or None, sum of the clamped
+        negative raw values).
     """
-    m = np.einsum("ij,ijab->ab", c, _PT_KERNELS)
-    u, sv, vt = np.linalg.svd(m)
-    value = (np.sum(sv) - c[0, 0]) / 2.0
-    if not want_gradient:
-        return value, None
-    gaps = np.diff(sv)
-    if np.all(np.abs(gaps) > sv_gap_tol) and np.min(sv) > sv_gap_tol:
-        sign_mat = u @ vt
-        grad = 0.5 * np.real(np.einsum("ab,ijab->ij", np.conj(sign_mat), _PT_KERNELS))
+    grad = np.zeros(c.shape) if want_gradient else None
+    if measure == "negativity":
+        u, sv, vt = np.linalg.svd(_transposed_pair(c))
+        values = (sv.sum(-1) - c[:, 0, 0]) / 2.0
+        raw_negative = 0.0
+        if want_gradient:
+            gaps = np.abs(np.diff(sv, axis=-1))
+            smooth = np.all(gaps > sv_gap_tol, axis=-1) & (sv.min(-1) > sv_gap_tol)
+            sign = np.conj(u[smooth] @ vt[smooth])
+            grad[smooth] = 0.5 * np.real(np.einsum("bkl,ijkl->bij", sign, _PT_KERNELS))
+            grad[~smooth] = 0.5 * _central_difference(_trace_norm, c[~smooth])
+            grad[:, 0, 0] -= 0.5
+    elif measure == "concurrence":
+        raw = _raw_concurrence(c)
+        values = np.maximum(raw, 0.0)
+        raw_negative = float(raw[raw < 0.0].sum())
+        if want_gradient:
+            grad[raw > 0.0] = _central_difference(_raw_concurrence, c[raw > 0.0])
     else:
-        grad = np.empty((4, 4))
-        h = 1e-7
-        for i in range(4):
-            for j in range(4):
-                cp = c.copy()
-                cp[i, j] += h
-                mp = np.einsum("ij,ijab->ab", cp, _PT_KERNELS)
-                cp[i, j] -= 2 * h
-                mm = np.einsum("ij,ijab->ab", cp, _PT_KERNELS)
-                sp = np.linalg.svd(mp, compute_uv=False).sum()
-                sm = np.linalg.svd(mm, compute_uv=False).sum()
-                grad[i, j] = (sp - sm) / (4.0 * h)
-    grad[0, 0] -= 0.5
-    return value, grad
-
-
-def _branch_concurrence(c: np.ndarray, want_gradient: bool):
-    """Clamped branch concurrence and a finite-difference gradient.
-
-    The concurrence of an unnormalized state scales linearly, so the branch
-    term is evaluated directly on it.  Negative raw values (possible for
-    non-positive fitted states) are clamped to zero and reported separately.
-    """
-
-    def raw(cmat):
-        lam = _wootters_lambdas(_coeffs_to_matrix(cmat))
-        return lam[0] - lam[1] - lam[2] - lam[3]
-
-    r = raw(c)
-    value = max(0.0, r)
-    if not want_gradient:
-        return value, None, r
-    grad = np.zeros((4, 4))
-    if r > 0.0:
-        h = 1e-7
-        for i in range(4):
-            for j in range(4):
-                cp = c.copy()
-                cp[i, j] += h
-                up = raw(cp)
-                cp[i, j] -= 2 * h
-                um = raw(cp)
-                grad[i, j] = (up - um) / (2.0 * h)
-    return value, grad, r
+        raise ValidationError(f"unknown measure {measure!r}")
+    return values, grad, raw_negative
 
 
 @dataclass
@@ -265,64 +273,37 @@ class LeResult:
     raw_negative: float = 0.0
 
 
-def _branch_gradient_to_params(maps, vectors, lefts, w, masks):
-    """Chain rule from d(term)/d(coefficients) to the free MPO parameters.
+def _enumerate_branches(mpo, plan, measure, masks=None):
+    """Every outcome string's branch value, as one tree contraction.
 
-    ``lefts`` are the branch's left environments over ``maps``.
+    One left sweep over the outcome maps keeps every outcome index open, so
+    the outcome strings share their prefixes; the last environment, with the
+    pair's two axes moved last, stacks every string's coefficients.  Branch
+    ``i`` is the string whose bit ``k`` set means the ``k``-th measured site
+    gave -1.
+
+    Returns:
+        (branch values (2^(N-2),), gradient of their sum with respect to the
+        free parameters of ``masks`` or None without masks, sum of the
+        clamped negative raw values).
     """
+    vectors, maps, measured = _outcome_maps(mpo, plan)
+    lefts = left_environments(maps)
+    open_dims = [m.shape[1] for m in maps]
+    # the last measured site's bit varies slowest
+    order = measured[::-1] + [r - 1 for r in plan.pair]
+    c = lefts[-1].reshape(open_dims).transpose(order).reshape(-1, 4, 4)
+    values, dvdc, raw_negative = _branch_terms(c, measure, masks is not None)
+    if masks is None:
+        return values, None, raw_negative
+    w = dvdc.reshape([open_dims[s] for s in order]).transpose(np.argsort(order)).ravel()
     rights = right_environments(maps)
     grads = []
-    n_open = 0
     for s, v in enumerate(vectors):
-        lt, rt = lefts[s], rights[s + 1]
-        if v is None:
-            w3 = w.reshape(4**n_open, 4, -1)
-            g = np.einsum("fx,fag,yg->xay", lt, w3, rt)
-            n_open += 1
-        else:
-            u = lt.T @ w.reshape(4**n_open, -1) @ rt.T
-            g = np.einsum("xy,a->xay", u, v)
-        grads.append(g)
-    return pack(grads, masks)
-
-
-def _evaluate_branches(mpo, plan, measure, indices, want_gradient, masks=None):
-    """Branch values summed over outcome strings ``indices``.
-
-    Bit ``k`` of an index set means the ``k``-th measured site gave -1.
-    """
-    if measure not in ("negativity", "concurrence"):
-        raise ValidationError(f"unknown measure {measure!r}")
-    n = mpo.n_qubits
-    # (outcome +1, outcome -1) vectors and maps of every site, built once
-    plus = _site_vectors(mpo, plan, [1] * (n - 2))
-    minus = _site_vectors(mpo, plan, [-1] * (n - 2))
-    vectors = list(zip(plus, minus))
-    maps = list(zip(_site_maps(mpo, plus), _site_maps(mpo, minus)))
-    measured = [s for s, v in enumerate(plus) if v is not None]
-    site_bits = np.zeros((len(indices), n), dtype=int)
-    site_bits[:, measured] = (np.asarray(indices)[:, None] >> np.arange(n - 2)) & 1
-    total_value = 0.0
-    total_raw_negative = 0.0
-    grad = None
-    terms = np.empty(len(indices))
-    for pos, bits in enumerate(site_bits.tolist()):
-        branch_maps = [m[b] for m, b in zip(maps, bits)]
-        lefts = left_environments(branch_maps)
-        c = lefts[-1].reshape(4, 4)
-        if measure == "negativity":
-            value, dvdc = _branch_negativity(c, want_gradient)
-        else:
-            value, dvdc, raw = _branch_concurrence(c, want_gradient)
-            if raw < 0.0:
-                total_raw_negative += raw
-        terms[pos] = value
-        total_value += value
-        if want_gradient:
-            branch_vectors = [v[b] for v, b in zip(vectors, bits)]
-            g = _branch_gradient_to_params(branch_maps, branch_vectors, lefts, dvdc, masks)
-            grad = g if grad is None else grad + g
-    return total_value, terms, grad, total_raw_negative
+        left, right = lefts[s], rights[s + 1]
+        w3 = w.reshape(left.shape[0], open_dims[s], right.shape[1])
+        grads.append(np.einsum("fx,fog,yg,oa->xay", left, w3, right, v, optimize=True))
+    return values, pack(grads, masks), raw_negative
 
 
 def localizable_entanglement(
@@ -347,21 +328,17 @@ def localizable_entanglement(
             f"exact enumeration limited to N <= {EXACT_ENUMERATION_LIMIT}; "
             "use le_subset_estimate"
         )
-    n_branches = 2 ** (n - 2)
-    want_gradient = fit is not None
-    masks = fit.masks if fit is not None else None
-    value, _, grad, raw_neg = _evaluate_branches(
-        mpo, plan, measure, np.arange(n_branches), want_gradient, masks
-    )
+    masks = None if fit is None else fit.masks
+    values, grad, raw_neg = _enumerate_branches(mpo, plan, measure, masks)
     se_param = None
-    if want_gradient:
+    if fit is not None:
         var = float(grad @ fit.covariance @ grad)
         se_param = float(np.sqrt(max(var, 0.0)))
     return LeResult(
-        value=float(value),
+        value=float(values.sum()),
         se_parameter=se_param,
         se_sampling=0.0,
-        branches_evaluated=n_branches,
+        branches_evaluated=values.size,
         measure=measure,
         pair=plan.pair,
         raw_negative=float(raw_neg),
@@ -383,9 +360,8 @@ def le_subset_estimate(
     correction so that full enumeration reports zero.
     """
     check_positive_int(samples, "samples", minimum=1)
-    n = mpo.n_qubits
-    plan.validate(n)
-    total = 2 ** (n - 2)
+    _, maps, measured = _outcome_maps(mpo, plan)
+    total = 2 ** len(measured)
     if samples > total:
         raise ValidationError(f"samples {samples} exceeds {total} branches")
     rng = np.random.default_rng(seed)
@@ -399,11 +375,10 @@ def le_subset_estimate(
             draw = rng.integers(0, total, size=samples - len(chosen))
             chosen.update(int(x) for x in draw)
         indices = np.fromiter(chosen, dtype=np.int64)
-    value_sum, terms, _, raw_neg = _evaluate_branches(
-        mpo, plan, measure, indices, False
-    )
+    c = np.stack([_string_coefficients(maps, measured, int(i)) for i in indices])
+    terms, _, raw_neg = _branch_terms(c, measure, False)
     scale = total / samples
-    estimate = scale * value_sum
+    estimate = scale * terms.sum()
     if samples > 1:
         fpc = np.sqrt(1.0 - samples / total)
         se = total * np.std(terms, ddof=1) / np.sqrt(samples) * fpc

@@ -156,6 +156,13 @@ class FitResult:
     before it was recorded.  ``trace`` holds one dict per iteration: the SSE
     after it, the damping of its last trial, the number of inner trials, the
     |d2|/|d1| ratio of its last trial and the model evaluations it made.
+
+    At the final iterate, eigenvalues of JᵀWJ at or below 1e-12 of the
+    largest are dropped as gauge null directions: ``null_directions``
+    counts them, ``largest_null_ratio`` is the largest of them and
+    ``smallest_live_ratio`` the smallest kept one, both relative to the
+    largest eigenvalue (None when there is no such eigenvalue, or for a
+    bundle written before they were recorded).
     """
 
     mpo: Mpo
@@ -168,6 +175,9 @@ class FitResult:
     masks: list = field(repr=False, default=None)
     exit_reason: str | None = None
     trace: list = field(repr=False, default_factory=list)
+    null_directions: int | None = None
+    largest_null_ratio: float | None = None
+    smallest_live_ratio: float | None = None
 
     @property
     def reduced_sse(self) -> float:
@@ -313,8 +323,8 @@ def gauss_newton_fit(
     # covariance of the free parameters at the final iterate
     _, jw = model(current, True)
     evals, evecs = np.linalg.eigh(_gram(jw, cols, n_par))
-    cutoff = 1e-12 * max(evals.max(), 1e-300)
-    live = evals > cutoff
+    scale = max(evals.max(), 1e-300)
+    live = evals > 1e-12 * scale
     inv = np.where(live, 1.0 / np.where(live, evals, 1.0), 0.0)
     cov = (evecs * inv) @ evecs.T
     # the gauge null directions dropped here carry no degree of freedom
@@ -330,6 +340,9 @@ def gauss_newton_fit(
         masks=masks,
         exit_reason=exit_reason,
         trace=trace,
+        null_directions=int(n_par - live.sum()),
+        largest_null_ratio=float(evals[~live].max() / scale) if not live.all() else None,
+        smallest_live_ratio=float(evals[live].min() / scale) if live.any() else None,
     )
 
 
@@ -440,6 +453,9 @@ class MpoLeastSquares:
 # --- persistence -------------------------------------------------------------
 
 
+_NULL_SPACE_KEYS = ("null_directions", "largest_null_ratio", "smallest_live_ratio")
+
+
 def save_fit_bundle(fit: FitResult, directory) -> None:
     """Persist a fit: MPO JSON, covariance binary + header, report JSON."""
     import os
@@ -463,6 +479,7 @@ def save_fit_bundle(fit: FitResult, directory) -> None:
         "converged": fit.converged,
         "exit_reason": fit.exit_reason,
         "basis": fit.basis,
+        **{key: getattr(fit, key) for key in _NULL_SPACE_KEYS},
     }
     with open(os.path.join(directory, "fit_report.json"), "w") as fh:
         json.dump(report, fh, sort_keys=True)
@@ -501,4 +518,5 @@ def load_fit_bundle(directory) -> FitResult:
         basis=report["basis"],
         masks=masks,
         exit_reason=report.get("exit_reason"),
+        **{key: report.get(key) for key in _NULL_SPACE_KEYS},
     )

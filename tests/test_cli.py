@@ -182,6 +182,16 @@ class TestReconstruct:
         report = json.load(open(os.path.join(fit_dir, "fit_report.json")))
         assert report["exit_reason"] == gn["exit_reason"]
 
+    def test_null_space_record(self, pipeline_run):
+        _, out = pipeline_run
+        fit_dir = os.path.join(out, "fit")
+        gn = json.load(open(os.path.join(fit_dir, "stages.json")))["gauss_newton"]
+        report = json.load(open(os.path.join(fit_dir, "fit_report.json")))
+        assert gn["null_directions"] > 0
+        assert gn["largest_null_ratio"] <= 1e-12 < gn["smallest_live_ratio"]
+        for key in ("null_directions", "largest_null_ratio", "smallest_live_ratio"):
+            assert report[key] == gn[key]
+
     def test_missing_setting_file(self, pipeline_run, tmp_path):
         cfg, out = pipeline_run
         broken = tmp_path / "broken"

@@ -16,7 +16,6 @@ from mpo_tomo.correlations import (
     align_phases,
     correct_inefficiency,
     inverse_loss_zshifted,
-    load_correlation_csv,
     moments_to_zshifted,
     pauli_to_zshifted,
     save_correlation_csv,
@@ -334,10 +333,23 @@ class TestCorrelationCsv:
         path = tmp_path / "corrs.csv"
         meta = tmp_path / "corrs.json"
         save_correlation_csv(corrs, path, meta)
-        back = load_correlation_csv(path, 5, 3, PAULI_BASIS)
-        for s in corrs.starts:
-            assert np.allclose(back.values[s], corrs.values[s])
+        import csv
         import json
+
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        names = corrs.word_names()
+        expected = [
+            (s, "".join(names[a] for a in word), corrs.values[s][word], corrs.ses[s][word])
+            for s in corrs.starts
+            for word in np.ndindex(*corrs.values[s].shape)
+        ]
+        assert len(rows) == len(expected)
+        for row, (start, word, value, se) in zip(rows, expected):
+            assert int(row["window_start"]) == start
+            assert row["word"] == word
+            assert float(row["value"]) == value
+            assert float(row["se"]) == se
 
         doc = json.loads(meta.read_text())
         assert doc["basis"] == PAULI_BASIS

@@ -162,21 +162,53 @@ class TestLocalizableEntanglement:
             values.append(le.value)
         assert np.ptp(values) < 1e-9
 
+    def test_tree_branches_match_outcome_strings(self, noisy6):
+        from mpo_tomo.entanglement import _enumerate_branches
+
+        plan = default_plan(6, 1, 4)  # no mirror symmetry
+        terms, _, _ = _enumerate_branches(noisy6, plan, "negativity")
+        assert terms.shape == (16,)
+        for index, term in enumerate(terms):
+            # bit k set: the k-th measured site gave -1
+            outcomes = [-1 if (index >> k) & 1 else 1 for k in range(4)]
+            st = post_measurement_state(noisy6, plan, outcomes)
+            expected = st.weight * negativity(TwoQubitState(st.normalized(), 1.0))
+            assert term == pytest.approx(expected, abs=1e-12)
+
     def test_size_limit_directs_to_subset(self):
         m = noisy_cluster_model(16, ErrorModel.uniform(16, 0.05, 0.05))
         with pytest.raises(ValidationError, match="subset"):
             localizable_entanglement(m, default_plan(16, 1, 16))
 
-    def test_parameter_se_against_finite_differences(self, fitted_noisy5):
-        from mpo_tomo.entanglement import _evaluate_branches
-        from mpo_tomo.standard_form import pack, unpack
+    @pytest.mark.parametrize(
+        "state, measure",
+        [
+            ("fitted", "negativity"),
+            ("fitted", "concurrence"),
+            # every branch of the ideal cluster has a degenerate partial-transpose
+            # spectrum, so the finite-difference fallback runs; its concurrence
+            # is not differentiable there
+            ("ideal", "negativity"),
+        ],
+        ids=["fitted-negativity", "fitted-concurrence", "ideal-negativity"],
+    )
+    def test_parameter_se_against_finite_differences(self, request, state, measure):
+        from mpo_tomo.entanglement import _enumerate_branches
+        from mpo_tomo.fitting import FitResult
+        from mpo_tomo.mpo import to_standard_form
+        from mpo_tomo.standard_form import free_masks, n_free_parameters, pack, unpack
 
-        fit = fitted_noisy5.fit_result_
+        if state == "fitted":
+            fit = request.getfixturevalue("fitted_noisy5").fit_result_
+        else:
+            m = to_standard_form(ideal_cluster_mpo(5))
+            masks = free_masks(m)
+            cov = np.eye(n_free_parameters(masks))
+            fit = FitResult(m, cov, 0.0, 0, 0, True, "pauli", masks=masks)
         plan = default_plan(5, 1, 4)
-        le = localizable_entanglement(fit.mpo, plan, "negativity", fit=fit)
+        le = localizable_entanglement(fit.mpo, plan, measure, fit=fit)
         assert le.se_parameter is not None and le.se_parameter > 0
-        indices = np.arange(2**3)
-        _, _, grad, _ = _evaluate_branches(fit.mpo, plan, "negativity", indices, True, fit.masks)
+        _, grad, _ = _enumerate_branches(fit.mpo, plan, measure, fit.masks)
         theta0 = pack(fit.mpo.tensors, fit.masks)
         local = np.random.default_rng(0)
         h = 1e-6
@@ -185,12 +217,8 @@ class TestLocalizableEntanglement:
             tp[i] += h
             tm = theta0.copy()
             tm[i] -= h
-            vp, _, _, _ = _evaluate_branches(
-                unpack(tp, fit.mpo, fit.masks), plan, "negativity", indices, False
-            )
-            vm, _, _, _ = _evaluate_branches(
-                unpack(tm, fit.mpo, fit.masks), plan, "negativity", indices, False
-            )
+            vp = _enumerate_branches(unpack(tp, fit.mpo, fit.masks), plan, measure)[0].sum()
+            vm = _enumerate_branches(unpack(tm, fit.mpo, fit.masks), plan, measure)[0].sum()
             fd = (vp - vm) / (2 * h)
             assert grad[i] == pytest.approx(fd, abs=max(1e-6, 1e-4 * abs(fd)))
 

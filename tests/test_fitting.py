@@ -256,6 +256,17 @@ class TestGaussNewton:
         assert rank < n_par  # the standard form keeps gauge null directions
         assert fit.dof == rows - rank
 
+    def test_null_directions_bracket_the_cut(self, noisy6):
+        from mpo_tomo.correlations import moments_to_zshifted
+
+        data = moments_to_zshifted(synthesize_dataset(noisy6, 5, 1.0, 10**7, seed=1))
+        fit = MpoLeastSquares().fit(data).fit_result_
+        n_par = n_free_parameters(free_masks(fit.mpo))
+        rows = len(data.starts) * (4**5 - 1)
+        assert fit.null_directions > 0
+        assert fit.null_directions == n_par - (rows - fit.dof)
+        assert fit.largest_null_ratio <= 1e-12 < fit.smallest_live_ratio <= 1.0
+
     def test_chi_square_consistency(self, fitted_noisy5):
         assert 0.7 <= fitted_noisy5.fit_result_.reduced_sse <= 1.3
 
@@ -383,3 +394,21 @@ class TestPersistence:
         back = load_fit_bundle(tmp_path / "fit")
         assert back.exit_reason is None
         assert back.converged == fit.converged
+
+    def test_bundle_null_space_record(self, fitted_noisy5, tmp_path):
+        import json
+
+        keys = ("null_directions", "largest_null_ratio", "smallest_live_ratio")
+        fit = fitted_noisy5.fit_result_
+        save_fit_bundle(fit, tmp_path / "fit")
+        back = load_fit_bundle(tmp_path / "fit")
+        assert fit.null_directions > 0
+        for key in keys:
+            assert getattr(back, key) == getattr(fit, key)
+        path = tmp_path / "fit" / "fit_report.json"
+        report = json.loads(path.read_text())
+        for key in keys:
+            del report[key]
+        path.write_text(json.dumps(report))
+        back = load_fit_bundle(tmp_path / "fit")
+        assert all(getattr(back, key) is None for key in keys)

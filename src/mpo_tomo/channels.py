@@ -34,11 +34,6 @@ def pure_dephasing(eps_pd: float) -> np.ndarray:
     return np.diag([1.0, 1.0 - e, 1.0 - e, 1.0])
 
 
-def phase_flip(p: float) -> np.ndarray:
-    check_probability(p, "phase-flip probability")
-    return pure_dephasing(2.0 * p)
-
-
 def z_rotation(theta: float) -> np.ndarray:
     """Rotation about Z by ``theta``: mixes the X and Y coefficients."""
     c, s = np.cos(theta), np.sin(theta)

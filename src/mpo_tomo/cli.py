@@ -192,20 +192,11 @@ def cmd_simulate(cfg, out: str) -> int:
         rows_by_setting.setdefault(label, []).append((start, word, value, se))
     for bits in itertools.product("qp", repeat=window):
         label = "".join(bits)
-        path = os.path.join(_dataset_dir(out), f"setting_{label}.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["window_start", "basis_word", "value", "se", "shots"])
-            for start, word, value, se in rows_by_setting.get(label, []):
-                writer.writerow(
-                    [
-                        start,
-                        measurement.moment_word_string(word),
-                        repr(value),
-                        repr(se),
-                        table.shots,
-                    ]
-                )
+        measurement.save_moment_csv(
+            os.path.join(_dataset_dir(out), f"setting_{label}.csv"),
+            rows_by_setting.get(label, []),
+            table.shots,
+        )
     manifest = {
         "n_qubits": n,
         "window": window,
@@ -353,11 +344,8 @@ def cmd_analyze(cfg, out: str) -> int:
         model = cluster.fit_error_model(
             excitations, exc_ses, stab_values, stab_ses, uniform=True
         )
-        model_stabs = cluster.stabilizer_expectations(
-            cluster.noisy_cluster_model(n, model)
-        )
         cluster.write_stabilizer_report(
-            os.path.join(out, "stabilizers.csv"), stab_values, stab_ses, model_stabs
+            os.path.join(out, "stabilizers.csv"), stab_values, stab_ses, model.stabilizers()
         )
         model.to_json(os.path.join(out, "error_model.json"))
 
@@ -399,25 +387,17 @@ def cmd_analyze(cfg, out: str) -> int:
                 writer.writerow([res.pair[1] - res.pair[0], *_le_fields(res)])
 
     # density-matrix corner dump (first/last 16 basis states)
-    corner = sorted(set(range(min(16, 2**n))) | set(range(max(0, 2**n - 16), 2**n)))
+    corner = [*range(16), *range(2**n - 16, 2**n)]
+    labels = [format(i, f"0{n}b") for i in corner]
     with _timed(timings, "corner"), open(
         os.path.join(out, "density_corner.csv"), "w", newline=""
     ) as fh:
+        block = mpo_mod.density_corner(fit.mpo)
         writer = csv.writer(fh)
         writer.writerow(["bra", "ket", "abs", "arg"])
-        for i in corner:
-            bra = [(i >> (n - 1 - t)) & 1 for t in range(n)]
-            for j in corner:
-                ket = [(j >> (n - 1 - t)) & 1 for t in range(n)]
-                z = mpo_mod.matrix_element(fit.mpo, bra, ket)
-                writer.writerow(
-                    [
-                        "".join(map(str, bra)),
-                        "".join(map(str, ket)),
-                        repr(abs(z)),
-                        repr(float(np.angle(z))),
-                    ]
-                )
+        for bra, row in zip(labels, block):
+            for ket, z in zip(labels, row.tolist()):
+                writer.writerow([bra, ket, repr(abs(z)), repr(float(np.angle(z)))])
 
     report = {
         "n_qubits": n,

@@ -12,11 +12,10 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from ._validation import check_positive_int
 from .channels import amplitude_damping, compose, pure_dephasing
-from .errors import ConvergenceError, DataError, ValidationError
+from .errors import DataError, ValidationError
 from .mpo import Mpo, apply_local_channels
 from .pauli import PauliWord
 
@@ -131,6 +130,25 @@ class ErrorModel:
     def phase_flip(self) -> np.ndarray:
         return self.eps_pd / 2.0
 
+    def stabilizers(self) -> np.ndarray:
+        """Stabilizer expectations of the noisy cluster, in closed form.
+
+        Dephasing scales the X (and Y) coefficients by ``1 - eps_pd``, loss
+        scales them by ``sqrt(1 - eps_ad)`` and maps Z to
+        ``eps_ad I + (1 - eps_ad) Z``; every non-stabilizer word of the ideal
+        cluster has expectation 0, so
+        ``<S_s> = sqrt(1 - eps_ad,s) (1 - eps_pd,s) prod_{t = s +- 1} (1 - eps_ad,t)``
+        over the neighbours ``t`` inside the chain.  Equals
+        ``stabilizer_expectations(noisy_cluster_model(n, self))``.
+        """
+        keep = 1.0 - self.eps_ad
+        z = np.pad(keep, 1, constant_values=1.0)
+        return np.sqrt(keep) * (1.0 - self.eps_pd) * z[:-2] * z[2:]
+
+    def excitations(self) -> np.ndarray:
+        """Mean excitations ``(1 - eps_ad) / 2`` of the noisy cluster."""
+        return (1.0 - self.eps_ad) / 2.0
+
     def channels(self) -> list[np.ndarray]:
         """Per-site process matrices, dephasing applied after loss."""
         return [
@@ -195,7 +213,6 @@ def fit_error_model(
     stab_values,
     stab_se,
     uniform: bool = True,
-    max_iter: int = 100,
 ) -> ErrorModel:
     """Fit loss and dephasing probabilities to summary statistics.
 
@@ -203,7 +220,10 @@ def fit_error_model(
     (model ``excitation = (1 - eps_ad) / 2``; they are insensitive to
     dephasing), then the dephasing probabilities are fit to the stabilizer
     expectations with the loss held fixed.  Residuals are weighted by
-    reciprocal standard errors.
+    reciprocal standard errors.  Both models are linear in the unknown
+    (``<S_s> = a_s (1 - eps_pd,s)``, see :meth:`ErrorModel.stabilizers`), so
+    each step is a closed-form weighted least-squares solution clipped to
+    ``[0, 1]``, the exact bounded minimiser in one variable (per site).
 
     Args:
         mean_exc, mean_exc_se: per-site mean excitations and standard errors.
@@ -211,8 +231,9 @@ def fit_error_model(
         uniform: fit a single (eps_ad, eps_pd) pair instead of per-site values.
 
     Raises:
-        ConvergenceError: if the dephasing fit does not converge within
-            ``max_iter`` residual evaluations (carries the last iterate).
+        DataError: if the fitted loss leaves a stabilizer at zero for every
+            dephasing value (a mean excitation <= 0 at or next to the site),
+            so that dephasing there cannot be identified; names the sites.
     """
     exc = np.asarray(mean_exc, dtype=float)
     stab = np.asarray(stab_values, dtype=float)
@@ -228,25 +249,19 @@ def fit_error_model(
         eps_ad = np.full(n, np.sum(w_exc**2 * ad_point) / np.sum(w_exc**2))
     else:
         eps_ad = ad_point
-
-    def stab_residuals(pd_params):
-        pd = np.full(n, pd_params[0]) if uniform else pd_params
-        model = ErrorModel(eps_ad, np.clip(pd, 0.0, 1.0))
-        pred = stabilizer_expectations(noisy_cluster_model(n, model))
-        return (pred - stab) * w_stab
-
-    x0 = np.array([0.05]) if uniform else np.full(n, 0.05)
-    res = scipy.optimize.least_squares(
-        stab_residuals, x0, bounds=(0.0, 1.0), max_nfev=max_iter, xtol=1e-14, ftol=1e-14, gtol=1e-14
-    )
-    pd_fit = np.full(n, res.x[0]) if uniform else res.x
-    model = ErrorModel(eps_ad, np.clip(pd_fit, 0.0, 1.0))
-    if not res.success and res.status == 0:
-        raise ConvergenceError(
-            f"dephasing fit did not converge within {max_iter} evaluations",
-            last_iterate=model,
+    # a_s: the stabilizers at zero dephasing; fit x = 1 - eps_pd to a x
+    a = ErrorModel(eps_ad, np.zeros(n)).stabilizers()
+    blind = np.flatnonzero(a == 0.0) + 1
+    if len(blind):
+        raise DataError(
+            f"dephasing cannot be identified at sites {blind.tolist()}: the fitted "
+            "loss removes their stabilizers (mean excitation <= 0 at or next to the site)"
         )
-    return model
+    if uniform:
+        x = np.sum(w_stab**2 * a * stab) / np.sum(w_stab**2 * a**2)
+    else:
+        x = stab / a
+    return ErrorModel(eps_ad, np.full(n, 1.0 - np.clip(x, 0.0, 1.0)))
 
 
 def write_stabilizer_report(path, values, ses, model_values) -> None:

@@ -10,7 +10,6 @@ lower bound of the textbook definition.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -406,16 +405,3 @@ def pairwise_le_matrix(
             plan = default_plan(n, r, rp)
             out[(r, rp)] = localizable_entanglement(mpo, plan, measure, fit=fit)
     return out
-
-
-def save_le_report(result: LeResult, path) -> None:
-    doc = {
-        "pair": list(result.pair),
-        "measure": result.measure,
-        "value": result.value,
-        "se_parameter": result.se_parameter,
-        "se_sampling": result.se_sampling,
-        "branches_evaluated": result.branches_evaluated,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)

@@ -60,16 +60,6 @@ def moment_word_string(word) -> str:
     return "".join(QUAD_LETTERS[k] for k in word)
 
 
-def parse_moment_word(s: str) -> tuple[int, ...]:
-    if len(s) % 2:
-        raise ValidationError(f"malformed moment word {s!r}")
-    pairs = [s[i : i + 2] for i in range(0, len(s), 2)]
-    try:
-        return tuple(QUAD_LETTERS.index(p) for p in pairs)
-    except ValueError:
-        raise ValidationError(f"malformed moment word {s!r}") from None
-
-
 @dataclass
 class MomentTable:
     """Measured multivariate quadrature moments keyed by window and word.
@@ -187,15 +177,16 @@ def synthesize_dataset(
     return MomentTable(mpo.n_qubits, window, values, ses, shots=shots)
 
 
-def save_moment_csv(table: MomentTable, path) -> None:
+_CSV_HEADER = ["window_start", "basis_word", "value", "se", "shots"]
+
+
+def save_moment_csv(path, rows, shots: int) -> None:
+    """Write ``(start, word, value, se)`` rows, e.g. ``MomentTable.rows()``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["window_start", "basis_word", "value", "se", "shots"])
-        for start, word, value, se in table.rows():
-            writer.writerow([start, moment_word_string(word), repr(value), repr(se), table.shots])
-
-
-_CSV_HEADER = ["window_start", "basis_word", "value", "se", "shots"]
+        writer.writerow(_CSV_HEADER)
+        for start, word, value, se in rows:
+            writer.writerow([start, moment_word_string(word), repr(value), repr(se), shots])
 
 
 def load_moment_csv(paths, n_sites: int, window: int) -> MomentTable:

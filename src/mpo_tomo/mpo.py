@@ -18,7 +18,7 @@ import json
 import numpy as np
 
 from .errors import ValidationError
-from .pauli import PauliWord
+from .pauli import PAULIS, PauliWord
 
 _TRACE_TOL = 1e-14
 
@@ -385,8 +385,6 @@ def correlation_gradient(mpo: Mpo, letters) -> list[np.ndarray]:
 
 def matrix_element(mpo: Mpo, bra_bits, ket_bits) -> complex:
     """Single density-matrix element ``<bra| rho |ket>`` by chain contraction."""
-    from .pauli import PAULIS
-
     bra = tuple(int(b) for b in bra_bits)
     ket = tuple(int(b) for b in ket_bits)
     if len(bra) != mpo.n_qubits or len(ket) != mpo.n_qubits:
@@ -397,6 +395,33 @@ def matrix_element(mpo: Mpo, bra_bits, ket_bits) -> complex:
         for t, i, j in zip(mpo.tensors, bra, ket)
     ]
     return complex(left_environments(maps)[-1][0, 0])
+
+
+def density_corner(mpo: Mpo) -> np.ndarray:
+    """Density matrix on the first and last 16 basis states (N >= 5).
+
+    The first 16 states have their first N - 4 bits all 0, the last 16 all 1.
+    So one environment per (bra, ket) prefix pair, followed by one sweep over
+    the last four sites with each site's (bra bit, ket bit) pair left open,
+    gives all 32 x 32 elements.
+
+    Returns:
+        complex ``(32, 32)`` array, bra by ket, states in ascending order.
+    """
+    n = mpo.n_qubits
+    if n < 5:
+        raise ValidationError(f"the density corner needs N >= 5, got {n}")
+    # m[d, 2 i + j, e] = sum_a <i| P_a |j> / 2 * A[d, a, e]
+    maps = [
+        np.einsum("aij,dae->dije", PAULIS / 2.0, t).reshape(t.shape[0], 4, t.shape[2])
+        for t in mpo.tensors
+    ]
+    prefixes = np.concatenate(
+        [left_environments([m[:, k] for m in maps[:-4]])[-1] for k in range(4)]
+    )
+    block = left_environments(maps[-4:], boundary=prefixes)[-1]
+    # axes (bra prefix, ket prefix, i_1, j_1, ..., i_4, j_4) -> (bra, ket)
+    return block.reshape((2,) * 10).transpose(0, 2, 4, 6, 8, 1, 3, 5, 7, 9).reshape(32, 32)
 
 
 def save_json(mpo: Mpo, path) -> None:

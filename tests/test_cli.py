@@ -398,6 +398,18 @@ class TestTooling:
             target = importlib.import_module(f"mpo_tomo.{module}")
             assert callable(getattr(target, attr, None)), f"{module}.{attr}"
 
+    def test_cli_import_loads_no_scipy(self):
+        import subprocess
+        import sys
+
+        import mpo_tomo
+
+        src = os.path.dirname(os.path.dirname(mpo_tomo.__file__))
+        code = "import sys, mpo_tomo.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
     def test_commands(self):
         from mpo_tomo.cli import _COMMANDS
 

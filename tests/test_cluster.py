@@ -21,7 +21,7 @@ from mpo_tomo.cluster import (
     write_stabilizer_report,
 )
 from mpo_tomo.dense import dense_fidelity, mpo_to_dense, mps_to_dense
-from mpo_tomo.errors import ConvergenceError, DataError, ValidationError
+from mpo_tomo.errors import DataError, ValidationError
 from mpo_tomo.mpo import fidelity
 
 
@@ -114,6 +114,14 @@ class TestNoisyModel:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             noisy_cluster_model(5, ErrorModel.uniform(4, 0.1, 0.1))
+
+    @pytest.mark.parametrize("n", [*range(3, 13), 35])
+    def test_closed_form_matches_contraction(self, n):
+        rng = np.random.default_rng(n)
+        model = ErrorModel(rng.uniform(0.0, 0.4, n), rng.uniform(0.0, 0.4, n))
+        m = noisy_cluster_model(n, model)
+        assert np.allclose(model.stabilizers(), stabilizer_expectations(m), rtol=0, atol=1e-14)
+        assert np.allclose(model.excitations(), mean_excitations(m), rtol=0, atol=1e-14)
 
     def test_uniform_model_symmetry(self, noisy5):
         exc = mean_excitations(noisy5)
@@ -220,17 +228,39 @@ class TestErrorModelFit:
         assert np.allclose(fitted.eps_ad, model_true.eps_ad, atol=1e-6)
         assert np.allclose(fitted.eps_pd, model_true.eps_pd, atol=1e-4)
 
-    def test_non_convergence_carries_iterate(self, noisy5):
-        with pytest.raises(ConvergenceError) as err:
-            fit_error_model(
-                mean_excitations(noisy5),
-                np.full(5, 1e-4),
-                stabilizer_expectations(noisy5),
-                np.full(5, 1e-4),
-                uniform=False,
-                max_iter=1,
-            )
-        assert isinstance(err.value.last_iterate, ErrorModel)
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_fit_is_bounded_minimiser(self, noisy5, uniform):
+        # the dephasing fit against an MPO-contracted grid of eps_pd values
+        rng = np.random.default_rng(3)
+        ses = rng.uniform(0.005, 0.02, 5)
+        exc = mean_excitations(noisy5)
+        stabs = stabilizer_expectations(noisy5) + rng.normal(0.0, 0.02, 5)
+        stabs[0] = 0.99  # above its zero-dephasing value: clipped to eps_pd = 0
+        fitted = fit_error_model(exc, ses, stabs, ses, uniform=uniform)
+
+        def sq_residuals(eps_pd):
+            m = noisy_cluster_model(5, ErrorModel(fitted.eps_ad, eps_pd))
+            return ((stabilizer_expectations(m) - stabs) / ses) ** 2
+
+        # residual s depends on eps_pd at site s only
+        grid = np.array([sq_residuals(np.full(5, pd)) for pd in np.linspace(0, 1, 201)])
+        best = grid.sum(axis=1).min() if uniform else grid.min(axis=0).sum()
+        assert np.sum(sq_residuals(fitted.eps_pd)) <= best * (1 + 1e-12)
+        if not uniform:
+            assert fitted.eps_pd[0] == 0.0
+
+    def test_unidentifiable_dephasing_per_site(self):
+        # eps_ad = 1 at site 3 zeroes stabilizers 2, 3 and 4
+        exc = np.array([0.45, 0.45, 0.0, 0.45, 0.45])
+        ses = np.full(5, 1e-3)
+        with pytest.raises(DataError, match=r"sites \[2, 3, 4\]"):
+            fit_error_model(exc, ses, np.full(5, 0.5), ses, uniform=False)
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_unidentifiable_dephasing_everywhere(self, uniform):
+        ses = np.full(5, 1e-3)
+        with pytest.raises(DataError, match=r"sites \[1, 2, 3, 4, 5\]"):
+            fit_error_model(np.zeros(5), ses, np.zeros(5), ses, uniform=uniform)
 
     def test_too_few_sites(self):
         with pytest.raises(ValidationError):

@@ -20,7 +20,6 @@ from mpo_tomo.entanglement import (
     pairwise_le_matrix,
     partial_transpose,
     post_measurement_state,
-    save_le_report,
 )
 from mpo_tomo.errors import ValidationError
 from mpo_tomo.mpo import Mpo
@@ -286,23 +285,3 @@ class TestSubsetEstimator:
     def test_unknown_measure_rejected(self, noisy6):
         with pytest.raises(ValidationError, match="negatvity"):
             le_subset_estimate(noisy6, default_plan(6, 1, 6), "negatvity", 16, 0)
-
-
-class TestReports:
-    def test_le_report_json(self, noisy6, tmp_path):
-        import json
-
-        le = localizable_entanglement(noisy6, default_plan(6, 1, 4))
-        path = tmp_path / "le.json"
-        save_le_report(le, path)
-        doc = json.loads(path.read_text())
-        assert set(doc) == {
-            "pair",
-            "measure",
-            "value",
-            "se_parameter",
-            "se_sampling",
-            "branches_evaluated",
-        }
-        assert doc["pair"] == [1, 4]
-        assert doc["branches_evaluated"] == 16

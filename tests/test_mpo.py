@@ -15,6 +15,7 @@ from mpo_tomo.errors import ValidationError
 from mpo_tomo.mpo import (
     Mpo,
     apply_local_channels,
+    density_corner,
     fidelity,
     fidelity_gradient,
     gauge_transform,
@@ -121,6 +122,20 @@ class TestDenseConversion:
             assert matrix_element(noisy6, bra, ket) == pytest.approx(
                 complex(rho[i, j]), abs=1e-12
             )
+
+
+class TestDensityCorner:
+    @pytest.mark.parametrize("n", [5, 6, 9])
+    def test_matches_matrix_element(self, n):
+        m = random_mpo(n, 3, np.random.default_rng(n))
+        corner = [*range(16), *range(2**n - 16, 2**n)]
+        bits = [[(i >> (n - 1 - t)) & 1 for t in range(n)] for i in corner]
+        expected = np.array([[matrix_element(m, bra, ket) for ket in bits] for bra in bits])
+        assert np.allclose(density_corner(m), expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+    def test_short_chain_rejected(self):
+        with pytest.raises(ValidationError):
+            density_corner(random_mpo(4, 2, np.random.default_rng(0)))
 
 
 class TestChannels:

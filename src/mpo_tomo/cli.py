@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import glob
-import itertools
 import json
 import logging
 import math
@@ -38,7 +36,6 @@ from .correlations import (
     zshifted_to_pauli,
 )
 from .errors import CompletenessError, ConvergenceError, DataError, ValidationError
-from .measurement import MomentTable
 
 log = logging.getLogger("mpo_tomo")
 
@@ -158,18 +155,6 @@ def _truth_mpo(cfg) -> mpo_mod.Mpo:
     return emit_mpo(build_cluster_protocol(n, imp))
 
 
-def _setting_of_word(word, start: int, window: int) -> str:
-    """Measurement-setting label (q/p per qubit position modulo the window).
-
-    A window of consecutive qubits covers every position residue exactly
-    once, so each (start, word) row belongs to exactly one setting.
-    """
-    basis = [""] * window
-    for j, k in enumerate(word):
-        basis[(start - 1 + j) % window] = "q" if k in (0, 2, 4) else "p"
-    return "".join(basis)
-
-
 def _dataset_dir(out):
     return os.path.join(out, "dataset")
 
@@ -182,21 +167,8 @@ def cmd_simulate(cfg, out: str) -> int:
     table = measurement.synthesize_dataset(
         truth, window, m["eta"], m["shots"], m["seed"]
     )
-    os.makedirs(_dataset_dir(out), exist_ok=True)
+    measurement.save_dataset(table, _dataset_dir(out))
     mpo_mod.save_json(truth, os.path.join(out, "truth_mpo.json"))
-    # one CSV per measurement setting: a setting fixes q or p for each qubit
-    # position modulo the window length, giving 2**window files
-    rows_by_setting: dict[str, list] = {}
-    for start, word, value, se in table.rows():
-        label = _setting_of_word(word, start, window)
-        rows_by_setting.setdefault(label, []).append((start, word, value, se))
-    for bits in itertools.product("qp", repeat=window):
-        label = "".join(bits)
-        measurement.save_moment_csv(
-            os.path.join(_dataset_dir(out), f"setting_{label}.csv"),
-            rows_by_setting.get(label, []),
-            table.shots,
-        )
     manifest = {
         "n_qubits": n,
         "window": window,
@@ -211,23 +183,14 @@ def cmd_simulate(cfg, out: str) -> int:
     return 0
 
 
-def _load_dataset(cfg, out) -> MomentTable:
-    n = cfg["protocol"]["n_qubits"]
-    window = cfg["measurement"]["window"]
-    paths = sorted(glob.glob(os.path.join(_dataset_dir(out), "setting_*.csv")))
-    if not paths:
-        raise CompletenessError(f"no dataset files under {_dataset_dir(out)}")
-    table = measurement.load_moment_csv(paths, n, window)
-    table.require_complete()
-    return table
-
-
 def cmd_reconstruct(cfg, out: str) -> int:
     m = cfg["measurement"]
     fit_cfg = cfg["fit"]
     timings: dict = {}
     with _timed(timings, "load"):
-        table = _load_dataset(cfg, out)
+        table = measurement.load_dataset(
+            _dataset_dir(out), cfg["protocol"]["n_qubits"], m["window"]
+        )
     stages: dict = {}
     with _timed(timings, "moments"):
         corrs = moments_to_zshifted(table)

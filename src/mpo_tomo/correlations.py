@@ -17,8 +17,8 @@ import numpy as np
 
 from ._validation import check_efficiency
 from .channels import z_rotation
-from .errors import CompletenessError, DataError, ValidationError
-from .measurement import MomentTable, moment_word_string
+from .errors import DataError, ValidationError
+from .measurement import MomentTable
 from .mpo import Mpo
 from .pauli import apply_site_maps
 
@@ -158,16 +158,7 @@ def moments_to_zshifted(table: MomentTable) -> PauliCorrelationSet:
     twin is reused at degraded SE); any other missing row is fatal.
     """
     values, ses = _fill_identity_duplicates(table)
-    missing = []
-    for start in sorted(values):
-        for word in np.argwhere(~np.isfinite(values[start])):
-            missing.append((start, moment_word_string(word)))
-    if missing:
-        raise CompletenessError(
-            f"moment table incomplete: {len(missing)} rows absent "
-            f"(first: start={missing[0][0]} word={missing[0][1]})",
-            missing=missing,
-        )
+    replace(table, values=values, ses=ses).require_complete()
     out_v, out_s = _apply_site_map(values, ses, G_MATRIX)
     return PauliCorrelationSet(
         n_sites=table.n_sites,
@@ -267,13 +258,9 @@ def pauli_to_zshifted(corrs: PauliCorrelationSet) -> PauliCorrelationSet:
 # --- phase alignment --------------------------------------------------------
 
 
-def _stabilizer_components(corrs: PauliCorrelationSet, site: int):
+def _stabilizer_components(as_pauli: PauliCorrelationSet, site: int):
     """(Y-component, X-component) of the stabilizer pattern around a site."""
-    n = corrs.n_sites
-    if corrs.basis == PAULI_BASIS:
-        as_pauli = corrs
-    else:
-        as_pauli = zshifted_to_pauli(corrs)
+    n = as_pauli.n_sites
     if site == 1:
         num = as_pauli.word_value((2, 3), 1)  # <Y1 Z2>
         den = as_pauli.word_value((1, 3), 1)  # <X1 Z2>
@@ -286,7 +273,11 @@ def _stabilizer_components(corrs: PauliCorrelationSet, site: int):
     return num, den
 
 
-def estimate_phase_angles(corrs: PauliCorrelationSet, min_significance: float = 5.0):
+#: standard errors a stabilizer component must reach to define a site's phase
+_MIN_SIGNIFICANCE = 5.0
+
+
+def estimate_phase_angles(corrs: PauliCorrelationSet):
     """Per-site rotation angles that zero the Y-flavoured stabilizer patterns.
 
     The angle for site s is ``-atan2(<Z Y Z>, <Z X Z>)`` (two-argument form,
@@ -294,13 +285,14 @@ def estimate_phase_angles(corrs: PauliCorrelationSet, min_significance: float = 
     stabilizers.
 
     Raises:
-        DataError: if both components are below ``min_significance`` standard
-            errors for some site, leaving the phase undefined.
+        DataError: if both components are below ``_MIN_SIGNIFICANCE``
+            standard errors for some site, leaving the phase undefined.
     """
+    as_pauli = corrs if corrs.basis == PAULI_BASIS else zshifted_to_pauli(corrs)
     angles = np.zeros(corrs.n_sites)
     for site in range(1, corrs.n_sites + 1):
-        (num, num_se), (den, den_se) = _stabilizer_components(corrs, site)
-        if abs(num) < min_significance * num_se and abs(den) < min_significance * den_se:
+        (num, num_se), (den, den_se) = _stabilizer_components(as_pauli, site)
+        if abs(num) < _MIN_SIGNIFICANCE * num_se and abs(den) < _MIN_SIGNIFICANCE * den_se:
             raise DataError(
                 f"phase of site {site} is undefined: stabilizer components "
                 f"{num:.3g}+-{num_se:.3g}, {den:.3g}+-{den_se:.3g}"
@@ -326,14 +318,14 @@ def rotate_sites(corrs: PauliCorrelationSet, angles) -> PauliCorrelationSet:
     return replace(corrs, values=out_v, ses=out_s, meta=meta)
 
 
-def align_phases(corrs: PauliCorrelationSet, min_significance: float = 5.0):
+def align_phases(corrs: PauliCorrelationSet):
     """Estimate and apply the per-qubit phase correction.
 
     Returns:
         (rotated correlation set, angles) where the rotation maximizes every
         stabilizer's X component and zeroes its Y companion.
     """
-    angles = estimate_phase_angles(corrs, min_significance)
+    angles = estimate_phase_angles(corrs)
     return rotate_sites(corrs, angles), angles
 
 

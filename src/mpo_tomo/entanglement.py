@@ -117,15 +117,23 @@ def _outcome_maps(mpo: Mpo, plan: MeasurementPlan):
     return vectors, maps, measured
 
 
-def _string_coefficients(maps, measured, index: int) -> np.ndarray:
-    """Pauli coefficients (4, 4) of the pair for one outcome string.
+def _string_coefficients(maps, measured, strings) -> np.ndarray:
+    """Pauli coefficients (S, 4, 4) of the pair for each outcome string.
 
-    Bit ``k`` of ``index`` set means the ``k``-th measured site gave -1.
+    Bit ``k`` of ``strings[i]`` set means the ``k``-th measured site gave -1.
+    Every string goes through one left sweep whose environments are shaped
+    (S, open pair indices, D): a measured site multiplies each string's
+    environment by its outcome's slice of the map.
     """
-    chosen = list(maps)
-    for k, s in enumerate(measured):
-        chosen[s] = maps[s][:, (index >> k) & 1]
-    return left_environments(chosen)[-1].reshape(4, 4)
+    strings = np.asarray(strings, dtype=np.int64)
+    bit = {s: k for k, s in enumerate(measured)}
+    env = np.ones((strings.size, 1, 1))
+    for s, m in enumerate(maps):
+        if s in bit:
+            env = env @ m.transpose(1, 0, 2)[(strings >> bit[s]) & 1]
+        else:
+            env = (env @ m.reshape(m.shape[0], -1)).reshape(strings.size, -1, m.shape[2])
+    return env.reshape(-1, 4, 4)
 
 
 def _coeffs_to_matrix(c: np.ndarray) -> np.ndarray:
@@ -147,7 +155,7 @@ def post_measurement_state(mpo: Mpo, plan: MeasurementPlan, outcomes) -> TwoQubi
     if any(m not in (1, -1) for m in outcomes):
         raise ValidationError("outcomes must be +1 or -1")
     index = sum(1 << k for k, m in enumerate(outcomes) if m == -1)
-    c = _string_coefficients(maps, measured, index)
+    c = _string_coefficients(maps, measured, [index])[0]
     return TwoQubitState(matrix=_coeffs_to_matrix(c), weight=float(c[0, 0]))
 
 
@@ -215,7 +223,11 @@ def _central_difference(f, c: np.ndarray, h: float = 1e-7) -> np.ndarray:
     return ((f(c[:, None] + step) - f(c[:, None] - step)) / (2.0 * h)).reshape(c.shape)
 
 
-def _branch_terms(c: np.ndarray, measure: str, want_gradient: bool, sv_gap_tol=1e-10):
+# singular-value gap below which the negativity gradient U V+ is ill-defined
+_SV_GAP_TOL = 1e-10
+
+
+def _branch_terms(c: np.ndarray, measure: str, want_gradient: bool):
     """Branch values of stacked coefficient matrices ``c`` (B, 4, 4).
 
     Negativity: for an unnormalized branch ``P * N(rho/P) = (|rho^T2|_1 -
@@ -238,7 +250,7 @@ def _branch_terms(c: np.ndarray, measure: str, want_gradient: bool, sv_gap_tol=1
         raw_negative = 0.0
         if want_gradient:
             gaps = np.abs(np.diff(sv, axis=-1))
-            smooth = np.all(gaps > sv_gap_tol, axis=-1) & (sv.min(-1) > sv_gap_tol)
+            smooth = np.all(gaps > _SV_GAP_TOL, axis=-1) & (sv.min(-1) > _SV_GAP_TOL)
             sign = np.conj(u[smooth] @ vt[smooth])
             grad[smooth] = 0.5 * np.real(np.einsum("bkl,ijkl->bij", sign, _PT_KERNELS))
             grad[~smooth] = 0.5 * _central_difference(_trace_norm, c[~smooth])
@@ -374,7 +386,7 @@ def le_subset_estimate(
             draw = rng.integers(0, total, size=samples - len(chosen))
             chosen.update(int(x) for x in draw)
         indices = np.fromiter(chosen, dtype=np.int64)
-    c = np.stack([_string_coefficients(maps, measured, int(i)) for i in indices])
+    c = _string_coefficients(maps, measured, indices)
     terms, _, raw_neg = _branch_terms(c, measure, False)
     scale = total / samples
     estimate = scale * terms.sum()

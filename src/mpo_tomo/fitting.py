@@ -49,6 +49,8 @@ from .standard_form import free_masks, n_free_parameters, pack, unpack
 
 log = logging.getLogger(__name__)
 
+_INITIAL_DAMPING = 1e-3  # Levenberg parameter of the first trial
+
 
 def _window_columns(masks, window: int) -> dict:
     """Packed-parameter indices each window's model values can depend on.
@@ -189,7 +191,6 @@ def gauss_newton_fit(
     data: PauliCorrelationSet,
     max_iter: int = 200,
     tol: float = 1e-10,
-    damping: float = 1e-3,
     se_floor: float = 1e-9,
 ) -> FitResult:
     """Levenberg-damped Gauss-Newton weighted least squares.
@@ -199,13 +200,13 @@ def gauss_newton_fit(
     Hessian eigenbasis with the residual gauge directions of the standard
     form projected out; each step carries a geodesic-acceleration correction
     (the second directional derivative of the residuals along the step).
-    The damping shrinks by 10 on accepted steps and grows gently (x2) on
-    rejections.  Accepted steps never increase the weighted SSE.
+    The damping starts at ``_INITIAL_DAMPING``, shrinks by 10 on accepted
+    steps and grows gently (x2) on rejections.  Accepted steps never
+    increase the weighted SSE.
 
     Args:
         initial: standard-form starting point; its pinned entries stay fixed.
         data: measured correlations (pauli or z-shifted basis) with SEs.
-        damping: initial Levenberg parameter.
 
     Returns:
         FitResult; ``converged`` is False when ``max_iter`` was exhausted
@@ -259,7 +260,7 @@ def gauss_newton_fit(
 
     vals = values_at(theta)
     sse = weighted_sse(vals)
-    lam = damping
+    lam = _INITIAL_DAMPING
     iterations = 0
     exit_reason = "rounding_floor" if sse <= rounding_sse else None
     trace = []
@@ -387,18 +388,16 @@ class MpoLeastSquares:
         k_sigma: float = 5.0,
         max_iter: int = 200,
         tol: float = 1e-10,
-        damping: float = 1e-3,
         se_floor: float = 1e-9,
         bond_dims: dict | None = None,
     ):
         self.k_sigma = k_sigma
         self.max_iter = max_iter
         self.tol = tol
-        self.damping = damping
         self.se_floor = se_floor
         self.bond_dims = bond_dims
 
-    _param_names = ("k_sigma", "max_iter", "tol", "damping", "se_floor", "bond_dims")
+    _param_names = ("k_sigma", "max_iter", "tol", "se_floor", "bond_dims")
 
     def get_params(self, deep: bool = True) -> dict:
         return {name: getattr(self, name) for name in self._param_names}
@@ -429,7 +428,6 @@ class MpoLeastSquares:
             corrs,
             max_iter=self.max_iter,
             tol=self.tol,
-            damping=self.damping,
             se_floor=self.se_floor,
         )
         self.mpo_ = self.fit_result_.mpo

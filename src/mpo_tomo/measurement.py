@@ -1,5 +1,7 @@
 """Quadrature-moment observables: exact values, synthetic datasets, sampling.
 
+Also the on-disk dataset layout: one moment CSV per measurement setting.
+
 The per-mode observable alphabet is ``q^0, p^0, q^1, p^1, q^2, p^2``
 (letters ``Q0, P0, Q1, P1, Q2, P2``, indices 0..5).  ``q^0`` and ``p^0``
 both equal the identity but are tracked separately because they come from
@@ -10,6 +12,9 @@ subspace every moment is a linear image of the window's Pauli correlations.
 from __future__ import annotations
 
 import csv
+import glob
+import itertools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,16 +99,6 @@ class MomentTable:
                 missing=missing,
             )
 
-    def rows(self):
-        """Iterate (start, word_tuple, value, se) over present rows."""
-        for start in self.starts:
-            vals = self.values[start]
-            ses = self.ses[start]
-            for word in np.ndindex(*vals.shape):
-                v = vals[word]
-                if np.isfinite(v):
-                    yield start, word, float(v), float(ses[word])
-
 
 def empty_moment_table(n_sites: int, window: int, shots: int = 0) -> MomentTable:
     starts = range(1, n_sites - window + 2)
@@ -117,6 +112,13 @@ def empty_moment_table(n_sites: int, window: int, shots: int = 0) -> MomentTable
     )
 
 
+def _lossy_correlations(mpo: Mpo, window: int, eta: float) -> dict[int, np.ndarray]:
+    """Pauli correlations of every window after a per-site loss of ``1 - eta``."""
+    eta = check_efficiency(eta)
+    lossy = apply_local_channels(mpo, [measurement_loss(eta)] * mpo.n_qubits)
+    return lossy.window_correlations(window)
+
+
 def exact_local_moments(mpo: Mpo, window: int, eta: float = 1.0) -> MomentTable:
     """Exact quadrature moments of every window, measured at efficiency eta.
 
@@ -124,27 +126,10 @@ def exact_local_moments(mpo: Mpo, window: int, eta: float = 1.0) -> MomentTable:
     ``1 - eta`` before the quadrature moments are evaluated; standard errors
     are zero.
     """
-    eta = check_efficiency(eta)
-    if not 1 <= window <= mpo.n_qubits:
-        raise ValidationError(f"window must be in 1..{mpo.n_qubits}")
-    lossy = apply_local_channels(mpo, [measurement_loss(eta)] * mpo.n_qubits)
-    corrs = lossy.window_correlations(window)
+    corrs = _lossy_correlations(mpo, window, eta)
     values = {s: apply_site_maps(c, [_T1.T] * window) for s, c in corrs.items()}
     ses = {s: np.zeros((6,) * window) for s in corrs}
     return MomentTable(mpo.n_qubits, window, values, ses, shots=0)
-
-
-def moment_variances(mpo: Mpo, window: int, eta: float = 1.0) -> dict[int, np.ndarray]:
-    """Per-window single-shot variances Var[O] of every moment observable."""
-    eta = check_efficiency(eta)
-    lossy = apply_local_channels(mpo, [measurement_loss(eta)] * mpo.n_qubits)
-    corrs = lossy.window_correlations(window)
-    out = {}
-    for s, c in corrs.items():
-        first = apply_site_maps(c, [_T1.T] * window)
-        second = apply_site_maps(c, [_T2.T] * window)
-        out[s] = np.clip(second - first**2, 0.0, None)
-    return out
 
 
 def synthesize_dataset(
@@ -153,26 +138,34 @@ def synthesize_dataset(
     """Exact moments perturbed by shot noise with the matching standard errors.
 
     Every row receives independent zero-mean Gaussian noise of variance
-    ``Var[O] / shots``; the reported standard error is the square root of the
-    same quantity.  Noise is drawn from a counter-based generator keyed by
-    ``(seed, row_index)``, so the table is reproducible row by row.
+    ``Var[O] / shots``, with ``Var[O]`` the single-shot variance from the
+    first and second moments; the reported standard error is the square root
+    of the same quantity.  Row ``i`` (windows in order, words in C order)
+    draws the first normal of a counter-based generator keyed by
+    ``(seed, i)``, so the table is reproducible row by row.
     """
     if shots < 100:
         raise ValidationError(f"shots must be >= 100, got {shots}")
-    exact = exact_local_moments(mpo, window, eta)
-    variances = moment_variances(mpo, window, eta)
-    n_words = 6**window
+    corrs = _lossy_correlations(mpo, window, eta)
+    # one generator re-keyed per row draws what a fresh Philox(key=[seed, i])
+    # would: the state setter resets the counter and empties the buffer
+    bitgen = np.random.Philox(key=[seed, 0])
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    key = state["state"]["key"]
+    noise = np.empty(len(corrs) * 6**window)
+    for row in range(noise.size):
+        key[1] = row
+        bitgen.state = state
+        noise[row] = gen.standard_normal()
+    noise = noise.reshape(len(corrs), *(6,) * window)
     values = {}
     ses = {}
-    for start in exact.starts:
-        var = variances[start] / shots
-        se = np.sqrt(var)
-        base = (start - 1) * n_words
-        noise = np.empty(n_words)
-        for ridx in range(n_words):
-            gen = np.random.Generator(np.random.Philox(key=[seed, base + ridx]))
-            noise[ridx] = gen.standard_normal()
-        values[start] = exact.values[start] + noise.reshape(se.shape) * se
+    for i, (start, c) in enumerate(sorted(corrs.items())):
+        first = apply_site_maps(c, [_T1.T] * window)
+        second = apply_site_maps(c, [_T2.T] * window)
+        se = np.sqrt(np.clip(second - first**2, 0.0, None) / shots)
+        values[start] = first + noise[i] * se
         ses[start] = se
     return MomentTable(mpo.n_qubits, window, values, ses, shots=shots)
 
@@ -181,7 +174,7 @@ _CSV_HEADER = ["window_start", "basis_word", "value", "se", "shots"]
 
 
 def save_moment_csv(path, rows, shots: int) -> None:
-    """Write ``(start, word, value, se)`` rows, e.g. ``MomentTable.rows()``."""
+    """Write ``(start, word, value, se)`` rows under the moment-CSV header."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
@@ -190,14 +183,12 @@ def save_moment_csv(path, rows, shots: int) -> None:
 
 
 def load_moment_csv(paths, n_sites: int, window: int) -> MomentTable:
-    """Merge one or more moment CSV files into a single table.
+    """Merge a list of moment CSV files into a single table.
 
     Raises:
         ValidationError: naming the file and line of a wrong header, a
             non-numeric field or a row that does not fit the table.
     """
-    if isinstance(paths, (str, bytes)) or hasattr(paths, "read"):
-        paths = [paths]
     table = empty_moment_table(n_sites, window)
     # one word -> flat index map per call instead of parsing every row
     index = {
@@ -230,6 +221,49 @@ def load_moment_csv(paths, n_sites: int, window: int) -> MomentTable:
                 flat_v[start][i] = value
                 flat_s[start][i] = se
     table.shots = shots
+    return table
+
+
+# --- dataset layout: one CSV per measurement setting -------------------------
+
+_SETTING_LETTERS = {"q": (0, 2, 4), "p": (1, 3, 5)}  # (Q0, Q1, Q2), (P0, P1, P2)
+
+
+def save_dataset(table: MomentTable, directory) -> None:
+    """Write ``table`` as one ``setting_<label>.csv`` file per setting.
+
+    A setting fixes q or p for each qubit position modulo the window, so
+    there are 2**window of them and each (start, word) row lies in exactly
+    one.  In window ``start``, position j takes the q or p letters of
+    ``label[(start - 1 + j) % window]``: the setting's rows are the
+    ``np.ix_`` slice of the moment tensor on those letters, in C order.
+    """
+    os.makedirs(directory, exist_ok=True)
+    window = table.window
+    for bits in itertools.product("qp", repeat=window):
+        label = "".join(bits)
+        rows = []
+        for start in table.starts:
+            letters = [_SETTING_LETTERS[label[(start - 1 + j) % window]] for j in range(window)]
+            idx = np.ix_(*letters)
+            values = table.values[start][idx].ravel().tolist()
+            ses = table.ses[start][idx].ravel().tolist()
+            rows += zip(itertools.repeat(start), itertools.product(*letters), values, ses)
+        save_moment_csv(os.path.join(directory, f"setting_{label}.csv"), rows, table.shots)
+
+
+def load_dataset(directory, n_sites: int, window: int) -> MomentTable:
+    """Merge every setting file under ``directory`` into one table.
+
+    Raises:
+        CompletenessError: no setting file, or a missing row.
+        ValidationError: a malformed file (see :func:`load_moment_csv`).
+    """
+    paths = sorted(glob.glob(os.path.join(directory, "setting_*.csv")))
+    if not paths:
+        raise CompletenessError(f"no dataset files under {directory}")
+    table = load_moment_csv(paths, n_sites, window)
+    table.require_complete()
     return table
 
 

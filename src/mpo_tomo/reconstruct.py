@@ -23,6 +23,7 @@ from .errors import DataError, ValidationError
 from .mpo import Mpo, left_environments, right_environments
 
 _SE_FLOOR_REL = 1e-11  # absolute floor on singular-value SEs, relative to sigma_max
+_SIGMA_CHECK = 5.0  # standard errors a correlation may exceed 1 by before it is unphysical
 
 
 @dataclass
@@ -32,7 +33,6 @@ class CorrMatrices:
     Attributes:
         b: per window start s (1..N-3), the 16x16 four-qubit matrix B_s.
         c: per s (1..N-4), the 4x16x16 stack of five-qubit matrices C_s^(i).
-        b1: 4x4x16 boundary stack B_1^(i) (four-qubit, word at sites 1..4).
         bn3: 4x16x4 boundary stack B_{N-3}^(i) (four-qubit at sites N-3..N).
     """
 
@@ -40,7 +40,6 @@ class CorrMatrices:
     b: dict[int, np.ndarray] = field(repr=False)
     b_se: dict[int, np.ndarray] = field(repr=False)
     c: dict[int, np.ndarray] = field(repr=False)
-    b1: np.ndarray = field(repr=False)
     bn3: np.ndarray = field(repr=False)
 
 
@@ -69,11 +68,11 @@ def _corr_matrix(corrs, first: int, rows: int, cols: int, open_site: bool = True
     return cut(v), cut(se)
 
 
-def build_corr_matrices(corrs: PauliCorrelationSet, sigma_check: float = 5.0) -> CorrMatrices:
+def build_corr_matrices(corrs: PauliCorrelationSet) -> CorrMatrices:
     """Assemble B_s, C_s and the boundary forms from five-qubit correlations.
 
     Four-qubit entries are obtained from the five-qubit windows by identity
-    marginalization.  Values outside [-1, 1] beyond ``sigma_check`` standard
+    marginalization.  Values outside [-1, 1] beyond ``_SIGMA_CHECK`` standard
     errors raise a :class:`DataError`.
     """
     if corrs.basis != PAULI_BASIS:
@@ -86,10 +85,10 @@ def build_corr_matrices(corrs: PauliCorrelationSet, sigma_check: float = 5.0) ->
     for start in corrs.starts:
         v = corrs.values[start]
         se = corrs.ses[start]
-        if np.any(np.abs(v) > 1.0 + sigma_check * se + 1e-9):
+        if np.any(np.abs(v) > 1.0 + _SIGMA_CHECK * se + 1e-9):
             raise DataError(
                 f"correlations at window {start} exceed 1 beyond "
-                f"{sigma_check} sigma"
+                f"{_SIGMA_CHECK} sigma"
             )
     ell, r = _split(corrs.window)
     b, b_se = {}, {}
@@ -98,9 +97,8 @@ def build_corr_matrices(corrs: PauliCorrelationSet, sigma_check: float = 5.0) ->
         if abs(b[s][0, 0] - 1.0) > max(0.3, 5 * b_se[s][0, 0]):
             raise DataError(f"B_{s}[0, 0] should be 1 after normalization")
     c = {s: _corr_matrix(corrs, s, ell, r)[0] for s in range(1, n - corrs.window + 2)}
-    b1 = _corr_matrix(corrs, 1, 1, r)[0]
     bn3 = _corr_matrix(corrs, n - ell - 1, ell, 1)[0]
-    return CorrMatrices(n, b, b_se, c, b1, bn3)
+    return CorrMatrices(n, b, b_se, c, bn3)
 
 
 def singular_value_ses(mat: np.ndarray, mat_se: np.ndarray):

@@ -65,6 +65,24 @@ class TestSimulate:
                 total += sum(1 for _ in fh) - 1
         assert total == 6**5  # one window at N=5
 
+    def test_files_partition_rows_by_setting(self, pipeline_run):
+        # a file's label fixes q (even letter) or p (odd letter) at each qubit
+        # position modulo 5, and every (start, word) lies in exactly one file
+        from mpo_tomo.measurement import QUAD_LETTERS
+
+        _, out = pipeline_run
+        seen = {}
+        for name in os.listdir(os.path.join(out, "dataset")):
+            label = name[len("setting_") : -len(".csv")]
+            with open(os.path.join(out, "dataset", name), newline="") as fh:
+                for row in csv.DictReader(fh):
+                    start, word = int(row["window_start"]), row["basis_word"]
+                    for j in range(5):
+                        parity = QUAD_LETTERS.index(word[2 * j : 2 * j + 2]) % 2
+                        assert "qp"[parity] == label[(start - 1 + j) % 5]
+                    seen[start, word] = seen.get((start, word), 0) + 1
+        assert len(seen) == 6**5 and set(seen.values()) == {1}
+
     def test_deterministic_rerun(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         out1 = str(tmp_path / "a")
@@ -233,9 +251,8 @@ class TestReconstruct:
 
     def test_end_to_end_exact_recovery(self, tmp_path):
         # an exact (zero-SE) ideal dataset reconstructs the ideal state
-        from mpo_tomo.cli import _setting_of_word
         from mpo_tomo.cluster import ideal_cluster_mpo
-        from mpo_tomo.measurement import exact_local_moments, moment_word_string
+        from mpo_tomo.measurement import exact_local_moments, save_dataset
         from mpo_tomo.mpo import fidelity, load_json
 
         cfg_doc = {
@@ -246,18 +263,8 @@ class TestReconstruct:
         cfg = write_config(tmp_path / "cfg.json", cfg_doc)
         out = tmp_path / "run"
         table = exact_local_moments(ideal_cluster_mpo(6), 5)
-        os.makedirs(out / "dataset")
-        handles = {}
-        for start, word, value, se in table.rows():
-            label = _setting_of_word(word, start, 5)
-            if label not in handles:
-                handles[label] = open(out / "dataset" / f"setting_{label}.csv", "w")
-                handles[label].write("window_start,basis_word,value,se,shots\n")
-            handles[label].write(
-                f"{start},{moment_word_string(word)},{value!r},{se!r},1000000000\n"
-            )
-        for fh in handles.values():
-            fh.close()
+        table.shots = 10**9
+        save_dataset(table, out / "dataset")
         dataset_before = _checksum_tree(out / "dataset")
         assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 0
         mpo = load_json(os.path.join(out, "fit", "mpo.json"))

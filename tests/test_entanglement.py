@@ -285,3 +285,21 @@ class TestSubsetEstimator:
     def test_unknown_measure_rejected(self, noisy6):
         with pytest.raises(ValidationError, match="negatvity"):
             le_subset_estimate(noisy6, default_plan(6, 1, 6), "negatvity", 16, 0)
+
+    @pytest.mark.parametrize("pair", [(1, 2), (2, 7), (3, 8), (1, 9)])
+    def test_batched_strings_match_single_sweeps(self, pair, rng):
+        # one sweep over all strings equals one left_environments sweep per
+        # string, for strings in any order and with repeats
+        from mpo_tomo.entanglement import _outcome_maps, _string_coefficients
+        from mpo_tomo.mpo import left_environments
+
+        m = noisy_cluster_model(9, ErrorModel.uniform(9, 0.09, 0.06))
+        _, maps, measured = _outcome_maps(m, default_plan(9, *pair))
+        strings = rng.integers(0, 2 ** len(measured), size=40)
+        strings = np.concatenate([strings, strings[::-3], [0, 2 ** len(measured) - 1]])
+        batched = _string_coefficients(maps, measured, strings)
+        for index, c in zip(strings, batched):
+            chosen = list(maps)
+            for k, s in enumerate(measured):
+                chosen[s] = maps[s][:, (index >> k) & 1]
+            assert np.array_equal(c, left_environments(chosen)[-1].reshape(4, 4))

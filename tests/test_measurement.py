@@ -1,19 +1,22 @@
 """Quadrature moments: exact evaluation, shot-noise synthesis, sampling."""
 
+import csv
+import itertools
+
 import numpy as np
 import pytest
 
 from _oracles import dense_moment
 
-from mpo_tomo.cluster import ideal_cluster_mps
+from mpo_tomo.cluster import ErrorModel, ideal_cluster_mps, noisy_cluster_model
 from mpo_tomo.dense import mpo_to_dense, mps_to_dense, dense_to_mpo
 from mpo_tomo.errors import CompletenessError, ValidationError
 from mpo_tomo.measurement import (
     exact_local_moments,
-    load_moment_csv,
+    load_dataset,
     moment_word_string,
     sample_quadratures,
-    save_moment_csv,
+    save_dataset,
     synthesize_dataset,
 )
 from mpo_tomo.mpo import Mpo
@@ -109,6 +112,25 @@ class TestSynthesizedDataset:
         assert table.values[1][(1, 1)] == pytest.approx(1.0, abs=1e-14)
         assert table.ses[1][(0, 1)] == 0.0
 
+    def test_rows_draw_from_fresh_keyed_generators(self, noisy6):
+        # row i (windows in order, words in C order) adds the first normal of
+        # a fresh Philox(key=[seed, i]) times its SE
+        seed = 5
+        table = synthesize_dataset(noisy6, 5, 0.9, 10**6, seed)
+        exact = exact_local_moments(noisy6, 5, 0.9)
+        for start, word in [
+            (1, (2, 3, 4, 5, 2)),
+            (1, (5, 5, 5, 5, 5)),
+            (2, (2, 2, 2, 2, 2)),
+            (2, (4, 0, 3, 1, 2)),
+            (2, (5, 4, 5, 4, 5)),
+        ]:
+            row = (start - 1) * 6**5 + np.ravel_multi_index(word, (6,) * 5)
+            z = np.random.Generator(np.random.Philox(key=[seed, row])).standard_normal()
+            se = table.ses[start][word]
+            assert se > 0.0
+            assert table.values[start][word] == exact.values[start][word] + z * se
+
     def test_shot_floor(self, noisy5):
         with pytest.raises(ValidationError):
             synthesize_dataset(noisy5, 2, 1.0, 99, seed=0)
@@ -117,13 +139,50 @@ class TestSynthesizedDataset:
 class TestMomentCsv:
     def test_round_trip(self, noisy5, tmp_path):
         table = synthesize_dataset(noisy5, 5, 1.0, 10**6, seed=9)
-        path = tmp_path / "moments.csv"
-        save_moment_csv(path, table.rows(), table.shots)
-        back = load_moment_csv([path], 5, 5)
+        save_dataset(table, tmp_path)
+        back = load_dataset(tmp_path, 5, 5)
         for s in table.starts:
             assert np.allclose(back.values[s], table.values[s])
             assert np.allclose(back.ses[s], table.ses[s])
         assert back.shots == table.shots
+
+    def test_round_trip_across_window_offsets(self, tmp_path):
+        # N=7 has windows starting at 1, 2, 3: each reads the settings at a
+        # different offset modulo 5
+        m = noisy_cluster_model(7, ErrorModel.uniform(7, 0.09, 0.06))
+        table = synthesize_dataset(m, 5, 0.9, 10**6, seed=4)
+        save_dataset(table, tmp_path)
+        assert len(list(tmp_path.glob("setting_*.csv"))) == 32
+        back = load_dataset(tmp_path, 7, 5)
+        assert back.starts == [1, 2, 3]
+        for s in table.starts:
+            assert np.array_equal(back.values[s], table.values[s])
+            assert np.array_equal(back.ses[s], table.ses[s])
+        assert back.shots == table.shots
+
+    def test_setting_file_is_a_tensor_slice(self, noisy6, tmp_path):
+        # in window 2 the label's first character sets the last position
+        table = exact_local_moments(noisy6, 5)
+        table.shots = 1000
+        save_dataset(table, tmp_path)
+        with open(tmp_path / "setting_pqqqq.csv", newline="") as fh:
+            rows = [r for r in csv.DictReader(fh) if r["window_start"] == "2"]
+        letters = [(0, 2, 4), (0, 2, 4), (0, 2, 4), (0, 2, 4), (1, 3, 5)]
+        expected = table.values[2][np.ix_(*letters)].ravel()
+        assert [r["basis_word"] for r in rows] == [
+            moment_word_string(w) for w in itertools.product(*letters)
+        ]
+        assert [float(r["value"]) for r in rows] == expected.tolist()
+
+    def test_missing_setting_file(self, noisy5, tmp_path):
+        table = synthesize_dataset(noisy5, 5, 1.0, 10**6, seed=9)
+        save_dataset(table, tmp_path)
+        (tmp_path / "setting_qpqpq.csv").unlink()
+        with pytest.raises(CompletenessError) as err:
+            load_dataset(tmp_path, 5, 5)
+        assert len(err.value.missing) == 3**5
+        with pytest.raises(CompletenessError):
+            load_dataset(tmp_path / "empty", 5, 5)
 
     def test_word_strings(self):
         assert moment_word_string((0, 3, 4)) == "Q0P1Q2"

@@ -1,0 +1,27 @@
+"""The one CSV cell format of every artifact the pipeline writes."""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+
+def write_csv(path, header, columns) -> None:
+    """Write ``header``, then one row per entry of the equally long ``columns``.
+
+    Each cell is ``str`` of the Python value (arrays go through ``tolist``,
+    so a float prints as its shortest round-trip repr); rows end in CRLF and
+    nothing is quoted.  For the numbers, words and empty cells written here
+    that is byte for byte what ``csv.writer`` writes.
+    """
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    rows = zip(*(map(str, c) for c in columns), strict=True)
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(",".join(row) + "\r\n" for row in [header, *rows]))
+
+
+def word_strings(letters, window: int) -> np.ndarray:
+    """``(len(letters),) * window`` table of every word's string, in C order."""
+    words = ["".join(w) for w in itertools.product(letters, repeat=window)]
+    return np.array(words).reshape((len(letters),) * window)

@@ -37,12 +37,12 @@ def check_positive_int(x, name: str, minimum: int = 1) -> int:
     return x
 
 
-def check_process_matrix(e, dim: int = 4, tol: float = 1e-10) -> np.ndarray:
+def check_process_matrix(e, dim: int = 4) -> np.ndarray:
     """A process matrix acts on coefficient vectors; trace preservation pins row 0."""
     e = check_real_array(e, "process matrix", (dim, dim))
     row0 = np.zeros(dim)
     row0[0] = 1.0
-    if not np.allclose(e[0], row0, atol=tol):
+    if not np.allclose(e[0], row0, atol=1e-10):
         raise ValidationError(
             "process matrix is not trace preserving (first row must be [1, 0, ...])"
         )

@@ -16,7 +16,6 @@ The MPO_TOMO_LOG environment variable (error | info | debug) sets verbosity.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import math
@@ -28,6 +27,7 @@ from time import perf_counter
 import numpy as np
 
 from . import cluster, entanglement, fitting, measurement, mpo as mpo_mod
+from ._csvio import write_csv
 from .correlations import (
     align_phases,
     correct_inefficiency,
@@ -223,17 +223,7 @@ def cmd_reconstruct(cfg, out: str) -> int:
         str(s): r for s, r in sorted(estimator.inversion_.site_residuals.items())
     }
     fr = estimator.fit_result_
-    stages["gauss_newton"] = {
-        "iterations": fr.iterations,
-        "converged": fr.converged,
-        "exit_reason": fr.exit_reason,
-        "sse": fr.sse,
-        "dof": fr.dof,
-        "trace": fr.trace,
-        "null_directions": fr.null_directions,
-        "largest_null_ratio": fr.largest_null_ratio,
-        "smallest_live_ratio": fr.smallest_live_ratio,
-    }
+    stages["gauss_newton"] = {**fitting.fit_record(fr), "trace": fr.trace}
     fit_dir = os.path.join(out, "fit")
     with _timed(timings, "write"):
         fitting.save_fit_bundle(fr, fit_dir)
@@ -246,7 +236,9 @@ def cmd_reconstruct(cfg, out: str) -> int:
     with open(os.path.join(fit_dir, "stages.json"), "w") as fh:
         json.dump(stages, fh, sort_keys=True)
     if not fr.converged:
-        log.error("fit did not converge in %d iterations", fr.iterations)
+        log.error(
+            "fit did not converge (%s) after %d iterations", fr.exit_reason, fr.iterations
+        )
         return 4
     log.info(
         "fit converged in %d iterations (%s), sse/dof=%.3f",
@@ -275,10 +267,14 @@ def _stabilizer_table(fit, n):
     return np.array(values), np.array(ses)
 
 
-def _le_fields(res) -> list:
-    """CSV fields value, se_parameter (empty without a fit), se_sampling."""
-    se_parameter = "" if res.se_parameter is None else repr(res.se_parameter)
-    return [repr(res.value), se_parameter, repr(res.se_sampling)]
+def _write_le_csv(path, key_header, keys, rows) -> None:
+    """LE results after their key columns; se_parameter is empty without a fit."""
+    se_parameter = ["" if res.se_parameter is None else res.se_parameter for res in rows]
+    write_csv(
+        path,
+        [*key_header, "value", "se_parameter", "se_sampling"],
+        [*keys, [res.value for res in rows], se_parameter, [res.se_sampling for res in rows]],
+    )
 
 
 def cmd_analyze(cfg, out: str) -> int:
@@ -337,30 +333,29 @@ def cmd_analyze(cfg, out: str) -> int:
                     fit.mpo, plan, measure, ana["subset_samples"], ana["subset_seed"]
                 )
             le_rows.append(res)
-    with open(os.path.join(out, "le_matrix.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "r_prime", "value", "se_parameter", "se_sampling"])
-        for res in le_rows:
-            writer.writerow([res.pair[0], res.pair[1], *_le_fields(res)])
-    with open(os.path.join(out, "le_distance.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "value", "se_parameter", "se_sampling"])
-        for res in le_rows:
-            if res.pair[0] == 1:
-                writer.writerow([res.pair[1] - res.pair[0], *_le_fields(res)])
+
+    le_matrix = os.path.join(out, "le_matrix.csv")
+    _write_le_csv(le_matrix, ["r", "r_prime"], zip(*(res.pair for res in le_rows)), le_rows)
+    profile = [res for res in le_rows if res.pair[0] == 1]
+    le_distance = os.path.join(out, "le_distance.csv")
+    _write_le_csv(le_distance, ["k"], [[res.pair[1] - 1 for res in profile]], profile)
 
     # density-matrix corner dump (first/last 16 basis states)
     corner = [*range(16), *range(2**n - 16, 2**n)]
     labels = [format(i, f"0{n}b") for i in corner]
-    with _timed(timings, "corner"), open(
-        os.path.join(out, "density_corner.csv"), "w", newline=""
-    ) as fh:
-        block = mpo_mod.density_corner(fit.mpo)
-        writer = csv.writer(fh)
-        writer.writerow(["bra", "ket", "abs", "arg"])
-        for bra, row in zip(labels, block):
-            for ket, z in zip(labels, row.tolist()):
-                writer.writerow([bra, ket, repr(abs(z)), repr(float(np.angle(z)))])
+    with _timed(timings, "corner"):
+        # per-entry abs and angle: np.abs on the block can differ in the last bit
+        entries = mpo_mod.density_corner(fit.mpo).ravel().tolist()
+        write_csv(
+            os.path.join(out, "density_corner.csv"),
+            ["bra", "ket", "abs", "arg"],
+            [
+                np.repeat(labels, len(labels)),
+                np.tile(labels, len(labels)),
+                [abs(z) for z in entries],
+                [float(np.angle(z)) for z in entries],
+            ],
+        )
 
     report = {
         "n_qubits": n,

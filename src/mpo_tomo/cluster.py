@@ -7,12 +7,12 @@ stabilized by ``X_1 Z_2``, ``Z_{s-1} X_s Z_{s+1}`` and ``Z_{N-1} X_N``.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvio import write_csv
 from ._validation import check_positive_int
 from .channels import amplitude_damping, compose, pure_dephasing
 from .errors import DataError, ValidationError
@@ -266,8 +266,6 @@ def fit_error_model(
 
 def write_stabilizer_report(path, values, ses, model_values) -> None:
     """CSV report with columns (s, value, se, model_value)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "value", "se", "model_value"])
-        for s, (v, e, m) in enumerate(zip(values, ses, model_values), start=1):
-            writer.writerow([s, repr(float(v)), repr(float(e)), repr(float(m))])
+    columns = [np.asarray(c, dtype=float) for c in (values, ses, model_values)]
+    sites = range(1, len(columns[0]) + 1)
+    write_csv(path, ["s", "value", "se", "model_value"], [sites, *columns])

@@ -9,12 +9,12 @@ only where needed.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._csvio import word_strings, write_csv
 from ._validation import check_efficiency
 from .channels import z_rotation
 from .errors import DataError, ValidationError
@@ -122,44 +122,14 @@ def _apply_site_map(values, ses, mat):
     return out_v, out_s
 
 
-def _fill_identity_duplicates(table: MomentTable):
-    """Fill missing Q0/P0-duplicate rows from their twins.
-
-    A missing duplicate is copied from its partner with the SE inflated by
-    sqrt(3) so that the G-average of the pair carries the variance of a
-    single measurement: (se^2 + 3 se^2) / 4 = se^2.
-    """
-    filled_v = {s: v.copy() for s, v in table.values.items()}
-    filled_s = {s: v.copy() for s, v in table.ses.items()}
-    L = table.window
-    for start in table.starts:
-        v = filled_v[start]
-        se = filled_s[start]
-        holes = np.argwhere(~np.isfinite(v))
-        for word in map(tuple, holes):
-            for site in range(L):
-                if v[word] == v[word]:  # filled by an earlier twin
-                    break
-                if word[site] in (0, 1):
-                    twin = list(word)
-                    twin[site] = 1 - word[site]
-                    twin = tuple(twin)
-                    if np.isfinite(v[twin]):
-                        v[word] = v[twin]
-                        se[word] = se[twin] * np.sqrt(3.0)
-    return filled_v, filled_s
-
-
 def moments_to_zshifted(table: MomentTable) -> PauliCorrelationSet:
     """Convert a complete moment table to Z-shifted-Pauli correlations.
 
     Applies the per-site matrix G; standard errors are propagated assuming
-    independent moment errors.  Missing Q0/P0 duplicates are tolerated (their
-    twin is reused at degraded SE); any other missing row is fatal.
+    independent moment errors.  Any missing row is fatal.
     """
-    values, ses = _fill_identity_duplicates(table)
-    replace(table, values=values, ses=ses).require_complete()
-    out_v, out_s = _apply_site_map(values, ses, G_MATRIX)
+    table.require_complete()
+    out_v, out_s = _apply_site_map(table.values, table.ses, G_MATRIX)
     return PauliCorrelationSet(
         n_sites=table.n_sites,
         window=table.window,
@@ -333,22 +303,15 @@ def align_phases(corrs: PauliCorrelationSet):
 
 
 def save_correlation_csv(corrs: PauliCorrelationSet, path, meta_path=None) -> None:
-    names = corrs.word_names()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window_start", "word", "value", "se"])
-        for start in corrs.starts:
-            vals = corrs.values[start]
-            ses = corrs.ses[start]
-            for word in np.ndindex(*vals.shape):
-                writer.writerow(
-                    [
-                        start,
-                        "".join(names[a] for a in word),
-                        repr(float(vals[word])),
-                        repr(float(ses[word])),
-                    ]
-                )
+    starts = corrs.starts
+    words = word_strings(corrs.word_names(), corrs.window).ravel()
+    columns = [
+        np.repeat(starts, words.size),
+        np.tile(words, len(starts)),
+        np.concatenate([corrs.values[s].ravel() for s in starts]),
+        np.concatenate([corrs.ses[s].ravel() for s in starts]),
+    ]
+    write_csv(path, ["window_start", "word", "value", "se"], columns)
     if meta_path is not None:
         doc = {"basis": corrs.basis, "n_sites": corrs.n_sites, "window": corrs.window}
         doc.update(corrs.meta)

@@ -217,8 +217,9 @@ def _raw_concurrence(c: np.ndarray) -> np.ndarray:
     return lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
 
 
-def _central_difference(f, c: np.ndarray, h: float = 1e-7) -> np.ndarray:
+def _central_difference(f, c: np.ndarray) -> np.ndarray:
     """d f / d c entry by entry, for ``f`` mapping ``(..., 4, 4) -> (...)``."""
+    h = 1e-7
     step = h * np.eye(16).reshape(16, 4, 4)
     return ((f(c[:, None] + step) - f(c[:, None] - step)) / (2.0 * h)).reshape(c.shape)
 

@@ -155,7 +155,8 @@ class FitResult:
     decrease below ``tol``), ``rounding_floor`` (SSE at the level rounding
     of the model values alone leaves), ``no_acceptable_step`` (no damping
     gave a non-increasing SSE) or ``max_iter``; None for a bundle written
-    before it was recorded.  ``trace`` holds one dict per iteration: the SSE
+    before it was recorded.  ``converged`` is True only for ``tolerance``
+    and ``rounding_floor``.  ``trace`` holds one dict per iteration: the SSE
     after it, the damping of its last trial, the number of inner trials, the
     |d2|/|d1| ratio of its last trial and the model evaluations it made.
 
@@ -209,9 +210,9 @@ def gauss_newton_fit(
         data: measured correlations (pauli or z-shifted basis) with SEs.
 
     Returns:
-        FitResult; ``converged`` is False when ``max_iter`` was exhausted
-        (the result is usable but flagged).  ``exit_reason`` and ``trace``
-        record why and how the iteration stopped.
+        FitResult; ``converged`` is False when ``max_iter`` was exhausted or
+        no trial step was acceptable (the result is usable but flagged).
+        ``exit_reason`` and ``trace`` record why and how the iteration stopped.
     """
     if not is_standard_form(initial):
         raise ValidationError("initial MPO must be in standard form")
@@ -316,10 +317,9 @@ def gauss_newton_fit(
         }
         trace.append(row)
         log.debug("gauss-newton iteration %d: %s", iterations, row)
-    # no acceptable step left is reported as converged: its relative decrease is 0
-    converged = exit_reason is not None
     if exit_reason is None:
         exit_reason = "max_iter"
+    converged = exit_reason in ("tolerance", "rounding_floor")
     current = unpack(theta, initial, masks)
     # covariance of the free parameters at the final iterate
     _, jw = model(current, True)
@@ -454,6 +454,12 @@ class MpoLeastSquares:
 _NULL_SPACE_KEYS = ("null_directions", "largest_null_ratio", "smallest_live_ratio")
 
 
+def fit_record(fit: FitResult) -> dict:
+    """The fit's summary shared by ``fit_report.json`` and ``stages.json``."""
+    keys = ("sse", "dof", "iterations", "converged", "exit_reason", *_NULL_SPACE_KEYS)
+    return {key: getattr(fit, key) for key in keys}
+
+
 def save_fit_bundle(fit: FitResult, directory) -> None:
     """Persist a fit: MPO JSON, covariance binary + header, report JSON."""
     import os
@@ -470,15 +476,7 @@ def save_fit_bundle(fit: FitResult, directory) -> None:
     }
     with open(os.path.join(directory, "covariance_header.json"), "w") as fh:
         json.dump(header, fh, sort_keys=True)
-    report = {
-        "sse": fit.sse,
-        "dof": fit.dof,
-        "iterations": fit.iterations,
-        "converged": fit.converged,
-        "exit_reason": fit.exit_reason,
-        "basis": fit.basis,
-        **{key: getattr(fit, key) for key in _NULL_SPACE_KEYS},
-    }
+    report = {**fit_record(fit), "basis": fit.basis}
     with open(os.path.join(directory, "fit_report.json"), "w") as fh:
         json.dump(report, fh, sort_keys=True)
 

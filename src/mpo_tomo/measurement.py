@@ -11,14 +11,13 @@ subspace every moment is a linear image of the window's Pauli correlations.
 
 from __future__ import annotations
 
-import csv
 import glob
-import itertools
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._csvio import word_strings, write_csv
 from ._validation import check_efficiency, check_positive_int
 from .channels import measurement_loss
 from .errors import CompletenessError, ValidationError
@@ -84,11 +83,10 @@ class MomentTable:
         return sorted(self.values)
 
     def missing_rows(self):
-        out = []
-        for start in self.starts:
-            for word in np.argwhere(~np.isfinite(self.values[start])):
-                out.append((start, moment_word_string(word)))
-        return out
+        words = word_strings(QUAD_LETTERS, self.window)
+        return [
+            (s, w) for s in self.starts for w in words[~np.isfinite(self.values[s])].tolist()
+        ]
 
     def require_complete(self):
         missing = self.missing_rows()
@@ -98,18 +96,6 @@ class MomentTable:
                 f"(first: start={missing[0][0]} word={missing[0][1]})",
                 missing=missing,
             )
-
-
-def empty_moment_table(n_sites: int, window: int, shots: int = 0) -> MomentTable:
-    starts = range(1, n_sites - window + 2)
-    shape = (6,) * window
-    return MomentTable(
-        n_sites=n_sites,
-        window=window,
-        values={s: np.full(shape, np.nan) for s in starts},
-        ses={s: np.full(shape, np.nan) for s in starts},
-        shots=shots,
-    )
 
 
 def _lossy_correlations(mpo: Mpo, window: int, eta: float) -> dict[int, np.ndarray]:
@@ -173,55 +159,75 @@ def synthesize_dataset(
 _CSV_HEADER = ["window_start", "basis_word", "value", "se", "shots"]
 
 
-def save_moment_csv(path, rows, shots: int) -> None:
-    """Write ``(start, word, value, se)`` rows under the moment-CSV header."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for start, word, value, se in rows:
-            writer.writerow([start, moment_word_string(word), repr(value), repr(se), shots])
-
-
 def load_moment_csv(paths, n_sites: int, window: int) -> MomentTable:
     """Merge a list of moment CSV files into a single table.
 
+    Each file is read column-wise; its rows may come in any order and in
+    any file.  ``shots`` is the largest count in the files.
+
     Raises:
         ValidationError: naming the file and line of a wrong header, a
-            non-numeric field or a row that does not fit the table.
+            non-numeric, missing or extra field, or a row whose word or
+            window start does not fit the table.
     """
-    table = empty_moment_table(n_sites, window)
-    # one word -> flat index map per call instead of parsing every row
-    index = {
-        moment_word_string(word): i
-        for i, word in enumerate(np.ndindex(*(6,) * window))
-    }
-    flat_v = {s: v.reshape(-1) for s, v in table.values.items()}
-    flat_s = {s: v.reshape(-1) for s, v in table.ses.items()}
+    # a word one character too long cannot be truncated into a valid one
+    dtype = [("start", np.int64), ("word", f"U{2 * window + 1}"), ("value", float),
+             ("se", float), ("shots", np.int64)]
+    words = word_strings(QUAD_LETTERS, window).ravel()
+    order = np.argsort(words)
+    known = words[order]
+    n_starts = n_sites - window + 1
+
+    def parse(lines):
+        if not lines:  # np.loadtxt would warn
+            return np.empty(0, dtype)
+        return np.loadtxt(lines, dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
+
+    def locate(rows):
+        """Flat word index of each row, and whether the row fits the table."""
+        pos = np.minimum(np.searchsorted(known, rows["word"]), known.size - 1)
+        starts = rows["start"]
+        return order[pos], (known[pos] == rows["word"]) & (starts >= 1) & (starts <= n_starts)
+
+    def reject(path, lines):
+        # the error path only: find the first bad line by parsing one at a time
+        for line_num, line in enumerate(lines, start=2):
+            try:
+                row = parse([line] if line.strip() else [])
+                good = row.size == 1 and locate(row)[1][0]
+            except ValueError:
+                good = False
+            if not good:
+                raise ValidationError(
+                    f"{path}, line {line_num}: row {line.rstrip()!r} is malformed "
+                    f"or does not fit an N={n_sites}, L={window} table"
+                )
+        raise ValidationError(f"{path}: malformed rows")
+
+    values = np.full((n_starts, *(6,) * window), np.nan)
+    ses = np.full_like(values, np.nan)
     shots = 0
     for path in paths:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) != _CSV_HEADER:
-                raise ValidationError(f"{path}: header is not {','.join(_CSV_HEADER)}")
-            for row in reader:
-                try:
-                    start, word, value, se, row_shots = row
-                    start, value, se = int(start), float(value), float(se)
-                    shots = max(shots, int(row_shots))
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}, line {reader.line_num}: malformed row {row}"
-                    ) from None
-                i = index.get(word)
-                if i is None or start not in flat_v:
-                    raise ValidationError(
-                        f"{path}, line {reader.line_num}: row (start={start}, "
-                        f"word={word}) does not fit an N={n_sites}, L={window} table"
-                    )
-                flat_v[start][i] = value
-                flat_s[start][i] = se
-    table.shots = shots
-    return table
+        with open(path) as fh:
+            header = fh.readline()
+            lines = fh.readlines()
+        if header.rstrip("\n") != ",".join(_CSV_HEADER):
+            raise ValidationError(f"{path}: header is not {','.join(_CSV_HEADER)}")
+        try:
+            rows = parse(lines)
+        except ValueError:
+            reject(path, lines)
+        flat, fits = locate(rows)
+        # a blank line is skipped by the parser but is a malformed row
+        if rows.size != len(lines) or not fits.all():
+            reject(path, lines)
+        index = rows["start"] - 1, flat
+        values.reshape(n_starts, -1)[index] = rows["value"]
+        ses.reshape(n_starts, -1)[index] = rows["se"]
+        shots = max(shots, int(rows["shots"].max(initial=0)))
+    return MomentTable(
+        n_sites, window, dict(enumerate(values, 1)), dict(enumerate(ses, 1)), shots
+    )
 
 
 # --- dataset layout: one CSV per measurement setting -------------------------
@@ -240,16 +246,21 @@ def save_dataset(table: MomentTable, directory) -> None:
     """
     os.makedirs(directory, exist_ok=True)
     window = table.window
-    for bits in itertools.product("qp", repeat=window):
-        label = "".join(bits)
-        rows = []
-        for start in table.starts:
-            letters = [_SETTING_LETTERS[label[(start - 1 + j) % window]] for j in range(window)]
-            idx = np.ix_(*letters)
-            values = table.values[start][idx].ravel().tolist()
-            ses = table.ses[start][idx].ravel().tolist()
-            rows += zip(itertools.repeat(start), itertools.product(*letters), values, ses)
-        save_moment_csv(os.path.join(directory, f"setting_{label}.csv"), rows, table.shots)
+    starts = table.starts
+    words = word_strings(QUAD_LETTERS, window)
+    for label in word_strings("qp", window).ravel():
+        slices = [
+            np.ix_(*(_SETTING_LETTERS[label[(s - 1 + j) % window]] for j in range(window)))
+            for s in starts
+        ]
+        columns = [
+            np.repeat(starts, 3**window),
+            np.concatenate([words[i].ravel() for i in slices]),
+            np.concatenate([table.values[s][i].ravel() for s, i in zip(starts, slices)]),
+            np.concatenate([table.ses[s][i].ravel() for s, i in zip(starts, slices)]),
+            [table.shots] * (len(starts) * 3**window),
+        ]
+        write_csv(os.path.join(directory, f"setting_{label}.csv"), _CSV_HEADER, columns)
 
 
 def load_dataset(directory, n_sites: int, window: int) -> MomentTable:

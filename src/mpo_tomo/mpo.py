@@ -303,8 +303,9 @@ def to_standard_form(mpo: Mpo) -> Mpo:
     return Mpo(ts)
 
 
-def is_standard_form(mpo: Mpo, tol: float = 1e-9) -> bool:
-    """Structural check of the standard-form constraints."""
+def is_standard_form(mpo: Mpo) -> bool:
+    """Structural check of the standard-form constraints, to within 1e-9."""
+    tol = 1e-9
     ts = mpo.tensors
     n = mpo.n_qubits
     if ts[-1].shape != (4, 4, 1) or not np.allclose(

@@ -136,10 +136,10 @@ def estimate_bond_dims(cm: CorrMatrices, k_sigma: float = 5.0) -> BondEstimate:
     return BondEstimate(dims, svs, ses, k_sigma)
 
 
-def _truncated_pinv(mat: np.ndarray, rank: int | None, rcond: float):
+def _truncated_pinv(mat: np.ndarray, rank: int | None):
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
     if rank is None:
-        rank = int(np.sum(s > rcond * max(s[0], 1e-300)))
+        rank = int(np.sum(s > 1e-10 * max(s[0], 1e-300)))
     rank = max(1, min(rank, len(s)))
     return (vt[:rank].T / s[:rank]) @ u[:, :rank].T
 
@@ -182,7 +182,6 @@ def invert_reconstruct(
     corrs: PauliCorrelationSet,
     L: int = 5,
     ranks: dict[int, int] | None = None,
-    rcond: float = 1e-10,
     residual_tol: float = 1e-6,
 ) -> InversionResult:
     """Reconstruct an MPO from L-qubit local correlations by pseudoinversion.
@@ -190,7 +189,7 @@ def invert_reconstruct(
     Boundary sites are pinned to the Pauli row/column and site 2 is read
     directly from the data; sites s = 3..N-1 solve ``B A = C`` (see the
     module docstring for the one row/column rule) in least squares via a
-    Moore-Penrose pseudoinverse whose truncation is either ``rcond`` (exact
+    Moore-Penrose pseudoinverse whose truncation is either a relative cut of 1e-10 (exact
     data) or the externally estimated per-bond ranks (measured data).
 
     Args:
@@ -220,7 +219,7 @@ def invert_reconstruct(
         first = s - ell
         bmat = _corr_matrix(corrs, first, ell, r, open_site=False)[0]
         cstack = _corr_matrix(corrs, first, ell, min(r, n - s))[0]
-        pinv = _truncated_pinv(bmat, ranks.get(first), rcond)
+        pinv = _truncated_pinv(bmat, ranks.get(first))
         slices = np.stack([pinv @ cstack[i] for i in range(4)])
         resid = np.stack([bmat @ slices[i] - cstack[i] for i in range(4)])
         col_res[s] = np.linalg.norm(resid, axis=1)
@@ -274,11 +273,11 @@ class ReconstructibilityReport:
     reconstructible: bool
 
 
-def _rank(mat: np.ndarray, rtol: float = 1e-10) -> int:
+def _rank(mat: np.ndarray) -> int:
     s = np.linalg.svd(mat, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > 1e-10 * s[0]))
 
 
 def check_reconstructibility(truth: Mpo, L: int = 5) -> ReconstructibilityReport:

@@ -61,3 +61,23 @@ def fitted_noisy5(noisy5):
     est = MpoLeastSquares().fit(moments_to_zshifted(table))
     assert est.fit_result_.converged
     return est
+
+
+@pytest.fixture
+def reject_every_gn_trial(monkeypatch):
+    """Make every Gauss-Newton trial step fail: each value-only model
+    evaluation after the first (the starting SSE) returns shifted values."""
+    from mpo_tomo import fitting
+
+    real = fitting._window_values_jacobian
+    value_calls = []
+
+    def shifted(mpo, window, basis_k=None, want_jacobian=True):
+        values, jacs = real(mpo, window, basis_k, want_jacobian)
+        if not want_jacobian:
+            value_calls.append(window)
+            if len(value_calls) > 1:
+                values = {s: v + 1.0 for s, v in values.items()}
+        return values, jacs
+
+    monkeypatch.setattr(fitting, "_window_values_jacobian", shifted)

@@ -292,6 +292,20 @@ class TestReconstruct:
         assert report["converged"] is False
         assert os.path.exists(os.path.join(out, "fit", "mpo.json"))
 
+    def test_no_acceptable_step_exit_code_with_partial_outputs(
+        self, pipeline_run, tmp_path, reject_every_gn_trial
+    ):
+        cfg, out = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(os.path.join(out, "dataset"), run / "dataset")
+        assert main(["reconstruct", "--config", cfg, "--out", str(run)]) == 4
+        report = json.load(open(run / "fit" / "fit_report.json"))
+        assert report["converged"] is False
+        assert report["exit_reason"] == "no_acceptable_step"
+        stages = json.load(open(run / "fit" / "stages.json"))
+        assert stages["gauss_newton"]["exit_reason"] == "no_acceptable_step"
+        assert os.path.exists(run / "fit" / "mpo.json")
+
 
 class TestAnalyze:
     def test_truncated_covariance(self, pipeline_run, tmp_path):

@@ -66,17 +66,6 @@ class TestZShiftedConversion:
             moments_to_zshifted(table)
         assert err.value.missing
 
-    def test_missing_identity_duplicate_tolerated(self, noisy5):
-        table = exact_local_moments(noisy5, 2)
-        table.ses[1][:] = 0.01
-        # drop the P0 duplicate of a row; its Q0 twin must stand in
-        expected = moments_to_zshifted(table).values[1].copy()
-        table.values[1][(1, 2)] = np.nan
-        r = moments_to_zshifted(table)
-        assert np.max(np.abs(r.values[1] - expected)) < 1e-12
-        # the degraded duplicate inflates the propagated SE
-        assert np.all(r.ses[1] >= 0.0)
-
     def test_g_matrix_shape_and_rows(self):
         assert G_MATRIX.shape == (4, 6)
         assert np.allclose(G_MATRIX[0], [0.5, 0.5, 0, 0, 0, 0])

@@ -191,6 +191,16 @@ class TestGaussNewton:
         # one Jacobian, then two curvature probes and at most one candidate per trial
         assert row["trials"] * 2 + 1 <= row["model_evals"] <= row["trials"] * 3 + 1
 
+    def test_no_acceptable_step_is_not_converged(self, sf_noisy6, reject_every_gn_trial):
+        masks = free_masks(sf_noisy6)
+        theta = pack(sf_noisy6.tensors, masks)
+        local = np.random.default_rng(2)
+        start = unpack(theta + local.normal(scale=1e-2, size=theta.size), sf_noisy6, masks)
+        fit = gauss_newton_fit(start, window_correlation_set(sf_noisy6, 5))
+        assert fit.exit_reason == "no_acceptable_step"
+        assert fit.converged is False
+        assert fit.iterations == 1
+
     @pytest.mark.parametrize("seed", range(2, 8))
     def test_perturbed_initial_recovers(self, sf_noisy6, seed):
         masks = free_masks(sf_noisy6)

@@ -2,18 +2,21 @@
 
 import csv
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from _oracles import dense_moment
 
+from mpo_tomo._csvio import write_csv
 from mpo_tomo.cluster import ErrorModel, ideal_cluster_mps, noisy_cluster_model
 from mpo_tomo.dense import mpo_to_dense, mps_to_dense, dense_to_mpo
 from mpo_tomo.errors import CompletenessError, ValidationError
 from mpo_tomo.measurement import (
     exact_local_moments,
     load_dataset,
+    load_moment_csv,
     moment_word_string,
     sample_quadratures,
     save_dataset,
@@ -184,6 +187,74 @@ class TestMomentCsv:
         with pytest.raises(CompletenessError):
             load_dataset(tmp_path / "empty", 5, 5)
 
+    def test_rows_shuffled_across_files(self, tmp_path):
+        # the reader accepts any row in any file: deal every row of the
+        # dataset at random into 32 files and read the same table back
+        m = noisy_cluster_model(7, ErrorModel.uniform(7, 0.09, 0.06))
+        table = synthesize_dataset(m, 5, 0.9, 10**6, seed=4)
+        save_dataset(table, tmp_path / "sorted")
+        lines = []
+        for path in sorted((tmp_path / "sorted").iterdir()):
+            header, *rows = path.read_text().splitlines()
+            lines += rows
+        np.random.default_rng(0).shuffle(lines)
+        (tmp_path / "shuffled").mkdir()
+        for k, part in enumerate(np.array_split(np.array(lines), 32)):
+            text = "\r\n".join([header, *part]) + "\r\n"
+            (tmp_path / "shuffled" / f"setting_{k:02d}.csv").write_text(text)
+        back = load_dataset(tmp_path / "shuffled", 7, 5)
+        for s in table.starts:
+            assert np.array_equal(back.values[s], table.values[s])
+            assert np.array_equal(back.ses[s], table.ses[s])
+        assert back.shots == table.shots
+
+    @staticmethod
+    def _edit_third_line(path, edit):
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        path.write_text("\r\n".join(lines) + "\r\n")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            # a valid word with letters after it must not be truncated back into it
+            lambda cells: [cells[0], cells[1] + "P1", *cells[2:]],
+            lambda cells: [*cells, "7"],
+            lambda cells: [cells[0], '"Q0Q0Q0Q0Q9"', *cells[2:]],
+        ],
+        ids=["overlong_word", "extra_field", "quoted_wrong_word"],
+    )
+    def test_bad_row_names_file_and_line(self, noisy5, tmp_path, edit):
+        table = exact_local_moments(noisy5, 5)
+        table.shots = 1000
+        save_dataset(table, tmp_path)
+        path = tmp_path / "setting_qqqqq.csv"
+        self._edit_third_line(path, edit)
+        with pytest.raises(ValidationError, match=f"{path.name}, line 3"):
+            load_dataset(tmp_path, 5, 5)
+
+    def test_quoted_word_reads_as_csv(self, noisy5, tmp_path):
+        table = exact_local_moments(noisy5, 5)
+        table.shots = 1000
+        save_dataset(table, tmp_path)
+        self._edit_third_line(
+            tmp_path / "setting_qqqqq.csv", lambda c: [c[0], f'"{c[1]}"', *c[2:]]
+        )
+        back = load_dataset(tmp_path, 5, 5)
+        assert np.array_equal(back.values[1], table.values[1])
+
+    def test_header_only_file(self, noisy5, tmp_path):
+        table = synthesize_dataset(noisy5, 5, 1.0, 10**6, seed=9)
+        save_dataset(table, tmp_path)
+        extra = tmp_path / "setting_extra.csv"
+        extra.write_text("window_start,basis_word,value,se,shots\r\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = load_dataset(tmp_path, 5, 5)
+            empty = load_moment_csv([extra], 5, 5)
+        assert np.array_equal(back.values[1], table.values[1])
+        assert np.isnan(empty.values[1]).all() and empty.shots == 0
+
     def test_word_strings(self):
         assert moment_word_string((0, 3, 4)) == "Q0P1Q2"
 
@@ -193,6 +264,29 @@ class TestMomentCsv:
         with pytest.raises(CompletenessError) as err:
             table.require_complete()
         assert (1, "Q1P1") in err.value.missing
+
+
+class TestWriteCsv:
+    def test_matches_csv_writer(self, tmp_path):
+        # csv.writer with repr cells is the oracle for every cell kind written
+        floats = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-5, 0.1])
+        ints = np.arange(floats.size) - 3
+        words = ["", "Q0P1", "", "X", "R0R3", "", "I", "0101", ""]
+        write_csv(tmp_path / "new.csv", ["i", "x", "word"], [ints, floats, words])
+        with open(tmp_path / "oracle.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["i", "x", "word"])
+            for i, x, word in zip(ints.tolist(), floats.tolist(), words):
+                writer.writerow([i, repr(x), word])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_header_only(self, tmp_path):
+        write_csv(tmp_path / "a.csv", ["a", "b"], [[], np.array([])])
+        assert (tmp_path / "a.csv").read_bytes() == b"a,b\r\n"
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "a.csv", ["a", "b"], [[1, 2], [1]])
 
 
 class TestSampling:

@@ -20,6 +20,7 @@ import json
 import logging
 import math
 import os
+import resource
 import sys
 from contextlib import contextmanager
 from time import perf_counter
@@ -120,11 +121,15 @@ def _is_finite(x) -> bool:
 
 
 @contextmanager
-def _timed(timings: dict, stage: str):
-    """Record the wall time of the enclosed block as ``timings[stage]`` (s)."""
+def _timed(record: dict, stage: str):
+    """Record the wall time of the enclosed block as ``record["timings"][stage]``
+    (s) and the process's peak RSS when it ends as
+    ``record["peak_rss_mb"][stage]`` (MB; ``ru_maxrss`` is in KiB on Linux)."""
     start = perf_counter()
     yield
-    timings[stage] = perf_counter() - start
+    record.setdefault("timings", {})[stage] = perf_counter() - start
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    record.setdefault("peak_rss_mb", {})[stage] = maxrss * 1024 / 1e6
 
 
 def _error_model(cfg) -> cluster.ErrorModel:
@@ -186,19 +191,19 @@ def cmd_simulate(cfg, out: str) -> int:
 def cmd_reconstruct(cfg, out: str) -> int:
     m = cfg["measurement"]
     fit_cfg = cfg["fit"]
-    timings: dict = {}
-    with _timed(timings, "load"):
+    record: dict = {}
+    with _timed(record, "load"):
         table = measurement.load_dataset(
             _dataset_dir(out), cfg["protocol"]["n_qubits"], m["window"]
         )
     stages: dict = {}
-    with _timed(timings, "moments"):
+    with _timed(record, "moments"):
         corrs = moments_to_zshifted(table)
     if m["eta"] < 1.0:
-        with _timed(timings, "eta_correction"):
+        with _timed(record, "eta_correction"):
             corrs = correct_inefficiency(corrs, m["eta"], m["eta_se"])
         stages["eta_correction"] = {"eta": m["eta"], "eta_se": m["eta_se"]}
-    with _timed(timings, "alignment"):
+    with _timed(record, "alignment"):
         corrs, angles = align_phases(corrs)
     stages["alignment_angles"] = angles.tolist()
     estimator = fitting.MpoLeastSquares(
@@ -207,7 +212,7 @@ def cmd_reconstruct(cfg, out: str) -> int:
         tol=fit_cfg["tol"],
         se_floor=fit_cfg["se_floor"],
     )
-    with _timed(timings, "fit"):
+    with _timed(record, "fit"):
         estimator.fit(corrs)
     stages["bond_dimensions"] = {
         str(s): {
@@ -225,14 +230,14 @@ def cmd_reconstruct(cfg, out: str) -> int:
     fr = estimator.fit_result_
     stages["gauss_newton"] = {**fitting.fit_record(fr), "trace": fr.trace}
     fit_dir = os.path.join(out, "fit")
-    with _timed(timings, "write"):
+    with _timed(record, "write"):
         fitting.save_fit_bundle(fr, fit_dir)
         save_correlation_csv(
             zshifted_to_pauli(corrs),
             os.path.join(fit_dir, "correlations_pauli.csv"),
             os.path.join(fit_dir, "correlations_meta.json"),
         )
-    stages["timings"] = timings
+    stages.update(record)
     with open(os.path.join(fit_dir, "stages.json"), "w") as fh:
         json.dump(stages, fh, sort_keys=True)
     if not fr.converged:
@@ -283,18 +288,18 @@ def cmd_analyze(cfg, out: str) -> int:
     fit_dir = os.path.join(out, "fit")
     if not os.path.isdir(fit_dir):
         raise ValidationError(f"no fit bundle under {fit_dir}; run reconstruct first")
-    timings: dict = {}
-    with _timed(timings, "load"):
+    record: dict = {}
+    with _timed(record, "load"):
         fit = fitting.load_fit_bundle(fit_dir)
-    with _timed(timings, "fidelity"):
+    with _timed(record, "fidelity"):
         ideal = cluster.ideal_cluster_mpo(n)
         fidelity, fidelity_se = fitting.propagate_covariance(
             fit, fitting.fidelity_functional(ideal)
         )
-    with _timed(timings, "stabilizers"):
+    with _timed(record, "stabilizers"):
         stab_values, stab_ses = _stabilizer_table(fit, n)
         bound = cluster.stabilizer_fidelity_bound(stab_values, stab_ses)
-    with _timed(timings, "error_model"):
+    with _timed(record, "error_model"):
         excitations = cluster.mean_excitations(fit.mpo)
         exc_ses = []
         for s in range(1, n + 1):
@@ -315,7 +320,7 @@ def cmd_analyze(cfg, out: str) -> int:
         pairs = [(r, rp) for r in range(1, n) for rp in range(r + 1, n + 1)]
     else:
         pairs = [tuple(p) for p in pairs]
-    with _timed(timings, "le"):
+    with _timed(record, "le"):
         le_rows = []
         for r, rp in pairs:
             plan = entanglement.default_plan(n, r, rp)
@@ -343,7 +348,7 @@ def cmd_analyze(cfg, out: str) -> int:
     # density-matrix corner dump (first/last 16 basis states)
     corner = [*range(16), *range(2**n - 16, 2**n)]
     labels = [format(i, f"0{n}b") for i in corner]
-    with _timed(timings, "corner"):
+    with _timed(record, "corner"):
         # per-entry abs and angle: np.abs on the block can differ in the last bit
         entries = mpo_mod.density_corner(fit.mpo).ravel().tolist()
         write_csv(
@@ -371,7 +376,7 @@ def cmd_analyze(cfg, out: str) -> int:
         },
         "le_measure": measure,
         "fit": {"sse": fit.sse, "dof": fit.dof, "converged": fit.converged},
-        "timings": timings,
+        **record,
     }
     with open(os.path.join(out, "report.json"), "w") as fh:
         json.dump(report, fh, sort_keys=True)

@@ -7,10 +7,12 @@ site from the chain leaves a left prefix and a right suffix whose outer
 product is the derivative block.  In standard form a window's values depend
 only on its own sites and on the identity slices of the sites left of it, so
 each window carries a compact Jacobian block over just those columns, and
-the normal equations are scatter-added window by window; the dense stacked
-Jacobian is never formed.  Data in the Z-shifted basis is fit directly there
-(the model chain is contracted with the involution F on the window sites),
-which keeps the residual weights statistically independent.
+JᵀWJ is scatter-added window by window; the dense stacked Jacobian is never
+formed, and the blocks are freed once JᵀWJ holds them.  Products Jᵀu (the
+gradient and the geodesic term) come from a per-window pullback of the
+cotangents u through the chain.  Data in the Z-shifted basis is fit directly
+there (the model chain is contracted with the involution F on the window
+sites), which keeps the residual weights statistically independent.
 """
 
 from __future__ import annotations
@@ -71,6 +73,16 @@ def _window_columns(masks, window: int) -> dict:
     return cols
 
 
+def _chain_maps(mpo: Mpo, basis_k):
+    """Site tensors in the data basis, their identity slices, and the prefix
+    and suffix products of those slices."""
+    tensors = list(mpo.tensors)
+    if basis_k is not None:
+        tensors = [np.einsum("ji,dia->dja", basis_k, t) for t in tensors]
+    ident = [t[:, 0, :] for t in tensors]
+    return tensors, ident, left_environments(ident), right_environments(ident)
+
+
 def _window_values_jacobian(mpo: Mpo, window: int, basis_k=None, want_jacobian=True):
     """Model values (and compact Jacobian) of all window words.
 
@@ -86,21 +98,16 @@ def _window_values_jacobian(mpo: Mpo, window: int, basis_k=None, want_jacobian=T
             derivative is exactly zero), or None.
     """
     n = mpo.n_qubits
-    masks = free_masks(mpo)
-    tensors = list(mpo.tensors)
-    if basis_k is not None:
-        tensors = [np.einsum("ji,dia->dja", basis_k, t) for t in tensors]
-    ident = [t[:, 0, :] for t in tensors]
-    prefix = left_environments(ident)
-    suffix = right_environments(ident)
-
-    # free entries of a whole site (site-major) and of its identity slice
-    site_free = [m.transpose(1, 0, 2).ravel() for m in masks]
-    ident_free = [m[:, 0, :].ravel() for m in masks]
-
+    tensors, ident, prefix, suffix = _chain_maps(mpo, basis_k)
     values = {}
     jacs = {} if want_jacobian else None
-    k_mat = np.eye(4) if basis_k is None else np.asarray(basis_k, dtype=float)
+    if want_jacobian:
+        masks = free_masks(mpo)
+        k_mat = np.eye(4) if basis_k is None else np.asarray(basis_k, dtype=float)
+        # (pauli, row, column) of a site's free entries in packing order, and
+        # (row, column) of its identity slice's
+        site_free = [np.nonzero(m.transpose(1, 0, 2)) for m in masks]
+        ident_free = [np.nonzero(m[:, 0, :]) for m in masks]
     for start in range(1, n - window + 2):
         first, end = start - 1, start - 1 + window
         sites = tensors[first:end]
@@ -111,19 +118,24 @@ def _window_values_jacobian(mpo: Mpo, window: int, basis_k=None, want_jacobian=T
         # sites left of the window enter through their identity slices, so
         # one right sweep from the window's end covers every derivative
         rights = right_environments(ident[:first] + sites, suffix[end])
-        blocks = []
-        for s in range(end):
+        free = ident_free[:first] + site_free[first:end]
+        jac = np.empty((4**window, sum(len(f[0]) for f in free)))
+        col = 0
+        for s, f in enumerate(free):
             rt = rights[s + 1]  # (D_right-of-site, 4^{open right of s})
-            if s >= first:
-                # block[a, w, b, i, x, y] = K[w, i] lt[a, x] rt[y, b]
-                block = np.einsum("wi,ax,yb->awbixy", k_mat, lefts[s - first], rt)
-                free = site_free[s]
-            else:
+            out = jac[:, col : col + len(f[0])]
+            col += len(f[0])
+            if s < first:
                 # d value / d (A_s^(0))_{x,y} = prefix[s][x] * rt[y, w]
-                block = np.einsum("x,yw->wxy", prefix[s][0], rt)
-                free = ident_free[s]
-            blocks.append(block.reshape(4**window, -1)[:, free])
-        jacs[start] = np.hstack(blocks)
+                x, y = f
+                np.multiply(rt[y].T, prefix[s][0, x], out=out)
+            else:
+                # block[a, w, b, f] = K[w, i_f] lt[a, x_f] rt[y_f, b]
+                i, x, y = f
+                lt = lefts[s - first]
+                lk = (lt[:, None, x] * k_mat[:, i])[:, :, None]
+                np.multiply(lk, rt[y].T, out=out.reshape(len(lt), 4, rt.shape[1], len(i)))
+        jacs[start] = jac
     return values, jacs
 
 
@@ -135,16 +147,62 @@ def _gram(blocks, cols, n_par: int) -> np.ndarray:
     """
     out = np.zeros((n_par, n_par))
     for block, c in zip(blocks, cols):
-        out[np.ix_(c, c)] += block.T @ block
+        g = block.T @ block
+        # the window's own sites are one contiguous run of columns at the
+        # end; only the identity-slice columns before it need a gather
+        breaks = np.flatnonzero(np.diff(c) != 1)
+        k = int(breaks[-1]) + 1 if breaks.size else 0
+        head, own = c[:k], slice(c[k], c[-1] + 1)
+        out[own, own] += g[k:, k:]
+        if k:
+            out[np.ix_(head, head)] += g[:k, :k]
+            out[head, own] += g[:k, k:]
+            out[own, head] += g[k:, :k]
     return out
 
 
-def _transpose_dot(blocks, cols, n_par: int, vec) -> np.ndarray:
-    """J^T v of the stacked Jacobian; ``vec[i]`` holds window i's rows."""
-    out = np.zeros(n_par)
-    for block, c, v in zip(blocks, cols, vec):
-        out[c] += v @ block
-    return out
+def _window_pullback(mpo: Mpo, window: int, basis_k, cotangents) -> np.ndarray:
+    """Packed J^T u of the window values for per-window cotangents u.
+
+    Each window's values are contracted with its cotangent site by site from
+    one left and one right sweep over its own sites; the sites left of it
+    see it through their identity slices, carried leftwards by one vector
+    for all windows.
+
+    Args:
+        cotangents: dict start -> (4**window,) array in the word order of
+            :func:`_window_values_jacobian`; a missing start contributes
+            nothing.  Word 0 (all identity) is constant in standard form:
+            its entry reaches only pinned entries and drops out.
+
+    Returns:
+        (n_free,) array over the packed parameters.
+    """
+    n = mpo.n_qubits
+    tensors, ident, prefix, suffix = _chain_maps(mpo, basis_k)
+    grads = [np.zeros(t.shape) for t in tensors]  # w.r.t. the data-basis tensors
+    q = np.zeros(tensors[n - window].shape[2])
+    for first in range(n - window, -1, -1):
+        end = first + window
+        q = ident[first] @ q
+        if first + 1 in cotangents:
+            u = cotangents[first + 1]
+            sites = tensors[first:end]
+            lefts = left_environments(sites, prefix[first])
+            rights = right_environments(sites, suffix[end])
+            for j, s in enumerate(range(first, end)):
+                lt, rt = lefts[j], rights[j + 1]
+                d_l = lt.shape[1]
+                g = (lt.T @ u.reshape(len(lt), -1)).reshape(4 * d_l, -1) @ rt.T
+                grads[s] += g.reshape(d_l, 4, -1)
+            q = q + rights[0] @ u
+        if first:
+            # the identity slice of the site left of this window sees every
+            # window from here on through q
+            grads[first - 1][:, 0, :] += np.outer(prefix[first - 1][0], q)
+    if basis_k is not None:
+        grads = [np.einsum("wi,xwy->xiy", basis_k, g) for g in grads]
+    return pack(grads, free_masks(mpo))
 
 
 @dataclass
@@ -196,8 +254,10 @@ def gauss_newton_fit(
 ) -> FitResult:
     """Levenberg-damped Gauss-Newton weighted least squares.
 
-    The normal equations are assembled window by window from compact
-    Jacobian blocks (see :func:`_window_values_jacobian`) and solved in the
+    JᵀWJ is assembled window by window from compact Jacobian blocks (see
+    :func:`_window_values_jacobian`), weighted in place and freed before
+    the eigendecomposition; JᵀWr and the geodesic term come from
+    :func:`_window_pullback`.  The normal equations are solved in the
     Hessian eigenbasis with the residual gauge directions of the standard
     form projected out; each step carries a geodesic-acceleration correction
     (the second directional derivative of the residuals along the step).
@@ -242,18 +302,26 @@ def gauss_newton_fit(
     evals_made = 0
 
     def model(mpo, want_jacobian):
+        """Model values, and JᵀWJ when asked; the blocks die with this call."""
         nonlocal evals_made
         evals_made += 1
         vals, jacs = _window_values_jacobian(mpo, window, basis_k, want_jacobian)
         v = np.stack([vals[s][1:] for s in starts])
         if not want_jacobian:
             return v, None
-        # weighted compact blocks, one per window
-        return v, [jacs[s][1:] * ws[:, None] for s, ws in zip(starts, w)]
+        blocks = [jacs[s][1:] for s in starts]
+        for block, ws in zip(blocks, w):
+            block *= ws[:, None]
+        return v, _gram(blocks, cols, n_par)
 
     def values_at(th):
         v, _ = model(unpack(th, initial, masks), False)
         return v
+
+    def pullback(mpo, weighted):
+        """Jᵀ(w * weighted) at ``mpo``; word 0 carries no residual."""
+        u = {s: np.pad(row * ws, (1, 0)) for s, row, ws in zip(starts, weighted, w)}
+        return _window_pullback(mpo, window, basis_k, u)
 
     def weighted_sse(v):
         r = ((y - v) * w).ravel()
@@ -268,13 +336,14 @@ def gauss_newton_fit(
     fd_step = 0.1
     while exit_reason is None and iterations < max_iter:
         evals_made = 0
-        vals, jw = model(unpack(theta, initial, masks), True)
-        resid = (y - vals) * w
-        grad = _transpose_dot(jw, cols, n_par, resid)
+        current = unpack(theta, initial, masks)
+        vals, hess = model(current, True)
+        grad = pullback(current, (y - vals) * w)
         # work in the Hessian eigenbasis: residual gauge freedom of the
         # standard form leaves exact null directions that must not enter the
         # step regardless of the damping
-        evals, evecs = np.linalg.eigh(_gram(jw, cols, n_par))
+        evals, evecs = np.linalg.eigh(hess)
+        del hess
         cut = 1e-12 * max(evals[-1], 1e-300)
         live = evals > cut
         gproj = evecs.T @ grad
@@ -287,7 +356,7 @@ def gauss_newton_fit(
             vp = values_at(theta + fd_step * d1)
             vm = values_at(theta - fd_step * d1)
             curv = ((vp - 2.0 * vals + vm) / fd_step**2) * w
-            cproj = evecs.T @ _transpose_dot(jw, cols, n_par, curv)
+            cproj = evecs.T @ pullback(current, curv)
             d2 = -0.5 * (evecs @ np.where(live, cproj / (evals + lam), 0.0))
             n1, n2 = np.linalg.norm(d1), np.linalg.norm(d2)
             if n2 <= 0.75 * n1:
@@ -298,6 +367,7 @@ def gauss_newton_fit(
                     lam = max(lam / 10.0, 1e-15)
                     break
             lam *= 2.0
+        del evecs  # free before the next iteration builds its blocks
         iterations += 1
         if accepted:
             decrease = sse - cand_sse
@@ -322,8 +392,9 @@ def gauss_newton_fit(
     converged = exit_reason in ("tolerance", "rounding_floor")
     current = unpack(theta, initial, masks)
     # covariance of the free parameters at the final iterate
-    _, jw = model(current, True)
-    evals, evecs = np.linalg.eigh(_gram(jw, cols, n_par))
+    _, hess = model(current, True)
+    evals, evecs = np.linalg.eigh(hess)
+    del hess
     scale = max(evals.max(), 1e-300)
     live = evals > 1e-12 * scale
     inv = np.where(live, 1.0 / np.where(live, evals, 1.0), 0.0)

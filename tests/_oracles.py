@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 
+from mpo_tomo.errors import ValidationError
+from mpo_tomo.mpo import Mpo
 from mpo_tomo.pauli import PAULIS
 
 I2 = np.eye(2, dtype=complex)
@@ -160,3 +162,89 @@ def dense_moment(rho_qubits: np.ndarray, n: int, letters, cutoff: int = 4) -> fl
     big = embed_qubits_in_fock(rho_qubits, n, cutoff)
     op = kron_all(fock_operator(k, cutoff) for k in letters)
     return float(np.real(np.trace(big @ op)))
+
+
+# --- conversions between MPOs and dense density matrices --------------------
+# Exponential in the number of qubits: the brute-force counterparts of the
+# chain contractions, refusing anything beyond MAX_DENSE_QUBITS.
+
+MAX_DENSE_QUBITS = 12
+
+
+def _check_size(n: int):
+    if n > MAX_DENSE_QUBITS:
+        raise ValidationError(
+            f"dense representation limited to {MAX_DENSE_QUBITS} qubits, got {n}"
+        )
+
+
+def mpo_to_dense(mpo: Mpo) -> np.ndarray:
+    """Dense 2^N x 2^N density matrix of the represented operator."""
+    n = mpo.n_qubits
+    _check_size(n)
+    acc = np.ones((1, 1, 1), dtype=complex)
+    for t in mpo.tensors:
+        site_op = np.einsum("dwe,wab->deab", t, PAULIS) / 2.0
+        acc = np.einsum("ijd,deab->iajbe", acc, site_op)
+        dim = acc.shape[0] * acc.shape[1]
+        acc = acc.reshape(dim, dim, t.shape[2])
+    return acc[:, :, 0]
+
+
+def dense_pauli_tensor(rho: np.ndarray) -> np.ndarray:
+    """All Pauli coefficients ``<P_w>`` of a density matrix as a (4,)*N tensor."""
+    dim = rho.shape[0]
+    n = int(round(np.log2(dim)))
+    if 2**n != dim or rho.shape != (dim, dim):
+        raise ValidationError(f"density matrix must be 2^N x 2^N, got {rho.shape}")
+    _check_size(n)
+    t = rho.reshape((2,) * (2 * n))
+    # axes are (bra_1..bra_N, ket_1..ket_N); per site s contract the pair so
+    # that Tr[P_w rho] = sum P_w[ket, bra] * rho[bra, ket].  Each step appends
+    # the new Pauli axis at the end, yielding site order w_1..w_N.
+    for s in range(n):
+        t = np.tensordot(t, PAULIS, axes=([0, n - s], [2, 1]))
+    coeffs = np.real(t)
+    if np.max(np.abs(np.imag(t))) > 1e-10:
+        raise ValidationError("input matrix is not Hermitian: complex Pauli weights")
+    return coeffs
+
+
+def dense_to_mpo(rho: np.ndarray, max_bond: int = 16, tol: float = 1e-12) -> Mpo:
+    """Factor a dense state into an MPO by successive SVDs of its Pauli tensor.
+
+    Exact (round trip within ~1e-12) whenever ``max_bond`` is at least the
+    Pauli-tensor rank across every bipartition.
+    """
+    if max_bond < 1:
+        raise ValidationError(f"max_bond must be >= 1, got {max_bond}")
+    coeffs = dense_pauli_tensor(rho)
+    n = coeffs.ndim
+    tensors = []
+    carry = coeffs.reshape(1, -1)
+    left = 1
+    for _ in range(n - 1):
+        mat = carry.reshape(left * 4, -1)
+        u, s, vt = np.linalg.svd(mat, full_matrices=False)
+        keep = int(np.sum(s > tol * max(s[0], 1e-300)))
+        keep = max(1, min(keep, max_bond))
+        tensors.append(u[:, :keep].reshape(left, 4, keep))
+        carry = s[:keep, None] * vt[:keep]
+        left = keep
+    tensors.append(carry.reshape(left, 4, 1))
+    return Mpo(tensors)
+
+
+def mps_to_dense(tensors) -> np.ndarray:
+    """Dense state vector of an MPS given as (D_left, 2, D_right) site tensors."""
+    _check_size(len(tensors))
+    acc = np.ones((1, 1), dtype=complex)
+    for t in tensors:
+        acc = np.einsum("id,dse->ise", acc, np.asarray(t, dtype=complex))
+        acc = acc.reshape(-1, t.shape[2])
+    return acc[:, 0]
+
+
+def dense_fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
+    """``<psi| rho |psi>`` for a pure target state vector."""
+    return float(np.real(np.conj(psi) @ rho @ psi))

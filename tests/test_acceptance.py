@@ -26,7 +26,7 @@ from mpo_tomo.correlations import (
     window_correlation_set,
     zshifted_to_pauli,
 )
-from mpo_tomo.dense import dense_fidelity, mpo_to_dense, mps_to_dense
+from _oracles import dense_fidelity, mpo_to_dense, mps_to_dense
 from mpo_tomo.emission import emit_mpo, random_protocol
 from mpo_tomo.entanglement import (
     default_plan,

@@ -361,6 +361,21 @@ class TestAnalyze:
             "corner",
         }
 
+    def test_peak_rss_per_stage(self, pipeline_run):
+        # one reading per timed stage, taken after it ends: a running maximum
+        _, out = pipeline_run
+        stages = json.load(open(os.path.join(out, "fit", "stages.json")))
+        report = json.load(open(os.path.join(out, "report.json")))
+        for record, order in (
+            (stages, ["load", "moments", "alignment", "fit", "write"]),
+            (report, ["load", "fidelity", "stabilizers", "error_model", "le", "corner"]),
+        ):
+            rss = record["peak_rss_mb"]
+            assert set(rss) == set(record["timings"]) == set(order)
+            readings = [rss[stage] for stage in order]
+            assert readings[0] > 0
+            assert readings == sorted(readings)
+
     def test_le_matrix_upper_triangle(self, pipeline_run):
         _, out = pipeline_run
         with open(os.path.join(out, "le_matrix.csv")) as fh:

@@ -5,7 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
-from _oracles import cz_chain_state, dense_correlation
+from _oracles import (
+    cz_chain_state,
+    dense_correlation,
+    dense_fidelity,
+    mpo_to_dense,
+    mps_to_dense,
+)
 from conftest import PAPER_EPS_AD, PAPER_EPS_PD
 
 from mpo_tomo.cluster import (
@@ -20,7 +26,6 @@ from mpo_tomo.cluster import (
     stabilizer_fidelity_bound,
     write_stabilizer_report,
 )
-from mpo_tomo.dense import dense_fidelity, mpo_to_dense, mps_to_dense
 from mpo_tomo.errors import DataError, ValidationError
 from mpo_tomo.mpo import fidelity
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from _oracles import random_density_matrix
+from _oracles import dense_pauli_tensor, dense_to_mpo, random_density_matrix
 
 from mpo_tomo.channels import amplitude_damping, z_rotation
 from mpo_tomo.cluster import ideal_cluster_mpo
@@ -22,7 +22,6 @@ from mpo_tomo.correlations import (
     window_correlation_set,
     zshifted_to_pauli,
 )
-from mpo_tomo.dense import dense_pauli_tensor, dense_to_mpo
 from mpo_tomo.errors import CompletenessError, DataError, ValidationError
 from mpo_tomo.measurement import exact_local_moments
 from mpo_tomo.mpo import apply_local_channels

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from _oracles import dense_protocol_state, haar_unitary
+from _oracles import dense_protocol_state, haar_unitary, mpo_to_dense
 
 from mpo_tomo.channels import amplitude_damping, compose, pure_dephasing
 from mpo_tomo.cluster import (
@@ -12,7 +12,6 @@ from mpo_tomo.cluster import (
     noisy_cluster_model,
     stabilizer_expectations,
 )
-from mpo_tomo.dense import mpo_to_dense
 from mpo_tomo.emission import (
     CONDITIONAL_EMISSION,
     TRANSFER_EMISSION,

@@ -5,10 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from _oracles import dense_localizable_entanglement, random_density_matrix
+from _oracles import dense_localizable_entanglement, mpo_to_dense, random_density_matrix
 
 from mpo_tomo.cluster import ErrorModel, ideal_cluster_mpo, noisy_cluster_model
-from mpo_tomo.dense import mpo_to_dense
 from mpo_tomo.entanglement import (
     MeasurementPlan,
     TwoQubitState,

@@ -15,8 +15,8 @@ from mpo_tomo.errors import DataError, ValidationError
 from mpo_tomo.fitting import (
     MpoLeastSquares,
     _gram,
-    _transpose_dot,
     _window_columns,
+    _window_pullback,
     _window_values_jacobian,
     fidelity_functional,
     gauss_newton_fit,
@@ -152,8 +152,44 @@ class TestJacobian:
         assert np.max(np.abs(_gram(blocks, col_list, n_par) - hess)) <= 1e-12 * np.max(
             np.abs(hess)
         )
-        got = _transpose_dot(blocks, col_list, n_par, w * r)
+        u = {s: np.concatenate(([0.0], row)) for s, row in zip(starts, w * w * r)}
+        got = _window_pullback(mpo, 5, F_MATRIX, u)
         assert np.max(np.abs(got - grad)) <= 1e-12 * np.max(np.abs(grad))
+
+    @pytest.mark.parametrize("basis_k", [None, F_MATRIX])
+    @pytest.mark.parametrize("mpo_name", ["sf_noisy6", "sf_perturbed8"])
+    def test_pullback_matches_dense_transpose_product(self, mpo_name, basis_k, request):
+        mpo = request.getfixturevalue(mpo_name)
+        _, jacs = _window_values_jacobian(mpo, 5, basis_k, True)
+        starts = sorted(jacs)
+        local = np.random.default_rng(6)
+        # word 0 (all identity) is constant: its cotangent must be ignored
+        u = {s: local.normal(size=4**5) for s in starts}
+        dense = dense_jacobian(mpo, {s: jacs[s][1:] for s in starts})
+        want = dense.T @ np.concatenate([u[s][1:] for s in starts])
+        got = _window_pullback(mpo, 5, basis_k, u)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("basis_k", [None, F_MATRIX])
+    def test_pullback_is_gradient_of_contraction(self, sf_perturbed8, basis_k):
+        masks = free_masks(sf_perturbed8)
+        theta0 = pack(sf_perturbed8.tensors, masks)
+        local = np.random.default_rng(9)
+        u = {s: local.normal(size=4**5) for s in range(1, 5)}
+
+        def contraction(th):
+            v, _ = _window_values_jacobian(unpack(th, sf_perturbed8, masks), 5, basis_k, False)
+            return sum(u[s] @ v[s] for s in v)
+
+        grad = _window_pullback(sf_perturbed8, 5, basis_k, u)
+        eps = 1e-6
+        fd = np.empty(20)
+        picks = local.choice(theta0.size, fd.size, replace=False)
+        for k, i in enumerate(picks):
+            step = np.zeros(theta0.size)
+            step[i] = eps
+            fd[k] = (contraction(theta0 + step) - contraction(theta0 - step)) / (2 * eps)
+        assert np.max(np.abs(fd - grad[picks])) <= 1e-6 * np.max(np.abs(fd))
 
     def test_values_match_correlations(self, sf_noisy6):
         vals, _ = _window_values_jacobian(sf_noisy6, 5, None, False)
@@ -200,6 +236,27 @@ class TestGaussNewton:
         assert fit.exit_reason == "no_acceptable_step"
         assert fit.converged is False
         assert fit.iterations == 1
+
+    def test_peak_memory_holds_one_set_of_blocks(self, sf_perturbed8):
+        # blocks are weighted in place and freed before eigh: the fit holds at
+        # most one set of Jacobian blocks next to a few n_par^2 matrices
+        import tracemalloc
+
+        data = pauli_to_zshifted(window_correlation_set(sf_perturbed8, 5))
+        masks = free_masks(sf_perturbed8)
+        theta = pack(sf_perturbed8.tensors, masks)
+        local = np.random.default_rng(2)
+        start = unpack(theta + local.normal(scale=1e-3, size=theta.size), sf_perturbed8, masks)
+        n_par = theta.size
+        block_bytes = sum(4**5 * len(c) * 8 for c in _window_columns(masks, 5).values())
+        tracemalloc.start()
+        try:
+            fit = gauss_newton_fit(start, data, max_iter=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fit.iterations >= 1
+        assert peak <= 1.25 * (block_bytes + 4 * n_par**2 * 8)
 
     @pytest.mark.parametrize("seed", range(2, 8))
     def test_perturbed_initial_recovers(self, sf_noisy6, seed):

@@ -7,11 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from _oracles import dense_moment
+from _oracles import dense_moment, dense_to_mpo, mpo_to_dense, mps_to_dense
 
 from mpo_tomo._csvio import write_csv
 from mpo_tomo.cluster import ErrorModel, ideal_cluster_mps, noisy_cluster_model
-from mpo_tomo.dense import mpo_to_dense, mps_to_dense, dense_to_mpo
 from mpo_tomo.errors import CompletenessError, ValidationError
 from mpo_tomo.measurement import (
     exact_local_moments,

@@ -6,11 +6,18 @@ import numpy as np
 import pytest
 
 from conftest import random_mpo
-from _oracles import cz_chain_state, dense_correlation, loss_kraus, apply_kraus_dense
+from _oracles import (
+    apply_kraus_dense,
+    cz_chain_state,
+    dense_correlation,
+    dense_to_mpo,
+    loss_kraus,
+    mpo_to_dense,
+    mps_to_dense,
+)
 
 from mpo_tomo.channels import amplitude_damping, compose, pure_dephasing, z_rotation
 from mpo_tomo.cluster import ideal_cluster_mpo, stabilizer_words
-from mpo_tomo.dense import dense_to_mpo, mpo_to_dense, mps_to_dense
 from mpo_tomo.errors import ValidationError
 from mpo_tomo.mpo import (
     Mpo,

@@ -43,7 +43,6 @@ from .entanglement import (
 )
 from .errors import (
     CompletenessError,
-    ConvergenceError,
     DataError,
     MpoTomoError,
     ValidationError,

@@ -36,7 +36,7 @@ from .correlations import (
     save_correlation_csv,
     zshifted_to_pauli,
 )
-from .errors import CompletenessError, ConvergenceError, DataError, ValidationError
+from .errors import CompletenessError, DataError, ValidationError
 
 log = logging.getLogger("mpo_tomo")
 
@@ -394,7 +394,6 @@ _COMMANDS = {
 _EXIT_CODES = {
     ValidationError: 2,
     CompletenessError: 3,
-    ConvergenceError: 4,
     DataError: 5,
 }
 

@@ -25,11 +25,3 @@ class CompletenessError(MpoTomoError, ValueError):
 
 class DataError(MpoTomoError, ValueError):
     """Measured values violate a physical constraint beyond tolerance."""
-
-
-class ConvergenceError(MpoTomoError, RuntimeError):
-    """An iterative fit failed to converge; carries the last iterate."""
-
-    def __init__(self, message: str, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate

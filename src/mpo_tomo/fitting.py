@@ -5,12 +5,15 @@ chain-product values of the MPO, each weighted by the reciprocal standard
 error.  The analytic Jacobian follows from the product rule: removing one
 site from the chain leaves a left prefix and a right suffix whose outer
 product is the derivative block.  In standard form a window's values depend
-only on its own sites and on the identity slices of the sites left of it, so
-each window carries a compact Jacobian block over just those columns, and
-JᵀWJ is scatter-added window by window; the dense stacked Jacobian is never
-formed, and the blocks are freed once JᵀWJ holds them.  Products Jᵀu (the
-gradient and the geodesic term) come from a per-window pullback of the
-cotangents u through the chain.  Data in the Z-shifted basis is fit directly
+only on its own sites and on the identity slices of the sites left of it.
+Those identity slices reach the window only through its right environment B
+at its left edge, so a window's block holds its own sites' free entries plus
+the D_left columns Bᵀ, and the identity-slice columns follow from Bᵀ by a
+small fold map.  JᵀWJ is streamed: one block at a time is built into one
+reused buffer, reduced by one ``block.T @ block`` and scattered; the dense
+stacked Jacobian is never formed.  Products Jᵀu (the gradient and the
+geodesic term) come from a per-window pullback of the cotangents u through
+the chain.  Data in the Z-shifted basis is fit directly
 there (the model chain is contracted with the involution F on the window
 sites), which keeps the residual weights statistically independent.
 """
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import json
 import logging
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,25 +58,6 @@ log = logging.getLogger(__name__)
 _INITIAL_DAMPING = 1e-3  # Levenberg parameter of the first trial
 
 
-def _window_columns(masks, window: int) -> dict:
-    """Packed-parameter indices each window's model values can depend on.
-
-    Returns:
-        dict start -> int array: the identity-slice free entries of each
-        site left of the window (site-major packing puts them first in the
-        site's range), then every free entry of the window's own sites.
-    """
-    offsets = np.cumsum([0] + [int(m.sum()) for m in masks])
-    n_ident = [int(m[:, 0, :].sum()) for m in masks]
-    cols = {}
-    for start in range(1, len(masks) - window + 2):
-        first, end = start - 1, start - 1 + window
-        parts = [np.arange(offsets[s], offsets[s] + n_ident[s]) for s in range(first)]
-        parts.append(np.arange(offsets[first], offsets[end]))
-        cols[start] = np.concatenate(parts)
-    return cols
-
-
 def _chain_maps(mpo: Mpo, basis_k):
     """Site tensors in the data basis, their identity slices, and the prefix
     and suffix products of those slices."""
@@ -83,25 +68,44 @@ def _chain_maps(mpo: Mpo, basis_k):
     return tensors, ident, left_environments(ident), right_environments(ident)
 
 
-def _window_values_jacobian(mpo: Mpo, window: int, basis_k=None, want_jacobian=True):
-    """Model values (and compact Jacobian) of all window words.
+def _block_buffer(masks, window: int) -> np.ndarray:
+    """Scratch that holds the Jacobian block of any one window (see
+    :func:`_window_blocks`)."""
+    widths = [
+        sum(int(m.sum()) for m in masks[first : first + window]) + masks[first].shape[0]
+        for first in range(len(masks) - window + 1)
+    ]
+    return np.empty(4**window * max(widths, default=0))
+
+
+def _window_blocks(mpo: Mpo, window: int, basis_k=None, buffer=None):
+    """Model values and Jacobian block of each window, one window at a time.
 
     Requires standard form, so sites right of a window never contribute
     derivatives through their pinned identity columns, and sites left of it
-    only through their identity slices.
+    only through their identity slices.  A window's block holds the
+    derivatives w.r.t. its own sites' free entries, then the D_left columns
+    Bᵀ, where B = ``rights[0]`` is the window's right environment at its left
+    edge.  The derivative w.r.t. entry (x, y) of the identity slice of a site
+    s left of the window is ``prefix[s][0, x] (ident[s+1] ⋯ ident[first-1] B)[y]``,
+    that is Bᵀ times one column of the small map ``fold``; no block column is
+    built for it.
 
-    Returns:
-        values: dict start -> (4**window,) array in site-major word order.
-        jac: dict start -> (4**window, len(cols[start])) array of the
-            derivatives w.r.t. the packed parameters
-            ``cols = _window_columns(free_masks(mpo), window)`` (every other
-            derivative is exactly zero), or None.
+    Args:
+        buffer: scratch from :func:`_block_buffer`; every block is built into
+            it, so each block is overwritten by the next.  None yields the
+            values alone.
+
+    Yields:
+        ``(start, values, block, fold)`` in chain order: values
+        (4**window,) in site-major word order; block (4**window,
+        n_own + D_left), its columns in packing order; fold (D_left, n_left)
+        over the identity-slice free entries of every site left of the
+        window, in packing order.  block and fold are None without a buffer.
     """
     n = mpo.n_qubits
     tensors, ident, prefix, suffix = _chain_maps(mpo, basis_k)
-    values = {}
-    jacs = {} if want_jacobian else None
-    if want_jacobian:
+    if buffer is not None:
         masks = free_masks(mpo)
         k_mat = np.eye(4) if basis_k is None else np.asarray(basis_k, dtype=float)
         # (pauli, row, column) of a site's free entries in packing order, and
@@ -112,53 +116,84 @@ def _window_values_jacobian(mpo: Mpo, window: int, basis_k=None, want_jacobian=T
         first, end = start - 1, start - 1 + window
         sites = tensors[first:end]
         lefts = left_environments(sites, prefix[first])  # (4^k, D)
-        values[start] = (lefts[window] @ suffix[end])[:, 0]
-        if not want_jacobian:
+        values = (lefts[window] @ suffix[end])[:, 0]
+        if buffer is None:
+            yield start, values, None, None
             continue
-        # sites left of the window enter through their identity slices, so
-        # one right sweep from the window's end covers every derivative
-        rights = right_environments(ident[:first] + sites, suffix[end])
-        free = ident_free[:first] + site_free[first:end]
-        jac = np.empty((4**window, sum(len(f[0]) for f in free)))
+        rights = right_environments(sites, suffix[end])
+        free = site_free[first:end]
+        n_own = sum(len(i) for i, _, _ in free)
+        d_left = sites[0].shape[0]
+        block = buffer[: 4**window * (n_own + d_left)].reshape(4**window, -1)
         col = 0
-        for s, f in enumerate(free):
-            rt = rights[s + 1]  # (D_right-of-site, 4^{open right of s})
-            out = jac[:, col : col + len(f[0])]
-            col += len(f[0])
-            if s < first:
-                # d value / d (A_s^(0))_{x,y} = prefix[s][x] * rt[y, w]
-                x, y = f
-                np.multiply(rt[y].T, prefix[s][0, x], out=out)
-            else:
-                # block[a, w, b, f] = K[w, i_f] lt[a, x_f] rt[y_f, b]
-                i, x, y = f
-                lt = lefts[s - first]
-                lk = (lt[:, None, x] * k_mat[:, i])[:, :, None]
-                np.multiply(lk, rt[y].T, out=out.reshape(len(lt), 4, rt.shape[1], len(i)))
-        jacs[start] = jac
-    return values, jacs
+        for (i, x, y), lt, rt in zip(free, lefts, rights[1:]):
+            # block[a, w, b, f] = K[w, i_f] lt[a, x_f] rt[y_f, b]
+            lk = (lt[:, None, x] * k_mat[:, i])[:, :, None]
+            out = block[:, col : col + len(i)]
+            np.multiply(lk, rt[y].T, out=out.reshape(len(lt), 4, rt.shape[1], len(i)))
+            col += len(i)
+        block[:, n_own:] = rights[0].T
+        # carry[s + 1] = ident[s+1] ⋯ ident[first-1], the same leftward carry
+        # as the pullback's
+        carry = right_environments(ident[:first], np.eye(d_left))
+        fold = np.concatenate(
+            [np.empty((d_left, 0))]
+            + [(carry[s + 1][y] * prefix[s][0, x, None]).T for s, (x, y) in enumerate(ident_free[:first])],
+            axis=1,
+        )
+        yield start, values, block, fold
 
 
-def _gram(blocks, cols, n_par: int) -> np.ndarray:
-    """J^T J of the stacked Jacobian, from its compact window blocks.
+def _window_values_jacobian(mpo: Mpo, window: int, basis_k=None, weights=None, buffer=None):
+    """Model values of all window words, and JᵀWJ when ``weights`` are given.
 
-    ``blocks[i]`` holds window i's rows over the columns ``cols[i]``; every
-    other entry of those rows is zero.
+    JᵀWJ is streamed one window at a time: each window's block (see
+    :func:`_window_blocks`) is built into ``buffer``, weighted in place,
+    reduced by one ``block.T @ block`` and scattered before the next window
+    is built, so no more than one block is ever held.  The identity-slice
+    columns of the sites left of a window are folded through its D_left
+    boundary columns: with G = blockᵀblock split at the own columns, their
+    blocks of JᵀWJ are ``foldᵀ G_BB fold`` and ``foldᵀ G_B,own``.
+
+    Args:
+        weights: dict start -> (4**window,) row weights w of each window's
+            words; JᵀWJ sums (w J)ᵀ(w J) over the windows it names.  None
+            evaluates the values alone.
+        buffer: scratch from :func:`_block_buffer`, reused across calls;
+            allocated here when None.
+
+    Returns:
+        values: dict start -> (4**window,) array in site-major word order.
+        hess: (n_free, n_free) JᵀWJ over the packed parameters, or None.
     """
-    out = np.zeros((n_par, n_par))
-    for block, c in zip(blocks, cols):
+    if weights is None:
+        return {s: v for s, v, _, _ in _window_blocks(mpo, window, basis_k)}, None
+    masks = free_masks(mpo)
+    if buffer is None:
+        buffer = _block_buffer(masks, window)
+    offsets = np.cumsum([0] + [int(m.sum()) for m in masks])
+    # packed columns of every identity-slice free entry in chain order; they
+    # lead their site's range
+    ident_cols = np.concatenate(
+        [np.arange(o, o + int(m[:, 0, :].sum())) for o, m in zip(offsets, masks)]
+    )
+    hess = np.zeros((offsets[-1], offsets[-1]))
+    values = {}
+    for start, vals, block, fold in _window_blocks(mpo, window, basis_k, buffer):
+        values[start] = vals
+        if start not in weights:
+            continue
+        block *= weights[start][:, None]
         g = block.T @ block
-        # the window's own sites are one contiguous run of columns at the
-        # end; only the identity-slice columns before it need a gather
-        breaks = np.flatnonzero(np.diff(c) != 1)
-        k = int(breaks[-1]) + 1 if breaks.size else 0
-        head, own = c[:k], slice(c[k], c[-1] + 1)
-        out[own, own] += g[k:, k:]
-        if k:
-            out[np.ix_(head, head)] += g[:k, :k]
-            out[head, own] += g[:k, k:]
-            out[own, head] += g[k:, :k]
-    return out
+        own = slice(offsets[start - 1], offsets[start - 1 + window])
+        k = own.stop - own.start
+        hess[own, own] += g[:k, :k]
+        head = ident_cols[: fold.shape[1]]
+        cross = fold.T @ g[k:, :k]
+        hess[np.ix_(head, head)] += fold.T @ g[k:, k:] @ fold
+        hess[head, own] += cross
+        hess[own, head] += cross.T
+    return values, hess
 
 
 def _window_pullback(mpo: Mpo, window: int, basis_k, cotangents) -> np.ndarray:
@@ -216,7 +251,9 @@ class FitResult:
     before it was recorded.  ``converged`` is True only for ``tolerance``
     and ``rounding_floor``.  ``trace`` holds one dict per iteration: the SSE
     after it, the damping of its last trial, the number of inner trials, the
-    |d2|/|d1| ratio of its last trial and the model evaluations it made.
+    |d2|/|d1| ratio of its last trial, the model evaluations it made, and the
+    wall seconds it spent forming the values and JᵀWJ (``assembly_s``) and in
+    the eigendecomposition of JᵀWJ (``eigh_s``).
 
     At the final iterate, eigenvalues of JᵀWJ at or below 1e-12 of the
     largest are dropped as gauge null directions: ``null_directions``
@@ -254,9 +291,8 @@ def gauss_newton_fit(
 ) -> FitResult:
     """Levenberg-damped Gauss-Newton weighted least squares.
 
-    JᵀWJ is assembled window by window from compact Jacobian blocks (see
-    :func:`_window_values_jacobian`), weighted in place and freed before
-    the eigendecomposition; JᵀWr and the geodesic term come from
+    JᵀWJ is streamed window by window through one reused block buffer (see
+    :func:`_window_values_jacobian`); JᵀWr and the geodesic term come from
     :func:`_window_pullback`.  The normal equations are solved in the
     Hessian eigenbasis with the residual gauge directions of the standard
     form projected out; each step carries a geodesic-acceleration correction
@@ -296,23 +332,20 @@ def gauss_newton_fit(
 
     masks = free_masks(initial)
     n_par = n_free_parameters(masks)
-    window_cols = _window_columns(masks, window)
-    cols = [window_cols[s] for s in starts]
     theta = pack(initial.tensors, masks)
+    # word 0 carries no residual; one buffer holds every window's block
+    weights = {s: np.pad(ws, (1, 0)) for s, ws in zip(starts, w)}
+    buffer = _block_buffer(masks, window)
     evals_made = 0
 
     def model(mpo, want_jacobian):
-        """Model values, and JᵀWJ when asked; the blocks die with this call."""
+        """Model values, and JᵀWJ when asked."""
         nonlocal evals_made
         evals_made += 1
-        vals, jacs = _window_values_jacobian(mpo, window, basis_k, want_jacobian)
-        v = np.stack([vals[s][1:] for s in starts])
-        if not want_jacobian:
-            return v, None
-        blocks = [jacs[s][1:] for s in starts]
-        for block, ws in zip(blocks, w):
-            block *= ws[:, None]
-        return v, _gram(blocks, cols, n_par)
+        vals, hess = _window_values_jacobian(
+            mpo, window, basis_k, weights if want_jacobian else None, buffer
+        )
+        return np.stack([vals[s][1:] for s in starts]), hess
 
     def values_at(th):
         v, _ = model(unpack(th, initial, masks), False)
@@ -337,12 +370,16 @@ def gauss_newton_fit(
     while exit_reason is None and iterations < max_iter:
         evals_made = 0
         current = unpack(theta, initial, masks)
+        clock = time.perf_counter()
         vals, hess = model(current, True)
+        assembly_s = time.perf_counter() - clock
         grad = pullback(current, (y - vals) * w)
         # work in the Hessian eigenbasis: residual gauge freedom of the
         # standard form leaves exact null directions that must not enter the
         # step regardless of the damping
+        clock = time.perf_counter()
         evals, evecs = np.linalg.eigh(hess)
+        eigh_s = time.perf_counter() - clock
         del hess
         cut = 1e-12 * max(evals[-1], 1e-300)
         live = evals > cut
@@ -367,7 +404,7 @@ def gauss_newton_fit(
                     lam = max(lam / 10.0, 1e-15)
                     break
             lam *= 2.0
-        del evecs  # free before the next iteration builds its blocks
+        del evecs  # free before the next iteration assembles JᵀWJ
         iterations += 1
         if accepted:
             decrease = sse - cand_sse
@@ -384,6 +421,8 @@ def gauss_newton_fit(
             "trials": trial,
             "d2_over_d1": float(n2 / n1) if n1 > 0 else 0.0,
             "model_evals": evals_made,
+            "assembly_s": assembly_s,
+            "eigh_s": eigh_s,
         }
         trace.append(row)
         log.debug("gauss-newton iteration %d: %s", iterations, row)

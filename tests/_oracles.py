@@ -7,8 +7,9 @@ import itertools
 import numpy as np
 
 from mpo_tomo.errors import ValidationError
-from mpo_tomo.mpo import Mpo
+from mpo_tomo.mpo import Mpo, left_environments, right_environments
 from mpo_tomo.pauli import PAULIS
+from mpo_tomo.standard_form import free_masks
 
 I2 = np.eye(2, dtype=complex)
 
@@ -248,3 +249,70 @@ def mps_to_dense(tensors) -> np.ndarray:
 def dense_fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
     """``<psi| rho |psi>`` for a pure target state vector."""
     return float(np.real(np.conj(psi) @ rho @ psi))
+
+
+def window_columns(masks, window: int) -> dict:
+    """Packed-parameter indices each window's model values can depend on.
+
+    Returns:
+        dict start -> int array: the identity-slice free entries of each
+        site left of the window (site-major packing puts them first in the
+        site's range), then every free entry of the window's own sites.
+    """
+    offsets = np.cumsum([0] + [int(m.sum()) for m in masks])
+    n_ident = [int(m[:, 0, :].sum()) for m in masks]
+    cols = {}
+    for start in range(1, len(masks) - window + 2):
+        first, end = start - 1, start - 1 + window
+        parts = [np.arange(offsets[s], offsets[s] + n_ident[s]) for s in range(first)]
+        parts.append(np.arange(offsets[first], offsets[end]))
+        cols[start] = np.concatenate(parts)
+    return cols
+
+
+def dense_window_jacobian(mpo: Mpo, window: int, basis_k=None) -> dict:
+    """Reference Jacobian of every window's values over all packed parameters.
+
+    Each window's derivatives are built column by column from one right
+    sweep over the identity slices of the sites left of it and its own
+    sites, with no boundary fold.  Requires standard form.
+
+    Returns:
+        dict start -> (4**window, n_free) array; the columns outside
+        :func:`window_columns` are exactly zero.
+    """
+    masks = free_masks(mpo)
+    n_free = int(sum(m.sum() for m in masks))
+    tensors = list(mpo.tensors)
+    if basis_k is not None:
+        tensors = [np.einsum("ji,dia->dja", basis_k, t) for t in tensors]
+    ident = [t[:, 0, :] for t in tensors]
+    prefix, suffix = left_environments(ident), right_environments(ident)
+    k_mat = np.eye(4) if basis_k is None else np.asarray(basis_k, dtype=float)
+    site_free = [np.nonzero(m.transpose(1, 0, 2)) for m in masks]
+    ident_free = [np.nonzero(m[:, 0, :]) for m in masks]
+    out = {}
+    for start, cols in window_columns(masks, window).items():
+        first, end = start - 1, start - 1 + window
+        sites = tensors[first:end]
+        lefts = left_environments(sites, prefix[first])
+        rights = right_environments(ident[:first] + sites, suffix[end])
+        free = ident_free[:first] + site_free[first:end]
+        jac = np.empty((4**window, len(cols)))
+        col = 0
+        for s, f in enumerate(free):
+            rt = rights[s + 1]
+            block = jac[:, col : col + len(f[0])]
+            col += len(f[0])
+            if s < first:
+                x, y = f
+                block[:] = rt[y].T * prefix[s][0, x]
+            else:
+                i, x, y = f
+                lt = lefts[s - first]
+                lk = (lt[:, None, x] * k_mat[:, i])[:, :, None]
+                block.reshape(len(lt), 4, rt.shape[1], len(i))[:] = lk * rt[y].T
+        full = np.zeros((4**window, n_free))
+        full[:, cols] = jac
+        out[start] = full
+    return out

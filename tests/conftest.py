@@ -72,12 +72,12 @@ def reject_every_gn_trial(monkeypatch):
     real = fitting._window_values_jacobian
     value_calls = []
 
-    def shifted(mpo, window, basis_k=None, want_jacobian=True):
-        values, jacs = real(mpo, window, basis_k, want_jacobian)
-        if not want_jacobian:
+    def shifted(mpo, window, basis_k=None, weights=None, buffer=None):
+        values, hess = real(mpo, window, basis_k, weights, buffer)
+        if weights is None:
             value_calls.append(window)
             if len(value_calls) > 1:
                 values = {s: v + 1.0 for s, v in values.items()}
-        return values, jacs
+        return values, hess
 
     monkeypatch.setattr(fitting, "_window_values_jacobian", shifted)

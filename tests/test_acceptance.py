@@ -36,6 +36,8 @@ from mpo_tomo.entanglement import (
 )
 from mpo_tomo.fitting import (
     MpoLeastSquares,
+    _block_buffer,
+    _window_blocks,
     _window_values_jacobian,
     fidelity_functional,
     propagate_covariance,
@@ -299,15 +301,15 @@ def test_criterion_09_derivative_checks():
     for _ in range(20):
         theta = theta0 + rng.normal(scale=1e-2, size=theta0.size)
         m = unpack(theta, base, masks)
-        _, jacs = _window_values_jacobian(m, 5, None, True)
-        jac = jacs[1]
+        # N = 5 has one window, whose own columns are every packed parameter
+        _, _, jac, _ = next(_window_blocks(m, 5, None, _block_buffer(masks, 5)))
         i = int(rng.integers(0, theta0.size))
         h = 1e-6
         tp, tm = theta.copy(), theta.copy()
         tp[i] += h
         tm[i] -= h
-        vp, _ = _window_values_jacobian(unpack(tp, base, masks), 5, None, False)
-        vm, _ = _window_values_jacobian(unpack(tm, base, masks), 5, None, False)
+        vp, _ = _window_values_jacobian(unpack(tp, base, masks), 5, None)
+        vm, _ = _window_values_jacobian(unpack(tm, base, masks), 5, None)
         fd = (vp[1] - vm[1]) / (2 * h)
         denom = max(np.max(np.abs(fd)), 1e-8)
         worst["jacobian"] = max(worst["jacobian"], np.max(np.abs(fd - jac[:, i])) / denom)

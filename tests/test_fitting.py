@@ -5,6 +5,8 @@ import logging
 import numpy as np
 import pytest
 
+from _oracles import dense_window_jacobian, window_columns
+
 from mpo_tomo.cluster import ErrorModel, ideal_cluster_mpo, noisy_cluster_model
 from mpo_tomo.correlations import (
     F_MATRIX,
@@ -14,8 +16,8 @@ from mpo_tomo.correlations import (
 from mpo_tomo.errors import DataError, ValidationError
 from mpo_tomo.fitting import (
     MpoLeastSquares,
-    _gram,
-    _window_columns,
+    _block_buffer,
+    _window_blocks,
     _window_pullback,
     _window_values_jacobian,
     fidelity_functional,
@@ -44,16 +46,29 @@ def sf_perturbed8():
     return unpack(theta + local.normal(scale=1e-2, size=theta.size), base, masks)
 
 
-def dense_jacobian(mpo, jacs, window=5):
-    """Stack the compact window blocks into the full rows x n_params Jacobian."""
+def dense_jacobian(mpo, basis_k, window=5):
+    """The reference rows x n_params Jacobian, without the constant word 0."""
+    jacs = dense_window_jacobian(mpo, window, basis_k)
+    return np.vstack([jacs[s][1:] for s in sorted(jacs)])
+
+
+def folded_jacobians(mpo, basis_k, window=5):
+    """Each window's full-width Jacobian, rebuilt from its block and fold:
+    the own columns as built, the identity-slice columns left of the window
+    as the boundary columns Bᵀ times the fold."""
     masks = free_masks(mpo)
-    cols = _window_columns(masks, window)
-    rows = []
-    for s in sorted(jacs):
-        full = np.zeros((jacs[s].shape[0], n_free_parameters(masks)))
-        full[:, cols[s]] = jacs[s]
-        rows.append(full)
-    return np.vstack(rows)
+    buffer = _block_buffer(masks, window)
+    columns = window_columns(masks, window)
+    out = {}
+    for start, _, block, fold in _window_blocks(mpo, window, basis_k, buffer):
+        d_left, n_left = fold.shape
+        n_own = block.shape[1] - d_left
+        cols = columns[start]  # identity-slice ones first
+        full = np.zeros((4**window, n_free_parameters(masks)))
+        full[:, cols[:n_left]] = block[:, n_own:] @ fold
+        full[:, cols[n_left:]] = block[:, :n_own]
+        out[start] = full
+    return out
 
 
 class TestStandardFormParameters:
@@ -90,12 +105,12 @@ class TestJacobian:
     def test_matches_finite_differences(self, sf_noisy6, basis_k):
         masks = free_masks(sf_noisy6)
         theta0 = pack(sf_noisy6.tensors, masks)
-        vals, jacs = _window_values_jacobian(sf_noisy6, 5, basis_k, True)
-        jac = dense_jacobian(sf_noisy6, jacs)
+        jacs = folded_jacobians(sf_noisy6, basis_k)
+        jac = np.vstack([jacs[s] for s in sorted(jacs)])
 
         def value_vec(th):
             m = unpack(th, sf_noisy6, masks)
-            v, _ = _window_values_jacobian(m, 5, basis_k, False)
+            v, _ = _window_values_jacobian(m, 5, basis_k)
             return np.concatenate([v[s] for s in sorted(v)])
 
         local = np.random.default_rng(5)
@@ -114,10 +129,10 @@ class TestJacobian:
         # the per-window assembly drops these derivatives as exact zeros
         masks = free_masks(sf_perturbed8)
         theta0 = pack(sf_perturbed8.tensors, masks)
-        cols = _window_columns(masks, 5)
+        cols = window_columns(masks, 5)
 
         def values(th):
-            v, _ = _window_values_jacobian(unpack(th, sf_perturbed8, masks), 5, basis_k, False)
+            v, _ = _window_values_jacobian(unpack(th, sf_perturbed8, masks), 5, basis_k)
             return v
 
         eps = 1e-6
@@ -134,38 +149,40 @@ class TestJacobian:
 
     @pytest.mark.parametrize("mpo_name", ["sf_noisy6", "sf_perturbed8"])
     def test_assembly_matches_dense_products(self, mpo_name, request):
+        # sf_perturbed8's windows 2-4 have identity-slice parents, which the
+        # streamed JᵀWJ reaches only through each window's boundary fold
         mpo = request.getfixturevalue(mpo_name)
-        masks = free_masks(mpo)
-        n_par = n_free_parameters(masks)
-        _, jacs = _window_values_jacobian(mpo, 5, F_MATRIX, True)
-        starts = sorted(jacs)
-        cols = _window_columns(masks, 5)
-        local = np.random.default_rng(3)
-        w = local.uniform(0.5, 2.0, size=(len(starts), 4**5 - 1))
-        r = local.normal(size=w.shape)
-        blocks = [jacs[s][1:] * ws[:, None] for s, ws in zip(starts, w)]
-        col_list = [cols[s] for s in starts]
-        dense = dense_jacobian(mpo, {s: jacs[s][1:] for s in starts})
-        jw = dense * w.ravel()[:, None]
-        hess = jw.T @ jw
-        grad = jw.T @ (w * r).ravel()
-        assert np.max(np.abs(_gram(blocks, col_list, n_par) - hess)) <= 1e-12 * np.max(
-            np.abs(hess)
-        )
-        u = {s: np.concatenate(([0.0], row)) for s, row in zip(starts, w * w * r)}
-        got = _window_pullback(mpo, 5, F_MATRIX, u)
-        assert np.max(np.abs(got - grad)) <= 1e-12 * np.max(np.abs(grad))
+        for basis_k in (None, F_MATRIX):
+            jacs = dense_window_jacobian(mpo, 5, basis_k)
+            starts = sorted(jacs)
+            local = np.random.default_rng(3)
+            w = local.uniform(0.5, 2.0, size=(len(starts), 4**5 - 1))
+            r = local.normal(size=w.shape)
+            # word 0 carries no weight, and window 1 is left out
+            weights = {s: np.pad(ws, (1, 0)) for s, ws in zip(starts, w) if s != 1}
+            buffer = _block_buffer(free_masks(mpo), 5)
+            vals, got = _window_values_jacobian(mpo, 5, basis_k, weights, buffer)
+            jw = np.vstack([jacs[s] * weights[s][:, None] for s in weights])
+            hess = jw.T @ jw
+            assert np.max(np.abs(got - hess)) <= 1e-12 * np.max(np.abs(hess))
+            only, none = _window_values_jacobian(mpo, 5, basis_k)
+            assert none is None
+            assert all(np.array_equal(vals[s], only[s]) for s in starts)
+            jw = dense_jacobian(mpo, basis_k) * w.ravel()[:, None]
+            grad = jw.T @ (w * r).ravel()
+            u = {s: np.concatenate(([0.0], row)) for s, row in zip(starts, w * w * r)}
+            got = _window_pullback(mpo, 5, basis_k, u)
+            assert np.max(np.abs(got - grad)) <= 1e-12 * np.max(np.abs(grad))
 
     @pytest.mark.parametrize("basis_k", [None, F_MATRIX])
     @pytest.mark.parametrize("mpo_name", ["sf_noisy6", "sf_perturbed8"])
     def test_pullback_matches_dense_transpose_product(self, mpo_name, basis_k, request):
         mpo = request.getfixturevalue(mpo_name)
-        _, jacs = _window_values_jacobian(mpo, 5, basis_k, True)
-        starts = sorted(jacs)
+        starts = range(1, mpo.n_qubits - 3)
         local = np.random.default_rng(6)
         # word 0 (all identity) is constant: its cotangent must be ignored
         u = {s: local.normal(size=4**5) for s in starts}
-        dense = dense_jacobian(mpo, {s: jacs[s][1:] for s in starts})
+        dense = dense_jacobian(mpo, basis_k)
         want = dense.T @ np.concatenate([u[s][1:] for s in starts])
         got = _window_pullback(mpo, 5, basis_k, u)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -178,7 +195,7 @@ class TestJacobian:
         u = {s: local.normal(size=4**5) for s in range(1, 5)}
 
         def contraction(th):
-            v, _ = _window_values_jacobian(unpack(th, sf_perturbed8, masks), 5, basis_k, False)
+            v, _ = _window_values_jacobian(unpack(th, sf_perturbed8, masks), 5, basis_k)
             return sum(u[s] @ v[s] for s in v)
 
         grad = _window_pullback(sf_perturbed8, 5, basis_k, u)
@@ -192,7 +209,7 @@ class TestJacobian:
         assert np.max(np.abs(fd - grad[picks])) <= 1e-6 * np.max(np.abs(fd))
 
     def test_values_match_correlations(self, sf_noisy6):
-        vals, _ = _window_values_jacobian(sf_noisy6, 5, None, False)
+        vals, _ = _window_values_jacobian(sf_noisy6, 5)
         truth = window_correlation_set(sf_noisy6, 5)
         for s in truth.starts:
             assert np.max(np.abs(vals[s] - truth.values[s].ravel())) < 1e-12
@@ -222,8 +239,11 @@ class TestGaussNewton:
         assert not fit.converged
         assert fit.exit_reason == "max_iter"
         (row,) = fit.trace
-        assert set(row) == {"sse", "lambda", "trials", "d2_over_d1", "model_evals"}
+        assert set(row) == {
+            "sse", "lambda", "trials", "d2_over_d1", "model_evals", "assembly_s", "eigh_s"
+        }
         assert row["sse"] == fit.sse
+        assert row["assembly_s"] >= 0 and row["eigh_s"] >= 0
         # one Jacobian, then two curvature probes and at most one candidate per trial
         assert row["trials"] * 2 + 1 <= row["model_evals"] <= row["trials"] * 3 + 1
 
@@ -238,8 +258,8 @@ class TestGaussNewton:
         assert fit.iterations == 1
 
     def test_peak_memory_holds_one_set_of_blocks(self, sf_perturbed8):
-        # blocks are weighted in place and freed before eigh: the fit holds at
-        # most one set of Jacobian blocks next to a few n_par^2 matrices
+        # JᵀWJ is streamed through one block buffer: the fit holds at most
+        # one window's Jacobian block next to a few n_par^2 matrices
         import tracemalloc
 
         data = pauli_to_zshifted(window_correlation_set(sf_perturbed8, 5))
@@ -248,7 +268,7 @@ class TestGaussNewton:
         local = np.random.default_rng(2)
         start = unpack(theta + local.normal(scale=1e-3, size=theta.size), sf_perturbed8, masks)
         n_par = theta.size
-        block_bytes = sum(4**5 * len(c) * 8 for c in _window_columns(masks, 5).values())
+        block_bytes = _block_buffer(masks, 5).nbytes
         tracemalloc.start()
         try:
             fit = gauss_newton_fit(start, data, max_iter=2)
@@ -257,6 +277,23 @@ class TestGaussNewton:
             tracemalloc.stop()
         assert fit.iterations >= 1
         assert peak <= 1.25 * (block_bytes + 4 * n_par**2 * 8)
+
+    def test_block_width_does_not_grow_along_the_chain(self):
+        # a block holds its own sites' free entries and D_left boundary
+        # columns, never one column per site left of the window
+        widths = {}
+        for n in (8, 12):
+            mpo = to_standard_form(noisy_cluster_model(n, ErrorModel.uniform(n, 0.09, 0.06)))
+            masks = free_masks(mpo)
+            widths[n] = []
+            for start, _, block, fold in _window_blocks(mpo, 5, F_MATRIX, _block_buffer(masks, 5)):
+                own = sum(int(m.sum()) for m in masks[start - 1 : start + 4])
+                assert block.shape == (4**5, own + mpo.tensors[start - 1].shape[0])
+                assert fold.shape[0] == mpo.tensors[start - 1].shape[0]
+                widths[n].append(block.shape[1])
+        # only the two end windows, with their pinned entries, differ
+        assert widths[12][0] == widths[8][0] and widths[12][-1] == widths[8][-1]
+        assert set(widths[12][1:-1]) == set(widths[8][1:-1]) and len(set(widths[8][1:-1])) == 1
 
     @pytest.mark.parametrize("seed", range(2, 8))
     def test_perturbed_initial_recovers(self, sf_noisy6, seed):
@@ -295,7 +332,7 @@ class TestGaussNewton:
 
         data = moments_to_zshifted(table)
         start = to_standard_form(noisy5)
-        vals, _ = _window_values_jacobian(start, 5, F_MATRIX, False)
+        vals, _ = _window_values_jacobian(start, 5, F_MATRIX)
         keep = np.ones(4**5, bool)
         keep[0] = False
         y = data.values[1].ravel()[keep]
@@ -311,13 +348,11 @@ class TestGaussNewton:
         fit = MpoLeastSquares().fit(data).fit_result_
         masks = free_masks(fit.mpo)
         n_par = n_free_parameters(masks)
-        _, jacs = _window_values_jacobian(fit.mpo, 5, F_MATRIX, True)
-        cols = _window_columns(masks, 5)
-        blocks = [
-            jacs[s][1:] / np.clip(data.ses[s].ravel()[1:], 1e-9, None)[:, None]
+        weights = {
+            s: np.pad(1.0 / np.clip(data.ses[s].ravel()[1:], 1e-9, None), (1, 0))
             for s in data.starts
-        ]
-        hess = _gram(blocks, [cols[s] for s in data.starts], n_par)
+        }
+        _, hess = _window_values_jacobian(fit.mpo, 5, F_MATRIX, weights)
         rank = np.linalg.matrix_rank(hess)
         rows = len(data.starts) * (4**5 - 1)
         assert rank < n_par  # the standard form keeps gauge null directions

@@ -66,7 +66,6 @@ from .mpo import (
     fidelity,
     fidelity_gradient,
     gauge_transform,
-    to_standard_form,
 )
 from .pauli import PauliWord
 from .reconstruct import (
@@ -76,6 +75,7 @@ from .reconstruct import (
     estimate_bond_dims,
     invert_reconstruct,
 )
+from .standard_form import to_standard_form
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

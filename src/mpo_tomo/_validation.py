@@ -31,6 +31,8 @@ def check_efficiency(eta) -> float:
 
 
 def check_positive_int(x, name: str, minimum: int = 1) -> int:
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {x!r}")
     x = int(x)
     if x < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {x}")

@@ -91,8 +91,8 @@ def load_config(path) -> dict:
     m = cfg["measurement"]
     if "shots" not in m or "seed" not in m:
         raise ValidationError("measurement.shots and measurement.seed are required")
-    if not isinstance(m["seed"], int):
-        raise ValidationError("measurement.seed must be an explicit integer")
+    if not _is_seed(m["seed"]):
+        raise ValidationError("measurement.seed must be an explicit integer in [0, 2^63)")
     if not isinstance(m["shots"], int) or m["shots"] < 100:
         raise ValidationError("measurement.shots must be an integer >= 100")
     if not _is_int(m["window"]) or m["window"] != 5:
@@ -109,11 +109,31 @@ def load_config(path) -> dict:
     for key in ("se_floor", "k_sigma"):
         if not _is_finite(f[key]) or f[key] <= 0:
             raise ValidationError(f"fit.{key} must be a finite number > 0")
+    a = cfg["analysis"]
+    if a["le_measure"] not in ("negativity", "concurrence"):
+        raise ValidationError('analysis.le_measure must be "negativity" or "concurrence"')
+    pairs = a["le_pairs"]
+    if pairs != "all" and not (isinstance(pairs, list) and pairs and all(
+        isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)) and 1 <= p[0] < p[1] <= n
+        for p in pairs
+    )):
+        raise ValidationError(f"analysis.le_pairs must be \"all\" or integer pairs 1 <= r < r' <= {n}")
+    # beyond exact enumeration, LE samples subset_samples of the 2^(N-2) branches
+    limit = entanglement.EXACT_ENUMERATION_LIMIT
+    samples, seed = a["subset_samples"], a["subset_seed"]
+    if not _is_int(samples) or samples < 1 or (n > limit and samples > 2 ** (n - 2)):
+        raise ValidationError(f"analysis.subset_samples must be an integer >= 1 (<= 2^(N-2) if N > {limit})")
+    if (seed is None and n > limit) or not (seed is None or _is_seed(seed)):
+        raise ValidationError(f"analysis.subset_seed must be an integer in [0, 2^63) (null if N <= {limit})")
     return cfg
 
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_seed(x) -> bool:
+    return _is_int(x) and 0 <= x < 2**63
 
 
 def _is_finite(x) -> bool:
@@ -254,22 +274,19 @@ def cmd_reconstruct(cfg, out: str) -> int:
     return 0
 
 
-def _correlation_se(fit, letters) -> float:
-    """Propagated SE of the fitted correlation of the Pauli string ``letters``."""
+def _correlation(fit, letters) -> tuple[float, float]:
+    """Fitted correlation of the Pauli string ``letters`` and its propagated SE."""
 
     def functional(m):
         return m.correlation(letters), mpo_mod.correlation_gradient(m, letters)
 
-    return fitting.propagate_covariance(fit, functional)[1]
+    return fitting.propagate_covariance(fit, functional)
 
 
 def _stabilizer_table(fit, n):
-    values, ses = [], []
-    for word in cluster.stabilizer_words(n):
-        letters = word.padded(n)
-        values.append(fit.mpo.correlation(letters))
-        ses.append(_correlation_se(fit, letters))
-    return np.array(values), np.array(ses)
+    words = [word.padded(n) for word in cluster.stabilizer_words(n)]
+    values, ses = np.array([_correlation(fit, letters) for letters in words]).T
+    return values, ses
 
 
 def _write_le_csv(path, key_header, keys, rows) -> None:
@@ -300,11 +317,10 @@ def cmd_analyze(cfg, out: str) -> int:
         stab_values, stab_ses = _stabilizer_table(fit, n)
         bound = cluster.stabilizer_fidelity_bound(stab_values, stab_ses)
     with _timed(record, "error_model"):
-        excitations = cluster.mean_excitations(fit.mpo)
-        exc_ses = []
-        for s in range(1, n + 1):
-            letters = tuple(3 if t == s else 0 for t in range(1, n + 1))
-            exc_ses.append(_correlation_se(fit, letters) / 2.0)
+        z_words = [tuple(3 if t == s else 0 for t in range(1, n + 1)) for s in range(1, n + 1)]
+        z_values, z_ses = np.array([_correlation(fit, letters) for letters in z_words]).T
+        # mean excitation (1 - <Z_s>) / 2
+        excitations, exc_ses = (1.0 - z_values) / 2.0, z_ses / 2.0
         model = cluster.fit_error_model(
             excitations, exc_ses, stab_values, stab_ses, uniform=True
         )
@@ -329,11 +345,6 @@ def cmd_analyze(cfg, out: str) -> int:
                     fit.mpo, plan, measure, fit=fit
                 )
             else:
-                if ana["subset_seed"] is None:
-                    raise ValidationError(
-                        "analysis.subset_seed is required for N > "
-                        f"{entanglement.EXACT_ENUMERATION_LIMIT} (no implicit seeds)"
-                    )
                 res = entanglement.le_subset_estimate(
                     fit.mpo, plan, measure, ana["subset_samples"], ana["subset_seed"]
                 )

@@ -371,7 +371,7 @@ def le_subset_estimate(
     comes from the sample variance of the terms, with the finite-population
     correction so that full enumeration reports zero.
     """
-    check_positive_int(samples, "samples", minimum=1)
+    samples = check_positive_int(samples, "samples", minimum=1)
     _, maps, measured = _outcome_maps(mpo, plan)
     total = 2 ** len(measured)
     if samples > total:
@@ -379,14 +379,8 @@ def le_subset_estimate(
     rng = np.random.default_rng(seed)
     if samples == total:
         indices = np.arange(total)
-    elif total <= 2**22:
+    else:
         indices = rng.choice(total, size=samples, replace=False)
-    else:  # rejection sampling of distinct branch indices
-        chosen = set()
-        while len(chosen) < samples:
-            draw = rng.integers(0, total, size=samples - len(chosen))
-            chosen.update(int(x) for x in draw)
-        indices = np.fromiter(chosen, dtype=np.int64)
     c = _string_coefficients(maps, measured, indices)
     terms, _, raw_neg = _branch_terms(c, measure, False)
     scale = total / samples

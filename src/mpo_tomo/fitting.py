@@ -36,22 +36,21 @@ from .correlations import (
     zshifted_to_pauli,
 )
 from .errors import DataError, ValidationError
-from .mpo import (
-    Mpo,
-    is_standard_form,
-    left_environments,
-    load_json,
-    right_environments,
-    save_json,
-    to_standard_form,
-)
+from .mpo import Mpo, left_environments, load_json, right_environments, save_json
 from .reconstruct import (
     build_corr_matrices,
     compress,
     estimate_bond_dims,
     invert_reconstruct,
 )
-from .standard_form import free_masks, n_free_parameters, pack, unpack
+from .standard_form import (
+    free_masks,
+    is_standard_form,
+    n_free_parameters,
+    pack,
+    to_standard_form,
+    unpack,
+)
 
 log = logging.getLogger(__name__)
 
@@ -293,7 +292,10 @@ def gauss_newton_fit(
 
     JᵀWJ is streamed window by window through one reused block buffer (see
     :func:`_window_values_jacobian`); JᵀWr and the geodesic term come from
-    :func:`_window_pullback`.  The normal equations are solved in the
+    :func:`_window_pullback`.  Each pass assembles JᵀWJ at the current point
+    and takes its one ``eigh``, then steps or exits, so the covariance,
+    ``dof`` and null-space record read the final point's factor.  The
+    normal equations are solved in the
     Hessian eigenbasis with the residual gauge directions of the standard
     form projected out; each step carries a geodesic-acceleration correction
     (the second directional derivative of the residuals along the step).
@@ -360,20 +362,17 @@ def gauss_newton_fit(
         r = ((y - v) * w).ravel()
         return float(r @ r)
 
-    vals = values_at(theta)
-    sse = weighted_sse(vals)
     lam = _INITIAL_DAMPING
     iterations = 0
-    exit_reason = "rounding_floor" if sse <= rounding_sse else None
+    exit_reason = None
     trace = []
     fd_step = 0.1
-    while exit_reason is None and iterations < max_iter:
+    while True:
         evals_made = 0
         current = unpack(theta, initial, masks)
         clock = time.perf_counter()
         vals, hess = model(current, True)
         assembly_s = time.perf_counter() - clock
-        grad = pullback(current, (y - vals) * w)
         # work in the Hessian eigenbasis: residual gauge freedom of the
         # standard form leaves exact null directions that must not enter the
         # step regardless of the damping
@@ -381,8 +380,17 @@ def gauss_newton_fit(
         evals, evecs = np.linalg.eigh(hess)
         eigh_s = time.perf_counter() - clock
         del hess
-        cut = 1e-12 * max(evals[-1], 1e-300)
-        live = evals > cut
+        scale = max(evals[-1], 1e-300)
+        live = evals > 1e-12 * scale
+        if iterations == 0:
+            sse = weighted_sse(vals)
+            if sse <= rounding_sse:
+                exit_reason = "rounding_floor"
+        if exit_reason is None and iterations >= max_iter:
+            exit_reason = "max_iter"
+        if exit_reason is not None:
+            break
+        grad = pullback(current, (y - vals) * w)
         gproj = evecs.T @ grad
         accepted = False
         for trial in range(1, 81):
@@ -404,9 +412,9 @@ def gauss_newton_fit(
                     lam = max(lam / 10.0, 1e-15)
                     break
             lam *= 2.0
-        del evecs  # free before the next iteration assembles JᵀWJ
         iterations += 1
         if accepted:
+            del evecs  # free before the next pass assembles JᵀWJ
             decrease = sse - cand_sse
             theta, sse = cand_theta, cand_sse
             if sse <= rounding_sse:
@@ -426,16 +434,10 @@ def gauss_newton_fit(
         }
         trace.append(row)
         log.debug("gauss-newton iteration %d: %s", iterations, row)
-    if exit_reason is None:
-        exit_reason = "max_iter"
+        if not accepted:
+            break  # the point did not move, so its factor stands
     converged = exit_reason in ("tolerance", "rounding_floor")
-    current = unpack(theta, initial, masks)
     # covariance of the free parameters at the final iterate
-    _, hess = model(current, True)
-    evals, evecs = np.linalg.eigh(hess)
-    del hess
-    scale = max(evals.max(), 1e-300)
-    live = evals > 1e-12 * scale
     inv = np.where(live, 1.0 / np.where(live, evals, 1.0), 0.0)
     cov = (evecs * inv) @ evecs.T
     # the gauge null directions dropped here carry no degree of freedom

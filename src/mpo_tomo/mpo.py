@@ -20,8 +20,6 @@ import numpy as np
 from .errors import ValidationError
 from .pauli import PAULIS, PauliWord
 
-_TRACE_TOL = 1e-14
-
 
 def left_environments(maps, boundary=None) -> list[np.ndarray]:
     """Left partial products of a chain of site maps.
@@ -237,90 +235,6 @@ def pad_bond(mpo: Mpo, bond: int, dim: int) -> Mpo:
     )
     ts[bond] = np.concatenate([right, np.zeros((dim - d, 4, right.shape[2]))], axis=0)
     return Mpo(ts)
-
-
-def _signed_qr(a: np.ndarray):
-    """Complete QR with the R diagonal forced nonnegative (deterministic)."""
-    q, r = np.linalg.qr(a, mode="complete")
-    m = min(a.shape)
-    signs = np.sign(np.diag(r)[:m])
-    signs[signs == 0] = 1.0
-    q = q.copy()
-    r = r.copy()
-    q[:, :m] *= signs
-    r[:m, :] *= signs[:, None]
-    return q, r
-
-
-def to_standard_form(mpo: Mpo) -> Mpo:
-    """Gauge-fix an MPO into the unit-trace standard form.
-
-    The result has site N pinned to the Pauli column ``[I, X, Y, Z]^T``,
-    upper-triangular identity slices with unit (0, 0) entries at sites
-    2..N-1, and a leading 1 in the identity slice of site 1; the represented
-    operator is unchanged up to overall normalization to trace 1.
-    """
-    tr = mpo.trace()
-    if abs(tr) < _TRACE_TOL:
-        raise ValidationError("cannot normalize an MPO with (near-)zero trace")
-    n = mpo.n_qubits
-    if n < 2:
-        raise ValidationError("standard form needs at least 2 sites")
-    ts = [np.array(t) for t in mpo.tensors]
-
-    # Pin the last site to [I, X, Y, Z]^T by absorbing it into site N-1.
-    last = ts[-1][:, :, 0]  # (D, 4); column b is A_N^(b)
-    ts[-2] = np.einsum("diy,yb->dib", ts[-2], last)
-    ts[-1] = np.eye(4).reshape(4, 4, 1)
-
-    if ts[-2].shape[0] < 4 and n >= 3:
-        padded = pad_bond(Mpo(ts), n - 2, 4)
-        ts = [np.array(t) for t in padded.tensors]
-
-    # Triangularize identity slices from the right.
-    for k in range(n - 2, 0, -1):
-        q, r = _signed_qr(ts[k][:, 0, :])
-        ts[k - 1] = np.einsum("dix,xy->diy", ts[k - 1], q)
-        ts[k] = np.einsum("xy,yiz->xiz", q.T, ts[k])
-
-    # Rescale so every pinned (0, 0) identity entry is exactly 1; this also
-    # absorbs any overall trace factor.
-    for k in range(n - 1):
-        pivot = ts[k][0, 0, 0]
-        if abs(pivot) < _TRACE_TOL:
-            raise ValidationError(
-                f"standard-form pivot vanished at site {k + 1}; input is degenerate"
-            )
-        ts[k] = ts[k] / pivot
-    # snap the pinned structure exactly (QR leaves ~1e-17 in the zeros)
-    ts[0][0, 0, 0] = 1.0
-    for k in range(1, n - 1):
-        dl, _, dr = ts[k].shape
-        rows = np.arange(dl)[:, None]
-        cols = np.arange(dr)[None, :]
-        ts[k][:, 0, :][rows > cols] = 0.0
-        ts[k][0, 0, 0] = 1.0
-    return Mpo(ts)
-
-
-def is_standard_form(mpo: Mpo) -> bool:
-    """Structural check of the standard-form constraints, to within 1e-9."""
-    tol = 1e-9
-    ts = mpo.tensors
-    n = mpo.n_qubits
-    if ts[-1].shape != (4, 4, 1) or not np.allclose(
-        ts[-1][:, :, 0], np.eye(4), atol=tol
-    ):
-        return False
-    if abs(ts[0][0, 0, 0] - 1.0) > tol:
-        return False
-    for k in range(1, n - 1):
-        a0 = ts[k][:, 0, :]
-        if abs(a0[0, 0] - 1.0) > tol:
-            return False
-        if np.max(np.abs(np.tril(a0, -1))) > tol:
-            return False
-    return True
 
 
 def _pair_maps(mpo: Mpo, target: Mpo) -> list[np.ndarray]:

@@ -1,9 +1,8 @@
-"""Free-parameter bookkeeping for MPOs in standard form.
+"""The standard-form gauge of an MPO and its free-parameter bookkeeping.
 
-The fit parameters are exactly the unpinned ("starred") entries: everything
-except the leading 1 of each identity slice, the zeros below its diagonal,
-and the fixed Pauli column at the last site.  Parameters are ordered
-site-major, then Pauli index, then row, then column.
+One template (:func:`_template`) pins the standard form's entries; the fit
+parameters are exactly the unpinned ("starred") ones, ordered site-major,
+then Pauli index, then row, then column.
 """
 
 from __future__ import annotations
@@ -11,28 +10,105 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .mpo import Mpo
+from .mpo import Mpo, pad_bond
+
+_TRACE_TOL = 1e-14  # smallest trace, and pivot, that standard form divides by
+
+
+def _template(shapes, with_values: bool = True):
+    """Per site, the mask of the free standard-form entries and, with
+    ``with_values``, the value of every pinned entry (0 at the free ones)."""
+    out = []
+    for k, (dl, _, dr) in enumerate(shapes):
+        mask = np.zeros((dl, 4, dr), dtype=bool)
+        values = np.zeros((dl, 4, dr)) if with_values else None
+        if k < len(shapes) - 1:
+            # pinned: the identity slice's unit (0, 0) and sub-diagonal zeros
+            mask[:, 1:, :] = True
+            mask[:, 0, :] = np.triu(np.ones((dl, dr), dtype=bool))
+            mask[0, 0, 0] = False
+            if with_values:
+                values[0, 0, 0] = 1.0
+        elif with_values:
+            values[:, :, 0] = np.eye(dl, 4)  # the Pauli column [I, X, Y, Z]^T
+        out.append((mask, values))
+    return out
 
 
 def free_masks(mpo: Mpo) -> list[np.ndarray]:
     """Boolean mask per site tensor marking the free standard-form entries."""
+    shapes = [t.shape for t in mpo.tensors]
+    return [mask for mask, _ in _template(shapes, with_values=False)]
+
+
+def is_standard_form(mpo: Mpo) -> bool:
+    """Whether every pinned entry is within 1e-9 of its standard-form value."""
+    if mpo.tensors[-1].shape != (4, 4, 1):
+        return False
+    template = _template([t.shape for t in mpo.tensors])
+    return all(
+        np.all(np.abs(t - values)[~mask] <= 1e-9)
+        for t, (mask, values) in zip(mpo.tensors, template)
+    )
+
+
+def _signed_qr(a: np.ndarray):
+    """Complete QR with the R diagonal forced nonnegative (deterministic)."""
+    q, r = np.linalg.qr(a, mode="complete")
+    m = min(a.shape)
+    signs = np.sign(np.diag(r)[:m])
+    signs[signs == 0] = 1.0
+    q = q.copy()
+    r = r.copy()
+    q[:, :m] *= signs
+    r[:m, :] *= signs[:, None]
+    return q, r
+
+
+def to_standard_form(mpo: Mpo) -> Mpo:
+    """Gauge-fix an MPO into the unit-trace standard form.
+
+    The result has site N pinned to the Pauli column ``[I, X, Y, Z]^T``,
+    upper-triangular identity slices with unit (0, 0) entries at sites
+    2..N-1, and a leading 1 in the identity slice of site 1; the represented
+    operator is unchanged up to overall normalization to trace 1.
+    """
+    tr = mpo.trace()
+    if abs(tr) < _TRACE_TOL:
+        raise ValidationError("cannot normalize an MPO with (near-)zero trace")
     n = mpo.n_qubits
-    masks = []
-    for k, t in enumerate(mpo.tensors):
-        mask = np.ones(t.shape, dtype=bool)
-        if k == n - 1:
-            mask[:] = False
-        elif k == 0:
-            mask[0, 0, 0] = False
-        else:
-            dl, _, dr = t.shape
-            rows = np.arange(dl)[:, None]
-            cols = np.arange(dr)[None, :]
-            upper = rows <= cols
-            upper[0, 0] = False
-            mask[:, 0, :] = upper
-        masks.append(mask)
-    return masks
+    if n < 2:
+        raise ValidationError("standard form needs at least 2 sites")
+    ts = [np.array(t) for t in mpo.tensors]
+
+    # Pin the last site to [I, X, Y, Z]^T by absorbing it into site N-1.
+    last = ts[-1][:, :, 0]  # (D, 4); column b is A_N^(b)
+    ts[-2] = np.einsum("diy,yb->dib", ts[-2], last)
+    ts[-1] = np.eye(4).reshape(4, 4, 1)
+
+    if ts[-2].shape[0] < 4 and n >= 3:
+        padded = pad_bond(Mpo(ts), n - 2, 4)
+        ts = [np.array(t) for t in padded.tensors]
+
+    # Triangularize identity slices from the right.
+    for k in range(n - 2, 0, -1):
+        q, r = _signed_qr(ts[k][:, 0, :])
+        ts[k - 1] = np.einsum("dix,xy->diy", ts[k - 1], q)
+        ts[k] = np.einsum("xy,yiz->xiz", q.T, ts[k])
+
+    # Rescale so every pinned (0, 0) identity entry is 1; this also absorbs
+    # any overall trace factor.
+    for k in range(n - 1):
+        pivot = ts[k][0, 0, 0]
+        if abs(pivot) < _TRACE_TOL:
+            raise ValidationError(
+                f"standard-form pivot vanished at site {k + 1}; input is degenerate"
+            )
+        ts[k] = ts[k] / pivot
+    # write the pinned values exactly (QR leaves ~1e-17 in the zeros)
+    for t, (mask, values) in zip(ts, _template([t.shape for t in ts])):
+        np.copyto(t, values, where=~mask)
+    return Mpo(ts)
 
 
 def _site_major(arr: np.ndarray) -> np.ndarray:

@@ -66,18 +66,16 @@ def fitted_noisy5(noisy5):
 @pytest.fixture
 def reject_every_gn_trial(monkeypatch):
     """Make every Gauss-Newton trial step fail: each value-only model
-    evaluation after the first (the starting SSE) returns shifted values."""
+    evaluation (the trial probes and candidates) returns shifted values.  The
+    starting SSE comes from the first JᵀWJ assembly, which is left as is."""
     from mpo_tomo import fitting
 
     real = fitting._window_values_jacobian
-    value_calls = []
 
     def shifted(mpo, window, basis_k=None, weights=None, buffer=None):
         values, hess = real(mpo, window, basis_k, weights, buffer)
         if weights is None:
-            value_calls.append(window)
-            if len(value_calls) > 1:
-                values = {s: v + 1.0 for s, v in values.items()}
+            values = {s: v + 1.0 for s, v in values.items()}
         return values, hess
 
     monkeypatch.setattr(fitting, "_window_values_jacobian", shifted)

@@ -43,13 +43,13 @@ from mpo_tomo.fitting import (
     propagate_covariance,
 )
 from mpo_tomo.measurement import synthesize_dataset
-from mpo_tomo.mpo import fidelity, fidelity_gradient, to_standard_form
+from mpo_tomo.mpo import fidelity, fidelity_gradient
 from mpo_tomo.reconstruct import (
     build_corr_matrices,
     estimate_bond_dims,
     invert_reconstruct,
 )
-from mpo_tomo.standard_form import free_masks, pack, unpack
+from mpo_tomo.standard_form import free_masks, pack, to_standard_form, unpack
 
 PAPER_MODEL = ErrorModel.uniform(5, 0.098, 0.092)
 

@@ -46,6 +46,10 @@ def _checksum_tree(path):
     return digest.hexdigest()
 
 
+def _file_list(path):
+    return sorted(os.path.relpath(os.path.join(d, f), path) for d, _, fs in os.walk(path) for f in fs)
+
+
 class TestSimulate:
     def test_setting_files_and_truth(self, pipeline_run):
         _, out = pipeline_run
@@ -160,6 +164,64 @@ class TestConfigValidation:
         bad["measurement"][key] = value
         cfg = write_config(tmp_path / "bad.json", bad)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("analysis", "subset_seed", 1.5),
+            ("analysis", "subset_seed", -1),
+            ("analysis", "subset_seed", 2**63),
+            ("analysis", "subset_seed", True),
+            ("analysis", "subset_samples", "1024"),
+            ("analysis", "subset_samples", 1024.7),
+            ("analysis", "subset_samples", True),
+            ("analysis", "subset_samples", 0),
+            ("analysis", "le_pairs", "some"),
+            ("analysis", "le_pairs", []),
+            ("analysis", "le_pairs", [[1, 40]]),
+            ("analysis", "le_pairs", [[2, 1]]),
+            ("analysis", "le_pairs", [[0, 2]]),
+            ("analysis", "le_pairs", [[1, 2.0]]),
+            ("analysis", "le_pairs", [[1, 2, 3]]),
+            ("analysis", "le_measure", "bogus"),
+            ("measurement", "seed", 2**64),
+            ("measurement", "seed", -1),
+            ("measurement", "seed", True),
+            ("measurement", "seed", 7.0),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    def test_malformed_config_writes_nothing(
+        self, pipeline_run, tmp_path, section, key, value, command
+    ):
+        _, out = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(os.path.join(out, "fit"), run / "fit")
+        before = _file_list(run)
+        bad = json.loads(json.dumps(CONFIG))
+        bad.setdefault(section, {})[key] = value
+        cfg = write_config(tmp_path / "bad.json", bad)
+        assert main([command, "--config", cfg, "--out", str(run)]) == 2
+        assert _file_list(run) == before
+
+    @pytest.mark.parametrize(
+        "analysis",
+        [
+            {"subset_samples": 1024},  # no subset_seed
+            {"subset_seed": 1, "subset_samples": 2**14 + 1},  # more than 2^(N-2)
+        ],
+    )
+    def test_long_chain_subset_settings_checked_first(self, pipeline_run, tmp_path, analysis):
+        _, out = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(os.path.join(out, "fit"), run / "fit")
+        before = _file_list(run)
+        bad = json.loads(json.dumps(CONFIG))
+        bad["protocol"]["n_qubits"] = 16
+        bad["analysis"] = {"le_pairs": [[1, 2]], **analysis}
+        cfg = write_config(tmp_path / "bad.json", bad)
+        assert main(["analyze", "--config", cfg, "--out", str(run)]) == 2
+        assert _file_list(run) == before
 
     def test_analyze_without_fit(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")

@@ -193,8 +193,7 @@ class TestLocalizableEntanglement:
     def test_parameter_se_against_finite_differences(self, request, state, measure):
         from mpo_tomo.entanglement import _enumerate_branches
         from mpo_tomo.fitting import FitResult
-        from mpo_tomo.mpo import to_standard_form
-        from mpo_tomo.standard_form import free_masks, n_free_parameters, pack, unpack
+        from mpo_tomo.standard_form import free_masks, n_free_parameters, pack, to_standard_form, unpack
 
         if state == "fitted":
             fit = request.getfixturevalue("fitted_noisy5").fit_result_
@@ -280,6 +279,25 @@ class TestSubsetEstimator:
     def test_sample_count_validated(self, noisy6):
         with pytest.raises(ValidationError):
             le_subset_estimate(noisy6, default_plan(6, 1, 6), samples=17, seed=0)
+
+    @pytest.mark.parametrize("samples", [8.0, 8.7, True, "8"])
+    def test_sample_count_must_be_an_integer(self, noisy6, samples):
+        with pytest.raises(ValidationError, match="integer"):
+            le_subset_estimate(noisy6, default_plan(6, 1, 6), samples=samples, seed=0)
+
+    def test_numpy_integer_sample_count(self, noisy6):
+        plan = default_plan(6, 1, 6)
+        a = le_subset_estimate(noisy6, plan, "concurrence", samples=np.int64(8), seed=5)
+        b = le_subset_estimate(noisy6, plan, "concurrence", samples=8, seed=5)
+        assert (a.value, a.branches_evaluated) == (b.value, 8)
+
+    def test_long_chain_draws_distinct_branches(self):
+        # 2^25 branches: one sampler without replacement for every population
+        n = 27
+        m = noisy_cluster_model(n, ErrorModel.uniform(n, 0.09, 0.06))
+        est = le_subset_estimate(m, default_plan(n, 1, 3), "negativity", samples=64, seed=1)
+        assert est.branches_evaluated == 64
+        assert np.isfinite(est.value) and np.isfinite(est.se_sampling)
 
     def test_unknown_measure_rejected(self, noisy6):
         with pytest.raises(ValidationError, match="negatvity"):

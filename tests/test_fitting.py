@@ -27,8 +27,8 @@ from mpo_tomo.fitting import (
     save_fit_bundle,
 )
 from mpo_tomo.measurement import synthesize_dataset
-from mpo_tomo.mpo import fidelity, to_standard_form
-from mpo_tomo.standard_form import free_masks, n_free_parameters, pack, unpack
+from mpo_tomo.mpo import fidelity
+from mpo_tomo.standard_form import free_masks, n_free_parameters, pack, to_standard_form, unpack
 
 
 @pytest.fixture(scope="module")
@@ -383,6 +383,61 @@ class TestGaussNewton:
         fit_z = gauss_newton_fit(start, zsh)
         for w in (tuple(local.integers(0, 4, 6)) for _ in range(100)):
             assert abs(fit_p.mpo.correlation(w) - fit_z.mpo.correlation(w)) < 1e-6
+
+
+@pytest.fixture
+def jtwj_evaluations(monkeypatch):
+    """The MPO of every model evaluation that forms JᵀWJ (carries weights)."""
+    from mpo_tomo import fitting
+
+    real = fitting._window_values_jacobian
+    points = []
+
+    def counted(mpo, window, basis_k=None, weights=None, buffer=None):
+        if weights is not None:
+            points.append(mpo)
+        return real(mpo, window, basis_k, weights, buffer)
+
+    monkeypatch.setattr(fitting, "_window_values_jacobian", counted)
+    return points
+
+
+class TestFactorOnce:
+    """Each Gauss-Newton point is assembled and factored once; the covariance
+    reads the final point's factor."""
+
+    def _start(self, sf_noisy6, seed=2):
+        masks = free_masks(sf_noisy6)
+        theta = pack(sf_noisy6.tensors, masks)
+        local = np.random.default_rng(seed)
+        return unpack(theta + local.normal(scale=1e-2, size=theta.size), sf_noisy6, masks)
+
+    def test_no_acceptable_step_reuses_the_unmoved_factor(
+        self, sf_noisy6, reject_every_gn_trial, jtwj_evaluations
+    ):
+        start = self._start(sf_noisy6)
+        fit = gauss_newton_fit(start, window_correlation_set(sf_noisy6, 5))
+        assert fit.exit_reason == "no_acceptable_step"
+        assert fit.iterations == 1
+        assert len(jtwj_evaluations) == 1
+        assert jtwj_evaluations[0] == start == fit.mpo
+
+    def test_converged_fit_assembles_each_point_once(self, sf_noisy6, jtwj_evaluations):
+        fit = gauss_newton_fit(self._start(sf_noisy6), window_correlation_set(sf_noisy6, 5))
+        assert fit.converged and fit.iterations > 1
+        assert len(jtwj_evaluations) == fit.iterations + 1
+        assert jtwj_evaluations[-1] == fit.mpo
+
+    @pytest.mark.parametrize("max_iter, start_exact", [(0, False), (200, True)])
+    def test_exit_at_the_start_assembles_once(
+        self, sf_noisy6, jtwj_evaluations, max_iter, start_exact
+    ):
+        start = sf_noisy6 if start_exact else self._start(sf_noisy6)
+        fit = gauss_newton_fit(start, window_correlation_set(sf_noisy6, 5), max_iter=max_iter)
+        assert fit.iterations == 0
+        assert fit.exit_reason == ("rounding_floor" if start_exact else "max_iter")
+        assert len(jtwj_evaluations) == 1
+        assert fit.covariance.shape == (n_free_parameters(fit.masks),) * 2
 
 
 class TestInversionFitAgreement:

@@ -26,14 +26,13 @@ from mpo_tomo.mpo import (
     fidelity,
     fidelity_gradient,
     gauge_transform,
-    is_standard_form,
     load_json,
     matrix_element,
     pad_bond,
     save_json,
-    to_standard_form,
 )
 from mpo_tomo.pauli import PauliWord
+from mpo_tomo.standard_form import is_standard_form, to_standard_form
 
 
 class TestCorrelation:

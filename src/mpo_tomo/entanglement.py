@@ -16,7 +16,7 @@ import numpy as np
 
 from ._validation import check_positive_int
 from .errors import ValidationError
-from .mpo import Mpo, left_environments, right_environments
+from .mpo import Mpo, left_environments, left_environments_vjp
 from .pauli import PAULIS
 from .standard_form import pack
 
@@ -292,7 +292,8 @@ def _enumerate_branches(mpo, plan, measure, masks=None):
     the outcome strings share their prefixes; the last environment, with the
     pair's two axes moved last, stacks every string's coefficients.  Branch
     ``i`` is the string whose bit ``k`` set means the ``k``-th measured site
-    gave -1.
+    gave -1.  The gradient runs that sweep in reverse from every branch's
+    d(value)/dc (:func:`mpo_tomo.mpo.left_environments_vjp`).
 
     Returns:
         (branch values (2^(N-2),), gradient of their sum with respect to the
@@ -308,13 +309,9 @@ def _enumerate_branches(mpo, plan, measure, masks=None):
     values, dvdc, raw_negative = _branch_terms(c, measure, masks is not None)
     if masks is None:
         return values, None, raw_negative
-    w = dvdc.reshape([open_dims[s] for s in order]).transpose(np.argsort(order)).ravel()
-    rights = right_environments(maps)
-    grads = []
-    for s, v in enumerate(vectors):
-        left, right = lefts[s], rights[s + 1]
-        w3 = w.reshape(left.shape[0], open_dims[s], right.shape[1])
-        grads.append(np.einsum("fx,fog,yg,oa->xay", left, w3, right, v, optimize=True))
+    w = dvdc.reshape([open_dims[s] for s in order]).transpose(np.argsort(order))
+    gmaps, _ = left_environments_vjp(maps, lefts, w.reshape(-1, 1))
+    grads = [np.einsum("oa,xoy->xay", v, g) for v, g in zip(vectors, gmaps)]
     return values, pack(grads, masks), raw_negative
 
 

@@ -12,8 +12,8 @@ the D_left columns Bᵀ, and the identity-slice columns follow from Bᵀ by a
 small fold map.  JᵀWJ is streamed: one block at a time is built into one
 reused buffer, reduced by one ``block.T @ block`` and scattered; the dense
 stacked Jacobian is never formed.  Products Jᵀu (the gradient and the
-geodesic term) come from a per-window pullback of the cotangents u through
-the chain.  Data in the Z-shifted basis is fit directly
+geodesic term) run each window's left sweep in reverse from its cotangent
+u.  Data in the Z-shifted basis is fit directly
 there (the model chain is contracted with the involution F on the window
 sites), which keeps the residual weights statistically independent.
 """
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -36,7 +37,14 @@ from .correlations import (
     zshifted_to_pauli,
 )
 from .errors import DataError, ValidationError
-from .mpo import Mpo, left_environments, load_json, right_environments, save_json
+from .mpo import (
+    Mpo,
+    left_environments,
+    left_environments_vjp,
+    load_json,
+    right_environments,
+    save_json,
+)
 from .reconstruct import (
     build_corr_matrices,
     compress,
@@ -44,6 +52,8 @@ from .reconstruct import (
     invert_reconstruct,
 )
 from .standard_form import (
+    PARAMETER_ORDERING,
+    free_entries,
     free_masks,
     is_standard_form,
     n_free_parameters,
@@ -105,12 +115,10 @@ def _window_blocks(mpo: Mpo, window: int, basis_k=None, buffer=None):
     n = mpo.n_qubits
     tensors, ident, prefix, suffix = _chain_maps(mpo, basis_k)
     if buffer is not None:
-        masks = free_masks(mpo)
         k_mat = np.eye(4) if basis_k is None else np.asarray(basis_k, dtype=float)
-        # (pauli, row, column) of a site's free entries in packing order, and
-        # (row, column) of its identity slice's
-        site_free = [np.nonzero(m.transpose(1, 0, 2)) for m in masks]
-        ident_free = [np.nonzero(m[:, 0, :]) for m in masks]
+        site_free = free_entries(free_masks(mpo))
+        # (row, column) of each site's identity-slice free entries
+        ident_free = [(x[i == 0], y[i == 0]) for i, x, y in site_free]
     for start in range(1, n - window + 2):
         first, end = start - 1, start - 1 + window
         sites = tensors[first:end]
@@ -171,10 +179,9 @@ def _window_values_jacobian(mpo: Mpo, window: int, basis_k=None, weights=None, b
     if buffer is None:
         buffer = _block_buffer(masks, window)
     offsets = np.cumsum([0] + [int(m.sum()) for m in masks])
-    # packed columns of every identity-slice free entry in chain order; they
-    # lead their site's range
+    # packed columns of every identity-slice free entry in chain order
     ident_cols = np.concatenate(
-        [np.arange(o, o + int(m[:, 0, :].sum())) for o, m in zip(offsets, masks)]
+        [o + np.flatnonzero(i == 0) for o, (i, _, _) in zip(offsets, free_entries(masks))]
     )
     hess = np.zeros((offsets[-1], offsets[-1]))
     values = {}
@@ -198,10 +205,11 @@ def _window_values_jacobian(mpo: Mpo, window: int, basis_k=None, weights=None, b
 def _window_pullback(mpo: Mpo, window: int, basis_k, cotangents) -> np.ndarray:
     """Packed J^T u of the window values for per-window cotangents u.
 
-    Each window's values are contracted with its cotangent site by site from
-    one left and one right sweep over its own sites; the sites left of it
-    see it through their identity slices, carried leftwards by one vector
-    for all windows.
+    Each window's values come from one left sweep over its sites from the
+    prefix at its left edge, so u goes back through the reverse sweep
+    (:func:`mpo_tomo.mpo.left_environments_vjp`) to those sites and to the
+    prefix.  The prefix gradients of all windows are carried leftwards in one
+    vector ``q`` to the identity slices of the sites left of them.
 
     Args:
         cotangents: dict start -> (4**window,) array in the word order of
@@ -220,16 +228,13 @@ def _window_pullback(mpo: Mpo, window: int, basis_k, cotangents) -> np.ndarray:
         end = first + window
         q = ident[first] @ q
         if first + 1 in cotangents:
-            u = cotangents[first + 1]
             sites = tensors[first:end]
             lefts = left_environments(sites, prefix[first])
-            rights = right_environments(sites, suffix[end])
-            for j, s in enumerate(range(first, end)):
-                lt, rt = lefts[j], rights[j + 1]
-                d_l = lt.shape[1]
-                g = (lt.T @ u.reshape(len(lt), -1)).reshape(4 * d_l, -1) @ rt.T
-                grads[s] += g.reshape(d_l, 4, -1)
-            q = q + rights[0] @ u
+            cotangent = np.outer(cotangents[first + 1], suffix[end])
+            site_grads, boundary = left_environments_vjp(sites, lefts, cotangent)
+            for s, g in zip(range(first, end), site_grads):
+                grads[s] += g
+            q = q + boundary[0]
         if first:
             # the identity slice of the site left of this window sees every
             # window from here on through q
@@ -574,8 +579,6 @@ def fit_record(fit: FitResult) -> dict:
 
 def save_fit_bundle(fit: FitResult, directory) -> None:
     """Persist a fit: MPO JSON, covariance binary + header, report JSON."""
-    import os
-
     os.makedirs(directory, exist_ok=True)
     save_json(fit.mpo, os.path.join(directory, "mpo.json"))
     cov = np.ascontiguousarray(fit.covariance, dtype=np.float64)
@@ -584,7 +587,7 @@ def save_fit_bundle(fit: FitResult, directory) -> None:
         "shape": list(cov.shape),
         "dtype": "float64",
         "order": "row-major",
-        "parameter_ordering": "site-major, then Pauli index, then row, then column over starred entries",
+        "parameter_ordering": PARAMETER_ORDERING,
     }
     with open(os.path.join(directory, "covariance_header.json"), "w") as fh:
         json.dump(header, fh, sort_keys=True)
@@ -594,8 +597,6 @@ def save_fit_bundle(fit: FitResult, directory) -> None:
 
 
 def load_fit_bundle(directory) -> FitResult:
-    import os
-
     mpo = load_json(os.path.join(directory, "mpo.json"))
     with open(os.path.join(directory, "covariance_header.json")) as fh:
         header = json.load(fh)

@@ -49,6 +49,25 @@ def left_environments(maps, boundary=None) -> list[np.ndarray]:
     return envs
 
 
+def left_environments_vjp(maps, lefts, cotangent):
+    """The reverse of :func:`left_environments`: the gradients of
+    ``sum(cotangent * lefts[-1])`` by every site map and by the boundary.
+
+    ``lefts`` are the environments of the forward sweep over ``maps``.  The
+    cotangent is carried leftwards one map at a time, and each map's
+    gradient is its left environment times the cotangent carried to it.
+
+    Returns:
+        ``(grads, boundary_grad)``, shaped like ``maps`` and ``lefts[0]``.
+    """
+    grads = [None] * len(maps)
+    for k in range(len(maps) - 1, -1, -1):
+        cotangent = cotangent.reshape(len(lefts[k]), -1)
+        grads[k] = (lefts[k].T @ cotangent).reshape(maps[k].shape)
+        cotangent = cotangent @ maps[k].reshape(len(maps[k]), -1).T
+    return grads, cotangent
+
+
 def right_environments(maps, boundary=None) -> list[np.ndarray]:
     """Right partial products of a chain of site maps.
 
@@ -125,8 +144,7 @@ class Mpo:
 
     def trace(self) -> float:
         """Trace of the represented operator (product of identity slices)."""
-        ident = [t[:, 0, :] for t in self.tensors]
-        return float(left_environments(ident)[-1][0, 0])
+        return self.correlation((0,) * self.n_qubits)
 
     def correlation(self, word) -> float:
         """Expectation value of a Pauli word.
@@ -243,13 +261,10 @@ def _pair_maps(mpo: Mpo, target: Mpo) -> list[np.ndarray]:
         raise ValidationError(
             f"length mismatch: {mpo.n_qubits} vs {target.n_qubits}"
         )
-    mats = []
-    for t, a in zip(target.tensors, mpo.tensors):
-        m = np.einsum("uiv,xiy->uxvy", t, a)
-        mats.append(
-            m.reshape(t.shape[0] * a.shape[0], t.shape[2] * a.shape[2])
-        )
-    return mats
+    return [
+        np.einsum("uiv,xiy->uxvy", t, a).reshape(t.shape[0] * a.shape[0], -1)
+        for t, a in zip(target.tensors, mpo.tensors)
+    ]
 
 
 def fidelity(mpo: Mpo, target: Mpo) -> float:
@@ -265,21 +280,17 @@ def fidelity(mpo: Mpo, target: Mpo) -> float:
 def fidelity_gradient(mpo: Mpo, target: Mpo) -> list[np.ndarray]:
     """Partial derivatives of :func:`fidelity` by every site-tensor entry.
 
-    Returns:
-        one array per site, shaped like the site tensor, obtained by removing
-        that site from the pair contraction.
+    One reverse sweep (:func:`left_environments_vjp`) over the pair
+    contraction gives every pair map's gradient, which its target site maps
+    back onto the site tensor.
     """
     mats = _pair_maps(mpo, target)
-    lefts = left_environments(mats)
-    rights = right_environments(mats)
-    scale = 1.0 / 2**mpo.n_qubits
-    grads = []
-    for s, (t, a) in enumerate(zip(target.tensors, mpo.tensors)):
-        lv = lefts[s].reshape(t.shape[0], a.shape[0])
-        rv = rights[s + 1].reshape(t.shape[2], a.shape[2])
-        g = np.einsum("ux,uiv,vy->xiy", lv, t, rv) * scale
-        grads.append(g)
-    return grads
+    cotangent = np.full((1, 1), 1.0 / 2**mpo.n_qubits)
+    grads, _ = left_environments_vjp(mats, left_environments(mats), cotangent)
+    return [
+        np.einsum("uxvy,uiv->xiy", g.reshape(t.shape[0], a.shape[0], t.shape[2], -1), t)
+        for g, t, a in zip(grads, target.tensors, mpo.tensors)
+    ]
 
 
 def correlation_gradient(mpo: Mpo, letters) -> list[np.ndarray]:
@@ -288,14 +299,8 @@ def correlation_gradient(mpo: Mpo, letters) -> list[np.ndarray]:
     if len(letters) != mpo.n_qubits:
         raise ValidationError("letters must cover the full chain")
     mats = [t[:, a, :] for t, a in zip(mpo.tensors, letters)]
-    lefts = left_environments(mats)
-    rights = right_environments(mats)
-    grads = []
-    for s, t in enumerate(mpo.tensors):
-        g = np.zeros(t.shape)
-        g[:, letters[s], :] = np.outer(lefts[s], rights[s + 1])
-        grads.append(g)
-    return grads
+    slices, _ = left_environments_vjp(mats, left_environments(mats), np.ones((1, 1)))
+    return [np.einsum("xy,i->xiy", g, np.eye(4)[a]) for g, a in zip(slices, letters)]
 
 
 def matrix_element(mpo: Mpo, bra_bits, ket_bits) -> complex:

@@ -28,19 +28,15 @@ _SIGMA_CHECK = 5.0  # standard errors a correlation may exceed 1 by before it is
 
 @dataclass
 class CorrMatrices:
-    """Correlation matrices for bond analysis and five-qubit inversion.
+    """Four-qubit correlation matrices for bond analysis and compression.
 
     Attributes:
         b: per window start s (1..N-3), the 16x16 four-qubit matrix B_s.
-        c: per s (1..N-4), the 4x16x16 stack of five-qubit matrices C_s^(i).
-        bn3: 4x16x4 boundary stack B_{N-3}^(i) (four-qubit at sites N-3..N).
+        b_se: the standard errors of its entries.
     """
 
-    n_sites: int
     b: dict[int, np.ndarray] = field(repr=False)
     b_se: dict[int, np.ndarray] = field(repr=False)
-    c: dict[int, np.ndarray] = field(repr=False)
-    bn3: np.ndarray = field(repr=False)
 
 
 def _split(L: int) -> tuple[int, int]:
@@ -69,7 +65,7 @@ def _corr_matrix(corrs, first: int, rows: int, cols: int, open_site: bool = True
 
 
 def build_corr_matrices(corrs: PauliCorrelationSet) -> CorrMatrices:
-    """Assemble B_s, C_s and the boundary forms from five-qubit correlations.
+    """Assemble the B_s and their SEs from five-qubit correlations.
 
     Four-qubit entries are obtained from the five-qubit windows by identity
     marginalization.  Values outside [-1, 1] beyond ``_SIGMA_CHECK`` standard
@@ -96,9 +92,7 @@ def build_corr_matrices(corrs: PauliCorrelationSet) -> CorrMatrices:
         b[s], b_se[s] = _corr_matrix(corrs, s, ell, r, open_site=False)
         if abs(b[s][0, 0] - 1.0) > max(0.3, 5 * b_se[s][0, 0]):
             raise DataError(f"B_{s}[0, 0] should be 1 after normalization")
-    c = {s: _corr_matrix(corrs, s, ell, r)[0] for s in range(1, n - corrs.window + 2)}
-    bn3 = _corr_matrix(corrs, n - ell - 1, ell, 1)[0]
-    return CorrMatrices(n, b, b_se, c, bn3)
+    return CorrMatrices(b, b_se)
 
 
 def singular_value_ses(mat: np.ndarray, mat_se: np.ndarray):
@@ -315,15 +309,17 @@ def check_reconstructibility(truth: Mpo, L: int = 5) -> ReconstructibilityReport
 def compress(mpo: Mpo, cm: CorrMatrices, targets: dict[int, int]) -> Mpo:
     """Compress the bonds of an inversion-output MPO via SVDs of the B_s.
 
-    For each bond s (between sites s+1 and s+2, left to right) the truncated
-    SVD ``B_s ~ U S V*`` transforms site s+1 by V and rebuilds site s+2 as
-    ``S^-1 U* C_s``; exact when the target equals rank(B_s), otherwise the
-    best rank-limited approximation.  The input must be the (uncompressed)
-    inversion output aligned with ``cm``.
+    For each bond s (between sites s+1 and s+2) the first ``target`` right
+    singular vectors V of ``B_s ~ U S V*`` project the bond: site s+1 becomes
+    site s+1 · V and site s+2 becomes V* · site s+2.  The inversion solved
+    site s+2 as the pseudo-inverse solution ``B_s^+ C_s``, which already lies
+    in the span of those vectors when the target is the rank it inverted
+    with, so the projection keeps it and is exact when that rank is
+    rank(B_s); a smaller target keeps the leading singular directions.  The
+    input must be the (uncompressed) inversion output aligned with ``cm``.
     """
-    n = mpo.n_qubits
     ts = [np.array(t) for t in mpo.tensors]
-    for s in range(1, n - 2):
+    for s in range(1, mpo.n_qubits - 2):
         target = targets.get(s)
         if target is None:
             continue
@@ -331,14 +327,12 @@ def compress(mpo: Mpo, cm: CorrMatrices, targets: dict[int, int]) -> Mpo:
             raise ValidationError(
                 f"target {target} exceeds bond {ts[s].shape[2]} at bond {s}"
             )
-        u, sv, vt = np.linalg.svd(cm.b[s])
+        _, sv, vt = np.linalg.svd(cm.b[s])
         if sv[target - 1] <= 1e-14 * max(sv[0], 1e-300):
             raise ValidationError(
                 f"singular value {target} of B_{s} vanishes; cannot compress"
             )
         v = vt[:target].T
         ts[s] = np.einsum("dix,xr->dir", ts[s], v)
-        cstack = cm.c[s] if s <= n - 4 else cm.bn3
-        rebuilt = np.einsum("r,rx,ixy->riy", 1.0 / sv[:target], u[:, :target].T, cstack)
-        ts[s + 1] = rebuilt
+        ts[s + 1] = np.einsum("xr,xiy->riy", v, ts[s + 1])
     return Mpo(ts)

@@ -1,8 +1,8 @@
 """The standard-form gauge of an MPO and its free-parameter bookkeeping.
 
 One template (:func:`_template`) pins the standard form's entries; the fit
-parameters are exactly the unpinned ("starred") ones, ordered site-major,
-then Pauli index, then row, then column.
+parameters are exactly the unpinned ("starred") ones, in the order that
+:func:`free_entries` gives.
 """
 
 from __future__ import annotations
@@ -111,9 +111,13 @@ def to_standard_form(mpo: Mpo) -> Mpo:
     return Mpo(ts)
 
 
-def _site_major(arr: np.ndarray) -> np.ndarray:
-    """Reorder a (D_l, 4, D_r) array to (pauli, row, column) and flatten."""
-    return arr.transpose(1, 0, 2).ravel()
+PARAMETER_ORDERING = "site-major, then Pauli index, then row, then column over starred entries"
+
+
+def free_entries(masks) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per site, the (pauli, row, column) indices of its free entries in
+    packing order (see ``PARAMETER_ORDERING``)."""
+    return [np.nonzero(m.transpose(1, 0, 2)) for m in masks]
 
 
 def n_free_parameters(masks) -> int:
@@ -125,13 +129,13 @@ def pack(site_arrays, masks) -> np.ndarray:
     if len(site_arrays) != len(masks):
         raise ValidationError("site count mismatch between arrays and masks")
     parts = []
-    for arr, mask in zip(site_arrays, masks):
+    for arr, mask, (i, x, y) in zip(site_arrays, masks, free_entries(masks)):
         arr = np.asarray(arr)
         if arr.shape != mask.shape:
             raise ValidationError(
                 f"gradient shape {arr.shape} does not match mask {mask.shape}"
             )
-        parts.append(_site_major(arr)[_site_major(mask)])
+        parts.append(arr[x, i, y])
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
@@ -140,14 +144,11 @@ def unpack(theta: np.ndarray, template: Mpo, masks) -> Mpo:
     theta = np.asarray(theta, dtype=float)
     out = []
     pos = 0
-    for t, mask in zip(template.tensors, masks):
-        flat = _site_major(np.array(t))
-        mflat = _site_major(mask)
-        k = int(mflat.sum())
-        flat[mflat] = theta[pos : pos + k]
-        pos += k
-        dl, _, dr = t.shape
-        out.append(flat.reshape(4, dl, dr).transpose(1, 0, 2))
+    for t, (i, x, y) in zip(template.tensors, free_entries(masks)):
+        t = np.array(t)
+        t[x, i, y] = theta[pos : pos + len(i)]
+        pos += len(i)
+        out.append(t)
     if pos != theta.size:
         raise ValidationError(
             f"parameter vector length {theta.size} does not match masks ({pos})"

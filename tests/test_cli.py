@@ -484,6 +484,45 @@ class TestTooling:
             target = importlib.import_module(f"mpo_tomo.{module}")
             assert callable(getattr(target, attr, None)), f"{module}.{attr}"
 
+    def test_traced_pipeline_gives_every_layer_metric(self, tmp_path):
+        # bench/run.py --trace 1 runs each command through bench/traced_cli.py;
+        # a refactor that breaks a span's info callback fails the command
+        import importlib.util
+        import math
+        import subprocess
+        import sys
+        import time
+        from pathlib import Path
+
+        import mpo_tomo
+
+        bench = Path(__file__).resolve().parent.parent / "bench"
+        spec = importlib.util.spec_from_file_location("bench_tracing", bench / "tracing.py")
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mpo_tomo.__file__)))
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "run"
+        commands = []
+        for command in ("simulate", "reconstruct", "analyze"):
+            trace = tmp_path / f"{command}.trace.json"
+            argv = [sys.executable, str(bench / "traced_cli.py"), str(trace), command]
+            spawn_t = time.monotonic()
+            done = subprocess.run(
+                argv + ["--config", cfg, "--out", str(out)], env=env, capture_output=True, text=True
+            )
+            assert done.returncode == 0, done.stderr
+            doc = json.loads(trace.read_text())
+            commands.append({"startup_s": doc["main_t"] - spawn_t, "spans": doc["spans"]})
+        dataset_bytes = sum(p.stat().st_size for p in (out / "dataset").iterdir())
+        metrics = tracing.chain_metrics(commands, dataset_bytes)
+        names = {name for name, _ in tracing.LAYER_METRICS}
+        # the overhead compares traced with untraced runs, so run.py adds it
+        assert names - set(metrics) == {"trace.overhead_frac"}
+        assert all(math.isfinite(metrics[name]) for name in names & set(metrics))
+        assert metrics["fitting.gn_iterations"] > 0
+        assert metrics["entanglement.branches"] > 0
+
     def test_cli_import_loads_no_scipy(self):
         import subprocess
         import sys

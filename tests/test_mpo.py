@@ -26,6 +26,8 @@ from mpo_tomo.mpo import (
     fidelity,
     fidelity_gradient,
     gauge_transform,
+    left_environments,
+    left_environments_vjp,
     load_json,
     matrix_element,
     pad_bond,
@@ -368,6 +370,40 @@ class TestFidelityGradient:
         ga = fidelity_gradient(a, cluster5)[0]
         gb = fidelity_gradient(b, cluster5)[0]
         assert np.max(np.abs(ga - gb)) < 1e-12
+
+
+class TestLeftEnvironmentsVjp:
+    def test_against_central_differences(self, rng):
+        # 2-D and 3-D maps after a (3, 2) boundary: the last environment is
+        # (3 * 4 * 2, 2); its contraction with a cotangent is linear in every
+        # entry, so central differences are exact up to rounding
+        shapes = [(2, 4, 3), (3, 2), (2, 2, 3), (3, 2)]
+        maps = [rng.normal(size=shape) for shape in shapes]
+        boundary = rng.normal(size=(3, 2))
+        lefts = left_environments(maps, boundary)
+        cotangent = rng.normal(size=lefts[-1].shape)
+        grads, boundary_grad = left_environments_vjp(maps, lefts, cotangent)
+        assert [g.shape for g in grads] == shapes
+        assert boundary_grad.shape == boundary.shape
+
+        def objective(ms, b):
+            return float(np.sum(cotangent * left_environments(ms, b)[-1]))
+
+        h = 1e-6
+        for k, m in enumerate(maps + [boundary]):
+            expected = np.zeros(m.shape)
+            for idx in np.ndindex(m.shape):
+                step = np.zeros(m.shape)
+                step[idx] = h
+                plus, minus = list(maps), list(maps)
+                if k < len(maps):
+                    plus[k], minus[k] = m + step, m - step
+                    f_p, f_m = objective(plus, boundary), objective(minus, boundary)
+                else:
+                    f_p, f_m = objective(maps, m + step), objective(maps, m - step)
+                expected[idx] = (f_p - f_m) / (2 * h)
+            got = grads[k] if k < len(maps) else boundary_grad
+            np.testing.assert_allclose(got, expected, atol=1e-8)
 
 
 class TestJsonFormat:

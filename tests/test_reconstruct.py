@@ -43,18 +43,21 @@ class TestCorrMatrices:
 
     def test_entries_match_direct_correlations(self, rng):
         m = emit_mpo(random_protocol(6, 2, seed=31))
-        cm = build_corr_matrices(window_correlation_set(m, 5))
+        corrs = window_correlation_set(m, 5)
+        cm = build_corr_matrices(corrs)
         from mpo_tomo.pauli import PauliWord
+        from mpo_tomo.reconstruct import _corr_matrix
 
         for s in cm.b:
             for _ in range(10):
                 a, b, c, d = rng.integers(0, 4, size=4)
                 direct = m.correlation(PauliWord((a, b, c, d), s))
                 assert cm.b[s][4 * a + b, 4 * c + d] == pytest.approx(direct, abs=1e-12)
-        for s in cm.c:
+        for s in corrs.starts:
+            cmat = _corr_matrix(corrs, s, 2, 2)[0]  # C(s, s+1 | s+2 | s+3, s+4)
             a, b, i, c, d = rng.integers(0, 4, size=5)
             direct = m.correlation(PauliWord((a, b, i, c, d), s))
-            assert cm.c[s][i, 4 * a + b, 4 * c + d] == pytest.approx(direct, abs=1e-12)
+            assert cmat[i, 4 * a + b, 4 * c + d] == pytest.approx(direct, abs=1e-12)
 
     def test_unphysical_values_rejected(self, cluster6):
         corrs = window_correlation_set(cluster6, 5)
@@ -246,6 +249,21 @@ class TestCompression:
             for w in (tuple(rng.integers(0, 4, 6)) for _ in range(500))
         ]
         assert max(devs) > 0.1
+
+    def test_guess_keeps_the_inversion_sites(self, cluster6):
+        # the projection is linear in every interior site the inversion
+        # solved, so no solve is discarded for a rebuild from the data
+        corrs = window_correlation_set(cluster6, 5)
+        cm = build_corr_matrices(corrs)
+        inv = invert_reconstruct(corrs, 5)
+        targets = {s: 4 for s in cm.b}
+        sites = list(inv.mpo.tensors)
+        sites[3] = 2.0 * sites[3]
+        base = compress(inv.mpo, cm, targets)
+        scaled = compress(Mpo(sites), cm, targets)
+        for s in range(1, 7):
+            factor = 2.0 if s == 4 else 1.0
+            np.testing.assert_allclose(scaled.site(s), factor * base.site(s), atol=1e-12)
 
     def test_zero_singular_value_rejected(self):
         m = product_state_mpo(6)

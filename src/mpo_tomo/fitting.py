@@ -4,22 +4,23 @@ Residuals are the differences between measured window correlations and the
 chain-product values of the MPO, each weighted by the reciprocal standard
 error.  The analytic Jacobian follows from the product rule: removing one
 site from the chain leaves a left prefix and a right suffix whose outer
-product is the derivative block.  In standard form a window's values depend
-only on its own sites and on the identity slices of the sites left of it.
-Those identity slices reach the window only through its right environment B
-at its left edge, so a window's block holds its own sites' free entries plus
-the D_left columns Bᵀ, and the identity-slice columns follow from Bᵀ by a
-small fold map.  JᵀWJ is streamed: one block at a time is built into one
-reused buffer, reduced by one ``block.T @ block`` and scattered; the dense
-stacked Jacobian is never formed.  Products Jᵀu (the gradient and the
-geodesic term) run each window's left sweep in reverse from its cotangent
-u.  Data in the Z-shifted basis is fit directly
-there (the model chain is contracted with the involution F on the window
-sites), which keeps the residual weights statistically independent.
+product is the derivative.  That outer product, one slab per window site,
+does not depend on the site's own letter, so no dense Jacobian block is
+built: JᵀWJ is assembled window by window from site-pair Grams over the
+words grouped by the letters of the two sites.  In standard form a window's
+values depend only on its own sites and on the identity slices of the sites
+left of it.  Those identity slices reach the window only through its right
+environment B at its left edge, so their terms follow from the Grams of Bᵀ,
+carried leftwards through the identity slices in one sweep per pass.
+Products Jᵀu (the gradient and the geodesic term) run each window's left
+sweep in reverse from its cotangent u.  Data in the Z-shifted basis is fit
+directly there (the model chain is contracted with the involution F on the
+window sites), which keeps the residual weights statistically independent.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -53,7 +54,6 @@ from .reconstruct import (
 )
 from .standard_form import (
     PARAMETER_ORDERING,
-    free_entries,
     free_masks,
     is_standard_form,
     n_free_parameters,
@@ -77,129 +77,192 @@ def _chain_maps(mpo: Mpo, basis_k):
     return tensors, ident, left_environments(ident), right_environments(ident)
 
 
-def _block_buffer(masks, window: int) -> np.ndarray:
-    """Scratch that holds the Jacobian block of any one window (see
-    :func:`_window_blocks`)."""
-    widths = [
-        sum(int(m.sum()) for m in masks[first : first + window]) + masks[first].shape[0]
-        for first in range(len(masks) - window + 1)
-    ]
-    return np.empty(4**window * max(widths, default=0))
-
-
-def _window_blocks(mpo: Mpo, window: int, basis_k=None, buffer=None):
-    """Model values and Jacobian block of each window, one window at a time.
+def _window_slabs(mpo: Mpo, window: int, basis_k=None, slabs: bool = True):
+    """Model values and derivative slabs of each window, one window at a time.
 
     Requires standard form, so sites right of a window never contribute
     derivatives through their pinned identity columns, and sites left of it
-    only through their identity slices.  A window's block holds the
-    derivatives w.r.t. its own sites' free entries, then the D_left columns
-    Bᵀ, where B = ``rights[0]`` is the window's right environment at its left
-    edge.  The derivative w.r.t. entry (x, y) of the identity slice of a site
-    s left of the window is ``prefix[s][0, x] (ident[s+1] ⋯ ident[first-1] B)[y]``,
-    that is Bᵀ times one column of the small map ``fold``; no block column is
-    built for it.
+    only through their identity slices.  The derivative of word (a, w, b) by
+    the data-basis entry (x, w', y) of window site p is
+    ``δ(w, w') lefts[p][a, x] rights[p+1][y, b]``, so one slab
+    E_p = lefts[p] ⊗ rights[p+1] serves all four letters of the site.  The
+    identity slices of the sites left of the window reach its values only
+    through the prefix at its left edge, whose derivative is B =
+    ``rights[0]``, the window's right environment there.
 
     Args:
-        buffer: scratch from :func:`_block_buffer`; every block is built into
-            it, so each block is overwritten by the next.  None yields the
-            values alone.
+        slabs: False yields the values alone.
 
     Yields:
-        ``(start, values, block, fold)`` in chain order: values
-        (4**window,) in site-major word order; block (4**window,
-        n_own + D_left), its columns in packing order; fold (D_left, n_left)
-        over the identity-slice free entries of every site left of the
-        window, in packing order.  block and fold are None without a buffer.
+        ``(start, values, slabs, boundary)`` in chain order: values
+        (4**window,) in site-major word order; slabs, one per window site,
+        (4**(window-1), D_l * D_r) with rows over the letters of the other
+        window sites in site-major order and columns over (x, y); boundary
+        B (D_left, 4**window).  The last two are None without ``slabs``.
     """
     n = mpo.n_qubits
-    tensors, ident, prefix, suffix = _chain_maps(mpo, basis_k)
-    if buffer is not None:
-        k_mat = np.eye(4) if basis_k is None else np.asarray(basis_k, dtype=float)
-        site_free = free_entries(free_masks(mpo))
-        # (row, column) of each site's identity-slice free entries
-        ident_free = [(x[i == 0], y[i == 0]) for i, x, y in site_free]
+    tensors, _, prefix, suffix = _chain_maps(mpo, basis_k)
     for start in range(1, n - window + 2):
         first, end = start - 1, start - 1 + window
         sites = tensors[first:end]
         lefts = left_environments(sites, prefix[first])  # (4^k, D)
         values = (lefts[window] @ suffix[end])[:, 0]
-        if buffer is None:
+        if not slabs:
             yield start, values, None, None
             continue
         rights = right_environments(sites, suffix[end])
-        free = site_free[first:end]
-        n_own = sum(len(i) for i, _, _ in free)
-        d_left = sites[0].shape[0]
-        block = buffer[: 4**window * (n_own + d_left)].reshape(4**window, -1)
-        col = 0
-        for (i, x, y), lt, rt in zip(free, lefts, rights[1:]):
-            # block[a, w, b, f] = K[w, i_f] lt[a, x_f] rt[y_f, b]
-            lk = (lt[:, None, x] * k_mat[:, i])[:, :, None]
-            out = block[:, col : col + len(i)]
-            np.multiply(lk, rt[y].T, out=out.reshape(len(lt), 4, rt.shape[1], len(i)))
-            col += len(i)
-        block[:, n_own:] = rights[0].T
-        # carry[s + 1] = ident[s+1] ⋯ ident[first-1], the same leftward carry
-        # as the pullback's
-        carry = right_environments(ident[:first], np.eye(d_left))
-        fold = np.concatenate(
-            [np.empty((d_left, 0))]
-            + [(carry[s + 1][y] * prefix[s][0, x, None]).T for s, (x, y) in enumerate(ident_free[:first])],
-            axis=1,
-        )
-        yield start, values, block, fold
+        window_slabs = [
+            (lt[:, None, :, None] * rt.T[None, :, None, :]).reshape(4 ** (window - 1), -1)
+            for lt, rt in zip(lefts, rights[1:])
+        ]
+        yield start, values, window_slabs, rights[0]
 
 
-def _window_values_jacobian(mpo: Mpo, window: int, basis_k=None, weights=None, buffer=None):
+def _window_values_jacobian(mpo: Mpo, window: int, basis_k=None, weights=None):
     """Model values of all window words, and JᵀWJ when ``weights`` are given.
 
-    JᵀWJ is streamed one window at a time: each window's block (see
-    :func:`_window_blocks`) is built into ``buffer``, weighted in place,
-    reduced by one ``block.T @ block`` and scattered before the next window
-    is built, so no more than one block is ever held.  The identity-slice
-    columns of the sites left of a window are folded through its D_left
-    boundary columns: with G = blockᵀblock split at the own columns, their
-    blocks of JᵀWJ are ``foldᵀ G_BB fold`` and ``foldᵀ G_B,own``.
+    JᵀWJ is assembled one window at a time from its slabs (see
+    :func:`_window_slabs`); no dense Jacobian block is built.  With ω the
+    squared word weights, the data-basis Gram of window sites p ≤ q needs
+    only the words whose letters at p and q match its columns: for p = q
+    four products E_pᵀ diag(ω) E_p over 4**(window-1) words each, for p < q
+    sixteen over 4**(window-2) words each, each set one batched matmul.  The
+    basis map K on the letters and the selection of the free entries
+    (together M_p) give the block M_pᵀ G_pq M_q, and a window's blocks fill
+    one contiguous slice of JᵀWJ, since each site's free entries are
+    contiguous in the packing order.
+
+    The identity slices of the sites left of a window reach it through its
+    boundary B, whose Grams G_BB = Bᵀ diag(ω) B and G_B,own (B against the
+    window's own columns, grouped by letter like the slabs) are kept per
+    window.  One leftward sweep per pass then carries them through the
+    identity slices, as :func:`_window_pullback` carries its boundary
+    gradients, and adds each site's identity-slice rows and columns of JᵀWJ
+    as two contiguous slices.
 
     Args:
         weights: dict start -> (4**window,) row weights w of each window's
             words; JᵀWJ sums (w J)ᵀ(w J) over the windows it names.  None
             evaluates the values alone.
-        buffer: scratch from :func:`_block_buffer`, reused across calls;
-            allocated here when None.
 
     Returns:
         values: dict start -> (4**window,) array in site-major word order.
         hess: (n_free, n_free) JᵀWJ over the packed parameters, or None.
     """
     if weights is None:
-        return {s: v for s, v, _, _ in _window_blocks(mpo, window, basis_k)}, None
+        return {s: v for s, v, _, _ in _window_slabs(mpo, window, basis_k, False)}, None
     masks = free_masks(mpo)
-    if buffer is None:
-        buffer = _block_buffer(masks, window)
-    offsets = np.cumsum([0] + [int(m.sum()) for m in masks])
-    # packed columns of every identity-slice free entry in chain order
-    ident_cols = np.concatenate(
-        [o + np.flatnonzero(i == 0) for o, (i, _, _) in zip(offsets, free_entries(masks))]
-    )
+    k_mat = np.eye(4) if basis_k is None else np.asarray(basis_k, dtype=float)
+    # K on the letters of a site-pair Gram, grouped by (letter at p, letter
+    # at q), by the one letter of a site with itself, or by the site's letter
+    # against the boundary
+    k_pair = np.kron(k_mat, k_mat)
+    k_same = (k_mat[:, :, None] * k_mat[:, None, :]).reshape(4, 16)
+    # each site's free entries as flat (pauli, row, column) indices
+    rows = [np.flatnonzero(m.transpose(1, 0, 2)) for m in masks]
+    offsets = np.cumsum([0] + [len(r) for r in rows])
     hess = np.zeros((offsets[-1], offsets[-1]))
+    # one window's own block of JᵀWJ, reused by every window
+    scratch = np.empty(np.max(offsets[window:] - offsets[:-window]) ** 2)
+    words, slab_rows = _letter_tables(window)
     values = {}
-    for start, vals, block, fold in _window_blocks(mpo, window, basis_k, buffer):
+    boundary_grams = {}  # first site -> (G_BB, G_B,own)
+    for start, vals, slabs, boundary in _window_slabs(mpo, window, basis_k):
         values[start] = vals
         if start not in weights:
             continue
-        block *= weights[start][:, None]
-        g = block.T @ block
-        own = slice(offsets[start - 1], offsets[start - 1 + window])
-        k = own.stop - own.start
-        hess[own, own] += g[:k, :k]
-        head = ident_cols[: fold.shape[1]]
-        cross = fold.T @ g[k:, :k]
-        hess[np.ix_(head, head)] += fold.T @ g[k:, k:] @ fold
-        hess[head, own] += cross
-        hess[own, head] += cross.T
+        first = start - 1
+        own = slice(offsets[first], offsets[first + window])
+        # each window site's slice of the window's own block
+        local = offsets[first : first + window + 1] - own.start
+        at = [slice(a, b) for a, b in zip(local, local[1:])]
+        block = scratch[: local[-1] ** 2].reshape(local[-1], -1)
+        omega = weights[start] ** 2
+        free = rows[first : first + window]
+        for p, e_p in enumerate(slabs):
+            # w_p[w] = diag(ω) E_p over the words with letter w at p
+            w_p = omega[words[p]][:, :, None] * e_p
+            g = np.matmul(w_p.transpose(0, 2, 1), e_p)
+            block[at[p], at[p]] = _free_block(g, k_same, free[p], free[p])
+            for q in range(p + 1, window):
+                # the words with letter w at p and v at q
+                w_pq = np.take(w_p, slab_rows[p][q], axis=1)  # [w, v]
+                e_qp = slabs[q][slab_rows[q][p]]  # [w]
+                g = np.matmul(w_pq.transpose(0, 1, 3, 2), e_qp[:, None])
+                block[at[p], at[q]] = _free_block(g, k_pair, free[p], free[q])
+                block[at[q], at[p]] = block[at[p], at[q]].T
+        hess[own, own] += block
+        if first:
+            bw = boundary * omega
+            cross = np.empty((len(boundary), local[-1]))
+            for p, e_p in enumerate(slabs):
+                g = np.matmul(bw[:, words[p]].transpose(1, 0, 2), e_p)
+                cross[:, at[p]] = _free_block(g, k_mat, slice(None), free[p])
+            boundary_grams[first] = (bw @ boundary.T, cross)
+    # The derivative by entry (x, y) of the identity slice of site s, on a
+    # window right of it, is prefix[s][0, x] (ident[s+1] ⋯ ident[first-1] B)[y].
+    # ``carry`` holds, over every packed column, the boundary Grams of the
+    # windows right of s carried to its right bond, and ``square`` the
+    # G_BB carried there from both sides.
+    _, ident, prefix, _ = _chain_maps(mpo, basis_k)
+    n = len(masks)
+    carry = np.zeros((ident[n - window].shape[1], offsets[-1]))
+    square = np.zeros((len(carry), len(carry)))
+    for s in range(n - window - 1, -1, -1):
+        carry = ident[s + 1] @ carry
+        square = ident[s + 1] @ square @ ident[s + 1].T
+        if s + 1 in boundary_grams:
+            g_bb, cross = boundary_grams.pop(s + 1)
+            square += g_bb
+            carry[:, offsets[s + 1] : offsets[s + 1 + window]] += cross
+        x, y = np.nonzero(masks[s][:, 0, :])  # the identity-slice free entries
+        p_x = prefix[s][0, x]
+        ident_s = slice(offsets[s], offsets[s] + len(x))
+        # the identity-slice columns of s, for the sites left of it
+        carry[:, ident_s] += square[:, y] * p_x
+        right = slice(offsets[s], None)
+        strip = p_x[:, None] * carry[y, right]
+        # the square of s with itself reaches JᵀWJ through both adds below
+        strip[:, : len(x)] *= 0.5
+        hess[ident_s, right] += strip
+        hess[right, ident_s] += strip.T
     return values, hess
+
+
+def _free_block(g, letter_map, rows_p, rows_q):
+    """The block M_pᵀ G_pq M_q of JᵀWJ from a letter-grouped Gram.
+
+    ``g`` stacks one (k_p, k_q) Gram per letter group; ``letter_map`` maps
+    the groups to Pauli pairs (i, j), j over the four Pauli indices of site
+    q.  The rows (i, a) and columns (j, b) of the result are then picked at
+    the free entries ``rows_p`` and ``rows_q``.
+    """
+    k_p, k_q = g.shape[-2:]
+    g = (letter_map.T @ g.reshape(len(letter_map), -1)).reshape(-1, 4, k_p, k_q)
+    return g.transpose(0, 2, 1, 3).reshape(len(g) * k_p, 4 * k_q)[rows_p][:, rows_q]
+
+
+@functools.cache
+def _letter_tables(window: int):
+    """Index tables that group a window's words by the letters of its sites.
+
+    Returns:
+        words: per site p, (4, 4**(window-1)) word indices with letter w at
+            p, the other letters in site order (the rows of the slab).
+        slab_rows: ``slab_rows[p][q]``, (4, 4**(window-2)) rows of site p's
+            slab with letter v at site q, the other letters in site order.
+    """
+    index = np.arange(4**window).reshape((4,) * window)
+    slab_index = np.arange(4 ** (window - 1)).reshape((4,) * (window - 1))
+    words = [np.moveaxis(index, p, 0).reshape(4, -1) for p in range(window)]
+    slab_rows = [
+        {q: np.moveaxis(slab_index, q - (q > p), 0).reshape(4, -1) for q in range(window) if q != p}
+        for p in range(window)
+    ]
+    # every caller shares these arrays
+    for table in words + [t for rows in slab_rows for t in rows.values()]:
+        table.flags.writeable = False
+    return words, slab_rows
 
 
 def _window_pullback(mpo: Mpo, window: int, basis_k, cotangents) -> np.ndarray:
@@ -295,8 +358,8 @@ def gauss_newton_fit(
 ) -> FitResult:
     """Levenberg-damped Gauss-Newton weighted least squares.
 
-    JᵀWJ is streamed window by window through one reused block buffer (see
-    :func:`_window_values_jacobian`); JᵀWr and the geodesic term come from
+    JᵀWJ is assembled window by window from letter-grouped site-pair Grams
+    (see :func:`_window_values_jacobian`); JᵀWr and the geodesic term come from
     :func:`_window_pullback`.  Each pass assembles JᵀWJ at the current point
     and takes its one ``eigh``, then steps or exits, so the covariance,
     ``dof`` and null-space record read the final point's factor.  The
@@ -340,9 +403,8 @@ def gauss_newton_fit(
     masks = free_masks(initial)
     n_par = n_free_parameters(masks)
     theta = pack(initial.tensors, masks)
-    # word 0 carries no residual; one buffer holds every window's block
+    # word 0 carries no residual
     weights = {s: np.pad(ws, (1, 0)) for s, ws in zip(starts, w)}
-    buffer = _block_buffer(masks, window)
     evals_made = 0
 
     def model(mpo, want_jacobian):
@@ -350,7 +412,7 @@ def gauss_newton_fit(
         nonlocal evals_made
         evals_made += 1
         vals, hess = _window_values_jacobian(
-            mpo, window, basis_k, weights if want_jacobian else None, buffer
+            mpo, window, basis_k, weights if want_jacobian else None
         )
         return np.stack([vals[s][1:] for s in starts]), hess
 
@@ -442,9 +504,11 @@ def gauss_newton_fit(
         if not accepted:
             break  # the point did not move, so its factor stands
     converged = exit_reason in ("tolerance", "rounding_floor")
-    # covariance of the free parameters at the final iterate
-    inv = np.where(live, 1.0 / np.where(live, evals, 1.0), 0.0)
-    cov = (evecs * inv) @ evecs.T
+    # covariance of the free parameters at the final iterate, (V s)(V s)ᵀ
+    # with s² the inverse live eigenvalues; scaling evecs in place keeps a
+    # second n_par² temporary out of the peak
+    evecs *= np.sqrt(np.where(live, 1.0 / np.where(live, evals, 1.0), 0.0))
+    cov = evecs @ evecs.T
     # the gauge null directions dropped here carry no degree of freedom
     dof = y.size - int(live.sum())
     return FitResult(

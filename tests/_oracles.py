@@ -316,3 +316,55 @@ def dense_window_jacobian(mpo: Mpo, window: int, basis_k=None) -> dict:
         full[:, cols] = jac
         out[start] = full
     return out
+
+
+def slab_block(slabs, masks, basis_k=None) -> np.ndarray:
+    """One window's dense Jacobian block over its own sites' free entries,
+    expanded from the fit's derivative slabs.
+
+    The column of free entry (i, x, y) of window site p holds
+    ``K[w, i] E_p[(a, b), (x, y)]`` on word (a, w, b), with E_p the site's
+    slab (see ``fitting._window_slabs``) and K the basis map.
+
+    Args:
+        slabs: the window's slabs, one per site.
+        masks: the free masks of the window's sites.
+
+    Returns:
+        (4**window, n_own) array, columns in packing order.
+    """
+    k_mat = np.eye(4) if basis_k is None else np.asarray(basis_k, dtype=float)
+    cols = []
+    for p, (e, m) in enumerate(zip(slabs, masks)):
+        i, x, y = np.nonzero(m.transpose(1, 0, 2))
+        e = e.reshape(4**p, -1, e.shape[-1])[..., x * m.shape[2] + y]  # (a, b, f)
+        cols.append((e[:, None] * k_mat[None, :, None, i]).reshape(4 * e.shape[0] * e.shape[1], len(i)))
+    return np.hstack(cols)
+
+
+def boundary_fold(mpo: Mpo, start: int, basis_k=None) -> np.ndarray:
+    """The map from a window's boundary columns Bᵀ to its derivatives by the
+    identity-slice free entries of the sites left of it.
+
+    Column (s, x, y), in packing order, is
+    ``prefix[s][0, x] (ident[s+1] ⋯ ident[first-1])[y]``, with ``ident`` the
+    data-basis identity slices and ``prefix`` their left products.
+
+    Returns:
+        (D_left, n_left) array.
+    """
+    masks = free_masks(mpo)
+    tensors = list(mpo.tensors)
+    if basis_k is not None:
+        tensors = [np.einsum("ji,dia->dja", basis_k, t) for t in tensors]
+    ident = [t[:, 0, :] for t in tensors]
+    prefix = left_environments(ident)
+    first = start - 1
+    cols = [np.empty((tensors[first].shape[0], 0))]
+    for s in range(first):
+        x, y = np.nonzero(masks[s][:, 0, :])
+        carry = np.eye(ident[s].shape[1])
+        for t in ident[s + 1 : first]:
+            carry = carry @ t
+        cols.append((carry[y] * prefix[s][0, x, None]).T)
+    return np.concatenate(cols, axis=1)

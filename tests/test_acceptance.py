@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from _oracles import dense_localizable_entanglement
+from _oracles import dense_localizable_entanglement, slab_block
 
 from mpo_tomo.cluster import (
     ErrorModel,
@@ -36,8 +36,7 @@ from mpo_tomo.entanglement import (
 )
 from mpo_tomo.fitting import (
     MpoLeastSquares,
-    _block_buffer,
-    _window_blocks,
+    _window_slabs,
     _window_values_jacobian,
     fidelity_functional,
     propagate_covariance,
@@ -301,8 +300,10 @@ def test_criterion_09_derivative_checks():
     for _ in range(20):
         theta = theta0 + rng.normal(scale=1e-2, size=theta0.size)
         m = unpack(theta, base, masks)
-        # N = 5 has one window, whose own columns are every packed parameter
-        _, _, jac, _ = next(_window_blocks(m, 5, None, _block_buffer(masks, 5)))
+        # N = 5 has one window, whose own columns are every packed parameter;
+        # its block is expanded from the slabs the fit assembles JᵀWJ from
+        _, _, slabs, _ = next(_window_slabs(m, 5, None))
+        jac = slab_block(slabs, masks, None)
         i = int(rng.integers(0, theta0.size))
         h = 1e-6
         tp, tm = theta.copy(), theta.copy()

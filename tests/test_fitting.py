@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from _oracles import dense_window_jacobian, window_columns
+from _oracles import boundary_fold, dense_window_jacobian, slab_block, window_columns
 
 from mpo_tomo.cluster import ErrorModel, ideal_cluster_mpo, noisy_cluster_model
 from mpo_tomo.correlations import (
@@ -16,9 +16,8 @@ from mpo_tomo.correlations import (
 from mpo_tomo.errors import DataError, ValidationError
 from mpo_tomo.fitting import (
     MpoLeastSquares,
-    _block_buffer,
-    _window_blocks,
     _window_pullback,
+    _window_slabs,
     _window_values_jacobian,
     fidelity_functional,
     gauss_newton_fit,
@@ -27,7 +26,7 @@ from mpo_tomo.fitting import (
     save_fit_bundle,
 )
 from mpo_tomo.measurement import synthesize_dataset
-from mpo_tomo.mpo import fidelity
+from mpo_tomo.mpo import Mpo, fidelity
 from mpo_tomo.standard_form import free_masks, n_free_parameters, pack, to_standard_form, unpack
 
 
@@ -53,20 +52,19 @@ def dense_jacobian(mpo, basis_k, window=5):
 
 
 def folded_jacobians(mpo, basis_k, window=5):
-    """Each window's full-width Jacobian, rebuilt from its block and fold:
-    the own columns as built, the identity-slice columns left of the window
-    as the boundary columns Bᵀ times the fold."""
+    """Each window's full-width Jacobian, rebuilt from its slabs and boundary:
+    the own columns expanded from the slabs, the identity-slice columns left
+    of the window as the boundary Bᵀ times the fold map."""
     masks = free_masks(mpo)
-    buffer = _block_buffer(masks, window)
     columns = window_columns(masks, window)
     out = {}
-    for start, _, block, fold in _window_blocks(mpo, window, basis_k, buffer):
-        d_left, n_left = fold.shape
-        n_own = block.shape[1] - d_left
+    for start, _, slabs, boundary in _window_slabs(mpo, window, basis_k):
+        fold = boundary_fold(mpo, start, basis_k)
+        n_left = fold.shape[1]
         cols = columns[start]  # identity-slice ones first
         full = np.zeros((4**window, n_free_parameters(masks)))
-        full[:, cols[:n_left]] = block[:, n_own:] @ fold
-        full[:, cols[n_left:]] = block[:, :n_own]
+        full[:, cols[:n_left]] = boundary.T @ fold
+        full[:, cols[n_left:]] = slab_block(slabs, masks[start - 1 : start - 1 + window], basis_k)
         out[start] = full
     return out
 
@@ -150,7 +148,7 @@ class TestJacobian:
     @pytest.mark.parametrize("mpo_name", ["sf_noisy6", "sf_perturbed8"])
     def test_assembly_matches_dense_products(self, mpo_name, request):
         # sf_perturbed8's windows 2-4 have identity-slice parents, which the
-        # streamed JᵀWJ reaches only through each window's boundary fold
+        # assembled JᵀWJ reaches only through each window's boundary Grams
         mpo = request.getfixturevalue(mpo_name)
         for basis_k in (None, F_MATRIX):
             jacs = dense_window_jacobian(mpo, 5, basis_k)
@@ -160,8 +158,7 @@ class TestJacobian:
             r = local.normal(size=w.shape)
             # word 0 carries no weight, and window 1 is left out
             weights = {s: np.pad(ws, (1, 0)) for s, ws in zip(starts, w) if s != 1}
-            buffer = _block_buffer(free_masks(mpo), 5)
-            vals, got = _window_values_jacobian(mpo, 5, basis_k, weights, buffer)
+            vals, got = _window_values_jacobian(mpo, 5, basis_k, weights)
             jw = np.vstack([jacs[s] * weights[s][:, None] for s in weights])
             hess = jw.T @ jw
             assert np.max(np.abs(got - hess)) <= 1e-12 * np.max(np.abs(hess))
@@ -173,6 +170,34 @@ class TestJacobian:
             u = {s: np.concatenate(([0.0], row)) for s, row in zip(starts, w * w * r)}
             got = _window_pullback(mpo, 5, basis_k, u)
             assert np.max(np.abs(got - grad)) <= 1e-12 * np.max(np.abs(grad))
+
+    @pytest.mark.parametrize("basis_k", [None, F_MATRIX])
+    @pytest.mark.parametrize(
+        "bonds, left_out",
+        [
+            # N = 5: one window, whose boundary bond is 1
+            ((2, 5, 4), ()),
+            # N = 8: interior bonds below and above 4; windows 2 and 4 unweighted
+            ((2, 4, 3, 5, 3, 4), (2, 4)),
+        ],
+    )
+    def test_assembly_matches_dense_products_unequal_bonds(self, bonds, left_out, basis_k):
+        rng = np.random.default_rng(len(bonds))
+        dims = [1, *bonds, 4, 1]
+        mpo = to_standard_form(
+            Mpo([rng.normal(size=(dims[k], 4, dims[k + 1])) for k in range(len(dims) - 1)])
+        )
+        assert [t.shape[2] for t in mpo.tensors] == dims[1:]
+        jacs = dense_window_jacobian(mpo, 5, basis_k)
+        weights = {
+            s: np.pad(rng.uniform(0.5, 2.0, size=4**5 - 1), (1, 0))
+            for s in sorted(jacs)
+            if s not in left_out
+        }
+        _, got = _window_values_jacobian(mpo, 5, basis_k, weights)
+        jw = np.vstack([jacs[s] * weights[s][:, None] for s in weights])
+        hess = jw.T @ jw
+        assert np.max(np.abs(got - hess)) <= 1e-12 * np.max(np.abs(hess))
 
     @pytest.mark.parametrize("basis_k", [None, F_MATRIX])
     @pytest.mark.parametrize("mpo_name", ["sf_noisy6", "sf_perturbed8"])
@@ -258,8 +283,10 @@ class TestGaussNewton:
         assert fit.iterations == 1
 
     def test_peak_memory_holds_one_set_of_blocks(self, sf_perturbed8):
-        # JᵀWJ is streamed through one block buffer: the fit holds at most
-        # one window's Jacobian block next to a few n_par^2 matrices
+        # JᵀWJ is assembled one window at a time from its slabs: the fit
+        # holds at most one window's own block of JᵀWJ (smaller than the
+        # 4**5-row Jacobian block of the window's own columns) next to a few
+        # n_par^2 matrices
         import tracemalloc
 
         data = pauli_to_zshifted(window_correlation_set(sf_perturbed8, 5))
@@ -268,7 +295,7 @@ class TestGaussNewton:
         local = np.random.default_rng(2)
         start = unpack(theta + local.normal(scale=1e-3, size=theta.size), sf_perturbed8, masks)
         n_par = theta.size
-        block_bytes = _block_buffer(masks, 5).nbytes
+        n_own = max(sum(int(m.sum()) for m in masks[f : f + 5]) for f in range(len(masks) - 4))
         tracemalloc.start()
         try:
             fit = gauss_newton_fit(start, data, max_iter=2)
@@ -276,24 +303,24 @@ class TestGaussNewton:
         finally:
             tracemalloc.stop()
         assert fit.iterations >= 1
-        assert peak <= 1.25 * (block_bytes + 4 * n_par**2 * 8)
+        assert peak <= 1.25 * (n_own**2 * 8 + 4 * n_par**2 * 8)
 
-    def test_block_width_does_not_grow_along_the_chain(self):
-        # a block holds its own sites' free entries and D_left boundary
-        # columns, never one column per site left of the window
-        widths = {}
+    def test_slab_shapes_do_not_depend_on_n(self):
+        # a window's slabs and boundary are sized by its own bonds alone;
+        # the sites left of it reach it only through the boundary's D_left rows
+        shapes = {}
         for n in (8, 12):
             mpo = to_standard_form(noisy_cluster_model(n, ErrorModel.uniform(n, 0.09, 0.06)))
-            masks = free_masks(mpo)
-            widths[n] = []
-            for start, _, block, fold in _window_blocks(mpo, 5, F_MATRIX, _block_buffer(masks, 5)):
-                own = sum(int(m.sum()) for m in masks[start - 1 : start + 4])
-                assert block.shape == (4**5, own + mpo.tensors[start - 1].shape[0])
-                assert fold.shape[0] == mpo.tensors[start - 1].shape[0]
-                widths[n].append(block.shape[1])
-        # only the two end windows, with their pinned entries, differ
-        assert widths[12][0] == widths[8][0] and widths[12][-1] == widths[8][-1]
-        assert set(widths[12][1:-1]) == set(widths[8][1:-1]) and len(set(widths[8][1:-1])) == 1
+            shapes[n] = []
+            for start, _, slabs, boundary in _window_slabs(mpo, 5, F_MATRIX):
+                ts = mpo.tensors[start - 1 : start + 4]
+                assert [e.shape for e in slabs] == [(4**4, t.shape[0] * t.shape[2]) for t in ts]
+                assert boundary.shape == (ts[0].shape[0], 4**5)
+                shapes[n].append(([e.shape for e in slabs], boundary.shape))
+        # only the two end windows, with their boundary bonds, differ
+        assert shapes[12][0] == shapes[8][0] and shapes[12][-1] == shapes[8][-1]
+        interior = {str(x) for x in shapes[8][1:-1]}
+        assert {str(x) for x in shapes[12][1:-1]} == interior and len(interior) == 1
 
     @pytest.mark.parametrize("seed", range(2, 8))
     def test_perturbed_initial_recovers(self, sf_noisy6, seed):
@@ -393,10 +420,10 @@ def jtwj_evaluations(monkeypatch):
     real = fitting._window_values_jacobian
     points = []
 
-    def counted(mpo, window, basis_k=None, weights=None, buffer=None):
+    def counted(mpo, window, basis_k=None, weights=None):
         if weights is not None:
             points.append(mpo)
-        return real(mpo, window, basis_k, weights, buffer)
+        return real(mpo, window, basis_k, weights)
 
     monkeypatch.setattr(fitting, "_window_values_jacobian", counted)
     return points
@@ -427,6 +454,32 @@ class TestFactorOnce:
         assert fit.converged and fit.iterations > 1
         assert len(jtwj_evaluations) == fit.iterations + 1
         assert jtwj_evaluations[-1] == fit.mpo
+
+    @pytest.mark.parametrize("rejected", [False, True])
+    def test_model_calls_match_the_trace(self, sf_noisy6, monkeypatch, request, rejected):
+        # the benchmark's per-layer fitting metrics count calls to
+        # fitting._window_values_jacobian, and those that return JᵀWJ
+        from mpo_tomo import fitting
+
+        if rejected:
+            request.getfixturevalue("reject_every_gn_trial")
+        real = fitting._window_values_jacobian
+        returned_hess = []
+
+        def counted(*args, **kwargs):
+            result = real(*args, **kwargs)
+            returned_hess.append(result[1] is not None)
+            return result
+
+        monkeypatch.setattr(fitting, "_window_values_jacobian", counted)
+        fit = gauss_newton_fit(self._start(sf_noisy6), window_correlation_set(sf_noisy6, 5))
+        assert fit.converged is not rejected and fit.iterations >= 1
+        # one pass per trace row; a fit that stepped and then stopped makes
+        # one more pass, which assembles the final point outside the trace
+        passes = len(fit.trace) + (not rejected)
+        assert sum(returned_hess) == passes == fit.iterations + (not rejected)
+        assert len(returned_hess) == sum(row["model_evals"] for row in fit.trace) + (not rejected)
+        assert returned_hess[0] and len(returned_hess) > passes
 
     @pytest.mark.parametrize("max_iter, start_exact", [(0, False), (200, True)])
     def test_exit_at_the_start_assembles_once(

@@ -386,6 +386,7 @@ def cmd_analyze(cfg, out: str) -> int:
             "eps_pd": model.eps_pd.tolist(),
         },
         "le_measure": measure,
+        "le_fallback_branches": sum(res.fallback_branches for res in le_rows),
         "fit": {"sse": fit.sse, "dof": fit.dof, "converged": fit.converged},
         **record,
     }

@@ -172,35 +172,52 @@ def _check_normalized(state: TwoQubitState):
 def negativity(state: TwoQubitState) -> float:
     """Half the trace-norm excess of the partial transpose: 0.5 for Bell states."""
     _check_normalized(state)
-    sv = np.linalg.svd(partial_transpose(state.matrix), compute_uv=False)
-    return float((np.sum(sv) - 1.0) / 2.0)
+    ev = np.linalg.eigvalsh(partial_transpose(state.matrix))
+    return float((np.abs(ev).sum() - 1.0) / 2.0)
 
 
-def _wootters_lambdas(rho: np.ndarray) -> np.ndarray:
-    """Wootters' lambdas of density matrices ``(..., 4, 4)``, descending."""
-    yy = np.kron(PAULIS[2], PAULIS[2])
-    m = rho @ yy @ np.conj(rho) @ yy
-    ev = np.linalg.eigvals(m)
-    lam = np.sqrt(np.clip(ev.real, 0.0, None))
-    return np.sort(lam, axis=-1)[..., ::-1]
+_YY = np.kron(PAULIS[2], PAULIS[2])
+
+
+def _wootters_product(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The spin flip ``(Y⊗Y) rho* (Y⊗Y)`` of density matrices ``(..., 4, 4)``
+    and R, ``rho`` times its spin flip."""
+    flipped = _YY @ np.conj(rho) @ _YY
+    return flipped, rho @ flipped
+
+
+def _wootters_excess(mu: np.ndarray) -> np.ndarray:
+    """λ1 - λ2 - λ3 - λ4 of the eigenvalues ``mu`` of R, with λ = sqrt(mu)
+    clamped at zero and in descending order."""
+    lam = np.sort(np.sqrt(np.clip(mu.real, 0.0, None)), axis=-1)
+    return lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0]
 
 
 def concurrence(state: TwoQubitState) -> float:
     """Wootters concurrence: 1 for Bell states, 0 for separable states."""
     _check_normalized(state)
-    lam = _wootters_lambdas(state.matrix)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    raw = _wootters_excess(np.linalg.eigvals(_wootters_product(state.matrix)[1]))
+    return float(max(0.0, raw))
 
 
 # --- branch values on unnormalized coefficient matrices ----------------------
 
-_PT_KERNELS = np.stack(
-    [
-        partial_transpose(np.kron(PAULIS[i], PAULIS[j])) / 4.0
-        for i in range(4)
-        for j in range(4)
-    ]
-).reshape(4, 4, 4, 4)  # [i, j] -> 4x4 kernel
+# B_ij = σ_i⊗σ_j / 4, the state of the coefficient c_ij, as [i, j] -> 4x4
+_PAIR_BASIS = _coeffs_to_matrix(np.eye(16).reshape(16, 4, 4)).reshape(4, 4, 4, 4)
+_PT_KERNELS = np.stack([partial_transpose(b) for b in _PAIR_BASIS.reshape(16, 4, 4)]).reshape(
+    4, 4, 4, 4
+)
+# the spin flip of B_ij is t_i t_j B_ij with t = (1, -1, -1, -1)
+_FLIP_SIGNS = np.outer([1, -1, -1, -1], [1, -1, -1, -1])
+
+# eigenvalue magnitude, relative to the largest, at or below which a branch's
+# analytic gradient is undefined (|ν| or sqrt(μ) has its kink at zero)
+_ZERO_EIG_TOL = 1e-10
+
+
+def _kernel_traces(kernels: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """tr(K_ij m) of matrices ``m`` (B, 4, 4) for kernels [i, j] -> 4x4."""
+    return np.einsum("ijab,nba->nij", kernels, m)
 
 
 def _transposed_pair(c: np.ndarray) -> np.ndarray:
@@ -209,62 +226,86 @@ def _transposed_pair(c: np.ndarray) -> np.ndarray:
 
 
 def _trace_norm(c: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(_transposed_pair(c), compute_uv=False).sum(-1)
+    return np.abs(np.linalg.eigvalsh(_transposed_pair(c))).sum(-1)
 
 
 def _raw_concurrence(c: np.ndarray) -> np.ndarray:
-    lam = _wootters_lambdas(_coeffs_to_matrix(c))
-    return lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+    return _wootters_excess(np.linalg.eigvals(_wootters_product(_coeffs_to_matrix(c))[1]))
 
 
 def _central_difference(f, c: np.ndarray) -> np.ndarray:
-    """d f / d c entry by entry, for ``f`` mapping ``(..., 4, 4) -> (...)``."""
-    h = 1e-7
-    step = h * np.eye(16).reshape(16, 4, 4)
+    """d f / d c entry by entry, for ``f`` mapping ``(B, 4, 4) -> (B,)``.
+
+    Both branch functions are homogeneous of degree 1 in ``c``, so each
+    branch steps relative to its weight |c_00| (by 1e-7 if the weight is 0).
+    """
+    weight = np.abs(c[:, 0, 0])
+    h = 1e-7 * np.where(weight > 0.0, weight, 1.0)[:, None]
+    step = h[..., None, None] * np.eye(16).reshape(16, 4, 4)
     return ((f(c[:, None] + step) - f(c[:, None] - step)) / (2.0 * h)).reshape(c.shape)
-
-
-# singular-value gap below which the negativity gradient U V+ is ill-defined
-_SV_GAP_TOL = 1e-10
 
 
 def _branch_terms(c: np.ndarray, measure: str, want_gradient: bool):
     """Branch values of stacked coefficient matrices ``c`` (B, 4, 4).
 
-    Negativity: for an unnormalized branch ``P * N(rho/P) = (|rho^T2|_1 -
-    tr rho) / 2``; the trace norm's gradient is ``U V+`` where the singular
-    spectrum is well separated, and central differences where it is nearly
-    degenerate and the formula's derivative is ill-defined.  Concurrence
-    scales linearly with the state, so the branch term is evaluated on the
-    unnormalized state directly; negative raw values (possible for
-    non-positive fitted states) are clamped to zero and summed separately,
-    and positive branches take central differences.
+    Each branch is decomposed once, for its eigenvalues only when no
+    gradient is asked for.  Negativity: for an unnormalized branch
+    ``P * N(rho/P) = (sum |ν| - tr rho) / 2`` over the eigenvalues ν of the
+    Hermitian partial transpose ``U diag(ν) U+``; the gradient of sum |ν| is
+    ``Re tr(K_ij U sign(ν) U+)`` for the kernels K_ij of ``_PT_KERNELS``,
+    smooth at degenerate spectra.  Concurrence scales linearly with the
+    state, so the branch term λ1 - λ2 - λ3 - λ4 is evaluated on the
+    unnormalized state, with λ = sqrt(μ) from the eigenvalues μ of R = ρρ̃
+    (ρ̃ the spin flip); negative raw values (possible for non-positive
+    fitted states) are clamped to zero and summed separately.  A positive
+    branch's gradient is sum_k w_k dμ_k / (2 λ_k), with w = +1 on the largest
+    λ and -1 on the others, and dμ_k = y_k (B_ij ρ̃ + t_ij ρ B_ij) x_k for the
+    right eigenvectors x of R and y = x^-1.  Where the formula is undefined,
+    a branch takes central differences: a partial-transpose eigenvalue or
+    a μ at zero, or a complex μ, all within ``_ZERO_EIG_TOL`` of the
+    largest eigenvalue's magnitude.
 
     Returns:
         (values (B,), d(value)/dc (B, 4, 4) or None, sum of the clamped
-        negative raw values).
+        negative raw values, mask (B,) of the branches whose gradient took
+        central differences).
     """
     grad = np.zeros(c.shape) if want_gradient else None
+    fallback = np.zeros(len(c), dtype=bool)
     if measure == "negativity":
-        u, sv, vt = np.linalg.svd(_transposed_pair(c))
-        values = (sv.sum(-1) - c[:, 0, 0]) / 2.0
+        pt = _transposed_pair(c)
+        nu, u = np.linalg.eigh(pt) if want_gradient else (np.linalg.eigvalsh(pt), None)
+        values = (np.abs(nu).sum(-1) - c[:, 0, 0]) / 2.0
         raw_negative = 0.0
         if want_gradient:
-            gaps = np.abs(np.diff(sv, axis=-1))
-            smooth = np.all(gaps > _SV_GAP_TOL, axis=-1) & (sv.min(-1) > _SV_GAP_TOL)
-            sign = np.conj(u[smooth] @ vt[smooth])
-            grad[smooth] = 0.5 * np.real(np.einsum("bkl,ijkl->bij", sign, _PT_KERNELS))
-            grad[~smooth] = 0.5 * _central_difference(_trace_norm, c[~smooth])
+            mag = np.abs(nu)
+            fallback = np.any(mag <= _ZERO_EIG_TOL * mag.max(-1, keepdims=True), axis=-1)
+            sign = (u * np.sign(nu)[:, None, :]) @ np.conj(u).swapaxes(-1, -2)
+            grad[:] = 0.5 * np.real(_kernel_traces(_PT_KERNELS, sign))
+            grad[fallback] = 0.5 * _central_difference(_trace_norm, c[fallback])
             grad[:, 0, 0] -= 0.5
     elif measure == "concurrence":
-        raw = _raw_concurrence(c)
+        rho = _coeffs_to_matrix(c)
+        flipped, r = _wootters_product(rho)
+        mu, x = np.linalg.eig(r) if want_gradient else (np.linalg.eigvals(r), None)
+        raw = _wootters_excess(mu)
         values = np.maximum(raw, 0.0)
         raw_negative = float(raw[raw < 0.0].sum())
         if want_gradient:
-            grad[raw > 0.0] = _central_difference(_raw_concurrence, c[raw > 0.0])
+            top = _ZERO_EIG_TOL * np.abs(mu).max(-1, keepdims=True)
+            undefined = np.any((mu.real <= top) | (np.abs(mu.imag) > top), axis=-1)
+            fallback = (raw > 0.0) & undefined
+            smooth = (raw > 0.0) & ~undefined
+            lam = np.sqrt(mu[smooth].real)
+            w = np.where(np.arange(4) == lam.argmax(-1)[:, None], 1.0, -1.0)
+            p = (x[smooth] * (w / (2.0 * lam))[:, None, :]) @ np.linalg.inv(x[smooth])
+            dmu = _kernel_traces(_PAIR_BASIS, flipped[smooth] @ p)
+            dmu += _FLIP_SIGNS * _kernel_traces(_PAIR_BASIS, p @ rho[smooth])
+            grad[smooth] = np.real(dmu)
+            grad[fallback] = _central_difference(_raw_concurrence, c[fallback])
     else:
         raise ValidationError(f"unknown measure {measure!r}")
-    return values, grad, raw_negative
+    return values, grad, raw_negative, fallback
 
 
 @dataclass
@@ -273,7 +314,9 @@ class LeResult:
 
     ``se_parameter`` propagates the fit covariance (None without a fit);
     ``se_sampling`` is nonzero only for subset estimates.  ``raw_negative``
-    accumulates clamped negative concurrence branch values.
+    accumulates clamped negative concurrence branch values, and
+    ``fallback_branches`` counts the branches whose gradient took central
+    differences.
     """
 
     value: float
@@ -283,6 +326,7 @@ class LeResult:
     measure: str
     pair: tuple[int, int]
     raw_negative: float = 0.0
+    fallback_branches: int = 0
 
 
 def _enumerate_branches(mpo, plan, measure, masks=None):
@@ -298,7 +342,8 @@ def _enumerate_branches(mpo, plan, measure, masks=None):
     Returns:
         (branch values (2^(N-2),), gradient of their sum with respect to the
         free parameters of ``masks`` or None without masks, sum of the
-        clamped negative raw values).
+        clamped negative raw values, number of branches whose gradient took
+        central differences).
     """
     vectors, maps, measured = _outcome_maps(mpo, plan)
     lefts = left_environments(maps)
@@ -306,13 +351,13 @@ def _enumerate_branches(mpo, plan, measure, masks=None):
     # the last measured site's bit varies slowest
     order = measured[::-1] + [r - 1 for r in plan.pair]
     c = lefts[-1].reshape(open_dims).transpose(order).reshape(-1, 4, 4)
-    values, dvdc, raw_negative = _branch_terms(c, measure, masks is not None)
+    values, dvdc, raw_negative, fallback = _branch_terms(c, measure, masks is not None)
     if masks is None:
-        return values, None, raw_negative
+        return values, None, raw_negative, 0
     w = dvdc.reshape([open_dims[s] for s in order]).transpose(np.argsort(order))
     gmaps, _ = left_environments_vjp(maps, lefts, w.reshape(-1, 1))
     grads = [np.einsum("oa,xoy->xay", v, g) for v, g in zip(vectors, gmaps)]
-    return values, pack(grads, masks), raw_negative
+    return values, pack(grads, masks), raw_negative, int(fallback.sum())
 
 
 def localizable_entanglement(
@@ -338,7 +383,7 @@ def localizable_entanglement(
             "use le_subset_estimate"
         )
     masks = None if fit is None else fit.masks
-    values, grad, raw_neg = _enumerate_branches(mpo, plan, measure, masks)
+    values, grad, raw_neg, fallback = _enumerate_branches(mpo, plan, measure, masks)
     se_param = None
     if fit is not None:
         var = float(grad @ fit.covariance @ grad)
@@ -351,6 +396,7 @@ def localizable_entanglement(
         measure=measure,
         pair=plan.pair,
         raw_negative=float(raw_neg),
+        fallback_branches=fallback,
     )
 
 
@@ -379,7 +425,7 @@ def le_subset_estimate(
     else:
         indices = rng.choice(total, size=samples, replace=False)
     c = _string_coefficients(maps, measured, indices)
-    terms, _, raw_neg = _branch_terms(c, measure, False)
+    terms, _, raw_neg, _ = _branch_terms(c, measure, False)
     scale = total / samples
     estimate = scale * terms.sum()
     if samples > 1:

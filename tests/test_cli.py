@@ -342,6 +342,16 @@ class TestReconstruct:
         with open(out / "le_matrix.csv") as fh:
             for row in csv.DictReader(fh):
                 assert float(row["value"]) == pytest.approx(0.5, abs=1e-7)
+        # Bell branches: degenerate partial-transpose spectra take the analytic
+        # negativity gradient, and Wootters lambdas at zero send every one of
+        # the 15 pairs' 16 branches to central differences for concurrence
+        assert report["le_fallback_branches"] == 0
+        cfg = write_config(
+            tmp_path / "cfg_concurrence.json", {**cfg_doc, "analysis": {"le_measure": "concurrence"}}
+        )
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+        report = json.load(open(out / "report.json"))
+        assert report["le_fallback_branches"] == 15 * 16
 
     def test_non_convergence_exit_code_with_partial_outputs(self, tmp_path):
         cfg_doc = json.loads(json.dumps(CONFIG))
@@ -398,6 +408,8 @@ class TestAnalyze:
         assert 0 < report["fidelity_se"] < 0.01
         assert abs(report["error_model"]["eps_ad"][0] - 0.098) < 0.01
         assert abs(report["error_model"]["eps_pd"][0] - 0.092) < 0.02
+        # the fitted chain's branches all take the analytic LE gradient
+        assert report["le_fallback_branches"] == 0
 
     def test_report_timings(self, pipeline_run):
         _, out = pipeline_run

@@ -164,7 +164,7 @@ class TestLocalizableEntanglement:
         from mpo_tomo.entanglement import _enumerate_branches
 
         plan = default_plan(6, 1, 4)  # no mirror symmetry
-        terms, _, _ = _enumerate_branches(noisy6, plan, "negativity")
+        terms, _, _, _ = _enumerate_branches(noisy6, plan, "negativity")
         assert terms.shape == (16,)
         for index, term in enumerate(terms):
             # bit k set: the k-th measured site gave -1
@@ -184,8 +184,8 @@ class TestLocalizableEntanglement:
             ("fitted", "negativity"),
             ("fitted", "concurrence"),
             # every branch of the ideal cluster has a degenerate partial-transpose
-            # spectrum, so the finite-difference fallback runs; its concurrence
-            # is not differentiable there
+            # spectrum with no eigenvalue at zero, so the analytic gradient runs;
+            # its concurrence (Wootters lambdas at zero) is not differentiable there
             ("ideal", "negativity"),
         ],
         ids=["fitted-negativity", "fitted-concurrence", "ideal-negativity"],
@@ -205,7 +205,8 @@ class TestLocalizableEntanglement:
         plan = default_plan(5, 1, 4)
         le = localizable_entanglement(fit.mpo, plan, measure, fit=fit)
         assert le.se_parameter is not None and le.se_parameter > 0
-        _, grad, _ = _enumerate_branches(fit.mpo, plan, measure, fit.masks)
+        _, grad, _, fallback = _enumerate_branches(fit.mpo, plan, measure, fit.masks)
+        assert fallback == 0
         theta0 = pack(fit.mpo.tensors, fit.masks)
         local = np.random.default_rng(0)
         h = 1e-6
@@ -218,6 +219,86 @@ class TestLocalizableEntanglement:
             vm = _enumerate_branches(unpack(tm, fit.mpo, fit.masks), plan, measure)[0].sum()
             fd = (vp - vm) / (2 * h)
             assert grad[i] == pytest.approx(fd, abs=max(1e-6, 1e-4 * abs(fd)))
+
+
+def _all_branches(mpo, pair):
+    """Coefficients (2^(N-2), 4, 4) of every outcome branch under the default plan."""
+    from mpo_tomo.entanglement import _outcome_maps, _string_coefficients
+
+    _, maps, measured = _outcome_maps(mpo, default_plan(mpo.n_qubits, *pair))
+    return _string_coefficients(maps, measured, np.arange(2 ** len(measured)))
+
+
+def _value_differences(c, measure, h=1e-6):
+    """Central differences of each branch value, an oracle independent of the
+    gradient path, with steps relative to the branch weight."""
+    from mpo_tomo.entanglement import _branch_terms
+
+    grad = np.zeros(c.shape)
+    for i, j in itertools.product(range(4), repeat=2):
+        step = np.zeros(c.shape)
+        step[:, i, j] = h * np.abs(c[:, 0, 0])
+        up = _branch_terms(c + step, measure, False)[0]
+        down = _branch_terms(c - step, measure, False)[0]
+        grad[:, i, j] = (up - down) / (2.0 * step[:, i, j])
+    return grad
+
+
+class TestBranchGradients:
+    """Analytic branch gradients next to the central-difference fallback."""
+
+    @staticmethod
+    def _product_branch(weight):
+        a = np.array([1.0, 0.6, 0.0, 0.8])  # pure single-qubit Bloch vectors
+        b = np.array([1.0, 0.0, -0.28, 0.96])
+        return weight * np.outer(a, b)
+
+    @staticmethod
+    def _bell_branch(weight):
+        # |Φ+><Φ+| = (II + XX - YY + ZZ) / 4
+        return weight * np.diag([1.0, 1.0, -1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "measure, kink",
+        [("negativity", "_product_branch"), ("concurrence", "_bell_branch")],
+    )
+    def test_mixed_batch(self, fitted_noisy5, measure, kink):
+        from mpo_tomo.entanglement import _branch_terms
+
+        fitted = _all_branches(fitted_noisy5.fit_result_.mpo, (1, 4))
+        c = np.concatenate([fitted[:3], getattr(self, kink)(0.05)[None], fitted[3:]])
+        values, grad, _, fallback = _branch_terms(c, measure, True)
+        # a partial-transpose eigenvalue at zero, or Wootters lambdas at zero,
+        # send exactly the inserted branch down central differences
+        assert fallback.tolist() == [False] * 3 + [True] + [False] * (len(c) - 4)
+        analytic = ~fallback & (values > 0.0)
+        assert analytic.sum() == len(c) - 1
+        oracle = _value_differences(c[analytic], measure)
+        np.testing.assert_allclose(grad[analytic], oracle, rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("measure", ["negativity", "concurrence"])
+    def test_values_match_with_and_without_gradient(self, fitted_noisy5, measure):
+        from mpo_tomo.entanglement import _branch_terms
+
+        c = _all_branches(fitted_noisy5.fit_result_.mpo, (2, 5))
+        with_grad = _branch_terms(c, measure, True)
+        values_only = _branch_terms(c, measure, False)
+        np.testing.assert_allclose(with_grad[0], values_only[0], rtol=0.0, atol=1e-15)
+        assert with_grad[2] == pytest.approx(values_only[2], abs=1e-15)
+        assert values_only[1] is None and not values_only[3].any()
+
+    @pytest.mark.parametrize("name", ["_trace_norm", "_raw_concurrence"])
+    def test_fallback_step_scales_with_the_branch(self, fitted_noisy5, name):
+        # both branch functions are homogeneous of degree 1, so their gradient
+        # does not change when the branch is scaled
+        from mpo_tomo import entanglement
+
+        f = getattr(entanglement, name)
+        c = _all_branches(fitted_noisy5.fit_result_.mpo, (1, 4))[:4]
+        assert np.all(entanglement._raw_concurrence(c) > 0.0)
+        reference = entanglement._central_difference(f, c)
+        scaled = entanglement._central_difference(f, 1e-8 * c)
+        np.testing.assert_allclose(scaled, reference, rtol=0.0, atol=1e-6)
 
 
 class TestFittedChainEntanglement:

@@ -13,12 +13,15 @@ def write_csv(path, header, columns) -> None:
     Each cell is ``str`` of the Python value (arrays go through ``tolist``,
     so a float prints as its shortest round-trip repr); rows end in CRLF and
     nothing is quoted.  For the numbers, words and empty cells written here
-    that is byte for byte what ``csv.writer`` writes.
+    that is byte for byte what ``csv.writer`` writes.  All rows go through
+    one ``%`` format over the flattened cells.
     """
     columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-    rows = zip(*(map(str, c) for c in columns), strict=True)
+    cells = tuple(itertools.chain.from_iterable(zip(*columns, strict=True)))
+    row = ",".join(["%s"] * len(columns)) + "\r\n"
+    n_rows = len(cells) // len(columns) if columns else 0
     with open(path, "w", newline="") as fh:
-        fh.write("".join(",".join(row) + "\r\n" for row in [header, *rows]))
+        fh.write(",".join(header) + "\r\n" + row * n_rows % cells)
 
 
 def word_strings(letters, window: int) -> np.ndarray:

@@ -274,28 +274,40 @@ def cmd_reconstruct(cfg, out: str) -> int:
     return 0
 
 
-def _correlation(fit, letters) -> tuple[float, float]:
-    """Fitted correlation of the Pauli string ``letters`` and its propagated SE."""
+def _correlation_functional(letters):
+    """The fitted correlation of the Pauli string ``letters``, for propagation."""
 
     def functional(m):
         return m.correlation(letters), mpo_mod.correlation_gradient(m, letters)
 
-    return fitting.propagate_covariance(fit, functional)
+    return functional
 
 
 def _stabilizer_table(fit, n):
+    """The fidelity to the ideal cluster, the N stabilizers and the N ⟨Z_s⟩
+    of the fit, in that order, with their SEs and their joint covariance,
+    propagated together (:func:`mpo_tomo.fitting.propagate_joint`)."""
+    functionals = [fitting.fidelity_functional(cluster.ideal_cluster_mpo(n))]
     words = [word.padded(n) for word in cluster.stabilizer_words(n)]
-    values, ses = np.array([_correlation(fit, letters) for letters in words]).T
-    return values, ses
+    words += [tuple(3 if t == s else 0 for t in range(n)) for s in range(n)]
+    functionals += [_correlation_functional(letters) for letters in words]
+    return fitting.propagate_joint(fit, functionals)
 
 
 def _write_le_csv(path, key_header, keys, rows) -> None:
-    """LE results after their key columns; se_parameter is empty without a fit."""
+    """LE results after their key columns; se_parameter is empty without a
+    parameter gradient, which ``fallback_branches`` > 0 explains."""
     se_parameter = ["" if res.se_parameter is None else res.se_parameter for res in rows]
     write_csv(
         path,
-        [*key_header, "value", "se_parameter", "se_sampling"],
-        [*keys, [res.value for res in rows], se_parameter, [res.se_sampling for res in rows]],
+        [*key_header, "value", "se_parameter", "se_sampling", "fallback_branches"],
+        [
+            *keys,
+            [res.value for res in rows],
+            se_parameter,
+            [res.se_sampling for res in rows],
+            [res.fallback_branches for res in rows],
+        ],
     )
 
 
@@ -309,16 +321,14 @@ def cmd_analyze(cfg, out: str) -> int:
     with _timed(record, "load"):
         fit = fitting.load_fit_bundle(fit_dir)
     with _timed(record, "fidelity"):
-        ideal = cluster.ideal_cluster_mpo(n)
-        fidelity, fidelity_se = fitting.propagate_covariance(
-            fit, fitting.fidelity_functional(ideal)
-        )
+        # one propagation for the fidelity, stabilizer and excitation SEs
+        values, ses, _ = _stabilizer_table(fit, n)
+        fidelity, fidelity_se = float(values[0]), float(ses[0])
     with _timed(record, "stabilizers"):
-        stab_values, stab_ses = _stabilizer_table(fit, n)
+        stab_values, stab_ses = values[1 : n + 1], ses[1 : n + 1]
         bound = cluster.stabilizer_fidelity_bound(stab_values, stab_ses)
     with _timed(record, "error_model"):
-        z_words = [tuple(3 if t == s else 0 for t in range(1, n + 1)) for s in range(1, n + 1)]
-        z_values, z_ses = np.array([_correlation(fit, letters) for letters in z_words]).T
+        z_values, z_ses = values[n + 1 :], ses[n + 1 :]
         # mean excitation (1 - <Z_s>) / 2
         excitations, exc_ses = (1.0 - z_values) / 2.0, z_ses / 2.0
         model = cluster.fit_error_model(

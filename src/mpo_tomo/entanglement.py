@@ -312,7 +312,8 @@ def _branch_terms(c: np.ndarray, measure: str, want_gradient: bool):
 class LeResult:
     """Localizable entanglement estimate.
 
-    ``se_parameter`` propagates the fit covariance (None without a fit);
+    ``se_parameter`` propagates the fit covariance (None without a fit, and
+    None when any branch gradient took central differences);
     ``se_sampling`` is nonzero only for subset estimates.  ``raw_negative``
     accumulates clamped negative concurrence branch values, and
     ``fallback_branches`` counts the branches whose gradient took central
@@ -385,7 +386,9 @@ def localizable_entanglement(
     masks = None if fit is None else fit.masks
     values, grad, raw_neg, fallback = _enumerate_branches(mpo, plan, measure, masks)
     se_param = None
-    if fit is not None:
+    # a central-difference branch gradient depends on its step, not on the
+    # state, so no SE is reported from it
+    if fit is not None and not fallback:
         var = float(grad @ fit.covariance @ grad)
         se_param = float(np.sqrt(max(var, 0.0)))
     return LeResult(

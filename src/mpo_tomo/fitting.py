@@ -16,6 +16,13 @@ Products Jᵀu (the gradient and the geodesic term) run each window's left
 sweep in reverse from its cotangent u.  Data in the Z-shifted basis is fit
 directly there (the model chain is contracted with the involution F on the
 window sites), which keeps the residual weights statistically independent.
+
+A fit builds its free-entry layout, pinned template and index tables once
+(:class:`_FitPlan`), and contracts each parameter point once
+(:class:`_Point`): θ goes straight into zero-padded data-basis tensors, and
+one left sweep over all windows, stacked on a leading axis, gives every
+window's left environments.  The values, JᵀWJ and every pullback at a point
+share them.
 """
 
 from __future__ import annotations
@@ -41,7 +48,6 @@ from .errors import DataError, ValidationError
 from .mpo import (
     Mpo,
     left_environments,
-    left_environments_vjp,
     load_json,
     right_environments,
     save_json,
@@ -54,6 +60,7 @@ from .reconstruct import (
 )
 from .standard_form import (
     PARAMETER_ORDERING,
+    free_entries,
     free_masks,
     is_standard_form,
     n_free_parameters,
@@ -67,17 +74,133 @@ log = logging.getLogger(__name__)
 _INITIAL_DAMPING = 1e-3  # Levenberg parameter of the first trial
 
 
-def _chain_maps(mpo: Mpo, basis_k):
-    """Site tensors in the data basis, their identity slices, and the prefix
-    and suffix products of those slices."""
-    tensors = list(mpo.tensors)
-    if basis_k is not None:
-        tensors = [np.einsum("ji,dia->dja", basis_k, t) for t in tensors]
-    ident = [t[:, 0, :] for t in tensors]
-    return tensors, ident, left_environments(ident), right_environments(ident)
+class _FitPlan:
+    """What stays fixed over one fit: the free-entry layout of the standard
+    form, its pinned template, the basis map and the assembly's index tables.
+
+    Every site is zero-padded to the largest bond, so the site tensors of a
+    point sit in one ``(N, D, 4, D)`` array and window offset k of all windows
+    is its slice ``[k : k + n_windows]``.  The padding stays exactly zero, so
+    a product over it sums the unpadded product's terms and exact zeros.
+
+    Args:
+        template: standard-form MPO whose pinned entries every point keeps.
+        basis_k: the data-basis map K on the letters, or None for Pauli data.
+    """
+
+    def __init__(self, template: Mpo, window: int, basis_k=None):
+        shapes = [t.shape for t in template.tensors]
+        n = len(shapes)
+        self.template, self.window, self.basis_k = template, window, basis_k
+        self.n_windows = n - window + 1
+        self.masks = free_masks(template)
+        entries = free_entries(self.masks)
+        # each site's free entries are contiguous in the packing order
+        self.offsets = np.cumsum([0] + [len(i) for i, _, _ in entries])
+        self.dims = [dl for dl, _, _ in shapes] + [1]  # bond left of each site
+        self.bond = bond = max(self.dims)
+        self.base = np.zeros((n, bond, 4, bond))
+        for s, ((dl, _, dr), t) in enumerate(zip(shapes, template.tensors)):
+            self.base[s, :dl, :, :dr] = t
+        # the free entries as flat indices of the padded tensors, in packing order
+        self.free_index = np.concatenate(
+            [((s * bond + x) * 4 + i) * bond + y for s, (i, x, y) in enumerate(entries)]
+        )
+        k_mat = np.eye(4) if basis_k is None else np.asarray(basis_k, dtype=float)
+        # K on the letters of a site-pair Gram, grouped by (letter at p, letter
+        # at q), by the one letter of a site with itself, or by the site's
+        # letter against the boundary
+        self.k_mat = k_mat
+        self.k_pair = np.kron(k_mat, k_mat)
+        self.k_same = (k_mat[:, :, None] * k_mat[:, None, :]).reshape(4, 16)
+        # each site's free entries as flat (pauli, row, column) indices, and
+        # the (row, column) of its identity-slice ones
+        self.rows = [np.flatnonzero(m.transpose(1, 0, 2)) for m in self.masks]
+        self.ident_free = [np.nonzero(m[:, 0, :]) for m in self.masks]
+        # one window's own block of JᵀWJ, reused by every window and pass
+        own = self.offsets[window:] - self.offsets[:-window]
+        self.scratch = np.empty(np.max(own) ** 2)
+        self.words, self.slab_rows = _letter_tables(window)
 
 
-def _window_slabs(mpo: Mpo, window: int, basis_k=None, slabs: bool = True):
+class _Point:
+    """One parameter point of a fit and its chain, contracted when first
+    asked for and kept with the point: the data-basis site tensors, their
+    identity slices with the prefix and suffix products, and every window's
+    left environments.  Values, JᵀWJ and every pullback at the point share
+    them."""
+
+    def __init__(self, plan: _FitPlan, theta):
+        self.plan = plan
+        self.theta = np.asarray(theta, dtype=float)
+
+    @functools.cached_property
+    def mpo(self) -> Mpo:
+        """The point as an MPO, pinned entries from the plan's template."""
+        plan = self.plan
+        return unpack(self.theta, plan.template, plan.masks)
+
+    @functools.cached_property
+    def tensors(self) -> np.ndarray:
+        """(N, D, 4, D) zero-padded site tensors in the data basis."""
+        plan = self.plan
+        padded = plan.base.copy()
+        padded.flat[plan.free_index] = self.theta
+        if plan.basis_k is None:
+            return padded
+        return np.einsum("ji,sdia->sdja", plan.basis_k, padded)
+
+    @functools.cached_property
+    def sites(self) -> list[np.ndarray]:
+        """The data-basis site tensors at their own bonds."""
+        dims = self.plan.dims
+        return [t[: dims[s], :, : dims[s + 1]] for s, t in enumerate(self.tensors)]
+
+    @functools.cached_property
+    def chain(self):
+        """Identity slices, and their products that reach a window: the
+        prefix at each window's left edge and the suffix at its right edge,
+        both indexed by the window's first site."""
+        plan = self.plan
+        ident = [t[:, 0, :] for t in self.sites]
+        prefix = left_environments(ident[: plan.n_windows - 1])
+        return ident, prefix, right_environments(ident[plan.window :])
+
+    @functools.cached_property
+    def lefts(self) -> list[np.ndarray]:
+        """Every window's left environments, stacked on a leading window
+        axis: entry k is (n_windows, 4**k, D), over the window's first k
+        sites from the prefix at its left edge."""
+        plan = self.plan
+        nw, bond = plan.n_windows, plan.bond
+        _, prefix, _ = self.chain
+        env = np.zeros((nw, 1, bond))
+        for first in range(nw):
+            env[first, :, : plan.dims[first]] = prefix[first]
+        envs = [env]
+        for k in range(plan.window):
+            sites = self.tensors[k : k + nw].reshape(nw, bond, 4 * bond)
+            env = (env @ sites).reshape(nw, -1, bond)
+            envs.append(env)
+        return envs
+
+    @functools.cached_property
+    def suffixes(self) -> np.ndarray:
+        """(n_windows, D, 1): each window's suffix at its right edge."""
+        plan = self.plan
+        _, _, suffix = self.chain
+        out = np.zeros((plan.n_windows, plan.bond, 1))
+        for first in range(plan.n_windows):
+            out[first, : plan.dims[first + plan.window]] = suffix[first]
+        return out
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """(n_windows, 4**window) model values in site-major word order."""
+        return (self.lefts[-1] @ self.suffixes)[:, :, 0]
+
+
+def _window_slabs(point: _Point):
     """Model values and derivative slabs of each window, one window at a time.
 
     Requires standard form, so sites right of a window never contribute
@@ -88,37 +211,31 @@ def _window_slabs(mpo: Mpo, window: int, basis_k=None, slabs: bool = True):
     E_p = lefts[p] ⊗ rights[p+1] serves all four letters of the site.  The
     identity slices of the sites left of the window reach its values only
     through the prefix at its left edge, whose derivative is B =
-    ``rights[0]``, the window's right environment there.
-
-    Args:
-        slabs: False yields the values alone.
+    ``rights[0]``, the window's right environment there.  The left
+    environments are the point's.
 
     Yields:
         ``(start, values, slabs, boundary)`` in chain order: values
         (4**window,) in site-major word order; slabs, one per window site,
         (4**(window-1), D_l * D_r) with rows over the letters of the other
         window sites in site-major order and columns over (x, y); boundary
-        B (D_left, 4**window).  The last two are None without ``slabs``.
+        B (D_left, 4**window).
     """
-    n = mpo.n_qubits
-    tensors, _, prefix, suffix = _chain_maps(mpo, basis_k)
-    for start in range(1, n - window + 2):
-        first, end = start - 1, start - 1 + window
-        sites = tensors[first:end]
-        lefts = left_environments(sites, prefix[first])  # (4^k, D)
-        values = (lefts[window] @ suffix[end])[:, 0]
-        if not slabs:
-            yield start, values, None, None
-            continue
-        rights = right_environments(sites, suffix[end])
+    plan = point.plan
+    window, dims = plan.window, plan.dims
+    _, _, suffix = point.chain
+    for first in range(plan.n_windows):
+        end = first + window
+        lefts = [env[first, :, : dims[first + k]] for k, env in enumerate(point.lefts)]
+        rights = right_environments(point.sites[first:end], suffix[first])
         window_slabs = [
             (lt[:, None, :, None] * rt.T[None, :, None, :]).reshape(4 ** (window - 1), -1)
             for lt, rt in zip(lefts, rights[1:])
         ]
-        yield start, values, window_slabs, rights[0]
+        yield first + 1, point.values[first], window_slabs, rights[0]
 
 
-def _window_values_jacobian(mpo: Mpo, window: int, basis_k=None, weights=None):
+def _window_values_jacobian(point: _Point, weights=None):
     """Model values of all window words, and JᵀWJ when ``weights`` are given.
 
     JᵀWJ is assembled one window at a time from its slabs (see
@@ -149,25 +266,14 @@ def _window_values_jacobian(mpo: Mpo, window: int, basis_k=None, weights=None):
         values: dict start -> (4**window,) array in site-major word order.
         hess: (n_free, n_free) JᵀWJ over the packed parameters, or None.
     """
+    plan = point.plan
     if weights is None:
-        return {s: v for s, v, _, _ in _window_slabs(mpo, window, basis_k, False)}, None
-    masks = free_masks(mpo)
-    k_mat = np.eye(4) if basis_k is None else np.asarray(basis_k, dtype=float)
-    # K on the letters of a site-pair Gram, grouped by (letter at p, letter
-    # at q), by the one letter of a site with itself, or by the site's letter
-    # against the boundary
-    k_pair = np.kron(k_mat, k_mat)
-    k_same = (k_mat[:, :, None] * k_mat[:, None, :]).reshape(4, 16)
-    # each site's free entries as flat (pauli, row, column) indices
-    rows = [np.flatnonzero(m.transpose(1, 0, 2)) for m in masks]
-    offsets = np.cumsum([0] + [len(r) for r in rows])
+        return {first + 1: v for first, v in enumerate(point.values)}, None
+    window, offsets, words, slab_rows = plan.window, plan.offsets, plan.words, plan.slab_rows
     hess = np.zeros((offsets[-1], offsets[-1]))
-    # one window's own block of JᵀWJ, reused by every window
-    scratch = np.empty(np.max(offsets[window:] - offsets[:-window]) ** 2)
-    words, slab_rows = _letter_tables(window)
     values = {}
     boundary_grams = {}  # first site -> (G_BB, G_B,own)
-    for start, vals, slabs, boundary in _window_slabs(mpo, window, basis_k):
+    for start, vals, slabs, boundary in _window_slabs(point):
         values[start] = vals
         if start not in weights:
             continue
@@ -176,20 +282,20 @@ def _window_values_jacobian(mpo: Mpo, window: int, basis_k=None, weights=None):
         # each window site's slice of the window's own block
         local = offsets[first : first + window + 1] - own.start
         at = [slice(a, b) for a, b in zip(local, local[1:])]
-        block = scratch[: local[-1] ** 2].reshape(local[-1], -1)
+        block = plan.scratch[: local[-1] ** 2].reshape(local[-1], -1)
         omega = weights[start] ** 2
-        free = rows[first : first + window]
+        free = plan.rows[first : first + window]
         for p, e_p in enumerate(slabs):
             # w_p[w] = diag(ω) E_p over the words with letter w at p
             w_p = omega[words[p]][:, :, None] * e_p
             g = np.matmul(w_p.transpose(0, 2, 1), e_p)
-            block[at[p], at[p]] = _free_block(g, k_same, free[p], free[p])
+            block[at[p], at[p]] = _free_block(g, plan.k_same, free[p], free[p])
             for q in range(p + 1, window):
                 # the words with letter w at p and v at q
                 w_pq = np.take(w_p, slab_rows[p][q], axis=1)  # [w, v]
                 e_qp = slabs[q][slab_rows[q][p]]  # [w]
                 g = np.matmul(w_pq.transpose(0, 1, 3, 2), e_qp[:, None])
-                block[at[p], at[q]] = _free_block(g, k_pair, free[p], free[q])
+                block[at[p], at[q]] = _free_block(g, plan.k_pair, free[p], free[q])
                 block[at[q], at[p]] = block[at[p], at[q]].T
         hess[own, own] += block
         if first:
@@ -197,15 +303,15 @@ def _window_values_jacobian(mpo: Mpo, window: int, basis_k=None, weights=None):
             cross = np.empty((len(boundary), local[-1]))
             for p, e_p in enumerate(slabs):
                 g = np.matmul(bw[:, words[p]].transpose(1, 0, 2), e_p)
-                cross[:, at[p]] = _free_block(g, k_mat, slice(None), free[p])
+                cross[:, at[p]] = _free_block(g, plan.k_mat, slice(None), free[p])
             boundary_grams[first] = (bw @ boundary.T, cross)
     # The derivative by entry (x, y) of the identity slice of site s, on a
     # window right of it, is prefix[s][0, x] (ident[s+1] ⋯ ident[first-1] B)[y].
     # ``carry`` holds, over every packed column, the boundary Grams of the
     # windows right of s carried to its right bond, and ``square`` the
     # G_BB carried there from both sides.
-    _, ident, prefix, _ = _chain_maps(mpo, basis_k)
-    n = len(masks)
+    ident, prefix, _ = point.chain
+    n = len(ident)
     carry = np.zeros((ident[n - window].shape[1], offsets[-1]))
     square = np.zeros((len(carry), len(carry)))
     for s in range(n - window - 1, -1, -1):
@@ -215,7 +321,7 @@ def _window_values_jacobian(mpo: Mpo, window: int, basis_k=None, weights=None):
             g_bb, cross = boundary_grams.pop(s + 1)
             square += g_bb
             carry[:, offsets[s + 1] : offsets[s + 1 + window]] += cross
-        x, y = np.nonzero(masks[s][:, 0, :])  # the identity-slice free entries
+        x, y = plan.ident_free[s]
         p_x = prefix[s][0, x]
         ident_s = slice(offsets[s], offsets[s] + len(x))
         # the identity-slice columns of s, for the sites left of it
@@ -265,46 +371,48 @@ def _letter_tables(window: int):
     return words, slab_rows
 
 
-def _window_pullback(mpo: Mpo, window: int, basis_k, cotangents) -> np.ndarray:
+def _window_pullback(point: _Point, cotangents) -> np.ndarray:
     """Packed J^T u of the window values for per-window cotangents u.
 
     Each window's values come from one left sweep over its sites from the
-    prefix at its left edge, so u goes back through the reverse sweep
-    (:func:`mpo_tomo.mpo.left_environments_vjp`) to those sites and to the
-    prefix.  The prefix gradients of all windows are carried leftwards in one
-    vector ``q`` to the identity slices of the sites left of them.
+    prefix at its left edge, so u goes back through the reverse sweep (the
+    stacked form of :func:`mpo_tomo.mpo.left_environments_vjp`) to those
+    sites and to the prefix, for all windows at once from the point's left
+    environments.  The prefix gradients of all windows are carried leftwards
+    in one vector ``q`` to the identity slices of the sites left of them.
 
     Args:
-        cotangents: dict start -> (4**window,) array in the word order of
-            :func:`_window_values_jacobian`; a missing start contributes
-            nothing.  Word 0 (all identity) is constant in standard form:
-            its entry reaches only pinned entries and drops out.
+        cotangents: (n_windows, 4**window) array, one row per window start in
+            the word order of :func:`_window_values_jacobian`; a zero row
+            contributes nothing.  Word 0 (all identity) is constant in
+            standard form: its entry reaches only pinned entries and drops out.
 
     Returns:
         (n_free,) array over the packed parameters.
     """
-    n = mpo.n_qubits
-    tensors, ident, prefix, suffix = _chain_maps(mpo, basis_k)
-    grads = [np.zeros(t.shape) for t in tensors]  # w.r.t. the data-basis tensors
-    q = np.zeros(tensors[n - window].shape[2])
-    for first in range(n - window, -1, -1):
-        end = first + window
-        q = ident[first] @ q
-        if first + 1 in cotangents:
-            sites = tensors[first:end]
-            lefts = left_environments(sites, prefix[first])
-            cotangent = np.outer(cotangents[first + 1], suffix[end])
-            site_grads, boundary = left_environments_vjp(sites, lefts, cotangent)
-            for s, g in zip(range(first, end), site_grads):
-                grads[s] += g
-            q = q + boundary[0]
+    plan = point.plan
+    nw, bond, dims = plan.n_windows, plan.bond, plan.dims
+    ident, prefix, _ = point.chain
+    cot = cotangents[:, :, None] * point.suffixes[:, None, :, 0]
+    site_grads = [None] * plan.window
+    for k in range(plan.window - 1, -1, -1):
+        cot = cot.reshape(nw, 4**k, -1)
+        site_grads[k] = point.lefts[k].transpose(0, 2, 1) @ cot
+        sites = point.tensors[k : k + nw].reshape(nw, bond, -1)
+        cot = cot @ sites.transpose(0, 2, 1)
+    # w.r.t. the data-basis tensors; the identity slice of the site left of
+    # each window sees every window from there on through q
+    grads = np.zeros(point.tensors.shape)
+    q = np.zeros(dims[nw])
+    for first in range(nw - 1, -1, -1):
+        q = ident[first] @ q + cot[first, 0, : dims[first]]
         if first:
-            # the identity slice of the site left of this window sees every
-            # window from here on through q
-            grads[first - 1][:, 0, :] += np.outer(prefix[first - 1][0], q)
-    if basis_k is not None:
-        grads = [np.einsum("wi,xwy->xiy", basis_k, g) for g in grads]
-    return pack(grads, free_masks(mpo))
+            grads[first - 1, : dims[first - 1], 0, : dims[first]] += np.outer(prefix[first - 1][0], q)
+    for k, g in enumerate(site_grads):
+        grads[k : k + nw] += g.reshape(nw, bond, 4, bond)
+    if plan.basis_k is not None:
+        grads = np.einsum("wi,sxwy->sxiy", plan.basis_k, grads)
+    return grads.flat[plan.free_index]
 
 
 @dataclass
@@ -400,30 +508,29 @@ def gauss_newton_fit(
     # below it has nothing left to polish
     rounding_sse = float(y.size * (np.finfo(float).eps * w.max()) ** 2)
 
-    masks = free_masks(initial)
-    n_par = n_free_parameters(masks)
-    theta = pack(initial.tensors, masks)
+    plan = _FitPlan(initial, window, basis_k)
+    n_par = int(plan.offsets[-1])
     # word 0 carries no residual
     weights = {s: np.pad(ws, (1, 0)) for s, ws in zip(starts, w)}
+    cotangents = np.zeros((plan.n_windows, 4**window))
+    data_rows = [s - 1 for s in starts]
     evals_made = 0
 
-    def model(mpo, want_jacobian):
+    def model(point, want_jacobian):
         """Model values, and JᵀWJ when asked."""
         nonlocal evals_made
         evals_made += 1
-        vals, hess = _window_values_jacobian(
-            mpo, window, basis_k, weights if want_jacobian else None
-        )
+        vals, hess = _window_values_jacobian(point, weights if want_jacobian else None)
         return np.stack([vals[s][1:] for s in starts]), hess
 
     def values_at(th):
-        v, _ = model(unpack(th, initial, masks), False)
+        v, _ = model(_Point(plan, th), False)
         return v
 
-    def pullback(mpo, weighted):
-        """Jᵀ(w * weighted) at ``mpo``; word 0 carries no residual."""
-        u = {s: np.pad(row * ws, (1, 0)) for s, row, ws in zip(starts, weighted, w)}
-        return _window_pullback(mpo, window, basis_k, u)
+    def pullback(point, weighted):
+        """Jᵀ(w * weighted) at ``point``; word 0 carries no residual."""
+        cotangents[data_rows, 1:] = weighted * w
+        return _window_pullback(point, cotangents)
 
     def weighted_sse(v):
         r = ((y - v) * w).ravel()
@@ -434,9 +541,10 @@ def gauss_newton_fit(
     exit_reason = None
     trace = []
     fd_step = 0.1
+    # an accepted candidate is the next pass's point, its chain kept
+    current = _Point(plan, pack(initial.tensors, plan.masks))
     while True:
         evals_made = 0
-        current = unpack(theta, initial, masks)
         clock = time.perf_counter()
         vals, hess = model(current, True)
         assembly_s = time.perf_counter() - clock
@@ -465,15 +573,15 @@ def gauss_newton_fit(
             d1 = evecs @ np.where(live, gproj / (evals + lam), 0.0)
             # geodesic acceleration: second directional derivative of the
             # residuals along d1, solved against the same damped system
-            vp = values_at(theta + fd_step * d1)
-            vm = values_at(theta - fd_step * d1)
+            vp = values_at(current.theta + fd_step * d1)
+            vm = values_at(current.theta - fd_step * d1)
             curv = ((vp - 2.0 * vals + vm) / fd_step**2) * w
             cproj = evecs.T @ pullback(current, curv)
             d2 = -0.5 * (evecs @ np.where(live, cproj / (evals + lam), 0.0))
             n1, n2 = np.linalg.norm(d1), np.linalg.norm(d2)
             if n2 <= 0.75 * n1:
-                cand_theta = theta + d1 + d2
-                cand_sse = weighted_sse(values_at(cand_theta))
+                candidate = _Point(plan, current.theta + d1 + d2)
+                cand_sse = weighted_sse(model(candidate, False)[0])
                 if cand_sse <= sse:
                     accepted = True
                     lam = max(lam / 10.0, 1e-15)
@@ -483,7 +591,7 @@ def gauss_newton_fit(
         if accepted:
             del evecs  # free before the next pass assembles JᵀWJ
             decrease = sse - cand_sse
-            theta, sse = cand_theta, cand_sse
+            current, sse = candidate, cand_sse
             if sse <= rounding_sse:
                 exit_reason = "rounding_floor"
             elif decrease <= tol * sse:
@@ -512,14 +620,14 @@ def gauss_newton_fit(
     # the gauge null directions dropped here carry no degree of freedom
     dof = y.size - int(live.sum())
     return FitResult(
-        mpo=current,
+        mpo=current.mpo,
         covariance=cov,
         sse=sse,
         dof=dof,
         iterations=iterations,
         converged=converged,
         basis=data.basis,
-        masks=masks,
+        masks=plan.masks,
         exit_reason=exit_reason,
         trace=trace,
         null_directions=int(n_par - live.sum()),
@@ -528,17 +636,34 @@ def gauss_newton_fit(
     )
 
 
-def propagate_covariance(fit: FitResult, functional) -> tuple[float, float]:
-    """Value and propagated SE of a differentiable scalar of the fitted MPO.
+def propagate_joint(fit: FitResult, functionals):
+    """Values, propagated SEs and joint covariance of differentiable scalars
+    of the fitted MPO.
+
+    The packed gradients are stacked into one matrix G, so the joint
+    covariance is one product G·cov·Gᵀ, and each SE is the square root of
+    its diagonal.
 
     Args:
-        functional: callable returning ``(value, per-site gradient arrays)``
-            for an MPO, e.g. built from :func:`mpo_tomo.mpo.fidelity_gradient`.
+        functionals: callables each returning ``(value, per-site gradient
+            arrays)`` for an MPO, e.g. built from
+            :func:`mpo_tomo.mpo.fidelity_gradient`.
+
+    Returns:
+        ``(values, ses, joint)``: (k,) values, (k,) SEs, (k, k) covariance.
     """
-    value, grads = functional(fit.mpo)
-    g = pack(grads, fit.masks)
-    var = float(g @ fit.covariance @ g)
-    return float(value), float(np.sqrt(max(var, 0.0)))
+    values, grads = zip(*(functional(fit.mpo) for functional in functionals))
+    g = np.stack([pack(site_grads, fit.masks) for site_grads in grads])
+    joint = g @ fit.covariance @ g.T
+    ses = np.sqrt(np.maximum(np.diag(joint), 0.0))
+    return np.array(values, dtype=float), ses, joint
+
+
+def propagate_covariance(fit: FitResult, functional) -> tuple[float, float]:
+    """Value and propagated SE of one differentiable scalar of the fitted
+    MPO (see :func:`propagate_joint`)."""
+    values, ses, _ = propagate_joint(fit, [functional])
+    return float(values[0]), float(ses[0])
 
 
 def fidelity_functional(target: Mpo):

@@ -72,8 +72,8 @@ def reject_every_gn_trial(monkeypatch):
 
     real = fitting._window_values_jacobian
 
-    def shifted(mpo, window, basis_k=None, weights=None):
-        values, hess = real(mpo, window, basis_k, weights)
+    def shifted(point, weights=None):
+        values, hess = real(point, weights)
         if weights is None:
             values = {s: v + 1.0 for s, v in values.items()}
         return values, hess

@@ -36,6 +36,8 @@ from mpo_tomo.entanglement import (
 )
 from mpo_tomo.fitting import (
     MpoLeastSquares,
+    _FitPlan,
+    _Point,
     _window_slabs,
     _window_values_jacobian,
     fidelity_functional,
@@ -51,6 +53,12 @@ from mpo_tomo.reconstruct import (
 from mpo_tomo.standard_form import free_masks, pack, to_standard_form, unpack
 
 PAPER_MODEL = ErrorModel.uniform(5, 0.098, 0.092)
+
+
+def point_state(mpo, window, basis_k=None):
+    """The fit's point state of ``mpo``, under a plan of its own."""
+    plan = _FitPlan(mpo, window, basis_k)
+    return _Point(plan, pack(mpo.tensors, plan.masks))
 
 
 def report(criterion, ok, detail):
@@ -302,15 +310,15 @@ def test_criterion_09_derivative_checks():
         m = unpack(theta, base, masks)
         # N = 5 has one window, whose own columns are every packed parameter;
         # its block is expanded from the slabs the fit assembles JᵀWJ from
-        _, _, slabs, _ = next(_window_slabs(m, 5, None))
+        _, _, slabs, _ = next(_window_slabs(point_state(m, 5)))
         jac = slab_block(slabs, masks, None)
         i = int(rng.integers(0, theta0.size))
         h = 1e-6
         tp, tm = theta.copy(), theta.copy()
         tp[i] += h
         tm[i] -= h
-        vp, _ = _window_values_jacobian(unpack(tp, base, masks), 5, None)
-        vm, _ = _window_values_jacobian(unpack(tm, base, masks), 5, None)
+        vp, _ = _window_values_jacobian(point_state(unpack(tp, base, masks), 5))
+        vm, _ = _window_values_jacobian(point_state(unpack(tm, base, masks), 5))
         fd = (vp[1] - vm[1]) / (2 * h)
         denom = max(np.max(np.abs(fd)), 1e-8)
         worst["jacobian"] = max(worst["jacobian"], np.max(np.abs(fd - jac[:, i])) / denom)

@@ -346,12 +346,22 @@ class TestReconstruct:
         # negativity gradient, and Wootters lambdas at zero send every one of
         # the 15 pairs' 16 branches to central differences for concurrence
         assert report["le_fallback_branches"] == 0
+        for name in ("le_matrix.csv", "le_distance.csv"):
+            with open(out / name) as fh:
+                for row in csv.DictReader(fh):
+                    assert row["fallback_branches"] == "0" and float(row["se_parameter"]) >= 0
         cfg = write_config(
             tmp_path / "cfg_concurrence.json", {**cfg_doc, "analysis": {"le_measure": "concurrence"}}
         )
         assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
         report = json.load(open(out / "report.json"))
         assert report["le_fallback_branches"] == 15 * 16
+        # a step-dependent gradient gives no SE, and the row says why
+        for name, n_rows in (("le_matrix.csv", 15), ("le_distance.csv", 5)):
+            with open(out / name) as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == n_rows
+            assert all(r["fallback_branches"] == "16" and r["se_parameter"] == "" for r in rows)
 
     def test_non_convergence_exit_code_with_partial_outputs(self, tmp_path):
         cfg_doc = json.loads(json.dumps(CONFIG))

@@ -16,6 +16,8 @@ from mpo_tomo.correlations import (
 from mpo_tomo.errors import DataError, ValidationError
 from mpo_tomo.fitting import (
     MpoLeastSquares,
+    _FitPlan,
+    _Point,
     _window_pullback,
     _window_slabs,
     _window_values_jacobian,
@@ -28,6 +30,12 @@ from mpo_tomo.fitting import (
 from mpo_tomo.measurement import synthesize_dataset
 from mpo_tomo.mpo import Mpo, fidelity
 from mpo_tomo.standard_form import free_masks, n_free_parameters, pack, to_standard_form, unpack
+
+
+def point_state(mpo, window, basis_k=None):
+    """The fit's point state of ``mpo``, under a plan of its own."""
+    plan = _FitPlan(mpo, window, basis_k)
+    return _Point(plan, pack(mpo.tensors, plan.masks))
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +53,22 @@ def sf_perturbed8():
     return unpack(theta + local.normal(scale=1e-2, size=theta.size), base, masks)
 
 
+# the interior bonds of the unequal-bond chains: N = 5 with one window, whose
+# boundary bond is 1, and N = 8 with bonds below and above 4
+UNEQUAL_BONDS = [(2, 5, 4), (2, 4, 3, 5, 3, 4)]
+
+
+def unequal_bond_chain(bonds):
+    """A random standard-form chain with the given bonds, then 4 and 1."""
+    rng = np.random.default_rng(len(bonds))
+    dims = [1, *bonds, 4, 1]
+    mpo = to_standard_form(
+        Mpo([rng.normal(size=(dims[k], 4, dims[k + 1])) for k in range(len(dims) - 1)])
+    )
+    assert [t.shape[2] for t in mpo.tensors] == dims[1:]
+    return mpo
+
+
 def dense_jacobian(mpo, basis_k, window=5):
     """The reference rows x n_params Jacobian, without the constant word 0."""
     jacs = dense_window_jacobian(mpo, window, basis_k)
@@ -58,7 +82,7 @@ def folded_jacobians(mpo, basis_k, window=5):
     masks = free_masks(mpo)
     columns = window_columns(masks, window)
     out = {}
-    for start, _, slabs, boundary in _window_slabs(mpo, window, basis_k):
+    for start, _, slabs, boundary in _window_slabs(point_state(mpo, window, basis_k)):
         fold = boundary_fold(mpo, start, basis_k)
         n_left = fold.shape[1]
         cols = columns[start]  # identity-slice ones first
@@ -108,7 +132,7 @@ class TestJacobian:
 
         def value_vec(th):
             m = unpack(th, sf_noisy6, masks)
-            v, _ = _window_values_jacobian(m, 5, basis_k)
+            v, _ = _window_values_jacobian(point_state(m, 5, basis_k))
             return np.concatenate([v[s] for s in sorted(v)])
 
         local = np.random.default_rng(5)
@@ -130,7 +154,7 @@ class TestJacobian:
         cols = window_columns(masks, 5)
 
         def values(th):
-            v, _ = _window_values_jacobian(unpack(th, sf_perturbed8, masks), 5, basis_k)
+            v, _ = _window_values_jacobian(point_state(unpack(th, sf_perturbed8, masks), 5, basis_k))
             return v
 
         eps = 1e-6
@@ -158,43 +182,35 @@ class TestJacobian:
             r = local.normal(size=w.shape)
             # word 0 carries no weight, and window 1 is left out
             weights = {s: np.pad(ws, (1, 0)) for s, ws in zip(starts, w) if s != 1}
-            vals, got = _window_values_jacobian(mpo, 5, basis_k, weights)
+            vals, got = _window_values_jacobian(point_state(mpo, 5, basis_k), weights)
             jw = np.vstack([jacs[s] * weights[s][:, None] for s in weights])
             hess = jw.T @ jw
             assert np.max(np.abs(got - hess)) <= 1e-12 * np.max(np.abs(hess))
-            only, none = _window_values_jacobian(mpo, 5, basis_k)
+            only, none = _window_values_jacobian(point_state(mpo, 5, basis_k))
             assert none is None
             assert all(np.array_equal(vals[s], only[s]) for s in starts)
             jw = dense_jacobian(mpo, basis_k) * w.ravel()[:, None]
             grad = jw.T @ (w * r).ravel()
-            u = {s: np.concatenate(([0.0], row)) for s, row in zip(starts, w * w * r)}
-            got = _window_pullback(mpo, 5, basis_k, u)
+            u = np.stack([np.concatenate(([0.0], row)) for row in w * w * r])
+            got = _window_pullback(point_state(mpo, 5, basis_k), u)
             assert np.max(np.abs(got - grad)) <= 1e-12 * np.max(np.abs(grad))
 
     @pytest.mark.parametrize("basis_k", [None, F_MATRIX])
     @pytest.mark.parametrize(
         "bonds, left_out",
-        [
-            # N = 5: one window, whose boundary bond is 1
-            ((2, 5, 4), ()),
-            # N = 8: interior bonds below and above 4; windows 2 and 4 unweighted
-            ((2, 4, 3, 5, 3, 4), (2, 4)),
-        ],
+        # windows 2 and 4 of the N = 8 chain unweighted
+        list(zip(UNEQUAL_BONDS, [(), (2, 4)])),
     )
     def test_assembly_matches_dense_products_unequal_bonds(self, bonds, left_out, basis_k):
         rng = np.random.default_rng(len(bonds))
-        dims = [1, *bonds, 4, 1]
-        mpo = to_standard_form(
-            Mpo([rng.normal(size=(dims[k], 4, dims[k + 1])) for k in range(len(dims) - 1)])
-        )
-        assert [t.shape[2] for t in mpo.tensors] == dims[1:]
+        mpo = unequal_bond_chain(bonds)
         jacs = dense_window_jacobian(mpo, 5, basis_k)
         weights = {
             s: np.pad(rng.uniform(0.5, 2.0, size=4**5 - 1), (1, 0))
             for s in sorted(jacs)
             if s not in left_out
         }
-        _, got = _window_values_jacobian(mpo, 5, basis_k, weights)
+        _, got = _window_values_jacobian(point_state(mpo, 5, basis_k), weights)
         jw = np.vstack([jacs[s] * weights[s][:, None] for s in weights])
         hess = jw.T @ jw
         assert np.max(np.abs(got - hess)) <= 1e-12 * np.max(np.abs(hess))
@@ -206,10 +222,10 @@ class TestJacobian:
         starts = range(1, mpo.n_qubits - 3)
         local = np.random.default_rng(6)
         # word 0 (all identity) is constant: its cotangent must be ignored
-        u = {s: local.normal(size=4**5) for s in starts}
+        u = np.stack([local.normal(size=4**5) for s in starts])
         dense = dense_jacobian(mpo, basis_k)
-        want = dense.T @ np.concatenate([u[s][1:] for s in starts])
-        got = _window_pullback(mpo, 5, basis_k, u)
+        want = dense.T @ np.concatenate([row[1:] for row in u])
+        got = _window_pullback(point_state(mpo, 5, basis_k), u)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("basis_k", [None, F_MATRIX])
@@ -217,13 +233,13 @@ class TestJacobian:
         masks = free_masks(sf_perturbed8)
         theta0 = pack(sf_perturbed8.tensors, masks)
         local = np.random.default_rng(9)
-        u = {s: local.normal(size=4**5) for s in range(1, 5)}
+        u = np.stack([local.normal(size=4**5) for s in range(1, 5)])
 
         def contraction(th):
-            v, _ = _window_values_jacobian(unpack(th, sf_perturbed8, masks), 5, basis_k)
-            return sum(u[s] @ v[s] for s in v)
+            v, _ = _window_values_jacobian(point_state(unpack(th, sf_perturbed8, masks), 5, basis_k))
+            return sum(u[s - 1] @ v[s] for s in v)
 
-        grad = _window_pullback(sf_perturbed8, 5, basis_k, u)
+        grad = _window_pullback(point_state(sf_perturbed8, 5, basis_k), u)
         eps = 1e-6
         fd = np.empty(20)
         picks = local.choice(theta0.size, fd.size, replace=False)
@@ -234,10 +250,69 @@ class TestJacobian:
         assert np.max(np.abs(fd - grad[picks])) <= 1e-6 * np.max(np.abs(fd))
 
     def test_values_match_correlations(self, sf_noisy6):
-        vals, _ = _window_values_jacobian(sf_noisy6, 5)
+        vals, _ = _window_values_jacobian(point_state(sf_noisy6, 5))
         truth = window_correlation_set(sf_noisy6, 5)
         for s in truth.starts:
             assert np.max(np.abs(vals[s] - truth.values[s].ravel())) < 1e-12
+
+
+class TestPointState:
+    """The per-fit plan and the per-point chain state behind every model
+    evaluation and pullback."""
+
+    @pytest.mark.parametrize("basis_k", [None, F_MATRIX])
+    @pytest.mark.parametrize("bonds", [None, *UNEQUAL_BONDS])
+    def test_tensors_match_unpack_and_basis_map(self, sf_perturbed8, bonds, basis_k):
+        base = sf_perturbed8 if bonds is None else unequal_bond_chain(bonds)
+        plan = _FitPlan(base, 5, basis_k)
+        theta = np.random.default_rng(1).normal(size=plan.offsets[-1])
+        point = _Point(plan, theta)
+        k_mat = np.eye(4) if basis_k is None else basis_k
+        for s, t in enumerate(unpack(theta, base, plan.masks).tensors):
+            mapped = t if basis_k is None else np.einsum("ji,dia->dja", k_mat, t)
+            assert np.array_equal(point.sites[s], mapped)
+            # the padding stays exactly zero
+            padded = point.tensors[s].copy()
+            padded[: t.shape[0], :, : t.shape[2]] = 0.0
+            assert not padded.any()
+
+    @pytest.mark.parametrize("bonds", UNEQUAL_BONDS)
+    def test_stacked_values_match_correlations_unequal_bonds(self, bonds):
+        mpo = unequal_bond_chain(bonds)
+        vals, _ = _window_values_jacobian(point_state(mpo, 5))
+        truth = window_correlation_set(mpo, 5)
+        assert sorted(vals) == truth.starts
+        for s in truth.starts:
+            assert np.max(np.abs(vals[s] - truth.values[s].ravel())) < 1e-12
+
+    @pytest.mark.parametrize("basis_k", [None, F_MATRIX])
+    def test_state_does_not_go_stale(self, sf_perturbed8, basis_k):
+        # values, JᵀWJ and Jᵀu at A, then B, then A again under one plan
+        # equal those of fresh states, bitwise
+        local = np.random.default_rng(12)
+        plan = _FitPlan(sf_perturbed8, 5, basis_k)
+        theta_a = pack(sf_perturbed8.tensors, plan.masks)
+        theta_b = theta_a + local.normal(scale=1e-2, size=theta_a.size)
+        weights = {s: local.uniform(0.5, 2.0, size=4**5) for s in range(1, 5)}
+        u = local.normal(size=(4, 4**5))
+
+        def evaluate(point):
+            only, _ = _window_values_jacobian(point)
+            vals, hess = _window_values_jacobian(point, weights)
+            return only, vals, hess, _window_pullback(point, u)
+
+        def fresh(theta):
+            return evaluate(_Point(_FitPlan(sf_perturbed8, 5, basis_k), theta))
+
+        point_a = _Point(plan, theta_a)
+        results = [evaluate(point_a), evaluate(_Point(plan, theta_b)), evaluate(point_a)]
+        # and a new state of A under the same plan
+        results.append(evaluate(_Point(plan, theta_a)))
+        for got, theta in zip(results, [theta_a, theta_b, theta_a, theta_a]):
+            want = fresh(theta)
+            for g, w in zip(got[:2], want[:2]):
+                assert all(np.array_equal(g[s], w[s]) for s in w)
+            assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
 
 
 class TestGaussNewton:
@@ -312,7 +387,7 @@ class TestGaussNewton:
         for n in (8, 12):
             mpo = to_standard_form(noisy_cluster_model(n, ErrorModel.uniform(n, 0.09, 0.06)))
             shapes[n] = []
-            for start, _, slabs, boundary in _window_slabs(mpo, 5, F_MATRIX):
+            for start, _, slabs, boundary in _window_slabs(point_state(mpo, 5, F_MATRIX)):
                 ts = mpo.tensors[start - 1 : start + 4]
                 assert [e.shape for e in slabs] == [(4**4, t.shape[0] * t.shape[2]) for t in ts]
                 assert boundary.shape == (ts[0].shape[0], 4**5)
@@ -359,7 +434,7 @@ class TestGaussNewton:
 
         data = moments_to_zshifted(table)
         start = to_standard_form(noisy5)
-        vals, _ = _window_values_jacobian(start, 5, F_MATRIX)
+        vals, _ = _window_values_jacobian(point_state(start, 5, F_MATRIX))
         keep = np.ones(4**5, bool)
         keep[0] = False
         y = data.values[1].ravel()[keep]
@@ -379,7 +454,7 @@ class TestGaussNewton:
             s: np.pad(1.0 / np.clip(data.ses[s].ravel()[1:], 1e-9, None), (1, 0))
             for s in data.starts
         }
-        _, hess = _window_values_jacobian(fit.mpo, 5, F_MATRIX, weights)
+        _, hess = _window_values_jacobian(point_state(fit.mpo, 5, F_MATRIX), weights)
         rank = np.linalg.matrix_rank(hess)
         rows = len(data.starts) * (4**5 - 1)
         assert rank < n_par  # the standard form keeps gauge null directions
@@ -420,10 +495,10 @@ def jtwj_evaluations(monkeypatch):
     real = fitting._window_values_jacobian
     points = []
 
-    def counted(mpo, window, basis_k=None, weights=None):
+    def counted(point, weights=None):
         if weights is not None:
-            points.append(mpo)
-        return real(mpo, window, basis_k, weights)
+            points.append(point.mpo)
+        return real(point, weights)
 
     monkeypatch.setattr(fitting, "_window_values_jacobian", counted)
     return points

@@ -9,10 +9,8 @@ that generates the measurement data.
 from .cluster import (
     ErrorModel,
     ideal_cluster_mpo,
-    ideal_cluster_mps,
     noisy_cluster_model,
     stabilizer_concurrence_bound,
-    stabilizer_expectations,
     stabilizer_fidelity_bound,
     stabilizer_words,
 )
@@ -21,7 +19,6 @@ from .correlations import (
     align_phases,
     correct_inefficiency,
     moments_to_zshifted,
-    window_correlation_set,
     zshifted_to_pauli,
 )
 from .emission import (
@@ -29,7 +26,6 @@ from .emission import (
     ProtocolSpec,
     build_cluster_protocol,
     emit_mpo,
-    random_protocol,
 )
 from .entanglement import (
     MeasurementPlan,
@@ -39,7 +35,6 @@ from .entanglement import (
     le_subset_estimate,
     localizable_entanglement,
     negativity,
-    post_measurement_state,
 )
 from .errors import (
     CompletenessError,
@@ -56,8 +51,6 @@ from .fitting import (
 )
 from .measurement import (
     MomentTable,
-    exact_local_moments,
-    sample_quadratures,
     synthesize_dataset,
 )
 from .mpo import (
@@ -65,7 +58,6 @@ from .mpo import (
     apply_local_channels,
     fidelity,
     fidelity_gradient,
-    gauge_transform,
 )
 from .pauli import PauliWord
 from .reconstruct import (

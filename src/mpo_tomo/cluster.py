@@ -20,32 +20,6 @@ from .mpo import Mpo, apply_local_channels
 from .pauli import PauliWord
 
 
-def ideal_cluster_mps(n: int) -> list[np.ndarray]:
-    """Bond-dimension-2 MPS of the ideal linear cluster state.
-
-    Returns:
-        site tensors of shape ``(D_left, 2, D_right)`` with boundary bonds 1.
-    """
-    check_positive_int(n, "n", minimum=2)
-    s2 = 1.0 / np.sqrt(2.0)
-    first = np.zeros((1, 2, 2))
-    first[0, 0, 0] = s2
-    first[0, 1, 1] = s2
-    interior = np.zeros((2, 2, 2))
-    interior[0, 0, 0] = s2
-    interior[0, 1, 1] = s2
-    interior[1, 0, 0] = s2
-    interior[1, 1, 1] = -s2
-    last = np.zeros((2, 2, 1))
-    last[0, 0, 0] = s2
-    last[0, 1, 0] = s2
-    last[1, 0, 0] = s2
-    last[1, 1, 0] = -s2
-    if n == 2:
-        return [first, last]
-    return [first] + [interior] * (n - 2) + [last]
-
-
 def ideal_cluster_mpo(n: int) -> Mpo:
     """Bond-dimension-4 MPO of the ideal linear cluster state (n >= 3)."""
     check_positive_int(n, "n", minimum=3)
@@ -84,17 +58,6 @@ def stabilizer_words(n: int) -> list[PauliWord]:
         words.append(PauliWord((3, 1, 3), s - 1))
     words.append(PauliWord((3, 1), n - 1))
     return words
-
-
-def stabilizer_expectations(mpo: Mpo) -> np.ndarray:
-    return np.array([mpo.correlation(w) for w in stabilizer_words(mpo.n_qubits)])
-
-
-def mean_excitations(mpo: Mpo) -> np.ndarray:
-    """Per-site mean excitation ``(1 - <Z_s>) / 2``."""
-    return np.array(
-        [(1.0 - mpo.correlation(PauliWord((3,), s))) / 2.0 for s in range(1, mpo.n_qubits + 1)]
-    )
 
 
 @dataclass(frozen=True)
@@ -138,8 +101,8 @@ class ErrorModel:
         ``eps_ad I + (1 - eps_ad) Z``; every non-stabilizer word of the ideal
         cluster has expectation 0, so
         ``<S_s> = sqrt(1 - eps_ad,s) (1 - eps_pd,s) prod_{t = s +- 1} (1 - eps_ad,t)``
-        over the neighbours ``t`` inside the chain.  Equals
-        ``stabilizer_expectations(noisy_cluster_model(n, self))``.
+        over the neighbours ``t`` inside the chain.  Equals the expectations
+        of :func:`stabilizer_words` on ``noisy_cluster_model(n, self)``.
         """
         keep = 1.0 - self.eps_ad
         z = np.pad(keep, 1, constant_values=1.0)

@@ -19,7 +19,6 @@ from ._validation import check_efficiency
 from .channels import z_rotation
 from .errors import DataError, ValidationError
 from .measurement import MomentTable
-from .mpo import Mpo
 from .pauli import apply_site_maps
 
 PAULI_BASIS = "pauli"
@@ -98,18 +97,6 @@ class PauliCorrelationSet:
 
     def word_names(self):
         return _PAULI_NAMES if self.basis == PAULI_BASIS else _R_NAMES
-
-
-def window_correlation_set(mpo: Mpo, window: int) -> PauliCorrelationSet:
-    """Exact Pauli correlation windows of an MPO (all standard errors zero)."""
-    corrs = mpo.window_correlations(window)
-    return PauliCorrelationSet(
-        n_sites=mpo.n_qubits,
-        window=window,
-        basis=PAULI_BASIS,
-        values={s: c.copy() for s, c in corrs.items()},
-        ses={s: np.zeros((4,) * window) for s in corrs},
-    )
 
 
 def _apply_site_map(values, ses, mat):
@@ -212,16 +199,6 @@ def zshifted_to_pauli(corrs: PauliCorrelationSet) -> PauliCorrelationSet:
     meta["se_independence_assumed"] = True
     return PauliCorrelationSet(
         corrs.n_sites, corrs.window, PAULI_BASIS, out_v, out_s, meta
-    )
-
-
-def pauli_to_zshifted(corrs: PauliCorrelationSet) -> PauliCorrelationSet:
-    """Inverse of :func:`zshifted_to_pauli` (same map; F is an involution)."""
-    if corrs.basis != PAULI_BASIS:
-        raise ValidationError("expected pauli input")
-    out_v, out_s = _apply_site_map(corrs.values, corrs.ses, F_MATRIX)
-    return PauliCorrelationSet(
-        corrs.n_sites, corrs.window, ZSHIFTED_BASIS, out_v, out_s, dict(corrs.meta)
     )
 
 

@@ -54,11 +54,6 @@ def emitter_basis(d: int) -> np.ndarray:
     return np.stack(ops)
 
 
-def state_coefficients(rho: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Coefficient vector ``r_a = Tr[rho E_a]`` of an emitter density matrix."""
-    return np.real(np.einsum("aij,ji->a", basis, rho))
-
-
 def gate_process_matrix(u: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """d^2 x d^2 transfer matrix ``G[a, b] = Tr[E_a U E_b U^dag] / d``."""
     d = u.shape[0]
@@ -249,22 +244,3 @@ def build_cluster_protocol(
         emissions.append(em)
     rho0 = np.array([1.0, 0.0, 0.0, 1.0])  # emitter ground state |g><g|
     return ProtocolSpec(d=2, rho0=rho0, gates=tuple(gates), emissions=tuple(emissions))
-
-
-def random_protocol(n: int, d: int, seed: int) -> ProtocolSpec:
-    """Generic protocol with Haar-random gates and emissions (full bond rank)."""
-    check_positive_int(n, "n", minimum=2)
-    rng = np.random.default_rng(seed)
-    basis = emitter_basis(d)
-
-    def haar(dim):
-        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        q, r = np.linalg.qr(z)
-        return q * (np.diag(r) / np.abs(np.diag(r)))
-
-    gates = tuple(gate_process_matrix(haar(d), basis) for _ in range(n))
-    emissions = tuple(emission_tensor(haar(2 * d), d, basis) for _ in range(n))
-    ground = np.zeros((d, d), dtype=complex)
-    ground[0, 0] = 1.0
-    rho0 = state_coefficients(ground, basis)
-    return ProtocolSpec(d=d, rho0=rho0, gates=gates, emissions=emissions)

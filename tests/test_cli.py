@@ -312,10 +312,12 @@ class TestReconstruct:
         assert main(["reconstruct", "--config", cfg, "--out", str(broken)]) == 2
         assert path.name in capsys.readouterr().err
 
-    def test_end_to_end_exact_recovery(self, tmp_path):
+    def test_end_to_end_exact_recovery(self, tmp_path, monkeypatch):
         # an exact (zero-SE) ideal dataset reconstructs the ideal state
+        from _oracles import exact_local_moments
+        from mpo_tomo import entanglement
         from mpo_tomo.cluster import ideal_cluster_mpo
-        from mpo_tomo.measurement import exact_local_moments, save_dataset
+        from mpo_tomo.measurement import save_dataset
         from mpo_tomo.mpo import fidelity, load_json
 
         cfg_doc = {
@@ -335,7 +337,17 @@ class TestReconstruct:
         # downstream stages never mutate upstream artifacts
         assert _checksum_tree(out / "dataset") == dataset_before
         # ideal truth: analyze reports fidelity 1, bound 1, LE 0.5 everywhere
+        reverse_sweeps = []
+        real_vjp = entanglement.left_environments_vjp
+
+        def counted_vjp(*args):
+            reverse_sweeps.append(1)
+            return real_vjp(*args)
+
+        monkeypatch.setattr(entanglement, "left_environments_vjp", counted_vjp)
         assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+        # one reverse sweep per pair gives each pair's negativity gradient
+        assert len(reverse_sweeps) == 15
         report = json.load(open(out / "report.json"))
         assert report["fidelity"] == pytest.approx(1.0, abs=1e-7)
         assert report["stabilizer_bound"] == pytest.approx(1.0, abs=1e-7)
@@ -343,8 +355,8 @@ class TestReconstruct:
             for row in csv.DictReader(fh):
                 assert float(row["value"]) == pytest.approx(0.5, abs=1e-7)
         # Bell branches: degenerate partial-transpose spectra take the analytic
-        # negativity gradient, and Wootters lambdas at zero send every one of
-        # the 15 pairs' 16 branches to central differences for concurrence
+        # negativity gradient, and Wootters lambdas at zero make every one of
+        # the 15 pairs' 16 branches a fallback branch for concurrence
         assert report["le_fallback_branches"] == 0
         for name in ("le_matrix.csv", "le_distance.csv"):
             with open(out / name) as fh:
@@ -353,10 +365,13 @@ class TestReconstruct:
         cfg = write_config(
             tmp_path / "cfg_concurrence.json", {**cfg_doc, "analysis": {"le_measure": "concurrence"}}
         )
+        reverse_sweeps.clear()
         assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
         report = json.load(open(out / "report.json"))
         assert report["le_fallback_branches"] == 15 * 16
-        # a step-dependent gradient gives no SE, and the row says why
+        # a fallback branch has no derivative, so no pair runs its reverse
+        # sweep: the row has no SE, and says why
+        assert reverse_sweeps == []
         for name, n_rows in (("le_matrix.csv", 15), ("le_distance.csv", 5)):
             with open(out / name) as fh:
                 rows = list(csv.DictReader(fh))

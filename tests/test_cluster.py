@@ -9,8 +9,11 @@ from _oracles import (
     cz_chain_state,
     dense_correlation,
     dense_fidelity,
+    ideal_cluster_mps,
+    mean_excitations,
     mpo_to_dense,
     mps_to_dense,
+    stabilizer_expectations,
 )
 from conftest import PAPER_EPS_AD, PAPER_EPS_PD
 
@@ -18,11 +21,8 @@ from mpo_tomo.cluster import (
     ErrorModel,
     fit_error_model,
     ideal_cluster_mpo,
-    ideal_cluster_mps,
-    mean_excitations,
     noisy_cluster_model,
     stabilizer_concurrence_bound,
-    stabilizer_expectations,
     stabilizer_fidelity_bound,
     write_stabilizer_report,
 )

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from _oracles import dense_pauli_tensor, dense_to_mpo, random_density_matrix
+from _oracles import (
+    dense_pauli_tensor,
+    dense_to_mpo,
+    exact_local_moments,
+    pauli_to_zshifted,
+    random_density_matrix,
+    window_correlation_set,
+)
 
 from mpo_tomo.channels import amplitude_damping, z_rotation
 from mpo_tomo.cluster import ideal_cluster_mpo
@@ -17,13 +24,10 @@ from mpo_tomo.correlations import (
     correct_inefficiency,
     inverse_loss_zshifted,
     moments_to_zshifted,
-    pauli_to_zshifted,
     save_correlation_csv,
-    window_correlation_set,
     zshifted_to_pauli,
 )
 from mpo_tomo.errors import CompletenessError, DataError, ValidationError
-from mpo_tomo.measurement import exact_local_moments
 from mpo_tomo.mpo import apply_local_channels
 
 

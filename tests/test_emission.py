@@ -3,14 +3,20 @@
 import numpy as np
 import pytest
 
-from _oracles import dense_protocol_state, haar_unitary, mpo_to_dense
+from _oracles import (
+    dense_protocol_state,
+    haar_unitary,
+    mpo_to_dense,
+    random_protocol,
+    stabilizer_expectations,
+    state_coefficients,
+)
 
 from mpo_tomo.channels import amplitude_damping, compose, pure_dephasing
 from mpo_tomo.cluster import (
     ErrorModel,
     ideal_cluster_mpo,
     noisy_cluster_model,
-    stabilizer_expectations,
 )
 from mpo_tomo.emission import (
     CONDITIONAL_EMISSION,
@@ -22,8 +28,6 @@ from mpo_tomo.emission import (
     emit_mpo,
     emitter_basis,
     gate_process_matrix,
-    random_protocol,
-    state_coefficients,
 )
 from mpo_tomo.errors import ValidationError
 from mpo_tomo.mpo import fidelity

@@ -5,7 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
-from _oracles import dense_localizable_entanglement, mpo_to_dense, random_density_matrix
+from _oracles import (
+    dense_localizable_entanglement,
+    mpo_to_dense,
+    pairwise_le_matrix,
+    post_measurement_state,
+    random_density_matrix,
+)
 
 from mpo_tomo.cluster import ErrorModel, ideal_cluster_mpo, noisy_cluster_model
 from mpo_tomo.entanglement import (
@@ -16,9 +22,7 @@ from mpo_tomo.entanglement import (
     le_subset_estimate,
     localizable_entanglement,
     negativity,
-    pairwise_le_matrix,
     partial_transpose,
-    post_measurement_state,
 )
 from mpo_tomo.errors import ValidationError
 from mpo_tomo.mpo import Mpo
@@ -220,6 +224,30 @@ class TestLocalizableEntanglement:
             fd = (vp - vm) / (2 * h)
             assert grad[i] == pytest.approx(fd, abs=max(1e-6, 1e-4 * abs(fd)))
 
+    @pytest.mark.parametrize("measure, n_fallback", [("negativity", 0), ("concurrence", 8)])
+    def test_reverse_sweep_only_without_fallback(self, monkeypatch, measure, n_fallback):
+        # the ideal cluster's concurrence branches all have Wootters lambdas at
+        # zero: a pair with a fallback branch gets no SE and runs no reverse sweep
+        from mpo_tomo import entanglement
+        from mpo_tomo.fitting import FitResult
+        from mpo_tomo.standard_form import free_masks, n_free_parameters, to_standard_form
+
+        m = to_standard_form(ideal_cluster_mpo(5))
+        masks = free_masks(m)
+        fit = FitResult(m, np.eye(n_free_parameters(masks)), 0.0, 0, 0, True, "pauli", masks=masks)
+        sweeps = []
+        real_vjp = entanglement.left_environments_vjp
+
+        def counted_vjp(*args):
+            sweeps.append(1)
+            return real_vjp(*args)
+
+        monkeypatch.setattr(entanglement, "left_environments_vjp", counted_vjp)
+        le = localizable_entanglement(m, default_plan(5, 1, 4), measure, fit=fit)
+        assert le.fallback_branches == n_fallback
+        assert len(sweeps) == (0 if n_fallback else 1)
+        assert (le.se_parameter is None) == bool(n_fallback)
+
 
 def _all_branches(mpo, pair):
     """Coefficients (2^(N-2), 4, 4) of every outcome branch under the default plan."""
@@ -245,7 +273,7 @@ def _value_differences(c, measure, h=1e-6):
 
 
 class TestBranchGradients:
-    """Analytic branch gradients next to the central-difference fallback."""
+    """Analytic branch gradients next to fallback branches, which have none."""
 
     @staticmethod
     def _product_branch(weight):
@@ -269,8 +297,9 @@ class TestBranchGradients:
         c = np.concatenate([fitted[:3], getattr(self, kink)(0.05)[None], fitted[3:]])
         values, grad, _, fallback = _branch_terms(c, measure, True)
         # a partial-transpose eigenvalue at zero, or Wootters lambdas at zero,
-        # send exactly the inserted branch down central differences
+        # make exactly the inserted branch a fallback branch, with NaN rows
         assert fallback.tolist() == [False] * 3 + [True] + [False] * (len(c) - 4)
+        assert np.isnan(grad[fallback]).all() and np.isfinite(grad[~fallback]).all()
         analytic = ~fallback & (values > 0.0)
         assert analytic.sum() == len(c) - 1
         oracle = _value_differences(c[analytic], measure)
@@ -286,19 +315,6 @@ class TestBranchGradients:
         np.testing.assert_allclose(with_grad[0], values_only[0], rtol=0.0, atol=1e-15)
         assert with_grad[2] == pytest.approx(values_only[2], abs=1e-15)
         assert values_only[1] is None and not values_only[3].any()
-
-    @pytest.mark.parametrize("name", ["_trace_norm", "_raw_concurrence"])
-    def test_fallback_step_scales_with_the_branch(self, fitted_noisy5, name):
-        # both branch functions are homogeneous of degree 1, so their gradient
-        # does not change when the branch is scaled
-        from mpo_tomo import entanglement
-
-        f = getattr(entanglement, name)
-        c = _all_branches(fitted_noisy5.fit_result_.mpo, (1, 4))[:4]
-        assert np.all(entanglement._raw_concurrence(c) > 0.0)
-        reference = entanglement._central_difference(f, c)
-        scaled = entanglement._central_difference(f, 1e-8 * c)
-        np.testing.assert_allclose(scaled, reference, rtol=0.0, atol=1e-6)
 
 
 class TestFittedChainEntanglement:

@@ -1,0 +1,103 @@
+"""What ``src/mpo_tomo`` must hold: the names ``bench/`` binds, and nothing
+that only the tests call."""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "mpo_tomo"
+BENCH = ROOT / "bench"
+
+# public top-level names that no other src code calls, and why each stays
+KEPT_UNCALLED = {
+    "cluster.stabilizer_concurrence_bound": "paper quantity: the LE bound from stabilizers",
+    "reconstruct.check_reconstructibility": "paper quantity: the rank test for inversion",
+    "entanglement.negativity": "paper quantity: two-qubit negativity",
+    "entanglement.concurrence": "paper quantity: two-qubit concurrence",
+    "mpo.matrix_element": "bench contract: bench/tracing.py wraps it",
+    "fitting.propagate_covariance": "bench contract: bench/tracing.py wraps it",
+}
+
+
+def _load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _names(tree) -> set:
+    """Every name an AST reads, as a bare name or as an attribute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def _attribute_chain(node):
+    """``("a", "b", "c")`` for the expression ``a.b.c``, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return (node.id, *reversed(parts))
+
+
+def test_tracing_targets_resolve():
+    tracing = _load_bench_module("tracing")
+    for module, attr, _ in tracing.TARGETS:
+        target = getattr(importlib.import_module(f"mpo_tomo.{module}"), attr, None)
+        assert callable(target), f"bench/tracing.py wraps mpo_tomo.{module}.{attr}"
+    commands = importlib.import_module("mpo_tomo.cli")._COMMANDS
+    assert isinstance(commands, dict) and all(callable(fn) for fn in commands.values())
+
+
+@pytest.mark.parametrize("script", ["checks.py", "traced_cli.py"])
+def test_bench_names_resolve(script):
+    tree = ast.parse((BENCH / script).read_text())
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "mpo_tomo":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), f"{script} imports {node.module}.{alias.name}"
+                bound[alias.asname or alias.name] = getattr(module, alias.name)
+    assert bound, f"{script} imports nothing from mpo_tomo"
+    for node in ast.walk(tree):
+        chain = _attribute_chain(node)
+        if chain is None or chain[0] not in bound:
+            continue
+        obj = bound[chain[0]]
+        for part in chain[1:]:
+            assert hasattr(obj, part), f"{script} uses {'.'.join(chain)}"
+            obj = getattr(obj, part)
+
+
+def test_src_holds_only_what_the_pipeline_runs():
+    # the names each top-level statement of src reads; the package's
+    # exports do not count as a use
+    statements = [
+        (module, node, _names(node))
+        for module in (p for p in SRC.glob("*.py") if p.stem != "__init__")
+        for node in ast.parse(module.read_text()).body
+    ]
+    uncalled = {
+        f"{module.stem}.{node.name}"
+        for module, node, _ in statements
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and not any(node.name in names for _, other, names in statements if other is not node)
+    }
+    assert uncalled - set(KEPT_UNCALLED) == set(), "move test-only functions to tests/_oracles.py"
+    assert set(KEPT_UNCALLED) - uncalled == set(), "drop names from KEPT_UNCALLED that src calls"

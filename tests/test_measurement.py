@@ -7,17 +7,23 @@ import warnings
 import numpy as np
 import pytest
 
-from _oracles import dense_moment, dense_to_mpo, mpo_to_dense, mps_to_dense
+from _oracles import (
+    dense_moment,
+    dense_to_mpo,
+    exact_local_moments,
+    ideal_cluster_mps,
+    moment_word_string,
+    mpo_to_dense,
+    mps_to_dense,
+    sample_quadratures,
+)
 
 from mpo_tomo._csvio import write_csv
-from mpo_tomo.cluster import ErrorModel, ideal_cluster_mps, noisy_cluster_model
+from mpo_tomo.cluster import ErrorModel, noisy_cluster_model
 from mpo_tomo.errors import CompletenessError, ValidationError
 from mpo_tomo.measurement import (
-    exact_local_moments,
     load_dataset,
     load_moment_csv,
-    moment_word_string,
-    sample_quadratures,
     save_dataset,
     synthesize_dataset,
 )
@@ -72,9 +78,9 @@ class TestExactMoments:
     def test_moment_consistency_with_pipeline(self, noisy6):
         # exact moments at eta=1 through the conversion chain reproduce the
         # MPO's Pauli correlations exactly
+        from _oracles import window_correlation_set
         from mpo_tomo.correlations import (
             moments_to_zshifted,
-            window_correlation_set,
             zshifted_to_pauli,
         )
 

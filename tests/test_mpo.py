@@ -11,6 +11,7 @@ from _oracles import (
     cz_chain_state,
     dense_correlation,
     dense_to_mpo,
+    gauge_transform,
     loss_kraus,
     mpo_to_dense,
     mps_to_dense,
@@ -25,7 +26,6 @@ from mpo_tomo.mpo import (
     density_corner,
     fidelity,
     fidelity_gradient,
-    gauge_transform,
     left_environments,
     left_environments_vjp,
     load_json,
@@ -291,7 +291,7 @@ class TestFidelity:
         assert fidelity(cluster5, cluster5) == pytest.approx(1.0, abs=1e-12)
 
     def test_noisy_model_vs_dense(self, noisy5, cluster5):
-        from mpo_tomo.cluster import ideal_cluster_mps
+        from _oracles import ideal_cluster_mps
 
         psi = mps_to_dense(ideal_cluster_mps(5))
         dense = float(np.real(psi.conj() @ mpo_to_dense(noisy5) @ psi))

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from _oracles import dense_to_mpo, random_density_matrix
+from _oracles import dense_to_mpo, random_density_matrix, random_protocol, window_correlation_set
 
 from mpo_tomo.cluster import ideal_cluster_mpo
-from mpo_tomo.correlations import window_correlation_set
-from mpo_tomo.emission import emit_mpo, random_protocol
+from mpo_tomo.emission import emit_mpo
 from mpo_tomo.errors import DataError, ValidationError
 from mpo_tomo.measurement import synthesize_dataset
 from mpo_tomo.mpo import Mpo, fidelity

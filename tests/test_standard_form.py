@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from _oracles import random_protocol
 from conftest import random_mpo
 from mpo_tomo.cluster import ErrorModel, noisy_cluster_model
-from mpo_tomo.emission import emit_mpo, random_protocol
+from mpo_tomo.emission import emit_mpo
 from mpo_tomo.mpo import Mpo, pad_bond
 from mpo_tomo.standard_form import (
     _template,

@@ -49,8 +49,9 @@ _CONFIG_SCHEMA = {
 }
 
 _DEFAULTS = {
+    "protocol": {"eps_ad": 0.0, "eps_pd": 0.0, "rotation_offsets": None},
     "measurement": {"window": 5, "eta": 1.0, "eta_se": 0.0},
-    "fit": {"k_sigma": 5.0, "max_iterations": 200, "tol": 1e-10, "se_floor": 1e-9},
+    "fit": fitting.FIT_DEFAULTS,
     "analysis": {
         "le_pairs": "all",
         "le_measure": "negativity",
@@ -68,6 +69,8 @@ def load_config(path) -> dict:
         raise ValidationError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ValidationError("config must be a JSON object")
     unknown = set(cfg) - set(_CONFIG_SCHEMA)
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
@@ -76,6 +79,8 @@ def load_config(path) -> dict:
     for section, allowed in _CONFIG_SCHEMA.items():
         if allowed is None or section not in cfg:
             continue
+        if not isinstance(cfg[section], dict):
+            raise ValidationError(f"config section {section} must be a JSON object")
         extra = set(cfg[section]) - allowed
         if extra:
             raise ValidationError(f"unknown keys in {section}: {sorted(extra)}")
@@ -83,11 +88,19 @@ def load_config(path) -> dict:
         merged = dict(defaults)
         merged.update(cfg.get(section, {}))
         cfg[section] = merged
-    if "protocol" not in cfg or "n_qubits" not in cfg["protocol"]:
+    protocol = cfg["protocol"]
+    if "n_qubits" not in protocol:
         raise ValidationError("config needs protocol.n_qubits")
-    n = cfg["protocol"]["n_qubits"]
+    n = protocol["n_qubits"]
     if not isinstance(n, int) or n < 5:
         raise ValidationError("protocol.n_qubits must be an integer >= 5")
+    for key in ("eps_ad", "eps_pd"):
+        eps = protocol[key]
+        if not (_is_probability(eps) or _is_list(eps, n) and all(map(_is_probability, eps))):
+            raise ValidationError(f"protocol.{key} must be a number in [0, 1] or a list of {n} of them")
+    offsets = protocol["rotation_offsets"]
+    if offsets is not None and not (_is_list(offsets, n) and all(map(_is_finite, offsets))):
+        raise ValidationError(f"protocol.rotation_offsets must be null or a list of {n} finite numbers")
     m = cfg["measurement"]
     if "shots" not in m or "seed" not in m:
         raise ValidationError("measurement.shots and measurement.seed are required")
@@ -116,8 +129,10 @@ def load_config(path) -> dict:
     if pairs != "all" and not (isinstance(pairs, list) and pairs and all(
         isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)) and 1 <= p[0] < p[1] <= n
         for p in pairs
-    )):
-        raise ValidationError(f"analysis.le_pairs must be \"all\" or integer pairs 1 <= r < r' <= {n}")
+    ) and len({tuple(p) for p in pairs}) == len(pairs)):
+        raise ValidationError(
+            f"analysis.le_pairs must be \"all\" or distinct integer pairs 1 <= r < r' <= {n}"
+        )
     # beyond exact enumeration, LE samples subset_samples of the 2^(N-2) branches
     limit = entanglement.EXACT_ENUMERATION_LIMIT
     samples, seed = a["subset_samples"], a["subset_seed"]
@@ -140,6 +155,14 @@ def _is_finite(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
+def _is_probability(x) -> bool:
+    return _is_finite(x) and 0.0 <= x <= 1.0
+
+
+def _is_list(x, length: int) -> bool:
+    return isinstance(x, list) and len(x) == length
+
+
 @contextmanager
 def _timed(record: dict, stage: str):
     """Record the wall time of the enclosed block as ``record["timings"][stage]``
@@ -152,29 +175,18 @@ def _timed(record: dict, stage: str):
     record.setdefault("peak_rss_mb", {})[stage] = maxrss * 1024 / 1e6
 
 
-def _error_model(cfg) -> cluster.ErrorModel:
-    p = cfg["protocol"]
-    n = p["n_qubits"]
-    ad = p.get("eps_ad", 0.0)
-    pd = p.get("eps_pd", 0.0)
-    ad = np.full(n, float(ad)) if np.isscalar(ad) else np.asarray(ad, dtype=float)
-    pd = np.full(n, float(pd)) if np.isscalar(pd) else np.asarray(pd, dtype=float)
-    if ad.shape != (n,) or pd.shape != (n,):
-        raise ValidationError("per-site error lists must have length n_qubits")
-    return cluster.ErrorModel(ad, pd)
-
-
 def _truth_mpo(cfg) -> mpo_mod.Mpo:
-    from .emission import ProtocolImperfections, build_cluster_protocol, emit_mpo
-
     p = cfg["protocol"]
     n = p["n_qubits"]
-    model = _error_model(cfg)
-    offsets = p.get("rotation_offsets")
+    # a number holds for every site
+    model = cluster.ErrorModel(np.full(n, p["eps_ad"], dtype=float), np.full(n, p["eps_pd"], dtype=float))
+    offsets = p["rotation_offsets"]
     if offsets is None:
         return cluster.noisy_cluster_model(n, model)
+    from .emission import ProtocolImperfections, build_cluster_protocol, emit_mpo
+
     imp = ProtocolImperfections(
-        rotation_offsets=tuple(float(x) for x in offsets),
+        rotation_offsets=tuple(offsets),
         photon_channels=tuple(model.channels()),
     )
     return emit_mpo(build_cluster_protocol(n, imp))
@@ -210,7 +222,6 @@ def cmd_simulate(cfg, out: str) -> int:
 
 def cmd_reconstruct(cfg, out: str) -> int:
     m = cfg["measurement"]
-    fit_cfg = cfg["fit"]
     record: dict = {}
     with _timed(record, "load"):
         table = measurement.load_dataset(
@@ -219,35 +230,27 @@ def cmd_reconstruct(cfg, out: str) -> int:
     stages: dict = {}
     with _timed(record, "moments"):
         corrs = moments_to_zshifted(table)
-    if m["eta"] < 1.0:
+    # at eta = 1 the correction still carries eta_se into every SE
+    if m["eta"] < 1.0 or m["eta_se"] > 0.0:
         with _timed(record, "eta_correction"):
             corrs = correct_inefficiency(corrs, m["eta"], m["eta_se"])
         stages["eta_correction"] = {"eta": m["eta"], "eta_se": m["eta_se"]}
     with _timed(record, "alignment"):
         corrs, angles = align_phases(corrs)
     stages["alignment_angles"] = angles.tolist()
-    estimator = fitting.MpoLeastSquares(
-        k_sigma=fit_cfg["k_sigma"],
-        max_iter=fit_cfg["max_iterations"],
-        tol=fit_cfg["tol"],
-        se_floor=fit_cfg["se_floor"],
-    )
     with _timed(record, "fit"):
-        estimator.fit(corrs)
+        estimate, inversion, fr = fitting.fit_chain(corrs, **cfg["fit"])
     stages["bond_dimensions"] = {
         str(s): {
-            "estimate": estimator.bond_estimate_.dims[s],
-            "singular_values": estimator.bond_estimate_.singular_values[s].tolist(),
-            "singular_value_ses": estimator.bond_estimate_.singular_value_ses[
-                s
-            ].tolist(),
+            "estimate": estimate.dims[s],
+            "singular_values": estimate.singular_values[s].tolist(),
+            "singular_value_ses": estimate.singular_value_ses[s].tolist(),
         }
-        for s in sorted(estimator.bond_estimate_.dims)
+        for s in sorted(estimate.dims)
     }
     stages["inversion_residuals"] = {
-        str(s): r for s, r in sorted(estimator.inversion_.site_residuals.items())
+        str(s): r for s, r in sorted(inversion.site_residuals.items())
     }
-    fr = estimator.fit_result_
     stages["gauss_newton"] = {**fitting.fit_record(fr), "trace": fr.trace}
     fit_dir = os.path.join(out, "fit")
     with _timed(record, "write"):

@@ -89,10 +89,6 @@ class ErrorModel:
     def n_sites(self) -> int:
         return len(self.eps_ad)
 
-    @property
-    def phase_flip(self) -> np.ndarray:
-        return self.eps_pd / 2.0
-
     def stabilizers(self) -> np.ndarray:
         """Stabilizer expectations of the noisy cluster, in closed form.
 
@@ -108,10 +104,6 @@ class ErrorModel:
         z = np.pad(keep, 1, constant_values=1.0)
         return np.sqrt(keep) * (1.0 - self.eps_pd) * z[:-2] * z[2:]
 
-    def excitations(self) -> np.ndarray:
-        """Mean excitations ``(1 - eps_ad) / 2`` of the noisy cluster."""
-        return (1.0 - self.eps_ad) / 2.0
-
     def channels(self) -> list[np.ndarray]:
         """Per-site process matrices, dephasing applied after loss."""
         return [
@@ -126,12 +118,6 @@ class ErrorModel:
                 fh,
                 sort_keys=True,
             )
-
-    @classmethod
-    def from_json(cls, path) -> "ErrorModel":
-        with open(path) as fh:
-            doc = json.load(fh)
-        return cls(doc["eps_ad"], doc["eps_pd"])
 
 
 def noisy_cluster_model(n: int, model: ErrorModel) -> Mpo:

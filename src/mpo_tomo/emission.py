@@ -11,7 +11,6 @@ most d^2.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,32 +123,6 @@ class ProtocolSpec:
     @property
     def n_photons(self) -> int:
         return len(self.gates)
-
-    def to_json(self, path) -> None:
-        doc = {
-            "d": self.d,
-            "n_photons": self.n_photons,
-            "rho0": self.rho0.tolist(),
-            "gates": [g.ravel().tolist() for g in self.gates],
-            "emissions": [e.ravel().tolist() for e in self.emissions],
-            "trace_out_emitter": self.trace_out_emitter,
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, path) -> "ProtocolSpec":
-        with open(path) as fh:
-            doc = json.load(fh)
-        d = doc["d"]
-        dd = d * d
-        return cls(
-            d=d,
-            rho0=np.asarray(doc["rho0"]),
-            gates=tuple(np.asarray(g).reshape(dd, dd) for g in doc["gates"]),
-            emissions=tuple(np.asarray(e).reshape(dd, 4, dd) for e in doc["emissions"]),
-            trace_out_emitter=doc["trace_out_emitter"],
-        )
 
 
 def emit_mpo(protocol: ProtocolSpec) -> Mpo:

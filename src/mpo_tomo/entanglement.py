@@ -88,9 +88,6 @@ class TwoQubitState:
     matrix: np.ndarray
     weight: float
 
-    def normalized(self) -> np.ndarray:
-        return self.matrix / self.weight
-
 
 def _outcome_maps(mpo: Mpo, plan: MeasurementPlan):
     """Each site's outcome vectors, its map with the outcome index open, and

@@ -43,7 +43,7 @@ from .correlations import (
     PauliCorrelationSet,
     zshifted_to_pauli,
 )
-from .errors import DataError, ValidationError
+from .errors import CompletenessError, DataError, ValidationError
 from .mpo import (
     Mpo,
     left_environments,
@@ -71,6 +71,9 @@ from .standard_form import (
 log = logging.getLogger(__name__)
 
 _INITIAL_DAMPING = 1e-3  # Levenberg parameter of the first trial
+
+# the fit settings, each overridable in the run config's "fit" section
+FIT_DEFAULTS = {"k_sigma": 5.0, "max_iterations": 200, "tol": 1e-10, "se_floor": 1e-9}
 
 
 class _FitPlan:
@@ -459,9 +462,9 @@ class FitResult:
 def gauss_newton_fit(
     initial: Mpo,
     data: PauliCorrelationSet,
-    max_iter: int = 200,
-    tol: float = 1e-10,
-    se_floor: float = 1e-9,
+    max_iter: int = FIT_DEFAULTS["max_iterations"],
+    tol: float = FIT_DEFAULTS["tol"],
+    se_floor: float = FIT_DEFAULTS["se_floor"],
 ) -> FitResult:
     """Levenberg-damped Gauss-Newton weighted least squares.
 
@@ -675,55 +678,45 @@ def fidelity_functional(target: Mpo):
     return run
 
 
-class MpoLeastSquares:
-    """Estimator reconstructing an MPO from five-qubit local correlations.
+def fit_chain(
+    corrs: PauliCorrelationSet,
+    k_sigma: float = FIT_DEFAULTS["k_sigma"],
+    max_iterations: int = FIT_DEFAULTS["max_iterations"],
+    tol: float = FIT_DEFAULTS["tol"],
+    se_floor: float = FIT_DEFAULTS["se_floor"],
+):
+    """Reconstruct an MPO from five-qubit local correlations in the
+    Z-shifted basis, as :func:`~mpo_tomo.correlations.moments_to_zshifted`
+    gives them.
 
-    The fit pipeline is: build correlation matrices, estimate the bond
-    dimension from their singular values, reconstruct an initial guess by
-    pseudoinversion, compress it to the estimated bonds, convert to standard
-    form, and refine by weighted Gauss-Newton.  Settings are given to
-    ``__init__``; :meth:`fit` sets the fitted state in trailing-underscore
-    attributes.
+    Builds the correlation matrices, estimates the bond dimensions from their
+    singular values, reconstructs an initial guess by pseudoinversion,
+    compresses it to the estimated bonds, converts it to standard form and
+    refines it by weighted Gauss-Newton (:func:`gauss_newton_fit`).
+
+    Returns:
+        ``(bond_estimate, inversion, fit)``: the
+        :class:`~mpo_tomo.reconstruct.BondEstimate`, the
+        :class:`~mpo_tomo.reconstruct.InversionResult` and the
+        :class:`FitResult`.
     """
-
-    def __init__(
-        self,
-        k_sigma: float = 5.0,
-        max_iter: int = 200,
-        tol: float = 1e-10,
-        se_floor: float = 1e-9,
-        bond_dims: dict | None = None,
-    ):
-        self.k_sigma = k_sigma
-        self.max_iter = max_iter
-        self.tol = tol
-        self.se_floor = se_floor
-        self.bond_dims = bond_dims
-
-    def fit(self, corrs: PauliCorrelationSet) -> "MpoLeastSquares":
-        """Run the full reconstruction pipeline on an L=5 correlation set."""
-        if corrs.window != 5:
-            raise ValidationError("the estimator expects 5-qubit windows")
-        pauli = corrs if corrs.basis == PAULI_BASIS else zshifted_to_pauli(corrs)
-        self.corr_matrices_ = build_corr_matrices(pauli)
-        self.bond_estimate_ = estimate_bond_dims(self.corr_matrices_, self.k_sigma)
-        dims = dict(self.bond_dims or self.bond_estimate_.dims)
-        self.inversion_ = invert_reconstruct(
-            pauli, 5, ranks=dims, residual_tol=np.inf
-        )
-        guess = compress(self.inversion_.mpo, self.corr_matrices_, dims)
-        guess = to_standard_form(guess)
-        self.initial_mpo_ = guess
-        self.fit_result_ = gauss_newton_fit(
-            guess,
-            corrs,
-            max_iter=self.max_iter,
-            tol=self.tol,
-            se_floor=self.se_floor,
-        )
-        self.mpo_ = self.fit_result_.mpo
-        self.covariance_ = self.fit_result_.covariance
-        return self
+    if corrs.window != 5:
+        raise ValidationError("the fit expects 5-qubit windows")
+    pauli = zshifted_to_pauli(corrs)
+    corr_matrices = build_corr_matrices(pauli)
+    bond_estimate = estimate_bond_dims(corr_matrices, k_sigma)
+    inversion = invert_reconstruct(
+        pauli, 5, ranks=bond_estimate.dims, residual_tol=np.inf
+    )
+    guess = compress(inversion.mpo, corr_matrices, bond_estimate.dims)
+    fit = gauss_newton_fit(
+        to_standard_form(guess),
+        corrs,
+        max_iter=max_iterations,
+        tol=tol,
+        se_floor=se_floor,
+    )
+    return bond_estimate, inversion, fit
 
 
 # --- persistence -------------------------------------------------------------
@@ -757,36 +750,52 @@ def save_fit_bundle(fit: FitResult, directory) -> None:
         json.dump(report, fh, sort_keys=True)
 
 
+def _read_report(path) -> dict:
+    with open(path) as fh:
+        report = json.load(fh)
+    required = ("sse", "dof", "iterations", "converged", "basis")
+    # the exit reason and null-space fields may predate the bundle
+    optional = ("exit_reason", *_NULL_SPACE_KEYS)
+    return {**{key: report[key] for key in required}, **{key: report.get(key) for key in optional}}
+
+
+def _read_header_shape(path) -> tuple:
+    with open(path) as fh:
+        return tuple(json.load(fh)["shape"])
+
+
 def load_fit_bundle(directory) -> FitResult:
-    mpo = load_json(os.path.join(directory, "mpo.json"))
-    with open(os.path.join(directory, "covariance_header.json")) as fh:
-        header = json.load(fh)
+    """Load a fit written by :func:`save_fit_bundle`.
+
+    Raises:
+        CompletenessError: a bundle file is missing.
+        ValidationError: a bundle file is unreadable or incomplete, or the
+            covariance does not match the MPO.
+    """
+
+    def read(name, load):
+        path = os.path.join(directory, name)
+        try:
+            return load(path)
+        except FileNotFoundError as exc:
+            raise CompletenessError(f"the fit bundle has no {name} ({path})") from exc
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ValidationError(f"cannot read {name} of the fit bundle: {exc!r}") from exc
+
+    mpo = read("mpo.json", load_json)
     masks = free_masks(mpo)
     n_free = n_free_parameters(masks)
-    shape = tuple(header["shape"])
+    shape = read("covariance_header.json", _read_header_shape)
     if shape != (n_free, n_free):
         raise ValidationError(
             f"covariance shape {list(shape)} does not match the MPO's "
             f"{n_free} free parameters"
         )
-    cov = np.fromfile(os.path.join(directory, "covariance.bin"), dtype=np.float64)
+    cov = read("covariance.bin", functools.partial(np.fromfile, dtype=np.float64))
     if cov.size != n_free * n_free:
         raise ValidationError(
             f"covariance.bin holds {cov.size} values, the header declares "
             f"{n_free} x {n_free}"
         )
-    cov = cov.reshape(shape)
-    with open(os.path.join(directory, "fit_report.json")) as fh:
-        report = json.load(fh)
-    return FitResult(
-        mpo=mpo,
-        covariance=cov,
-        sse=report["sse"],
-        dof=report["dof"],
-        iterations=report["iterations"],
-        converged=report["converged"],
-        basis=report["basis"],
-        masks=masks,
-        exit_reason=report.get("exit_reason"),
-        **{key: report.get(key) for key in _NULL_SPACE_KEYS},
-    )
+    report = read("fit_report.json", _read_report)
+    return FitResult(mpo=mpo, covariance=cov.reshape(n_free, n_free), masks=masks, **report)

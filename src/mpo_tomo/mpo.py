@@ -136,12 +136,6 @@ class Mpo:
         """Bond dimensions between consecutive sites (length N-1)."""
         return tuple(t.shape[2] for t in self.tensors[:-1])
 
-    def site(self, s: int) -> np.ndarray:
-        """Site tensor at 1-based site index ``s``."""
-        if not 1 <= s <= self.n_qubits:
-            raise ValidationError(f"site index {s} out of range 1..{self.n_qubits}")
-        return self.tensors[s - 1]
-
     def trace(self) -> float:
         """Trace of the represented operator (product of identity slices)."""
         return self.correlation((0,) * self.n_qubits)

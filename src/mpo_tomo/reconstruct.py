@@ -162,10 +162,6 @@ class InversionResult:
     message: str = ""
     verification_error: float = 0.0
 
-    @property
-    def ok(self) -> bool:
-        return self.mpo is not None
-
 
 def _boundary_site(first: bool) -> np.ndarray:
     t = np.eye(4)

@@ -51,16 +51,23 @@ def random_mpo(n, bond, rng, scale=1.0):
 
 
 @pytest.fixture(scope="session")
-def fitted_noisy5(noisy5):
-    """One converged fit of a synthetic 5-qubit dataset, reused across tests."""
+def noisy5_fit_chain(noisy5):
+    """``fit_chain`` of a synthetic 5-qubit dataset: bond estimate,
+    inversion and fit, reused across tests."""
     from mpo_tomo.correlations import moments_to_zshifted
-    from mpo_tomo.fitting import MpoLeastSquares
+    from mpo_tomo.fitting import fit_chain
     from mpo_tomo.measurement import synthesize_dataset
 
     table = synthesize_dataset(noisy5, 5, 1.0, 10**7, seed=11)
-    est = MpoLeastSquares().fit(moments_to_zshifted(table))
-    assert est.fit_result_.converged
-    return est
+    return fit_chain(moments_to_zshifted(table))
+
+
+@pytest.fixture(scope="session")
+def fitted_noisy5(noisy5_fit_chain):
+    """The converged fit of :func:`noisy5_fit_chain`."""
+    fit = noisy5_fit_chain[2]
+    assert fit.converged
+    return fit
 
 
 @pytest.fixture

@@ -95,6 +95,20 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", out2]) == 0
         assert _checksum_tree(out1) == _checksum_tree(out2)
 
+    def test_rotation_offsets_run_the_emission_protocol(self, pipeline_run, tmp_path):
+        # zero offsets: the emitted chain is the closed-form noisy cluster
+        from mpo_tomo.mpo import load_json
+
+        _, out = pipeline_run
+        cfg_doc = json.loads(json.dumps(CONFIG))
+        cfg_doc["protocol"]["rotation_offsets"] = [0.0] * 5
+        cfg = write_config(tmp_path / "cfg.json", cfg_doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        emitted = load_json(tmp_path / "o" / "truth_mpo.json")
+        closed_form = load_json(os.path.join(out, "truth_mpo.json"))
+        for word in [(1, 3, 0, 0, 0), (3, 1, 3, 0, 0), (0, 0, 0, 3, 1), (3, 0, 0, 0, 0)]:
+            assert emitted.correlation(word) == pytest.approx(closed_form.correlation(word), abs=1e-12)
+
     def test_zero_shots_rejected(self, tmp_path):
         bad = dict(CONFIG)
         bad["measurement"] = {"shots": 0, "seed": 1}
@@ -119,6 +133,19 @@ class TestConfigValidation:
         bad = {k: v for k, v in CONFIG.items() if k != "version"}
         cfg = write_config(tmp_path / "bad.json", bad)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [],
+            {**CONFIG, "protocol": 5},
+            {**CONFIG, "fit": [["tol", 1e-10]]},
+        ],
+    )
+    def test_config_and_sections_are_objects(self, tmp_path, doc):
+        cfg = write_config(tmp_path / "bad.json", doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_seed_must_be_explicit(self, tmp_path):
         bad = json.loads(json.dumps(CONFIG))
@@ -188,6 +215,21 @@ class TestConfigValidation:
             ("measurement", "seed", -1),
             ("measurement", "seed", True),
             ("measurement", "seed", 7.0),
+            ("analysis", "le_pairs", [[1, 2], [1, 2]]),
+            ("protocol", "eps_ad", "x"),
+            ("protocol", "eps_ad", {}),
+            ("protocol", "eps_ad", "0.1"),
+            ("protocol", "eps_ad", True),
+            ("protocol", "eps_ad", -0.1),
+            ("protocol", "eps_pd", 1.5),
+            ("protocol", "eps_pd", float("nan")),
+            ("protocol", "eps_pd", [0.1] * 4),
+            ("protocol", "eps_pd", [0.1, 0.1, 0.1, 0.1, "0.1"]),
+            ("protocol", "rotation_offsets", 5),
+            ("protocol", "rotation_offsets", "abc"),
+            ("protocol", "rotation_offsets", [0.0] * 4),
+            ("protocol", "rotation_offsets", [0.0, 0.0, 0.0, 0.0, True]),
+            ("protocol", "rotation_offsets", [0.0, 0.0, 0.0, 0.0, float("inf")]),
         ],
     )
     @pytest.mark.parametrize("command", ["simulate", "analyze"])
@@ -378,6 +420,23 @@ class TestReconstruct:
             assert len(rows) == n_rows
             assert all(r["fallback_branches"] == "16" and r["se_parameter"] == "" for r in rows)
 
+    def test_eta_se_enters_the_ses_at_unit_eta(self, pipeline_run, tmp_path):
+        # eta = 1 needs no correction of the values, but its uncertainty
+        # still widens every SE
+        _, out = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(os.path.join(out, "dataset"), run / "dataset")
+        cfg_doc = json.loads(json.dumps(CONFIG))
+        cfg_doc["measurement"].update(eta=1.0, eta_se=0.01)
+        cfg = write_config(tmp_path / "cfg.json", cfg_doc)
+        assert main(["reconstruct", "--config", cfg, "--out", str(run)]) == 0
+        assert main(["analyze", "--config", cfg, "--out", str(run)]) == 0
+        stages = json.load(open(run / "fit" / "stages.json"))
+        assert stages["eta_correction"] == {"eta": 1.0, "eta_se": 0.01}
+        plain = json.load(open(os.path.join(out, "report.json")))
+        widened = json.load(open(run / "report.json"))
+        assert widened["fidelity_se"] > 1.5 * plain["fidelity_se"]
+
     def test_non_convergence_exit_code_with_partial_outputs(self, tmp_path):
         cfg_doc = json.loads(json.dumps(CONFIG))
         cfg_doc["fit"] = {"max_iterations": 1}
@@ -406,6 +465,29 @@ class TestReconstruct:
 
 
 class TestAnalyze:
+    @pytest.mark.parametrize(
+        "name, damage, code",
+        [
+            ("covariance.bin", None, 3),
+            ("fit_report.json", lambda doc: {k: v for k, v in doc.items() if k != "sse"}, 2),
+            ("mpo.json", "not json", 2),
+        ],
+    )
+    def test_damaged_bundle_exit_code(self, pipeline_run, tmp_path, capsys, name, damage, code):
+        # a missing file is incomplete data (3), an unreadable one invalid (2)
+        cfg, out = pipeline_run
+        broken = tmp_path / "broken"
+        shutil.copytree(out, broken)
+        path = broken / "fit" / name
+        if damage is None:
+            path.unlink()
+        elif callable(damage):
+            path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+        else:
+            path.write_text(damage)
+        assert main(["analyze", "--config", cfg, "--out", str(broken)]) == code
+        assert name in capsys.readouterr().err
+
     def test_truncated_covariance(self, pipeline_run, tmp_path):
         cfg, out = pipeline_run
         broken = tmp_path / "broken"
@@ -507,6 +589,13 @@ class TestLogging:
 
 
 class TestTooling:
+    # bench/tracing.py targets that no CLI run of this chain calls, and why
+    NEVER_FIRED = {
+        "fitting.propagate_covariance": "analyze propagates through fitting.propagate_joint",
+        "mpo.matrix_element": "no src caller",
+        "entanglement.le_subset_estimate": "runs only for N > 15",
+    }
+
     def test_benchmark_trace_targets_resolve(self):
         # bench/run.py --trace 1 wraps these names; a refactor must keep them
         import importlib
@@ -538,7 +627,10 @@ class TestTooling:
         tracing = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracing)
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mpo_tomo.__file__)))
-        cfg = write_config(tmp_path / "cfg.json")
+        # eta < 1, so the inefficiency correction runs
+        cfg_doc = json.loads(json.dumps(CONFIG))
+        cfg_doc["measurement"]["eta"] = 0.9
+        cfg = write_config(tmp_path / "cfg.json", cfg_doc)
         out = tmp_path / "run"
         commands = []
         for command in ("simulate", "reconstruct", "analyze"):
@@ -559,6 +651,10 @@ class TestTooling:
         assert all(math.isfinite(metrics[name]) for name in names & set(metrics))
         assert metrics["fitting.gn_iterations"] > 0
         assert metrics["entanglement.branches"] > 0
+        # every wrapped binding is the one the pipeline calls through
+        fired = {span[0] for command in commands for span in command["spans"]}
+        targets = {f"{module}.{attr}" for module, attr, _ in tracing.TARGETS}
+        assert targets - fired == set(self.NEVER_FIRED)
 
     def test_cli_import_loads_no_scipy(self):
         import subprocess
@@ -567,7 +663,11 @@ class TestTooling:
         import mpo_tomo
 
         src = os.path.dirname(os.path.dirname(mpo_tomo.__file__))
-        code = "import sys, mpo_tomo.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        # nor the emission simulator, which only rotation_offsets needs
+        code = (
+            "import sys, mpo_tomo.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy' or m == 'mpo_tomo.emission'))"
+        )
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"

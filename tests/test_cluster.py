@@ -126,7 +126,8 @@ class TestNoisyModel:
         model = ErrorModel(rng.uniform(0.0, 0.4, n), rng.uniform(0.0, 0.4, n))
         m = noisy_cluster_model(n, model)
         assert np.allclose(model.stabilizers(), stabilizer_expectations(m), rtol=0, atol=1e-14)
-        assert np.allclose(model.excitations(), mean_excitations(m), rtol=0, atol=1e-14)
+        # the mean excitation (1 - eps_ad) / 2 that fit_error_model inverts
+        assert np.allclose((1.0 - model.eps_ad) / 2.0, mean_excitations(m), rtol=0, atol=1e-14)
 
     def test_uniform_model_symmetry(self, noisy5):
         exc = mean_excitations(noisy5)
@@ -277,13 +278,13 @@ class TestSerialization:
         model = ErrorModel(np.array([0.1, 0.2, 0.3]), np.array([0.0, 0.05, 0.1]))
         path = tmp_path / "model.json"
         model.to_json(path)
-        back = ErrorModel.from_json(path)
-        assert np.allclose(back.eps_ad, model.eps_ad)
-        assert np.allclose(back.eps_pd, model.eps_pd)
         import json
 
         doc = json.loads(path.read_text())
         assert set(doc) == {"eps_ad", "eps_pd"}
+        back = ErrorModel(doc["eps_ad"], doc["eps_pd"])
+        assert np.allclose(back.eps_ad, model.eps_ad)
+        assert np.allclose(back.eps_pd, model.eps_pd)
 
     def test_stabilizer_report(self, tmp_path):
         path = tmp_path / "stab.csv"
@@ -294,5 +295,8 @@ class TestSerialization:
         assert len(lines) == 3
 
     def test_phase_flip_conversion(self):
-        model = ErrorModel.uniform(3, 0.0, PAPER_EPS_PD)
-        assert np.allclose(model.phase_flip, 0.046)
+        # dephasing amplitude eps_pd is a phase flip of probability eps_pd / 2:
+        # X and Y scale by 1 - 2 (eps_pd / 2)
+        channel = ErrorModel.uniform(3, 0.0, PAPER_EPS_PD).channels()[0]
+        flip = 1.0 - 2.0 * 0.046
+        assert np.allclose(channel, np.diag([1.0, flip, flip, 1.0]))

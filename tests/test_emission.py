@@ -215,21 +215,6 @@ class TestEmitMpo:
 
 
 class TestProtocolSpecFormat:
-    def test_json_round_trip(self, tmp_path):
-        spec = build_cluster_protocol(4)
-        path = tmp_path / "protocol.json"
-        spec.to_json(path)
-        back = ProtocolSpec.from_json(path)
-        assert back.d == spec.d
-        assert back.n_photons == spec.n_photons
-        assert np.allclose(back.rho0, spec.rho0)
-        for a, b in zip(back.gates, spec.gates):
-            assert np.allclose(a, b)
-        for a, b in zip(back.emissions, spec.emissions):
-            assert np.allclose(a, b)
-        m1, m2 = emit_mpo(spec), emit_mpo(back)
-        assert m1 == m2
-
     def test_gate_emission_count_mismatch(self):
         good = build_cluster_protocol(3)
         with pytest.raises(ValidationError):

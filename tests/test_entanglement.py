@@ -92,7 +92,7 @@ class TestPostMeasurement:
         m = ideal_cluster_mpo(4)
         plan = default_plan(4, 1, 4)
         st = post_measurement_state(m, plan, [1, 1])
-        norm = st.normalized()
+        norm = st.matrix / st.weight
         assert negativity(TwoQubitState(norm, 1.0)) == pytest.approx(0.5, abs=1e-9)
         assert concurrence(TwoQubitState(norm, 1.0)) == pytest.approx(1.0, abs=1e-9)
 
@@ -111,7 +111,7 @@ class TestPostMeasurement:
         m = Mpo([site] * 5)
         plan = default_plan(5, 2, 4)
         st = post_measurement_state(m, plan, [1, -1, 1])
-        rho = st.normalized()
+        rho = st.matrix / st.weight
         single = np.array([[0.5, 0.3], [0.3, 0.5]])
         assert np.max(np.abs(rho - np.kron(single, single))) < 1e-12
 
@@ -174,7 +174,7 @@ class TestLocalizableEntanglement:
             # bit k set: the k-th measured site gave -1
             outcomes = [-1 if (index >> k) & 1 else 1 for k in range(4)]
             st = post_measurement_state(noisy6, plan, outcomes)
-            expected = st.weight * negativity(TwoQubitState(st.normalized(), 1.0))
+            expected = st.weight * negativity(TwoQubitState(st.matrix / st.weight, 1.0))
             assert term == pytest.approx(expected, abs=1e-12)
 
     def test_size_limit_directs_to_subset(self):
@@ -200,7 +200,7 @@ class TestLocalizableEntanglement:
         from mpo_tomo.standard_form import free_masks, n_free_parameters, pack, to_standard_form, unpack
 
         if state == "fitted":
-            fit = request.getfixturevalue("fitted_noisy5").fit_result_
+            fit = request.getfixturevalue("fitted_noisy5")
         else:
             m = to_standard_form(ideal_cluster_mpo(5))
             masks = free_masks(m)
@@ -293,7 +293,7 @@ class TestBranchGradients:
     def test_mixed_batch(self, fitted_noisy5, measure, kink):
         from mpo_tomo.entanglement import _branch_terms
 
-        fitted = _all_branches(fitted_noisy5.fit_result_.mpo, (1, 4))
+        fitted = _all_branches(fitted_noisy5.mpo, (1, 4))
         c = np.concatenate([fitted[:3], getattr(self, kink)(0.05)[None], fitted[3:]])
         values, grad, _, fallback = _branch_terms(c, measure, True)
         # a partial-transpose eigenvalue at zero, or Wootters lambdas at zero,
@@ -309,7 +309,7 @@ class TestBranchGradients:
     def test_values_match_with_and_without_gradient(self, fitted_noisy5, measure):
         from mpo_tomo.entanglement import _branch_terms
 
-        c = _all_branches(fitted_noisy5.fit_result_.mpo, (2, 5))
+        c = _all_branches(fitted_noisy5.mpo, (2, 5))
         with_grad = _branch_terms(c, measure, True)
         values_only = _branch_terms(c, measure, False)
         np.testing.assert_allclose(with_grad[0], values_only[0], rtol=0.0, atol=1e-15)
@@ -326,13 +326,12 @@ class TestFittedChainEntanglement:
         significantly above zero even at k >= 5.
         """
         from mpo_tomo.correlations import moments_to_zshifted
-        from mpo_tomo.fitting import MpoLeastSquares
+        from mpo_tomo.fitting import fit_chain
         from mpo_tomo.measurement import synthesize_dataset
 
         truth = noisy_cluster_model(10, ErrorModel.uniform(10, 0.098, 0.092))
         table = synthesize_dataset(truth, 5, 1.0, 10**7, seed=4)
-        est = MpoLeastSquares().fit(moments_to_zshifted(table))
-        fit = est.fit_result_
+        _, _, fit = fit_chain(moments_to_zshifted(table))
         assert fit.converged
         values = []
         for k in (1, 3, 5, 6):

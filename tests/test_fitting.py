@@ -1,4 +1,4 @@
-"""Gauss-Newton fit, covariance propagation, and the estimator surface."""
+"""Gauss-Newton fit, covariance propagation, `fit_chain` and the fit bundle."""
 
 import logging
 
@@ -18,13 +18,13 @@ from mpo_tomo.cluster import ErrorModel, ideal_cluster_mpo, noisy_cluster_model
 from mpo_tomo.correlations import F_MATRIX
 from mpo_tomo.errors import DataError, ValidationError
 from mpo_tomo.fitting import (
-    MpoLeastSquares,
     _FitPlan,
     _Point,
     _window_pullback,
     _window_slabs,
     _window_values_jacobian,
     fidelity_functional,
+    fit_chain,
     gauss_newton_fit,
     load_fit_bundle,
     propagate_covariance,
@@ -422,7 +422,7 @@ class TestGaussNewton:
             gauss_newton_fit(sf_noisy6, data)
 
     def test_pinned_entries_after_fit(self, fitted_noisy5):
-        mpo = fitted_noisy5.mpo_
+        mpo = fitted_noisy5.mpo
         assert np.allclose(mpo.tensors[-1][:, :, 0], np.eye(4))
         assert mpo.tensors[0][0, 0, 0] == 1.0
         for k in range(1, 4):
@@ -450,7 +450,7 @@ class TestGaussNewton:
         from mpo_tomo.correlations import moments_to_zshifted
 
         data = moments_to_zshifted(synthesize_dataset(noisy6, 5, 1.0, 10**7, seed=1))
-        fit = MpoLeastSquares().fit(data).fit_result_
+        _, _, fit = fit_chain(data)
         masks = free_masks(fit.mpo)
         n_par = n_free_parameters(masks)
         weights = {
@@ -467,7 +467,7 @@ class TestGaussNewton:
         from mpo_tomo.correlations import moments_to_zshifted
 
         data = moments_to_zshifted(synthesize_dataset(noisy6, 5, 1.0, 10**7, seed=1))
-        fit = MpoLeastSquares().fit(data).fit_result_
+        _, _, fit = fit_chain(data)
         n_par = n_free_parameters(free_masks(fit.mpo))
         rows = len(data.starts) * (4**5 - 1)
         assert fit.null_directions > 0
@@ -475,7 +475,7 @@ class TestGaussNewton:
         assert fit.largest_null_ratio <= 1e-12 < fit.smallest_live_ratio <= 1.0
 
     def test_chi_square_consistency(self, fitted_noisy5):
-        assert 0.7 <= fitted_noisy5.fit_result_.reduced_sse <= 1.3
+        assert 0.7 <= fitted_noisy5.reduced_sse <= 1.3
 
     def test_zshifted_and_pauli_fits_agree(self, sf_noisy6):
         pauli = window_correlation_set(sf_noisy6, 5)
@@ -599,12 +599,12 @@ class TestCovariancePropagation:
         def const(mpo):
             return 1.0, [np.zeros(t.shape) for t in mpo.tensors]
 
-        value, se = propagate_covariance(fitted_noisy5.fit_result_, const)
+        value, se = propagate_covariance(fitted_noisy5, const)
         assert value == 1.0
         assert se == 0.0
 
     def test_covariance_is_psd_symmetric(self, fitted_noisy5):
-        cov = fitted_noisy5.covariance_
+        cov = fitted_noisy5.covariance
         assert np.max(np.abs(cov - cov.T)) < 1e-8
         evals = np.linalg.eigvalsh(cov)
         assert evals.min() > -1e-8 * max(evals.max(), 1.0)
@@ -614,32 +614,28 @@ class TestCovariancePropagation:
             return 0.0, [np.zeros((2, 2, 2))] * mpo.n_qubits
 
         with pytest.raises(ValidationError):
-            propagate_covariance(fitted_noisy5.fit_result_, bad)
+            propagate_covariance(fitted_noisy5, bad)
 
     def test_fidelity_se_positive(self, fitted_noisy5):
         ideal = ideal_cluster_mpo(5)
         value, se = propagate_covariance(
-            fitted_noisy5.fit_result_, fidelity_functional(ideal)
+            fitted_noisy5, fidelity_functional(ideal)
         )
         assert 0.55 < value < 0.68
         assert 0.0 < se < 0.01
 
 
-class TestEstimatorApi:
-    def test_fit_exposes_stages(self, fitted_noisy5):
-        assert fitted_noisy5.bond_estimate_.dims == {1: 4, 2: 4}
-        assert fitted_noisy5.inversion_.site_residuals
-        assert fitted_noisy5.mpo_.bonds == (4, 4, 4, 4)
-
-    def test_bond_override(self, noisy5):
-        corrs = window_correlation_set(noisy5, 5)
-        est = MpoLeastSquares(bond_dims={1: 4, 2: 4}).fit(corrs)
-        assert est.mpo_.bonds == (4, 4, 4, 4)
+class TestFitChain:
+    def test_fit_exposes_stages(self, noisy5_fit_chain):
+        estimate, inversion, fit = noisy5_fit_chain
+        assert estimate.dims == {1: 4, 2: 4}
+        assert inversion.site_residuals
+        assert fit.mpo.bonds == (4, 4, 4, 4)
 
 
 class TestPersistence:
     def test_bundle_round_trip(self, fitted_noisy5, tmp_path):
-        fit = fitted_noisy5.fit_result_
+        fit = fitted_noisy5
         save_fit_bundle(fit, tmp_path / "fit")
         back = load_fit_bundle(tmp_path / "fit")
         assert back.mpo == fit.mpo
@@ -654,7 +650,7 @@ class TestPersistence:
     def test_bundle_without_exit_reason_loads(self, fitted_noisy5, tmp_path):
         import json
 
-        fit = fitted_noisy5.fit_result_
+        fit = fitted_noisy5
         save_fit_bundle(fit, tmp_path / "fit")
         assert load_fit_bundle(tmp_path / "fit").exit_reason == fit.exit_reason
         assert fit.exit_reason in ("tolerance", "rounding_floor")
@@ -670,7 +666,7 @@ class TestPersistence:
         import json
 
         keys = ("null_directions", "largest_null_ratio", "smallest_live_ratio")
-        fit = fitted_noisy5.fit_result_
+        fit = fitted_noisy5
         save_fit_bundle(fit, tmp_path / "fit")
         back = load_fit_bundle(tmp_path / "fit")
         assert fit.null_directions > 0

@@ -1,5 +1,5 @@
 """What ``src/mpo_tomo`` must hold: the names ``bench/`` binds, and nothing
-that only the tests call."""
+that only the tests call or read."""
 
 import ast
 import importlib
@@ -20,6 +20,20 @@ KEPT_UNCALLED = {
     "entanglement.concurrence": "paper quantity: two-qubit concurrence",
     "mpo.matrix_element": "bench contract: bench/tracing.py wraps it",
     "fitting.propagate_covariance": "bench contract: bench/tracing.py wraps it",
+}
+
+
+# public methods and properties of public src classes that no other src
+# statement reads, and why each stays
+KEPT_UNREAD_MEMBERS = {
+    "cluster.ErrorModel.uniform": "bench contract: bench/checks.py builds the configured truth with it",
+}
+
+# member names that several public src classes define: a read of the name
+# counts for each of them, so each is listed here with where it is read
+SHARED_MEMBER_NAMES = {
+    "starts": "MomentTable.starts in measurement.save_dataset, "
+    "PauliCorrelationSet.starts in the fit and the inversion",
 }
 
 
@@ -101,3 +115,30 @@ def test_src_holds_only_what_the_pipeline_runs():
     }
     assert uncalled - set(KEPT_UNCALLED) == set(), "move test-only functions to tests/_oracles.py"
     assert set(KEPT_UNCALLED) - uncalled == set(), "drop names from KEPT_UNCALLED that src calls"
+
+
+def test_src_classes_hold_only_what_the_pipeline_reads():
+    # a member counts as read when some src attribute read outside its own
+    # body names it (``obj.name``, ``Class.name``)
+    trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py") if p.stem != "__init__"}
+    members = {}
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    members.setdefault(node.name, []).append((f"{module}.{cls.name}.{node.name}", node))
+    unread = set()
+    for name, defs in members.items():
+        own = {id(n) for _, node in defs for n in ast.walk(node)}
+        if not any(
+            isinstance(n, ast.Attribute) and n.attr == name and id(n) not in own
+            for tree in trees.values()
+            for n in ast.walk(tree)
+        ):
+            unread.update(qualified for qualified, _ in defs)
+    assert unread - set(KEPT_UNREAD_MEMBERS) == set(), "delete class members only tests read"
+    assert set(KEPT_UNREAD_MEMBERS) - unread == set(), "drop members from KEPT_UNREAD_MEMBERS that src reads"
+    shared = {name for name, defs in members.items() if len(defs) > 1}
+    assert shared == set(SHARED_MEMBER_NAMES), "a shared member name hides an unread twin"

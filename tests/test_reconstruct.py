@@ -129,24 +129,24 @@ class TestInversion:
     def test_cluster_round_trip(self, n):
         m = ideal_cluster_mpo(n)
         inv = invert_reconstruct(window_correlation_set(m, 5), 5)
-        assert inv.ok
+        assert inv.mpo is not None
         assert fidelity(inv.mpo, m) >= 1.0 - 1e-9
 
     def test_l3_cluster_fails_on_x_column(self, cluster6):
         inv = invert_reconstruct(window_correlation_set(cluster6, 5), 3)
-        assert not inv.ok
+        assert inv.mpo is None
         assert inv.mpo is None
         for site in (3, 4):
             assert inv.column_residuals[site][1, 3] >= 0.99
 
     def test_l4_cluster_fails(self, cluster6):
         inv = invert_reconstruct(window_correlation_set(cluster6, 5), 4)
-        assert not inv.ok
+        assert inv.mpo is None
 
     def test_random_protocol_l5_round_trip(self, rng):
         m = emit_mpo(random_protocol(6, 2, seed=5))
         inv = invert_reconstruct(window_correlation_set(m, 5), 5)
-        assert inv.ok
+        assert inv.mpo is not None
         for _ in range(200):
             w = tuple(rng.integers(0, 4, 6))
             assert abs(inv.mpo.correlation(w) - m.correlation(w)) < 1e-8
@@ -154,7 +154,7 @@ class TestInversion:
     def test_random_protocol_l3_round_trip(self, rng):
         m = emit_mpo(random_protocol(6, 2, seed=9))
         inv = invert_reconstruct(window_correlation_set(m, 5), 3)
-        assert inv.ok
+        assert inv.mpo is not None
         for _ in range(200):
             w = tuple(rng.integers(0, 4, 6))
             assert abs(inv.mpo.correlation(w) - m.correlation(w)) < 1e-8
@@ -170,7 +170,7 @@ class TestInversion:
         assert max(truth17.bonds) == 17
         assert not check_reconstructibility(truth17, 5).reconstructible
         inv = invert_reconstruct(window_correlation_set(truth17, 5), 5)
-        assert inv.ok  # locally consistent: no data-level failure signal
+        assert inv.mpo is not None  # locally consistent: no data-level failure signal
         full_chain_errors = [
             abs(inv.mpo.correlation(w) - truth17.correlation(w))
             for w in (tuple(local.integers(0, 4, 6)) for _ in range(300))
@@ -183,7 +183,7 @@ class TestInversion:
         assert max(truth16.bonds) == 16
         assert check_reconstructibility(truth16, 5).reconstructible
         inv = invert_reconstruct(window_correlation_set(truth16, 5), 5)
-        assert inv.ok
+        assert inv.mpo is not None
         for _ in range(100):
             w = tuple(local.integers(0, 4, 6))
             assert abs(inv.mpo.correlation(w) - truth16.correlation(w)) < 1e-8
@@ -262,7 +262,9 @@ class TestCompression:
         scaled = compress(Mpo(sites), cm, targets)
         for s in range(1, 7):
             factor = 2.0 if s == 4 else 1.0
-            np.testing.assert_allclose(scaled.site(s), factor * base.site(s), atol=1e-12)
+            np.testing.assert_allclose(
+                scaled.tensors[s - 1], factor * base.tensors[s - 1], atol=1e-12
+            )
 
     def test_zero_singular_value_rejected(self):
         m = product_state_mpo(6)

@@ -277,39 +277,40 @@ def cmd_reconstruct(cfg, out: str) -> int:
     return 0
 
 
-def _correlation_functional(letters):
-    """The fitted correlation of the Pauli string ``letters``, for propagation."""
-
-    def functional(m):
-        return m.correlation(letters), mpo_mod.correlation_gradient(m, letters)
-
-    return functional
-
-
-def _stabilizer_table(fit, n):
+def _stabilizer_table(fit, n, le_rows):
     """The fidelity to the ideal cluster, the N stabilizers and the N ⟨Z_s⟩
-    of the fit, in that order, with their SEs and their joint covariance,
-    propagated together (:func:`mpo_tomo.fitting.propagate_joint`)."""
-    functionals = [fitting.fidelity_functional(cluster.ideal_cluster_mpo(n))]
+    of the fit, in that order, with their SEs, and the parameter SE of each
+    LE result in ``le_rows`` (None for one without a gradient), all from one
+    joint propagation (:func:`mpo_tomo.fitting.propagate_joint`)."""
+    m, ideal = fit.mpo, cluster.ideal_cluster_mpo(n)
     words = [word.padded(n) for word in cluster.stabilizer_words(n)]
     words += [tuple(3 if t == s else 0 for t in range(n)) for s in range(n)]
-    functionals += [_correlation_functional(letters) for letters in words]
-    return fitting.propagate_joint(fit, functionals)
+    values = [mpo_mod.fidelity(m, ideal), *(m.correlation(letters) for letters in words)]
+    grads = [mpo_mod.fidelity_gradient(m, ideal)]
+    grads += [mpo_mod.correlation_gradient(m, letters) for letters in words]
+    grads += [res.gradient for res in le_rows if res.gradient is not None]
+    ses, _ = fitting.propagate_joint(fit, grads)
+    le_ses = iter(ses[len(values) :].tolist())
+    return (
+        np.array(values),
+        ses[: len(values)],
+        [None if res.gradient is None else next(le_ses) for res in le_rows],
+    )
 
 
 def _write_le_csv(path, key_header, keys, rows) -> None:
-    """LE results after their key columns; se_parameter is empty without a
-    parameter gradient, which ``fallback_branches`` > 0 explains."""
-    se_parameter = ["" if res.se_parameter is None else res.se_parameter for res in rows]
+    """LE results, each paired with its parameter SE, after their key
+    columns; se_parameter is empty without a parameter gradient, which a
+    subset estimate or ``fallback_branches`` > 0 explains."""
     write_csv(
         path,
         [*key_header, "value", "se_parameter", "se_sampling", "fallback_branches"],
         [
             *keys,
-            [res.value for res in rows],
-            se_parameter,
-            [res.se_sampling for res in rows],
-            [res.fallback_branches for res in rows],
+            [res.value for res, _ in rows],
+            ["" if se is None else se for _, se in rows],
+            [res.se_sampling for res, _ in rows],
+            [res.fallback_branches for res, _ in rows],
         ],
     )
 
@@ -323,9 +324,29 @@ def cmd_analyze(cfg, out: str) -> int:
     record: dict = {}
     with _timed(record, "load"):
         fit = fitting.load_fit_bundle(fit_dir)
+
+    # localizable entanglement, with the gradients its SEs propagate
+    measure = ana["le_measure"]
+    pairs = ana["le_pairs"]
+    if pairs == "all":
+        pairs = [(r, rp) for r in range(1, n) for rp in range(r + 1, n + 1)]
+    else:
+        pairs = [tuple(p) for p in pairs]
+    with _timed(record, "le"):
+        le_rows = []
+        for r, rp in pairs:
+            plan = entanglement.default_plan(n, r, rp)
+            if n <= entanglement.EXACT_ENUMERATION_LIMIT:
+                res = entanglement.localizable_entanglement(fit.mpo, plan, measure)
+            else:
+                res = entanglement.le_subset_estimate(
+                    fit.mpo, plan, measure, ana["subset_samples"], ana["subset_seed"]
+                )
+            le_rows.append(res)
+
     with _timed(record, "fidelity"):
-        # one propagation for the fidelity, stabilizer and excitation SEs
-        values, ses, _ = _stabilizer_table(fit, n)
+        # one propagation for the fidelity, stabilizer, excitation and LE SEs
+        values, ses, le_ses = _stabilizer_table(fit, n, le_rows)
         fidelity, fidelity_se = float(values[0]), float(ses[0])
     with _timed(record, "stabilizers"):
         stab_values, stab_ses = values[1 : n + 1], ses[1 : n + 1]
@@ -342,32 +363,12 @@ def cmd_analyze(cfg, out: str) -> int:
         )
         model.to_json(os.path.join(out, "error_model.json"))
 
-    # localizable entanglement
-    measure = ana["le_measure"]
-    pairs = ana["le_pairs"]
-    if pairs == "all":
-        pairs = [(r, rp) for r in range(1, n) for rp in range(r + 1, n + 1)]
-    else:
-        pairs = [tuple(p) for p in pairs]
-    with _timed(record, "le"):
-        le_rows = []
-        for r, rp in pairs:
-            plan = entanglement.default_plan(n, r, rp)
-            if n <= entanglement.EXACT_ENUMERATION_LIMIT:
-                res = entanglement.localizable_entanglement(
-                    fit.mpo, plan, measure, fit=fit
-                )
-            else:
-                res = entanglement.le_subset_estimate(
-                    fit.mpo, plan, measure, ana["subset_samples"], ana["subset_seed"]
-                )
-            le_rows.append(res)
-
+    le_table = list(zip(le_rows, le_ses))
     le_matrix = os.path.join(out, "le_matrix.csv")
-    _write_le_csv(le_matrix, ["r", "r_prime"], zip(*(res.pair for res in le_rows)), le_rows)
-    profile = [res for res in le_rows if res.pair[0] == 1]
+    _write_le_csv(le_matrix, ["r", "r_prime"], zip(*(res.pair for res in le_rows)), le_table)
+    profile = [(res, se) for res, se in le_table if res.pair[0] == 1]
     le_distance = os.path.join(out, "le_distance.csv")
-    _write_le_csv(le_distance, ["k"], [[res.pair[1] - 1 for res in profile]], profile)
+    _write_le_csv(le_distance, ["k"], [[res.pair[1] - 1 for res, _ in profile]], profile)
 
     # density-matrix corner dump (first/last 16 basis states)
     corner = [*range(16), *range(2**n - 16, 2**n)]
@@ -441,7 +442,10 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"cannot create output directory {args.out}: {exc.strerror}") from exc
         return _COMMANDS[args.command](cfg, args.out)
     except tuple(_EXIT_CODES) as exc:
         log.error("%s", exc)

@@ -18,7 +18,6 @@ from ._validation import check_positive_int
 from .errors import ValidationError
 from .mpo import Mpo, left_environments, left_environments_vjp
 from .pauli import PAULIS
-from .standard_form import pack
 
 EXACT_ENUMERATION_LIMIT = 15
 
@@ -271,16 +270,17 @@ def _branch_terms(c: np.ndarray, measure: str, want_gradient: bool):
 class LeResult:
     """Localizable entanglement estimate.
 
-    ``se_parameter`` propagates the fit covariance (None without a fit, and
-    None when any branch is a fallback branch);
-    ``se_sampling`` is nonzero only for subset estimates.  ``raw_negative``
-    accumulates clamped negative concurrence branch values, and
-    ``fallback_branches`` counts the branches whose value has no derivative
-    (see :func:`_branch_terms`).
+    ``gradient`` is the derivative of ``value`` by every site tensor of the
+    MPO, for propagating a parameter SE
+    (:func:`mpo_tomo.fitting.propagate_joint`); it is None for a subset
+    estimate and when any branch is a fallback branch.  ``se_sampling`` is
+    nonzero only for subset estimates.  ``raw_negative`` accumulates clamped
+    negative concurrence branch values, and ``fallback_branches`` counts the
+    branches whose value has no derivative (see :func:`_branch_terms`).
     """
 
     value: float
-    se_parameter: float | None
+    gradient: list | None = field(repr=False)
     se_sampling: float
     branches_evaluated: int
     measure: str
@@ -289,7 +289,7 @@ class LeResult:
     fallback_branches: int = 0
 
 
-def _enumerate_branches(mpo, plan, measure, masks=None):
+def _enumerate_branches(mpo, plan, measure):
     """Every outcome string's branch value, as one tree contraction.
 
     One left sweep over the outcome maps keeps every outcome index open, so
@@ -300,10 +300,9 @@ def _enumerate_branches(mpo, plan, measure, masks=None):
     d(value)/dc (:func:`mpo_tomo.mpo.left_environments_vjp`).
 
     Returns:
-        (branch values (2^(N-2),), gradient of their sum with respect to the
-        free parameters of ``masks``, or None without masks or with a
-        fallback branch, sum of the clamped negative raw values, number of
-        fallback branches).
+        (branch values (2^(N-2),), per-site gradient of their sum, or None
+        with a fallback branch, sum of the clamped negative raw values,
+        number of fallback branches).
     """
     vectors, maps, measured = _outcome_maps(mpo, plan)
     lefts = left_environments(maps)
@@ -311,32 +310,30 @@ def _enumerate_branches(mpo, plan, measure, masks=None):
     # the last measured site's bit varies slowest
     order = measured[::-1] + [r - 1 for r in plan.pair]
     c = lefts[-1].reshape(open_dims).transpose(order).reshape(-1, 4, 4)
-    values, dvdc, raw_negative, fallback = _branch_terms(c, measure, masks is not None)
+    values, dvdc, raw_negative, fallback = _branch_terms(c, measure, True)
     n_fallback = int(fallback.sum())
     # a fallback branch has no derivative, so neither has the branch sum
-    if masks is None or n_fallback:
+    if n_fallback:
         return values, None, raw_negative, n_fallback
     w = dvdc.reshape([open_dims[s] for s in order]).transpose(np.argsort(order))
     gmaps, _ = left_environments_vjp(maps, lefts, w.reshape(-1, 1))
     grads = [np.einsum("oa,xoy->xay", v, g) for v, g in zip(vectors, gmaps)]
-    return values, pack(grads, masks), raw_negative, 0
+    return values, grads, raw_negative, 0
 
 
 def localizable_entanglement(
     mpo: Mpo,
     plan: MeasurementPlan,
     measure: str = "negativity",
-    fit=None,
 ) -> LeResult:
-    """Exact localizable entanglement by enumeration of all outcome branches.
+    """Exact localizable entanglement by enumeration of all outcome branches,
+    with the gradient of the value by the MPO's site tensors.
 
     Args:
         mpo: state to analyze (N <= 15; larger chains must use
             :func:`le_subset_estimate`).
         plan: measurement bases and the unmeasured pair.
         measure: "negativity" or "concurrence".
-        fit: optional FitResult whose covariance propagates a parameter SE
-            (the fit's MPO must be the one analyzed).
     """
     n = mpo.n_qubits
     if n > EXACT_ENUMERATION_LIMIT:
@@ -344,15 +341,10 @@ def localizable_entanglement(
             f"exact enumeration limited to N <= {EXACT_ENUMERATION_LIMIT}; "
             "use le_subset_estimate"
         )
-    masks = None if fit is None else fit.masks
-    values, grad, raw_neg, fallback = _enumerate_branches(mpo, plan, measure, masks)
-    se_param = None
-    if grad is not None:
-        var = float(grad @ fit.covariance @ grad)
-        se_param = float(np.sqrt(max(var, 0.0)))
+    values, grad, raw_neg, fallback = _enumerate_branches(mpo, plan, measure)
     return LeResult(
         value=float(values.sum()),
-        se_parameter=se_param,
+        gradient=grad,
         se_sampling=0.0,
         branches_evaluated=values.size,
         measure=measure,
@@ -397,7 +389,7 @@ def le_subset_estimate(
         se = np.inf
     return LeResult(
         value=float(estimate),
-        se_parameter=None,
+        gradient=None,
         se_sampling=float(se),
         branches_evaluated=int(samples),
         measure=measure,

@@ -13,9 +13,11 @@ left of it.  Those identity slices reach the window only through its right
 environment B at its left edge, so their terms follow from the Grams of Bᵀ,
 carried leftwards through the identity slices in one sweep per pass.
 Products Jᵀu (the gradient and the geodesic term) run each window's left
-sweep in reverse from its cotangent u.  Data in the Z-shifted basis is fit
-directly there (the model chain is contracted with the involution F on the
-window sites), which keeps the residual weights statistically independent.
+sweep in reverse from its cotangent u.  The fit takes data in the Z-shifted
+basis only and fits it there (the model chain is contracted with the
+involution F on every site), which keeps the residual weights statistically
+independent.  This module alone reads the fit's covariance and free-entry
+masks: every reported SE comes from :func:`propagate_joint`.
 
 A fit builds its free-entry layout, pinned template and index tables once
 (:class:`_FitPlan`), and contracts each parameter point once
@@ -36,13 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correlations import (
-    F_MATRIX,
-    PAULI_BASIS,
-    ZSHIFTED_BASIS,
-    PauliCorrelationSet,
-    zshifted_to_pauli,
-)
+from .correlations import F_MATRIX, ZSHIFTED_BASIS, PauliCorrelationSet, zshifted_to_pauli
 from .errors import CompletenessError, DataError, ValidationError
 from .mpo import (
     Mpo,
@@ -78,7 +74,8 @@ FIT_DEFAULTS = {"k_sigma": 5.0, "max_iterations": 200, "tol": 1e-10, "se_floor":
 
 class _FitPlan:
     """What stays fixed over one fit: the free-entry layout of the standard
-    form, its pinned template, the basis map and the assembly's index tables.
+    form, its pinned template, the letter maps of the data-basis map K = F
+    and the assembly's index tables.
 
     Every site is zero-padded to the largest bond, so the site tensors of a
     point sit in one ``(N, D, 4, D)`` array and window offset k of all windows
@@ -87,13 +84,12 @@ class _FitPlan:
 
     Args:
         template: standard-form MPO whose pinned entries every point keeps.
-        basis_k: the data-basis map K on the letters, or None for Pauli data.
     """
 
-    def __init__(self, template: Mpo, window: int, basis_k=None):
+    def __init__(self, template: Mpo, window: int):
         shapes = [t.shape for t in template.tensors]
         n = len(shapes)
-        self.template, self.window, self.basis_k = template, window, basis_k
+        self.template, self.window = template, window
         self.n_windows = n - window + 1
         self.masks = free_masks(template)
         entries = free_entries(self.masks)
@@ -108,13 +104,11 @@ class _FitPlan:
         self.free_index = np.concatenate(
             [((s * bond + x) * 4 + i) * bond + y for s, (i, x, y) in enumerate(entries)]
         )
-        k_mat = np.eye(4) if basis_k is None else np.asarray(basis_k, dtype=float)
         # K on the letters of a site-pair Gram, grouped by (letter at p, letter
         # at q), by the one letter of a site with itself, or by the site's
         # letter against the boundary
-        self.k_mat = k_mat
-        self.k_pair = np.kron(k_mat, k_mat)
-        self.k_same = (k_mat[:, :, None] * k_mat[:, None, :]).reshape(4, 16)
+        self.k_pair = np.kron(F_MATRIX, F_MATRIX)
+        self.k_same = (F_MATRIX[:, :, None] * F_MATRIX[:, None, :]).reshape(4, 16)
         # each site's free entries as flat (pauli, row, column) indices, and
         # the (row, column) of its identity-slice ones
         self.rows = [np.flatnonzero(m.transpose(1, 0, 2)) for m in self.masks]
@@ -148,9 +142,7 @@ class _Point:
         plan = self.plan
         padded = plan.base.copy()
         padded.flat[plan.free_index] = self.theta
-        if plan.basis_k is None:
-            return padded
-        return np.einsum("ji,sdia->sdja", plan.basis_k, padded)
+        return np.einsum("ji,sdia->sdja", F_MATRIX, padded)
 
     @functools.cached_property
     def sites(self) -> list[np.ndarray]:
@@ -305,7 +297,7 @@ def _window_values_jacobian(point: _Point, weights=None):
             cross = np.empty((len(boundary), local[-1]))
             for p, e_p in enumerate(slabs):
                 g = np.matmul(bw[:, words[p]].transpose(1, 0, 2), e_p)
-                cross[:, at[p]] = _free_block(g, plan.k_mat, slice(None), free[p])
+                cross[:, at[p]] = _free_block(g, F_MATRIX, slice(None), free[p])
             boundary_grams[first] = (bw @ boundary.T, cross)
     # The derivative by entry (x, y) of the identity slice of site s, on a
     # window right of it, is prefix[s][0, x] (ident[s+1] ⋯ ident[first-1] B)[y].
@@ -412,8 +404,7 @@ def _window_pullback(point: _Point, cotangents) -> np.ndarray:
             grads[first - 1, : dims[first - 1], 0, : dims[first]] += np.outer(prefix[first - 1][0], q)
     for k, g in enumerate(site_grads):
         grads[k : k + nw] += g.reshape(nw, bond, 4, bond)
-    if plan.basis_k is not None:
-        grads = np.einsum("wi,sxwy->sxiy", plan.basis_k, grads)
+    grads = np.einsum("wi,sxwy->sxiy", F_MATRIX, grads)
     return grads.flat[plan.free_index]
 
 
@@ -446,7 +437,6 @@ class FitResult:
     dof: int
     iterations: int
     converged: bool
-    basis: str
     masks: list = field(repr=False, default=None)
     exit_reason: str | None = None
     trace: list = field(repr=False, default_factory=list)
@@ -483,7 +473,7 @@ def gauss_newton_fit(
 
     Args:
         initial: standard-form starting point; its pinned entries stay fixed.
-        data: measured correlations (pauli or z-shifted basis) with SEs.
+        data: measured correlations in the Z-shifted basis, with SEs.
 
     Returns:
         FitResult; ``converged`` is False when ``max_iter`` was exhausted or
@@ -492,12 +482,8 @@ def gauss_newton_fit(
     """
     if not is_standard_form(initial):
         raise ValidationError("initial MPO must be in standard form")
-    if data.basis == ZSHIFTED_BASIS:
-        basis_k = F_MATRIX
-    elif data.basis == PAULI_BASIS:
-        basis_k = None
-    else:  # pragma: no cover - guarded by PauliCorrelationSet
-        raise ValidationError(f"unknown basis {data.basis}")
+    if data.basis != ZSHIFTED_BASIS:
+        raise ValidationError(f"the fit expects z-shifted data, got {data.basis}")
     window = data.window
     starts = data.starts
     # one row per window; word 0 (all identity, constant 1) is always first
@@ -510,7 +496,7 @@ def gauss_newton_fit(
     # below it has nothing left to polish
     rounding_sse = float(y.size * (np.finfo(float).eps * w.max()) ** 2)
 
-    plan = _FitPlan(initial, window, basis_k)
+    plan = _FitPlan(initial, window)
     n_par = int(plan.offsets[-1])
     # word 0 carries no residual
     weights = {s: np.pad(ws, (1, 0)) for s, ws in zip(starts, w)}
@@ -628,7 +614,6 @@ def gauss_newton_fit(
         dof=dof,
         iterations=iterations,
         converged=converged,
-        basis=data.basis,
         masks=plan.masks,
         exit_reason=exit_reason,
         trace=trace,
@@ -638,44 +623,34 @@ def gauss_newton_fit(
     )
 
 
-def propagate_joint(fit: FitResult, functionals):
-    """Values, propagated SEs and joint covariance of differentiable scalars
-    of the fitted MPO.
+def propagate_joint(fit: FitResult, gradients):
+    """Propagated SEs and joint covariance of differentiable scalars of the
+    fitted MPO.
 
-    The packed gradients are stacked into one matrix G, so the joint
-    covariance is one product G·cov·Gᵀ, and each SE is the square root of
-    its diagonal.
+    The gradients are packed with the fit's free-entry masks and stacked
+    into one matrix G, so the joint covariance is one product G·cov·Gᵀ, and
+    each SE is the square root of its diagonal.
 
     Args:
-        functionals: callables each returning ``(value, per-site gradient
-            arrays)`` for an MPO, e.g. built from
+        gradients: one list of per-site gradient arrays, shaped like the
+            fit's site tensors, per scalar, e.g. from
             :func:`mpo_tomo.mpo.fidelity_gradient`.
 
     Returns:
-        ``(values, ses, joint)``: (k,) values, (k,) SEs, (k, k) covariance.
+        ``(ses, joint)``: (k,) SEs and the (k, k) covariance.
     """
-    values, grads = zip(*(functional(fit.mpo) for functional in functionals))
-    g = np.stack([pack(site_grads, fit.masks) for site_grads in grads])
+    g = np.stack([pack(site_grads, fit.masks) for site_grads in gradients])
     joint = g @ fit.covariance @ g.T
-    ses = np.sqrt(np.maximum(np.diag(joint), 0.0))
-    return np.array(values, dtype=float), ses, joint
+    return np.sqrt(np.maximum(np.diag(joint), 0.0)), joint
 
 
 def propagate_covariance(fit: FitResult, functional) -> tuple[float, float]:
     """Value and propagated SE of one differentiable scalar of the fitted
-    MPO (see :func:`propagate_joint`)."""
-    values, ses, _ = propagate_joint(fit, [functional])
-    return float(values[0]), float(ses[0])
-
-
-def fidelity_functional(target: Mpo):
-    """Functional computing fidelity to a pure target, for covariance propagation."""
-    from .mpo import fidelity, fidelity_gradient
-
-    def run(mpo: Mpo):
-        return fidelity(mpo, target), fidelity_gradient(mpo, target)
-
-    return run
+    MPO: ``functional(mpo)`` returns the value and its per-site gradient
+    (see :func:`propagate_joint`)."""
+    value, site_grads = functional(fit.mpo)
+    ses, _ = propagate_joint(fit, [site_grads])
+    return float(value), float(ses[0])
 
 
 def fit_chain(
@@ -745,16 +720,16 @@ def save_fit_bundle(fit: FitResult, directory) -> None:
     }
     with open(os.path.join(directory, "covariance_header.json"), "w") as fh:
         json.dump(header, fh, sort_keys=True)
-    report = {**fit_record(fit), "basis": fit.basis}
     with open(os.path.join(directory, "fit_report.json"), "w") as fh:
-        json.dump(report, fh, sort_keys=True)
+        json.dump(fit_record(fit), fh, sort_keys=True)
 
 
 def _read_report(path) -> dict:
     with open(path) as fh:
         report = json.load(fh)
-    required = ("sse", "dof", "iterations", "converged", "basis")
-    # the exit reason and null-space fields may predate the bundle
+    required = ("sse", "dof", "iterations", "converged")
+    # the exit reason and null-space fields may predate the bundle; an older
+    # bundle's "basis" key is not read, since the fit has only one basis
     optional = ("exit_reason", *_NULL_SPACE_KEYS)
     return {**{key: report[key] for key in required}, **{key: report.get(key) for key in optional}}
 

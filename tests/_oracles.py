@@ -41,7 +41,7 @@ from mpo_tomo.entanglement import (
 )
 from mpo_tomo.errors import ValidationError
 from mpo_tomo.measurement import _T1, QUAD_LETTERS, MomentTable, _lossy_correlations
-from mpo_tomo.mpo import Mpo, left_environments, right_environments
+from mpo_tomo.mpo import Mpo, fidelity, fidelity_gradient, left_environments, right_environments
 from mpo_tomo.pauli import PAULIS, PauliWord, apply_site_maps
 from mpo_tomo.standard_form import free_masks
 
@@ -285,6 +285,12 @@ def dense_fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
     return float(np.real(np.conj(psi) @ rho @ psi))
 
 
+def _zshifted_tensors(mpo: Mpo) -> list[np.ndarray]:
+    """The site tensors with F on their Pauli index: the chain of the
+    Z-shifted correlations, the fit's data basis."""
+    return [np.einsum("ji,dia->dja", F_MATRIX, t) for t in mpo.tensors]
+
+
 def window_columns(masks, window: int) -> dict:
     """Packed-parameter indices each window's model values can depend on.
 
@@ -304,8 +310,9 @@ def window_columns(masks, window: int) -> dict:
     return cols
 
 
-def dense_window_jacobian(mpo: Mpo, window: int, basis_k=None) -> dict:
-    """Reference Jacobian of every window's values over all packed parameters.
+def dense_window_jacobian(mpo: Mpo, window: int) -> dict:
+    """Reference Jacobian of every window's Z-shifted values over all packed
+    parameters.
 
     Each window's derivatives are built column by column from one right
     sweep over the identity slices of the sites left of it and its own
@@ -317,12 +324,9 @@ def dense_window_jacobian(mpo: Mpo, window: int, basis_k=None) -> dict:
     """
     masks = free_masks(mpo)
     n_free = int(sum(m.sum() for m in masks))
-    tensors = list(mpo.tensors)
-    if basis_k is not None:
-        tensors = [np.einsum("ji,dia->dja", basis_k, t) for t in tensors]
+    tensors = _zshifted_tensors(mpo)
     ident = [t[:, 0, :] for t in tensors]
     prefix, suffix = left_environments(ident), right_environments(ident)
-    k_mat = np.eye(4) if basis_k is None else np.asarray(basis_k, dtype=float)
     site_free = [np.nonzero(m.transpose(1, 0, 2)) for m in masks]
     ident_free = [np.nonzero(m[:, 0, :]) for m in masks]
     out = {}
@@ -344,7 +348,7 @@ def dense_window_jacobian(mpo: Mpo, window: int, basis_k=None) -> dict:
             else:
                 i, x, y = f
                 lt = lefts[s - first]
-                lk = (lt[:, None, x] * k_mat[:, i])[:, :, None]
+                lk = (lt[:, None, x] * F_MATRIX[:, i])[:, :, None]
                 block.reshape(len(lt), 4, rt.shape[1], len(i))[:] = lk * rt[y].T
         full = np.zeros((4**window, n_free))
         full[:, cols] = jac
@@ -363,11 +367,12 @@ def slab_block(slabs, masks, basis_k=None) -> np.ndarray:
     Args:
         slabs: the window's slabs, one per site.
         masks: the free masks of the window's sites.
+        basis_k: the basis map K; None for the fit's, F.
 
     Returns:
         (4**window, n_own) array, columns in packing order.
     """
-    k_mat = np.eye(4) if basis_k is None else np.asarray(basis_k, dtype=float)
+    k_mat = F_MATRIX if basis_k is None else np.asarray(basis_k, dtype=float)
     cols = []
     for p, (e, m) in enumerate(zip(slabs, masks)):
         i, x, y = np.nonzero(m.transpose(1, 0, 2))
@@ -376,21 +381,19 @@ def slab_block(slabs, masks, basis_k=None) -> np.ndarray:
     return np.hstack(cols)
 
 
-def boundary_fold(mpo: Mpo, start: int, basis_k=None) -> np.ndarray:
+def boundary_fold(mpo: Mpo, start: int) -> np.ndarray:
     """The map from a window's boundary columns Bᵀ to its derivatives by the
     identity-slice free entries of the sites left of it.
 
     Column (s, x, y), in packing order, is
     ``prefix[s][0, x] (ident[s+1] ⋯ ident[first-1])[y]``, with ``ident`` the
-    data-basis identity slices and ``prefix`` their left products.
+    Z-shifted identity slices and ``prefix`` their left products.
 
     Returns:
         (D_left, n_left) array.
     """
     masks = free_masks(mpo)
-    tensors = list(mpo.tensors)
-    if basis_k is not None:
-        tensors = [np.einsum("ji,dia->dja", basis_k, t) for t in tensors]
+    tensors = _zshifted_tensors(mpo)
     ident = [t[:, 0, :] for t in tensors]
     prefix = left_environments(ident)
     first = start - 1
@@ -499,6 +502,16 @@ def window_correlation_set(mpo: Mpo, window: int) -> PauliCorrelationSet:
     )
 
 
+def fidelity_functional(target: Mpo):
+    """Fidelity to a pure target and its per-site gradient, as a functional
+    of the MPO for :func:`mpo_tomo.fitting.propagate_covariance`."""
+
+    def run(mpo: Mpo):
+        return fidelity(mpo, target), fidelity_gradient(mpo, target)
+
+    return run
+
+
 def pauli_to_zshifted(corrs: PauliCorrelationSet) -> PauliCorrelationSet:
     """Inverse of :func:`zshifted_to_pauli` (same map; F is an involution)."""
     if corrs.basis != PAULI_BASIS:
@@ -507,6 +520,12 @@ def pauli_to_zshifted(corrs: PauliCorrelationSet) -> PauliCorrelationSet:
     return PauliCorrelationSet(
         corrs.n_sites, corrs.window, ZSHIFTED_BASIS, out_v, out_s, dict(corrs.meta)
     )
+
+
+def window_zshifted_set(mpo: Mpo, window: int) -> PauliCorrelationSet:
+    """Exact Z-shifted correlation windows of an MPO, the fit's data basis
+    (all standard errors zero)."""
+    return pauli_to_zshifted(window_correlation_set(mpo, window))
 
 
 def post_measurement_state(mpo: Mpo, plan: MeasurementPlan, outcomes) -> TwoQubitState:
@@ -526,16 +545,14 @@ def post_measurement_state(mpo: Mpo, plan: MeasurementPlan, outcomes) -> TwoQubi
     return TwoQubitState(matrix=_coeffs_to_matrix(c), weight=float(c[0, 0]))
 
 
-def pairwise_le_matrix(
-    mpo: Mpo, measure: str = "negativity", fit=None
-) -> dict[tuple[int, int], LeResult]:
+def pairwise_le_matrix(mpo: Mpo, measure: str = "negativity") -> dict[tuple[int, int], LeResult]:
     """Localizable entanglement for every pair under the default X/Z plans."""
     n = mpo.n_qubits
     out = {}
     for r in range(1, n):
         for rp in range(r + 1, n + 1):
             plan = default_plan(n, r, rp)
-            out[(r, rp)] = localizable_entanglement(mpo, plan, measure, fit=fit)
+            out[(r, rp)] = localizable_entanglement(mpo, plan, measure)
     return out
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from _oracles import (
     dense_localizable_entanglement,
+    fidelity_functional,
     ideal_cluster_mps,
     pairwise_le_matrix,
     random_protocol,
@@ -43,7 +44,6 @@ from mpo_tomo.fitting import (
     _Point,
     _window_slabs,
     _window_values_jacobian,
-    fidelity_functional,
     fit_chain,
     propagate_covariance,
 )
@@ -61,7 +61,7 @@ PAPER_MODEL = ErrorModel.uniform(5, 0.098, 0.092)
 
 def point_state(mpo, window, basis_k=None):
     """The fit's point state of ``mpo``, under a plan of its own."""
-    plan = _FitPlan(mpo, window, basis_k)
+    plan = _FitPlan(mpo, window)
     return _Point(plan, pack(mpo.tensors, plan.masks))
 
 

@@ -115,6 +115,28 @@ class TestSimulate:
         cfg = write_config(tmp_path / "bad.json", bad)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("out", ["afile/x", "afile"], ids=["under-a-file", "is-a-file"])
+    def test_out_that_cannot_be_a_directory(self, tmp_path, capsys, out):
+        # an --out that cannot be created is a validation error, before any write
+        (tmp_path / "afile").write_text("kept")
+        cfg = write_config(tmp_path / "cfg.json")
+        before = _file_list(tmp_path)
+        path = str(tmp_path / out)
+        assert main(["simulate", "--config", cfg, "--out", path]) == 2
+        assert path in capsys.readouterr().err
+        assert _file_list(tmp_path) == before
+        assert (tmp_path / "afile").read_text() == "kept"
+
+    @pytest.mark.parametrize("command", ["reconstruct", "analyze"])
+    def test_out_under_a_file_for_every_command(self, tmp_path, capsys, command):
+        # main checks --out before it dispatches, whatever the command
+        (tmp_path / "afile").write_text("kept")
+        cfg = write_config(tmp_path / "cfg.json")
+        path = str(tmp_path / "afile" / "x")
+        assert main([command, "--config", cfg, "--out", path]) == 2
+        assert path in capsys.readouterr().err
+        assert (tmp_path / "afile").read_text() == "kept"
+
 
 class TestConfigValidation:
     def test_unknown_top_level_key(self, tmp_path):
@@ -304,6 +326,16 @@ class TestReconstruct:
         assert all(t >= 0 for t in stages["timings"].values())
         report = json.load(open(os.path.join(fit_dir, "fit_report.json")))
         assert report["exit_reason"] == gn["exit_reason"]
+
+    def test_fit_report_has_no_basis(self, pipeline_run):
+        # the fit has one data basis, so its report does not record one
+        from mpo_tomo.fitting import load_fit_bundle
+
+        _, out = pipeline_run
+        fit_dir = os.path.join(out, "fit")
+        report = json.load(open(os.path.join(fit_dir, "fit_report.json")))
+        assert "basis" not in report
+        assert load_fit_bundle(fit_dir).sse == report["sse"]
 
     def test_null_space_record(self, pipeline_run):
         _, out = pipeline_run
@@ -537,13 +569,32 @@ class TestAnalyze:
         report = json.load(open(os.path.join(out, "report.json")))
         for record, order in (
             (stages, ["load", "moments", "alignment", "fit", "write"]),
-            (report, ["load", "fidelity", "stabilizers", "error_model", "le", "corner"]),
+            (report, ["load", "le", "fidelity", "stabilizers", "error_model", "corner"]),
         ):
             rss = record["peak_rss_mb"]
             assert set(rss) == set(record["timings"]) == set(order)
             readings = [rss[stage] for stage in order]
             assert readings[0] > 0
             assert readings == sorted(readings)
+
+    def test_every_se_from_one_joint_propagation(self, pipeline_run, tmp_path, monkeypatch):
+        # the fidelity, the N stabilizers, the N <Z_s> and the 10 exact-LE
+        # pairs of the N=5 chain, all with a gradient
+        from mpo_tomo import fitting
+
+        cfg, out = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(os.path.join(out, "fit"), run / "fit")
+        real = fitting.propagate_joint
+        calls = []
+
+        def counted(fit, gradients):
+            calls.append(len(gradients))
+            return real(fit, gradients)
+
+        monkeypatch.setattr(fitting, "propagate_joint", counted)
+        assert main(["analyze", "--config", cfg, "--out", str(run)]) == 0
+        assert calls == [1 + 2 * 5 + 10]
 
     def test_le_matrix_upper_triangle(self, pipeline_run):
         _, out = pipeline_run
@@ -578,6 +629,64 @@ class TestAnalyze:
         with open(os.path.join(out, "le_distance.csv")) as fh:
             rows = list(csv.DictReader(fh))
         assert [int(r["k"]) for r in rows] == [1, 2, 3, 4]
+
+
+@pytest.fixture(scope="module")
+def fitted_chain6(noisy6):
+    """A converged fit of an N=6 noisy-cluster dataset, and the exact
+    negativity LE of every pair of its MPO."""
+    from mpo_tomo.correlations import moments_to_zshifted
+    from mpo_tomo.entanglement import default_plan, localizable_entanglement
+    from mpo_tomo.fitting import fit_chain
+    from mpo_tomo.measurement import synthesize_dataset
+
+    _, _, fit = fit_chain(moments_to_zshifted(synthesize_dataset(noisy6, 5, 1.0, 10**7, seed=1)))
+    assert fit.converged
+    pairs = [(r, rp) for r in range(1, 6) for rp in range(r + 1, 7)]
+    return fit, [localizable_entanglement(fit.mpo, default_plan(6, *p), "negativity") for p in pairs]
+
+
+def _fallback_pair():
+    """An exact-LE result with a fallback branch: the ideal cluster's
+    concurrence, whose Wootters lambdas sit at zero."""
+    from mpo_tomo.cluster import ideal_cluster_mpo
+    from mpo_tomo.entanglement import default_plan, localizable_entanglement
+
+    res = localizable_entanglement(ideal_cluster_mpo(6), default_plan(6, 2, 5), "concurrence")
+    assert res.fallback_branches > 0 and res.gradient is None
+    return res
+
+
+class TestJointPropagation:
+    """``cli._stabilizer_table``: one product G·cov·Gᵀ for every SE analyze reports."""
+
+    def test_le_ses_match_their_own_gradients(self, fitted_chain6):
+        import numpy as np
+
+        from mpo_tomo.cli import _stabilizer_table
+        from mpo_tomo.standard_form import pack
+
+        fit, rows = fitted_chain6
+        assert all(res.gradient is not None for res in rows)
+        values, ses, le_ses = _stabilizer_table(fit, 6, rows)
+        assert len(le_ses) == len(rows) and len(values) == len(ses) == 1 + 2 * 6
+        for res, se in zip(rows, le_ses):
+            g = pack(res.gradient, fit.masks)
+            assert se == pytest.approx(np.sqrt(g @ fit.covariance @ g), rel=1e-8, abs=0)
+        # the LE rows leave the fidelity, stabilizer and <Z_s> rows as they are
+        alone = _stabilizer_table(fit, 6, [])
+        assert np.array_equal(alone[0], values) and alone[2] == []
+        assert np.allclose(alone[1], ses, rtol=1e-12, atol=0)
+
+    def test_fallback_pair_gets_no_se(self, fitted_chain6):
+        from mpo_tomo.cli import _stabilizer_table
+
+        fit, rows = fitted_chain6
+        mixed = [rows[0], _fallback_pair(), rows[1]]
+        _, _, le_ses = _stabilizer_table(fit, 6, mixed)
+        _, _, want = _stabilizer_table(fit, 6, rows[:2])
+        assert le_ses[1] is None
+        assert [le_ses[0], le_ses[2]] == pytest.approx(want, rel=1e-12)
 
 
 class TestLogging:

@@ -195,8 +195,7 @@ class TestLocalizableEntanglement:
         ids=["fitted-negativity", "fitted-concurrence", "ideal-negativity"],
     )
     def test_parameter_se_against_finite_differences(self, request, state, measure):
-        from mpo_tomo.entanglement import _enumerate_branches
-        from mpo_tomo.fitting import FitResult
+        from mpo_tomo.fitting import FitResult, propagate_joint
         from mpo_tomo.standard_form import free_masks, n_free_parameters, pack, to_standard_form, unpack
 
         if state == "fitted":
@@ -205,12 +204,13 @@ class TestLocalizableEntanglement:
             m = to_standard_form(ideal_cluster_mpo(5))
             masks = free_masks(m)
             cov = np.eye(n_free_parameters(masks))
-            fit = FitResult(m, cov, 0.0, 0, 0, True, "pauli", masks=masks)
+            fit = FitResult(m, cov, 0.0, 0, 0, True, masks=masks)
         plan = default_plan(5, 1, 4)
-        le = localizable_entanglement(fit.mpo, plan, measure, fit=fit)
-        assert le.se_parameter is not None and le.se_parameter > 0
-        _, grad, _, fallback = _enumerate_branches(fit.mpo, plan, measure, fit.masks)
-        assert fallback == 0
+        le = localizable_entanglement(fit.mpo, plan, measure)
+        assert le.fallback_branches == 0 and le.gradient is not None
+        (se,), _ = propagate_joint(fit, [le.gradient])
+        assert se > 0
+        grad = pack(le.gradient, fit.masks)
         theta0 = pack(fit.mpo.tensors, fit.masks)
         local = np.random.default_rng(0)
         h = 1e-6
@@ -219,22 +219,20 @@ class TestLocalizableEntanglement:
             tp[i] += h
             tm = theta0.copy()
             tm[i] -= h
-            vp = _enumerate_branches(unpack(tp, fit.mpo, fit.masks), plan, measure)[0].sum()
-            vm = _enumerate_branches(unpack(tm, fit.mpo, fit.masks), plan, measure)[0].sum()
+            vp = localizable_entanglement(unpack(tp, fit.mpo, fit.masks), plan, measure).value
+            vm = localizable_entanglement(unpack(tm, fit.mpo, fit.masks), plan, measure).value
             fd = (vp - vm) / (2 * h)
             assert grad[i] == pytest.approx(fd, abs=max(1e-6, 1e-4 * abs(fd)))
 
     @pytest.mark.parametrize("measure, n_fallback", [("negativity", 0), ("concurrence", 8)])
     def test_reverse_sweep_only_without_fallback(self, monkeypatch, measure, n_fallback):
         # the ideal cluster's concurrence branches all have Wootters lambdas at
-        # zero: a pair with a fallback branch gets no SE and runs no reverse sweep
+        # zero: a pair with a fallback branch gets no gradient and runs no
+        # reverse sweep
         from mpo_tomo import entanglement
-        from mpo_tomo.fitting import FitResult
-        from mpo_tomo.standard_form import free_masks, n_free_parameters, to_standard_form
+        from mpo_tomo.standard_form import to_standard_form
 
         m = to_standard_form(ideal_cluster_mpo(5))
-        masks = free_masks(m)
-        fit = FitResult(m, np.eye(n_free_parameters(masks)), 0.0, 0, 0, True, "pauli", masks=masks)
         sweeps = []
         real_vjp = entanglement.left_environments_vjp
 
@@ -243,10 +241,10 @@ class TestLocalizableEntanglement:
             return real_vjp(*args)
 
         monkeypatch.setattr(entanglement, "left_environments_vjp", counted_vjp)
-        le = localizable_entanglement(m, default_plan(5, 1, 4), measure, fit=fit)
+        le = localizable_entanglement(m, default_plan(5, 1, 4), measure)
         assert le.fallback_branches == n_fallback
         assert len(sweeps) == (0 if n_fallback else 1)
-        assert (le.se_parameter is None) == bool(n_fallback)
+        assert (le.gradient is None) == bool(n_fallback)
 
 
 def _all_branches(mpo, pair):
@@ -326,7 +324,7 @@ class TestFittedChainEntanglement:
         significantly above zero even at k >= 5.
         """
         from mpo_tomo.correlations import moments_to_zshifted
-        from mpo_tomo.fitting import fit_chain
+        from mpo_tomo.fitting import fit_chain, propagate_joint
         from mpo_tomo.measurement import synthesize_dataset
 
         truth = noisy_cluster_model(10, ErrorModel.uniform(10, 0.098, 0.092))
@@ -336,8 +334,9 @@ class TestFittedChainEntanglement:
         values = []
         for k in (1, 3, 5, 6):
             plan = default_plan(10, 4, 4 + k)
-            le = localizable_entanglement(fit.mpo, plan, "negativity", fit=fit)
-            values.append((k, le.value, le.se_parameter))
+            le = localizable_entanglement(fit.mpo, plan, "negativity")
+            (se,), _ = propagate_joint(fit, [le.gradient])
+            values.append((k, le.value, se))
         # decays with distance but stays significantly above zero
         assert values[0][1] > values[1][1] > values[2][1] > values[3][1]
         for k, value, se in values:

@@ -8,10 +8,11 @@ import pytest
 from _oracles import (
     boundary_fold,
     dense_window_jacobian,
-    pauli_to_zshifted,
+    fidelity_functional,
     slab_block,
     window_columns,
     window_correlation_set,
+    window_zshifted_set,
 )
 
 from mpo_tomo.cluster import ErrorModel, ideal_cluster_mpo, noisy_cluster_model
@@ -23,21 +24,21 @@ from mpo_tomo.fitting import (
     _window_pullback,
     _window_slabs,
     _window_values_jacobian,
-    fidelity_functional,
     fit_chain,
     gauss_newton_fit,
     load_fit_bundle,
     propagate_covariance,
+    propagate_joint,
     save_fit_bundle,
 )
 from mpo_tomo.measurement import synthesize_dataset
-from mpo_tomo.mpo import Mpo, fidelity
+from mpo_tomo.mpo import Mpo, correlation_gradient, fidelity
 from mpo_tomo.standard_form import free_masks, n_free_parameters, pack, to_standard_form, unpack
 
 
-def point_state(mpo, window, basis_k=None):
+def point_state(mpo, window):
     """The fit's point state of ``mpo``, under a plan of its own."""
-    plan = _FitPlan(mpo, window, basis_k)
+    plan = _FitPlan(mpo, window)
     return _Point(plan, pack(mpo.tensors, plan.masks))
 
 
@@ -72,26 +73,26 @@ def unequal_bond_chain(bonds):
     return mpo
 
 
-def dense_jacobian(mpo, basis_k, window=5):
+def dense_jacobian(mpo, window=5):
     """The reference rows x n_params Jacobian, without the constant word 0."""
-    jacs = dense_window_jacobian(mpo, window, basis_k)
+    jacs = dense_window_jacobian(mpo, window)
     return np.vstack([jacs[s][1:] for s in sorted(jacs)])
 
 
-def folded_jacobians(mpo, basis_k, window=5):
+def folded_jacobians(mpo, window=5):
     """Each window's full-width Jacobian, rebuilt from its slabs and boundary:
     the own columns expanded from the slabs, the identity-slice columns left
     of the window as the boundary Bᵀ times the fold map."""
     masks = free_masks(mpo)
     columns = window_columns(masks, window)
     out = {}
-    for start, _, slabs, boundary in _window_slabs(point_state(mpo, window, basis_k)):
-        fold = boundary_fold(mpo, start, basis_k)
+    for start, _, slabs, boundary in _window_slabs(point_state(mpo, window)):
+        fold = boundary_fold(mpo, start)
         n_left = fold.shape[1]
         cols = columns[start]  # identity-slice ones first
         full = np.zeros((4**window, n_free_parameters(masks)))
         full[:, cols[:n_left]] = boundary.T @ fold
-        full[:, cols[n_left:]] = slab_block(slabs, masks[start - 1 : start - 1 + window], basis_k)
+        full[:, cols[n_left:]] = slab_block(slabs, masks[start - 1 : start - 1 + window])
         out[start] = full
     return out
 
@@ -126,16 +127,15 @@ class TestStandardFormParameters:
 
 
 class TestJacobian:
-    @pytest.mark.parametrize("basis_k", [None, F_MATRIX])
-    def test_matches_finite_differences(self, sf_noisy6, basis_k):
+    def test_matches_finite_differences(self, sf_noisy6):
         masks = free_masks(sf_noisy6)
         theta0 = pack(sf_noisy6.tensors, masks)
-        jacs = folded_jacobians(sf_noisy6, basis_k)
+        jacs = folded_jacobians(sf_noisy6)
         jac = np.vstack([jacs[s] for s in sorted(jacs)])
 
         def value_vec(th):
             m = unpack(th, sf_noisy6, masks)
-            v, _ = _window_values_jacobian(point_state(m, 5, basis_k))
+            v, _ = _window_values_jacobian(point_state(m, 5))
             return np.concatenate([v[s] for s in sorted(v)])
 
         local = np.random.default_rng(5)
@@ -149,15 +149,14 @@ class TestJacobian:
             denom = max(np.max(np.abs(fd)), 1e-8)
             assert np.max(np.abs(fd - jac[:, i])) / denom < 1e-6
 
-    @pytest.mark.parametrize("basis_k", [None, F_MATRIX])
-    def test_no_dependence_outside_window_columns(self, sf_perturbed8, basis_k):
+    def test_no_dependence_outside_window_columns(self, sf_perturbed8):
         # the per-window assembly drops these derivatives as exact zeros
         masks = free_masks(sf_perturbed8)
         theta0 = pack(sf_perturbed8.tensors, masks)
         cols = window_columns(masks, 5)
 
         def values(th):
-            v, _ = _window_values_jacobian(point_state(unpack(th, sf_perturbed8, masks), 5, basis_k))
+            v, _ = _window_values_jacobian(point_state(unpack(th, sf_perturbed8, masks), 5))
             return v
 
         eps = 1e-6
@@ -177,72 +176,68 @@ class TestJacobian:
         # sf_perturbed8's windows 2-4 have identity-slice parents, which the
         # assembled JᵀWJ reaches only through each window's boundary Grams
         mpo = request.getfixturevalue(mpo_name)
-        for basis_k in (None, F_MATRIX):
-            jacs = dense_window_jacobian(mpo, 5, basis_k)
-            starts = sorted(jacs)
-            local = np.random.default_rng(3)
-            w = local.uniform(0.5, 2.0, size=(len(starts), 4**5 - 1))
-            r = local.normal(size=w.shape)
-            # word 0 carries no weight, and window 1 is left out
-            weights = {s: np.pad(ws, (1, 0)) for s, ws in zip(starts, w) if s != 1}
-            vals, got = _window_values_jacobian(point_state(mpo, 5, basis_k), weights)
-            jw = np.vstack([jacs[s] * weights[s][:, None] for s in weights])
-            hess = jw.T @ jw
-            assert np.max(np.abs(got - hess)) <= 1e-12 * np.max(np.abs(hess))
-            only, none = _window_values_jacobian(point_state(mpo, 5, basis_k))
-            assert none is None
-            assert all(np.array_equal(vals[s], only[s]) for s in starts)
-            jw = dense_jacobian(mpo, basis_k) * w.ravel()[:, None]
-            grad = jw.T @ (w * r).ravel()
-            u = np.stack([np.concatenate(([0.0], row)) for row in w * w * r])
-            got = _window_pullback(point_state(mpo, 5, basis_k), u)
-            assert np.max(np.abs(got - grad)) <= 1e-12 * np.max(np.abs(grad))
+        jacs = dense_window_jacobian(mpo, 5)
+        starts = sorted(jacs)
+        local = np.random.default_rng(3)
+        w = local.uniform(0.5, 2.0, size=(len(starts), 4**5 - 1))
+        r = local.normal(size=w.shape)
+        # word 0 carries no weight, and window 1 is left out
+        weights = {s: np.pad(ws, (1, 0)) for s, ws in zip(starts, w) if s != 1}
+        vals, got = _window_values_jacobian(point_state(mpo, 5), weights)
+        jw = np.vstack([jacs[s] * weights[s][:, None] for s in weights])
+        hess = jw.T @ jw
+        assert np.max(np.abs(got - hess)) <= 1e-12 * np.max(np.abs(hess))
+        only, none = _window_values_jacobian(point_state(mpo, 5))
+        assert none is None
+        assert all(np.array_equal(vals[s], only[s]) for s in starts)
+        jw = dense_jacobian(mpo) * w.ravel()[:, None]
+        grad = jw.T @ (w * r).ravel()
+        u = np.stack([np.concatenate(([0.0], row)) for row in w * w * r])
+        got = _window_pullback(point_state(mpo, 5), u)
+        assert np.max(np.abs(got - grad)) <= 1e-12 * np.max(np.abs(grad))
 
-    @pytest.mark.parametrize("basis_k", [None, F_MATRIX])
     @pytest.mark.parametrize(
         "bonds, left_out",
         # windows 2 and 4 of the N = 8 chain unweighted
         list(zip(UNEQUAL_BONDS, [(), (2, 4)])),
     )
-    def test_assembly_matches_dense_products_unequal_bonds(self, bonds, left_out, basis_k):
+    def test_assembly_matches_dense_products_unequal_bonds(self, bonds, left_out):
         rng = np.random.default_rng(len(bonds))
         mpo = unequal_bond_chain(bonds)
-        jacs = dense_window_jacobian(mpo, 5, basis_k)
+        jacs = dense_window_jacobian(mpo, 5)
         weights = {
             s: np.pad(rng.uniform(0.5, 2.0, size=4**5 - 1), (1, 0))
             for s in sorted(jacs)
             if s not in left_out
         }
-        _, got = _window_values_jacobian(point_state(mpo, 5, basis_k), weights)
+        _, got = _window_values_jacobian(point_state(mpo, 5), weights)
         jw = np.vstack([jacs[s] * weights[s][:, None] for s in weights])
         hess = jw.T @ jw
         assert np.max(np.abs(got - hess)) <= 1e-12 * np.max(np.abs(hess))
 
-    @pytest.mark.parametrize("basis_k", [None, F_MATRIX])
     @pytest.mark.parametrize("mpo_name", ["sf_noisy6", "sf_perturbed8"])
-    def test_pullback_matches_dense_transpose_product(self, mpo_name, basis_k, request):
+    def test_pullback_matches_dense_transpose_product(self, mpo_name, request):
         mpo = request.getfixturevalue(mpo_name)
         starts = range(1, mpo.n_qubits - 3)
         local = np.random.default_rng(6)
         # word 0 (all identity) is constant: its cotangent must be ignored
         u = np.stack([local.normal(size=4**5) for s in starts])
-        dense = dense_jacobian(mpo, basis_k)
+        dense = dense_jacobian(mpo)
         want = dense.T @ np.concatenate([row[1:] for row in u])
-        got = _window_pullback(point_state(mpo, 5, basis_k), u)
+        got = _window_pullback(point_state(mpo, 5), u)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("basis_k", [None, F_MATRIX])
-    def test_pullback_is_gradient_of_contraction(self, sf_perturbed8, basis_k):
+    def test_pullback_is_gradient_of_contraction(self, sf_perturbed8):
         masks = free_masks(sf_perturbed8)
         theta0 = pack(sf_perturbed8.tensors, masks)
         local = np.random.default_rng(9)
         u = np.stack([local.normal(size=4**5) for s in range(1, 5)])
 
         def contraction(th):
-            v, _ = _window_values_jacobian(point_state(unpack(th, sf_perturbed8, masks), 5, basis_k))
+            v, _ = _window_values_jacobian(point_state(unpack(th, sf_perturbed8, masks), 5))
             return sum(u[s - 1] @ v[s] for s in v)
 
-        grad = _window_pullback(point_state(sf_perturbed8, 5, basis_k), u)
+        grad = _window_pullback(point_state(sf_perturbed8, 5), u)
         eps = 1e-6
         fd = np.empty(20)
         picks = local.choice(theta0.size, fd.size, replace=False)
@@ -254,7 +249,7 @@ class TestJacobian:
 
     def test_values_match_correlations(self, sf_noisy6):
         vals, _ = _window_values_jacobian(point_state(sf_noisy6, 5))
-        truth = window_correlation_set(sf_noisy6, 5)
+        truth = window_zshifted_set(sf_noisy6, 5)
         for s in truth.starts:
             assert np.max(np.abs(vals[s] - truth.values[s].ravel())) < 1e-12
 
@@ -263,16 +258,14 @@ class TestPointState:
     """The per-fit plan and the per-point chain state behind every model
     evaluation and pullback."""
 
-    @pytest.mark.parametrize("basis_k", [None, F_MATRIX])
     @pytest.mark.parametrize("bonds", [None, *UNEQUAL_BONDS])
-    def test_tensors_match_unpack_and_basis_map(self, sf_perturbed8, bonds, basis_k):
+    def test_tensors_match_unpack_and_basis_map(self, sf_perturbed8, bonds):
         base = sf_perturbed8 if bonds is None else unequal_bond_chain(bonds)
-        plan = _FitPlan(base, 5, basis_k)
+        plan = _FitPlan(base, 5)
         theta = np.random.default_rng(1).normal(size=plan.offsets[-1])
         point = _Point(plan, theta)
-        k_mat = np.eye(4) if basis_k is None else basis_k
         for s, t in enumerate(unpack(theta, base, plan.masks).tensors):
-            mapped = t if basis_k is None else np.einsum("ji,dia->dja", k_mat, t)
+            mapped = np.einsum("ji,dia->dja", F_MATRIX, t)
             assert np.array_equal(point.sites[s], mapped)
             # the padding stays exactly zero
             padded = point.tensors[s].copy()
@@ -283,17 +276,16 @@ class TestPointState:
     def test_stacked_values_match_correlations_unequal_bonds(self, bonds):
         mpo = unequal_bond_chain(bonds)
         vals, _ = _window_values_jacobian(point_state(mpo, 5))
-        truth = window_correlation_set(mpo, 5)
+        truth = window_zshifted_set(mpo, 5)
         assert sorted(vals) == truth.starts
         for s in truth.starts:
             assert np.max(np.abs(vals[s] - truth.values[s].ravel())) < 1e-12
 
-    @pytest.mark.parametrize("basis_k", [None, F_MATRIX])
-    def test_state_does_not_go_stale(self, sf_perturbed8, basis_k):
+    def test_state_does_not_go_stale(self, sf_perturbed8):
         # values, JᵀWJ and Jᵀu at A, then B, then A again under one plan
         # equal those of fresh states, bitwise
         local = np.random.default_rng(12)
-        plan = _FitPlan(sf_perturbed8, 5, basis_k)
+        plan = _FitPlan(sf_perturbed8, 5)
         theta_a = pack(sf_perturbed8.tensors, plan.masks)
         theta_b = theta_a + local.normal(scale=1e-2, size=theta_a.size)
         weights = {s: local.uniform(0.5, 2.0, size=4**5) for s in range(1, 5)}
@@ -305,7 +297,7 @@ class TestPointState:
             return only, vals, hess, _window_pullback(point, u)
 
         def fresh(theta):
-            return evaluate(_Point(_FitPlan(sf_perturbed8, 5, basis_k), theta))
+            return evaluate(_Point(_FitPlan(sf_perturbed8, 5), theta))
 
         point_a = _Point(plan, theta_a)
         results = [evaluate(point_a), evaluate(_Point(plan, theta_b)), evaluate(point_a)]
@@ -320,13 +312,17 @@ class TestPointState:
 
 class TestGaussNewton:
     def test_exact_fixed_point(self, sf_noisy6):
-        fit = gauss_newton_fit(sf_noisy6, window_correlation_set(sf_noisy6, 5))
+        # data equal to the model's own values, to the last bit
+        data = window_zshifted_set(sf_noisy6, 5)
+        vals, _ = _window_values_jacobian(point_state(sf_noisy6, 5))
+        data.values.update({s: vals[s].reshape(data.values[s].shape) for s in data.starts})
+        fit = gauss_newton_fit(sf_noisy6, data)
         assert fit.iterations == 0
         assert fit.sse == 0.0
         assert fit.converged
 
     def test_exact_start_exit_reason(self, sf_noisy6):
-        fit = gauss_newton_fit(sf_noisy6, window_correlation_set(sf_noisy6, 5))
+        fit = gauss_newton_fit(sf_noisy6, window_zshifted_set(sf_noisy6, 5))
         assert fit.exit_reason == "rounding_floor"
         assert fit.trace == []
 
@@ -336,7 +332,7 @@ class TestGaussNewton:
         local = np.random.default_rng(2)
         start = unpack(theta + local.normal(scale=1e-2, size=theta.size), sf_noisy6, masks)
         with caplog.at_level(logging.DEBUG, logger="mpo_tomo.fitting"):
-            fit = gauss_newton_fit(start, window_correlation_set(sf_noisy6, 5), max_iter=1)
+            fit = gauss_newton_fit(start, window_zshifted_set(sf_noisy6, 5), max_iter=1)
         assert len(caplog.records) == 1  # one debug line per trace row
         assert fit.iterations == 1
         assert not fit.converged
@@ -355,7 +351,7 @@ class TestGaussNewton:
         theta = pack(sf_noisy6.tensors, masks)
         local = np.random.default_rng(2)
         start = unpack(theta + local.normal(scale=1e-2, size=theta.size), sf_noisy6, masks)
-        fit = gauss_newton_fit(start, window_correlation_set(sf_noisy6, 5))
+        fit = gauss_newton_fit(start, window_zshifted_set(sf_noisy6, 5))
         assert fit.exit_reason == "no_acceptable_step"
         assert fit.converged is False
         assert fit.iterations == 1
@@ -367,7 +363,7 @@ class TestGaussNewton:
         # n_par^2 matrices
         import tracemalloc
 
-        data = pauli_to_zshifted(window_correlation_set(sf_perturbed8, 5))
+        data = window_zshifted_set(sf_perturbed8, 5)
         masks = free_masks(sf_perturbed8)
         theta = pack(sf_perturbed8.tensors, masks)
         local = np.random.default_rng(2)
@@ -390,7 +386,7 @@ class TestGaussNewton:
         for n in (8, 12):
             mpo = to_standard_form(noisy_cluster_model(n, ErrorModel.uniform(n, 0.09, 0.06)))
             shapes[n] = []
-            for start, _, slabs, boundary in _window_slabs(point_state(mpo, 5, F_MATRIX)):
+            for start, _, slabs, boundary in _window_slabs(point_state(mpo, 5)):
                 ts = mpo.tensors[start - 1 : start + 4]
                 assert [e.shape for e in slabs] == [(4**4, t.shape[0] * t.shape[2]) for t in ts]
                 assert boundary.shape == (ts[0].shape[0], 4**5)
@@ -406,17 +402,17 @@ class TestGaussNewton:
         theta = pack(sf_noisy6.tensors, masks)
         local = np.random.default_rng(seed)
         start = unpack(theta + local.normal(scale=1e-2, size=theta.size), sf_noisy6, masks)
-        fit = gauss_newton_fit(start, window_correlation_set(sf_noisy6, 5))
+        fit = gauss_newton_fit(start, window_zshifted_set(sf_noisy6, 5))
         assert fit.converged
         ideal = ideal_cluster_mpo(6)
         assert abs(fidelity(fit.mpo, ideal) - fidelity(sf_noisy6, ideal)) < 1e-6
 
     def test_requires_standard_form(self, noisy6):
         with pytest.raises(ValidationError):
-            gauss_newton_fit(noisy6, window_correlation_set(noisy6, 5))
+            gauss_newton_fit(noisy6, window_zshifted_set(noisy6, 5))
 
     def test_nan_data_rejected(self, sf_noisy6):
-        data = window_correlation_set(sf_noisy6, 5)
+        data = window_zshifted_set(sf_noisy6, 5)
         data.values[1][(1, 1, 1, 1, 1)] = np.nan
         with pytest.raises(DataError):
             gauss_newton_fit(sf_noisy6, data)
@@ -437,7 +433,7 @@ class TestGaussNewton:
 
         data = moments_to_zshifted(table)
         start = to_standard_form(noisy5)
-        vals, _ = _window_values_jacobian(point_state(start, 5, F_MATRIX))
+        vals, _ = _window_values_jacobian(point_state(start, 5))
         keep = np.ones(4**5, bool)
         keep[0] = False
         y = data.values[1].ravel()[keep]
@@ -457,7 +453,7 @@ class TestGaussNewton:
             s: np.pad(1.0 / np.clip(data.ses[s].ravel()[1:], 1e-9, None), (1, 0))
             for s in data.starts
         }
-        _, hess = _window_values_jacobian(point_state(fit.mpo, 5, F_MATRIX), weights)
+        _, hess = _window_values_jacobian(point_state(fit.mpo, 5), weights)
         rank = np.linalg.matrix_rank(hess)
         rows = len(data.starts) * (4**5 - 1)
         assert rank < n_par  # the standard form keeps gauge null directions
@@ -477,17 +473,18 @@ class TestGaussNewton:
     def test_chi_square_consistency(self, fitted_noisy5):
         assert 0.7 <= fitted_noisy5.reduced_sse <= 1.3
 
-    def test_zshifted_and_pauli_fits_agree(self, sf_noisy6):
-        pauli = window_correlation_set(sf_noisy6, 5)
-        zsh = pauli_to_zshifted(pauli)
-        masks = free_masks(sf_noisy6)
-        theta = pack(sf_noisy6.tensors, masks)
-        local = np.random.default_rng(4)
-        start = unpack(theta + local.normal(scale=3e-3, size=theta.size), sf_noisy6, masks)
-        fit_p = gauss_newton_fit(start, pauli)
-        fit_z = gauss_newton_fit(start, zsh)
-        for w in (tuple(local.integers(0, 4, 6)) for _ in range(100)):
-            assert abs(fit_p.mpo.correlation(w) - fit_z.mpo.correlation(w)) < 1e-6
+    def test_rejects_pauli_data(self, sf_noisy6):
+        # the fit runs in the Z-shifted basis only
+        with pytest.raises(ValidationError, match="z-shifted"):
+            gauss_newton_fit(sf_noisy6, window_correlation_set(sf_noisy6, 5))
+
+    def test_fit_chain_rejects_pauli_data(self, noisy5):
+        # the pipeline's entry point refuses Pauli-basis data before any stage
+        from mpo_tomo.correlations import moments_to_zshifted, zshifted_to_pauli
+
+        table = synthesize_dataset(noisy5, 5, 1.0, 10**7, seed=11)
+        with pytest.raises(ValidationError, match="z-shifted"):
+            fit_chain(zshifted_to_pauli(moments_to_zshifted(table)))
 
 
 @pytest.fixture
@@ -521,14 +518,14 @@ class TestFactorOnce:
         self, sf_noisy6, reject_every_gn_trial, jtwj_evaluations
     ):
         start = self._start(sf_noisy6)
-        fit = gauss_newton_fit(start, window_correlation_set(sf_noisy6, 5))
+        fit = gauss_newton_fit(start, window_zshifted_set(sf_noisy6, 5))
         assert fit.exit_reason == "no_acceptable_step"
         assert fit.iterations == 1
         assert len(jtwj_evaluations) == 1
         assert jtwj_evaluations[0] == start == fit.mpo
 
     def test_converged_fit_assembles_each_point_once(self, sf_noisy6, jtwj_evaluations):
-        fit = gauss_newton_fit(self._start(sf_noisy6), window_correlation_set(sf_noisy6, 5))
+        fit = gauss_newton_fit(self._start(sf_noisy6), window_zshifted_set(sf_noisy6, 5))
         assert fit.converged and fit.iterations > 1
         assert len(jtwj_evaluations) == fit.iterations + 1
         assert jtwj_evaluations[-1] == fit.mpo
@@ -550,7 +547,7 @@ class TestFactorOnce:
             return result
 
         monkeypatch.setattr(fitting, "_window_values_jacobian", counted)
-        fit = gauss_newton_fit(self._start(sf_noisy6), window_correlation_set(sf_noisy6, 5))
+        fit = gauss_newton_fit(self._start(sf_noisy6), window_zshifted_set(sf_noisy6, 5))
         assert fit.converged is not rejected and fit.iterations >= 1
         # one pass per trace row; a fit that stepped and then stopped makes
         # one more pass, which assembles the final point outside the trace
@@ -564,7 +561,7 @@ class TestFactorOnce:
         self, sf_noisy6, jtwj_evaluations, max_iter, start_exact
     ):
         start = sf_noisy6 if start_exact else self._start(sf_noisy6)
-        fit = gauss_newton_fit(start, window_correlation_set(sf_noisy6, 5), max_iter=max_iter)
+        fit = gauss_newton_fit(start, window_zshifted_set(sf_noisy6, 5), max_iter=max_iter)
         assert fit.iterations == 0
         assert fit.exit_reason == ("rounding_floor" if start_exact else "max_iter")
         assert len(jtwj_evaluations) == 1
@@ -588,7 +585,7 @@ class TestInversionFitAgreement:
         est = estimate_bond_dims(cm)
         inv = invert_reconstruct(corrs, 5, ranks=est.dims)
         guess = to_standard_form(compress(inv.mpo, cm, est.dims))
-        fit = gauss_newton_fit(guess, corrs)
+        fit = gauss_newton_fit(guess, window_zshifted_set(m, 5))
         for _ in range(200):
             w = tuple(rng.integers(0, 4, 6))
             assert abs(fit.mpo.correlation(w) - inv.mpo.correlation(w)) < 1e-8
@@ -615,6 +612,26 @@ class TestCovariancePropagation:
 
         with pytest.raises(ValidationError):
             propagate_covariance(fitted_noisy5, bad)
+
+    def test_joint_product_matches_single_propagations(self, fitted_noisy5):
+        # one G·cov·Gᵀ: its diagonal is each scalar's own propagated variance,
+        # its off-diagonal the packed cross products
+        fit = fitted_noisy5
+        m = fit.mpo
+        functionals = [fidelity_functional(ideal_cluster_mpo(5))]
+        for letters in [(3, 0, 0, 0, 0), (1, 3, 0, 0, 0), (0, 3, 1, 3, 0)]:
+            functionals.append(
+                lambda m, w=letters: (m.correlation(w), correlation_gradient(m, w))
+            )
+        grads = [functional(m)[1] for functional in functionals]
+        ses, joint = propagate_joint(fit, grads)
+        assert joint.shape == (4, 4) and ses.shape == (4,)
+        assert np.allclose(joint, joint.T, rtol=0, atol=1e-15)
+        assert np.allclose(ses**2, np.diag(joint), rtol=1e-12, atol=0)
+        for i, functional in enumerate(functionals):
+            assert ses[i] == pytest.approx(propagate_covariance(fit, functional)[1], rel=1e-12)
+        packed = [pack(g, fit.masks) for g in grads]
+        assert joint[0, 2] == pytest.approx(packed[0] @ fit.covariance @ packed[2], rel=1e-10)
 
     def test_fidelity_se_positive(self, fitted_noisy5):
         ideal = ideal_cluster_mpo(5)
@@ -646,6 +663,19 @@ class TestPersistence:
         # the covariance file is plain row-major float64
         raw = np.fromfile(tmp_path / "fit" / "covariance.bin", dtype=np.float64)
         assert raw.size == fit.covariance.size
+
+    def test_bundle_with_basis_record_loads(self, fitted_noisy5, tmp_path):
+        # the report no longer records the data basis; a bundle that does
+        # still loads
+        import json
+
+        save_fit_bundle(fitted_noisy5, tmp_path / "fit")
+        path = tmp_path / "fit" / "fit_report.json"
+        report = json.loads(path.read_text())
+        assert "basis" not in report
+        path.write_text(json.dumps({**report, "basis": "z-shifted"}))
+        back = load_fit_bundle(tmp_path / "fit")
+        assert back.sse == fitted_noisy5.sse and back.dof == fitted_noisy5.dof
 
     def test_bundle_without_exit_reason_loads(self, fitted_noisy5, tmp_path):
         import json

@@ -77,6 +77,31 @@ def test_tracing_targets_resolve():
     assert isinstance(commands, dict) and all(callable(fn) for fn in commands.values())
 
 
+def test_bench_reads_of_results_resolve():
+    # bench/tracing.py's span info reads these fields of what the wrapped
+    # calls return
+    import dataclasses
+
+    from mpo_tomo.entanglement import LeResult
+    from mpo_tomo.fitting import FitResult
+
+    assert "covariance" in {f.name for f in dataclasses.fields(FitResult)}
+    assert "branches_evaluated" in {f.name for f in dataclasses.fields(LeResult)}
+
+
+def test_only_fitting_reads_the_fit_statistics():
+    # how the covariance is stored and packed is fitting's alone: every other
+    # module hands it per-site gradients (fitting.propagate_joint)
+    readers = {
+        f"{path.stem}:{node.lineno}"
+        for path in SRC.glob("*.py")
+        if path.stem != "fitting"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("covariance", "masks")
+    }
+    assert readers == set(), "read the fit's covariance and masks only in fitting.py"
+
+
 @pytest.mark.parametrize("script", ["checks.py", "traced_cli.py"])
 def test_bench_names_resolve(script):
     tree = ast.parse((BENCH / script).read_text())

@@ -113,23 +113,29 @@ def _outcome_maps(mpo: Mpo, plan: MeasurementPlan):
     return vectors, maps, measured
 
 
+_STRING_BLOCK = 128
+
+
 def _string_coefficients(maps, measured, strings) -> np.ndarray:
     """Pauli coefficients (S, 4, 4) of the pair for each outcome string.
 
     Bit ``k`` of ``strings[i]`` set means the ``k``-th measured site gave -1.
-    Every string goes through one left sweep whose environments are shaped
-    (S, open pair indices, D): a measured site multiplies each string's
-    environment by its outcome's slice of the map.
+    Each block of ``_STRING_BLOCK`` strings, so that the environments the
+    sweep holds stay small, goes through one batched left sweep shaped
+    (block, open pair indices, D): a measured site passes each string its
+    outcome's slice of the map, (block, D_l, 1, D_r), and a site of the
+    pair its map, shared by every string.
     """
     strings = np.asarray(strings, dtype=np.int64)
     bit = {s: k for k, s in enumerate(measured)}
-    env = np.ones((strings.size, 1, 1))
-    for s, m in enumerate(maps):
-        if s in bit:
-            env = env @ m.transpose(1, 0, 2)[(strings >> bit[s]) & 1]
-        else:
-            env = (env @ m.reshape(m.shape[0], -1)).reshape(strings.size, -1, m.shape[2])
-    return env.reshape(-1, 4, 4)
+    out = []
+    for block in np.split(strings, range(_STRING_BLOCK, strings.size, _STRING_BLOCK)):
+        block_maps = (
+            m.transpose(1, 0, 2)[(block >> bit[s]) & 1, :, None] if s in bit else m
+            for s, m in enumerate(maps)
+        )
+        out.append(left_environments(block_maps, np.ones((block.size, 1, 1)))[-1])
+    return np.concatenate(out).reshape(-1, 4, 4)
 
 
 def _coeffs_to_matrix(c: np.ndarray) -> np.ndarray:

@@ -6,14 +6,15 @@ error.  The analytic Jacobian follows from the product rule: removing one
 site from the chain leaves a left prefix and a right suffix whose outer
 product is the derivative.  That outer product, one slab per window site,
 does not depend on the site's own letter, so no dense Jacobian block is
-built: JᵀWJ is assembled window by window from site-pair Grams over the
-words grouped by the letters of the two sites.  In standard form a window's
+built: each site pair's block of JᵀWJ is written once, from its Grams over
+the words grouped by the letters of the two sites, summed over the windows
+that hold both sites.  In standard form a window's
 values depend only on its own sites and on the identity slices of the sites
 left of it.  Those identity slices reach the window only through its right
 environment B at its left edge, so their terms follow from the Grams of Bᵀ,
 carried leftwards through the identity slices in one sweep per pass.
-Products Jᵀu (the gradient and the geodesic term) run each window's left
-sweep in reverse from its cotangent u.  The fit takes data in the Z-shifted
+Products Jᵀu (the gradient and the geodesic term) run the windows' left
+sweep in reverse from their cotangents u.  The fit takes data in the Z-shifted
 basis only and fits it there (the model chain is contracted with the
 involution F on every site), which keeps the residual weights statistically
 independent.  This module alone reads the fit's covariance and free-entry
@@ -22,9 +23,11 @@ masks: every reported SE comes from :func:`propagate_joint`.
 A fit builds its free-entry layout, pinned template and index tables once
 (:class:`_FitPlan`), and contracts each parameter point once
 (:class:`_Point`): θ goes straight into zero-padded data-basis tensors, and
-one left sweep over all windows, stacked on a leading axis, gives every
-window's left environments.  The values, JᵀWJ and every pullback at a point
-share them.
+one left sweep over all windows, stacked on a leading axis
+(:func:`mpo_tomo.mpo.left_environments`), gives every window's left
+environments.  The values, JᵀWJ and every pullback at a point share them.
+The data, weights, values and cotangents of a fit are ``(n_windows,
+4**window)`` arrays, one row per window in chain order.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import json
 import logging
 import os
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +47,7 @@ from .errors import CompletenessError, DataError, ValidationError
 from .mpo import (
     Mpo,
     left_environments,
+    left_environments_vjp,
     load_json,
     right_environments,
     save_json,
@@ -113,9 +118,6 @@ class _FitPlan:
         # the (row, column) of its identity-slice ones
         self.rows = [np.flatnonzero(m.transpose(1, 0, 2)) for m in self.masks]
         self.ident_free = [np.nonzero(m[:, 0, :]) for m in self.masks]
-        # one window's own block of JᵀWJ, reused by every window and pass
-        own = self.offsets[window:] - self.offsets[:-window]
-        self.scratch = np.empty(np.max(own) ** 2)
         self.words, self.slab_rows = _letter_tables(window)
 
 
@@ -160,23 +162,22 @@ class _Point:
         prefix = left_environments(ident[: plan.n_windows - 1])
         return ident, prefix, right_environments(ident[plan.window :])
 
+    @property
+    def window_sites(self) -> list[np.ndarray]:
+        """Site k of every window: the (n_windows, D, 4, D) slices."""
+        return [self.tensors[k : k + self.plan.n_windows] for k in range(self.plan.window)]
+
     @functools.cached_property
     def lefts(self) -> list[np.ndarray]:
         """Every window's left environments, stacked on a leading window
         axis: entry k is (n_windows, 4**k, D), over the window's first k
         sites from the prefix at its left edge."""
         plan = self.plan
-        nw, bond = plan.n_windows, plan.bond
         _, prefix, _ = self.chain
-        env = np.zeros((nw, 1, bond))
-        for first in range(nw):
-            env[first, :, : plan.dims[first]] = prefix[first]
-        envs = [env]
-        for k in range(plan.window):
-            sites = self.tensors[k : k + nw].reshape(nw, bond, 4 * bond)
-            env = (env @ sites).reshape(nw, -1, bond)
-            envs.append(env)
-        return envs
+        boundary = np.zeros((plan.n_windows, 1, plan.bond))
+        for first in range(plan.n_windows):
+            boundary[first, :, : plan.dims[first]] = prefix[first]
+        return left_environments(self.window_sites, boundary)
 
     @functools.cached_property
     def suffixes(self) -> np.ndarray:
@@ -195,7 +196,7 @@ class _Point:
 
 
 def _window_slabs(point: _Point):
-    """Model values and derivative slabs of each window, one window at a time.
+    """Derivative slabs of each window, one window at a time.
 
     Requires standard form, so sites right of a window never contribute
     derivatives through their pinned identity columns, and sites left of it
@@ -209,39 +210,38 @@ def _window_slabs(point: _Point):
     environments are the point's.
 
     Yields:
-        ``(start, values, slabs, boundary)`` in chain order: values
-        (4**window,) in site-major word order; slabs, one per window site,
-        (4**(window-1), D_l * D_r) with rows over the letters of the other
-        window sites in site-major order and columns over (x, y); boundary
-        B (D_left, 4**window).
+        ``(first, slabs, boundary)`` in chain order: the window's 0-based
+        first site; slabs, one per window site, (4**(window-1), D_l * D_r)
+        with rows over the letters of the other window sites in site-major
+        order and columns over (x, y); boundary B (D_left, 4**window).
     """
     plan = point.plan
     window, dims = plan.window, plan.dims
     _, _, suffix = point.chain
     for first in range(plan.n_windows):
-        end = first + window
         lefts = [env[first, :, : dims[first + k]] for k, env in enumerate(point.lefts)]
-        rights = right_environments(point.sites[first:end], suffix[first])
+        rights = right_environments(point.sites[first : first + window], suffix[first])
         window_slabs = [
             (lt[:, None, :, None] * rt.T[None, :, None, :]).reshape(4 ** (window - 1), -1)
             for lt, rt in zip(lefts, rights[1:])
         ]
-        yield first + 1, point.values[first], window_slabs, rights[0]
+        yield first, window_slabs, rights[0]
 
 
-def _window_values_jacobian(point: _Point, weights=None):
-    """Model values of all window words, and JᵀWJ when ``weights`` are given.
+def _window_values_jacobian(point: _Point, omega=None):
+    """Model values of all window words, and JᵀWJ when ``omega`` is given.
 
-    JᵀWJ is assembled one window at a time from its slabs (see
-    :func:`_window_slabs`); no dense Jacobian block is built.  With ω the
-    squared word weights, the data-basis Gram of window sites p ≤ q needs
-    only the words whose letters at p and q match its columns: for p = q
-    four products E_pᵀ diag(ω) E_p over 4**(window-1) words each, for p < q
-    sixteen over 4**(window-2) words each, each set one batched matmul.  The
-    basis map K on the letters and the selection of the free entries
-    (together M_p) give the block M_pᵀ G_pq M_q, and a window's blocks fill
-    one contiguous slice of JᵀWJ, since each site's free entries are
-    contiguous in the packing order.
+    JᵀWJ is assembled from the windows' slabs (see :func:`_window_slabs`);
+    no dense Jacobian block is built.  With ω the squared word weights, the
+    data-basis Gram of window sites p ≤ q needs only the words whose letters
+    at p and q match its columns: for p = q four products E_pᵀ diag(ω) E_p
+    over 4**(window-1) words each, for p < q sixteen over 4**(window-2) words
+    each, each set one batched matmul.  These Grams of a site pair a ≤ b are
+    summed over the windows that hold both sites; the basis map K on the
+    letters and the selection of the free entries (together M_a) then give
+    the pair's block M_aᵀ G_ab M_b, written once as one contiguous slice of
+    JᵀWJ as soon as the window that starts at site a, the last to hold it,
+    is summed.
 
     The identity slices of the sites left of a window reach it through its
     boundary B, whose Grams G_BB = Bᵀ diag(ω) B and G_B,own (B against the
@@ -252,53 +252,49 @@ def _window_values_jacobian(point: _Point, weights=None):
     as two contiguous slices.
 
     Args:
-        weights: dict start -> (4**window,) row weights w of each window's
-            words; JᵀWJ sums (w J)ᵀ(w J) over the windows it names.  None
-            evaluates the values alone.
+        omega: (n_windows, 4**window) squared weights ω of every window's
+            words; JᵀWJ sums Jᵀ diag(ω) J over the windows, so a zero row
+            leaves its window out.  None evaluates the values alone.
 
     Returns:
-        values: dict start -> (4**window,) array in site-major word order.
+        values: the point's (n_windows, 4**window) model values, one row per
+            window in site-major word order.
         hess: (n_free, n_free) JᵀWJ over the packed parameters, or None.
     """
     plan = point.plan
-    if weights is None:
-        return {first + 1: v for first, v in enumerate(point.values)}, None
+    if omega is None:
+        return point.values, None
     window, offsets, words, slab_rows = plan.window, plan.offsets, plan.words, plan.slab_rows
     hess = np.zeros((offsets[-1], offsets[-1]))
-    values = {}
+    grams = defaultdict(float)  # (site a, site b) -> letter-grouped Gram summed so far
     boundary_grams = {}  # first site -> (G_BB, G_B,own)
-    for start, vals, slabs, boundary in _window_slabs(point):
-        values[start] = vals
-        if start not in weights:
-            continue
-        first = start - 1
-        own = slice(offsets[first], offsets[first + window])
-        # each window site's slice of the window's own block
-        local = offsets[first : first + window + 1] - own.start
-        at = [slice(a, b) for a, b in zip(local, local[1:])]
-        block = plan.scratch[: local[-1] ** 2].reshape(local[-1], -1)
-        omega = weights[start] ** 2
-        free = plan.rows[first : first + window]
+    for first, slabs, boundary in _window_slabs(point):
         for p, e_p in enumerate(slabs):
+            a = first + p
             # w_p[w] = diag(ω) E_p over the words with letter w at p
-            w_p = omega[words[p]][:, :, None] * e_p
-            g = np.matmul(w_p.transpose(0, 2, 1), e_p)
-            block[at[p], at[p]] = _free_block(g, plan.k_same, free[p], free[p])
+            w_p = omega[first][words[p]][:, :, None] * e_p
+            grams[a, a] += np.matmul(w_p.transpose(0, 2, 1), e_p)
             for q in range(p + 1, window):
                 # the words with letter w at p and v at q
                 w_pq = np.take(w_p, slab_rows[p][q], axis=1)  # [w, v]
                 e_qp = slabs[q][slab_rows[q][p]]  # [w]
-                g = np.matmul(w_pq.transpose(0, 1, 3, 2), e_qp[:, None])
-                block[at[p], at[q]] = _free_block(g, plan.k_pair, free[p], free[q])
-                block[at[q], at[p]] = block[at[p], at[q]].T
-        hess[own, own] += block
+                grams[a, first + q] += np.matmul(w_pq.transpose(0, 1, 3, 2), e_qp[:, None])
         if first:
-            bw = boundary * omega
-            cross = np.empty((len(boundary), local[-1]))
+            bw = boundary * omega[first]
+            cross = []
             for p, e_p in enumerate(slabs):
                 g = np.matmul(bw[:, words[p]].transpose(1, 0, 2), e_p)
-                cross[:, at[p]] = _free_block(g, F_MATRIX, slice(None), free[p])
-            boundary_grams[first] = (bw @ boundary.T, cross)
+                cross.append(_free_block(g, F_MATRIX, slice(None), plan.rows[first + p]))
+            boundary_grams[first] = (bw @ boundary.T, np.hstack(cross))
+        # the pairs no later window holds: site `first`'s, and after the
+        # last window every pair left
+        done = first if first + 1 < plan.n_windows else len(plan.rows)
+        for a, b in [key for key in grams if key[0] <= done]:
+            at_a, at_b = slice(offsets[a], offsets[a + 1]), slice(offsets[b], offsets[b + 1])
+            letter_map = plan.k_same if a == b else plan.k_pair
+            hess[at_a, at_b] = _free_block(grams.pop((a, b)), letter_map, plan.rows[a], plan.rows[b])
+            if a < b:
+                hess[at_b, at_a] = hess[at_a, at_b].T
     # The derivative by entry (x, y) of the identity slice of site s, on a
     # window right of it, is prefix[s][0, x] (ident[s+1] ⋯ ident[first-1] B)[y].
     # ``carry`` holds, over every packed column, the boundary Grams of the
@@ -326,7 +322,7 @@ def _window_values_jacobian(point: _Point, weights=None):
         strip[:, : len(x)] *= 0.5
         hess[ident_s, right] += strip
         hess[right, ident_s] += strip.T
-    return values, hess
+    return point.values, hess
 
 
 def _free_block(g, letter_map, rows_p, rows_q):
@@ -369,15 +365,15 @@ def _window_pullback(point: _Point, cotangents) -> np.ndarray:
     """Packed J^T u of the window values for per-window cotangents u.
 
     Each window's values come from one left sweep over its sites from the
-    prefix at its left edge, so u goes back through the reverse sweep (the
-    stacked form of :func:`mpo_tomo.mpo.left_environments_vjp`) to those
-    sites and to the prefix, for all windows at once from the point's left
+    prefix at its left edge, so u goes back through the reverse sweep
+    (:func:`mpo_tomo.mpo.left_environments_vjp`) to those sites and to the
+    prefix, for all windows at once from the point's stacked left
     environments.  The prefix gradients of all windows are carried leftwards
     in one vector ``q`` to the identity slices of the sites left of them.
 
     Args:
-        cotangents: (n_windows, 4**window) array, one row per window start in
-            the word order of :func:`_window_values_jacobian`; a zero row
+        cotangents: (n_windows, 4**window) array, one row per window in the
+            word order of :func:`_window_values_jacobian`; a zero row
             contributes nothing.  Word 0 (all identity) is constant in
             standard form: its entry reaches only pinned entries and drops out.
 
@@ -385,15 +381,10 @@ def _window_pullback(point: _Point, cotangents) -> np.ndarray:
         (n_free,) array over the packed parameters.
     """
     plan = point.plan
-    nw, bond, dims = plan.n_windows, plan.bond, plan.dims
+    nw, dims = plan.n_windows, plan.dims
     ident, prefix, _ = point.chain
     cot = cotangents[:, :, None] * point.suffixes[:, None, :, 0]
-    site_grads = [None] * plan.window
-    for k in range(plan.window - 1, -1, -1):
-        cot = cot.reshape(nw, 4**k, -1)
-        site_grads[k] = point.lefts[k].transpose(0, 2, 1) @ cot
-        sites = point.tensors[k : k + nw].reshape(nw, bond, -1)
-        cot = cot @ sites.transpose(0, 2, 1)
+    site_grads, cot = left_environments_vjp(point.window_sites, point.lefts, cot)
     # w.r.t. the data-basis tensors; the identity slice of the site left of
     # each window sees every window from there on through q
     grads = np.zeros(point.tensors.shape)
@@ -403,7 +394,7 @@ def _window_pullback(point: _Point, cotangents) -> np.ndarray:
         if first:
             grads[first - 1, : dims[first - 1], 0, : dims[first]] += np.outer(prefix[first - 1][0], q)
     for k, g in enumerate(site_grads):
-        grads[k : k + nw] += g.reshape(nw, bond, 4, bond)
+        grads[k : k + nw] += g
     grads = np.einsum("wi,sxwy->sxiy", F_MATRIX, grads)
     return grads.flat[plan.free_index]
 
@@ -473,7 +464,8 @@ def gauss_newton_fit(
 
     Args:
         initial: standard-form starting point; its pinned entries stay fixed.
-        data: measured correlations in the Z-shifted basis, with SEs.
+        data: measured correlations in the Z-shifted basis, with SEs, of
+            every window of the chain.
 
     Returns:
         FitResult; ``converged`` is False when ``max_iter`` was exhausted or
@@ -484,41 +476,27 @@ def gauss_newton_fit(
         raise ValidationError("initial MPO must be in standard form")
     if data.basis != ZSHIFTED_BASIS:
         raise ValidationError(f"the fit expects z-shifted data, got {data.basis}")
-    window = data.window
-    starts = data.starts
-    # one row per window; word 0 (all identity, constant 1) is always first
-    y = np.stack([data.values[s].ravel()[1:] for s in starts])
-    se = np.stack([data.ses[s].ravel()[1:] for s in starts])
+    plan = _FitPlan(initial, data.window)
+    if data.starts != list(range(1, plan.n_windows + 1)):
+        raise CompletenessError(f"the fit needs all {plan.n_windows} windows, got {data.starts}")
+    # one row per window, in chain order
+    y = np.stack([data.values[s].ravel() for s in data.starts])
     if not np.all(np.isfinite(y)):
         raise DataError("correlation data contains NaN")
-    w = 1.0 / np.clip(se, se_floor, None)
+    w = 1.0 / np.clip(np.stack([data.ses[s].ravel() for s in data.starts]), se_floor, None)
+    # word 0 (all identity, constant 1) carries no residual
+    w[:, 0] = 0.0
+    omega = w**2
+    n_rows = y.size - len(y)
     # the weighted SSE that rounding of the model values alone leaves; a fit
     # below it has nothing left to polish
-    rounding_sse = float(y.size * (np.finfo(float).eps * w.max()) ** 2)
-
-    plan = _FitPlan(initial, window)
-    n_par = int(plan.offsets[-1])
-    # word 0 carries no residual
-    weights = {s: np.pad(ws, (1, 0)) for s, ws in zip(starts, w)}
-    cotangents = np.zeros((plan.n_windows, 4**window))
-    data_rows = [s - 1 for s in starts]
-    evals_made = 0
+    rounding_sse = float(n_rows * (np.finfo(float).eps * w.max()) ** 2)
 
     def model(point, want_jacobian):
         """Model values, and JᵀWJ when asked."""
         nonlocal evals_made
         evals_made += 1
-        vals, hess = _window_values_jacobian(point, weights if want_jacobian else None)
-        return np.stack([vals[s][1:] for s in starts]), hess
-
-    def values_at(th):
-        v, _ = model(_Point(plan, th), False)
-        return v
-
-    def pullback(point, weighted):
-        """Jᵀ(w * weighted) at ``point``; word 0 carries no residual."""
-        cotangents[data_rows, 1:] = weighted * w
-        return _window_pullback(point, cotangents)
+        return _window_values_jacobian(point, omega if want_jacobian else None)
 
     def weighted_sse(v):
         r = ((y - v) * w).ravel()
@@ -553,7 +531,8 @@ def gauss_newton_fit(
             exit_reason = "max_iter"
         if exit_reason is not None:
             break
-        grad = pullback(current, (y - vals) * w)
+        # JᵀW(y - f) with W = diag(w²)
+        grad = _window_pullback(current, (y - vals) * w * w)
         gproj = evecs.T @ grad
         accepted = False
         for trial in range(1, 81):
@@ -561,10 +540,10 @@ def gauss_newton_fit(
             d1 = evecs @ np.where(live, gproj / (evals + lam), 0.0)
             # geodesic acceleration: second directional derivative of the
             # residuals along d1, solved against the same damped system
-            vp = values_at(current.theta + fd_step * d1)
-            vm = values_at(current.theta - fd_step * d1)
+            vp, _ = model(_Point(plan, current.theta + fd_step * d1), False)
+            vm, _ = model(_Point(plan, current.theta - fd_step * d1), False)
             curv = ((vp - 2.0 * vals + vm) / fd_step**2) * w
-            cproj = evecs.T @ pullback(current, curv)
+            cproj = evecs.T @ _window_pullback(current, curv * w)
             d2 = -0.5 * (evecs @ np.where(live, cproj / (evals + lam), 0.0))
             n1, n2 = np.linalg.norm(d1), np.linalg.norm(d2)
             if n2 <= 0.75 * n1:
@@ -606,7 +585,7 @@ def gauss_newton_fit(
     evecs *= np.sqrt(np.where(live, 1.0 / np.where(live, evals, 1.0), 0.0))
     cov = evecs @ evecs.T
     # the gauge null directions dropped here carry no degree of freedom
-    dof = y.size - int(live.sum())
+    dof = n_rows - int(live.sum())
     return FitResult(
         mpo=current.mpo,
         covariance=cov,
@@ -617,7 +596,7 @@ def gauss_newton_fit(
         masks=plan.masks,
         exit_reason=exit_reason,
         trace=trace,
-        null_directions=int(n_par - live.sum()),
+        null_directions=int(plan.offsets[-1] - live.sum()),
         largest_null_ratio=float(evals[~live].max() / scale) if not live.all() else None,
         smallest_live_ratio=float(evals[live].min() / scale) if live.any() else None,
     )
@@ -628,8 +607,10 @@ def propagate_joint(fit: FitResult, gradients):
     fitted MPO.
 
     The gradients are packed with the fit's free-entry masks and stacked
-    into one matrix G, so the joint covariance is one product G·cov·Gᵀ, and
-    each SE is the square root of its diagonal.
+    into one matrix G, and the joint covariance is G·(cov·Gᵀ).  Each SE is
+    the square root of its own gᵀ·(cov·g), the diagonal of that product up
+    to rounding, so it does not depend on which other scalars are
+    propagated with it.
 
     Args:
         gradients: one list of per-site gradient arrays, shaped like the
@@ -640,8 +621,9 @@ def propagate_joint(fit: FitResult, gradients):
         ``(ses, joint)``: (k,) SEs and the (k, k) covariance.
     """
     g = np.stack([pack(site_grads, fit.masks) for site_grads in gradients])
-    joint = g @ fit.covariance @ g.T
-    return np.sqrt(np.maximum(np.diag(joint), 0.0)), joint
+    cov_g = [fit.covariance @ row for row in g]
+    variances = np.array([row @ col for row, col in zip(g, cov_g)])
+    return np.sqrt(np.maximum(variances, 0.0)), g @ np.stack(cov_g, axis=1)
 
 
 def propagate_covariance(fit: FitResult, functional) -> tuple[float, float]:

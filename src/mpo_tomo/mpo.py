@@ -21,30 +21,36 @@ from .errors import ValidationError
 from .pauli import PAULIS, PauliWord
 
 
-def left_environments(maps, boundary=None) -> list[np.ndarray]:
-    """Left partial products of a chain of site maps.
+def _as_matrix(m: np.ndarray) -> np.ndarray:
+    """A site map as a matrix ``(..., D_l, k * D_r)``."""
+    return m if m.ndim == 2 else m.reshape(m.shape[:-2] + (-1,))
 
-    Each site map is either a ``(D_l, D_r)`` matrix, whose Pauli index is
-    already summed, or a ``(D_l, 4, D_r)`` tensor, whose Pauli index stays
-    open.
+
+def left_environments(maps, boundary=None) -> list[np.ndarray]:
+    """Left partial products of a chain of site maps, or of a batch of chains.
+
+    A 2-D site map is a ``(D_l, D_r)`` matrix, whose Pauli index is already
+    summed.  A map of 3 or more dimensions is ``(..., D_l, k, D_r)``: its
+    index of size ``k`` (Pauli or outcome) stays open, and its leading axes
+    are batch axes, which broadcast against the boundary's as in
+    ``np.matmul``; a map that every chain shares is passed once.
 
     Args:
         maps: site maps in chain order.
-        boundary: ``(W, D)`` environment left of the first map; defaults to
-            ``ones((1, 1))``.
+        boundary: ``(..., W, D)`` environment left of the first map; defaults
+            to ``ones((1, 1))``.
 
     Returns:
         ``len(maps) + 1`` environments; entry ``k`` is the boundary times the
-        first ``k`` maps, shaped ``(W_k, D_k)``.  Its rows run over the open
-        indices so far in site order (the leftmost index varies slowest).
+        first ``k`` maps, shaped ``(..., W_k, D_k)``.  Its rows run over the
+        open indices so far in site order (the leftmost index varies slowest).
     """
     env = np.ones((1, 1)) if boundary is None else boundary
     envs = [env]
     for m in maps:
-        if m.ndim == 2:
-            env = env @ m
-        else:
-            env = (env @ m.reshape(m.shape[0], -1)).reshape(-1, m.shape[2])
+        env = env @ _as_matrix(m)
+        if m.ndim > 2:
+            env = env.reshape(env.shape[:-2] + (-1, m.shape[-1]))
         envs.append(env)
     return envs
 
@@ -58,13 +64,17 @@ def left_environments_vjp(maps, lefts, cotangent):
     gradient is its left environment times the cotangent carried to it.
 
     Returns:
-        ``(grads, boundary_grad)``, shaped like ``maps`` and ``lefts[0]``.
+        ``(grads, boundary_grad)``, shaped like ``maps`` and ``lefts[0]``,
+        each with the cotangent's batch axes: a map or boundary the batch
+        shares gets one gradient per chain.
     """
     grads = [None] * len(maps)
-    for k in range(len(maps) - 1, -1, -1):
-        cotangent = cotangent.reshape(len(lefts[k]), -1)
-        grads[k] = (lefts[k].T @ cotangent).reshape(maps[k].shape)
-        cotangent = cotangent @ maps[k].reshape(len(maps[k]), -1).T
+    for k, m in reversed(list(enumerate(maps))):
+        cotangent = cotangent.reshape(cotangent.shape[:-2] + (lefts[k].shape[-2], -1))
+        grads[k] = lefts[k].swapaxes(-1, -2) @ cotangent
+        if m.ndim > 2:
+            grads[k] = grads[k].reshape(grads[k].shape[:-1] + m.shape[-2:])
+        cotangent = cotangent @ _as_matrix(m).swapaxes(-1, -2)
     return grads, cotangent
 
 

@@ -356,28 +356,26 @@ def dense_window_jacobian(mpo: Mpo, window: int) -> dict:
     return out
 
 
-def slab_block(slabs, masks, basis_k=None) -> np.ndarray:
+def slab_block(slabs, masks) -> np.ndarray:
     """One window's dense Jacobian block over its own sites' free entries,
     expanded from the fit's derivative slabs.
 
     The column of free entry (i, x, y) of window site p holds
     ``K[w, i] E_p[(a, b), (x, y)]`` on word (a, w, b), with E_p the site's
-    slab (see ``fitting._window_slabs``) and K the basis map.
+    slab (see ``fitting._window_slabs``) and K = F the fit's basis map.
 
     Args:
         slabs: the window's slabs, one per site.
         masks: the free masks of the window's sites.
-        basis_k: the basis map K; None for the fit's, F.
 
     Returns:
         (4**window, n_own) array, columns in packing order.
     """
-    k_mat = F_MATRIX if basis_k is None else np.asarray(basis_k, dtype=float)
     cols = []
     for p, (e, m) in enumerate(zip(slabs, masks)):
         i, x, y = np.nonzero(m.transpose(1, 0, 2))
         e = e.reshape(4**p, -1, e.shape[-1])[..., x * m.shape[2] + y]  # (a, b, f)
-        cols.append((e[:, None] * k_mat[None, :, None, i]).reshape(4 * e.shape[0] * e.shape[1], len(i)))
+        cols.append((e[:, None] * F_MATRIX[None, :, None, i]).reshape(4 * e.shape[0] * e.shape[1], len(i)))
     return np.hstack(cols)
 
 

@@ -79,10 +79,10 @@ def reject_every_gn_trial(monkeypatch):
 
     real = fitting._window_values_jacobian
 
-    def shifted(point, weights=None):
-        values, hess = real(point, weights)
-        if weights is None:
-            values = {s: v + 1.0 for s, v in values.items()}
+    def shifted(point, omega=None):
+        values, hess = real(point, omega)
+        if omega is None:
+            values = values + 1.0
         return values, hess
 
     monkeypatch.setattr(fitting, "_window_values_jacobian", shifted)

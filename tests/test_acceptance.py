@@ -59,7 +59,7 @@ from mpo_tomo.standard_form import free_masks, pack, to_standard_form, unpack
 PAPER_MODEL = ErrorModel.uniform(5, 0.098, 0.092)
 
 
-def point_state(mpo, window, basis_k=None):
+def point_state(mpo, window):
     """The fit's point state of ``mpo``, under a plan of its own."""
     plan = _FitPlan(mpo, window)
     return _Point(plan, pack(mpo.tensors, plan.masks))
@@ -311,8 +311,8 @@ def test_criterion_09_derivative_checks():
         m = unpack(theta, base, masks)
         # N = 5 has one window, whose own columns are every packed parameter;
         # its block is expanded from the slabs the fit assembles JᵀWJ from
-        _, _, slabs, _ = next(_window_slabs(point_state(m, 5)))
-        jac = slab_block(slabs, masks, None)
+        _, slabs, _ = next(_window_slabs(point_state(m, 5)))
+        jac = slab_block(slabs, masks)
         i = int(rng.integers(0, theta0.size))
         h = 1e-6
         tp, tm = theta.copy(), theta.copy()
@@ -320,7 +320,7 @@ def test_criterion_09_derivative_checks():
         tm[i] -= h
         vp, _ = _window_values_jacobian(point_state(unpack(tp, base, masks), 5))
         vm, _ = _window_values_jacobian(point_state(unpack(tm, base, masks), 5))
-        fd = (vp[1] - vm[1]) / (2 * h)
+        fd = (vp[0] - vm[0]) / (2 * h)
         denom = max(np.max(np.abs(fd)), 1e-8)
         worst["jacobian"] = max(worst["jacobian"], np.max(np.abs(fd - jac[:, i])) / denom)
 

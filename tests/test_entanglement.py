@@ -415,3 +415,16 @@ class TestSubsetEstimator:
             for k, s in enumerate(measured):
                 chosen[s] = maps[s][:, (index >> k) & 1]
             assert np.array_equal(c, left_environments(chosen)[-1].reshape(4, 4))
+
+    def test_string_blocks_match_one_sweep(self, monkeypatch):
+        # strings split into blocks of the batched sweep, the last one
+        # partial, give the coefficients of one sweep over all of them
+        from mpo_tomo import entanglement
+        from mpo_tomo.entanglement import _outcome_maps, _string_coefficients
+
+        m = noisy_cluster_model(9, ErrorModel.uniform(9, 0.09, 0.06))
+        _, maps, measured = _outcome_maps(m, default_plan(9, 2, 7))
+        strings = np.random.default_rng(63).integers(0, 2 ** len(measured), size=50)
+        whole = _string_coefficients(maps, measured, strings)
+        monkeypatch.setattr(entanglement, "_STRING_BLOCK", 16)
+        assert np.array_equal(_string_coefficients(maps, measured, strings), whole)

@@ -17,7 +17,7 @@ from _oracles import (
 
 from mpo_tomo.cluster import ErrorModel, ideal_cluster_mpo, noisy_cluster_model
 from mpo_tomo.correlations import F_MATRIX
-from mpo_tomo.errors import DataError, ValidationError
+from mpo_tomo.errors import CompletenessError, DataError, ValidationError
 from mpo_tomo.fitting import (
     _FitPlan,
     _Point,
@@ -32,7 +32,7 @@ from mpo_tomo.fitting import (
     save_fit_bundle,
 )
 from mpo_tomo.measurement import synthesize_dataset
-from mpo_tomo.mpo import Mpo, correlation_gradient, fidelity
+from mpo_tomo.mpo import Mpo, correlation_gradient, fidelity, fidelity_gradient
 from mpo_tomo.standard_form import free_masks, n_free_parameters, pack, to_standard_form, unpack
 
 
@@ -86,7 +86,8 @@ def folded_jacobians(mpo, window=5):
     masks = free_masks(mpo)
     columns = window_columns(masks, window)
     out = {}
-    for start, _, slabs, boundary in _window_slabs(point_state(mpo, window)):
+    for first, slabs, boundary in _window_slabs(point_state(mpo, window)):
+        start = first + 1
         fold = boundary_fold(mpo, start)
         n_left = fold.shape[1]
         cols = columns[start]  # identity-slice ones first
@@ -136,7 +137,7 @@ class TestJacobian:
         def value_vec(th):
             m = unpack(th, sf_noisy6, masks)
             v, _ = _window_values_jacobian(point_state(m, 5))
-            return np.concatenate([v[s] for s in sorted(v)])
+            return v.ravel()
 
         local = np.random.default_rng(5)
         eps = 1e-6
@@ -168,7 +169,7 @@ class TestJacobian:
             vp, vm = values(tp), values(tm)
             for s, c in cols.items():
                 if i not in c:
-                    fd = (vp[s] - vm[s]) / (2 * eps)
+                    fd = (vp[s - 1] - vm[s - 1]) / (2 * eps)
                     assert np.max(np.abs(fd)) < 1e-12, (s, i)
 
     @pytest.mark.parametrize("mpo_name", ["sf_noisy6", "sf_perturbed8"])
@@ -181,15 +182,16 @@ class TestJacobian:
         local = np.random.default_rng(3)
         w = local.uniform(0.5, 2.0, size=(len(starts), 4**5 - 1))
         r = local.normal(size=w.shape)
-        # word 0 carries no weight, and window 1 is left out
-        weights = {s: np.pad(ws, (1, 0)) for s, ws in zip(starts, w) if s != 1}
-        vals, got = _window_values_jacobian(point_state(mpo, 5), weights)
-        jw = np.vstack([jacs[s] * weights[s][:, None] for s in weights])
+        # word 0 carries no weight, and window 1 is left out by a zero row
+        weights = np.pad(w, ((0, 0), (1, 0)))
+        weights[0] = 0.0
+        vals, got = _window_values_jacobian(point_state(mpo, 5), weights**2)
+        jw = np.vstack([jacs[s] * weights[s - 1][:, None] for s in starts[1:]])
         hess = jw.T @ jw
         assert np.max(np.abs(got - hess)) <= 1e-12 * np.max(np.abs(hess))
         only, none = _window_values_jacobian(point_state(mpo, 5))
         assert none is None
-        assert all(np.array_equal(vals[s], only[s]) for s in starts)
+        assert np.array_equal(vals, only)
         jw = dense_jacobian(mpo) * w.ravel()[:, None]
         grad = jw.T @ (w * r).ravel()
         u = np.stack([np.concatenate(([0.0], row)) for row in w * w * r])
@@ -205,13 +207,10 @@ class TestJacobian:
         rng = np.random.default_rng(len(bonds))
         mpo = unequal_bond_chain(bonds)
         jacs = dense_window_jacobian(mpo, 5)
-        weights = {
-            s: np.pad(rng.uniform(0.5, 2.0, size=4**5 - 1), (1, 0))
-            for s in sorted(jacs)
-            if s not in left_out
-        }
-        _, got = _window_values_jacobian(point_state(mpo, 5), weights)
-        jw = np.vstack([jacs[s] * weights[s][:, None] for s in weights])
+        weights = np.pad(rng.uniform(0.5, 2.0, size=(len(jacs), 4**5 - 1)), ((0, 0), (1, 0)))
+        weights[[s - 1 for s in left_out]] = 0.0
+        _, got = _window_values_jacobian(point_state(mpo, 5), weights**2)
+        jw = np.vstack([jacs[s] * weights[s - 1][:, None] for s in sorted(jacs) if s not in left_out])
         hess = jw.T @ jw
         assert np.max(np.abs(got - hess)) <= 1e-12 * np.max(np.abs(hess))
 
@@ -235,7 +234,7 @@ class TestJacobian:
 
         def contraction(th):
             v, _ = _window_values_jacobian(point_state(unpack(th, sf_perturbed8, masks), 5))
-            return sum(u[s - 1] @ v[s] for s in v)
+            return sum(u_row @ v_row for u_row, v_row in zip(u, v))
 
         grad = _window_pullback(point_state(sf_perturbed8, 5), u)
         eps = 1e-6
@@ -251,7 +250,7 @@ class TestJacobian:
         vals, _ = _window_values_jacobian(point_state(sf_noisy6, 5))
         truth = window_zshifted_set(sf_noisy6, 5)
         for s in truth.starts:
-            assert np.max(np.abs(vals[s] - truth.values[s].ravel())) < 1e-12
+            assert np.max(np.abs(vals[s - 1] - truth.values[s].ravel())) < 1e-12
 
 
 class TestPointState:
@@ -277,9 +276,9 @@ class TestPointState:
         mpo = unequal_bond_chain(bonds)
         vals, _ = _window_values_jacobian(point_state(mpo, 5))
         truth = window_zshifted_set(mpo, 5)
-        assert sorted(vals) == truth.starts
+        assert len(vals) == len(truth.starts)
         for s in truth.starts:
-            assert np.max(np.abs(vals[s] - truth.values[s].ravel())) < 1e-12
+            assert np.max(np.abs(vals[s - 1] - truth.values[s].ravel())) < 1e-12
 
     def test_state_does_not_go_stale(self, sf_perturbed8):
         # values, JᵀWJ and Jᵀu at A, then B, then A again under one plan
@@ -288,12 +287,12 @@ class TestPointState:
         plan = _FitPlan(sf_perturbed8, 5)
         theta_a = pack(sf_perturbed8.tensors, plan.masks)
         theta_b = theta_a + local.normal(scale=1e-2, size=theta_a.size)
-        weights = {s: local.uniform(0.5, 2.0, size=4**5) for s in range(1, 5)}
+        omega = local.uniform(0.5, 2.0, size=(4, 4**5)) ** 2
         u = local.normal(size=(4, 4**5))
 
         def evaluate(point):
             only, _ = _window_values_jacobian(point)
-            vals, hess = _window_values_jacobian(point, weights)
+            vals, hess = _window_values_jacobian(point, omega)
             return only, vals, hess, _window_pullback(point, u)
 
         def fresh(theta):
@@ -305,9 +304,7 @@ class TestPointState:
         results.append(evaluate(_Point(plan, theta_a)))
         for got, theta in zip(results, [theta_a, theta_b, theta_a, theta_a]):
             want = fresh(theta)
-            for g, w in zip(got[:2], want[:2]):
-                assert all(np.array_equal(g[s], w[s]) for s in w)
-            assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestGaussNewton:
@@ -315,7 +312,7 @@ class TestGaussNewton:
         # data equal to the model's own values, to the last bit
         data = window_zshifted_set(sf_noisy6, 5)
         vals, _ = _window_values_jacobian(point_state(sf_noisy6, 5))
-        data.values.update({s: vals[s].reshape(data.values[s].shape) for s in data.starts})
+        data.values.update({s: vals[s - 1].reshape(data.values[s].shape) for s in data.starts})
         fit = gauss_newton_fit(sf_noisy6, data)
         assert fit.iterations == 0
         assert fit.sse == 0.0
@@ -357,10 +354,11 @@ class TestGaussNewton:
         assert fit.iterations == 1
 
     def test_peak_memory_holds_one_set_of_blocks(self, sf_perturbed8):
-        # JᵀWJ is assembled one window at a time from its slabs: the fit
-        # holds at most one window's own block of JᵀWJ (smaller than the
-        # 4**5-row Jacobian block of the window's own columns) next to a few
-        # n_par^2 matrices
+        # JᵀWJ is assembled one window at a time from its slabs: next to a
+        # few n_par^2 matrices, the fit holds the summed site-pair Grams of
+        # the sites a later window still holds, less than one window's own
+        # block of JᵀWJ (itself smaller than the 4**5-row Jacobian block of
+        # the window's own columns)
         import tracemalloc
 
         data = window_zshifted_set(sf_perturbed8, 5)
@@ -386,8 +384,8 @@ class TestGaussNewton:
         for n in (8, 12):
             mpo = to_standard_form(noisy_cluster_model(n, ErrorModel.uniform(n, 0.09, 0.06)))
             shapes[n] = []
-            for start, _, slabs, boundary in _window_slabs(point_state(mpo, 5)):
-                ts = mpo.tensors[start - 1 : start + 4]
+            for first, slabs, boundary in _window_slabs(point_state(mpo, 5)):
+                ts = mpo.tensors[first : first + 5]
                 assert [e.shape for e in slabs] == [(4**4, t.shape[0] * t.shape[2]) for t in ts]
                 assert boundary.shape == (ts[0].shape[0], 4**5)
                 shapes[n].append(([e.shape for e in slabs], boundary.shape))
@@ -410,6 +408,13 @@ class TestGaussNewton:
     def test_requires_standard_form(self, noisy6):
         with pytest.raises(ValidationError):
             gauss_newton_fit(noisy6, window_zshifted_set(noisy6, 5))
+
+    def test_missing_window_rejected(self, sf_noisy6):
+        # the fit's data rows are the chain's windows, every one of them
+        data = window_zshifted_set(sf_noisy6, 5)
+        del data.values[2], data.ses[2]
+        with pytest.raises(CompletenessError, match="all 2 windows"):
+            gauss_newton_fit(sf_noisy6, data)
 
     def test_nan_data_rejected(self, sf_noisy6):
         data = window_zshifted_set(sf_noisy6, 5)
@@ -438,7 +443,7 @@ class TestGaussNewton:
         keep[0] = False
         y = data.values[1].ravel()[keep]
         w = 1.0 / np.clip(data.ses[1].ravel()[keep], 1e-9, None)
-        sse0 = float((((y - vals[1][keep]) * w) ** 2).sum())
+        sse0 = float((((y - vals[0][keep]) * w) ** 2).sum())
         fit = gauss_newton_fit(start, data)
         assert fit.sse <= sse0
 
@@ -449,11 +454,9 @@ class TestGaussNewton:
         _, _, fit = fit_chain(data)
         masks = free_masks(fit.mpo)
         n_par = n_free_parameters(masks)
-        weights = {
-            s: np.pad(1.0 / np.clip(data.ses[s].ravel()[1:], 1e-9, None), (1, 0))
-            for s in data.starts
-        }
-        _, hess = _window_values_jacobian(point_state(fit.mpo, 5), weights)
+        weights = np.stack([1.0 / np.clip(data.ses[s].ravel(), 1e-9, None) for s in data.starts])
+        weights[:, 0] = 0.0
+        _, hess = _window_values_jacobian(point_state(fit.mpo, 5), weights**2)
         rank = np.linalg.matrix_rank(hess)
         rows = len(data.starts) * (4**5 - 1)
         assert rank < n_par  # the standard form keeps gauge null directions
@@ -495,10 +498,10 @@ def jtwj_evaluations(monkeypatch):
     real = fitting._window_values_jacobian
     points = []
 
-    def counted(point, weights=None):
-        if weights is not None:
+    def counted(point, omega=None):
+        if omega is not None:
             points.append(point.mpo)
-        return real(point, weights)
+        return real(point, omega)
 
     monkeypatch.setattr(fitting, "_window_values_jacobian", counted)
     return points
@@ -632,6 +635,19 @@ class TestCovariancePropagation:
             assert ses[i] == pytest.approx(propagate_covariance(fit, functional)[1], rel=1e-12)
         packed = [pack(g, fit.masks) for g in grads]
         assert joint[0, 2] == pytest.approx(packed[0] @ fit.covariance @ packed[2], rel=1e-10)
+
+    def test_se_does_not_depend_on_the_other_rows(self, fitted_noisy5):
+        # the fidelity's SE is the same number alone and propagated next to
+        # 20, 39 and 65 other scalars
+        fit = fitted_noisy5
+        m = fit.mpo
+        local = np.random.default_rng(43)
+        grads = [fidelity_gradient(m, ideal_cluster_mpo(5))]
+        grads += [correlation_gradient(m, local.integers(0, 4, 5)) for _ in range(65)]
+        (alone,), _ = propagate_joint(fit, grads[:1])
+        for rows in (21, 40, 66):
+            ses, _ = propagate_joint(fit, grads[:rows])
+            assert ses[0] == alone, rows
 
     def test_fidelity_se_positive(self, fitted_noisy5):
         ideal = ideal_cluster_mpo(5)

@@ -77,16 +77,36 @@ def test_tracing_targets_resolve():
     assert isinstance(commands, dict) and all(callable(fn) for fn in commands.values())
 
 
-def test_bench_reads_of_results_resolve():
-    # bench/tracing.py's span info reads these fields of what the wrapped
-    # calls return
-    import dataclasses
+def test_bench_reads_of_results_resolve(noisy5, noisy5_fit_chain):
+    # bench/tracing.py's span info hooks read the arguments and results of
+    # the calls they wrap; each hook runs here on the real objects
+    import numpy as np
 
-    from mpo_tomo.entanglement import LeResult
-    from mpo_tomo.fitting import FitResult
+    from mpo_tomo.correlations import moments_to_zshifted
+    from mpo_tomo.entanglement import default_plan, localizable_entanglement
+    from mpo_tomo.fitting import _FitPlan, _Point, _window_values_jacobian
+    from mpo_tomo.measurement import synthesize_dataset
+    from mpo_tomo.standard_form import pack
 
-    assert "covariance" in {f.name for f in dataclasses.fields(FitResult)}
-    assert "branches_evaluated" in {f.name for f in dataclasses.fields(LeResult)}
+    tracing = _load_bench_module("tracing")
+    estimate, _, fit = noisy5_fit_chain
+    table = synthesize_dataset(noisy5, 5, 1.0, 10**7, seed=11)
+    data = moments_to_zshifted(table)
+    assert tracing._rows((), table) == {"rows": 6**5}
+    assert tracing._max_bond((), estimate) == {"max_bond": 4}
+    assert tracing._gn((fit.mpo, data), fit) == {
+        "iterations": fit.iterations,
+        "n_params": fit.covariance.shape[0],
+        "rows": 4**5 - 1,
+    }
+    plan = _FitPlan(fit.mpo, 5)
+    point = _Point(plan, pack(fit.mpo.tensors, plan.masks))
+    assert tracing._jacobian_flag((), _window_values_jacobian(point)) == {"jacobian": False}
+    hess = _window_values_jacobian(point, np.ones((1, 4**5)))[1]
+    assert isinstance(hess, np.ndarray)
+    assert tracing._jacobian_flag((), (None, hess)) == {"jacobian": True}
+    le = localizable_entanglement(fit.mpo, default_plan(5, 1, 5))
+    assert tracing._branches((), le) == {"branches": 2**3}
 
 
 def test_only_fitting_reads_the_fit_statistics():

@@ -406,6 +406,63 @@ class TestLeftEnvironmentsVjp:
             np.testing.assert_allclose(got, expected, atol=1e-8)
 
 
+class TestBatchedEnvironments:
+    """A sweep over a batch of chains, as the fit stacks its windows and the
+    LE subset its outcome strings, equals one sweep per chain, bitwise."""
+
+    def test_window_stacked_sweep_and_vjp(self):
+        # five (n_windows, D, 4, D) maps from a (n_windows, 1, D) boundary
+        rng = np.random.default_rng(61)
+        nw, d = 6, 3
+        maps = [rng.normal(size=(nw, d, 4, d)) for _ in range(5)]
+        boundary = rng.normal(size=(nw, 1, d))
+        lefts = left_environments(maps, boundary)
+        assert [e.shape for e in lefts] == [(nw, 4**k, d) for k in range(6)]
+        cotangent = rng.normal(size=lefts[-1].shape)
+        grads, boundary_grad = left_environments_vjp(maps, lefts, cotangent)
+        assert [g.shape for g in grads] == [m.shape for m in maps]
+        assert boundary_grad.shape == boundary.shape
+        for w in range(nw):
+            own = [m[w] for m in maps]
+            own_lefts = left_environments(own, boundary[w])
+            assert all(np.array_equal(a[w], b) for a, b in zip(lefts, own_lefts))
+            own_grads, own_boundary = left_environments_vjp(own, own_lefts, cotangent[w])
+            assert all(np.array_equal(a[w], b) for a, b in zip(grads, own_grads))
+            assert np.array_equal(boundary_grad[w], own_boundary)
+
+    def test_string_batched_sweep_mixes_batched_and_shared_maps(self):
+        # per-string (S, D_l, 1, D_r) slices next to maps every string shares:
+        # an open (D_l, 4, D_r) tensor and a (D_l, D_r) matrix; the default
+        # boundary broadcasts against the batch
+        rng = np.random.default_rng(62)
+        s = 7
+        maps = [
+            rng.normal(size=(1, 4, 3)),
+            rng.normal(size=(s, 3, 1, 2)),
+            rng.normal(size=(2, 3)),
+            rng.normal(size=(s, 3, 1, 3)),
+            rng.normal(size=(3, 4, 1)),
+        ]
+        lefts = left_environments(maps)
+        assert lefts[-1].shape == (s, 16, 1)
+        cotangent = rng.normal(size=lefts[-1].shape)
+        grads, boundary_grad = left_environments_vjp(maps, lefts, cotangent)
+        # a shared map, and the boundary, get one gradient per string
+        assert [g.shape for g in grads] == [(s, *m.shape[-3:]) for m in maps[:2]] + [
+            (s, 2, 3),
+            (s, 3, 1, 3),
+            (s, 3, 4, 1),
+        ]
+        assert boundary_grad.shape == (s, 1, 1)
+        for i in range(s):
+            own = [m[i] if m.ndim == 4 else m for m in maps]
+            own_lefts = left_environments(own)
+            assert np.array_equal(lefts[-1][i], own_lefts[-1])
+            own_grads, own_boundary = left_environments_vjp(own, own_lefts, cotangent[i])
+            assert all(np.array_equal(g[i], own_g) for g, own_g in zip(grads, own_grads))
+            assert np.array_equal(boundary_grad[i], own_boundary)
+
+
 class TestJsonFormat:
     def test_round_trip(self, noisy6, tmp_path):
         path = tmp_path / "mpo.json"

@@ -144,18 +144,6 @@ def stabilizer_fidelity_bound(stab_values, ses=None) -> float:
     return float(odd + even - 1.0)
 
 
-def stabilizer_concurrence_bound(stab_values, k: int) -> tuple[float, float]:
-    """Lower bound on the localizable concurrence across ``k`` bonds.
-
-    Returns:
-        (clamped, raw) where raw = ``1 - (k+1) (1 - min <S_r>)`` and clamped
-        floors the reported value at 0.
-    """
-    check_positive_int(k, "k", minimum=1)
-    raw = 1.0 - (k + 1) * (1.0 - float(np.min(np.asarray(stab_values, dtype=float))))
-    return max(0.0, raw), raw
-
-
 def fit_error_model(
     mean_exc,
     mean_exc_se,

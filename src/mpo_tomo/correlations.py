@@ -279,7 +279,7 @@ def align_phases(corrs: PauliCorrelationSet):
 # --- file formats ------------------------------------------------------------
 
 
-def save_correlation_csv(corrs: PauliCorrelationSet, path, meta_path=None) -> None:
+def save_correlation_csv(corrs: PauliCorrelationSet, path, meta_path) -> None:
     starts = corrs.starts
     words = word_strings(corrs.word_names(), corrs.window).ravel()
     columns = [
@@ -289,8 +289,7 @@ def save_correlation_csv(corrs: PauliCorrelationSet, path, meta_path=None) -> No
         np.concatenate([corrs.ses[s].ravel() for s in starts]),
     ]
     write_csv(path, ["window_start", "word", "value", "se"], columns)
-    if meta_path is not None:
-        doc = {"basis": corrs.basis, "n_sites": corrs.n_sites, "window": corrs.window}
-        doc.update(corrs.meta)
-        with open(meta_path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
+    doc = {"basis": corrs.basis, "n_sites": corrs.n_sites, "window": corrs.window}
+    doc.update(corrs.meta)
+    with open(meta_path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True)

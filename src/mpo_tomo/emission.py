@@ -101,14 +101,12 @@ class ProtocolSpec:
         rho0: initial emitter coefficient vector (length d^2).
         gates: per-step d^2 x d^2 emitter process matrices G_1 .. G_n.
         emissions: per-step d^2 x 4 x d^2 emission tensors E_1 .. E_n.
-        trace_out_emitter: discard the emitter after the last emission.
     """
 
     d: int
     rho0: np.ndarray
     gates: tuple = field(repr=False)
     emissions: tuple = field(repr=False)
-    trace_out_emitter: bool = True
 
     def __post_init__(self):
         dd = self.d * self.d
@@ -138,7 +136,7 @@ def emit_mpo(protocol: ProtocolSpec) -> Mpo:
         step = np.einsum("gia,gb->bia", protocol.emissions[s], protocol.gates[s])
         if s == 0:
             step = np.einsum("bia,b->ia", step, protocol.rho0)[None, :, :]
-        if s == n - 1 and protocol.trace_out_emitter:
+        if s == n - 1:
             step = step[..., 0][..., None]
         sites.append(step)
     return Mpo(sites)

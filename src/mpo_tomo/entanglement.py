@@ -76,18 +76,6 @@ def default_plan(n_sites: int, r: int, rp: int) -> MeasurementPlan:
     return plan
 
 
-@dataclass(frozen=True)
-class TwoQubitState:
-    """4x4 density matrix with an explicit normalization weight.
-
-    ``matrix`` integrates to ``weight`` (the branch probability for
-    post-measurement states); ``weight == 1`` for normalized states.
-    """
-
-    matrix: np.ndarray
-    weight: float
-
-
 def _outcome_maps(mpo: Mpo, plan: MeasurementPlan):
     """Each site's outcome vectors, its map with the outcome index open, and
     the 0-based measured sites in chain order.
@@ -149,18 +137,6 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
     return rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 
 
-def _check_normalized(state: TwoQubitState):
-    if abs(np.trace(state.matrix).real - 1.0) > 1e-8:
-        raise ValidationError("state is not normalized to unit trace")
-
-
-def negativity(state: TwoQubitState) -> float:
-    """Half the trace-norm excess of the partial transpose: 0.5 for Bell states."""
-    _check_normalized(state)
-    ev = np.linalg.eigvalsh(partial_transpose(state.matrix))
-    return float((np.abs(ev).sum() - 1.0) / 2.0)
-
-
 _YY = np.kron(PAULIS[2], PAULIS[2])
 
 
@@ -176,13 +152,6 @@ def _wootters_excess(mu: np.ndarray) -> np.ndarray:
     clamped at zero and in descending order."""
     lam = np.sort(np.sqrt(np.clip(mu.real, 0.0, None)), axis=-1)
     return lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0]
-
-
-def concurrence(state: TwoQubitState) -> float:
-    """Wootters concurrence: 1 for Bell states, 0 for separable states."""
-    _check_normalized(state)
-    raw = _wootters_excess(np.linalg.eigvals(_wootters_product(state.matrix)[1]))
-    return float(max(0.0, raw))
 
 
 # --- branch values on unnormalized coefficient matrices ----------------------

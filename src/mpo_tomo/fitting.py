@@ -124,9 +124,11 @@ class _FitPlan:
 class _Point:
     """One parameter point of a fit and its chain, contracted when first
     asked for and kept with the point: the data-basis site tensors, their
-    identity slices with the prefix and suffix products, and every window's
-    left environments.  Values, JᵀWJ and every pullback at the point share
-    them."""
+    identity slices with the prefix products, and every window's left
+    environments.  Values, JᵀWJ and every pullback at the point share them.
+    No suffix is contracted: with the standard form's pinned entries, every
+    product of data-basis identity slices out to the chain's right end is
+    exactly e0 at every point, so a window's right edge reads bond index 0."""
 
     def __init__(self, plan: _FitPlan, theta):
         self.plan = plan
@@ -155,12 +157,10 @@ class _Point:
     @functools.cached_property
     def chain(self):
         """Identity slices, and their products that reach a window: the
-        prefix at each window's left edge and the suffix at its right edge,
-        both indexed by the window's first site."""
-        plan = self.plan
+        prefix at each window's left edge, indexed by the window's first
+        site."""
         ident = [t[:, 0, :] for t in self.sites]
-        prefix = left_environments(ident[: plan.n_windows - 1])
-        return ident, prefix, right_environments(ident[plan.window :])
+        return ident, left_environments(ident[: self.plan.n_windows - 1])
 
     @property
     def window_sites(self) -> list[np.ndarray]:
@@ -173,26 +173,17 @@ class _Point:
         axis: entry k is (n_windows, 4**k, D), over the window's first k
         sites from the prefix at its left edge."""
         plan = self.plan
-        _, prefix, _ = self.chain
+        _, prefix = self.chain
         boundary = np.zeros((plan.n_windows, 1, plan.bond))
         for first in range(plan.n_windows):
             boundary[first, :, : plan.dims[first]] = prefix[first]
         return left_environments(self.window_sites, boundary)
 
     @functools.cached_property
-    def suffixes(self) -> np.ndarray:
-        """(n_windows, D, 1): each window's suffix at its right edge."""
-        plan = self.plan
-        _, _, suffix = self.chain
-        out = np.zeros((plan.n_windows, plan.bond, 1))
-        for first in range(plan.n_windows):
-            out[first, : plan.dims[first + plan.window]] = suffix[first]
-        return out
-
-    @functools.cached_property
     def values(self) -> np.ndarray:
         """(n_windows, 4**window) model values in site-major word order."""
-        return (self.lefts[-1] @ self.suffixes)[:, :, 0]
+        # a copy: a view would keep a trial point's environments alive
+        return self.lefts[-1][:, :, 0].copy()
 
 
 def _window_slabs(point: _Point):
@@ -217,10 +208,9 @@ def _window_slabs(point: _Point):
     """
     plan = point.plan
     window, dims = plan.window, plan.dims
-    _, _, suffix = point.chain
     for first in range(plan.n_windows):
         lefts = [env[first, :, : dims[first + k]] for k, env in enumerate(point.lefts)]
-        rights = right_environments(point.sites[first : first + window], suffix[first])
+        rights = right_environments(point.sites[first : first + window], np.eye(dims[first + window], 1))
         window_slabs = [
             (lt[:, None, :, None] * rt.T[None, :, None, :]).reshape(4 ** (window - 1), -1)
             for lt, rt in zip(lefts, rights[1:])
@@ -300,7 +290,7 @@ def _window_values_jacobian(point: _Point, omega=None):
     # ``carry`` holds, over every packed column, the boundary Grams of the
     # windows right of s carried to its right bond, and ``square`` the
     # G_BB carried there from both sides.
-    ident, prefix, _ = point.chain
+    ident, prefix = point.chain
     n = len(ident)
     carry = np.zeros((ident[n - window].shape[1], offsets[-1]))
     square = np.zeros((len(carry), len(carry)))
@@ -382,8 +372,9 @@ def _window_pullback(point: _Point, cotangents) -> np.ndarray:
     """
     plan = point.plan
     nw, dims = plan.n_windows, plan.dims
-    ident, prefix, _ = point.chain
-    cot = cotangents[:, :, None] * point.suffixes[:, None, :, 0]
+    ident, prefix = point.chain
+    # the suffix at every window's right edge is e0 (see :class:`_Point`)
+    cot = cotangents[:, :, None] * np.eye(1, plan.bond)
     site_grads, cot = left_environments_vjp(point.window_sites, point.lefts, cot)
     # w.r.t. the data-basis tensors; the identity slice of the site left of
     # each window sees every window from there on through q

@@ -20,7 +20,7 @@ import numpy as np
 
 from .correlations import PAULI_BASIS, PauliCorrelationSet
 from .errors import DataError, ValidationError
-from .mpo import Mpo, left_environments, right_environments
+from .mpo import Mpo
 
 _SE_FLOOR_REL = 1e-11  # absolute floor on singular-value SEs, relative to sigma_max
 _SIGMA_CHECK = 5.0  # standard errors a correlation may exceed 1 by before it is unphysical
@@ -252,54 +252,6 @@ def invert_reconstruct(
                 verification_error=verification,
             )
     return InversionResult(candidate, site_res, col_res, [], verification_error=verification)
-
-
-@dataclass
-class ReconstructibilityReport:
-    l_ranks: dict[int, int]
-    r_ranks: dict[int, int]
-    l_expected: dict[int, int]
-    r_expected: dict[int, int]
-    reconstructible: bool
-
-
-def _rank(mat: np.ndarray) -> int:
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > 1e-10 * s[0]))
-
-
-def check_reconstructibility(truth: Mpo, L: int = 5) -> ReconstructibilityReport:
-    """Rank test of the boundary-contracted products required for inversion.
-
-    The chain is reconstructible from L-qubit correlations iff every left
-    product L_s and right product R_s has rank equal to the bond dimension it
-    factorizes through.
-    """
-    if L not in (3, 4, 5):
-        raise ValidationError(f"L must be 3, 4 or 5, got {L}")
-    n = truth.n_qubits
-    ts = truth.tensors
-    ident = [t[:, 0, :] for t in ts]
-    prefix = left_environments(ident)
-    suffix = right_environments(ident)
-
-    ell, r = _split(L)
-    l_ranks, l_expected = {}, {}
-    for s in range(3 - ell, n - ell):
-        sites = ts[s - 1 : s - 1 + ell]
-        l_ranks[s] = _rank(left_environments(sites, prefix[s - 1])[-1])
-        l_expected[s] = sites[-1].shape[2]
-    r_ranks, r_expected = {}, {}
-    for s in range(3, n):
-        sites = ts[s - 1 : s - 1 + r]
-        r_ranks[s] = _rank(right_environments(sites, suffix[s - 1 + r])[0])
-        r_expected[s] = sites[0].shape[0]
-    ok = all(l_ranks[s] == l_expected[s] for s in l_ranks) and all(
-        r_ranks[s] == r_expected[s] for s in r_ranks
-    )
-    return ReconstructibilityReport(l_ranks, r_ranks, l_expected, r_expected, ok)
 
 
 def compress(mpo: Mpo, cm: CorrMatrices, targets: dict[int, int]) -> Mpo:

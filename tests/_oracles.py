@@ -3,14 +3,17 @@
 Brute-force dense oracles, independent of the chain contractions under
 test.  Below them are functions of the package's objects that only tests
 call: the ideal cluster MPS, exact stabilizers and excitations, a gauge
-change, a random protocol, exact and pairwise LE states, exact moments and
-the quadrature sampler.  No pipeline command runs them, so they live here
-and not in ``mpo_tomo``.
+change, a random protocol, exact and pairwise LE states, exact moments,
+the paper quantities that no command reports (two-qubit negativity and
+concurrence, the stabilizer concurrence bound, the rank test for inversion)
+and the quadrature sampler.  No pipeline command runs them, so they live
+here and not in ``mpo_tomo``.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,17 +35,20 @@ from mpo_tomo.emission import (
 from mpo_tomo.entanglement import (
     LeResult,
     MeasurementPlan,
-    TwoQubitState,
     _coeffs_to_matrix,
     _outcome_maps,
     _string_coefficients,
+    _wootters_excess,
+    _wootters_product,
     default_plan,
     localizable_entanglement,
+    partial_transpose,
 )
 from mpo_tomo.errors import ValidationError
 from mpo_tomo.measurement import _T1, QUAD_LETTERS, MomentTable, _lossy_correlations
 from mpo_tomo.mpo import Mpo, fidelity, fidelity_gradient, left_environments, right_environments
 from mpo_tomo.pauli import PAULIS, PauliWord, apply_site_maps
+from mpo_tomo.reconstruct import _split
 from mpo_tomo.standard_form import free_masks
 
 I2 = np.eye(2, dtype=complex)
@@ -140,8 +146,6 @@ def dense_protocol_state(unitary_gates, unitary_emissions, d: int) -> np.ndarray
 
 def dense_localizable_entanglement(rho: np.ndarray, n: int, plan, measure: str) -> float:
     """Enumerate outcome branches with dense projectors and partial traces."""
-    from mpo_tomo.entanglement import TwoQubitState, concurrence, negativity
-
     total = 0.0
     for bits in itertools.product([1, -1], repeat=n - 2):
         ops = []
@@ -569,6 +573,103 @@ def exact_local_moments(mpo: Mpo, window: int, eta: float = 1.0) -> MomentTable:
     values = {s: apply_site_maps(c, [_T1.T] * window) for s, c in corrs.items()}
     ses = {s: np.zeros((6,) * window) for s in corrs}
     return MomentTable(mpo.n_qubits, window, values, ses, shots=0)
+
+
+# --- paper quantities that no pipeline command reports ------------------------
+# Reference implementations the tests compare the pipeline against: the
+# two-qubit monotones on one normalized state, the stabilizer bound on the
+# localizable concurrence, and the rank test for inversion.
+
+
+@dataclass(frozen=True)
+class TwoQubitState:
+    """4x4 density matrix with an explicit normalization weight.
+
+    ``matrix`` integrates to ``weight`` (the branch probability for
+    post-measurement states); ``weight == 1`` for normalized states.
+    """
+
+    matrix: np.ndarray
+    weight: float
+
+
+def _check_normalized(state: TwoQubitState):
+    if abs(np.trace(state.matrix).real - 1.0) > 1e-8:
+        raise ValidationError("state is not normalized to unit trace")
+
+
+def negativity(state: TwoQubitState) -> float:
+    """Half the trace-norm excess of the partial transpose: 0.5 for Bell states."""
+    _check_normalized(state)
+    ev = np.linalg.eigvalsh(partial_transpose(state.matrix))
+    return float((np.abs(ev).sum() - 1.0) / 2.0)
+
+
+def concurrence(state: TwoQubitState) -> float:
+    """Wootters concurrence: 1 for Bell states, 0 for separable states."""
+    _check_normalized(state)
+    raw = _wootters_excess(np.linalg.eigvals(_wootters_product(state.matrix)[1]))
+    return float(max(0.0, raw))
+
+
+def stabilizer_concurrence_bound(stab_values, k: int) -> tuple[float, float]:
+    """Lower bound on the localizable concurrence across ``k`` bonds.
+
+    Returns:
+        (clamped, raw) where raw = ``1 - (k+1) (1 - min <S_r>)`` and clamped
+        floors the reported value at 0.
+    """
+    check_positive_int(k, "k", minimum=1)
+    raw = 1.0 - (k + 1) * (1.0 - float(np.min(np.asarray(stab_values, dtype=float))))
+    return max(0.0, raw), raw
+
+
+@dataclass
+class ReconstructibilityReport:
+    l_ranks: dict[int, int]
+    r_ranks: dict[int, int]
+    l_expected: dict[int, int]
+    r_expected: dict[int, int]
+    reconstructible: bool
+
+
+def _rank(mat: np.ndarray) -> int:
+    s = np.linalg.svd(mat, compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > 1e-10 * s[0]))
+
+
+def check_reconstructibility(truth: Mpo, L: int = 5) -> ReconstructibilityReport:
+    """Rank test of the boundary-contracted products required for inversion.
+
+    The chain is reconstructible from L-qubit correlations iff every left
+    product L_s and right product R_s has rank equal to the bond dimension it
+    factorizes through.
+    """
+    if L not in (3, 4, 5):
+        raise ValidationError(f"L must be 3, 4 or 5, got {L}")
+    n = truth.n_qubits
+    ts = truth.tensors
+    ident = [t[:, 0, :] for t in ts]
+    prefix = left_environments(ident)
+    suffix = right_environments(ident)
+
+    ell, r = _split(L)
+    l_ranks, l_expected = {}, {}
+    for s in range(3 - ell, n - ell):
+        sites = ts[s - 1 : s - 1 + ell]
+        l_ranks[s] = _rank(left_environments(sites, prefix[s - 1])[-1])
+        l_expected[s] = sites[-1].shape[2]
+    r_ranks, r_expected = {}, {}
+    for s in range(3, n):
+        sites = ts[s - 1 : s - 1 + r]
+        r_ranks[s] = _rank(right_environments(sites, suffix[s - 1 + r])[0])
+        r_expected[s] = sites[0].shape[0]
+    ok = all(l_ranks[s] == l_expected[s] for s in l_ranks) and all(
+        r_ranks[s] == r_expected[s] for s in r_ranks
+    )
+    return ReconstructibilityReport(l_ranks, r_ranks, l_expected, r_expected, ok)
 
 
 # --- quadrature sampling --------------------------------------------------

@@ -16,6 +16,7 @@ from _oracles import (
     pairwise_le_matrix,
     random_protocol,
     slab_block,
+    stabilizer_concurrence_bound,
     stabilizer_expectations,
     window_correlation_set,
 )
@@ -24,7 +25,6 @@ from mpo_tomo.cluster import (
     ErrorModel,
     ideal_cluster_mpo,
     noisy_cluster_model,
-    stabilizer_concurrence_bound,
     stabilizer_fidelity_bound,
 )
 from mpo_tomo.correlations import (

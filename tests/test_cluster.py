@@ -13,6 +13,7 @@ from _oracles import (
     mean_excitations,
     mpo_to_dense,
     mps_to_dense,
+    stabilizer_concurrence_bound,
     stabilizer_expectations,
 )
 from conftest import PAPER_EPS_AD, PAPER_EPS_PD
@@ -22,7 +23,6 @@ from mpo_tomo.cluster import (
     fit_error_model,
     ideal_cluster_mpo,
     noisy_cluster_model,
-    stabilizer_concurrence_bound,
     stabilizer_fidelity_bound,
     write_stabilizer_report,
 )

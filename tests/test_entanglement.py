@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    TwoQubitState,
+    concurrence,
     dense_localizable_entanglement,
     mpo_to_dense,
+    negativity,
     pairwise_le_matrix,
     post_measurement_state,
     random_density_matrix,
@@ -16,12 +19,9 @@ from _oracles import (
 from mpo_tomo.cluster import ErrorModel, ideal_cluster_mpo, noisy_cluster_model
 from mpo_tomo.entanglement import (
     MeasurementPlan,
-    TwoQubitState,
-    concurrence,
     default_plan,
     le_subset_estimate,
     localizable_entanglement,
-    negativity,
     partial_transpose,
 )
 from mpo_tomo.errors import ValidationError

@@ -32,7 +32,7 @@ from mpo_tomo.fitting import (
     save_fit_bundle,
 )
 from mpo_tomo.measurement import synthesize_dataset
-from mpo_tomo.mpo import Mpo, correlation_gradient, fidelity, fidelity_gradient
+from mpo_tomo.mpo import Mpo, correlation_gradient, fidelity, fidelity_gradient, right_environments
 from mpo_tomo.standard_form import free_masks, n_free_parameters, pack, to_standard_form, unpack
 
 
@@ -276,6 +276,25 @@ class TestPointState:
         mpo = unequal_bond_chain(bonds)
         vals, _ = _window_values_jacobian(point_state(mpo, 5))
         truth = window_zshifted_set(mpo, 5)
+        assert len(vals) == len(truth.starts)
+        for s in truth.starts:
+            assert np.max(np.abs(vals[s - 1] - truth.values[s].ravel())) < 1e-12
+
+    @pytest.mark.parametrize("bonds", UNEQUAL_BONDS)
+    def test_identity_suffix_is_e0_at_any_point(self, bonds):
+        # the fit reads every window's right edge at bond index 0 and
+        # contracts no suffix: at a random point, not only a fitted one, the
+        # product of the data-basis identity slices right of each window is
+        # exactly e0, and the values equal the generic contraction with it
+        base = unequal_bond_chain(bonds)
+        plan = _FitPlan(base, 5)
+        point = _Point(plan, np.random.default_rng(3).normal(size=plan.offsets[-1]))
+        ident = [t[:, 0, :] for t in point.sites]
+        for first in range(plan.n_windows):
+            suffix = right_environments(ident[first + 5 :])[0]
+            assert np.array_equal(suffix, np.eye(len(suffix), 1))
+        vals, _ = _window_values_jacobian(point)
+        truth = window_zshifted_set(point.mpo, 5)
         assert len(vals) == len(truth.starts)
         for s in truth.starts:
             assert np.max(np.abs(vals[s - 1] - truth.values[s].ravel())) < 1e-12

@@ -12,14 +12,12 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "mpo_tomo"
 BENCH = ROOT / "bench"
 
-# public top-level names that no other src code calls, and why each stays
+# public top-level names that no other src code calls, and why each stays:
+# only names bench/tracing.py wraps, until the bench drops their spans
+# (ROADMAP item 2); anything else no command calls lives in tests/_oracles.py
 KEPT_UNCALLED = {
-    "cluster.stabilizer_concurrence_bound": "paper quantity: the LE bound from stabilizers",
-    "reconstruct.check_reconstructibility": "paper quantity: the rank test for inversion",
-    "entanglement.negativity": "paper quantity: two-qubit negativity",
-    "entanglement.concurrence": "paper quantity: two-qubit concurrence",
-    "mpo.matrix_element": "bench contract: bench/tracing.py wraps it",
-    "fitting.propagate_covariance": "bench contract: bench/tracing.py wraps it",
+    "mpo.matrix_element": "bench contract: bench/tracing.py wraps it (ROADMAP item 2)",
+    "fitting.propagate_covariance": "bench contract: bench/tracing.py wraps it (ROADMAP item 2)",
 }
 
 
@@ -75,6 +73,11 @@ def test_tracing_targets_resolve():
         assert callable(target), f"bench/tracing.py wraps mpo_tomo.{module}.{attr}"
     commands = importlib.import_module("mpo_tomo.cli")._COMMANDS
     assert isinstance(commands, dict) and all(callable(fn) for fn in commands.values())
+
+
+def test_kept_uncalled_is_only_the_bench_contract():
+    targets = {f"{module}.{attr}" for module, attr, _ in _load_bench_module("tracing").TARGETS}
+    assert set(KEPT_UNCALLED) <= targets, "keep in src only the uncalled names bench/tracing.py wraps"
 
 
 def test_bench_reads_of_results_resolve(noisy5, noisy5_fit_chain):

@@ -223,7 +223,7 @@ class TestStandardForm:
                 v = t[:, 0, :] @ v
             expected = np.zeros_like(v)
             expected[0] = 1.0
-            assert np.max(np.abs(v - expected)) < 1e-10
+            assert np.array_equal(v, expected)
 
     def test_random_mpo_round_trip(self, rng):
         m = random_mpo(5, 5, rng, scale=0.6)

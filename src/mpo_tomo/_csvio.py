@@ -1,8 +1,10 @@
-"""The one CSV cell format of every artifact the pipeline writes."""
+"""The one CSV cell format and the one JSON format of every artifact the
+pipeline writes."""
 
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 
@@ -22,6 +24,12 @@ def write_csv(path, header, columns) -> None:
     n_rows = len(cells) // len(columns) if columns else 0
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n" + row * n_rows % cells)
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` as one line of JSON with its keys sorted."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True)
 
 
 def word_strings(letters, window: int) -> np.ndarray:

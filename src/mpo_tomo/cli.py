@@ -28,7 +28,7 @@ from time import perf_counter
 import numpy as np
 
 from . import cluster, entanglement, fitting, measurement, mpo as mpo_mod
-from ._csvio import write_csv
+from ._csvio import write_csv, write_json
 from .correlations import (
     align_phases,
     correct_inefficiency,
@@ -214,8 +214,7 @@ def cmd_simulate(cfg, out: str) -> int:
         "eta": m["eta"],
         "settings": 2**window,
     }
-    with open(os.path.join(out, "simulate_manifest.json"), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True)
+    write_json(os.path.join(out, "simulate_manifest.json"), manifest)
     log.info("wrote %d setting files under %s", 2**window, _dataset_dir(out))
     return 0
 
@@ -261,8 +260,7 @@ def cmd_reconstruct(cfg, out: str) -> int:
             os.path.join(fit_dir, "correlations_meta.json"),
         )
     stages.update(record)
-    with open(os.path.join(fit_dir, "stages.json"), "w") as fh:
-        json.dump(stages, fh, sort_keys=True)
+    write_json(os.path.join(fit_dir, "stages.json"), stages)
     if not fr.converged:
         log.error(
             "fit did not converge (%s) after %d iterations", fr.exit_reason, fr.iterations
@@ -283,7 +281,7 @@ def _stabilizer_table(fit, n, le_rows):
     LE result in ``le_rows`` (None for one without a gradient), all from one
     joint propagation (:func:`mpo_tomo.fitting.propagate_joint`)."""
     m, ideal = fit.mpo, cluster.ideal_cluster_mpo(n)
-    words = [word.padded(n) for word in cluster.stabilizer_words(n)]
+    words = cluster.stabilizer_words(n)
     words += [tuple(3 if t == s else 0 for t in range(n)) for s in range(n)]
     values = [mpo_mod.fidelity(m, ideal), *(m.correlation(letters) for letters in words)]
     grads = [mpo_mod.fidelity_gradient(m, ideal)]
@@ -344,14 +342,13 @@ def cmd_analyze(cfg, out: str) -> int:
                 )
             le_rows.append(res)
 
-    with _timed(record, "fidelity"):
+    with _timed(record, "propagation"):
         # one propagation for the fidelity, stabilizer, excitation and LE SEs
         values, ses, le_ses = _stabilizer_table(fit, n, le_rows)
         fidelity, fidelity_se = float(values[0]), float(ses[0])
-    with _timed(record, "stabilizers"):
+    with _timed(record, "error_model"):
         stab_values, stab_ses = values[1 : n + 1], ses[1 : n + 1]
         bound = cluster.stabilizer_fidelity_bound(stab_values, stab_ses)
-    with _timed(record, "error_model"):
         z_values, z_ses = values[n + 1 :], ses[n + 1 :]
         # mean excitation (1 - <Z_s>) / 2
         excitations, exc_ses = (1.0 - z_values) / 2.0, z_ses / 2.0
@@ -404,8 +401,7 @@ def cmd_analyze(cfg, out: str) -> int:
         "fit": {"sse": fit.sse, "dof": fit.dof, "converged": fit.converged},
         **record,
     }
-    with open(os.path.join(out, "report.json"), "w") as fh:
-        json.dump(report, fh, sort_keys=True)
+    write_json(os.path.join(out, "report.json"), report)
     log.info("fidelity %.4f +- %.4f, bound %.4f", fidelity, fidelity_se, bound)
     return 0
 

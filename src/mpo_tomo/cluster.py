@@ -7,17 +7,15 @@ stabilized by ``X_1 Z_2``, ``Z_{s-1} X_s Z_{s+1}`` and ``Z_{N-1} X_N``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvio import write_csv
+from ._csvio import write_csv, write_json
 from ._validation import check_positive_int
 from .channels import amplitude_damping, compose, pure_dephasing
 from .errors import DataError, ValidationError
 from .mpo import Mpo, apply_local_channels
-from .pauli import PauliWord
 
 
 def ideal_cluster_mpo(n: int) -> Mpo:
@@ -50,14 +48,11 @@ def ideal_cluster_mpo(n: int) -> Mpo:
     return Mpo([first] + [interior] * (n - 2) + [last])
 
 
-def stabilizer_words(n: int) -> list[PauliWord]:
-    """The N stabilizer generators S_1 .. S_N of the linear cluster state."""
+def stabilizer_words(n: int) -> list[tuple[int, ...]]:
+    """The N stabilizer generators S_1 .. S_N of the linear cluster state, as
+    full-chain letter tuples: X at site s, Z at its neighbours."""
     check_positive_int(n, "n", minimum=2)
-    words = [PauliWord((1, 3), 1)]
-    for s in range(2, n):
-        words.append(PauliWord((3, 1, 3), s - 1))
-    words.append(PauliWord((3, 1), n - 1))
-    return words
+    return [tuple(1 if t == s else 3 if abs(t - s) == 1 else 0 for t in range(n)) for s in range(n)]
 
 
 @dataclass(frozen=True)
@@ -112,12 +107,7 @@ class ErrorModel:
         ]
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(
-                {"eps_ad": self.eps_ad.tolist(), "eps_pd": self.eps_pd.tolist()},
-                fh,
-                sort_keys=True,
-            )
+        write_json(path, {"eps_ad": self.eps_ad.tolist(), "eps_pd": self.eps_pd.tolist()})
 
 
 def noisy_cluster_model(n: int, model: ErrorModel) -> Mpo:

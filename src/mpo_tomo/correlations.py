@@ -9,12 +9,11 @@ only where needed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._csvio import word_strings, write_csv
+from ._csvio import word_strings, write_csv, write_json
 from ._validation import check_efficiency
 from .channels import z_rotation
 from .errors import DataError, ValidationError
@@ -291,5 +290,4 @@ def save_correlation_csv(corrs: PauliCorrelationSet, path, meta_path) -> None:
     write_csv(path, ["window_start", "word", "value", "se"], columns)
     doc = {"basis": corrs.basis, "n_sites": corrs.n_sites, "window": corrs.window}
     doc.update(corrs.meta)
-    with open(meta_path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
+    write_json(meta_path, doc)

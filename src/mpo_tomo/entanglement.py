@@ -28,7 +28,7 @@ class MeasurementPlan:
 
     Attributes:
         pair: 1-based sites (r, r') left unmeasured, r < r'.
-        bases: mapping site -> 'X' | 'Z' | Bloch 3-vector for every other site.
+        bases: mapping site -> unit Bloch 3-vector for every other site.
     """
 
     pair: tuple[int, int]
@@ -40,15 +40,9 @@ class MeasurementPlan:
             raise ValidationError(f"pair must satisfy r < r', got {self.pair}")
 
     def basis_vector(self, site: int) -> np.ndarray:
-        b = self.bases[site]
-        if isinstance(b, str):
-            if b.upper() == "X":
-                return np.array([1.0, 0.0, 0.0])
-            if b.upper() == "Z":
-                return np.array([0.0, 0.0, 1.0])
-            raise ValidationError(f"unknown basis {b!r} at site {site}")
-        v = np.asarray(b, dtype=float)
-        if v.shape != (3,) or not np.isclose(np.linalg.norm(v), 1.0, atol=1e-9):
+        v = np.asarray(self.bases[site])
+        real = v.shape == (3,) and v.dtype.kind in "iuf"
+        if not (real and abs(np.linalg.norm(v) - 1.0) <= 1e-5):
             raise ValidationError(f"basis at site {site} must be a unit Bloch vector")
         return v
 
@@ -66,11 +60,8 @@ class MeasurementPlan:
 
 def default_plan(n_sites: int, r: int, rp: int) -> MeasurementPlan:
     """The X-between / Z-outside plan that localizes cluster-state entanglement."""
-    bases = {}
-    for s in range(1, n_sites + 1):
-        if s in (r, rp):
-            continue
-        bases[s] = "X" if r < s < rp else "Z"
+    x, z = (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)
+    bases = {s: x if r < s < rp else z for s in range(1, n_sites + 1) if s not in (r, rp)}
     plan = MeasurementPlan((r, rp), bases)
     plan.validate(n_sites)
     return plan
@@ -93,7 +84,7 @@ def _outcome_maps(mpo: Mpo, plan: MeasurementPlan):
             vectors.append(np.eye(4))
             maps.append(t)
             continue
-        b = 0.5 * plan.basis_vector(s + 1)
+        b = 0.5 * np.asarray(plan.bases[s + 1])  # checked by validate
         v = np.array([[0.5, *b], [0.5, *-b]])
         vectors.append(v)
         maps.append(np.einsum("oa,xay->xoy", v, t))
@@ -187,21 +178,21 @@ def _branch_terms(c: np.ndarray, measure: str, want_gradient: bool):
     ``P * N(rho/P) = (sum |ν| - tr rho) / 2`` over the eigenvalues ν of the
     Hermitian partial transpose ``U diag(ν) U+``; the gradient of sum |ν| is
     ``Re tr(K_ij U sign(ν) U+)`` for the kernels K_ij of ``_PT_KERNELS``,
-    smooth at degenerate spectra.  Concurrence scales linearly with the
-    state, so the branch term λ1 - λ2 - λ3 - λ4 is evaluated on the
-    unnormalized state, with λ = sqrt(μ) from the eigenvalues μ of R = ρρ̃
-    (ρ̃ the spin flip); negative raw values (possible for non-positive
-    fitted states) are clamped to zero and summed separately.  A positive
-    branch's gradient is sum_k w_k dμ_k / (2 λ_k), with w = +1 on the largest
-    λ and -1 on the others, and dμ_k = y_k (B_ij ρ̃ + t_ij ρ B_ij) x_k for the
+    smooth at degenerate spectra.  Concurrence max(0, λ1 - λ2 - λ3 - λ4)
+    scales linearly with the state, so it is evaluated on the unnormalized
+    state, with λ = sqrt(μ) from the eigenvalues μ of R = ρρ̃ (ρ̃ the spin
+    flip).  λ1 - λ2 - λ3 - λ4 ≤ 0 holds for every separable branch, not
+    only for non-positive ones, and such a branch's value and gradient are
+    0.  Where it is > 0 the gradient is sum_k w_k dμ_k / (2 λ_k), with
+    w = +1 on the largest λ and -1 on the others, and dμ_k = y_k (B_ij ρ̃ + t_ij ρ B_ij) x_k for the
     right eigenvectors x of R and y = x^-1.  A fallback branch, where the
     formula is undefined, has no gradient, and its rows are NaN: it has a
     partial-transpose eigenvalue or a μ at zero, or a complex μ, all within
     ``_ZERO_EIG_TOL`` of the largest eigenvalue's magnitude.
 
     Returns:
-        (values (B,), d(value)/dc (B, 4, 4) or None, sum of the clamped
-        negative raw values, mask (B,) of the fallback branches).
+        (values (B,), d(value)/dc (B, 4, 4) or None, mask (B,) of the
+        fallback branches).
     """
     grad = np.zeros(c.shape) if want_gradient else None
     fallback = np.zeros(len(c), dtype=bool)
@@ -209,7 +200,6 @@ def _branch_terms(c: np.ndarray, measure: str, want_gradient: bool):
         pt = _transposed_pair(c)
         nu, u = np.linalg.eigh(pt) if want_gradient else (np.linalg.eigvalsh(pt), None)
         values = (np.abs(nu).sum(-1) - c[:, 0, 0]) / 2.0
-        raw_negative = 0.0
         if want_gradient:
             mag = np.abs(nu)
             fallback = np.any(mag <= _ZERO_EIG_TOL * mag.max(-1, keepdims=True), axis=-1)
@@ -223,7 +213,6 @@ def _branch_terms(c: np.ndarray, measure: str, want_gradient: bool):
         mu, x = np.linalg.eig(r) if want_gradient else (np.linalg.eigvals(r), None)
         raw = _wootters_excess(mu)
         values = np.maximum(raw, 0.0)
-        raw_negative = float(raw[raw < 0.0].sum())
         if want_gradient:
             top = _ZERO_EIG_TOL * np.abs(mu).max(-1, keepdims=True)
             undefined = np.any((mu.real <= top) | (np.abs(mu.imag) > top), axis=-1)
@@ -238,7 +227,7 @@ def _branch_terms(c: np.ndarray, measure: str, want_gradient: bool):
             grad[fallback] = np.nan
     else:
         raise ValidationError(f"unknown measure {measure!r}")
-    return values, grad, raw_negative, fallback
+    return values, grad, fallback
 
 
 @dataclass
@@ -249,8 +238,7 @@ class LeResult:
     MPO, for propagating a parameter SE
     (:func:`mpo_tomo.fitting.propagate_joint`); it is None for a subset
     estimate and when any branch is a fallback branch.  ``se_sampling`` is
-    nonzero only for subset estimates.  ``raw_negative`` accumulates clamped
-    negative concurrence branch values, and ``fallback_branches`` counts the
+    nonzero only for subset estimates.  ``fallback_branches`` counts the
     branches whose value has no derivative (see :func:`_branch_terms`).
     """
 
@@ -258,9 +246,7 @@ class LeResult:
     gradient: list | None = field(repr=False)
     se_sampling: float
     branches_evaluated: int
-    measure: str
     pair: tuple[int, int]
-    raw_negative: float = 0.0
     fallback_branches: int = 0
 
 
@@ -276,8 +262,7 @@ def _enumerate_branches(mpo, plan, measure):
 
     Returns:
         (branch values (2^(N-2),), per-site gradient of their sum, or None
-        with a fallback branch, sum of the clamped negative raw values,
-        number of fallback branches).
+        with a fallback branch, number of fallback branches).
     """
     vectors, maps, measured = _outcome_maps(mpo, plan)
     lefts = left_environments(maps)
@@ -285,15 +270,15 @@ def _enumerate_branches(mpo, plan, measure):
     # the last measured site's bit varies slowest
     order = measured[::-1] + [r - 1 for r in plan.pair]
     c = lefts[-1].reshape(open_dims).transpose(order).reshape(-1, 4, 4)
-    values, dvdc, raw_negative, fallback = _branch_terms(c, measure, True)
+    values, dvdc, fallback = _branch_terms(c, measure, True)
     n_fallback = int(fallback.sum())
     # a fallback branch has no derivative, so neither has the branch sum
     if n_fallback:
-        return values, None, raw_negative, n_fallback
+        return values, None, n_fallback
     w = dvdc.reshape([open_dims[s] for s in order]).transpose(np.argsort(order))
     gmaps, _ = left_environments_vjp(maps, lefts, w.reshape(-1, 1))
     grads = [np.einsum("oa,xoy->xay", v, g) for v, g in zip(vectors, gmaps)]
-    return values, grads, raw_negative, 0
+    return values, grads, 0
 
 
 def localizable_entanglement(
@@ -316,15 +301,13 @@ def localizable_entanglement(
             f"exact enumeration limited to N <= {EXACT_ENUMERATION_LIMIT}; "
             "use le_subset_estimate"
         )
-    values, grad, raw_neg, fallback = _enumerate_branches(mpo, plan, measure)
+    values, grad, fallback = _enumerate_branches(mpo, plan, measure)
     return LeResult(
         value=float(values.sum()),
         gradient=grad,
         se_sampling=0.0,
         branches_evaluated=values.size,
-        measure=measure,
         pair=plan.pair,
-        raw_negative=float(raw_neg),
         fallback_branches=fallback,
     )
 
@@ -354,7 +337,7 @@ def le_subset_estimate(
     else:
         indices = rng.choice(total, size=samples, replace=False)
     c = _string_coefficients(maps, measured, indices)
-    terms, _, raw_neg, _ = _branch_terms(c, measure, False)
+    terms, _, _ = _branch_terms(c, measure, False)
     scale = total / samples
     estimate = scale * terms.sum()
     if samples > 1:
@@ -367,7 +350,5 @@ def le_subset_estimate(
         gradient=None,
         se_sampling=float(se),
         branches_evaluated=int(samples),
-        measure=measure,
         pair=plan.pair,
-        raw_negative=float(raw_neg * scale),
     )

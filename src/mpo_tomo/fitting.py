@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._csvio import write_json
 from .correlations import F_MATRIX, ZSHIFTED_BASIS, PauliCorrelationSet, zshifted_to_pauli
 from .errors import CompletenessError, DataError, ValidationError
 from .mpo import (
@@ -419,7 +420,6 @@ class FitResult:
     dof: int
     iterations: int
     converged: bool
-    masks: list = field(repr=False, default=None)
     exit_reason: str | None = None
     trace: list = field(repr=False, default_factory=list)
     null_directions: int | None = None
@@ -584,7 +584,6 @@ def gauss_newton_fit(
         dof=dof,
         iterations=iterations,
         converged=converged,
-        masks=plan.masks,
         exit_reason=exit_reason,
         trace=trace,
         null_directions=int(plan.offsets[-1] - live.sum()),
@@ -597,7 +596,7 @@ def propagate_joint(fit: FitResult, gradients):
     """Propagated SEs and joint covariance of differentiable scalars of the
     fitted MPO.
 
-    The gradients are packed with the fit's free-entry masks and stacked
+    The gradients are packed with the fitted MPO's free-entry masks and stacked
     into one matrix G, and the joint covariance is G·(cov·Gᵀ).  Each SE is
     the square root of its own gᵀ·(cov·g), the diagonal of that product up
     to rounding, so it does not depend on which other scalars are
@@ -611,7 +610,8 @@ def propagate_joint(fit: FitResult, gradients):
     Returns:
         ``(ses, joint)``: (k,) SEs and the (k, k) covariance.
     """
-    g = np.stack([pack(site_grads, fit.masks) for site_grads in gradients])
+    masks = free_masks(fit.mpo)
+    g = np.stack([pack(site_grads, masks) for site_grads in gradients])
     cov_g = [fit.covariance @ row for row in g]
     variances = np.array([row @ col for row, col in zip(g, cov_g)])
     return np.sqrt(np.maximum(variances, 0.0)), g @ np.stack(cov_g, axis=1)
@@ -648,8 +648,6 @@ def fit_chain(
         :class:`~mpo_tomo.reconstruct.InversionResult` and the
         :class:`FitResult`.
     """
-    if corrs.window != 5:
-        raise ValidationError("the fit expects 5-qubit windows")
     pauli = zshifted_to_pauli(corrs)
     corr_matrices = build_corr_matrices(pauli)
     bond_estimate = estimate_bond_dims(corr_matrices, k_sigma)
@@ -691,10 +689,8 @@ def save_fit_bundle(fit: FitResult, directory) -> None:
         "order": "row-major",
         "parameter_ordering": PARAMETER_ORDERING,
     }
-    with open(os.path.join(directory, "covariance_header.json"), "w") as fh:
-        json.dump(header, fh, sort_keys=True)
-    with open(os.path.join(directory, "fit_report.json"), "w") as fh:
-        json.dump(fit_record(fit), fh, sort_keys=True)
+    write_json(os.path.join(directory, "covariance_header.json"), header)
+    write_json(os.path.join(directory, "fit_report.json"), fit_record(fit))
 
 
 def _read_report(path) -> dict:
@@ -731,8 +727,7 @@ def load_fit_bundle(directory) -> FitResult:
             raise ValidationError(f"cannot read {name} of the fit bundle: {exc!r}") from exc
 
     mpo = read("mpo.json", load_json)
-    masks = free_masks(mpo)
-    n_free = n_free_parameters(masks)
+    n_free = n_free_parameters(free_masks(mpo))
     shape = read("covariance_header.json", _read_header_shape)
     if shape != (n_free, n_free):
         raise ValidationError(
@@ -746,4 +741,4 @@ def load_fit_bundle(directory) -> FitResult:
             f"{n_free} x {n_free}"
         )
     report = read("fit_report.json", _read_report)
-    return FitResult(mpo=mpo, covariance=cov.reshape(n_free, n_free), masks=masks, **report)
+    return FitResult(mpo=mpo, covariance=cov.reshape(n_free, n_free), **report)

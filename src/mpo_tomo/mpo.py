@@ -17,8 +17,9 @@ import json
 
 import numpy as np
 
+from ._csvio import write_json
 from .errors import ValidationError
-from .pauli import PAULIS, PauliWord
+from .pauli import PAULIS
 
 
 def _as_matrix(m: np.ndarray) -> np.ndarray:
@@ -150,21 +151,14 @@ class Mpo:
         """Trace of the represented operator (product of identity slices)."""
         return self.correlation((0,) * self.n_qubits)
 
-    def correlation(self, word) -> float:
-        """Expectation value of a Pauli word.
-
-        Args:
-            word: a :class:`PauliWord`, or a full-chain letter tuple.
-        """
-        if isinstance(word, PauliWord):
-            letters = word.padded(self.n_qubits)
-        else:
-            letters = tuple(int(a) for a in word)
-            if len(letters) != self.n_qubits:
-                raise ValidationError(
-                    f"letter tuple of length {len(letters)} does not match "
-                    f"{self.n_qubits} qubits"
-                )
+    def correlation(self, letters) -> float:
+        """Expectation value of a Pauli word, given as a full-chain letter tuple."""
+        letters = tuple(int(a) for a in letters)
+        if len(letters) != self.n_qubits:
+            raise ValidationError(
+                f"letter tuple of length {len(letters)} does not match "
+                f"{self.n_qubits} qubits"
+            )
         maps = [t[:, a, :] for t, a in zip(self.tensors, letters)]
         return float(left_environments(maps)[-1][0, 0])
 
@@ -332,8 +326,7 @@ def save_json(mpo: Mpo, path) -> None:
         "bonds": list(mpo.bonds),
         "sites": [t.ravel().tolist() for t in mpo.tensors],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
+    write_json(path, doc)
 
 
 def load_json(path) -> Mpo:

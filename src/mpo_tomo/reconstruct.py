@@ -115,7 +115,6 @@ class BondEstimate:
     dims: dict[int, int]
     singular_values: dict[int, np.ndarray]
     singular_value_ses: dict[int, np.ndarray]
-    k_sigma: float
 
 
 def estimate_bond_dims(cm: CorrMatrices, k_sigma: float = 5.0) -> BondEstimate:
@@ -127,7 +126,7 @@ def estimate_bond_dims(cm: CorrMatrices, k_sigma: float = 5.0) -> BondEstimate:
         dims[s] = int(np.sum(sv > np.maximum(k_sigma * sv_se, floor)))
         svs[s] = sv
         ses[s] = sv_se
-    return BondEstimate(dims, svs, ses, k_sigma)
+    return BondEstimate(dims, svs, ses)
 
 
 def _truncated_pinv(mat: np.ndarray, rank: int | None):
@@ -143,24 +142,19 @@ class InversionResult:
     """Outcome of the explicit inversion; a failed solve is data, not a crash.
 
     Attributes:
-        mpo: the reconstructed chain, or None when some site had no solution
-            or the verification pass failed.
+        mpo: the reconstructed chain, or None when some site's residual or
+            the worst deviation of the rebuilt windows from the input
+            correlations exceeds the tolerance.  A bond dimension beyond the
+            window's capacity leaves every local equation solvable, so the
+            rebuilt windows are the signal that catches it.
         site_residuals: Frobenius residual ``|B A - C|`` per solved site.
         column_residuals: per site, a (4, n_cols) array of per-Pauli-slice,
             per-column least-squares residual norms.
-        failed_sites: sites whose residual exceeded the tolerance.
-        verification_error: worst deviation of the reconstructed windows from
-            the input correlations.  A bond dimension beyond the window's
-            capacity leaves every local equation solvable, so this is the
-            signal that catches it.
     """
 
     mpo: Mpo | None
     site_residuals: dict[int, float]
     column_residuals: dict[int, np.ndarray]
-    failed_sites: list[int]
-    message: str = ""
-    verification_error: float = 0.0
 
 
 def _boundary_site(first: bool) -> np.ndarray:
@@ -187,8 +181,9 @@ def invert_reconstruct(
         L: 3, 4 or 5 consecutive qubits used by the inversion.
         ranks: optional pseudoinverse rank per B-matrix index (its first
             row site).
-        residual_tol: per-site Frobenius residual above which the site is
-            declared unsolvable and no MPO is returned.
+        residual_tol: per-site Frobenius residual, and deviation of the
+            rebuilt windows, above which no MPO is returned; ``inf`` skips
+            the rebuild.
     """
     if corrs.basis != PAULI_BASIS:
         raise ValidationError("inversion requires the pauli basis")
@@ -216,42 +211,16 @@ def invert_reconstruct(
         site_res[s] = float(np.linalg.norm(resid))
         sites[s - 1] = np.transpose(slices, (1, 0, 2))
 
-    failed = sorted(s for s, res in site_res.items() if res > residual_tol)
-    if failed:
-        worst = max(failed, key=lambda s: site_res[s])
-        return InversionResult(
-            None,
-            site_res,
-            col_res,
-            failed,
-            message=(
-                f"no solution: site {worst} residual {site_res[worst]:.3g} "
-                f"exceeds {residual_tol:.3g}"
-            ),
-        )
+    if any(res > residual_tol for res in site_res.values()):
+        return InversionResult(None, site_res, col_res)
     candidate = Mpo(sites)
-    verification = 0.0
     if np.isfinite(residual_tol):
         # every local equation can be solvable and the chain still wrong (a
         # bond dimension beyond the window capacity); verify globally
         rebuilt = candidate.window_correlations(corrs.window)
-        verification = max(
-            float(np.max(np.abs(rebuilt[s] - corrs.values[s]))) for s in corrs.starts
-        )
-        if verification > residual_tol:
-            return InversionResult(
-                None,
-                site_res,
-                col_res,
-                [],
-                message=(
-                    f"no solution: reconstructed correlations deviate by "
-                    f"{verification:.3g} (tolerance {residual_tol:.3g}); the "
-                    f"state needs a bond dimension beyond the window capacity"
-                ),
-                verification_error=verification,
-            )
-    return InversionResult(candidate, site_res, col_res, [], verification_error=verification)
+        if any(np.max(np.abs(rebuilt[s] - corrs.values[s])) > residual_tol for s in corrs.starts):
+            return InversionResult(None, site_res, col_res)
+    return InversionResult(candidate, site_res, col_res)
 
 
 def compress(mpo: Mpo, cm: CorrMatrices, targets: dict[int, int]) -> Mpo:

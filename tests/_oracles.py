@@ -47,7 +47,7 @@ from mpo_tomo.entanglement import (
 from mpo_tomo.errors import ValidationError
 from mpo_tomo.measurement import _T1, QUAD_LETTERS, MomentTable, _lossy_correlations
 from mpo_tomo.mpo import Mpo, fidelity, fidelity_gradient, left_environments, right_environments
-from mpo_tomo.pauli import PAULIS, PauliWord, apply_site_maps
+from mpo_tomo.pauli import PAULIS, apply_site_maps
 from mpo_tomo.reconstruct import _split
 from mpo_tomo.standard_form import free_masks
 
@@ -440,6 +440,14 @@ def ideal_cluster_mps(n: int) -> list[np.ndarray]:
     return [first] + [interior] * (n - 2) + [last]
 
 
+def placed(letters, start: int, n_sites: int) -> tuple[int, ...]:
+    """Full-chain letter tuple of a word whose first letter sits at 1-based
+    site ``start``, identities elsewhere; longer than the chain when the
+    word does not fit."""
+    letters = tuple(int(a) for a in letters)
+    return (0,) * (start - 1) + letters + (0,) * max(n_sites - start + 1 - len(letters), 0)
+
+
 def stabilizer_expectations(mpo: Mpo) -> np.ndarray:
     return np.array([mpo.correlation(w) for w in stabilizer_words(mpo.n_qubits)])
 
@@ -447,7 +455,7 @@ def stabilizer_expectations(mpo: Mpo) -> np.ndarray:
 def mean_excitations(mpo: Mpo) -> np.ndarray:
     """Per-site mean excitation ``(1 - <Z_s>) / 2``."""
     return np.array(
-        [(1.0 - mpo.correlation(PauliWord((3,), s))) / 2.0 for s in range(1, mpo.n_qubits + 1)]
+        [(1.0 - mpo.correlation(placed((3,), s, mpo.n_qubits))) / 2.0 for s in range(1, mpo.n_qubits + 1)]
     )
 
 

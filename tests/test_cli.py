@@ -555,8 +555,7 @@ class TestAnalyze:
         report = json.load(open(os.path.join(out, "report.json")))
         assert set(report["timings"]) == {
             "load",
-            "fidelity",
-            "stabilizers",
+            "propagation",
             "error_model",
             "le",
             "corner",
@@ -569,7 +568,7 @@ class TestAnalyze:
         report = json.load(open(os.path.join(out, "report.json")))
         for record, order in (
             (stages, ["load", "moments", "alignment", "fit", "write"]),
-            (report, ["load", "le", "fidelity", "stabilizers", "error_model", "corner"]),
+            (report, ["load", "le", "propagation", "error_model", "corner"]),
         ):
             rss = record["peak_rss_mb"]
             assert set(rss) == set(record["timings"]) == set(order)
@@ -664,14 +663,14 @@ class TestJointPropagation:
         import numpy as np
 
         from mpo_tomo.cli import _stabilizer_table
-        from mpo_tomo.standard_form import pack
+        from mpo_tomo.standard_form import free_masks, pack
 
         fit, rows = fitted_chain6
         assert all(res.gradient is not None for res in rows)
         values, ses, le_ses = _stabilizer_table(fit, 6, rows)
         assert len(le_ses) == len(rows) and len(values) == len(ses) == 1 + 2 * 6
         for res, se in zip(rows, le_ses):
-            g = pack(res.gradient, fit.masks)
+            g = pack(res.gradient, free_masks(fit.mpo))
             assert se == pytest.approx(np.sqrt(g @ fit.covariance @ g), rel=1e-8, abs=0)
         # the LE rows leave the fidelity, stabilizer and <Z_s> rows as they are
         alone = _stabilizer_table(fit, 6, [])

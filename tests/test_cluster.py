@@ -13,6 +13,7 @@ from _oracles import (
     mean_excitations,
     mpo_to_dense,
     mps_to_dense,
+    placed,
     stabilizer_concurrence_bound,
     stabilizer_expectations,
 )
@@ -70,13 +71,11 @@ class TestIdealMpo:
         )
 
     def test_two_qubit_correlations_vanish_except_boundary(self, cluster5):
-        from mpo_tomo.pauli import PauliWord
-
         nonzero = []
         for s in range(1, 5):
             for a in range(1, 4):
                 for b in range(1, 4):
-                    v = cluster5.correlation(PauliWord((a, b), s))
+                    v = cluster5.correlation(placed((a, b), s, 5))
                     if abs(v) > 1e-12:
                         nonzero.append((s, a, b, v))
         assert nonzero == [(1, 1, 3, 1.0), (4, 3, 1, 1.0)]

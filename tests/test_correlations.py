@@ -8,6 +8,7 @@ from _oracles import (
     dense_to_mpo,
     exact_local_moments,
     pauli_to_zshifted,
+    placed,
     random_density_matrix,
     window_correlation_set,
 )
@@ -351,8 +352,6 @@ class TestCorrelationCsv:
         corrs = window_correlation_set(noisy6, 5)
         for letters, start in [((3,), 6), ((1, 3), 1), ((3, 1, 3), 4)]:
             value, _ = corrs.word_value(letters, start)
-            from mpo_tomo.pauli import PauliWord
-
             assert value == pytest.approx(
-                noisy6.correlation(PauliWord(letters, start)), abs=1e-12
+                noisy6.correlation(placed(letters, start, 6)), abs=1e-12
             )

@@ -7,6 +7,7 @@ from _oracles import (
     dense_protocol_state,
     haar_unitary,
     mpo_to_dense,
+    placed,
     random_protocol,
     stabilizer_expectations,
     state_coefficients,
@@ -31,7 +32,6 @@ from mpo_tomo.emission import (
 )
 from mpo_tomo.errors import ValidationError
 from mpo_tomo.mpo import fidelity
-from mpo_tomo.pauli import PauliWord
 
 
 class TestEmitterBasis:
@@ -108,7 +108,7 @@ class TestClusterProtocol:
         assert abs(rho[0b0101, 0b1010]) == pytest.approx(0.5, abs=1e-10)
         assert m.correlation((3, 3, 3, 3)) == pytest.approx(1.0, abs=1e-10)
         for s in range(1, 5):
-            assert abs(m.correlation(PauliWord((3,), s))) < 1e-10
+            assert abs(m.correlation(placed((3,), s, 4))) < 1e-10
 
     def test_photon_loss_equals_noisy_model(self, rng):
         eps = 0.13

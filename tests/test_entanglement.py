@@ -130,7 +130,11 @@ class TestPostMeasurement:
         with pytest.raises(ValidationError):
             default_plan(6, 4, 2)
         with pytest.raises(ValidationError):
-            MeasurementPlan((1, 4), {2: "X"}).validate(4)
+            MeasurementPlan((1, 4), {2: (1.0, 0.0, 0.0)}).validate(4)
+        # a basis is a real unit Bloch vector, not a letter
+        for basis in ("X", ("a", "b", "c"), (1j, 0.0, 0.0)):
+            with pytest.raises(ValidationError):
+                MeasurementPlan((1, 3), {2: basis}).validate(3)
 
 
 class TestLocalizableEntanglement:
@@ -168,7 +172,7 @@ class TestLocalizableEntanglement:
         from mpo_tomo.entanglement import _enumerate_branches
 
         plan = default_plan(6, 1, 4)  # no mirror symmetry
-        terms, _, _, _ = _enumerate_branches(noisy6, plan, "negativity")
+        terms, _, _ = _enumerate_branches(noisy6, plan, "negativity")
         assert terms.shape == (16,)
         for index, term in enumerate(terms):
             # bit k set: the k-th measured site gave -1
@@ -202,16 +206,16 @@ class TestLocalizableEntanglement:
             fit = request.getfixturevalue("fitted_noisy5")
         else:
             m = to_standard_form(ideal_cluster_mpo(5))
-            masks = free_masks(m)
-            cov = np.eye(n_free_parameters(masks))
-            fit = FitResult(m, cov, 0.0, 0, 0, True, masks=masks)
+            cov = np.eye(n_free_parameters(free_masks(m)))
+            fit = FitResult(m, cov, 0.0, 0, 0, True)
         plan = default_plan(5, 1, 4)
         le = localizable_entanglement(fit.mpo, plan, measure)
         assert le.fallback_branches == 0 and le.gradient is not None
         (se,), _ = propagate_joint(fit, [le.gradient])
         assert se > 0
-        grad = pack(le.gradient, fit.masks)
-        theta0 = pack(fit.mpo.tensors, fit.masks)
+        masks = free_masks(fit.mpo)
+        grad = pack(le.gradient, masks)
+        theta0 = pack(fit.mpo.tensors, masks)
         local = np.random.default_rng(0)
         h = 1e-6
         for i in local.choice(theta0.size, 10, replace=False):
@@ -219,8 +223,8 @@ class TestLocalizableEntanglement:
             tp[i] += h
             tm = theta0.copy()
             tm[i] -= h
-            vp = localizable_entanglement(unpack(tp, fit.mpo, fit.masks), plan, measure).value
-            vm = localizable_entanglement(unpack(tm, fit.mpo, fit.masks), plan, measure).value
+            vp = localizable_entanglement(unpack(tp, fit.mpo, masks), plan, measure).value
+            vm = localizable_entanglement(unpack(tm, fit.mpo, masks), plan, measure).value
             fd = (vp - vm) / (2 * h)
             assert grad[i] == pytest.approx(fd, abs=max(1e-6, 1e-4 * abs(fd)))
 
@@ -293,7 +297,7 @@ class TestBranchGradients:
 
         fitted = _all_branches(fitted_noisy5.mpo, (1, 4))
         c = np.concatenate([fitted[:3], getattr(self, kink)(0.05)[None], fitted[3:]])
-        values, grad, _, fallback = _branch_terms(c, measure, True)
+        values, grad, fallback = _branch_terms(c, measure, True)
         # a partial-transpose eigenvalue at zero, or Wootters lambdas at zero,
         # make exactly the inserted branch a fallback branch, with NaN rows
         assert fallback.tolist() == [False] * 3 + [True] + [False] * (len(c) - 4)
@@ -311,8 +315,7 @@ class TestBranchGradients:
         with_grad = _branch_terms(c, measure, True)
         values_only = _branch_terms(c, measure, False)
         np.testing.assert_allclose(with_grad[0], values_only[0], rtol=0.0, atol=1e-15)
-        assert with_grad[2] == pytest.approx(values_only[2], abs=1e-15)
-        assert values_only[1] is None and not values_only[3].any()
+        assert values_only[1] is None and not values_only[2].any()
 
 
 class TestFittedChainEntanglement:

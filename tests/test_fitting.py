@@ -587,7 +587,7 @@ class TestFactorOnce:
         assert fit.iterations == 0
         assert fit.exit_reason == ("rounding_floor" if start_exact else "max_iter")
         assert len(jtwj_evaluations) == 1
-        assert fit.covariance.shape == (n_free_parameters(fit.masks),) * 2
+        assert fit.covariance.shape == (n_free_parameters(free_masks(fit.mpo)),) * 2
 
 
 class TestInversionFitAgreement:
@@ -652,7 +652,7 @@ class TestCovariancePropagation:
         assert np.allclose(ses**2, np.diag(joint), rtol=1e-12, atol=0)
         for i, functional in enumerate(functionals):
             assert ses[i] == pytest.approx(propagate_covariance(fit, functional)[1], rel=1e-12)
-        packed = [pack(g, fit.masks) for g in grads]
+        packed = [pack(g, free_masks(m)) for g in grads]
         assert joint[0, 2] == pytest.approx(packed[0] @ fit.covariance @ packed[2], rel=1e-10)
 
     def test_se_does_not_depend_on_the_other_rows(self, fitted_noisy5):
@@ -683,6 +683,11 @@ class TestFitChain:
         assert estimate.dims == {1: 4, 2: 4}
         assert inversion.site_residuals
         assert fit.mpo.bonds == (4, 4, 4, 4)
+
+    def test_rejects_four_site_windows(self, noisy6):
+        # the bond estimate and the inversion read five-site windows
+        with pytest.raises(ValidationError, match="5-qubit windows"):
+            fit_chain(window_zshifted_set(noisy6, 4))
 
 
 class TestPersistence:

@@ -34,6 +34,27 @@ SHARED_MEMBER_NAMES = {
     "PauliCorrelationSet.starts in the fit and the inversion",
 }
 
+# fields of public src dataclasses that no src statement reads, and why each stays
+KEPT_UNREAD_FIELDS = {
+    "entanglement.LeResult.branches_evaluated": "bench contract: bench/tracing.py::_branches reads it (ROADMAP item 2)",
+    "reconstruct.InversionResult.column_residuals": "acceptance criterion 2 reads it (tests/test_acceptance.py)",
+}
+
+# field names that several public src dataclasses define: a read of the name
+# counts for each of them, so each is listed here with where it is read
+SHARED_FIELD_NAMES = {
+    "mpo": "FitResult.mpo in cli.cmd_analyze, InversionResult.mpo in fitting.fit_chain",
+    "pair": "MeasurementPlan.pair in entanglement, LeResult.pair in cli.cmd_analyze",
+    "values": "MomentTable.values in correlations.moments_to_zshifted, "
+    "PauliCorrelationSet.values in the fit and the inversion",
+    "ses": "MomentTable.ses in correlations.moments_to_zshifted, "
+    "PauliCorrelationSet.ses in the fit and the inversion",
+    "window": "MomentTable.window in correlations.moments_to_zshifted, "
+    "PauliCorrelationSet.window in the inversion",
+    "n_sites": "MomentTable.n_sites in correlations.moments_to_zshifted, "
+    "PauliCorrelationSet.n_sites in the inversion",
+}
+
 
 def _load_bench_module(name):
     spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
@@ -190,3 +211,46 @@ def test_src_classes_hold_only_what_the_pipeline_reads():
     assert set(KEPT_UNREAD_MEMBERS) - unread == set(), "drop members from KEPT_UNREAD_MEMBERS that src reads"
     shared = {name for name, defs in members.items() if len(defs) > 1}
     assert shared == set(SHARED_MEMBER_NAMES), "a shared member name hides an unread twin"
+
+
+def _is_dataclass(cls) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in cls.decorator_list
+    )
+
+
+def test_src_dataclass_fields_are_read():
+    # a field counts as read when some src attribute load names it, its own
+    # class's methods included, or when its own module names it in a string
+    # constant, as fitting.fit_record reads the fit by key
+    trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py") if p.stem != "__init__"}
+    fields = {}
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_") or not _is_dataclass(cls):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    fields.setdefault(node.target.id, []).append((f"{module}.{cls.name}.{node.target.id}", module))
+    read = {
+        n.attr
+        for tree in trees.values()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    keys = {
+        module: {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+        for module, tree in trees.items()
+    }
+    unread = {
+        qualified
+        for name, defs in fields.items()
+        for qualified, module in defs
+        if name not in read and name not in keys[module]
+    }
+    assert unread - set(KEPT_UNREAD_FIELDS) == set(), "delete result fields that no src code reads"
+    assert set(KEPT_UNREAD_FIELDS) - unread == set(), "drop fields from KEPT_UNREAD_FIELDS that src reads"
+    shared = {name for name, defs in fields.items() if len(defs) > 1}
+    assert shared == set(SHARED_FIELD_NAMES), "a shared field name hides an unread twin"

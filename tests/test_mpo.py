@@ -15,6 +15,7 @@ from _oracles import (
     loss_kraus,
     mpo_to_dense,
     mps_to_dense,
+    placed,
 )
 
 from mpo_tomo.channels import amplitude_damping, compose, pure_dephasing, z_rotation
@@ -33,13 +34,12 @@ from mpo_tomo.mpo import (
     pad_bond,
     save_json,
 )
-from mpo_tomo.pauli import PauliWord
 from mpo_tomo.standard_form import is_standard_form, to_standard_form
 
 
 class TestCorrelation:
     def test_cluster_stabilizer(self, cluster5):
-        assert cluster5.correlation(PauliWord((3, 1, 3), 1)) == pytest.approx(1.0)
+        assert cluster5.correlation((3, 1, 3, 0, 0)) == pytest.approx(1.0)
 
     def test_identity_word_is_trace(self, cluster5):
         sf = to_standard_form(cluster5)
@@ -56,7 +56,7 @@ class TestCorrelation:
 
     def test_word_out_of_range(self, cluster5):
         with pytest.raises(ValidationError):
-            cluster5.correlation(PauliWord((1, 1), 5))
+            cluster5.correlation(placed((1, 1), 5, 5))
 
     def test_dense_oracle_equivalence_larger_chain(self, rng):
         m = random_mpo(8, 2, rng, scale=0.7)
@@ -70,7 +70,7 @@ class TestCorrelation:
         for start in (1, 2, 4):
             for w in [(1, 0, 3), (2, 2, 1), (3, 3, 3)]:
                 assert wc[start][w] == pytest.approx(
-                    noisy6.correlation(PauliWord(w, start)), abs=1e-12
+                    noisy6.correlation(placed(w, start, 6)), abs=1e-12
                 )
 
 

@@ -6,6 +6,7 @@ import pytest
 from _oracles import (
     check_reconstructibility,
     dense_to_mpo,
+    placed,
     random_density_matrix,
     random_protocol,
     window_correlation_set,
@@ -49,18 +50,17 @@ class TestCorrMatrices:
         m = emit_mpo(random_protocol(6, 2, seed=31))
         corrs = window_correlation_set(m, 5)
         cm = build_corr_matrices(corrs)
-        from mpo_tomo.pauli import PauliWord
         from mpo_tomo.reconstruct import _corr_matrix
 
         for s in cm.b:
             for _ in range(10):
                 a, b, c, d = rng.integers(0, 4, size=4)
-                direct = m.correlation(PauliWord((a, b, c, d), s))
+                direct = m.correlation(placed((a, b, c, d), s, 6))
                 assert cm.b[s][4 * a + b, 4 * c + d] == pytest.approx(direct, abs=1e-12)
         for s in corrs.starts:
             cmat = _corr_matrix(corrs, s, 2, 2)[0]  # C(s, s+1 | s+2 | s+3, s+4)
             a, b, i, c, d = rng.integers(0, 4, size=5)
-            direct = m.correlation(PauliWord((a, b, i, c, d), s))
+            direct = m.correlation(placed((a, b, i, c, d), s, 6))
             assert cmat[i, 4 * a + b, 4 * c + d] == pytest.approx(direct, abs=1e-12)
 
     def test_unphysical_values_rejected(self, cluster6):

@@ -322,6 +322,8 @@ def cmd_analyze(cfg, out: str) -> int:
     record: dict = {}
     with _timed(record, "load"):
         fit = fitting.load_fit_bundle(fit_dir)
+    if fit.mpo.n_qubits != n:
+        raise ValidationError(f"fit bundle has {fit.mpo.n_qubits} qubits; protocol.n_qubits is {n}")
 
     # localizable entanglement, with the gradients its SEs propagate
     measure = ana["le_measure"]
@@ -332,13 +334,12 @@ def cmd_analyze(cfg, out: str) -> int:
         pairs = [tuple(p) for p in pairs]
     with _timed(record, "le"):
         le_rows = []
-        for r, rp in pairs:
-            plan = entanglement.default_plan(n, r, rp)
+        for pair in pairs:
             if n <= entanglement.EXACT_ENUMERATION_LIMIT:
-                res = entanglement.localizable_entanglement(fit.mpo, plan, measure)
+                res = entanglement.localizable_entanglement(fit.mpo, pair, measure)
             else:
                 res = entanglement.le_subset_estimate(
-                    fit.mpo, plan, measure, ana["subset_samples"], ana["subset_seed"]
+                    fit.mpo, pair, measure, ana["subset_samples"], ana["subset_seed"]
                 )
             le_rows.append(res)
 

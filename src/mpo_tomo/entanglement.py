@@ -1,11 +1,12 @@
-"""Localizable entanglement of an MPO under projective measurement plans.
+"""Localizable entanglement of an MPO under the cluster-state measurement plan.
 
-Measuring every qubit except a chosen pair collapses the chain into an
-ensemble of two-qubit states; the localizable entanglement is the
-outcome-weighted average of a two-qubit entanglement monotone over the
+Measuring every qubit except a pair (r, r'), those between the pair in X and
+those outside it in Z (Popp et al., PRA 71, 042306 (2005)), collapses the
+chain into an ensemble of two-qubit states; the localizable entanglement is
+the outcome-weighted average of a two-qubit entanglement monotone over the
 ensemble, evaluated here as a sum over unnormalized branch states.  Because
-the measurement bases are fixed (no maximization), the reported value is a
-lower bound of the textbook definition.
+the bases are fixed (no maximization), the reported value is a lower bound
+of the textbook definition.
 """
 
 from __future__ import annotations
@@ -21,74 +22,32 @@ from .pauli import PAULIS
 
 EXACT_ENUMERATION_LIMIT = 15
 
-
-@dataclass(frozen=True)
-class MeasurementPlan:
-    """Fixed projective bases for all qubits except one unmeasured pair.
-
-    Attributes:
-        pair: 1-based sites (r, r') left unmeasured, r < r'.
-        bases: mapping site -> unit Bloch 3-vector for every other site.
-    """
-
-    pair: tuple[int, int]
-    bases: dict = field(repr=False)
-
-    def __post_init__(self):
-        r, rp = self.pair
-        if not r < rp:
-            raise ValidationError(f"pair must satisfy r < r', got {self.pair}")
-
-    def basis_vector(self, site: int) -> np.ndarray:
-        v = np.asarray(self.bases[site])
-        real = v.shape == (3,) and v.dtype.kind in "iuf"
-        if not (real and abs(np.linalg.norm(v) - 1.0) <= 1e-5):
-            raise ValidationError(f"basis at site {site} must be a unit Bloch vector")
-        return v
-
-    def validate(self, n_sites: int):
-        r, rp = self.pair
-        if not (1 <= r < rp <= n_sites):
-            raise ValidationError(f"pair {self.pair} out of range for N={n_sites}")
-        for s in range(1, n_sites + 1):
-            if s in self.pair:
-                continue
-            if s not in self.bases:
-                raise ValidationError(f"no measurement basis for site {s}")
-            self.basis_vector(s)
+# the outcome vectors (1, +b)/2 and (1, -b)/2 of a measurement along X and Z
+_X_OUTCOMES, _Z_OUTCOMES = (np.array([[0.5, *b], [0.5, *-b]]) for b in 0.5 * np.eye(3)[[0, 2]])
 
 
-def default_plan(n_sites: int, r: int, rp: int) -> MeasurementPlan:
-    """The X-between / Z-outside plan that localizes cluster-state entanglement."""
-    x, z = (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)
-    bases = {s: x if r < s < rp else z for s in range(1, n_sites + 1) if s not in (r, rp)}
-    plan = MeasurementPlan((r, rp), bases)
-    plan.validate(n_sites)
-    return plan
-
-
-def _outcome_maps(mpo: Mpo, plan: MeasurementPlan):
+def _outcome_maps(mpo: Mpo, pair: tuple[int, int]):
     """Each site's outcome vectors, its map with the outcome index open, and
     the 0-based measured sites in chain order.
 
-    A measured site's two outcome vectors are the Pauli-axis vectors
-    (1, +b)/2 and (1, -b)/2 of outcomes +1 and -1, and its map is the
-    ``(D_l, 2, D_r)`` tensor they make of the site; each site of the
-    unmeasured pair keeps its ``(D_l, 4, D_r)`` Pauli index, the identity as
-    outcome vectors.
+    A site between the 1-based pair (r, r') is measured in X, one outside
+    it in Z; its map is the ``(D_l, 2, D_r)`` tensor its two outcome
+    vectors make of the site.  Each site of the unmeasured pair keeps its
+    ``(D_l, 4, D_r)`` Pauli index, the identity as outcome vectors.
     """
-    plan.validate(mpo.n_qubits)
+    r, rp = pair
+    if not 1 <= r < rp <= mpo.n_qubits:
+        raise ValidationError(f"pair {pair} must satisfy 1 <= r < r' <= N={mpo.n_qubits}")
     vectors, maps, measured = [], [], []
-    for s, t in enumerate(mpo.tensors):
-        if s + 1 in plan.pair:
+    for s, t in enumerate(mpo.tensors, 1):
+        if s in (r, rp):
             vectors.append(np.eye(4))
             maps.append(t)
             continue
-        b = 0.5 * np.asarray(plan.bases[s + 1])  # checked by validate
-        v = np.array([[0.5, *b], [0.5, *-b]])
+        v = _X_OUTCOMES if r < s < rp else _Z_OUTCOMES
         vectors.append(v)
         maps.append(np.einsum("oa,xay->xoy", v, t))
-        measured.append(s)
+        measured.append(s - 1)
     return vectors, maps, measured
 
 
@@ -250,7 +209,7 @@ class LeResult:
     fallback_branches: int = 0
 
 
-def _enumerate_branches(mpo, plan, measure):
+def _enumerate_branches(mpo, pair, measure):
     """Every outcome string's branch value, as one tree contraction.
 
     One left sweep over the outcome maps keeps every outcome index open, so
@@ -264,11 +223,11 @@ def _enumerate_branches(mpo, plan, measure):
         (branch values (2^(N-2),), per-site gradient of their sum, or None
         with a fallback branch, number of fallback branches).
     """
-    vectors, maps, measured = _outcome_maps(mpo, plan)
+    vectors, maps, measured = _outcome_maps(mpo, pair)
     lefts = left_environments(maps)
     open_dims = [m.shape[1] for m in maps]
     # the last measured site's bit varies slowest
-    order = measured[::-1] + [r - 1 for r in plan.pair]
+    order = measured[::-1] + [r - 1 for r in pair]
     c = lefts[-1].reshape(open_dims).transpose(order).reshape(-1, 4, 4)
     values, dvdc, fallback = _branch_terms(c, measure, True)
     n_fallback = int(fallback.sum())
@@ -281,40 +240,35 @@ def _enumerate_branches(mpo, plan, measure):
     return values, grads, 0
 
 
-def localizable_entanglement(
-    mpo: Mpo,
-    plan: MeasurementPlan,
-    measure: str = "negativity",
-) -> LeResult:
+def localizable_entanglement(mpo: Mpo, pair: tuple[int, int], measure: str = "negativity") -> LeResult:
     """Exact localizable entanglement by enumeration of all outcome branches,
     with the gradient of the value by the MPO's site tensors.
 
     Args:
         mpo: state to analyze (N <= 15; larger chains must use
             :func:`le_subset_estimate`).
-        plan: measurement bases and the unmeasured pair.
+        pair: the unmeasured 1-based sites (r, r'), r < r'.
         measure: "negativity" or "concurrence".
     """
-    n = mpo.n_qubits
-    if n > EXACT_ENUMERATION_LIMIT:
+    if mpo.n_qubits > EXACT_ENUMERATION_LIMIT:
         raise ValidationError(
             f"exact enumeration limited to N <= {EXACT_ENUMERATION_LIMIT}; "
             "use le_subset_estimate"
         )
-    values, grad, fallback = _enumerate_branches(mpo, plan, measure)
+    values, grad, fallback = _enumerate_branches(mpo, pair, measure)
     return LeResult(
         value=float(values.sum()),
         gradient=grad,
         se_sampling=0.0,
         branches_evaluated=values.size,
-        pair=plan.pair,
+        pair=pair,
         fallback_branches=fallback,
     )
 
 
 def le_subset_estimate(
     mpo: Mpo,
-    plan: MeasurementPlan,
+    pair: tuple[int, int],
     measure: str = "negativity",
     samples: int = 2**13,
     seed: int = 0,
@@ -327,28 +281,19 @@ def le_subset_estimate(
     correction so that full enumeration reports zero.
     """
     samples = check_positive_int(samples, "samples", minimum=1)
-    _, maps, measured = _outcome_maps(mpo, plan)
+    _, maps, measured = _outcome_maps(mpo, pair)
     total = 2 ** len(measured)
     if samples > total:
         raise ValidationError(f"samples {samples} exceeds {total} branches")
     rng = np.random.default_rng(seed)
-    if samples == total:
-        indices = np.arange(total)
-    else:
-        indices = rng.choice(total, size=samples, replace=False)
-    c = _string_coefficients(maps, measured, indices)
-    terms, _, _ = _branch_terms(c, measure, False)
-    scale = total / samples
-    estimate = scale * terms.sum()
-    if samples > 1:
-        fpc = np.sqrt(1.0 - samples / total)
-        se = total * np.std(terms, ddof=1) / np.sqrt(samples) * fpc
-    else:
-        se = np.inf
+    indices = np.arange(total) if samples == total else rng.choice(total, size=samples, replace=False)
+    terms, _, _ = _branch_terms(_string_coefficients(maps, measured, indices), measure, False)
+    fpc = np.sqrt(1.0 - samples / total)
+    se = total * np.std(terms, ddof=1) / np.sqrt(samples) * fpc if samples > 1 else np.inf
     return LeResult(
-        value=float(estimate),
+        value=float(total / samples * terms.sum()),
         gradient=None,
         se_sampling=float(se),
         branches_evaluated=int(samples),
-        pair=plan.pair,
+        pair=pair,
     )

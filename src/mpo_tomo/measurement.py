@@ -150,8 +150,9 @@ def load_moment_csv(paths, n_sites: int, window: int) -> MomentTable:
 
     Raises:
         ValidationError: naming the file and line of a wrong header, a
-            non-numeric, missing or extra field, or a row whose word or
-            window start does not fit the table.
+            non-numeric, missing or extra field, a row whose word or
+            window start does not fit the table, or a row that repeats the
+            window start and word of an earlier one (and naming that one).
     """
     # a word one character too long cannot be truncated into a valid one
     dtype = [("start", np.int64), ("word", f"U{2 * window + 1}"), ("value", float),
@@ -187,9 +188,27 @@ def load_moment_csv(paths, n_sites: int, window: int) -> MomentTable:
                 )
         raise ValidationError(f"{path}: malformed rows")
 
+    def reject_repeat():
+        # the error path only: name the first row whose window start and word
+        # an earlier row, in the same file or another, already has
+        seen = {}
+        for path in paths:
+            with open(path) as fh:
+                lines = fh.readlines()[1:]
+            for line_num, (line, row) in enumerate(zip(lines, parse(lines)), start=2):
+                key = row["start"], row["word"]
+                if key in seen:
+                    raise ValidationError(
+                        f"{path}, line {line_num}: row {line.rstrip()!r} repeats the "
+                        f"window start and word of {seen[key]}"
+                    )
+                seen[key] = f"{path}, line {line_num}"
+        raise ValidationError("repeated rows")
+
     values = np.full((n_starts, *(6,) * window), np.nan)
     ses = np.full_like(values, np.nan)
-    shots = 0
+    filled = np.zeros((n_starts, 6**window), dtype=bool)
+    n_rows = shots = 0
     for path in paths:
         with open(path) as fh:
             header = fh.readline()
@@ -207,7 +226,11 @@ def load_moment_csv(paths, n_sites: int, window: int) -> MomentTable:
         index = rows["start"] - 1, flat
         values.reshape(n_starts, -1)[index] = rows["value"]
         ses.reshape(n_starts, -1)[index] = rows["se"]
+        filled[index] = True
+        n_rows += rows.size
         shots = max(shots, int(rows["shots"].max(initial=0)))
+    if np.count_nonzero(filled) != n_rows:
+        reject_repeat()
     return MomentTable(
         n_sites, window, dict(enumerate(values, 1)), dict(enumerate(ses, 1)), shots
     )

@@ -34,13 +34,9 @@ from mpo_tomo.emission import (
 )
 from mpo_tomo.entanglement import (
     LeResult,
-    MeasurementPlan,
     _coeffs_to_matrix,
-    _outcome_maps,
-    _string_coefficients,
     _wootters_excess,
     _wootters_product,
-    default_plan,
     localizable_entanglement,
     partial_transpose,
 )
@@ -144,25 +140,26 @@ def dense_protocol_state(unitary_gates, unitary_emissions, d: int) -> np.ndarray
     return np.einsum("aiaj->ij", t)
 
 
-def dense_localizable_entanglement(rho: np.ndarray, n: int, plan, measure: str) -> float:
-    """Enumerate outcome branches with dense projectors and partial traces."""
+def dense_localizable_entanglement(rho: np.ndarray, n: int, pair, measure: str) -> float:
+    """Enumerate outcome branches with dense projectors and partial traces,
+    measuring X between the 1-based ``pair`` and Z outside it."""
+    r, rp = pair
     total = 0.0
     for bits in itertools.product([1, -1], repeat=n - 2):
         ops = []
         k = 0
         for s in range(1, n + 1):
-            if s in plan.pair:
+            if s in pair:
                 ops.append(I2)
                 continue
-            bloch = plan.basis_vector(s)
-            pauli = bloch[0] * PAULIS[1] + bloch[1] * PAULIS[2] + bloch[2] * PAULIS[3]
+            pauli = PAULIS[1] if r < s < rp else PAULIS[3]
             ops.append((I2 + bits[k] * pauli) / 2.0)
             k += 1
         proj = kron_all(ops)
         sub = proj @ rho @ proj
         t = sub.reshape((2,) * (2 * n))
         for s in reversed(range(n)):
-            if s + 1 in plan.pair:
+            if s + 1 in pair:
                 continue
             half = t.ndim // 2
             t = np.trace(t, axis1=s, axis2=s + half)
@@ -538,32 +535,43 @@ def window_zshifted_set(mpo: Mpo, window: int) -> PauliCorrelationSet:
     return pauli_to_zshifted(window_correlation_set(mpo, window))
 
 
-def post_measurement_state(mpo: Mpo, plan: MeasurementPlan, outcomes) -> TwoQubitState:
-    """Unnormalized two-qubit state after projecting all other sites.
+def post_measurement_state(mpo: Mpo, pair, outcomes) -> TwoQubitState:
+    """Unnormalized two-qubit state after projecting all other sites, X
+    between the 1-based ``pair`` and Z outside it, one site at a time.
 
     The weight equals the probability of the outcome string; weights over
     all 2^(N-2) outcome strings sum to the trace of the MPO.
     """
-    _, maps, measured = _outcome_maps(mpo, plan)
+    r, rp = pair
+    n = mpo.n_qubits
     outcomes = list(outcomes)
-    if len(outcomes) != len(measured):
-        raise ValidationError(f"need {len(measured)} outcomes, got {len(outcomes)}")
+    if len(outcomes) != n - 2:
+        raise ValidationError(f"need {n - 2} outcomes, got {len(outcomes)}")
     if any(m not in (1, -1) for m in outcomes):
         raise ValidationError("outcomes must be +1 or -1")
-    index = sum(1 << k for k, m in enumerate(outcomes) if m == -1)
-    c = _string_coefficients(maps, measured, [index])[0]
+    signs = iter(outcomes)
+    # (open Pauli indices of the pair so far, right bond)
+    env = np.ones((1, 1))
+    for s, t in enumerate(mpo.tensors, 1):
+        if s in pair:
+            env = np.einsum("px,xay->pay", env, t).reshape(-1, t.shape[2])
+            continue
+        v = np.zeros(4)
+        v[0] = 0.5
+        v[1 if r < s < rp else 3] = 0.5 * next(signs)
+        env = np.einsum("px,a,xay->py", env, v, t)
+    c = env.reshape(4, 4)
     return TwoQubitState(matrix=_coeffs_to_matrix(c), weight=float(c[0, 0]))
 
 
 def pairwise_le_matrix(mpo: Mpo, measure: str = "negativity") -> dict[tuple[int, int], LeResult]:
-    """Localizable entanglement for every pair under the default X/Z plans."""
+    """Localizable entanglement for every pair."""
     n = mpo.n_qubits
-    out = {}
-    for r in range(1, n):
-        for rp in range(r + 1, n + 1):
-            plan = default_plan(n, r, rp)
-            out[(r, rp)] = localizable_entanglement(mpo, plan, measure)
-    return out
+    return {
+        (r, rp): localizable_entanglement(mpo, (r, rp), measure)
+        for r in range(1, n)
+        for rp in range(r + 1, n + 1)
+    }
 
 
 def moment_word_string(word) -> str:

@@ -35,7 +35,6 @@ from mpo_tomo.correlations import (
 from _oracles import dense_fidelity, mpo_to_dense, mps_to_dense
 from mpo_tomo.emission import emit_mpo
 from mpo_tomo.entanglement import (
-    default_plan,
     le_subset_estimate,
     localizable_entanglement,
 )
@@ -235,24 +234,24 @@ def test_criterion_07_localizable_entanglement():
     checks.append(all(abs(r.value - 1.0) < 1e-9 for r in con.values()))
     # noisy N=6 equals the dense oracle
     noisy = noisy_cluster_model(6, ErrorModel.uniform(6, 0.09, 0.06))
-    plan = default_plan(6, 2, 5)
-    le = localizable_entanglement(noisy, plan, "negativity")
-    oracle = dense_localizable_entanglement(mpo_to_dense(noisy), 6, plan, "negativity")
+    pair = (2, 5)
+    le = localizable_entanglement(noisy, pair, "negativity")
+    oracle = dense_localizable_entanglement(mpo_to_dense(noisy), 6, pair, "negativity")
     checks.append(abs(le.value - oracle) < 1e-10)
     # subset estimator unbiased over 20 seeds at N = 12
     big = noisy_cluster_model(12, ErrorModel.uniform(12, 0.09, 0.06))
-    plan12 = default_plan(12, 3, 9)
-    exact = localizable_entanglement(big, plan12, "negativity")
+    pair12 = (3, 9)
+    exact = localizable_entanglement(big, pair12, "negativity")
     devs = []
     for seed in range(20):
-        est = le_subset_estimate(big, plan12, "negativity", samples=2**8, seed=seed)
+        est = le_subset_estimate(big, pair12, "negativity", samples=2**8, seed=seed)
         devs.append(abs(est.value - exact.value) / est.se_sampling)
     checks.append(max(devs) <= 3.0)
     # fixed separation independent of N
     vals = []
     for n in (6, 9, 12):
         m = noisy_cluster_model(n, ErrorModel.uniform(n, 0.09, 0.06))
-        vals.append(localizable_entanglement(m, default_plan(n, 2, 5), "negativity").value)
+        vals.append(localizable_entanglement(m, (2, 5), "negativity").value)
     checks.append(np.ptp(vals) < 1e-9)
     elapsed = time.time() - t0
     ok = all(checks)
@@ -283,8 +282,8 @@ def test_criterion_08_bound_dominance():
         rho = mpo_to_dense(m)
         for r, rp in ((1, 3), (2, n)):
             _, raw = stabilizer_concurrence_bound(stabs, rp - r)
-            plan = default_plan(n, r, rp)
-            le = dense_localizable_entanglement(rho, n, plan, "concurrence")
+            pair = (r, rp)
+            le = dense_localizable_entanglement(rho, n, pair, "concurrence")
             if raw > le + 1e-10:
                 c_viol += 1
     elapsed = time.time() - t0

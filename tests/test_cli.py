@@ -539,6 +539,20 @@ class TestAnalyze:
         path.write_text(json.dumps(header))
         assert main(["analyze", "--config", cfg, "--out", str(broken)]) == 2
 
+    @pytest.mark.parametrize("n_qubits", [6, 16])
+    def test_bundle_qubit_count_must_match_config(self, pipeline_run, tmp_path, capsys, n_qubits):
+        _, out = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(os.path.join(out, "fit"), run / "fit")
+        before = _file_list(run)
+        other = json.loads(json.dumps(CONFIG))
+        other["protocol"]["n_qubits"] = n_qubits
+        other["analysis"]["subset_seed"] = 1
+        cfg = write_config(tmp_path / "other.json", other)
+        assert main(["analyze", "--config", cfg, "--out", str(run)]) == 2
+        assert f"has 5 qubits; protocol.n_qubits is {n_qubits}" in capsys.readouterr().err
+        assert _file_list(run) == before
+
     def test_report_values(self, pipeline_run):
         _, out = pipeline_run
         report = json.load(open(os.path.join(out, "report.json")))
@@ -635,23 +649,23 @@ def fitted_chain6(noisy6):
     """A converged fit of an N=6 noisy-cluster dataset, and the exact
     negativity LE of every pair of its MPO."""
     from mpo_tomo.correlations import moments_to_zshifted
-    from mpo_tomo.entanglement import default_plan, localizable_entanglement
+    from mpo_tomo.entanglement import localizable_entanglement
     from mpo_tomo.fitting import fit_chain
     from mpo_tomo.measurement import synthesize_dataset
 
     _, _, fit = fit_chain(moments_to_zshifted(synthesize_dataset(noisy6, 5, 1.0, 10**7, seed=1)))
     assert fit.converged
     pairs = [(r, rp) for r in range(1, 6) for rp in range(r + 1, 7)]
-    return fit, [localizable_entanglement(fit.mpo, default_plan(6, *p), "negativity") for p in pairs]
+    return fit, [localizable_entanglement(fit.mpo, p, "negativity") for p in pairs]
 
 
 def _fallback_pair():
     """An exact-LE result with a fallback branch: the ideal cluster's
     concurrence, whose Wootters lambdas sit at zero."""
     from mpo_tomo.cluster import ideal_cluster_mpo
-    from mpo_tomo.entanglement import default_plan, localizable_entanglement
+    from mpo_tomo.entanglement import localizable_entanglement
 
-    res = localizable_entanglement(ideal_cluster_mpo(6), default_plan(6, 2, 5), "concurrence")
+    res = localizable_entanglement(ideal_cluster_mpo(6), (2, 5), "concurrence")
     assert res.fallback_branches > 0 and res.gradient is None
     return res
 

@@ -184,7 +184,7 @@ class TestConcurrenceBound:
         assert clamped == 0.0
 
     def test_bound_below_localizable_concurrence(self, rng):
-        from mpo_tomo.entanglement import default_plan, localizable_entanglement
+        from mpo_tomo.entanglement import localizable_entanglement
 
         n = 6
         for _ in range(50):
@@ -193,7 +193,7 @@ class TestConcurrenceBound:
             stabs = stabilizer_expectations(m)
             r, rp = 2, 5
             _, raw = stabilizer_concurrence_bound(stabs, rp - r)
-            le = localizable_entanglement(m, default_plan(n, r, rp), "concurrence")
+            le = localizable_entanglement(m, (r, rp), "concurrence")
             assert raw <= le.value + 1e-10
 
 

@@ -18,8 +18,6 @@ from _oracles import (
 
 from mpo_tomo.cluster import ErrorModel, ideal_cluster_mpo, noisy_cluster_model
 from mpo_tomo.entanglement import (
-    MeasurementPlan,
-    default_plan,
     le_subset_estimate,
     localizable_entanglement,
     partial_transpose,
@@ -90,16 +88,16 @@ class TestMonotones:
 class TestPostMeasurement:
     def test_bell_branch_on_cluster(self):
         m = ideal_cluster_mpo(4)
-        plan = default_plan(4, 1, 4)
-        st = post_measurement_state(m, plan, [1, 1])
+        pair = (1, 4)
+        st = post_measurement_state(m, pair, [1, 1])
         norm = st.matrix / st.weight
         assert negativity(TwoQubitState(norm, 1.0)) == pytest.approx(0.5, abs=1e-9)
         assert concurrence(TwoQubitState(norm, 1.0)) == pytest.approx(1.0, abs=1e-9)
 
     def test_weights_sum_to_one(self, noisy6):
-        plan = default_plan(6, 2, 5)
+        pair = (2, 5)
         total = sum(
-            post_measurement_state(noisy6, plan, bits).weight
+            post_measurement_state(noisy6, pair, bits).weight
             for bits in itertools.product([1, -1], repeat=4)
         )
         assert total == pytest.approx(1.0, abs=1e-12)
@@ -109,32 +107,15 @@ class TestPostMeasurement:
         site[0, 0, 0] = 1.0
         site[0, 1, 0] = 0.6  # partially X-polarized qubits
         m = Mpo([site] * 5)
-        plan = default_plan(5, 2, 4)
-        st = post_measurement_state(m, plan, [1, -1, 1])
+        pair = (2, 4)
+        st = post_measurement_state(m, pair, [1, -1, 1])
         rho = st.matrix / st.weight
         single = np.array([[0.5, 0.3], [0.3, 0.5]])
         assert np.max(np.abs(rho - np.kron(single, single))) < 1e-12
 
-    def test_bloch_vector_bases(self, noisy6):
-        v = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
-        bases = {s: v for s in range(1, 7) if s not in (2, 5)}
-        plan = MeasurementPlan((2, 5), bases)
-        st = post_measurement_state(noisy6, plan, [1, 1, -1, -1])
-        assert abs(np.trace(st.matrix).real - st.weight) < 1e-12
-
     def test_outcome_count_checked(self, noisy6):
         with pytest.raises(ValidationError):
-            post_measurement_state(noisy6, default_plan(6, 1, 6), [1, 1, 1])
-
-    def test_plan_validation(self):
-        with pytest.raises(ValidationError):
-            default_plan(6, 4, 2)
-        with pytest.raises(ValidationError):
-            MeasurementPlan((1, 4), {2: (1.0, 0.0, 0.0)}).validate(4)
-        # a basis is a real unit Bloch vector, not a letter
-        for basis in ("X", ("a", "b", "c"), (1j, 0.0, 0.0)):
-            with pytest.raises(ValidationError):
-                MeasurementPlan((1, 3), {2: basis}).validate(3)
+            post_measurement_state(noisy6, (1, 6), [1, 1, 1])
 
 
 class TestLocalizableEntanglement:
@@ -147,44 +128,52 @@ class TestLocalizableEntanglement:
 
     @pytest.mark.parametrize("measure", ["negativity", "concurrence"])
     def test_matches_dense_oracle(self, noisy6, measure):
-        plan = default_plan(6, 2, 5)
-        le = localizable_entanglement(noisy6, plan, measure)
-        oracle = dense_localizable_entanglement(mpo_to_dense(noisy6), 6, plan, measure)
+        pair = (2, 5)
+        le = localizable_entanglement(noisy6, pair, measure)
+        oracle = dense_localizable_entanglement(mpo_to_dense(noisy6), 6, pair, measure)
         assert le.value == pytest.approx(oracle, abs=1e-10)
 
     def test_upper_bounds(self, rng):
         for _ in range(5):
             model = ErrorModel(rng.uniform(0, 0.3, 6), rng.uniform(0, 0.3, 6))
             m = noisy_cluster_model(6, model)
-            plan = default_plan(6, 1, 4)
-            assert localizable_entanglement(m, plan, "negativity").value <= 0.5 + 1e-9
-            assert localizable_entanglement(m, plan, "concurrence").value <= 1.0 + 1e-9
+            pair = (1, 4)
+            assert localizable_entanglement(m, pair, "negativity").value <= 0.5 + 1e-9
+            assert localizable_entanglement(m, pair, "concurrence").value <= 1.0 + 1e-9
 
     def test_fixed_separation_independent_of_length(self):
         model = lambda n: noisy_cluster_model(n, ErrorModel.uniform(n, 0.09, 0.06))
         values = []
         for n in (6, 8, 10):
-            le = localizable_entanglement(model(n), default_plan(n, 2, 5), "negativity")
+            le = localizable_entanglement(model(n), (2, 5), "negativity")
             values.append(le.value)
         assert np.ptp(values) < 1e-9
 
     def test_tree_branches_match_outcome_strings(self, noisy6):
         from mpo_tomo.entanglement import _enumerate_branches
 
-        plan = default_plan(6, 1, 4)  # no mirror symmetry
-        terms, _, _ = _enumerate_branches(noisy6, plan, "negativity")
+        pair = (1, 4)  # no mirror symmetry
+        terms, _, _ = _enumerate_branches(noisy6, pair, "negativity")
         assert terms.shape == (16,)
         for index, term in enumerate(terms):
             # bit k set: the k-th measured site gave -1
             outcomes = [-1 if (index >> k) & 1 else 1 for k in range(4)]
-            st = post_measurement_state(noisy6, plan, outcomes)
+            st = post_measurement_state(noisy6, pair, outcomes)
             expected = st.weight * negativity(TwoQubitState(st.matrix / st.weight, 1.0))
             assert term == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("pair", [(4, 2), (3, 3), (0, 4), (2, 7)])
+    def test_pair_validated(self, noisy6, pair):
+        # a reversed or repeated pair, r = 0 and r' > N
+        with pytest.raises(ValidationError, match="pair"):
+            localizable_entanglement(noisy6, pair)
+        with pytest.raises(ValidationError, match="pair"):
+            le_subset_estimate(noisy6, pair, samples=1)
 
     def test_size_limit_directs_to_subset(self):
         m = noisy_cluster_model(16, ErrorModel.uniform(16, 0.05, 0.05))
         with pytest.raises(ValidationError, match="subset"):
-            localizable_entanglement(m, default_plan(16, 1, 16))
+            localizable_entanglement(m, (1, 16))
 
     @pytest.mark.parametrize(
         "state, measure",
@@ -208,8 +197,8 @@ class TestLocalizableEntanglement:
             m = to_standard_form(ideal_cluster_mpo(5))
             cov = np.eye(n_free_parameters(free_masks(m)))
             fit = FitResult(m, cov, 0.0, 0, 0, True)
-        plan = default_plan(5, 1, 4)
-        le = localizable_entanglement(fit.mpo, plan, measure)
+        pair = (1, 4)
+        le = localizable_entanglement(fit.mpo, pair, measure)
         assert le.fallback_branches == 0 and le.gradient is not None
         (se,), _ = propagate_joint(fit, [le.gradient])
         assert se > 0
@@ -223,8 +212,8 @@ class TestLocalizableEntanglement:
             tp[i] += h
             tm = theta0.copy()
             tm[i] -= h
-            vp = localizable_entanglement(unpack(tp, fit.mpo, masks), plan, measure).value
-            vm = localizable_entanglement(unpack(tm, fit.mpo, masks), plan, measure).value
+            vp = localizable_entanglement(unpack(tp, fit.mpo, masks), pair, measure).value
+            vm = localizable_entanglement(unpack(tm, fit.mpo, masks), pair, measure).value
             fd = (vp - vm) / (2 * h)
             assert grad[i] == pytest.approx(fd, abs=max(1e-6, 1e-4 * abs(fd)))
 
@@ -245,17 +234,17 @@ class TestLocalizableEntanglement:
             return real_vjp(*args)
 
         monkeypatch.setattr(entanglement, "left_environments_vjp", counted_vjp)
-        le = localizable_entanglement(m, default_plan(5, 1, 4), measure)
+        le = localizable_entanglement(m, (1, 4), measure)
         assert le.fallback_branches == n_fallback
         assert len(sweeps) == (0 if n_fallback else 1)
         assert (le.gradient is None) == bool(n_fallback)
 
 
 def _all_branches(mpo, pair):
-    """Coefficients (2^(N-2), 4, 4) of every outcome branch under the default plan."""
+    """Coefficients (2^(N-2), 4, 4) of every outcome branch of the pair."""
     from mpo_tomo.entanglement import _outcome_maps, _string_coefficients
 
-    _, maps, measured = _outcome_maps(mpo, default_plan(mpo.n_qubits, *pair))
+    _, maps, measured = _outcome_maps(mpo, pair)
     return _string_coefficients(maps, measured, np.arange(2 ** len(measured)))
 
 
@@ -336,8 +325,8 @@ class TestFittedChainEntanglement:
         assert fit.converged
         values = []
         for k in (1, 3, 5, 6):
-            plan = default_plan(10, 4, 4 + k)
-            le = localizable_entanglement(fit.mpo, plan, "negativity")
+            pair = (4, 4 + k)
+            le = localizable_entanglement(fit.mpo, pair, "negativity")
             (se,), _ = propagate_joint(fit, [le.gradient])
             values.append((k, le.value, se))
         # decays with distance but stays significantly above zero
@@ -346,60 +335,60 @@ class TestFittedChainEntanglement:
             if k >= 5:
                 assert value > 3.0 * se
         # and agrees with the underlying truth within a few standard errors
-        t_le = localizable_entanglement(truth, default_plan(10, 4, 10), "negativity")
+        t_le = localizable_entanglement(truth, (4, 10), "negativity")
         k, value, se = values[-1]
         assert abs(value - t_le.value) < 4.0 * se
 
 
 class TestSubsetEstimator:
     def test_full_enumeration_equals_exact(self, noisy6):
-        plan = default_plan(6, 2, 5)
-        exact = localizable_entanglement(noisy6, plan, "negativity")
-        full = le_subset_estimate(noisy6, plan, "negativity", samples=2**4, seed=3)
+        pair = (2, 5)
+        exact = localizable_entanglement(noisy6, pair, "negativity")
+        full = le_subset_estimate(noisy6, pair, "negativity", samples=2**4, seed=3)
         assert full.value == pytest.approx(exact.value, abs=1e-12)
         assert full.se_sampling == 0.0  # finite-population correction
 
     def test_unbiased_within_sampling_error(self):
         m = noisy_cluster_model(12, ErrorModel.uniform(12, 0.09, 0.06))
-        plan = default_plan(12, 3, 9)
-        exact = localizable_entanglement(m, plan, "negativity")
+        pair = (3, 9)
+        exact = localizable_entanglement(m, pair, "negativity")
         for seed in range(20):
-            est = le_subset_estimate(m, plan, "negativity", samples=2**8, seed=seed)
+            est = le_subset_estimate(m, pair, "negativity", samples=2**8, seed=seed)
             assert abs(est.value - exact.value) <= 3.0 * est.se_sampling
 
     def test_deterministic(self, noisy6):
-        plan = default_plan(6, 1, 6)
-        a = le_subset_estimate(noisy6, plan, "concurrence", samples=8, seed=5)
-        b = le_subset_estimate(noisy6, plan, "concurrence", samples=8, seed=5)
+        pair = (1, 6)
+        a = le_subset_estimate(noisy6, pair, "concurrence", samples=8, seed=5)
+        b = le_subset_estimate(noisy6, pair, "concurrence", samples=8, seed=5)
         assert a.value == b.value
         assert a.se_sampling == b.se_sampling
 
     def test_sample_count_validated(self, noisy6):
         with pytest.raises(ValidationError):
-            le_subset_estimate(noisy6, default_plan(6, 1, 6), samples=17, seed=0)
+            le_subset_estimate(noisy6, (1, 6), samples=17, seed=0)
 
     @pytest.mark.parametrize("samples", [8.0, 8.7, True, "8"])
     def test_sample_count_must_be_an_integer(self, noisy6, samples):
         with pytest.raises(ValidationError, match="integer"):
-            le_subset_estimate(noisy6, default_plan(6, 1, 6), samples=samples, seed=0)
+            le_subset_estimate(noisy6, (1, 6), samples=samples, seed=0)
 
     def test_numpy_integer_sample_count(self, noisy6):
-        plan = default_plan(6, 1, 6)
-        a = le_subset_estimate(noisy6, plan, "concurrence", samples=np.int64(8), seed=5)
-        b = le_subset_estimate(noisy6, plan, "concurrence", samples=8, seed=5)
+        pair = (1, 6)
+        a = le_subset_estimate(noisy6, pair, "concurrence", samples=np.int64(8), seed=5)
+        b = le_subset_estimate(noisy6, pair, "concurrence", samples=8, seed=5)
         assert (a.value, a.branches_evaluated) == (b.value, 8)
 
     def test_long_chain_draws_distinct_branches(self):
         # 2^25 branches: one sampler without replacement for every population
         n = 27
         m = noisy_cluster_model(n, ErrorModel.uniform(n, 0.09, 0.06))
-        est = le_subset_estimate(m, default_plan(n, 1, 3), "negativity", samples=64, seed=1)
+        est = le_subset_estimate(m, (1, 3), "negativity", samples=64, seed=1)
         assert est.branches_evaluated == 64
         assert np.isfinite(est.value) and np.isfinite(est.se_sampling)
 
     def test_unknown_measure_rejected(self, noisy6):
         with pytest.raises(ValidationError, match="negatvity"):
-            le_subset_estimate(noisy6, default_plan(6, 1, 6), "negatvity", 16, 0)
+            le_subset_estimate(noisy6, (1, 6), "negatvity", 16, 0)
 
     @pytest.mark.parametrize("pair", [(1, 2), (2, 7), (3, 8), (1, 9)])
     def test_batched_strings_match_single_sweeps(self, pair, rng):
@@ -409,7 +398,7 @@ class TestSubsetEstimator:
         from mpo_tomo.mpo import left_environments
 
         m = noisy_cluster_model(9, ErrorModel.uniform(9, 0.09, 0.06))
-        _, maps, measured = _outcome_maps(m, default_plan(9, *pair))
+        _, maps, measured = _outcome_maps(m, pair)
         strings = rng.integers(0, 2 ** len(measured), size=40)
         strings = np.concatenate([strings, strings[::-3], [0, 2 ** len(measured) - 1]])
         batched = _string_coefficients(maps, measured, strings)
@@ -426,7 +415,7 @@ class TestSubsetEstimator:
         from mpo_tomo.entanglement import _outcome_maps, _string_coefficients
 
         m = noisy_cluster_model(9, ErrorModel.uniform(9, 0.09, 0.06))
-        _, maps, measured = _outcome_maps(m, default_plan(9, 2, 7))
+        _, maps, measured = _outcome_maps(m, (2, 7))
         strings = np.random.default_rng(63).integers(0, 2 ** len(measured), size=50)
         whole = _string_coefficients(maps, measured, strings)
         monkeypatch.setattr(entanglement, "_STRING_BLOCK", 16)

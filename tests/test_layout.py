@@ -44,7 +44,6 @@ KEPT_UNREAD_FIELDS = {
 # counts for each of them, so each is listed here with where it is read
 SHARED_FIELD_NAMES = {
     "mpo": "FitResult.mpo in cli.cmd_analyze, InversionResult.mpo in fitting.fit_chain",
-    "pair": "MeasurementPlan.pair in entanglement, LeResult.pair in cli.cmd_analyze",
     "values": "MomentTable.values in correlations.moments_to_zshifted, "
     "PauliCorrelationSet.values in the fit and the inversion",
     "ses": "MomentTable.ses in correlations.moments_to_zshifted, "
@@ -107,7 +106,7 @@ def test_bench_reads_of_results_resolve(noisy5, noisy5_fit_chain):
     import numpy as np
 
     from mpo_tomo.correlations import moments_to_zshifted
-    from mpo_tomo.entanglement import default_plan, localizable_entanglement
+    from mpo_tomo.entanglement import localizable_entanglement
     from mpo_tomo.fitting import _FitPlan, _Point, _window_values_jacobian
     from mpo_tomo.measurement import synthesize_dataset
     from mpo_tomo.standard_form import pack
@@ -129,7 +128,7 @@ def test_bench_reads_of_results_resolve(noisy5, noisy5_fit_chain):
     hess = _window_values_jacobian(point, np.ones((1, 4**5)))[1]
     assert isinstance(hess, np.ndarray)
     assert tracing._jacobian_flag((), (None, hess)) == {"jacobian": True}
-    le = localizable_entanglement(fit.mpo, default_plan(5, 1, 5))
+    le = localizable_entanglement(fit.mpo, (1, 5))
     assert tracing._branches((), le) == {"branches": 2**3}
 
 

@@ -213,6 +213,23 @@ class TestMomentCsv:
             assert np.array_equal(back.ses[s], table.ses[s])
         assert back.shots == table.shots
 
+    @pytest.mark.parametrize("same_file", [False, True], ids=["second-file", "same-file"])
+    def test_repeated_row_rejected(self, noisy6, tmp_path, same_file):
+        # a row that repeats the window start and word of an earlier row, in
+        # another setting file or in its own, is named together with it
+        table = synthesize_dataset(noisy6, 5, 1.0, 10**6, seed=4)
+        save_dataset(table, tmp_path)
+        first, second = sorted(tmp_path.iterdir())[:2]
+        assert first.name == "setting_ppppp.csv"  # holds window 1's P0P0P0P0P0
+        repeat = first if same_file else second
+        with open(repeat, "a", newline="") as fh:
+            fh.write("1,P0P0P0P0P0,0.5,0.0,10000000\r\n")
+        with pytest.raises(ValidationError) as err:
+            load_dataset(tmp_path, 6, 5)
+        message = str(err.value)
+        assert message.startswith(f"{repeat}, line {3**5 * 2 + 2}: row '1,P0P0P0P0P0")
+        assert f"of {first}, line 2" in message
+
     @staticmethod
     def _edit_third_line(path, edit):
         lines = path.read_text().splitlines()

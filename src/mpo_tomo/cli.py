@@ -399,7 +399,7 @@ def cmd_analyze(cfg, out: str) -> int:
         },
         "le_measure": measure,
         "le_fallback_branches": sum(res.fallback_branches for res in le_rows),
-        "fit": {"sse": fit.sse, "dof": fit.dof, "converged": fit.converged},
+        "fit": fitting.fit_record(fit),
         **record,
     }
     write_json(os.path.join(out, "report.json"), report)

@@ -83,10 +83,10 @@ class _FitPlan:
     form, its pinned template, the letter maps of the data-basis map K = F
     and the assembly's index tables.
 
-    Every site is zero-padded to the largest bond, so the site tensors of a
-    point sit in one ``(N, D, 4, D)`` array and window offset k of all windows
-    is its slice ``[k : k + n_windows]``.  The padding stays exactly zero, so
-    a product over it sums the unpadded product's terms and exact zeros.
+    Every site is zero-padded to the largest bond D, the fit's only layout:
+    a point's site tensors are one ``(N, D, 4, D)`` array, whose slice
+    ``[k : k + n_windows]`` is window offset k of all windows.  The padding
+    stays exactly zero and no free entry reads it.
 
     Args:
         template: standard-form MPO whose pinned entries every point keeps.
@@ -101,8 +101,7 @@ class _FitPlan:
         entries = free_entries(self.masks)
         # each site's free entries are contiguous in the packing order
         self.offsets = np.cumsum([0] + [len(i) for i, _, _ in entries])
-        self.dims = [dl for dl, _, _ in shapes] + [1]  # bond left of each site
-        self.bond = bond = max(self.dims)
+        self.bond = bond = max(dl for dl, _, _ in shapes)
         self.base = np.zeros((n, bond, 4, bond))
         for s, ((dl, _, dr), t) in enumerate(zip(shapes, template.tensors)):
             self.base[s, :dl, :, :dr] = t
@@ -115,17 +114,17 @@ class _FitPlan:
         # letter against the boundary
         self.k_pair = np.kron(F_MATRIX, F_MATRIX)
         self.k_same = (F_MATRIX[:, :, None] * F_MATRIX[:, None, :]).reshape(4, 16)
-        # each site's free entries as flat (pauli, row, column) indices, and
-        # the (row, column) of its identity-slice ones
-        self.rows = [np.flatnonzero(m.transpose(1, 0, 2)) for m in self.masks]
+        # each site's free entries as flat (pauli, row, column) indices of
+        # its padded block, and the (row, column) of its identity-slice ones
+        self.rows = [(i * bond + x) * bond + y for i, x, y in entries]
         self.ident_free = [np.nonzero(m[:, 0, :]) for m in self.masks]
         self.words, self.slab_rows = _letter_tables(window)
 
 
 class _Point:
     """One parameter point of a fit and its chain, contracted when first
-    asked for and kept with the point: the data-basis site tensors, their
-    identity slices with the prefix products, and every window's left
+    asked for and kept with the point: the padded data-basis site tensors,
+    their identity slices with the prefix products, and every window's left
     environments.  Values, JᵀWJ and every pullback at the point share them.
     No suffix is contracted: with the standard form's pinned entries, every
     product of data-basis identity slices out to the chain's right end is
@@ -150,18 +149,12 @@ class _Point:
         return np.einsum("ji,sdia->sdja", F_MATRIX, padded)
 
     @functools.cached_property
-    def sites(self) -> list[np.ndarray]:
-        """The data-basis site tensors at their own bonds."""
-        dims = self.plan.dims
-        return [t[: dims[s], :, : dims[s + 1]] for s, t in enumerate(self.tensors)]
-
-    @functools.cached_property
     def chain(self):
-        """Identity slices, and their products that reach a window: the
-        prefix at each window's left edge, indexed by the window's first
-        site."""
-        ident = [t[:, 0, :] for t in self.sites]
-        return ident, left_environments(ident[: self.plan.n_windows - 1])
+        """The (N, D, D) identity slices, and their products that reach a
+        window: the (1, D) prefix at each window's left edge, indexed by the
+        window's first site."""
+        ident = self.tensors[:, :, 0, :]
+        return ident, left_environments(ident[: self.plan.n_windows - 1], np.eye(1, self.plan.bond))
 
     @property
     def window_sites(self) -> list[np.ndarray]:
@@ -173,12 +166,8 @@ class _Point:
         """Every window's left environments, stacked on a leading window
         axis: entry k is (n_windows, 4**k, D), over the window's first k
         sites from the prefix at its left edge."""
-        plan = self.plan
         _, prefix = self.chain
-        boundary = np.zeros((plan.n_windows, 1, plan.bond))
-        for first in range(plan.n_windows):
-            boundary[first, :, : plan.dims[first]] = prefix[first]
-        return left_environments(self.window_sites, boundary)
+        return left_environments(self.window_sites, np.stack(prefix))
 
     @functools.cached_property
     def values(self) -> np.ndarray:
@@ -203,15 +192,16 @@ def _window_slabs(point: _Point):
 
     Yields:
         ``(first, slabs, boundary)`` in chain order: the window's 0-based
-        first site; slabs, one per window site, (4**(window-1), D_l * D_r)
-        with rows over the letters of the other window sites in site-major
-        order and columns over (x, y); boundary B (D_left, 4**window).
+        first site; slabs, one per window site, (4**(window-1), D**2) with
+        rows over the letters of the other window sites in site-major order
+        and columns over the padded (x, y); boundary B (D, 4**window).  The
+        slab columns and boundary rows past a site's own bonds are zero.
     """
     plan = point.plan
-    window, dims = plan.window, plan.dims
+    window = plan.window
     for first in range(plan.n_windows):
-        lefts = [env[first, :, : dims[first + k]] for k, env in enumerate(point.lefts)]
-        rights = right_environments(point.sites[first : first + window], np.eye(dims[first + window], 1))
+        lefts = [env[first] for env in point.lefts]
+        rights = right_environments(point.tensors[first : first + window], np.eye(plan.bond, 1))
         window_slabs = [
             (lt[:, None, :, None] * rt.T[None, :, None, :]).reshape(4 ** (window - 1), -1)
             for lt, rt in zip(lefts, rights[1:])
@@ -292,10 +282,9 @@ def _window_values_jacobian(point: _Point, omega=None):
     # windows right of s carried to its right bond, and ``square`` the
     # G_BB carried there from both sides.
     ident, prefix = point.chain
-    n = len(ident)
-    carry = np.zeros((ident[n - window].shape[1], offsets[-1]))
-    square = np.zeros((len(carry), len(carry)))
-    for s in range(n - window - 1, -1, -1):
+    carry = np.zeros((plan.bond, offsets[-1]))
+    square = np.zeros((plan.bond, plan.bond))
+    for s in range(plan.n_windows - 2, -1, -1):
         carry = ident[s + 1] @ carry
         square = ident[s + 1] @ square @ ident[s + 1].T
         if s + 1 in boundary_grams:
@@ -372,7 +361,7 @@ def _window_pullback(point: _Point, cotangents) -> np.ndarray:
         (n_free,) array over the packed parameters.
     """
     plan = point.plan
-    nw, dims = plan.n_windows, plan.dims
+    nw = plan.n_windows
     ident, prefix = point.chain
     # the suffix at every window's right edge is e0 (see :class:`_Point`)
     cot = cotangents[:, :, None] * np.eye(1, plan.bond)
@@ -380,11 +369,11 @@ def _window_pullback(point: _Point, cotangents) -> np.ndarray:
     # w.r.t. the data-basis tensors; the identity slice of the site left of
     # each window sees every window from there on through q
     grads = np.zeros(point.tensors.shape)
-    q = np.zeros(dims[nw])
+    q = np.zeros(plan.bond)
     for first in range(nw - 1, -1, -1):
-        q = ident[first] @ q + cot[first, 0, : dims[first]]
+        q = ident[first] @ q + cot[first, 0]
         if first:
-            grads[first - 1, : dims[first - 1], 0, : dims[first]] += np.outer(prefix[first - 1][0], q)
+            grads[first - 1, :, 0, :] += np.outer(prefix[first - 1][0], q)
     for k, g in enumerate(site_grads):
         grads[k : k + nw] += g
     grads = np.einsum("wi,sxwy->sxiy", F_MATRIX, grads)
@@ -499,7 +488,7 @@ def gauss_newton_fit(
     trace = []
     fd_step = 0.1
     # an accepted candidate is the next pass's point, its chain kept
-    current = _Point(plan, pack(initial.tensors, plan.masks))
+    current = _Point(plan, plan.base.flat[plan.free_index])
     while True:
         evals_made = 0
         clock = time.perf_counter()
@@ -672,7 +661,8 @@ _NULL_SPACE_KEYS = ("null_directions", "largest_null_ratio", "smallest_live_rati
 
 
 def fit_record(fit: FitResult) -> dict:
-    """The fit's summary shared by ``fit_report.json`` and ``stages.json``."""
+    """The fit's summary shared by ``fit_report.json``, ``stages.json`` and
+    the ``fit`` section of ``report.json``."""
     keys = ("sse", "dof", "iterations", "converged", "exit_reason", *_NULL_SPACE_KEYS)
     return {key: getattr(fit, key) for key in keys}
 
@@ -713,8 +703,8 @@ def load_fit_bundle(directory) -> FitResult:
 
     Raises:
         CompletenessError: a bundle file is missing.
-        ValidationError: a bundle file is unreadable or incomplete, or the
-            covariance does not match the MPO.
+        ValidationError: a bundle file is unreadable or incomplete, the
+            covariance does not match the MPO, or it holds a non-finite entry.
     """
 
     def read(name, load):
@@ -740,5 +730,8 @@ def load_fit_bundle(directory) -> FitResult:
             f"covariance.bin holds {cov.size} values, the header declares "
             f"{n_free} x {n_free}"
         )
+    n_bad = np.count_nonzero(~np.isfinite(cov))
+    if n_bad:
+        raise ValidationError(f"covariance.bin holds {n_bad} non-finite values")
     report = read("fit_report.json", _read_report)
     return FitResult(mpo=mpo, covariance=cov.reshape(n_free, n_free), **report)

@@ -151,7 +151,8 @@ def load_moment_csv(paths, n_sites: int, window: int) -> MomentTable:
     Raises:
         ValidationError: naming the file and line of a wrong header, a
             non-numeric, missing or extra field, a row whose word or
-            window start does not fit the table, or a row that repeats the
+            window start does not fit the table, a row whose value or SE is
+            not finite or whose SE is negative, or a row that repeats the
             window start and word of an earlier one (and naming that one).
     """
     # a word one character too long cannot be truncated into a valid one
@@ -168,10 +169,12 @@ def load_moment_csv(paths, n_sites: int, window: int) -> MomentTable:
         return np.loadtxt(lines, dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
 
     def locate(rows):
-        """Flat word index of each row, and whether the row fits the table."""
+        """Flat word index of each row, and whether the row fits the table:
+        a known word and window start, a finite value and a finite SE ≥ 0."""
         pos = np.minimum(np.searchsorted(known, rows["word"]), known.size - 1)
-        starts = rows["start"]
-        return order[pos], (known[pos] == rows["word"]) & (starts >= 1) & (starts <= n_starts)
+        starts, se = rows["start"], rows["se"]
+        fits = (known[pos] == rows["word"]) & (starts >= 1) & (starts <= n_starts)
+        return order[pos], fits & np.isfinite(rows["value"]) & np.isfinite(se) & (se >= 0)
 
     def reject(path, lines):
         # the error path only: find the first bad line by parsing one at a time
@@ -183,7 +186,8 @@ def load_moment_csv(paths, n_sites: int, window: int) -> MomentTable:
                 good = False
             if not good:
                 raise ValidationError(
-                    f"{path}, line {line_num}: row {line.rstrip()!r} is malformed "
+                    f"{path}, line {line_num}: row {line.rstrip()!r} is malformed, "
+                    "has a non-finite value or SE or a negative SE, "
                     f"or does not fit an N={n_sites}, L={window} table"
                 )
         raise ValidationError(f"{path}: malformed rows")

@@ -13,6 +13,7 @@ here and not in ``mpo_tomo``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,20 @@ from mpo_tomo.reconstruct import _split
 from mpo_tomo.standard_form import free_masks
 
 I2 = np.eye(2, dtype=complex)
+
+#: uniform per-qubit error probabilities used throughout: 9.8% photon loss
+#: and a 4.6% phase flip (dephasing amplitude 0.092)
+PAPER_EPS_AD = 0.098
+PAPER_EPS_PD = 0.092
+
+
+def random_mpo(n, bond, rng, scale=1.0):
+    """Random real site tensors (a generic Hermitian operator, not a state)."""
+    ts = [rng.normal(size=(1, 4, bond)) * scale]
+    for _ in range(n - 2):
+        ts.append(rng.normal(size=(bond, 4, bond)) * scale)
+    ts.append(rng.normal(size=(bond, 4, 1)) * scale)
+    return Mpo(ts)
 
 
 def kron_all(ops) -> np.ndarray:
@@ -363,7 +378,8 @@ def slab_block(slabs, masks) -> np.ndarray:
 
     The column of free entry (i, x, y) of window site p holds
     ``K[w, i] E_p[(a, b), (x, y)]`` on word (a, w, b), with E_p the site's
-    slab (see ``fitting._window_slabs``) and K = F the fit's basis map.
+    slab (see ``fitting._window_slabs``) and K = F the fit's basis map.  The
+    slab's columns run over (x, y) at the fit's padded bond D, D² of them.
 
     Args:
         slabs: the window's slabs, one per site.
@@ -375,7 +391,7 @@ def slab_block(slabs, masks) -> np.ndarray:
     cols = []
     for p, (e, m) in enumerate(zip(slabs, masks)):
         i, x, y = np.nonzero(m.transpose(1, 0, 2))
-        e = e.reshape(4**p, -1, e.shape[-1])[..., x * m.shape[2] + y]  # (a, b, f)
+        e = e.reshape(4**p, -1, e.shape[-1])[..., x * math.isqrt(e.shape[-1]) + y]  # (a, b, f)
         cols.append((e[:, None] * F_MATRIX[None, :, None, i]).reshape(4 * e.shape[0] * e.shape[1], len(i)))
     return np.hstack(cols)
 
@@ -389,7 +405,8 @@ def boundary_fold(mpo: Mpo, start: int) -> np.ndarray:
     Z-shifted identity slices and ``prefix`` their left products.
 
     Returns:
-        (D_left, n_left) array.
+        (D, n_left) array, D the chain's largest bond as in the fit's padded
+        boundary; the rows past the window's left bond are zero.
     """
     masks = free_masks(mpo)
     tensors = _zshifted_tensors(mpo)
@@ -403,7 +420,9 @@ def boundary_fold(mpo: Mpo, start: int) -> np.ndarray:
         for t in ident[s + 1 : first]:
             carry = carry @ t
         cols.append((carry[y] * prefix[s][0, x, None]).T)
-    return np.concatenate(cols, axis=1)
+    fold = np.concatenate(cols, axis=1)
+    bond = max(t.shape[0] for t in mpo.tensors)
+    return np.pad(fold, ((0, bond - len(fold)), (0, 0)))
 
 
 # --- library functions that only the tests call ------------------------------

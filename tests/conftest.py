@@ -6,12 +6,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from mpo_tomo.cluster import ErrorModel, ideal_cluster_mpo, noisy_cluster_model
+from _oracles import PAPER_EPS_AD, PAPER_EPS_PD
 
-#: uniform per-qubit error probabilities used throughout: 9.8% photon loss
-#: and a 4.6% phase flip (dephasing amplitude 0.092)
-PAPER_EPS_AD = 0.098
-PAPER_EPS_PD = 0.092
+from mpo_tomo.cluster import ErrorModel, ideal_cluster_mpo, noisy_cluster_model
 
 
 @pytest.fixture(scope="session")
@@ -37,17 +34,6 @@ def noisy5():
 @pytest.fixture(scope="session")
 def noisy6():
     return noisy_cluster_model(6, ErrorModel.uniform(6, 0.09, 0.06))
-
-
-def random_mpo(n, bond, rng, scale=1.0):
-    """Random real site tensors (a generic Hermitian operator, not a state)."""
-    ts = [rng.normal(size=(1, 4, bond)) * scale]
-    for _ in range(n - 2):
-        ts.append(rng.normal(size=(bond, 4, bond)) * scale)
-    ts.append(rng.normal(size=(bond, 4, 1)) * scale)
-    from mpo_tomo.mpo import Mpo
-
-    return Mpo(ts)
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from mpo_tomo.cli import main
@@ -539,6 +540,20 @@ class TestAnalyze:
         path.write_text(json.dumps(header))
         assert main(["analyze", "--config", cfg, "--out", str(broken)]) == 2
 
+    def test_non_finite_covariance_writes_nothing(self, pipeline_run, tmp_path, capsys):
+        # a NaN covariance entry would give NaN error bars: the bundle is invalid
+        cfg, out = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(os.path.join(out, "fit"), run / "fit")
+        path = run / "fit" / "covariance.bin"
+        cov = np.fromfile(path)
+        cov[1] = np.nan
+        cov.tofile(path)
+        before = _file_list(run)
+        assert main(["analyze", "--config", cfg, "--out", str(run)]) == 2
+        assert "covariance.bin" in capsys.readouterr().err
+        assert _file_list(run) == before
+
     @pytest.mark.parametrize("n_qubits", [6, 16])
     def test_bundle_qubit_count_must_match_config(self, pipeline_run, tmp_path, capsys, n_qubits):
         _, out = pipeline_run
@@ -563,6 +578,11 @@ class TestAnalyze:
         assert abs(report["error_model"]["eps_pd"][0] - 0.092) < 0.02
         # the fitted chain's branches all take the analytic LE gradient
         assert report["le_fallback_branches"] == 0
+
+    def test_report_fit_section_is_the_fit_record(self, pipeline_run):
+        _, out = pipeline_run
+        report = json.load(open(os.path.join(out, "report.json")))
+        assert report["fit"] == json.load(open(os.path.join(out, "fit", "fit_report.json")))
 
     def test_report_timings(self, pipeline_run):
         _, out = pipeline_run

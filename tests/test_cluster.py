@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    PAPER_EPS_AD,
+    PAPER_EPS_PD,
     cz_chain_state,
     dense_correlation,
     dense_fidelity,
@@ -17,7 +19,6 @@ from _oracles import (
     stabilizer_concurrence_bound,
     stabilizer_expectations,
 )
-from conftest import PAPER_EPS_AD, PAPER_EPS_PD
 
 from mpo_tomo.cluster import (
     ErrorModel,

@@ -265,7 +265,7 @@ class TestPointState:
         point = _Point(plan, theta)
         for s, t in enumerate(unpack(theta, base, plan.masks).tensors):
             mapped = np.einsum("ji,dia->dja", F_MATRIX, t)
-            assert np.array_equal(point.sites[s], mapped)
+            assert np.array_equal(point.tensors[s, : t.shape[0], :, : t.shape[2]], mapped)
             # the padding stays exactly zero
             padded = point.tensors[s].copy()
             padded[: t.shape[0], :, : t.shape[2]] = 0.0
@@ -289,7 +289,9 @@ class TestPointState:
         base = unequal_bond_chain(bonds)
         plan = _FitPlan(base, 5)
         point = _Point(plan, np.random.default_rng(3).normal(size=plan.offsets[-1]))
-        ident = [t[:, 0, :] for t in point.sites]
+        ident = [
+            point.tensors[s, : t.shape[0], 0, : t.shape[2]] for s, t in enumerate(base.tensors)
+        ]
         for first in range(plan.n_windows):
             suffix = right_environments(ident[first + 5 :])[0]
             assert np.array_equal(suffix, np.eye(len(suffix), 1))
@@ -397,21 +399,17 @@ class TestGaussNewton:
         assert peak <= 1.25 * (n_own**2 * 8 + 4 * n_par**2 * 8)
 
     def test_slab_shapes_do_not_depend_on_n(self):
-        # a window's slabs and boundary are sized by its own bonds alone;
-        # the sites left of it reach it only through the boundary's D_left rows
-        shapes = {}
+        # every window's slabs and boundary are sized by the padded bond D
+        # alone; the sites left of it reach it only through the boundary's D rows
         for n in (8, 12):
             mpo = to_standard_form(noisy_cluster_model(n, ErrorModel.uniform(n, 0.09, 0.06)))
-            shapes[n] = []
+            bond = max(t.shape[0] for t in mpo.tensors)
+            n_windows = 0
             for first, slabs, boundary in _window_slabs(point_state(mpo, 5)):
-                ts = mpo.tensors[first : first + 5]
-                assert [e.shape for e in slabs] == [(4**4, t.shape[0] * t.shape[2]) for t in ts]
-                assert boundary.shape == (ts[0].shape[0], 4**5)
-                shapes[n].append(([e.shape for e in slabs], boundary.shape))
-        # only the two end windows, with their boundary bonds, differ
-        assert shapes[12][0] == shapes[8][0] and shapes[12][-1] == shapes[8][-1]
-        interior = {str(x) for x in shapes[8][1:-1]}
-        assert {str(x) for x in shapes[12][1:-1]} == interior and len(interior) == 1
+                assert [e.shape for e in slabs] == [(4**4, bond**2)] * 5
+                assert boundary.shape == (bond, 4**5)
+                n_windows += 1
+            assert bond == 4 and n_windows == n - 4
 
     @pytest.mark.parametrize("seed", range(2, 8))
     def test_perturbed_initial_recovers(self, sf_noisy6, seed):

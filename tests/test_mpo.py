@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_mpo
 from _oracles import (
     apply_kraus_dense,
     cz_chain_state,
@@ -16,6 +15,7 @@ from _oracles import (
     mpo_to_dense,
     mps_to_dense,
     placed,
+    random_mpo,
 )
 
 from mpo_tomo.channels import amplitude_damping, compose, pure_dephasing, z_rotation

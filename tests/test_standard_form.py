@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from _oracles import random_protocol
-from conftest import random_mpo
+from _oracles import random_mpo, random_protocol
 from mpo_tomo.cluster import ErrorModel, noisy_cluster_model
 from mpo_tomo.emission import emit_mpo
 from mpo_tomo.mpo import Mpo, pad_bond

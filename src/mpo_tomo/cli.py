@@ -197,23 +197,17 @@ def _dataset_dir(out):
 
 
 def cmd_simulate(cfg, out: str) -> int:
-    n = cfg["protocol"]["n_qubits"]
     m = cfg["measurement"]
     window = m["window"]
-    truth = _truth_mpo(cfg)
-    table = measurement.synthesize_dataset(
-        truth, window, m["eta"], m["shots"], m["seed"]
-    )
-    measurement.save_dataset(table, _dataset_dir(out))
-    mpo_mod.save_json(truth, os.path.join(out, "truth_mpo.json"))
-    manifest = {
-        "n_qubits": n,
-        "window": window,
-        "shots": m["shots"],
-        "seed": m["seed"],
-        "eta": m["eta"],
-        "settings": 2**window,
-    }
+    manifest = {"n_qubits": cfg["protocol"]["n_qubits"], "window": window, "settings": 2**window}
+    manifest.update({key: m[key] for key in ("shots", "seed", "eta")})
+    with _timed(manifest, "truth"):
+        truth = _truth_mpo(cfg)
+    with _timed(manifest, "synthesis"):
+        table = measurement.synthesize_dataset(truth, window, m["eta"], m["shots"], m["seed"])
+    with _timed(manifest, "write"):
+        measurement.save_dataset(table, _dataset_dir(out))
+        mpo_mod.save_json(truth, os.path.join(out, "truth_mpo.json"))
     write_json(os.path.join(out, "simulate_manifest.json"), manifest)
     log.info("wrote %d setting files under %s", 2**window, _dataset_dir(out))
     return 0

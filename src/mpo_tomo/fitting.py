@@ -382,7 +382,10 @@ def _window_pullback(point: _Point, cotangents) -> np.ndarray:
 
 @dataclass
 class FitResult:
-    """Fitted standard-form MPO with covariance and convergence metadata.
+    """Fitted standard-form MPO with covariance factor and convergence metadata.
+
+    ``covariance`` is the factor L = V·λ^(−1/2) (n_par × n_live) of the
+    covariance L·Lᵀ, from the live eigenpairs (V, λ) of the final JᵀWJ.
 
     ``exit_reason`` says why the fit stopped: ``tolerance`` (relative SSE
     decrease below ``tol``), ``rounding_floor`` (SSE at the level rounding
@@ -396,11 +399,11 @@ class FitResult:
     the eigendecomposition of JᵀWJ (``eigh_s``).
 
     At the final iterate, eigenvalues of JᵀWJ at or below 1e-12 of the
-    largest are dropped as gauge null directions: ``null_directions``
-    counts them, ``largest_null_ratio`` is the largest of them and
-    ``smallest_live_ratio`` the smallest kept one, both relative to the
-    largest eigenvalue (None when there is no such eigenvalue, or for a
-    bundle written before they were recorded).
+    largest are dropped as gauge null directions, n_par − n_live of them
+    (``null_directions`` of :func:`fit_record`): ``largest_null_ratio`` is
+    the largest of them and ``smallest_live_ratio`` the smallest kept one,
+    both relative to the largest eigenvalue (None when there is no such
+    eigenvalue, or for a bundle written before they were recorded).
     """
 
     mpo: Mpo
@@ -411,7 +414,6 @@ class FitResult:
     converged: bool
     exit_reason: str | None = None
     trace: list = field(repr=False, default_factory=list)
-    null_directions: int | None = None
     largest_null_ratio: float | None = None
     smallest_live_ratio: float | None = None
 
@@ -559,23 +561,21 @@ def gauss_newton_fit(
         if not accepted:
             break  # the point did not move, so its factor stands
     converged = exit_reason in ("tolerance", "rounding_floor")
-    # covariance of the free parameters at the final iterate, (V s)(V s)ᵀ
-    # with s² the inverse live eigenvalues; scaling evecs in place keeps a
-    # second n_par² temporary out of the peak
-    evecs *= np.sqrt(np.where(live, 1.0 / np.where(live, evals, 1.0), 0.0))
-    cov = evecs @ evecs.T
+    # the covariance of the free parameters at the final iterate as its
+    # factor: the live eigenvectors scaled by λ^(-1/2)
+    factor = evecs[:, live]
+    factor /= np.sqrt(evals[live])
     # the gauge null directions dropped here carry no degree of freedom
     dof = n_rows - int(live.sum())
     return FitResult(
         mpo=current.mpo,
-        covariance=cov,
+        covariance=factor,
         sse=sse,
         dof=dof,
         iterations=iterations,
         converged=converged,
         exit_reason=exit_reason,
         trace=trace,
-        null_directions=int(plan.offsets[-1] - live.sum()),
         largest_null_ratio=float(evals[~live].max() / scale) if not live.all() else None,
         smallest_live_ratio=float(evals[live].min() / scale) if live.any() else None,
     )
@@ -586,10 +586,10 @@ def propagate_joint(fit: FitResult, gradients):
     fitted MPO.
 
     The gradients are packed with the fitted MPO's free-entry masks and stacked
-    into one matrix G, and the joint covariance is G·(cov·Gᵀ).  Each SE is
-    the square root of its own gᵀ·(cov·g), the diagonal of that product up
-    to rounding, so it does not depend on which other scalars are
-    propagated with it.
+    into one matrix G.  Each row P_i = g_i·L comes from its own product with
+    the covariance factor L, so it does not depend on which other scalars
+    are propagated with it.  Each SE is sqrt(Σ_k P_ik²), a sum of squares,
+    and the joint covariance is P·Pᵀ.
 
     Args:
         gradients: one list of per-site gradient arrays, shaped like the
@@ -601,9 +601,8 @@ def propagate_joint(fit: FitResult, gradients):
     """
     masks = free_masks(fit.mpo)
     g = np.stack([pack(site_grads, masks) for site_grads in gradients])
-    cov_g = [fit.covariance @ row for row in g]
-    variances = np.array([row @ col for row, col in zip(g, cov_g)])
-    return np.sqrt(np.maximum(variances, 0.0)), g @ np.stack(cov_g, axis=1)
+    p = np.stack([row @ fit.covariance for row in g])
+    return np.sqrt([row @ row for row in p]), p @ p.T
 
 
 def propagate_covariance(fit: FitResult, functional) -> tuple[float, float]:
@@ -657,45 +656,45 @@ def fit_chain(
 # --- persistence -------------------------------------------------------------
 
 
-_NULL_SPACE_KEYS = ("null_directions", "largest_null_ratio", "smallest_live_ratio")
+_NULL_SPACE_RATIOS = ("largest_null_ratio", "smallest_live_ratio")
+
+# covariance.bin holds the factor L of the covariance L·Lᵀ; a bundle loads only under this header
+_COVARIANCE_HEADER = {"form": "factor", "dtype": "float64", "order": "row-major",
+                      "parameter_ordering": PARAMETER_ORDERING}
 
 
 def fit_record(fit: FitResult) -> dict:
     """The fit's summary shared by ``fit_report.json``, ``stages.json`` and
     the ``fit`` section of ``report.json``."""
-    keys = ("sse", "dof", "iterations", "converged", "exit_reason", *_NULL_SPACE_KEYS)
-    return {key: getattr(fit, key) for key in keys}
+    keys = ("sse", "dof", "iterations", "converged", "exit_reason", *_NULL_SPACE_RATIOS)
+    # the null directions are the columns the covariance factor does not have
+    n_par, n_live = fit.covariance.shape
+    return {key: getattr(fit, key) for key in keys} | {"null_directions": n_par - n_live}
 
 
 def save_fit_bundle(fit: FitResult, directory) -> None:
-    """Persist a fit: MPO JSON, covariance binary + header, report JSON."""
+    """Persist a fit: MPO JSON, covariance factor binary + header, report JSON."""
     os.makedirs(directory, exist_ok=True)
     save_json(fit.mpo, os.path.join(directory, "mpo.json"))
-    cov = np.ascontiguousarray(fit.covariance, dtype=np.float64)
-    cov.tofile(os.path.join(directory, "covariance.bin"))
-    header = {
-        "shape": list(cov.shape),
-        "dtype": "float64",
-        "order": "row-major",
-        "parameter_ordering": PARAMETER_ORDERING,
-    }
+    factor = np.ascontiguousarray(fit.covariance, dtype=np.float64)
+    factor.tofile(os.path.join(directory, "covariance.bin"))
+    header = {**_COVARIANCE_HEADER, "shape": list(factor.shape)}
     write_json(os.path.join(directory, "covariance_header.json"), header)
     write_json(os.path.join(directory, "fit_report.json"), fit_record(fit))
 
 
+def _read_json_object(path) -> dict:
+    with open(path) as fh:
+        return {**json.load(fh)}  # TypeError unless the file holds a JSON object
+
+
 def _read_report(path) -> dict:
-    with open(path) as fh:
-        report = json.load(fh)
+    report = _read_json_object(path)
     required = ("sse", "dof", "iterations", "converged")
-    # the exit reason and null-space fields may predate the bundle; an older
+    # the exit reason and null-space ratios may predate the bundle; an older
     # bundle's "basis" key is not read, since the fit has only one basis
-    optional = ("exit_reason", *_NULL_SPACE_KEYS)
+    optional = ("exit_reason", *_NULL_SPACE_RATIOS)
     return {**{key: report[key] for key in required}, **{key: report.get(key) for key in optional}}
-
-
-def _read_header_shape(path) -> tuple:
-    with open(path) as fh:
-        return tuple(json.load(fh)["shape"])
 
 
 def load_fit_bundle(directory) -> FitResult:
@@ -703,8 +702,9 @@ def load_fit_bundle(directory) -> FitResult:
 
     Raises:
         CompletenessError: a bundle file is missing.
-        ValidationError: a bundle file is unreadable or incomplete, the
-            covariance does not match the MPO, or it holds a non-finite entry.
+        ValidationError: a bundle file is unreadable or incomplete, its
+            covariance header is not a factor's of the MPO's shape (as with a
+            dense covariance), or the factor holds a non-finite entry.
     """
 
     def read(name, load):
@@ -718,20 +718,23 @@ def load_fit_bundle(directory) -> FitResult:
 
     mpo = read("mpo.json", load_json)
     n_free = n_free_parameters(free_masks(mpo))
-    shape = read("covariance_header.json", _read_header_shape)
-    if shape != (n_free, n_free):
+    header = read("covariance_header.json", _read_json_object)
+    for key, want in _COVARIANCE_HEADER.items():
+        if header.get(key) != want:
+            raise ValidationError(f"covariance_header.json: {key} is {header.get(key)!r}, not {want!r}")
+    # the factor has one row per free parameter and at most as many columns
+    shape = header.get("shape")
+    if not (isinstance(shape, list) and len(shape) == 2 and shape[0] == n_free
+            and shape[1] in range(n_free + 1)):
         raise ValidationError(
-            f"covariance shape {list(shape)} does not match the MPO's "
-            f"{n_free} free parameters"
+            f"covariance_header.json: shape {shape!r} is not [{n_free}, n_live <= {n_free}]"
         )
-    cov = read("covariance.bin", functools.partial(np.fromfile, dtype=np.float64))
-    if cov.size != n_free * n_free:
-        raise ValidationError(
-            f"covariance.bin holds {cov.size} values, the header declares "
-            f"{n_free} x {n_free}"
-        )
-    n_bad = np.count_nonzero(~np.isfinite(cov))
+    n_live = int(shape[1])
+    factor = read("covariance.bin", functools.partial(np.fromfile, dtype=np.float64))
+    if factor.size != n_free * n_live:
+        raise ValidationError(f"covariance.bin holds {factor.size} values, not {n_free} x {n_live}")
+    n_bad = np.count_nonzero(~np.isfinite(factor))
     if n_bad:
         raise ValidationError(f"covariance.bin holds {n_bad} non-finite values")
     report = read("fit_report.json", _read_report)
-    return FitResult(mpo=mpo, covariance=cov.reshape(n_free, n_free), **report)
+    return FitResult(mpo=mpo, covariance=factor.reshape(n_free, n_live), **report)

@@ -150,10 +150,10 @@ def load_moment_csv(paths, n_sites: int, window: int) -> MomentTable:
 
     Raises:
         ValidationError: naming the file and line of a wrong header, a
-            non-numeric, missing or extra field, a row whose word or
-            window start does not fit the table, a row whose value or SE is
-            not finite or whose SE is negative, or a row that repeats the
-            window start and word of an earlier one (and naming that one).
+            non-numeric, missing or extra field, a row whose word or window
+            start does not fit the table, whose value or SE is not finite or
+            whose SE or shots count is negative, or that repeats the window
+            start and word of an earlier one (and naming that one).
     """
     # a word one character too long cannot be truncated into a valid one
     dtype = [("start", np.int64), ("word", f"U{2 * window + 1}"), ("value", float),
@@ -170,10 +170,10 @@ def load_moment_csv(paths, n_sites: int, window: int) -> MomentTable:
 
     def locate(rows):
         """Flat word index of each row, and whether the row fits the table:
-        a known word and window start, a finite value and a finite SE ≥ 0."""
+        a known word and window start, a finite value and SE, SE ≥ 0, shots ≥ 0."""
         pos = np.minimum(np.searchsorted(known, rows["word"]), known.size - 1)
-        starts, se = rows["start"], rows["se"]
-        fits = (known[pos] == rows["word"]) & (starts >= 1) & (starts <= n_starts)
+        starts, se, shots = rows["start"], rows["se"], rows["shots"]
+        fits = (known[pos] == rows["word"]) & (starts >= 1) & (starts <= n_starts) & (shots >= 0)
         return order[pos], fits & np.isfinite(rows["value"]) & np.isfinite(se) & (se >= 0)
 
     def reject(path, lines):
@@ -187,7 +187,7 @@ def load_moment_csv(paths, n_sites: int, window: int) -> MomentTable:
             if not good:
                 raise ValidationError(
                     f"{path}, line {line_num}: row {line.rstrip()!r} is malformed, "
-                    "has a non-finite value or SE or a negative SE, "
+                    "has a non-finite value or SE or a negative SE or shots count, "
                     f"or does not fit an N={n_sites}, L={window} table"
                 )
         raise ValidationError(f"{path}: malformed rows")

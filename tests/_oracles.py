@@ -528,6 +528,12 @@ def window_correlation_set(mpo: Mpo, window: int) -> PauliCorrelationSet:
     )
 
 
+def dense_covariance(fit) -> np.ndarray:
+    """The n_par × n_par parameter covariance L·Lᵀ of a fit, from the factor
+    L it keeps (``FitResult.covariance``)."""
+    return fit.covariance @ fit.covariance.T
+
+
 def fidelity_functional(target: Mpo):
     """Fidelity to a pure target and its per-site gradient, as a functional
     of the MPO for :func:`mpo_tomo.fitting.propagate_covariance`."""

@@ -94,6 +94,14 @@ class TestSimulate:
         out2 = str(tmp_path / "b")
         assert main(["simulate", "--config", cfg, "--out", out1]) == 0
         assert main(["simulate", "--config", cfg, "--out", out2]) == 0
+        manifests = []
+        for out in (out1, out2):
+            path = os.path.join(out, "simulate_manifest.json")
+            manifests.append(json.load(open(path)))
+            os.remove(path)
+            # wall times and peak RSS are the manifest's only per-run fields
+            del manifests[-1]["timings"], manifests[-1]["peak_rss_mb"]
+        assert manifests[0] == manifests[1]
         assert _checksum_tree(out1) == _checksum_tree(out2)
 
     def test_rotation_offsets_run_the_emission_protocol(self, pipeline_run, tmp_path):
@@ -313,6 +321,11 @@ class TestReconstruct:
         header = json.load(open(os.path.join(fit_dir, "covariance_header.json")))
         assert header["order"] == "row-major"
         assert "site-major" in header["parameter_ordering"]
+        # the covariance factor L: one row per free parameter, one column per
+        # live direction, and no n_par x n_par matrix
+        n_par, n_live = header["shape"]
+        assert header["form"] == "factor" and 0 < n_live < n_par
+        assert os.path.getsize(os.path.join(fit_dir, "covariance.bin")) == 8 * n_par * n_live
 
     def test_exit_reason_trace_and_timings(self, pipeline_run):
         _, out = pipeline_run
@@ -540,6 +553,54 @@ class TestAnalyze:
         path.write_text(json.dumps(header))
         assert main(["analyze", "--config", cfg, "--out", str(broken)]) == 2
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("form", None),
+            ("form", "dense"),
+            ("dtype", "float32"),
+            ("order", "column-major"),
+            ("parameter_ordering", "pauli-major, then site, then row, then column"),
+        ],
+    )
+    def test_covariance_header_must_declare_the_factor(
+        self, pipeline_run, tmp_path, capsys, key, value
+    ):
+        # each header key the loader relies on; None drops the key
+        cfg, out = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(os.path.join(out, "fit"), run / "fit")
+        path = run / "fit" / "covariance_header.json"
+        header = json.loads(path.read_text())
+        header[key] = value
+        if value is None:
+            del header[key]
+        path.write_text(json.dumps(header))
+        before = _file_list(run)
+        assert main(["analyze", "--config", cfg, "--out", str(run)]) == 2
+        assert f"covariance_header.json: {key} is " in capsys.readouterr().err
+        assert _file_list(run) == before
+
+    def test_dense_covariance_bundle_writes_nothing(self, pipeline_run, tmp_path, capsys):
+        # a bundle from before the factor form: the square L·Lᵀ under a header
+        # that declares no form
+        from _oracles import dense_covariance
+        from mpo_tomo.fitting import load_fit_bundle
+
+        cfg, out = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(os.path.join(out, "fit"), run / "fit")
+        cov = dense_covariance(load_fit_bundle(run / "fit"))
+        cov.tofile(run / "fit" / "covariance.bin")
+        path = run / "fit" / "covariance_header.json"
+        header = json.loads(path.read_text())
+        del header["form"]
+        path.write_text(json.dumps({**header, "shape": list(cov.shape)}))
+        before = _file_list(run)
+        assert main(["analyze", "--config", cfg, "--out", str(run)]) == 2
+        assert "covariance_header.json: form is None, not 'factor'" in capsys.readouterr().err
+        assert _file_list(run) == before
+
     def test_non_finite_covariance_writes_nothing(self, pipeline_run, tmp_path, capsys):
         # a NaN covariance entry would give NaN error bars: the bundle is invalid
         cfg, out = pipeline_run
@@ -600,7 +661,9 @@ class TestAnalyze:
         _, out = pipeline_run
         stages = json.load(open(os.path.join(out, "fit", "stages.json")))
         report = json.load(open(os.path.join(out, "report.json")))
+        manifest = json.load(open(os.path.join(out, "simulate_manifest.json")))
         for record, order in (
+            (manifest, ["truth", "synthesis", "write"]),
             (stages, ["load", "moments", "alignment", "fit", "write"]),
             (report, ["load", "le", "propagation", "error_model", "corner"]),
         ):
@@ -691,11 +754,13 @@ def _fallback_pair():
 
 
 class TestJointPropagation:
-    """``cli._stabilizer_table``: one product G·cov·Gᵀ for every SE analyze reports."""
+    """``cli._stabilizer_table``: one joint propagation P·Pᵀ, P = G·L, for every
+    SE analyze reports."""
 
     def test_le_ses_match_their_own_gradients(self, fitted_chain6):
         import numpy as np
 
+        from _oracles import dense_covariance
         from mpo_tomo.cli import _stabilizer_table
         from mpo_tomo.standard_form import free_masks, pack
 
@@ -705,7 +770,7 @@ class TestJointPropagation:
         assert len(le_ses) == len(rows) and len(values) == len(ses) == 1 + 2 * 6
         for res, se in zip(rows, le_ses):
             g = pack(res.gradient, free_masks(fit.mpo))
-            assert se == pytest.approx(np.sqrt(g @ fit.covariance @ g), rel=1e-8, abs=0)
+            assert se == pytest.approx(np.sqrt(g @ dense_covariance(fit) @ g), rel=1e-8, abs=0)
         # the LE rows leave the fidelity, stabilizer and <Z_s> rows as they are
         alone = _stabilizer_table(fit, 6, [])
         assert np.array_equal(alone[0], values) and alone[2] == []

@@ -7,6 +7,7 @@ import pytest
 
 from _oracles import (
     boundary_fold,
+    dense_covariance,
     dense_window_jacobian,
     fidelity_functional,
     slab_block,
@@ -25,6 +26,7 @@ from mpo_tomo.fitting import (
     _window_slabs,
     _window_values_jacobian,
     fit_chain,
+    fit_record,
     gauss_newton_fit,
     load_fit_bundle,
     propagate_covariance,
@@ -486,8 +488,9 @@ class TestGaussNewton:
         _, _, fit = fit_chain(data)
         n_par = n_free_parameters(free_masks(fit.mpo))
         rows = len(data.starts) * (4**5 - 1)
-        assert fit.null_directions > 0
-        assert fit.null_directions == n_par - (rows - fit.dof)
+        null_directions = fit_record(fit)["null_directions"]
+        assert null_directions > 0
+        assert null_directions == n_par - (rows - fit.dof) == n_par - fit.covariance.shape[1]
         assert fit.largest_null_ratio <= 1e-12 < fit.smallest_live_ratio <= 1.0
 
     def test_chi_square_consistency(self, fitted_noisy5):
@@ -585,7 +588,7 @@ class TestFactorOnce:
         assert fit.iterations == 0
         assert fit.exit_reason == ("rounding_floor" if start_exact else "max_iter")
         assert len(jtwj_evaluations) == 1
-        assert fit.covariance.shape == (n_free_parameters(free_masks(fit.mpo)),) * 2
+        assert dense_covariance(fit).shape == (n_free_parameters(free_masks(fit.mpo)),) * 2
 
 
 class TestInversionFitAgreement:
@@ -621,7 +624,7 @@ class TestCovariancePropagation:
         assert se == 0.0
 
     def test_covariance_is_psd_symmetric(self, fitted_noisy5):
-        cov = fitted_noisy5.covariance
+        cov = dense_covariance(fitted_noisy5)
         assert np.max(np.abs(cov - cov.T)) < 1e-8
         evals = np.linalg.eigvalsh(cov)
         assert evals.min() > -1e-8 * max(evals.max(), 1.0)
@@ -634,7 +637,7 @@ class TestCovariancePropagation:
             propagate_covariance(fitted_noisy5, bad)
 
     def test_joint_product_matches_single_propagations(self, fitted_noisy5):
-        # one G·cov·Gᵀ: its diagonal is each scalar's own propagated variance,
+        # one joint P·Pᵀ: its diagonal is each scalar's own propagated variance,
         # its off-diagonal the packed cross products
         fit = fitted_noisy5
         m = fit.mpo
@@ -651,7 +654,33 @@ class TestCovariancePropagation:
         for i, functional in enumerate(functionals):
             assert ses[i] == pytest.approx(propagate_covariance(fit, functional)[1], rel=1e-12)
         packed = [pack(g, free_masks(m)) for g in grads]
-        assert joint[0, 2] == pytest.approx(packed[0] @ fit.covariance @ packed[2], rel=1e-10)
+        assert joint[0, 2] == pytest.approx(packed[0] @ dense_covariance(fit) @ packed[2], rel=1e-10)
+
+    def test_variances_match_the_long_double_eigenbasis_sum(self, noisy6):
+        # each variance is the sum of squares of g over the covariance factor,
+        # so it keeps the precision of Σ_k (u_kᵀg)²/λ_k over the live
+        # eigenpairs of JᵀWJ at the fitted point (the fidelity, stabilizers
+        # and <Z_s>, whose gᵀ·cov·g cancels about eight digits)
+        from mpo_tomo.cluster import stabilizer_words
+        from mpo_tomo.correlations import moments_to_zshifted
+
+        data = moments_to_zshifted(synthesize_dataset(noisy6, 5, 1.0, 10**7, seed=1))
+        _, _, fit = fit_chain(data)
+        m = fit.mpo
+        words = stabilizer_words(6) + [tuple(3 * (t == s) for t in range(6)) for s in range(6)]
+        grads = [fidelity_gradient(m, ideal_cluster_mpo(6))]
+        grads += [correlation_gradient(m, letters) for letters in words]
+        ses, _ = propagate_joint(fit, grads)
+        weights = np.stack([1.0 / np.clip(data.ses[s].ravel(), 1e-9, None) for s in data.starts])
+        weights[:, 0] = 0.0
+        _, hess = _window_values_jacobian(point_state(m, 5), weights**2)
+        evals, evecs = np.linalg.eigh(hess)
+        live = evals > 1e-12 * evals[-1]
+        g = np.stack([pack(grad, free_masks(m)) for grad in grads]).astype(np.longdouble)
+        proj = g @ evecs[:, live].astype(np.longdouble)
+        want = (proj**2 / evals[live].astype(np.longdouble)).sum(axis=1)
+        rel = np.abs(ses.astype(np.longdouble) ** 2 / want - 1)
+        assert rel.max() <= 1e-12, rel.max()
 
     def test_se_does_not_depend_on_the_other_rows(self, fitted_noisy5):
         # the fidelity's SE is the same number alone and propagated next to
@@ -731,19 +760,21 @@ class TestPersistence:
         assert back.converged == fit.converged
 
     def test_bundle_null_space_record(self, fitted_noisy5, tmp_path):
+        # the count is the factor's missing columns, so only the ratios can
+        # be absent from a bundle's report
         import json
 
-        keys = ("null_directions", "largest_null_ratio", "smallest_live_ratio")
+        keys = ("largest_null_ratio", "smallest_live_ratio")
         fit = fitted_noisy5
         save_fit_bundle(fit, tmp_path / "fit")
         back = load_fit_bundle(tmp_path / "fit")
-        assert fit.null_directions > 0
-        for key in keys:
-            assert getattr(back, key) == getattr(fit, key)
+        assert fit_record(fit)["null_directions"] > 0
+        assert fit_record(back) == fit_record(fit)
         path = tmp_path / "fit" / "fit_report.json"
         report = json.loads(path.read_text())
-        for key in keys:
+        for key in (*keys, "null_directions"):
             del report[key]
         path.write_text(json.dumps(report))
         back = load_fit_bundle(tmp_path / "fit")
         assert all(getattr(back, key) is None for key in keys)
+        assert fit_record(back)["null_directions"] == fit_record(fit)["null_directions"]

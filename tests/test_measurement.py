@@ -243,16 +243,18 @@ class TestMomentCsv:
             lambda cells: [cells[0], cells[1] + "P1", *cells[2:]],
             lambda cells: [*cells, "7"],
             lambda cells: [cells[0], '"Q0Q0Q0Q0Q9"', *cells[2:]],
-            # a row fits only with a finite value and a finite SE >= 0
+            # a row fits only with a finite value, a finite SE >= 0 and shots >= 0
             lambda cells: [*cells[:2], "nan", *cells[3:]],
             lambda cells: [*cells[:2], "inf", *cells[3:]],
             lambda cells: [*cells[:3], "nan", cells[4]],
             lambda cells: [*cells[:3], "inf", cells[4]],
             lambda cells: [*cells[:3], "-0.01", cells[4]],
+            lambda cells: [*cells[:4], "-5"],
         ],
         ids=[
             "overlong_word", "extra_field", "quoted_wrong_word",
             "nan_value", "inf_value", "nan_se", "inf_se", "negative_se",
+            "negative_shots",
         ],
     )
     def test_bad_row_names_file_and_line(self, noisy5, tmp_path, edit):

@@ -2,9 +2,20 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .errors import ValidationError
+
+
+def is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def is_finite(x) -> bool:
+    """A JSON number within float range: no bool, NaN, infinity or too large an int."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def check_real_array(a, name: str, shape=None) -> np.ndarray:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import resource
 import sys
@@ -29,6 +28,7 @@ import numpy as np
 
 from . import cluster, entanglement, fitting, measurement, mpo as mpo_mod
 from ._csvio import write_csv, write_json
+from ._validation import is_finite, is_int
 from .correlations import (
     align_phases,
     correct_inefficiency,
@@ -44,7 +44,7 @@ _CONFIG_SCHEMA = {
     "version": None,
     "protocol": {"n_qubits", "eps_ad", "eps_pd", "rotation_offsets"},
     "measurement": {"window", "eta", "eta_se", "shots", "seed"},
-    "fit": {"k_sigma", "max_iterations", "tol", "se_floor"},
+    "fit": set(fitting.FIT_DEFAULTS),
     "analysis": {"le_pairs", "le_measure", "subset_samples", "subset_seed"},
 }
 
@@ -99,35 +99,34 @@ def load_config(path) -> dict:
         if not (_is_probability(eps) or _is_list(eps, n) and all(map(_is_probability, eps))):
             raise ValidationError(f"protocol.{key} must be a number in [0, 1] or a list of {n} of them")
     offsets = protocol["rotation_offsets"]
-    if offsets is not None and not (_is_list(offsets, n) and all(map(_is_finite, offsets))):
+    if offsets is not None and not (_is_list(offsets, n) and all(map(is_finite, offsets))):
         raise ValidationError(f"protocol.rotation_offsets must be null or a list of {n} finite numbers")
     m = cfg["measurement"]
     if "shots" not in m or "seed" not in m:
         raise ValidationError("measurement.shots and measurement.seed are required")
     if not _is_seed(m["seed"]):
         raise ValidationError("measurement.seed must be an explicit integer in [0, 2^63)")
-    if not isinstance(m["shots"], int) or m["shots"] < 100:
-        raise ValidationError("measurement.shots must be an integer >= 100")
-    if not _is_int(m["window"]) or m["window"] != 5:
+    if not (is_int(m["shots"]) and 100 <= m["shots"] < 2**63):
+        raise ValidationError("measurement.shots must be an integer in [100, 2^63)")
+    if not is_int(m["window"]) or m["window"] != 5:
         raise ValidationError("measurement.window must be 5")
-    if not _is_finite(m["eta"]) or not 0.0 < m["eta"] <= 1.0:
+    if not is_finite(m["eta"]) or not 0.0 < m["eta"] <= 1.0:
         raise ValidationError("measurement.eta must be a number in (0, 1]")
-    if not _is_finite(m["eta_se"]) or m["eta_se"] < 0:
+    if not is_finite(m["eta_se"]) or m["eta_se"] < 0:
         raise ValidationError("measurement.eta_se must be a finite number >= 0")
     f = cfg["fit"]
-    if not _is_int(f["max_iterations"]) or f["max_iterations"] < 0:
+    if not is_int(f["max_iterations"]) or f["max_iterations"] < 0:
         raise ValidationError("fit.max_iterations must be an integer >= 0")
-    if not _is_finite(f["tol"]) or f["tol"] < 0:
+    if not is_finite(f["tol"]) or f["tol"] < 0:
         raise ValidationError("fit.tol must be a finite number >= 0")
-    for key in ("se_floor", "k_sigma"):
-        if not _is_finite(f[key]) or f[key] <= 0:
-            raise ValidationError(f"fit.{key} must be a finite number > 0")
+    if not is_finite(f["k_sigma"]) or f["k_sigma"] <= 0:
+        raise ValidationError("fit.k_sigma must be a finite number > 0")
     a = cfg["analysis"]
     if a["le_measure"] not in ("negativity", "concurrence"):
         raise ValidationError('analysis.le_measure must be "negativity" or "concurrence"')
     pairs = a["le_pairs"]
     if pairs != "all" and not (isinstance(pairs, list) and pairs and all(
-        isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)) and 1 <= p[0] < p[1] <= n
+        isinstance(p, list) and len(p) == 2 and all(map(is_int, p)) and 1 <= p[0] < p[1] <= n
         for p in pairs
     ) and len({tuple(p) for p in pairs}) == len(pairs)):
         raise ValidationError(
@@ -136,27 +135,19 @@ def load_config(path) -> dict:
     # beyond exact enumeration, LE samples subset_samples of the 2^(N-2) branches
     limit = entanglement.EXACT_ENUMERATION_LIMIT
     samples, seed = a["subset_samples"], a["subset_seed"]
-    if not _is_int(samples) or samples < 1 or (n > limit and samples > 2 ** (n - 2)):
+    if not is_int(samples) or samples < 1 or (n > limit and samples > 2 ** (n - 2)):
         raise ValidationError(f"analysis.subset_samples must be an integer >= 1 (<= 2^(N-2) if N > {limit})")
     if (seed is None and n > limit) or not (seed is None or _is_seed(seed)):
         raise ValidationError(f"analysis.subset_seed must be an integer in [0, 2^63) (null if N <= {limit})")
     return cfg
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _is_seed(x) -> bool:
-    return _is_int(x) and 0 <= x < 2**63
-
-
-def _is_finite(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    return is_int(x) and 0 <= x < 2**63
 
 
 def _is_probability(x) -> bool:
-    return _is_finite(x) and 0.0 <= x <= 1.0
+    return is_finite(x) and 0.0 <= x <= 1.0
 
 
 def _is_list(x, length: int) -> bool:

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._csvio import write_json
+from ._validation import is_finite, is_int
 from .correlations import F_MATRIX, ZSHIFTED_BASIS, PauliCorrelationSet, zshifted_to_pauli
 from .errors import CompletenessError, DataError, ValidationError
 from .mpo import (
@@ -73,9 +74,10 @@ from .standard_form import (
 log = logging.getLogger(__name__)
 
 _INITIAL_DAMPING = 1e-3  # Levenberg parameter of the first trial
+_SE_FLOOR = 1e-9  # a residual's weight is 1 / max(SE, _SE_FLOOR)
 
 # the fit settings, each overridable in the run config's "fit" section
-FIT_DEFAULTS = {"k_sigma": 5.0, "max_iterations": 200, "tol": 1e-10, "se_floor": 1e-9}
+FIT_DEFAULTS = {"k_sigma": 5.0, "max_iterations": 200, "tol": 1e-10}
 
 
 class _FitPlan:
@@ -380,6 +382,11 @@ def _window_pullback(point: _Point, cotangents) -> np.ndarray:
     return grads.flat[plan.free_index]
 
 
+# why a fit stops; it converged only for the first two
+_CONVERGED_REASONS = ("tolerance", "rounding_floor")
+_EXIT_REASONS = (*_CONVERGED_REASONS, "no_acceptable_step", "max_iter")
+
+
 @dataclass
 class FitResult:
     """Fitted standard-form MPO with covariance factor and convergence metadata.
@@ -390,20 +397,20 @@ class FitResult:
     ``exit_reason`` says why the fit stopped: ``tolerance`` (relative SSE
     decrease below ``tol``), ``rounding_floor`` (SSE at the level rounding
     of the model values alone leaves), ``no_acceptable_step`` (no damping
-    gave a non-increasing SSE) or ``max_iter``; None for a bundle written
-    before it was recorded.  ``converged`` is True only for ``tolerance``
-    and ``rounding_floor``.  ``trace`` holds one dict per iteration: the SSE
-    after it, the damping of its last trial, the number of inner trials, the
-    |d2|/|d1| ratio of its last trial, the model evaluations it made, and the
-    wall seconds it spent forming the values and JᵀWJ (``assembly_s``) and in
-    the eigendecomposition of JᵀWJ (``eigh_s``).
+    gave a non-increasing SSE) or ``max_iter``.  ``converged`` is read off
+    it: True only for ``tolerance`` and ``rounding_floor``.  ``trace`` holds
+    one dict per iteration: the SSE after it, the damping of its last trial,
+    the number of inner trials, the |d2|/|d1| ratio of its last trial, the
+    model evaluations it made, and the wall seconds it spent forming the
+    values and JᵀWJ (``assembly_s``) and in the eigendecomposition of JᵀWJ
+    (``eigh_s``).
 
     At the final iterate, eigenvalues of JᵀWJ at or below 1e-12 of the
     largest are dropped as gauge null directions, n_par − n_live of them
     (``null_directions`` of :func:`fit_record`): ``largest_null_ratio`` is
     the largest of them and ``smallest_live_ratio`` the smallest kept one,
     both relative to the largest eigenvalue (None when there is no such
-    eigenvalue, or for a bundle written before they were recorded).
+    eigenvalue).
     """
 
     mpo: Mpo
@@ -411,11 +418,14 @@ class FitResult:
     sse: float
     dof: int
     iterations: int
-    converged: bool
-    exit_reason: str | None = None
+    exit_reason: str
+    largest_null_ratio: float | None
+    smallest_live_ratio: float | None
     trace: list = field(repr=False, default_factory=list)
-    largest_null_ratio: float | None = None
-    smallest_live_ratio: float | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.exit_reason in _CONVERGED_REASONS
 
     @property
     def reduced_sse(self) -> float:
@@ -425,9 +435,8 @@ class FitResult:
 def gauss_newton_fit(
     initial: Mpo,
     data: PauliCorrelationSet,
-    max_iter: int = FIT_DEFAULTS["max_iterations"],
+    max_iterations: int = FIT_DEFAULTS["max_iterations"],
     tol: float = FIT_DEFAULTS["tol"],
-    se_floor: float = FIT_DEFAULTS["se_floor"],
 ) -> FitResult:
     """Levenberg-damped Gauss-Newton weighted least squares.
 
@@ -450,9 +459,9 @@ def gauss_newton_fit(
             every window of the chain.
 
     Returns:
-        FitResult; ``converged`` is False when ``max_iter`` was exhausted or
-        no trial step was acceptable (the result is usable but flagged).
-        ``exit_reason`` and ``trace`` record why and how the iteration stopped.
+        FitResult; ``exit_reason`` and ``trace`` record why and how the
+        iteration stopped (not ``converged`` when ``max_iterations`` ran out
+        or no trial step was acceptable: the result is usable but flagged).
     """
     if not is_standard_form(initial):
         raise ValidationError("initial MPO must be in standard form")
@@ -465,7 +474,7 @@ def gauss_newton_fit(
     y = np.stack([data.values[s].ravel() for s in data.starts])
     if not np.all(np.isfinite(y)):
         raise DataError("correlation data contains NaN")
-    w = 1.0 / np.clip(np.stack([data.ses[s].ravel() for s in data.starts]), se_floor, None)
+    w = 1.0 / np.clip(np.stack([data.ses[s].ravel() for s in data.starts]), _SE_FLOOR, None)
     # word 0 (all identity, constant 1) carries no residual
     w[:, 0] = 0.0
     omega = w**2
@@ -509,7 +518,7 @@ def gauss_newton_fit(
             sse = weighted_sse(vals)
             if sse <= rounding_sse:
                 exit_reason = "rounding_floor"
-        if exit_reason is None and iterations >= max_iter:
+        if exit_reason is None and iterations >= max_iterations:
             exit_reason = "max_iter"
         if exit_reason is not None:
             break
@@ -560,7 +569,6 @@ def gauss_newton_fit(
         log.debug("gauss-newton iteration %d: %s", iterations, row)
         if not accepted:
             break  # the point did not move, so its factor stands
-    converged = exit_reason in ("tolerance", "rounding_floor")
     # the covariance of the free parameters at the final iterate as its
     # factor: the live eigenvectors scaled by λ^(-1/2)
     factor = evecs[:, live]
@@ -573,11 +581,10 @@ def gauss_newton_fit(
         sse=sse,
         dof=dof,
         iterations=iterations,
-        converged=converged,
         exit_reason=exit_reason,
-        trace=trace,
         largest_null_ratio=float(evals[~live].max() / scale) if not live.all() else None,
         smallest_live_ratio=float(evals[live].min() / scale) if live.any() else None,
+        trace=trace,
     )
 
 
@@ -619,7 +626,6 @@ def fit_chain(
     k_sigma: float = FIT_DEFAULTS["k_sigma"],
     max_iterations: int = FIT_DEFAULTS["max_iterations"],
     tol: float = FIT_DEFAULTS["tol"],
-    se_floor: float = FIT_DEFAULTS["se_floor"],
 ):
     """Reconstruct an MPO from five-qubit local correlations in the
     Z-shifted basis, as :func:`~mpo_tomo.correlations.moments_to_zshifted`
@@ -643,20 +649,22 @@ def fit_chain(
         pauli, 5, ranks=bond_estimate.dims, residual_tol=np.inf
     )
     guess = compress(inversion.mpo, corr_matrices, bond_estimate.dims)
-    fit = gauss_newton_fit(
-        to_standard_form(guess),
-        corrs,
-        max_iter=max_iterations,
-        tol=tol,
-        se_floor=se_floor,
-    )
+    fit = gauss_newton_fit(to_standard_form(guess), corrs, max_iterations=max_iterations, tol=tol)
     return bond_estimate, inversion, fit
 
 
 # --- persistence -------------------------------------------------------------
 
 
-_NULL_SPACE_RATIOS = ("largest_null_ratio", "smallest_live_ratio")
+# the fit record's keys, each with the rule its value in fit_report.json keeps
+_RECORD_RULES = {
+    "sse": ("a finite number >= 0", lambda x: is_finite(x) and x >= 0),
+    "dof": ("an integer >= 0", lambda x: is_int(x) and x >= 0),
+    "iterations": ("an integer >= 0", lambda x: is_int(x) and x >= 0),
+    "exit_reason": (f"one of {_EXIT_REASONS}", lambda x: x in _EXIT_REASONS),
+    "largest_null_ratio": ("null or a finite number", lambda x: x is None or is_finite(x)),
+    "smallest_live_ratio": ("null or a finite number", lambda x: x is None or is_finite(x)),
+}
 
 # covariance.bin holds the factor L of the covariance L·Lᵀ; a bundle loads only under this header
 _COVARIANCE_HEADER = {"form": "factor", "dtype": "float64", "order": "row-major",
@@ -666,10 +674,10 @@ _COVARIANCE_HEADER = {"form": "factor", "dtype": "float64", "order": "row-major"
 def fit_record(fit: FitResult) -> dict:
     """The fit's summary shared by ``fit_report.json``, ``stages.json`` and
     the ``fit`` section of ``report.json``."""
-    keys = ("sse", "dof", "iterations", "converged", "exit_reason", *_NULL_SPACE_RATIOS)
     # the null directions are the columns the covariance factor does not have
     n_par, n_live = fit.covariance.shape
-    return {key: getattr(fit, key) for key in keys} | {"null_directions": n_par - n_live}
+    record = {key: getattr(fit, key) for key in _RECORD_RULES}
+    return record | {"converged": fit.converged, "null_directions": n_par - n_live}
 
 
 def save_fit_bundle(fit: FitResult, directory) -> None:
@@ -688,15 +696,6 @@ def _read_json_object(path) -> dict:
         return {**json.load(fh)}  # TypeError unless the file holds a JSON object
 
 
-def _read_report(path) -> dict:
-    report = _read_json_object(path)
-    required = ("sse", "dof", "iterations", "converged")
-    # the exit reason and null-space ratios may predate the bundle; an older
-    # bundle's "basis" key is not read, since the fit has only one basis
-    optional = ("exit_reason", *_NULL_SPACE_RATIOS)
-    return {**{key: report[key] for key in required}, **{key: report.get(key) for key in optional}}
-
-
 def load_fit_bundle(directory) -> FitResult:
     """Load a fit written by :func:`save_fit_bundle`.
 
@@ -704,7 +703,8 @@ def load_fit_bundle(directory) -> FitResult:
         CompletenessError: a bundle file is missing.
         ValidationError: a bundle file is unreadable or incomplete, its
             covariance header is not a factor's of the MPO's shape (as with a
-            dense covariance), or the factor holds a non-finite entry.
+            dense covariance), the factor holds a non-finite entry, or the
+            report lacks a record key or breaks its rule.
     """
 
     def read(name, load):
@@ -736,5 +736,10 @@ def load_fit_bundle(directory) -> FitResult:
     n_bad = np.count_nonzero(~np.isfinite(factor))
     if n_bad:
         raise ValidationError(f"covariance.bin holds {n_bad} non-finite values")
-    report = read("fit_report.json", _read_report)
-    return FitResult(mpo=mpo, covariance=factor.reshape(n_free, n_live), **report)
+    report = read("fit_report.json", _read_json_object)
+    for key, (rule, holds) in _RECORD_RULES.items():
+        if key not in report:
+            raise ValidationError(f"fit_report.json: {key} is missing")
+        if not holds(report[key]):
+            raise ValidationError(f"fit_report.json: {key} is {report[key]!r}, not {rule}")
+    return FitResult(mpo, factor.reshape(n_free, n_live), **{key: report[key] for key in _RECORD_RULES})

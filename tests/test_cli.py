@@ -18,6 +18,9 @@ CONFIG = {
     "analysis": {"le_pairs": "all"},
 }
 
+# a parameter value that stands for a key left out
+ABSENT = object()
+
 
 def write_config(path, cfg=CONFIG):
     with open(path, "w") as fh:
@@ -193,10 +196,14 @@ class TestConfigValidation:
             ("max_iterations", True),
             ("tol", -1.0),
             ("tol", "1e-10"),
+            pytest.param("tol", 10**400, id="tol-10^400"),
             ("k_sigma", -1),
             ("k_sigma", 0),
+            pytest.param("k_sigma", 10**400, id="k_sigma-10^400"),
+            # the SE floor is no setting: any value, its own too, is an unknown key
             ("se_floor", 0.0),
             ("se_floor", None),
+            ("se_floor", 1e-9),
         ],
     )
     def test_fit_section_validated(self, tmp_path, key, value):
@@ -213,8 +220,14 @@ class TestConfigValidation:
             ("eta_se", -0.01),
             ("eta_se", float("inf")),
             ("eta_se", float("nan")),
+            pytest.param("eta_se", 10**400, id="eta_se-10^400"),
             ("window", 4),
             ("window", 5.0),
+            # the dataset's shots column is int64
+            pytest.param("shots", 2**63, id="shots-2^63"),
+            pytest.param("shots", 2**70, id="shots-2^70"),
+            pytest.param("shots", 10**400, id="shots-10^400"),
+            ("shots", 99),
         ],
     )
     def test_measurement_section_validated(self, tmp_path, key, value):
@@ -254,6 +267,7 @@ class TestConfigValidation:
             ("protocol", "eps_ad", -0.1),
             ("protocol", "eps_pd", 1.5),
             ("protocol", "eps_pd", float("nan")),
+            pytest.param("protocol", "eps_ad", 10**400, id="protocol-eps_ad-10^400"),
             ("protocol", "eps_pd", [0.1] * 4),
             ("protocol", "eps_pd", [0.1, 0.1, 0.1, 0.1, "0.1"]),
             ("protocol", "rotation_offsets", 5),
@@ -261,6 +275,9 @@ class TestConfigValidation:
             ("protocol", "rotation_offsets", [0.0] * 4),
             ("protocol", "rotation_offsets", [0.0, 0.0, 0.0, 0.0, True]),
             ("protocol", "rotation_offsets", [0.0, 0.0, 0.0, 0.0, float("inf")]),
+            pytest.param(
+                "protocol", "rotation_offsets", [0.0] * 4 + [10**400], id="protocol-rotation_offsets-10^400"
+            ),
         ],
     )
     @pytest.mark.parametrize("command", ["simulate", "analyze"])
@@ -580,6 +597,55 @@ class TestAnalyze:
         assert main(["analyze", "--config", cfg, "--out", str(run)]) == 2
         assert f"covariance_header.json: {key} is " in capsys.readouterr().err
         assert _file_list(run) == before
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("sse", "abc"),
+            ("sse", -1.0),
+            ("sse", float("inf")),
+            ("dof", None),
+            ("dof", 2.5),
+            ("iterations", -3),
+            ("iterations", True),
+            ("exit_reason", "converged"),
+            ("exit_reason", None),
+            ("largest_null_ratio", "1e-17"),
+            ("smallest_live_ratio", float("nan")),
+            # every record key is required, the exit reason and ratios too
+            *[
+                pytest.param(key, ABSENT, id=f"{key}-missing")
+                for key in ("dof", "iterations", "exit_reason", "largest_null_ratio", "smallest_live_ratio")
+            ],
+        ],
+    )
+    def test_fit_record_values_checked(self, pipeline_run, tmp_path, capsys, key, value):
+        # each value of the record the loader reads back
+        cfg, out = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(os.path.join(out, "fit"), run / "fit")
+        path = run / "fit" / "fit_report.json"
+        report = {**json.loads(path.read_text()), key: value}
+        if value is ABSENT:
+            del report[key]
+        path.write_text(json.dumps(report))
+        before = _file_list(run)
+        assert main(["analyze", "--config", cfg, "--out", str(run)]) == 2
+        assert f"fit_report.json: {key} is " in capsys.readouterr().err
+        assert _file_list(run) == before
+
+    def test_converged_is_read_off_the_exit_reason(self, pipeline_run, tmp_path):
+        # a report's own "converged" is not read: it follows from the exit reason
+        cfg, out = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(os.path.join(out, "fit"), run / "fit")
+        path = run / "fit" / "fit_report.json"
+        edited = {**json.loads(path.read_text()), "converged": True, "exit_reason": "max_iter"}
+        path.write_text(json.dumps(edited))
+        assert main(["analyze", "--config", cfg, "--out", str(run)]) == 0
+        report = json.load(open(run / "report.json"))
+        assert report["fit"]["converged"] is False
+        assert report["fit"] == {**edited, "converged": False}
 
     def test_dense_covariance_bundle_writes_nothing(self, pipeline_run, tmp_path, capsys):
         # a bundle from before the factor form: the square L·Lᵀ under a header

@@ -40,28 +40,70 @@ from .errors import CompletenessError, DataError, ValidationError
 
 log = logging.getLogger("mpo_tomo")
 
-_CONFIG_SCHEMA = {
-    "version": None,
-    "protocol": {"n_qubits", "eps_ad", "eps_pd", "rotation_offsets"},
-    "measurement": {"window", "eta", "eta_se", "shots", "seed"},
-    "fit": set(fitting.FIT_DEFAULTS),
-    "analysis": {"le_pairs", "le_measure", "subset_samples", "subset_seed"},
-}
+_REQUIRED = object()
+_LIMIT = entanglement.EXACT_ENUMERATION_LIMIT
+_FIT = fitting.FIT_DEFAULTS
 
-_DEFAULTS = {
-    "protocol": {"eps_ad": 0.0, "eps_pd": 0.0, "rotation_offsets": None},
-    "measurement": {"window": 5, "eta": 1.0, "eta_se": 0.0},
-    "fit": fitting.FIT_DEFAULTS,
+
+def _is_seed(x, n=None) -> bool:
+    return is_int(x) and 0 <= x < 2**63
+
+
+def _is_probability(x) -> bool:
+    return is_finite(x) and 0.0 <= x <= 1.0
+
+
+def _is_list(x, n: int, holds) -> bool:
+    return isinstance(x, list) and len(x) == n and all(map(holds, x))
+
+
+def _is_pairs(x, n: int) -> bool:
+    return isinstance(x, list) and bool(x) and all(
+        isinstance(p, list) and len(p) == 2 and all(map(is_int, p)) and 1 <= p[0] < p[1] <= n for p in x
+    ) and len({tuple(p) for p in x}) == len(x)
+
+
+#: section -> key -> (default, or _REQUIRED for a key every config sets; rule;
+#: holds(value, N)): the one list of the config's sections, keys, defaults and rules
+_CONFIG_RULES = {
+    "protocol": {
+        "n_qubits": (_REQUIRED, "an integer in [5, 2^63)", lambda x, n: is_int(x) and 5 <= x < 2**63),
+        "eps_ad": (0.0, "a number in [0, 1] or a list of N of them",
+                   lambda x, n: _is_probability(x) or _is_list(x, n, _is_probability)),
+        "eps_pd": (0.0, "a number in [0, 1] or a list of N of them",
+                   lambda x, n: _is_probability(x) or _is_list(x, n, _is_probability)),
+        "rotation_offsets": (None, "null or a list of N finite numbers",
+                             lambda x, n: x is None or _is_list(x, n, is_finite)),
+    },
+    "measurement": {
+        "window": (5, "5", lambda x, n: is_int(x) and x == 5),
+        "eta": (1.0, "a number in (0, 1]", lambda x, n: is_finite(x) and 0.0 < x <= 1.0),
+        "eta_se": (0.0, "a finite number >= 0", lambda x, n: is_finite(x) and x >= 0),
+        "shots": (_REQUIRED, "an integer in [100, 2^63)", lambda x, n: is_int(x) and 100 <= x < 2**63),
+        "seed": (_REQUIRED, "an explicit integer in [0, 2^63)", _is_seed),
+    },
+    "fit": {
+        "k_sigma": (_FIT["k_sigma"], "a finite number > 0", lambda x, n: is_finite(x) and x > 0),
+        "max_iterations": (_FIT["max_iterations"], "an integer >= 0", lambda x, n: is_int(x) and x >= 0),
+        "tol": (_FIT["tol"], "a finite number >= 0", lambda x, n: is_finite(x) and x >= 0),
+    },
     "analysis": {
-        "le_pairs": "all",
-        "le_measure": "negativity",
-        "subset_samples": 2**13,
-        "subset_seed": None,
+        "le_pairs": ("all", "\"all\" or distinct integer pairs 1 <= r < r' <= N",
+                     lambda x, n: x == "all" or _is_pairs(x, n)),
+        "le_measure": ("negativity", "\"negativity\" or \"concurrence\"",
+                       lambda x, n: x in ("negativity", "concurrence")),
+        # beyond exact enumeration, LE samples subset_samples of the 2^(N-2)
+        # branches; (s - 1).bit_length() <= N - 2 is s <= 2^(N-2), never built
+        "subset_samples": (2**13, f"an integer >= 1 (<= 2^(N-2) if N > {_LIMIT})",
+                           lambda x, n: is_int(x) and x >= 1 and (n <= _LIMIT or (x - 1).bit_length() <= n - 2)),
+        "subset_seed": (None, f"an integer in [0, 2^63) (or null if N <= {_LIMIT})",
+                        lambda x, n: _is_seed(x) or x is None and n <= _LIMIT),
     },
 }
 
 
 def load_config(path) -> dict:
+    """The config at ``path``, each section merged over its defaults and each key checked."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -71,87 +113,26 @@ def load_config(path) -> dict:
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValidationError("config must be a JSON object")
-    unknown = set(cfg) - set(_CONFIG_SCHEMA)
+    unknown = set(cfg) - {"version", *_CONFIG_RULES}
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    if cfg.get("version") != 1:
+    if not (is_int(cfg.get("version")) and cfg["version"] == 1):
         raise ValidationError("config must declare \"version\": 1")
-    for section, allowed in _CONFIG_SCHEMA.items():
-        if allowed is None or section not in cfg:
-            continue
-        if not isinstance(cfg[section], dict):
+    for section, rules in _CONFIG_RULES.items():
+        given = cfg.get(section, {})
+        if not isinstance(given, dict):
             raise ValidationError(f"config section {section} must be a JSON object")
-        extra = set(cfg[section]) - allowed
+        extra = set(given) - set(rules)
         if extra:
             raise ValidationError(f"unknown keys in {section}: {sorted(extra)}")
-    for section, defaults in _DEFAULTS.items():
-        merged = dict(defaults)
-        merged.update(cfg.get(section, {}))
-        cfg[section] = merged
-    protocol = cfg["protocol"]
-    if "n_qubits" not in protocol:
-        raise ValidationError("config needs protocol.n_qubits")
-    n = protocol["n_qubits"]
-    if not isinstance(n, int) or n < 5:
-        raise ValidationError("protocol.n_qubits must be an integer >= 5")
-    for key in ("eps_ad", "eps_pd"):
-        eps = protocol[key]
-        if not (_is_probability(eps) or _is_list(eps, n) and all(map(_is_probability, eps))):
-            raise ValidationError(f"protocol.{key} must be a number in [0, 1] or a list of {n} of them")
-    offsets = protocol["rotation_offsets"]
-    if offsets is not None and not (_is_list(offsets, n) and all(map(is_finite, offsets))):
-        raise ValidationError(f"protocol.rotation_offsets must be null or a list of {n} finite numbers")
-    m = cfg["measurement"]
-    if "shots" not in m or "seed" not in m:
-        raise ValidationError("measurement.shots and measurement.seed are required")
-    if not _is_seed(m["seed"]):
-        raise ValidationError("measurement.seed must be an explicit integer in [0, 2^63)")
-    if not (is_int(m["shots"]) and 100 <= m["shots"] < 2**63):
-        raise ValidationError("measurement.shots must be an integer in [100, 2^63)")
-    if not is_int(m["window"]) or m["window"] != 5:
-        raise ValidationError("measurement.window must be 5")
-    if not is_finite(m["eta"]) or not 0.0 < m["eta"] <= 1.0:
-        raise ValidationError("measurement.eta must be a number in (0, 1]")
-    if not is_finite(m["eta_se"]) or m["eta_se"] < 0:
-        raise ValidationError("measurement.eta_se must be a finite number >= 0")
-    f = cfg["fit"]
-    if not is_int(f["max_iterations"]) or f["max_iterations"] < 0:
-        raise ValidationError("fit.max_iterations must be an integer >= 0")
-    if not is_finite(f["tol"]) or f["tol"] < 0:
-        raise ValidationError("fit.tol must be a finite number >= 0")
-    if not is_finite(f["k_sigma"]) or f["k_sigma"] <= 0:
-        raise ValidationError("fit.k_sigma must be a finite number > 0")
-    a = cfg["analysis"]
-    if a["le_measure"] not in ("negativity", "concurrence"):
-        raise ValidationError('analysis.le_measure must be "negativity" or "concurrence"')
-    pairs = a["le_pairs"]
-    if pairs != "all" and not (isinstance(pairs, list) and pairs and all(
-        isinstance(p, list) and len(p) == 2 and all(map(is_int, p)) and 1 <= p[0] < p[1] <= n
-        for p in pairs
-    ) and len({tuple(p) for p in pairs}) == len(pairs)):
-        raise ValidationError(
-            f"analysis.le_pairs must be \"all\" or distinct integer pairs 1 <= r < r' <= {n}"
-        )
-    # beyond exact enumeration, LE samples subset_samples of the 2^(N-2) branches
-    limit = entanglement.EXACT_ENUMERATION_LIMIT
-    samples, seed = a["subset_samples"], a["subset_seed"]
-    if not is_int(samples) or samples < 1 or (n > limit and samples > 2 ** (n - 2)):
-        raise ValidationError(f"analysis.subset_samples must be an integer >= 1 (<= 2^(N-2) if N > {limit})")
-    if (seed is None and n > limit) or not (seed is None or _is_seed(seed)):
-        raise ValidationError(f"analysis.subset_seed must be an integer in [0, 2^63) (null if N <= {limit})")
+        cfg[section] = {key: row[0] for key, row in rules.items()} | given
+    # n_qubits first: the rules that take N need it checked
+    n = cfg["protocol"]["n_qubits"]
+    for section, key in [("protocol", "n_qubits"), *((s, k) for s in _CONFIG_RULES for k in _CONFIG_RULES[s])]:
+        _, rule, holds = _CONFIG_RULES[section][key]
+        if cfg[section][key] is _REQUIRED or not holds(cfg[section][key], n):
+            raise ValidationError(f"{section}.{key} must be {rule}")
     return cfg
-
-
-def _is_seed(x) -> bool:
-    return is_int(x) and 0 <= x < 2**63
-
-
-def _is_probability(x) -> bool:
-    return is_finite(x) and 0.0 <= x <= 1.0
-
-
-def _is_list(x, length: int) -> bool:
-    return isinstance(x, list) and len(x) == length
 
 
 @contextmanager

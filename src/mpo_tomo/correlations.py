@@ -98,13 +98,15 @@ class PauliCorrelationSet:
         return _PAULI_NAMES if self.basis == PAULI_BASIS else _R_NAMES
 
 
-def _apply_site_map(values, ses, mat):
-    """Contract a per-site linear map over every axis, propagating variances
+def _apply_site_map(values, ses, maps):
+    """Contract each window with the linear maps of its sites (``maps`` holds
+    one per chain site, site s at ``maps[s - 1]``), propagating variances
     under the independence assumption."""
     out_v, out_s = {}, {}
     for start, v in values.items():
-        out_v[start] = apply_site_maps(v, [mat] * v.ndim)
-        out_s[start] = np.sqrt(apply_site_maps(ses[start] ** 2, [mat**2] * v.ndim))
+        site_maps = maps[start - 1 : start - 1 + v.ndim]
+        out_v[start] = apply_site_maps(v, site_maps)
+        out_s[start] = np.sqrt(apply_site_maps(ses[start] ** 2, [m**2 for m in site_maps]))
     return out_v, out_s
 
 
@@ -115,7 +117,7 @@ def moments_to_zshifted(table: MomentTable) -> PauliCorrelationSet:
     independent moment errors.  Any missing row is fatal.
     """
     table.require_complete()
-    out_v, out_s = _apply_site_map(table.values, table.ses, G_MATRIX)
+    out_v, out_s = _apply_site_map(table.values, table.ses, [G_MATRIX] * table.n_sites)
     return PauliCorrelationSet(
         n_sites=table.n_sites,
         window=table.window,
@@ -167,7 +169,7 @@ def correct_inefficiency(
         raise ValidationError("inefficiency correction expects z-shifted input")
     eta = check_efficiency(eta)
     einv = inverse_loss_zshifted(eta)
-    out_v, out_s = _apply_site_map(corrs.values, corrs.ses, einv)
+    out_v, out_s = _apply_site_map(corrs.values, corrs.ses, [einv] * corrs.n_sites)
     if eta_se > 0.0:
         deinv = _inverse_loss_deta(eta)
         for start, v in corrs.values.items():
@@ -193,7 +195,7 @@ def zshifted_to_pauli(corrs: PauliCorrelationSet) -> PauliCorrelationSet:
     """
     if corrs.basis != ZSHIFTED_BASIS:
         raise ValidationError("expected z-shifted input")
-    out_v, out_s = _apply_site_map(corrs.values, corrs.ses, F_MATRIX)
+    out_v, out_s = _apply_site_map(corrs.values, corrs.ses, [F_MATRIX] * corrs.n_sites)
     meta = dict(corrs.meta)
     meta["se_independence_assumed"] = True
     return PauliCorrelationSet(
@@ -252,13 +254,7 @@ def rotate_sites(corrs: PauliCorrelationSet, angles) -> PauliCorrelationSet:
     angles = np.asarray(angles, dtype=float)
     if angles.shape != (corrs.n_sites,):
         raise ValidationError(f"need one angle per site, got {angles.shape}")
-    out_v, out_s = {}, {}
-    for start, v in corrs.values.items():
-        rots = [z_rotation(th) for th in angles[start - 1 : start - 1 + v.ndim]]
-        out_v[start] = apply_site_maps(v, rots)
-        out_s[start] = np.sqrt(
-            apply_site_maps(corrs.ses[start] ** 2, [rot**2 for rot in rots])
-        )
+    out_v, out_s = _apply_site_map(corrs.values, corrs.ses, [z_rotation(th) for th in angles])
     meta = dict(corrs.meta)
     meta["alignment_angles"] = angles.tolist()
     return replace(corrs, values=out_v, ses=out_s, meta=meta)

@@ -548,7 +548,7 @@ def pauli_to_zshifted(corrs: PauliCorrelationSet) -> PauliCorrelationSet:
     """Inverse of :func:`zshifted_to_pauli` (same map; F is an involution)."""
     if corrs.basis != PAULI_BASIS:
         raise ValidationError("expected pauli input")
-    out_v, out_s = _apply_site_map(corrs.values, corrs.ses, F_MATRIX)
+    out_v, out_s = _apply_site_map(corrs.values, corrs.ses, [F_MATRIX] * corrs.n_sites)
     return PauliCorrelationSet(
         corrs.n_sites, corrs.window, ZSHIFTED_BASIS, out_v, out_s, dict(corrs.meta)
     )

@@ -163,8 +163,12 @@ class TestConfigValidation:
         cfg = write_config(tmp_path / "bad.json", bad)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
-    def test_missing_version(self, tmp_path):
+    # version is the integer 1: not a bool, a float or a string that equals it
+    @pytest.mark.parametrize("version", [ABSENT, True, 1.0, "1", 2], ids=["missing", "true", "1.0", "str", "2"])
+    def test_missing_version(self, tmp_path, version):
         bad = {k: v for k, v in CONFIG.items() if k != "version"}
+        if version is not ABSENT:
+            bad["version"] = version
         cfg = write_config(tmp_path / "bad.json", bad)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
@@ -278,6 +282,14 @@ class TestConfigValidation:
             pytest.param(
                 "protocol", "rotation_offsets", [0.0] * 4 + [10**400], id="protocol-rotation_offsets-10^400"
             ),
+            pytest.param("protocol", "n_qubits", ABSENT, id="protocol-n_qubits-missing"),
+            ("protocol", "n_qubits", 4),
+            ("protocol", "n_qubits", 5.0),
+            ("protocol", "n_qubits", True),
+            ("protocol", "n_qubits", "6"),
+            # the dataset's window_start column is int64
+            pytest.param("protocol", "n_qubits", 2**63, id="protocol-n_qubits-2^63"),
+            pytest.param("protocol", "n_qubits", 10**400, id="protocol-n_qubits-10^400"),
         ],
     )
     @pytest.mark.parametrize("command", ["simulate", "analyze"])
@@ -290,8 +302,27 @@ class TestConfigValidation:
         before = _file_list(run)
         bad = json.loads(json.dumps(CONFIG))
         bad.setdefault(section, {})[key] = value
+        if value is ABSENT:
+            del bad[section][key]
         cfg = write_config(tmp_path / "bad.json", bad)
-        assert main([command, "--config", cfg, "--out", str(run)]) == 2
+        argv = [command, "--config", cfg, "--out", str(run)]
+        if key == "n_qubits" and value in (2**63, 10**400):
+            # a rule that builds 2^(N-2) runs for minutes and fills memory:
+            # a child with a time and address-space limit fails instead
+            import subprocess
+            import sys
+
+            import mpo_tomo
+
+            code = (
+                "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30));"
+                " from mpo_tomo.cli import main; sys.exit(main())"
+            )
+            env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mpo_tomo.__file__)))
+            done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, timeout=30)
+            assert done.returncode == 2, done.stderr
+        else:
+            assert main(argv) == 2
         assert _file_list(run) == before
 
     @pytest.mark.parametrize(
@@ -312,6 +343,43 @@ class TestConfigValidation:
         cfg = write_config(tmp_path / "bad.json", bad)
         assert main(["analyze", "--config", cfg, "--out", str(run)]) == 2
         assert _file_list(run) == before
+
+    @pytest.mark.parametrize("n_qubits", [16, 17])
+    def test_subset_samples_up_to_the_branch_count(self, tmp_path, n_qubits):
+        # 2^(N-2) branches, the largest legal count; one more exits 2 (above)
+        from mpo_tomo.cli import load_config
+
+        doc = json.loads(json.dumps(CONFIG))
+        doc["protocol"]["n_qubits"] = n_qubits
+        doc["analysis"] = {"subset_samples": 2 ** (n_qubits - 2), "subset_seed": 1}
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        assert load_config(cfg)["analysis"]["subset_samples"] == 2 ** (n_qubits - 2)
+
+    def test_the_rule_table_is_the_configs_one_home(self, tmp_path):
+        from pathlib import Path
+
+        from mpo_tomo.cli import _CONFIG_RULES, _REQUIRED, load_config
+        from mpo_tomo.fitting import FIT_DEFAULTS
+
+        # the fit rows are FIT_DEFAULTS, with its defaults
+        assert set(_CONFIG_RULES["fit"]) == set(FIT_DEFAULTS)
+        assert {key: row[0] for key, row in _CONFIG_RULES["fit"].items()} == FIT_DEFAULTS
+        # every default holds under its own rule
+        for section, rules in _CONFIG_RULES.items():
+            for key, (default, rule, holds) in rules.items():
+                assert default is _REQUIRED or holds(default, 5), f"{section}.{key} = {default!r}, not {rule}"
+        # the minimal config loads to the table's defaults, its own values over them
+        assert load_config(write_config(tmp_path / "cfg.json")) == {
+            "version": 1,
+            "protocol": {"n_qubits": 5, "eps_ad": 0.098, "eps_pd": 0.092, "rotation_offsets": None},
+            "measurement": {"window": 5, "eta": 1.0, "eta_se": 0.0, "shots": 10**7, "seed": 7},
+            "fit": FIT_DEFAULTS,
+            "analysis": {"le_pairs": "all", "le_measure": "negativity", "subset_samples": 2**13, "subset_seed": None},
+        }
+        # the README's config table names every key
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        missing = [f"{s}.{k}" for s, rules in _CONFIG_RULES.items() for k in rules if f"`{s}.{k}`" not in readme]
+        assert not missing
 
     def test_analyze_without_fit(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")

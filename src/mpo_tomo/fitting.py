@@ -320,7 +320,6 @@ def _free_block(g, letter_map, rows_p, rows_q):
     return g.transpose(0, 2, 1, 3).reshape(len(g) * k_p, 4 * k_q)[rows_p][:, rows_q]
 
 
-@functools.cache
 def _letter_tables(window: int):
     """Index tables that group a window's words by the letters of its sites.
 
@@ -337,9 +336,6 @@ def _letter_tables(window: int):
         {q: np.moveaxis(slab_index, q - (q > p), 0).reshape(4, -1) for q in range(window) if q != p}
         for p in range(window)
     ]
-    # every caller shares these arrays
-    for table in words + [t for rows in slab_rows for t in rows.values()]:
-        table.flags.writeable = False
     return words, slab_rows
 
 
@@ -397,12 +393,16 @@ class FitResult:
     ``exit_reason`` says why the fit stopped: ``tolerance`` (relative SSE
     decrease below ``tol``), ``rounding_floor`` (SSE at the level rounding
     of the model values alone leaves), ``no_acceptable_step`` (no damping
-    gave a non-increasing SSE) or ``max_iter``.  ``converged`` is read off
-    it: True only for ``tolerance`` and ``rounding_floor``.  ``trace`` holds
-    one dict per iteration: the SSE after it, the damping of its last trial,
-    the number of inner trials, the |d2|/|d1| ratio of its last trial, the
-    model evaluations it made, and the wall seconds it spent forming the
-    values and JᵀWJ (``assembly_s``) and in the eigendecomposition of JᵀWJ
+    gave a non-increasing SSE) or ``max_iter``.  Each pass decides its stop
+    in one ordered check, once its JᵀWJ is factored: ``rounding_floor``, then
+    ``tolerance`` (only after a step), then ``max_iter``; a pass in which no
+    trial is accepted ends with ``no_acceptable_step`` and keeps its unmoved
+    point's factor.  ``converged`` is read off ``exit_reason``: True only
+    for ``tolerance`` and ``rounding_floor``.  ``trace`` holds one dict per
+    iteration: the SSE after it, the damping of its last trial, the number
+    of inner trials, the |d2|/|d1| ratio of its last trial, the model
+    evaluations it made, and the wall seconds it spent forming the values
+    and JᵀWJ (``assembly_s``) and in the eigendecomposition of JᵀWJ
     (``eigh_s``).
 
     At the final iterate, eigenvalues of JᵀWJ at or below 1e-12 of the
@@ -514,18 +514,20 @@ def gauss_newton_fit(
         del hess
         scale = max(evals[-1], 1e-300)
         live = evals > 1e-12 * scale
-        if iterations == 0:
-            sse = weighted_sse(vals)
-            if sse <= rounding_sse:
-                exit_reason = "rounding_floor"
-        if exit_reason is None and iterations >= max_iterations:
+        # the stop, in order, at this point's SSE (bit-equal to its SSE as an
+        # accepted candidate); the relative decrease exists only after a step
+        sse = weighted_sse(vals)
+        if sse <= rounding_sse:
+            exit_reason = "rounding_floor"
+        elif iterations and decrease <= tol * sse:
+            exit_reason = "tolerance"
+        elif iterations >= max_iterations:
             exit_reason = "max_iter"
         if exit_reason is not None:
             break
         # JᵀW(y - f) with W = diag(w²)
         grad = _window_pullback(current, (y - vals) * w * w)
         gproj = evecs.T @ grad
-        accepted = False
         for trial in range(1, 81):
             step_lam = lam
             d1 = evecs @ np.where(live, gproj / (evals + lam), 0.0)
@@ -541,23 +543,15 @@ def gauss_newton_fit(
                 candidate = _Point(plan, current.theta + d1 + d2)
                 cand_sse = weighted_sse(model(candidate, False)[0])
                 if cand_sse <= sse:
-                    accepted = True
                     lam = max(lam / 10.0, 1e-15)
                     break
             lam *= 2.0
-        iterations += 1
-        if accepted:
-            del evecs  # free before the next pass assembles JᵀWJ
-            decrease = sse - cand_sse
-            current, sse = candidate, cand_sse
-            if sse <= rounding_sse:
-                exit_reason = "rounding_floor"
-            elif decrease <= tol * sse:
-                exit_reason = "tolerance"
-        else:
+        else:  # no trial accepted: the point did not move, so its factor stands
             exit_reason = "no_acceptable_step"
+            cand_sse = sse
+        iterations += 1
         row = {
-            "sse": sse,
+            "sse": cand_sse,
             "lambda": step_lam,
             "trials": trial,
             "d2_over_d1": float(n2 / n1) if n1 > 0 else 0.0,
@@ -567,8 +561,10 @@ def gauss_newton_fit(
         }
         trace.append(row)
         log.debug("gauss-newton iteration %d: %s", iterations, row)
-        if not accepted:
-            break  # the point did not move, so its factor stands
+        if exit_reason is not None:
+            break
+        del evecs  # free before the next pass assembles JᵀWJ
+        current, decrease = candidate, sse - cand_sse
     # the covariance of the free parameters at the final iterate as its
     # factor: the live eigenvectors scaled by λ^(-1/2)
     factor = evecs[:, live]
@@ -724,12 +720,12 @@ def load_fit_bundle(directory) -> FitResult:
             raise ValidationError(f"covariance_header.json: {key} is {header.get(key)!r}, not {want!r}")
     # the factor has one row per free parameter and at most as many columns
     shape = header.get("shape")
-    if not (isinstance(shape, list) and len(shape) == 2 and shape[0] == n_free
-            and shape[1] in range(n_free + 1)):
+    if not (isinstance(shape, list) and len(shape) == 2 and all(map(is_int, shape))
+            and shape[0] == n_free and shape[1] in range(n_free + 1)):
         raise ValidationError(
             f"covariance_header.json: shape {shape!r} is not [{n_free}, n_live <= {n_free}]"
         )
-    n_live = int(shape[1])
+    n_live = shape[1]
     factor = read("covariance.bin", functools.partial(np.fromfile, dtype=np.float64))
     if factor.size != n_free * n_live:
         raise ValidationError(f"covariance.bin holds {factor.size} values, not {n_free} x {n_live}")

@@ -15,21 +15,20 @@ from .mpo import Mpo, pad_bond
 _TRACE_TOL = 1e-14  # smallest trace, and pivot, that standard form divides by
 
 
-def _template(shapes, with_values: bool = True):
-    """Per site, the mask of the free standard-form entries and, with
-    ``with_values``, the value of every pinned entry (0 at the free ones)."""
+def _template(shapes):
+    """Per site, the mask of the free standard-form entries and the value of
+    every pinned entry (0 at the free ones)."""
     out = []
     for k, (dl, _, dr) in enumerate(shapes):
         mask = np.zeros((dl, 4, dr), dtype=bool)
-        values = np.zeros((dl, 4, dr)) if with_values else None
+        values = np.zeros((dl, 4, dr))
         if k < len(shapes) - 1:
             # pinned: the identity slice's unit (0, 0) and sub-diagonal zeros
             mask[:, 1:, :] = True
             mask[:, 0, :] = np.triu(np.ones((dl, dr), dtype=bool))
             mask[0, 0, 0] = False
-            if with_values:
-                values[0, 0, 0] = 1.0
-        elif with_values:
+            values[0, 0, 0] = 1.0
+        else:
             values[:, :, 0] = np.eye(dl, 4)  # the Pauli column [I, X, Y, Z]^T
         out.append((mask, values))
     return out
@@ -37,8 +36,7 @@ def _template(shapes, with_values: bool = True):
 
 def free_masks(mpo: Mpo) -> list[np.ndarray]:
     """Boolean mask per site tensor marking the free standard-form entries."""
-    shapes = [t.shape for t in mpo.tensors]
-    return [mask for mask, _ in _template(shapes, with_values=False)]
+    return [mask for mask, _ in _template([t.shape for t in mpo.tensors])]
 
 
 def is_standard_form(mpo: Mpo) -> bool:

@@ -628,15 +628,23 @@ class TestAnalyze:
         path.write_bytes(data[:-8])
         assert main(["analyze", "--config", cfg, "--out", str(broken)]) == 2
 
-    def test_covariance_shape_must_match_mpo(self, pipeline_run, tmp_path):
+    def test_covariance_shape_must_match_mpo(self, pipeline_run, tmp_path, capsys):
         cfg, out = pipeline_run
-        broken = tmp_path / "broken"
-        shutil.copytree(out, broken)
-        path = broken / "fit" / "covariance_header.json"
-        header = json.loads(path.read_text())
-        header["shape"] = [1, header["shape"][0] ** 2]
-        path.write_text(json.dumps(header))
-        assert main(["analyze", "--config", cfg, "--out", str(broken)]) == 2
+        with open(os.path.join(out, "fit", "covariance_header.json")) as fh:
+            n_par, n_live = json.load(fh)["shape"]
+        # a dense covariance's shape, the factor's shape as floats, and one
+        # bool column (True == 1) beside a factor of one column
+        for case, shape in enumerate([[1, n_par**2], [float(n_par), float(n_live)], [n_par, True]]):
+            broken = tmp_path / f"broken{case}"
+            shutil.copytree(out, broken)
+            path = broken / "fit" / "covariance_header.json"
+            header = json.loads(path.read_text())
+            header["shape"] = shape
+            path.write_text(json.dumps(header))
+            if shape[1] is True:
+                np.ones(n_par).tofile(broken / "fit" / "covariance.bin")
+            assert main(["analyze", "--config", cfg, "--out", str(broken)]) == 2, shape
+            assert "covariance_header.json: shape" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "key, value",
@@ -936,20 +944,6 @@ class TestTooling:
         "mpo.matrix_element": "no src caller",
         "entanglement.le_subset_estimate": "runs only for N > 15",
     }
-
-    def test_benchmark_trace_targets_resolve(self):
-        # bench/run.py --trace 1 wraps these names; a refactor must keep them
-        import importlib
-        import importlib.util
-        from pathlib import Path
-
-        path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("bench_tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
-        for module, attr, _ in tracing.TARGETS:
-            target = importlib.import_module(f"mpo_tomo.{module}")
-            assert callable(getattr(target, attr, None)), f"{module}.{attr}"
 
     def test_traced_pipeline_gives_every_layer_metric(self, tmp_path):
         # bench/run.py --trace 1 runs each command through bench/traced_cli.py;

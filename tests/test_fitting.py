@@ -367,6 +367,21 @@ class TestGaussNewton:
         # one Jacobian, then two curvature probes and at most one candidate per trial
         assert row["trials"] * 2 + 1 <= row["model_evals"] <= row["trials"] * 3 + 1
 
+    def test_stop_reasons_are_checked_in_order(self, sf_noisy6):
+        # a pass whose decrease is below tol with max_iterations spent stops
+        # by tolerance; one pass earlier only max_iter holds
+        masks = free_masks(sf_noisy6)
+        theta = pack(sf_noisy6.tensors, masks)
+        local = np.random.default_rng(2)
+        start = unpack(theta + local.normal(scale=1e-2, size=theta.size), sf_noisy6, masks)
+        data = window_zshifted_set(sf_noisy6, 5)
+        fit = gauss_newton_fit(start, data)
+        assert fit.exit_reason == "tolerance"
+        k = fit.iterations
+        for max_iterations, reason in [(k, "tolerance"), (k - 1, "max_iter")]:
+            fit = gauss_newton_fit(start, data, max_iterations=max_iterations)
+            assert (fit.exit_reason, fit.iterations) == (reason, max_iterations)
+
     def test_no_acceptable_step_is_not_converged(self, sf_noisy6, reject_every_gn_trial):
         masks = free_masks(sf_noisy6)
         theta = pack(sf_noisy6.tensors, masks)

@@ -95,6 +95,26 @@ def test_tracing_targets_resolve():
     assert isinstance(commands, dict) and all(callable(fn) for fn in commands.values())
 
 
+def test_every_exit_reason_is_one_the_bundle_loader_accepts():
+    # reconstruct writes the fit's exit reason to fit_report.json, and
+    # load_fit_bundle accepts only fitting._EXIT_REASONS there
+    tree = ast.parse((SRC / "fitting.py").read_text())
+    (fit,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "gauss_newton_fit"]
+    values = []
+    for node in ast.walk(fit):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign, ast.NamedExpr)):
+            targets = [node.target]
+        else:
+            continue
+        if any("exit_reason" in _names(t) for t in targets):
+            values.append(node.value)
+    assert values and all(isinstance(v, ast.Constant) for v in values), "assign exit_reason only constants"
+    reasons = {v.value for v in values if v.value is not None}
+    assert reasons == set(importlib.import_module("mpo_tomo.fitting")._EXIT_REASONS)
+
+
 def test_kept_uncalled_is_only_the_bench_contract():
     targets = {f"{module}.{attr}" for module, attr, _ in _load_bench_module("tracing").TARGETS}
     assert set(KEPT_UNCALLED) <= targets, "keep in src only the uncalled names bench/tracing.py wraps"

@@ -85,7 +85,6 @@ _CONFIG_RULES = {
     "fit": {
         "k_sigma": (_FIT["k_sigma"], "a finite number > 0", lambda x, n: is_finite(x) and x > 0),
         "max_iterations": (_FIT["max_iterations"], "an integer >= 0", lambda x, n: is_int(x) and x >= 0),
-        "tol": (_FIT["tol"], "a finite number >= 0", lambda x, n: is_finite(x) and x >= 0),
     },
     "analysis": {
         "le_pairs": ("all", "\"all\" or distinct integer pairs 1 <= r < r' <= N",

@@ -75,9 +75,10 @@ log = logging.getLogger(__name__)
 
 _INITIAL_DAMPING = 1e-3  # Levenberg parameter of the first trial
 _SE_FLOOR = 1e-9  # a residual's weight is 1 / max(SE, _SE_FLOOR)
+_SHIFT_BOUND = 0.1  # the fit stops once one more step moves no output by over this many SEs
 
 # the fit settings, each overridable in the run config's "fit" section
-FIT_DEFAULTS = {"k_sigma": 5.0, "max_iterations": 200, "tol": 1e-10}
+FIT_DEFAULTS = {"k_sigma": 5.0, "max_iterations": 200}
 
 
 class _FitPlan:
@@ -379,7 +380,7 @@ def _window_pullback(point: _Point, cotangents) -> np.ndarray:
 
 
 # why a fit stops; it converged only for the first two
-_CONVERGED_REASONS = ("tolerance", "rounding_floor")
+_CONVERGED_REASONS = ("decrement", "rounding_floor")
 _EXIT_REASONS = (*_CONVERGED_REASONS, "no_acceptable_step", "max_iter")
 
 
@@ -390,20 +391,26 @@ class FitResult:
     ``covariance`` is the factor L = V·λ^(−1/2) (n_par × n_live) of the
     covariance L·Lᵀ, from the live eigenpairs (V, λ) of the final JᵀWJ.
 
-    ``exit_reason`` says why the fit stopped: ``tolerance`` (relative SSE
-    decrease below ``tol``), ``rounding_floor`` (SSE at the level rounding
-    of the model values alone leaves), ``no_acceptable_step`` (no damping
-    gave a non-increasing SSE) or ``max_iter``.  Each pass decides its stop
-    in one ordered check, once its JᵀWJ is factored: ``rounding_floor``, then
-    ``tolerance`` (only after a step), then ``max_iter``; a pass in which no
-    trial is accepted ends with ``no_acceptable_step`` and keeps its unmoved
-    point's factor.  ``converged`` is read off ``exit_reason``: True only
-    for ``tolerance`` and ``rounding_floor``.  ``trace`` holds one dict per
-    iteration: the SSE after it, the damping of its last trial, the number
-    of inner trials, the |d2|/|d1| ratio of its last trial, the model
-    evaluations it made, and the wall seconds it spent forming the values
-    and JᵀWJ (``assembly_s``) and in the eigendecomposition of JᵀWJ
-    (``eigh_s``).
+    ``shift_bound`` is √δ at the final point, δ = gᵀH⁺g the Newton
+    decrement over the live directions (g = JᵀW(y − f), H⁺ = L·Lᵀ): one
+    more full step moves any output f by at most ``shift_bound``·SE_f to
+    first order.  The directions dropped below the cut are not in it.
+
+    ``exit_reason`` says why the fit stopped: ``decrement``
+    (``shift_bound`` ≤ ``_SHIFT_BOUND``), ``rounding_floor`` (SSE at the
+    level rounding of the model values alone leaves), ``no_acceptable_step``
+    (no damping gave a non-increasing SSE) or ``max_iter``.  Each pass,
+    the start included, decides its stop in one ordered check, once its
+    JᵀWJ is factored and its gradient taken: ``rounding_floor``, then
+    ``decrement``, then ``max_iter``; a pass in which no trial is accepted
+    ends with ``no_acceptable_step`` and keeps its unmoved point's factor.
+    ``converged`` is read off ``exit_reason``: True only for ``decrement``
+    and ``rounding_floor``.  ``trace`` holds one dict per iteration: the SSE
+    after it, the damping of its last trial, the number of inner trials,
+    the |d2|/|d1| ratio of its last trial, the model evaluations it made,
+    the wall seconds it spent forming the values and JᵀWJ (``assembly_s``)
+    and in the eigendecomposition of JᵀWJ (``eigh_s``), and the
+    ``shift_bound`` of the point it started from.
 
     At the final iterate, eigenvalues of JᵀWJ at or below 1e-12 of the
     largest are dropped as gauge null directions, n_par − n_live of them
@@ -421,6 +428,7 @@ class FitResult:
     exit_reason: str
     largest_null_ratio: float | None
     smallest_live_ratio: float | None
+    shift_bound: float = 0.0
     trace: list = field(repr=False, default_factory=list)
 
     @property
@@ -436,7 +444,6 @@ def gauss_newton_fit(
     initial: Mpo,
     data: PauliCorrelationSet,
     max_iterations: int = FIT_DEFAULTS["max_iterations"],
-    tol: float = FIT_DEFAULTS["tol"],
 ) -> FitResult:
     """Levenberg-damped Gauss-Newton weighted least squares.
 
@@ -451,7 +458,8 @@ def gauss_newton_fit(
     (the second directional derivative of the residuals along the step).
     The damping starts at ``_INITIAL_DAMPING``, shrinks by 10 on accepted
     steps and grows gently (x2) on rejections.  Accepted steps never
-    increase the weighted SSE.
+    increase the weighted SSE.  The fit stops once the live Newton decrement
+    δ = Σ (vₖᵀg)²/λₖ of the pass's eigenpairs has √δ ≤ ``_SHIFT_BOUND``.
 
     Args:
         initial: standard-form starting point; its pinned entries stay fixed.
@@ -514,20 +522,20 @@ def gauss_newton_fit(
         del hess
         scale = max(evals[-1], 1e-300)
         live = evals > 1e-12 * scale
+        # JᵀW(y - f) with W = diag(w²), and √δ of the live Newton decrement
+        gproj = evecs.T @ _window_pullback(current, (y - vals) * w * w)
+        shift_bound = float(np.sqrt(np.sum(gproj[live] ** 2 / evals[live])))
         # the stop, in order, at this point's SSE (bit-equal to its SSE as an
-        # accepted candidate); the relative decrease exists only after a step
+        # accepted candidate)
         sse = weighted_sse(vals)
         if sse <= rounding_sse:
             exit_reason = "rounding_floor"
-        elif iterations and decrease <= tol * sse:
-            exit_reason = "tolerance"
+        elif shift_bound <= _SHIFT_BOUND:
+            exit_reason = "decrement"
         elif iterations >= max_iterations:
             exit_reason = "max_iter"
         if exit_reason is not None:
             break
-        # JᵀW(y - f) with W = diag(w²)
-        grad = _window_pullback(current, (y - vals) * w * w)
-        gproj = evecs.T @ grad
         for trial in range(1, 81):
             step_lam = lam
             d1 = evecs @ np.where(live, gproj / (evals + lam), 0.0)
@@ -558,13 +566,14 @@ def gauss_newton_fit(
             "model_evals": evals_made,
             "assembly_s": assembly_s,
             "eigh_s": eigh_s,
+            "shift_bound": shift_bound,
         }
         trace.append(row)
         log.debug("gauss-newton iteration %d: %s", iterations, row)
         if exit_reason is not None:
             break
         del evecs  # free before the next pass assembles JᵀWJ
-        current, decrease = candidate, sse - cand_sse
+        current = candidate
     # the covariance of the free parameters at the final iterate as its
     # factor: the live eigenvectors scaled by λ^(-1/2)
     factor = evecs[:, live]
@@ -580,6 +589,7 @@ def gauss_newton_fit(
         exit_reason=exit_reason,
         largest_null_ratio=float(evals[~live].max() / scale) if not live.all() else None,
         smallest_live_ratio=float(evals[live].min() / scale) if live.any() else None,
+        shift_bound=shift_bound,
         trace=trace,
     )
 
@@ -621,7 +631,6 @@ def fit_chain(
     corrs: PauliCorrelationSet,
     k_sigma: float = FIT_DEFAULTS["k_sigma"],
     max_iterations: int = FIT_DEFAULTS["max_iterations"],
-    tol: float = FIT_DEFAULTS["tol"],
 ):
     """Reconstruct an MPO from five-qubit local correlations in the
     Z-shifted basis, as :func:`~mpo_tomo.correlations.moments_to_zshifted`
@@ -645,7 +654,7 @@ def fit_chain(
         pauli, 5, ranks=bond_estimate.dims, residual_tol=np.inf
     )
     guess = compress(inversion.mpo, corr_matrices, bond_estimate.dims)
-    fit = gauss_newton_fit(to_standard_form(guess), corrs, max_iterations=max_iterations, tol=tol)
+    fit = gauss_newton_fit(to_standard_form(guess), corrs, max_iterations=max_iterations)
     return bond_estimate, inversion, fit
 
 
@@ -660,6 +669,7 @@ _RECORD_RULES = {
     "exit_reason": (f"one of {_EXIT_REASONS}", lambda x: x in _EXIT_REASONS),
     "largest_null_ratio": ("null or a finite number", lambda x: x is None or is_finite(x)),
     "smallest_live_ratio": ("null or a finite number", lambda x: x is None or is_finite(x)),
+    "shift_bound": ("a finite number >= 0", lambda x: is_finite(x) and x >= 0),
 }
 
 # covariance.bin holds the factor L of the covariance L·Lᵀ; a bundle loads only under this header

@@ -201,6 +201,8 @@ class TestConfigValidation:
             ("tol", -1.0),
             ("tol", "1e-10"),
             pytest.param("tol", 10**400, id="tol-10^400"),
+            # the stop is the Newton decrement: tol, its old default too, is an unknown key
+            ("tol", 1e-10),
             ("k_sigma", -1),
             ("k_sigma", 0),
             pytest.param("k_sigma", 10**400, id="k_sigma-10^400"),
@@ -417,7 +419,7 @@ class TestReconstruct:
         fit_dir = os.path.join(out, "fit")
         stages = json.load(open(os.path.join(fit_dir, "stages.json")))
         gn = stages["gauss_newton"]
-        assert gn["exit_reason"] in ("tolerance", "rounding_floor")
+        assert gn["exit_reason"] in ("decrement", "rounding_floor")
         assert len(gn["trace"]) == gn["iterations"]
         assert gn["trace"][-1]["sse"] == gn["sse"]
         assert all(row["assembly_s"] >= 0 and row["eigh_s"] >= 0 for row in gn["trace"])
@@ -688,10 +690,15 @@ class TestAnalyze:
             ("exit_reason", None),
             ("largest_null_ratio", "1e-17"),
             ("smallest_live_ratio", float("nan")),
-            # every record key is required, the exit reason and ratios too
+            # the relative-SSE stop is gone: a bundle written by it no longer loads
+            ("exit_reason", "tolerance"),
+            ("shift_bound", -0.1),
+            ("shift_bound", float("inf")),
+            # every record key is required, the exit reason, ratios and shift bound too
             *[
                 pytest.param(key, ABSENT, id=f"{key}-missing")
-                for key in ("dof", "iterations", "exit_reason", "largest_null_ratio", "smallest_live_ratio")
+                for key in ("dof", "iterations", "exit_reason", "largest_null_ratio", "smallest_live_ratio",
+                            "shift_bound")
             ],
         ],
     )

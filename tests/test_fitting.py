@@ -360,7 +360,8 @@ class TestGaussNewton:
         assert fit.exit_reason == "max_iter"
         (row,) = fit.trace
         assert set(row) == {
-            "sse", "lambda", "trials", "d2_over_d1", "model_evals", "assembly_s", "eigh_s"
+            "sse", "lambda", "trials", "d2_over_d1", "model_evals", "assembly_s", "eigh_s",
+            "shift_bound",
         }
         assert row["sse"] == fit.sse
         assert row["assembly_s"] >= 0 and row["eigh_s"] >= 0
@@ -368,19 +369,58 @@ class TestGaussNewton:
         assert row["trials"] * 2 + 1 <= row["model_evals"] <= row["trials"] * 3 + 1
 
     def test_stop_reasons_are_checked_in_order(self, sf_noisy6):
-        # a pass whose decrease is below tol with max_iterations spent stops
-        # by tolerance; one pass earlier only max_iter holds
+        # a pass whose decrement is below its bound with max_iterations spent
+        # stops by decrement; one pass earlier only max_iter holds
         masks = free_masks(sf_noisy6)
         theta = pack(sf_noisy6.tensors, masks)
         local = np.random.default_rng(2)
         start = unpack(theta + local.normal(scale=1e-2, size=theta.size), sf_noisy6, masks)
         data = window_zshifted_set(sf_noisy6, 5)
         fit = gauss_newton_fit(start, data)
-        assert fit.exit_reason == "tolerance"
+        assert fit.exit_reason == "decrement"
         k = fit.iterations
-        for max_iterations, reason in [(k, "tolerance"), (k - 1, "max_iter")]:
+        for max_iterations, reason in [(k, "decrement"), (k - 1, "max_iter")]:
             fit = gauss_newton_fit(start, data, max_iterations=max_iterations)
             assert (fit.exit_reason, fit.iterations) == (reason, max_iterations)
+
+    @staticmethod
+    def _zshifted_chain(n, seed, eta, eta_se, shots):
+        """The aligned Z-shifted data ``reconstruct`` fits, of a chain with
+        the baseline uniform errors, built on the library path."""
+        from mpo_tomo.correlations import align_phases, correct_inefficiency, moments_to_zshifted
+
+        truth = noisy_cluster_model(n, ErrorModel.uniform(n, 0.098, 0.092))
+        corrs = moments_to_zshifted(synthesize_dataset(truth, 5, eta, shots, seed))
+        if eta < 1.0 or eta_se > 0.0:
+            corrs = correct_inefficiency(corrs, eta, eta_se)
+        return align_phases(corrs)[0]
+
+    def test_decrement_stop_keeps_its_bound(self, monkeypatch):
+        # √δ bounds the shift one more full step makes, in SEs: fitting on
+        # to a bound 1000 times tighter moves the fidelity, every stabilizer
+        # and every <Z_s> by at most 0.1 of its SE (N=6 seed 3 stops after
+        # 10 passes where the relative-SSE stop took 38)
+        from mpo_tomo import fitting
+        from mpo_tomo.cli import _stabilizer_table
+
+        corrs = self._zshifted_chain(6, 3, 0.9, 0.005, 10**7)
+        fit = fit_chain(corrs)[2]
+        assert fit.exit_reason == "decrement" and fit.shift_bound <= 0.1
+        # each pass taken started from a point above the bound
+        assert fit.trace and all(row["shift_bound"] > 0.1 for row in fit.trace)
+        monkeypatch.setattr(fitting, "_SHIFT_BOUND", 1e-4)
+        tight = fit_chain(corrs)[2]
+        assert tight.exit_reason == "decrement" and tight.iterations > fit.iterations
+        values, ses, _ = _stabilizer_table(fit, 6, [])
+        tight_values, _, _ = _stabilizer_table(tight, 6, [])
+        assert np.all(np.abs(tight_values - values) <= 0.1 * ses)
+
+    def test_low_shot_crawl_stops_on_the_decrement(self):
+        # N=8 seed 1 at 1e5 shots lowered its SSE by 7e-3 over passes 80-200
+        # and ran out of passes under the relative-SSE stop
+        fit = fit_chain(self._zshifted_chain(8, 1, 1.0, 0.0, 10**5))[2]
+        assert fit.exit_reason == "decrement"
+        assert fit.iterations < 200
 
     def test_no_acceptable_step_is_not_converged(self, sf_noisy6, reject_every_gn_trial):
         masks = free_masks(sf_noisy6)
@@ -760,7 +800,7 @@ class TestPersistence:
         assert raw.size == fit.covariance.size
 
     @pytest.mark.parametrize(
-        "exit_reason", ["tolerance", "rounding_floor", "no_acceptable_step", "max_iter"]
+        "exit_reason", ["decrement", "rounding_floor", "no_acceptable_step", "max_iter"]
     )
     def test_record_round_trip_for_every_exit_reason(self, sf_noisy6, request, tmp_path, exit_reason):
         start = sf_noisy6
@@ -774,7 +814,7 @@ class TestPersistence:
         max_iterations = 1 if exit_reason == "max_iter" else 200
         fit = gauss_newton_fit(start, window_zshifted_set(sf_noisy6, 5), max_iterations=max_iterations)
         assert fit.exit_reason == exit_reason
-        assert fit.converged is (exit_reason in ("tolerance", "rounding_floor"))
+        assert fit.converged is (exit_reason in ("decrement", "rounding_floor"))
         save_fit_bundle(fit, tmp_path / "fit")
         assert fit_record(load_fit_bundle(tmp_path / "fit")) == fit_record(fit)
 

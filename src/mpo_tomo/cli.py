@@ -358,6 +358,7 @@ def cmd_analyze(cfg, out: str) -> int:
         "stabilizers": stab_values.tolist(),
         "stabilizer_ses": stab_ses.tolist(),
         "mean_excitations": excitations.tolist(),
+        "mean_excitation_ses": exc_ses.tolist(),
         "error_model": {
             "eps_ad": model.eps_ad.tolist(),
             "eps_pd": model.eps_pd.tolist(),

@@ -89,7 +89,8 @@ class _FitPlan:
     Every site is zero-padded to the largest bond D, the fit's only layout:
     a point's site tensors are one ``(N, D, 4, D)`` array, whose slice
     ``[k : k + n_windows]`` is window offset k of all windows.  The padding
-    stays exactly zero and no free entry reads it.
+    stays exactly zero and no free entry reads it.  Every per-site array
+    of the fit is D wide, and the free entries and initial θ index ``base``.
 
     Args:
         template: standard-form MPO whose pinned entries every point keeps.
@@ -379,9 +380,8 @@ def _window_pullback(point: _Point, cotangents) -> np.ndarray:
     return grads.flat[plan.free_index]
 
 
-# why a fit stops; it converged only for the first two
-_CONVERGED_REASONS = ("decrement", "rounding_floor")
-_EXIT_REASONS = (*_CONVERGED_REASONS, "no_acceptable_step", "max_iter")
+# why a fit stops; it converged only for the first
+_EXIT_REASONS = ("decrement", "no_acceptable_step", "max_iter")
 
 
 @dataclass
@@ -397,20 +397,19 @@ class FitResult:
     first order.  The directions dropped below the cut are not in it.
 
     ``exit_reason`` says why the fit stopped: ``decrement``
-    (``shift_bound`` ≤ ``_SHIFT_BOUND``), ``rounding_floor`` (SSE at the
-    level rounding of the model values alone leaves), ``no_acceptable_step``
-    (no damping gave a non-increasing SSE) or ``max_iter``.  Each pass,
-    the start included, decides its stop in one ordered check, once its
-    JᵀWJ is factored and its gradient taken: ``rounding_floor``, then
-    ``decrement``, then ``max_iter``; a pass in which no trial is accepted
-    ends with ``no_acceptable_step`` and keeps its unmoved point's factor.
-    ``converged`` is read off ``exit_reason``: True only for ``decrement``
-    and ``rounding_floor``.  ``trace`` holds one dict per iteration: the SSE
-    after it, the damping of its last trial, the number of inner trials,
-    the |d2|/|d1| ratio of its last trial, the model evaluations it made,
-    the wall seconds it spent forming the values and JᵀWJ (``assembly_s``)
-    and in the eigendecomposition of JᵀWJ (``eigh_s``), and the
-    ``shift_bound`` of the point it started from.
+    (``shift_bound`` ≤ ``_SHIFT_BOUND``), ``no_acceptable_step`` (no damping
+    gave a non-increasing SSE) or ``max_iter``; ``converged`` is True only
+    for ``decrement``.  Each pass, the start included, checks ``decrement``
+    and then ``max_iter`` once its JᵀWJ is factored and its gradient taken;
+    a pass in which no trial is accepted ends with ``no_acceptable_step``
+    and keeps its unmoved point's factor.  δ ≤ SSE, as δ projects the
+    weighted residual onto the live weighted Jacobian columns, so an SSE at
+    rounding level stops by ``decrement``.  ``trace`` holds one dict per
+    iteration: the SSE after it, the damping of its last trial, the number
+    of inner trials, the |d2|/|d1| ratio of its last trial, the model
+    evaluations it made, the wall seconds it spent forming the values and
+    JᵀWJ (``assembly_s``) and in the eigendecomposition of JᵀWJ
+    (``eigh_s``), and the ``shift_bound`` of the point it started from.
 
     At the final iterate, eigenvalues of JᵀWJ at or below 1e-12 of the
     largest are dropped as gauge null directions, n_par − n_live of them
@@ -428,12 +427,12 @@ class FitResult:
     exit_reason: str
     largest_null_ratio: float | None
     smallest_live_ratio: float | None
-    shift_bound: float = 0.0
+    shift_bound: float
     trace: list = field(repr=False, default_factory=list)
 
     @property
     def converged(self) -> bool:
-        return self.exit_reason in _CONVERGED_REASONS
+        return self.exit_reason == "decrement"
 
     @property
     def reduced_sse(self) -> float:
@@ -451,9 +450,9 @@ def gauss_newton_fit(
     (see :func:`_window_values_jacobian`); JᵀWr and the geodesic term come from
     :func:`_window_pullback`.  Each pass assembles JᵀWJ at the current point
     and takes its one ``eigh``, then steps or exits, so the covariance,
-    ``dof`` and null-space record read the final point's factor.  The
-    normal equations are solved in the
-    Hessian eigenbasis with the residual gauge directions of the standard
+    ``dof`` and null-space record read the final point's factor; a trial
+    point costs one stacked value sweep.  The normal equations are solved in
+    the Hessian eigenbasis with the residual gauge directions of the standard
     form projected out; each step carries a geodesic-acceleration correction
     (the second directional derivative of the residuals along the step).
     The damping starts at ``_INITIAL_DAMPING``, shrinks by 10 on accepted
@@ -462,9 +461,11 @@ def gauss_newton_fit(
     δ = Σ (vₖᵀg)²/λₖ of the pass's eigenpairs has √δ ≤ ``_SHIFT_BOUND``.
 
     Args:
-        initial: standard-form starting point; its pinned entries stay fixed.
-        data: measured correlations in the Z-shifted basis, with SEs, of
-            every window of the chain.
+        initial: standard-form starting point (else ``ValidationError``);
+            its pinned entries stay fixed.
+        data: measured correlations in the Z-shifted basis (else
+            ``ValidationError``), with SEs, of every window of the chain
+            (else ``CompletenessError``), none NaN (else ``DataError``).
 
     Returns:
         FitResult; ``exit_reason`` and ``trace`` record why and how the
@@ -487,9 +488,6 @@ def gauss_newton_fit(
     w[:, 0] = 0.0
     omega = w**2
     n_rows = y.size - len(y)
-    # the weighted SSE that rounding of the model values alone leaves; a fit
-    # below it has nothing left to polish
-    rounding_sse = float(n_rows * (np.finfo(float).eps * w.max()) ** 2)
 
     def model(point, want_jacobian):
         """Model values, and JᵀWJ when asked."""
@@ -525,12 +523,10 @@ def gauss_newton_fit(
         # JᵀW(y - f) with W = diag(w²), and √δ of the live Newton decrement
         gproj = evecs.T @ _window_pullback(current, (y - vals) * w * w)
         shift_bound = float(np.sqrt(np.sum(gproj[live] ** 2 / evals[live])))
-        # the stop, in order, at this point's SSE (bit-equal to its SSE as an
-        # accepted candidate)
+        # this point's SSE, bit-equal to its SSE as an accepted candidate;
+        # then the stop, in order
         sse = weighted_sse(vals)
-        if sse <= rounding_sse:
-            exit_reason = "rounding_floor"
-        elif shift_bound <= _SHIFT_BOUND:
+        if shift_bound <= _SHIFT_BOUND:
             exit_reason = "decrement"
         elif iterations >= max_iterations:
             exit_reason = "max_iter"

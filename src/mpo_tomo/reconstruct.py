@@ -240,6 +240,8 @@ def compress(mpo: Mpo, cm: CorrMatrices, targets: dict[int, int]) -> Mpo:
         target = targets.get(s)
         if target is None:
             continue
+        if target < 1:
+            raise ValidationError(f"no singular value of B_{s} passed the bond test at bond {s}")
         if target > ts[s].shape[2]:
             raise ValidationError(
                 f"target {target} exceeds bond {ts[s].shape[2]} at bond {s}"

@@ -419,7 +419,7 @@ class TestReconstruct:
         fit_dir = os.path.join(out, "fit")
         stages = json.load(open(os.path.join(fit_dir, "stages.json")))
         gn = stages["gauss_newton"]
-        assert gn["exit_reason"] in ("decrement", "rounding_floor")
+        assert gn["exit_reason"] == "decrement"
         assert len(gn["trace"]) == gn["iterations"]
         assert gn["trace"][-1]["sse"] == gn["sse"]
         assert all(row["assembly_s"] >= 0 and row["eigh_s"] >= 0 for row in gn["trace"])
@@ -447,6 +447,19 @@ class TestReconstruct:
         assert gn["largest_null_ratio"] <= 1e-12 < gn["smallest_live_ratio"]
         for key in ("null_directions", "largest_null_ratio", "smallest_live_ratio"):
             assert report[key] == gn[key]
+
+    def test_zero_bond_estimate_writes_no_fit(self, pipeline_run, tmp_path, capsys):
+        # with k_sigma this large no singular value of B_1 passes the bond
+        # test: the bond estimate is 0, and compression rejects it
+        _, out = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(os.path.join(out, "dataset"), run / "dataset")
+        cfg = json.loads(json.dumps(CONFIG))
+        cfg["fit"] = {"k_sigma": 1e9}
+        cfg = write_config(tmp_path / "cfg.json", cfg)
+        assert main(["reconstruct", "--config", cfg, "--out", str(run)]) == 2
+        assert "passed the bond test at bond 1" in capsys.readouterr().err
+        assert not (run / "fit").exists()
 
     def test_missing_setting_file(self, pipeline_run, tmp_path):
         cfg, out = pipeline_run
@@ -692,6 +705,8 @@ class TestAnalyze:
             ("smallest_live_ratio", float("nan")),
             # the relative-SSE stop is gone: a bundle written by it no longer loads
             ("exit_reason", "tolerance"),
+            # so is the rounding-floor stop, which the decrement covers (δ ≤ SSE)
+            ("exit_reason", "rounding_floor"),
             ("shift_bound", -0.1),
             ("shift_bound", float("inf")),
             # every record key is required, the exit reason, ratios and shift bound too
@@ -788,6 +803,21 @@ class TestAnalyze:
         assert abs(report["error_model"]["eps_pd"][0] - 0.092) < 0.02
         # the fitted chain's branches all take the analytic LE gradient
         assert report["le_fallback_branches"] == 0
+
+    def test_mean_excitation_ses(self, pipeline_run):
+        # (1 - <Z_s>) / 2 has half the SE of <Z_s>, propagated from the bundle
+        from mpo_tomo.fitting import load_fit_bundle, propagate_joint
+        from mpo_tomo.mpo import correlation_gradient
+
+        _, out = pipeline_run
+        report = json.load(open(os.path.join(out, "report.json")))
+        fit = load_fit_bundle(os.path.join(out, "fit"))
+        n = fit.mpo.n_qubits
+        words = [tuple(3 if t == s else 0 for t in range(n)) for s in range(n)]
+        ses, _ = propagate_joint(fit, [correlation_gradient(fit.mpo, letters) for letters in words])
+        assert len(report["mean_excitation_ses"]) == len(report["mean_excitations"]) == n
+        assert report["mean_excitation_ses"] == (ses / 2.0).tolist()
+        assert all(se > 0 for se in report["mean_excitation_ses"])
 
     def test_report_fit_section_is_the_fit_record(self, pipeline_run):
         _, out = pipeline_run

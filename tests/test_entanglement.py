@@ -196,7 +196,7 @@ class TestLocalizableEntanglement:
         else:
             m = to_standard_form(ideal_cluster_mpo(5))
             cov = np.eye(n_free_parameters(free_masks(m)))
-            fit = FitResult(m, cov, 0.0, 0, 0, "decrement", None, None)
+            fit = FitResult(m, cov, 0.0, 0, 0, "decrement", None, None, shift_bound=0.0)
         pair = (1, 4)
         le = localizable_entanglement(fit.mpo, pair, measure)
         assert le.fallback_branches == 0 and le.gradient is not None

@@ -343,8 +343,10 @@ class TestGaussNewton:
         assert fit.converged
 
     def test_exact_start_exit_reason(self, sf_noisy6):
+        # an exact-data start has an SSE at the rounding level, and δ ≤ SSE
         fit = gauss_newton_fit(sf_noisy6, window_zshifted_set(sf_noisy6, 5))
-        assert fit.exit_reason == "rounding_floor"
+        assert fit.exit_reason == "decrement"
+        assert fit.iterations == 0
         assert fit.trace == []
 
     def test_max_iter_exit(self, sf_noisy6, caplog):
@@ -382,6 +384,20 @@ class TestGaussNewton:
         for max_iterations, reason in [(k, "decrement"), (k - 1, "max_iter")]:
             fit = gauss_newton_fit(start, data, max_iterations=max_iterations)
             assert (fit.exit_reason, fit.iterations) == (reason, max_iterations)
+
+    def test_decrement_never_exceeds_the_sse(self, sf_noisy6):
+        # δ is the squared projection of the weighted residual onto the live
+        # columns of the weighted Jacobian, so δ ≤ SSE at every point: row k's
+        # shift_bound is √δ at the point that row k - 1's step reached
+        masks = free_masks(sf_noisy6)
+        theta = pack(sf_noisy6.tensors, masks)
+        local = np.random.default_rng(2)
+        start = unpack(theta + local.normal(scale=1e-2, size=theta.size), sf_noisy6, masks)
+        fit = gauss_newton_fit(start, window_zshifted_set(sf_noisy6, 5))
+        assert len(fit.trace) >= 2
+        for before, row in zip(fit.trace, fit.trace[1:]):
+            assert row["shift_bound"] ** 2 <= before["sse"] * (1 + 1e-9)
+        assert fit.shift_bound**2 <= fit.sse * (1 + 1e-9)
 
     @staticmethod
     def _zshifted_chain(n, seed, eta, eta_se, shots):
@@ -642,7 +658,8 @@ class TestFactorOnce:
         start = sf_noisy6 if start_exact else self._start(sf_noisy6)
         fit = gauss_newton_fit(start, window_zshifted_set(sf_noisy6, 5), max_iterations=max_iterations)
         assert fit.iterations == 0
-        assert fit.exit_reason == ("rounding_floor" if start_exact else "max_iter")
+        assert fit.exit_reason == ("decrement" if start_exact else "max_iter")
+        assert fit.trace == []
         assert len(jtwj_evaluations) == 1
         assert dense_covariance(fit).shape == (n_free_parameters(free_masks(fit.mpo)),) * 2
 
@@ -799,22 +816,18 @@ class TestPersistence:
         raw = np.fromfile(tmp_path / "fit" / "covariance.bin", dtype=np.float64)
         assert raw.size == fit.covariance.size
 
-    @pytest.mark.parametrize(
-        "exit_reason", ["decrement", "rounding_floor", "no_acceptable_step", "max_iter"]
-    )
+    @pytest.mark.parametrize("exit_reason", ["decrement", "no_acceptable_step", "max_iter"])
     def test_record_round_trip_for_every_exit_reason(self, sf_noisy6, request, tmp_path, exit_reason):
-        start = sf_noisy6
-        if exit_reason != "rounding_floor":
-            masks = free_masks(sf_noisy6)
-            theta = pack(sf_noisy6.tensors, masks)
-            local = np.random.default_rng(2)
-            start = unpack(theta + local.normal(scale=1e-2, size=theta.size), sf_noisy6, masks)
+        masks = free_masks(sf_noisy6)
+        theta = pack(sf_noisy6.tensors, masks)
+        local = np.random.default_rng(2)
+        start = unpack(theta + local.normal(scale=1e-2, size=theta.size), sf_noisy6, masks)
         if exit_reason == "no_acceptable_step":
             request.getfixturevalue("reject_every_gn_trial")
         max_iterations = 1 if exit_reason == "max_iter" else 200
         fit = gauss_newton_fit(start, window_zshifted_set(sf_noisy6, 5), max_iterations=max_iterations)
         assert fit.exit_reason == exit_reason
-        assert fit.converged is (exit_reason in ("decrement", "rounding_floor"))
+        assert fit.converged is (exit_reason == "decrement")
         save_fit_bundle(fit, tmp_path / "fit")
         assert fit_record(load_fit_bundle(tmp_path / "fit")) == fit_record(fit)
 

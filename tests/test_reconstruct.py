@@ -277,6 +277,15 @@ class TestCompression:
         with pytest.raises(ValidationError):
             compress(inv.mpo, cm, {1: 2})
 
+    def test_target_below_one_rejected(self, cluster6):
+        # a bond estimate of 0 (no singular value above k_sigma SEs) would
+        # read the smallest singular value and build a bond of dimension 0
+        corrs = window_correlation_set(cluster6, 5)
+        cm = build_corr_matrices(corrs)
+        inv = invert_reconstruct(corrs, 5)
+        with pytest.raises(ValidationError, match="no singular value of B_2 passed the bond test at bond 2"):
+            compress(inv.mpo, cm, {1: 4, 2: 0})
+
     def test_target_above_bond_rejected(self, cluster6):
         corrs = window_correlation_set(cluster6, 5)
         cm = build_corr_matrices(corrs)

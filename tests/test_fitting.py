@@ -363,7 +363,7 @@ class TestGaussNewton:
         (row,) = fit.trace
         assert set(row) == {
             "sse", "lambda", "trials", "d2_over_d1", "model_evals", "assembly_s", "eigh_s",
-            "shift_bound",
+            "shift_bound", "step_cosine",
         }
         assert row["sse"] == fit.sse
         assert row["assembly_s"] >= 0 and row["eigh_s"] >= 0
@@ -437,6 +437,48 @@ class TestGaussNewton:
         fit = fit_chain(self._zshifted_chain(8, 1, 1.0, 0.0, 10**5))[2]
         assert fit.exit_reason == "decrement"
         assert fit.iterations < 200
+
+    @staticmethod
+    def _uphill_rows(start_sse, trace):
+        """The trace rows whose SSE exceeds the SSE their pass started from,
+        after checking that each continues the last accepted step and rises
+        by at most ``_UPHILL_SHARE`` of that SSE."""
+        from mpo_tomo.fitting import _UPHILL_SHARE
+
+        assert trace[0]["step_cosine"] == 0.0 and trace[0]["sse"] <= start_sse
+        before = [start_sse] + [row["sse"] for row in trace[:-1]]
+        uphill = [(sse, row) for sse, row in zip(before, trace) if row["sse"] > sse]
+        for sse, row in uphill:
+            assert row["step_cosine"] > 0.0
+            assert row["sse"] - sse <= _UPHILL_SHARE * sse
+        return uphill
+
+    def test_uphill_steps_continue_the_last_step(self, sf_noisy6):
+        # a trial that raises the SSE is accepted only along the last
+        # accepted step and by at most _UPHILL_SHARE of the pass's SSE; the
+        # first pass has no last step, so it never rises
+        masks = free_masks(sf_noisy6)
+        theta = pack(sf_noisy6.tensors, masks)
+        local = np.random.default_rng(2)
+        start = unpack(theta + local.normal(scale=1e-2, size=theta.size), sf_noisy6, masks)
+        data = window_zshifted_set(sf_noisy6, 5)
+        fit = gauss_newton_fit(start, data)
+        assert fit.exit_reason == "decrement"
+        self._uphill_rows(gauss_newton_fit(start, data, max_iterations=0).sse, fit.trace)
+        # the short_chains seed-3 data, which goes uphill: the same rule
+        # without the cosine test runs it to max_iter
+        corrs = self._zshifted_chain(6, 3, 0.9, 0.005, 10**7)
+        fit = fit_chain(corrs)[2]
+        assert fit.exit_reason == "decrement" and fit.iterations <= 20
+        assert self._uphill_rows(fit_chain(corrs, max_iterations=0)[2].sse, fit.trace)
+
+    def test_earlier_stall_reaches_the_lower_sse(self):
+        # N=12 seed 1 crawled for 115 passes to SSE 7820.547 while each pass
+        # rejected the trials that went slightly uphill along the valley
+        fit = fit_chain(self._zshifted_chain(12, 1, 1.0, 0.0, 10**7))[2]
+        assert fit.exit_reason == "decrement"
+        assert fit.iterations <= 40
+        assert fit.sse <= 7820.547 - 0.1
 
     def test_no_acceptable_step_is_not_converged(self, sf_noisy6, reject_every_gn_trial):
         masks = free_masks(sf_noisy6)

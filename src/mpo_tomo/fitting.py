@@ -76,7 +76,6 @@ log = logging.getLogger(__name__)
 _INITIAL_DAMPING = 1e-3  # Levenberg parameter of the first trial
 _SE_FLOOR = 1e-9  # a residual's weight is 1 / max(SE, _SE_FLOOR)
 _SHIFT_BOUND = 0.1  # the fit stops once one more step moves no output by over this many SEs
-_UPHILL_SHARE = 0.01  # a step that continues the last one may raise the SSE by this share
 
 # the fit settings, each overridable in the run config's "fit" section
 FIT_DEFAULTS = {"k_sigma": 5.0, "max_iterations": 200}
@@ -399,8 +398,8 @@ class FitResult:
 
     ``exit_reason`` says why the fit stopped: ``decrement``
     (``shift_bound`` ≤ ``_SHIFT_BOUND``), ``no_acceptable_step`` (no damping
-    gave a trial that kept the SSE from rising, or that raised it by at most
-    ``_UPHILL_SHARE`` along the last accepted step) or ``max_iter``;
+    gave a trial that kept the SSE from rising, or whose rise the uphill
+    rule of :func:`gauss_newton_fit` allowed) or ``max_iter``;
     ``converged`` is True only for ``decrement``.  Each pass, the start
     included, checks ``decrement`` and then ``max_iter`` once its JᵀWJ is
     factored and its gradient taken; a pass in which no trial is accepted
@@ -412,9 +411,9 @@ class FitResult:
     its last trial, the model evaluations it made, the wall seconds it
     spent forming the values and JᵀWJ (``assembly_s``) and in the
     eigendecomposition of JᵀWJ (``eigh_s``), the ``shift_bound`` of the
-    point it started from, and the ``step_cosine`` of its accepted step
-    with the previous accepted step (0.0 on the first pass or when no
-    trial was accepted).
+    point it started from, and the ``step_cosine`` of its accepted
+    velocity d1 with the previous accepted velocity (0.0 on the first pass
+    or when no trial was accepted).
 
     At the final iterate, eigenvalues of JᵀWJ at or below 1e-12 of the
     largest are dropped as gauge null directions, n_par − n_live of them
@@ -461,15 +460,15 @@ def gauss_newton_fit(
     form projected out; each step carries a geodesic-acceleration correction
     (the second directional derivative of the residuals along the step).
     The damping starts at ``_INITIAL_DAMPING``, shrinks by 10 on accepted
-    steps and grows gently (x2) on rejections.  A trial is accepted when it
-    does not raise the weighted SSE, or when its step d1 + d2 has a positive
-    cosine with the last accepted step and raises the SSE by at most
-    ``_UPHILL_SHARE`` of the pass's SSE: along a curved, sloppy valley such
-    bold steps save the passes that would otherwise crawl along it
-    (Transtrum & Sethna, arXiv:1201.5885).  The fit stops once the live
-    Newton decrement δ = Σ (vₖᵀg)²/λₖ of the pass's eigenpairs has √δ ≤
-    ``_SHIFT_BOUND``; δ is read at the final point itself, so the stop does
-    not rest on the path the SSE took.
+    steps and grows gently (x2) on rejections.  A trial, the point θ + d1 +
+    d2, is accepted when it does not raise the weighted SSE, or when (1 −
+    cos β)·SSE_trial ≤ SSE_pass, β the angle between its velocity d1 and
+    the last accepted velocity: along a curved, sloppy valley such bold
+    steps save the passes that would otherwise crawl along it (Transtrum &
+    Sethna, arXiv:1201.5885, uphill steps with b = 1).  The fit stops once
+    the live Newton decrement δ = Σ (vₖᵀg)²/λₖ of the pass's eigenpairs has
+    √δ ≤ ``_SHIFT_BOUND``; δ is read at the final point itself, so the stop
+    does not rest on the path the SSE took.
 
     Args:
         initial: standard-form starting point (else ``ValidationError``);
@@ -515,7 +514,7 @@ def gauss_newton_fit(
     exit_reason = None
     trace = []
     fd_step = 0.1
-    last_step = None  # the last accepted step d1 + d2
+    last_step = None  # the velocity d1 of the last accepted trial
     # an accepted candidate is the next pass's point, its chain kept
     current = _Point(plan, plan.base.flat[plan.free_index])
     while True:
@@ -556,15 +555,14 @@ def gauss_newton_fit(
             d2 = -0.5 * (evecs @ np.where(live, cproj / (evals + lam), 0.0))
             n1, n2 = np.linalg.norm(d1), np.linalg.norm(d2)
             if n2 <= 0.75 * n1:
-                step = d1 + d2
-                candidate = _Point(plan, current.theta + step)
+                candidate = _Point(plan, current.theta + (d1 + d2))
                 cand_sse = weighted_sse(model(candidate, False)[0])
                 cosine = 0.0 if last_step is None else float(
-                    step @ last_step / (np.linalg.norm(step) * np.linalg.norm(last_step))
+                    d1 @ last_step / (n1 * np.linalg.norm(last_step))
                 )
-                if cand_sse <= sse or (cosine > 0.0 and cand_sse - sse <= _UPHILL_SHARE * sse):
+                if cand_sse <= sse or (1.0 - cosine) * cand_sse <= sse:
                     lam = max(lam / 10.0, 1e-15)
-                    last_step = step
+                    last_step = d1
                     break
             lam *= 2.0
         else:  # no trial accepted: the point did not move, so its factor stands

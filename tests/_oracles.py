@@ -528,10 +528,11 @@ def window_correlation_set(mpo: Mpo, window: int) -> PauliCorrelationSet:
     )
 
 
-def dense_covariance(fit) -> np.ndarray:
+def dense_covariance(fit, dtype=np.float64) -> np.ndarray:
     """The n_par × n_par parameter covariance L·Lᵀ of a fit, from the factor
-    L it keeps (``FitResult.covariance``)."""
-    return fit.covariance @ fit.covariance.T
+    L it keeps (``FitResult.covariance``), formed in ``dtype``."""
+    factor = fit.covariance.astype(dtype)
+    return factor @ factor.T
 
 
 def fidelity_functional(target: Mpo):

@@ -947,9 +947,12 @@ class TestJointPropagation:
         assert all(res.gradient is not None for res in rows)
         values, ses, le_ses = _stabilizer_table(fit, 6, rows)
         assert len(le_ses) == len(rows) and len(values) == len(ses) == 1 + 2 * 6
+        # the oracle gᵀ(L·Lᵀ)g cancels many digits, so it is formed in long
+        # double: in float64 its own rounding reaches 3e-8
+        cov = dense_covariance(fit, np.longdouble)
         for res, se in zip(rows, le_ses):
-            g = pack(res.gradient, free_masks(fit.mpo))
-            assert se == pytest.approx(np.sqrt(g @ dense_covariance(fit) @ g), rel=1e-8, abs=0)
+            g = pack(res.gradient, free_masks(fit.mpo)).astype(np.longdouble)
+            assert se == pytest.approx(float(np.sqrt(g @ cov @ g)), rel=1e-8, abs=0)
         # the LE rows leave the fidelity, stabilizer and <Z_s> rows as they are
         alone = _stabilizer_table(fit, 6, [])
         assert np.array_equal(alone[0], values) and alone[2] == []

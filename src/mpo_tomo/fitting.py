@@ -2,32 +2,21 @@
 
 Residuals are the differences between measured window correlations and the
 chain-product values of the MPO, each weighted by the reciprocal standard
-error.  The analytic Jacobian follows from the product rule: removing one
-site from the chain leaves a left prefix and a right suffix whose outer
-product is the derivative.  That outer product, one slab per window site,
-does not depend on the site's own letter, so no dense Jacobian block is
-built: each site pair's block of JᵀWJ is written once, from its Grams over
-the words grouped by the letters of the two sites, summed over the windows
-that hold both sites.  In standard form a window's
-values depend only on its own sites and on the identity slices of the sites
-left of it.  Those identity slices reach the window only through its right
-environment B at its left edge, so their terms follow from the Grams of Bᵀ,
-carried leftwards through the identity slices in one sweep per pass.
-Products Jᵀu (the gradient and the geodesic term) run the windows' left
-sweep in reverse from their cotangents u.  The fit takes data in the Z-shifted
-basis only and fits it there (the model chain is contracted with the
-involution F on every site), which keeps the residual weights statistically
-independent.  This module alone reads the fit's covariance and free-entry
-masks: every reported SE comes from :func:`propagate_joint`.
+error.  The fit takes data in the Z-shifted basis only and fits it there
+(the model chain is contracted with the involution F on every site), which
+keeps the residual weights statistically independent.  This module alone
+reads the fit's covariance and free-entry masks: every reported SE comes
+from :func:`propagate_joint`.
 
-A fit builds its free-entry layout, pinned template and index tables once
-(:class:`_FitPlan`), and contracts each parameter point once
-(:class:`_Point`): θ goes straight into zero-padded data-basis tensors, and
-one left sweep over all windows, stacked on a leading axis
-(:func:`mpo_tomo.mpo.left_environments`), gives every window's left
-environments.  The values, JᵀWJ and every pullback at a point share them.
-The data, weights, values and cotangents of a fit are ``(n_windows,
-4**window)`` arrays, one row per window in chain order.
+A fit builds its layout and index tables once (:class:`_FitPlan`) and
+contracts each parameter point once (:class:`_Point`).  The values, JᵀWJ
+(:func:`_window_values_jacobian`, from per-window derivative slabs, with no
+dense Jacobian block) and every product Jᵀu (:func:`_window_pullback`) at
+a point share that contraction.  Each pass factors its JᵀWJ once
+(:class:`_PassSolver`) for its steps, its Newton decrement and, at the
+last pass, the covariance factor.  The data, weights, values and
+cotangents of a fit are ``(n_windows, 4**window)`` arrays, one row per
+window in chain order.
 """
 
 from __future__ import annotations
@@ -380,6 +369,45 @@ def _window_pullback(point: _Point, cotangents) -> np.ndarray:
     return grads.flat[plan.free_index]
 
 
+class _PassSolver:
+    """The linear algebra of one Gauss–Newton pass, from its JᵀWJ H.
+
+    One ``eigh`` of H gives its eigenpairs (V, λ).  Eigenvalues at or below
+    1e-12 of the largest are dropped: the standard form's remaining gauge
+    directions (9(N−2) of an all-bond-4 chain) and any weak data directions
+    below the cut (ROADMAP item 1).  Solves, the Newton decrement and the
+    covariance factor work on the live eigenpairs alone, so a dropped
+    direction enters no step, whatever the damping, and has no variance.
+    """
+
+    def __init__(self, hess):
+        self.evals, self.evecs = np.linalg.eigh(hess)
+        self.scale = max(self.evals[-1], 1e-300)
+        self.live = self.evals > 1e-12 * self.scale
+        self.live_count = int(self.live.sum())
+
+    def solve(self, b, damping):
+        """(H + damping·I)⁻¹ b on the live directions."""
+        return self.evecs @ np.where(self.live, (self.evecs.T @ b) / (self.evals + damping), 0.0)
+
+    def decrement(self, g):
+        """The live Newton decrement δ = gᵀH⁺g = Σ_live (vₖᵀg)²/λₖ."""
+        return float(np.sum((self.evecs.T @ g)[self.live] ** 2 / self.evals[self.live]))
+
+    def factor(self):
+        """L = V·λ^(−1/2) of the live eigenpairs (n_par × n_live): H⁺ = L·Lᵀ."""
+        factor = self.evecs[:, self.live]
+        factor /= np.sqrt(self.evals[self.live])
+        return factor
+
+    def null_ratios(self) -> dict:
+        """``largest_null_ratio`` and ``smallest_live_ratio``: the largest
+        dropped and the smallest live eigenvalue over the largest, or None."""
+        dropped, kept = self.evals[~self.live], self.evals[self.live]
+        return {"largest_null_ratio": float(dropped.max() / self.scale) if dropped.size else None,
+                "smallest_live_ratio": float(kept.min() / self.scale) if kept.size else None}
+
+
 # why a fit stops; it converged only for the first
 _EXIT_REASONS = ("decrement", "no_acceptable_step", "max_iter")
 
@@ -388,18 +416,15 @@ _EXIT_REASONS = ("decrement", "no_acceptable_step", "max_iter")
 class FitResult:
     """Fitted standard-form MPO with covariance factor and convergence metadata.
 
-    ``covariance`` is the factor L = V·λ^(−1/2) (n_par × n_live) of the
-    covariance L·Lᵀ, from the live eigenpairs (V, λ) of the final JᵀWJ.
-
-    ``shift_bound`` is √δ at the final point, δ = gᵀH⁺g the Newton
-    decrement over the live directions (g = JᵀW(y − f), H⁺ = L·Lᵀ): one
-    more full step moves any output f by at most ``shift_bound``·SE_f to
-    first order.  The directions dropped below the cut are not in it.
+    The final point's :class:`_PassSolver` gives ``covariance``, its factor
+    L with H⁺ = L·Lᵀ; ``dof``, the residuals less its live directions; its
+    ``null_ratios``; and ``shift_bound`` = √δ, δ = gᵀH⁺g its Newton
+    decrement (g = JᵀW(y − f)): one more full step moves any output f by at
+    most ``shift_bound``·SE_f to first order.
 
     ``exit_reason`` says why the fit stopped: ``decrement``
-    (``shift_bound`` ≤ ``_SHIFT_BOUND``), ``no_acceptable_step`` (no damping
-    gave a trial that kept the SSE from rising, or whose rise the uphill
-    rule of :func:`gauss_newton_fit` allowed) or ``max_iter``;
+    (``shift_bound`` ≤ ``_SHIFT_BOUND``), ``no_acceptable_step`` (no trial
+    passed the acceptance rule of :func:`gauss_newton_fit`) or ``max_iter``;
     ``converged`` is True only for ``decrement``.  Each pass, the start
     included, checks ``decrement`` and then ``max_iter`` once its JᵀWJ is
     factored and its gradient taken; a pass in which no trial is accepted
@@ -409,18 +434,10 @@ class FitResult:
     ``trace`` holds one dict per iteration: the SSE after it, the damping
     of its last trial, the number of inner trials, the |d2|/|d1| ratio of
     its last trial, the model evaluations it made, the wall seconds it
-    spent forming the values and JᵀWJ (``assembly_s``) and in the
-    eigendecomposition of JᵀWJ (``eigh_s``), the ``shift_bound`` of the
-    point it started from, and the ``step_cosine`` of its accepted
-    velocity d1 with the previous accepted velocity (0.0 on the first pass
-    or when no trial was accepted).
-
-    At the final iterate, eigenvalues of JᵀWJ at or below 1e-12 of the
-    largest are dropped as gauge null directions, n_par − n_live of them
-    (``null_directions`` of :func:`fit_record`): ``largest_null_ratio`` is
-    the largest of them and ``smallest_live_ratio`` the smallest kept one,
-    both relative to the largest eigenvalue (None when there is no such
-    eigenvalue).
+    spent forming the values and JᵀWJ (``assembly_s``) and factoring JᵀWJ
+    (``eigh_s``), the ``shift_bound`` of the point it started from, and
+    the ``step_cosine`` of its accepted velocity d1 with the previous
+    accepted velocity (0.0 on the first pass or when no trial was accepted).
     """
 
     mpo: Mpo
@@ -450,15 +467,13 @@ def gauss_newton_fit(
 ) -> FitResult:
     """Levenberg-damped Gauss-Newton weighted least squares.
 
-    JᵀWJ is assembled window by window from letter-grouped site-pair Grams
-    (see :func:`_window_values_jacobian`); JᵀWr and the geodesic term come from
-    :func:`_window_pullback`.  Each pass assembles JᵀWJ at the current point
-    and takes its one ``eigh``, then steps or exits, so the covariance,
-    ``dof`` and null-space record read the final point's factor; a trial
-    point costs one stacked value sweep.  The normal equations are solved in
-    the Hessian eigenbasis with the residual gauge directions of the standard
-    form projected out; each step carries a geodesic-acceleration correction
-    (the second directional derivative of the residuals along the step).
+    Each pass assembles JᵀWJ at the current point
+    (:func:`_window_values_jacobian`), factors it once (:class:`_PassSolver`)
+    and steps or exits, so the covariance, ``dof`` and null-space record
+    read the final point's factor; a trial point costs one stacked value sweep.
+    Each damped step carries a geodesic-acceleration correction (the
+    residuals' second directional derivative along it, pulled back by
+    :func:`_window_pullback` as JᵀWr is) against the same damped system.
     The damping starts at ``_INITIAL_DAMPING``, shrinks by 10 on accepted
     steps and grows gently (x2) on rejections.  A trial, the point θ + d1 +
     d2, is accepted when it does not raise the weighted SSE, or when (1 −
@@ -466,9 +481,9 @@ def gauss_newton_fit(
     the last accepted velocity: along a curved, sloppy valley such bold
     steps save the passes that would otherwise crawl along it (Transtrum &
     Sethna, arXiv:1201.5885, uphill steps with b = 1).  The fit stops once
-    the live Newton decrement δ = Σ (vₖᵀg)²/λₖ of the pass's eigenpairs has
-    √δ ≤ ``_SHIFT_BOUND``; δ is read at the final point itself, so the stop
-    does not rest on the path the SSE took.
+    the pass's live Newton decrement δ has √δ ≤ ``_SHIFT_BOUND``; δ is read
+    at the final point itself, so the stop does not rest on the path the
+    SSE took.
 
     Args:
         initial: standard-form starting point (else ``ValidationError``);
@@ -478,9 +493,7 @@ def gauss_newton_fit(
             (else ``CompletenessError``), none NaN (else ``DataError``).
 
     Returns:
-        FitResult; ``exit_reason`` and ``trace`` record why and how the
-        iteration stopped (not ``converged`` when ``max_iterations`` ran out
-        or no trial step was acceptable: the result is usable but flagged).
+        FitResult, usable but not ``converged`` unless it exits ``decrement``.
     """
     if not is_standard_form(initial):
         raise ValidationError("initial MPO must be in standard form")
@@ -522,18 +535,13 @@ def gauss_newton_fit(
         clock = time.perf_counter()
         vals, hess = model(current, True)
         assembly_s = time.perf_counter() - clock
-        # work in the Hessian eigenbasis: residual gauge freedom of the
-        # standard form leaves exact null directions that must not enter the
-        # step regardless of the damping
         clock = time.perf_counter()
-        evals, evecs = np.linalg.eigh(hess)
+        solver = _PassSolver(hess)
         eigh_s = time.perf_counter() - clock
         del hess
-        scale = max(evals[-1], 1e-300)
-        live = evals > 1e-12 * scale
         # JᵀW(y - f) with W = diag(w²), and √δ of the live Newton decrement
-        gproj = evecs.T @ _window_pullback(current, (y - vals) * w * w)
-        shift_bound = float(np.sqrt(np.sum(gproj[live] ** 2 / evals[live])))
+        grad = _window_pullback(current, (y - vals) * w * w)
+        shift_bound = float(np.sqrt(solver.decrement(grad)))
         # this point's SSE, bit-equal to its SSE as an accepted candidate;
         # then the stop, in order
         sse = weighted_sse(vals)
@@ -545,14 +553,13 @@ def gauss_newton_fit(
             break
         for trial in range(1, 81):
             step_lam = lam
-            d1 = evecs @ np.where(live, gproj / (evals + lam), 0.0)
+            d1 = solver.solve(grad, lam)
             # geodesic acceleration: second directional derivative of the
-            # residuals along d1, solved against the same damped system
+            # residuals along d1
             vp, _ = model(_Point(plan, current.theta + fd_step * d1), False)
             vm, _ = model(_Point(plan, current.theta - fd_step * d1), False)
             curv = ((vp - 2.0 * vals + vm) / fd_step**2) * w
-            cproj = evecs.T @ _window_pullback(current, curv * w)
-            d2 = -0.5 * (evecs @ np.where(live, cproj / (evals + lam), 0.0))
+            d2 = -0.5 * solver.solve(_window_pullback(current, curv * w), lam)
             n1, n2 = np.linalg.norm(d1), np.linalg.norm(d2)
             if n2 <= 0.75 * n1:
                 candidate = _Point(plan, current.theta + (d1 + d2))
@@ -584,25 +591,18 @@ def gauss_newton_fit(
         log.debug("gauss-newton iteration %d: %s", iterations, row)
         if exit_reason is not None:
             break
-        del evecs  # free before the next pass assembles JᵀWJ
+        del solver  # free before the next pass assembles JᵀWJ
         current = candidate
-    # the covariance of the free parameters at the final iterate as its
-    # factor: the live eigenvectors scaled by λ^(-1/2)
-    factor = evecs[:, live]
-    factor /= np.sqrt(evals[live])
-    # the gauge null directions dropped here carry no degree of freedom
-    dof = n_rows - int(live.sum())
     return FitResult(
         mpo=current.mpo,
-        covariance=factor,
+        covariance=solver.factor(),
         sse=sse,
-        dof=dof,
+        dof=n_rows - solver.live_count,
         iterations=iterations,
         exit_reason=exit_reason,
-        largest_null_ratio=float(evals[~live].max() / scale) if not live.all() else None,
-        smallest_live_ratio=float(evals[live].min() / scale) if live.any() else None,
         shift_bound=shift_bound,
         trace=trace,
+        **solver.null_ratios(),
     )
 
 

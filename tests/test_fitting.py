@@ -22,6 +22,7 @@ from mpo_tomo.errors import CompletenessError, DataError, ValidationError
 from mpo_tomo.fitting import (
     FIT_DEFAULTS,
     _FitPlan,
+    _PassSolver,
     _Point,
     _window_pullback,
     _window_slabs,
@@ -48,6 +49,23 @@ def point_state(mpo, window):
 @pytest.fixture(scope="module")
 def sf_noisy6(noisy6):
     return to_standard_form(noisy6)
+
+
+@pytest.fixture(scope="module")
+def noisy6_fit(noisy6):
+    """Z-shifted correlations of a noisy 6-qubit chain at 10⁷ shots, and
+    their all-bond-4 ``fit_chain`` fit."""
+    from mpo_tomo.correlations import moments_to_zshifted
+
+    data = moments_to_zshifted(synthesize_dataset(noisy6, 5, 1.0, 10**7, seed=1))
+    return data, fit_chain(data)[2]
+
+
+def final_jtwj(data, fit):
+    """JᵀWJ at the fit's final point, under the fit's weights."""
+    weights = np.stack([1.0 / np.clip(data.ses[s].ravel(), 1e-9, None) for s in data.starts])
+    weights[:, 0] = 0.0
+    return _window_values_jacobian(point_state(fit.mpo, 5), weights**2)[1]
 
 
 @pytest.fixture(scope="module")
@@ -585,26 +603,16 @@ class TestGaussNewton:
         fit = gauss_newton_fit(start, data)
         assert fit.sse <= sse0
 
-    def test_dof_counts_only_identifiable_directions(self, noisy6):
-        from mpo_tomo.correlations import moments_to_zshifted
-
-        data = moments_to_zshifted(synthesize_dataset(noisy6, 5, 1.0, 10**7, seed=1))
-        _, _, fit = fit_chain(data)
-        masks = free_masks(fit.mpo)
-        n_par = n_free_parameters(masks)
-        weights = np.stack([1.0 / np.clip(data.ses[s].ravel(), 1e-9, None) for s in data.starts])
-        weights[:, 0] = 0.0
-        _, hess = _window_values_jacobian(point_state(fit.mpo, 5), weights**2)
-        rank = np.linalg.matrix_rank(hess)
+    def test_dof_counts_only_identifiable_directions(self, noisy6_fit):
+        data, fit = noisy6_fit
+        n_par = n_free_parameters(free_masks(fit.mpo))
+        rank = np.linalg.matrix_rank(final_jtwj(data, fit))
         rows = len(data.starts) * (4**5 - 1)
         assert rank < n_par  # the standard form keeps gauge null directions
         assert fit.dof == rows - rank
 
-    def test_null_directions_bracket_the_cut(self, noisy6):
-        from mpo_tomo.correlations import moments_to_zshifted
-
-        data = moments_to_zshifted(synthesize_dataset(noisy6, 5, 1.0, 10**7, seed=1))
-        _, _, fit = fit_chain(data)
+    def test_null_directions_bracket_the_cut(self, noisy6_fit):
+        data, fit = noisy6_fit
         n_par = n_free_parameters(free_masks(fit.mpo))
         rows = len(data.starts) * (4**5 - 1)
         null_directions = fit_record(fit)["null_directions"]
@@ -627,6 +635,44 @@ class TestGaussNewton:
         table = synthesize_dataset(noisy5, 5, 1.0, 10**7, seed=11)
         with pytest.raises(ValidationError, match="z-shifted"):
             fit_chain(zshifted_to_pauli(moments_to_zshifted(table)))
+
+
+class TestPassSolver:
+    """The solver of a pass, on the final JᵀWJ H of a real all-bond-4 fit,
+    checked by what its results satisfy."""
+
+    @pytest.fixture(scope="class")
+    def solved(self, noisy6_fit):
+        hess = final_jtwj(*noisy6_fit)
+        return hess, _PassSolver(hess)
+
+    def test_damped_solve_inverts_h_on_the_live_span(self, solved):
+        hess, solver = solved
+        # the live projector P from an orthonormal basis of the factor's
+        # columns: L·Lᵀ·H is P too, but eigh leaves each eigenpair a
+        # residual of rounding order in |H|, which L·Lᵀ scales by up to
+        # 1e12 (7e-7 relative on this H)
+        basis = np.linalg.qr(solver.factor())[0]
+        b = np.random.default_rng(3).normal(size=len(hess))
+        pb = basis @ (basis.T @ b)
+        damping = 1e-3 * np.linalg.norm(hess, 2)
+        x = solver.solve(b, damping)
+        assert np.linalg.norm(hess @ x + damping * x - pb) <= 1e-10 * np.linalg.norm(pb)
+        assert np.linalg.norm(x - basis @ (basis.T @ x)) <= 1e-10 * np.linalg.norm(x)
+
+    def test_decrement_is_the_factor_norm_and_the_undamped_solve(self, solved):
+        hess, solver = solved
+        g = np.random.default_rng(4).normal(size=len(hess))
+        delta = solver.decrement(g)
+        assert delta == pytest.approx(np.sum((solver.factor().T @ g) ** 2), rel=1e-8)
+        assert delta == pytest.approx(g @ solver.solve(g, 0.0), rel=1e-8)
+
+    def test_drops_at_least_the_gauge(self, solved):
+        # the standard form of an N-site all-bond-4 chain keeps 9(N-2)
+        # gauge directions; weak data directions may be dropped with them
+        hess, solver = solved
+        assert solver.factor().shape == (len(hess), solver.live_count)
+        assert len(hess) - solver.live_count >= 9 * (6 - 2)
 
 
 @pytest.fixture

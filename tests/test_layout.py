@@ -115,6 +115,22 @@ def test_every_exit_reason_is_one_the_bundle_loader_accepts():
     assert reasons == set(importlib.import_module("mpo_tomo.fitting")._EXIT_REASONS)
 
 
+def test_only_the_pass_solver_factors_jtwj():
+    # a pass's eigenpairs are fitting._PassSolver's alone: the fit loop asks
+    # it for steps, the decrement and the covariance factor
+    tree = ast.parse((SRC / "fitting.py").read_text())
+    (solver,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_PassSolver"]
+    calls = [
+        n for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and "eigh" in (getattr(n.func, "attr", None), getattr(n.func, "id", None))
+    ]
+    assert [_attribute_chain(n.func) for n in calls] == [("np", "linalg", "eigh")], "one eigh in fitting.py"
+    assert any(n is calls[0] for n in ast.walk(solver)), "the eigh belongs to _PassSolver"
+    (fit,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "gauss_newton_fit"]
+    eigen_names = {"evecs", "evals", "live", "scale", "gproj", "cproj"}
+    assert _names(fit) & eigen_names == set(), "the fit loop handles no eigenpair"
+
+
 def test_kept_uncalled_is_only_the_bench_contract():
     targets = {f"{module}.{attr}" for module, attr, _ in _load_bench_module("tracing").TARGETS}
     assert set(KEPT_UNCALLED) <= targets, "keep in src only the uncalled names bench/tracing.py wraps"

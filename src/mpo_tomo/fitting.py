@@ -103,25 +103,23 @@ class _FitPlan:
             [((s * bond + x) * 4 + i) * bond + y for s, (i, x, y) in enumerate(entries)]
         )
         # K on the letters of a site-pair Gram, grouped by (letter at p, letter
-        # at q), by the one letter of a site with itself, or by the site's
-        # letter against the boundary
+        # at q) or by the one letter of a site with itself
         self.k_pair = np.kron(F_MATRIX, F_MATRIX)
         self.k_same = (F_MATRIX[:, :, None] * F_MATRIX[:, None, :]).reshape(4, 16)
-        # each site's free entries as flat (pauli, row, column) indices of
-        # its padded block, and the (row, column) of its identity-slice ones
+        # each site's free entries as flat (pauli, row, column) indices of its padded block
         self.rows = [(i * bond + x) * bond + y for i, x, y in entries]
-        self.ident_free = [np.nonzero(m[:, 0, :]) for m in self.masks]
         self.words, self.slab_rows = _letter_tables(window)
 
 
 class _Point:
     """One parameter point of a fit and its chain, contracted when first
-    asked for and kept with the point: the padded data-basis site tensors,
-    their identity slices with the prefix products, and every window's left
-    environments.  Values, JᵀWJ and every pullback at the point share them.
-    No suffix is contracted: with the standard form's pinned entries, every
-    product of data-basis identity slices out to the chain's right end is
-    exactly e0 at every point, so a window's right edge reads bond index 0."""
+    asked for and kept with the point: the padded data-basis site tensors
+    and every window's left environments.  Values, JᵀWJ and every pullback
+    at the point share them.  No prefix or suffix is contracted: with the
+    standard form's pinned entries, every product of data-basis identity
+    slices from the chain's left end is exactly e0ᵀ, and every one out to
+    its right end exactly e0, at every point, so each window depends on its
+    own sites alone and reads bond index 0 at both edges."""
 
     def __init__(self, plan: _FitPlan, theta):
         self.plan = plan
@@ -141,14 +139,6 @@ class _Point:
         padded.flat[plan.free_index] = self.theta
         return np.einsum("ji,sdia->sdja", F_MATRIX, padded)
 
-    @functools.cached_property
-    def chain(self):
-        """The (N, D, D) identity slices, and their products that reach a
-        window: the (1, D) prefix at each window's left edge, indexed by the
-        window's first site."""
-        ident = self.tensors[:, :, 0, :]
-        return ident, left_environments(ident[: self.plan.n_windows - 1], np.eye(1, self.plan.bond))
-
     @property
     def window_sites(self) -> list[np.ndarray]:
         """Site k of every window: the (n_windows, D, 4, D) slices."""
@@ -158,9 +148,9 @@ class _Point:
     def lefts(self) -> list[np.ndarray]:
         """Every window's left environments, stacked on a leading window
         axis: entry k is (n_windows, 4**k, D), over the window's first k
-        sites from the prefix at its left edge."""
-        _, prefix = self.chain
-        return left_environments(self.window_sites, np.stack(prefix))
+        sites from e0ᵀ at its left edge."""
+        plan = self.plan
+        return left_environments(self.window_sites, np.tile(np.eye(1, plan.bond), (plan.n_windows, 1, 1)))
 
     @functools.cached_property
     def values(self) -> np.ndarray:
@@ -172,23 +162,19 @@ class _Point:
 def _window_slabs(point: _Point):
     """Derivative slabs of each window, one window at a time.
 
-    Requires standard form, so sites right of a window never contribute
-    derivatives through their pinned identity columns, and sites left of it
-    only through their identity slices.  The derivative of word (a, w, b) by
-    the data-basis entry (x, w', y) of window site p is
+    Requires standard form, so a window's values depend on its own sites
+    alone (see :class:`_Point`).  The derivative of word (a, w, b) by the
+    data-basis entry (x, w', y) of window site p is
     ``δ(w, w') lefts[p][a, x] rights[p+1][y, b]``, so one slab
     E_p = lefts[p] ⊗ rights[p+1] serves all four letters of the site.  The
-    identity slices of the sites left of the window reach its values only
-    through the prefix at its left edge, whose derivative is B =
-    ``rights[0]``, the window's right environment there.  The left
-    environments are the point's.
+    left environments are the point's.
 
     Yields:
-        ``(first, slabs, boundary)`` in chain order: the window's 0-based
-        first site; slabs, one per window site, (4**(window-1), D**2) with
-        rows over the letters of the other window sites in site-major order
-        and columns over the padded (x, y); boundary B (D, 4**window).  The
-        slab columns and boundary rows past a site's own bonds are zero.
+        ``(first, slabs)`` in chain order: the window's 0-based first site,
+        and its slabs, one per window site, (4**(window-1), D**2) with rows
+        over the letters of the other window sites in site-major order and
+        columns over the padded (x, y).  The slab columns past a site's own
+        bonds are zero.
     """
     plan = point.plan
     window = plan.window
@@ -199,7 +185,7 @@ def _window_slabs(point: _Point):
             (lt[:, None, :, None] * rt.T[None, :, None, :]).reshape(4 ** (window - 1), -1)
             for lt, rt in zip(lefts, rights[1:])
         ]
-        yield first, window_slabs, rights[0]
+        yield first, window_slabs
 
 
 def _window_values_jacobian(point: _Point, omega=None):
@@ -215,15 +201,8 @@ def _window_values_jacobian(point: _Point, omega=None):
     letters and the selection of the free entries (together M_a) then give
     the pair's block M_aᵀ G_ab M_b, written once as one contiguous slice of
     JᵀWJ as soon as the window that starts at site a, the last to hold it,
-    is summed.
-
-    The identity slices of the sites left of a window reach it through its
-    boundary B, whose Grams G_BB = Bᵀ diag(ω) B and G_B,own (B against the
-    window's own columns, grouped by letter like the slabs) are kept per
-    window.  One leftward sweep per pass then carries them through the
-    identity slices, as :func:`_window_pullback` carries its boundary
-    gradients, and adds each site's identity-slice rows and columns of JᵀWJ
-    as two contiguous slices.
+    is summed.  No window reaches a site outside it (see :class:`_Point`),
+    so these blocks are all of JᵀWJ.
 
     Args:
         omega: (n_windows, 4**window) squared weights ω of every window's
@@ -241,8 +220,7 @@ def _window_values_jacobian(point: _Point, omega=None):
     window, offsets, words, slab_rows = plan.window, plan.offsets, plan.words, plan.slab_rows
     hess = np.zeros((offsets[-1], offsets[-1]))
     grams = defaultdict(float)  # (site a, site b) -> letter-grouped Gram summed so far
-    boundary_grams = {}  # first site -> (G_BB, G_B,own)
-    for first, slabs, boundary in _window_slabs(point):
+    for first, slabs in _window_slabs(point):
         for p, e_p in enumerate(slabs):
             a = first + p
             # w_p[w] = diag(ω) E_p over the words with letter w at p
@@ -253,13 +231,6 @@ def _window_values_jacobian(point: _Point, omega=None):
                 w_pq = np.take(w_p, slab_rows[p][q], axis=1)  # [w, v]
                 e_qp = slabs[q][slab_rows[q][p]]  # [w]
                 grams[a, first + q] += np.matmul(w_pq.transpose(0, 1, 3, 2), e_qp[:, None])
-        if first:
-            bw = boundary * omega[first]
-            cross = []
-            for p, e_p in enumerate(slabs):
-                g = np.matmul(bw[:, words[p]].transpose(1, 0, 2), e_p)
-                cross.append(_free_block(g, F_MATRIX, slice(None), plan.rows[first + p]))
-            boundary_grams[first] = (bw @ boundary.T, np.hstack(cross))
         # the pairs no later window holds: site `first`'s, and after the
         # last window every pair left
         done = first if first + 1 < plan.n_windows else len(plan.rows)
@@ -269,32 +240,6 @@ def _window_values_jacobian(point: _Point, omega=None):
             hess[at_a, at_b] = _free_block(grams.pop((a, b)), letter_map, plan.rows[a], plan.rows[b])
             if a < b:
                 hess[at_b, at_a] = hess[at_a, at_b].T
-    # The derivative by entry (x, y) of the identity slice of site s, on a
-    # window right of it, is prefix[s][0, x] (ident[s+1] ⋯ ident[first-1] B)[y].
-    # ``carry`` holds, over every packed column, the boundary Grams of the
-    # windows right of s carried to its right bond, and ``square`` the
-    # G_BB carried there from both sides.
-    ident, prefix = point.chain
-    carry = np.zeros((plan.bond, offsets[-1]))
-    square = np.zeros((plan.bond, plan.bond))
-    for s in range(plan.n_windows - 2, -1, -1):
-        carry = ident[s + 1] @ carry
-        square = ident[s + 1] @ square @ ident[s + 1].T
-        if s + 1 in boundary_grams:
-            g_bb, cross = boundary_grams.pop(s + 1)
-            square += g_bb
-            carry[:, offsets[s + 1] : offsets[s + 1 + window]] += cross
-        x, y = plan.ident_free[s]
-        p_x = prefix[s][0, x]
-        ident_s = slice(offsets[s], offsets[s] + len(x))
-        # the identity-slice columns of s, for the sites left of it
-        carry[:, ident_s] += square[:, y] * p_x
-        right = slice(offsets[s], None)
-        strip = p_x[:, None] * carry[y, right]
-        # the square of s with itself reaches JᵀWJ through both adds below
-        strip[:, : len(x)] *= 0.5
-        hess[ident_s, right] += strip
-        hess[right, ident_s] += strip.T
     return point.values, hess
 
 
@@ -333,12 +278,10 @@ def _letter_tables(window: int):
 def _window_pullback(point: _Point, cotangents) -> np.ndarray:
     """Packed J^T u of the window values for per-window cotangents u.
 
-    Each window's values come from one left sweep over its sites from the
-    prefix at its left edge, so u goes back through the reverse sweep
-    (:func:`mpo_tomo.mpo.left_environments_vjp`) to those sites and to the
-    prefix, for all windows at once from the point's stacked left
-    environments.  The prefix gradients of all windows are carried leftwards
-    in one vector ``q`` to the identity slices of the sites left of them.
+    Each window's values come from one left sweep over its own sites from
+    e0ᵀ, so u goes back through the reverse sweep
+    (:func:`mpo_tomo.mpo.left_environments_vjp`) to those sites, for all
+    windows at once from the point's stacked left environments.
 
     Args:
         cotangents: (n_windows, 4**window) array, one row per window in the
@@ -351,18 +294,11 @@ def _window_pullback(point: _Point, cotangents) -> np.ndarray:
     """
     plan = point.plan
     nw = plan.n_windows
-    ident, prefix = point.chain
     # the suffix at every window's right edge is e0 (see :class:`_Point`)
     cot = cotangents[:, :, None] * np.eye(1, plan.bond)
-    site_grads, cot = left_environments_vjp(point.window_sites, point.lefts, cot)
-    # w.r.t. the data-basis tensors; the identity slice of the site left of
-    # each window sees every window from there on through q
+    site_grads, _ = left_environments_vjp(point.window_sites, point.lefts, cot)
+    # w.r.t. the data-basis tensors
     grads = np.zeros(point.tensors.shape)
-    q = np.zeros(plan.bond)
-    for first in range(nw - 1, -1, -1):
-        q = ident[first] @ q + cot[first, 0]
-        if first:
-            grads[first - 1, :, 0, :] += np.outer(prefix[first - 1][0], q)
     for k, g in enumerate(site_grads):
         grads[k : k + nw] += g
     grads = np.einsum("wi,sxwy->sxiy", F_MATRIX, grads)
@@ -374,7 +310,7 @@ class _PassSolver:
 
     One ``eigh`` of H gives its eigenpairs (V, λ).  Eigenvalues at or below
     1e-12 of the largest are dropped: the standard form's remaining gauge
-    directions (9(N−2) of an all-bond-4 chain) and any weak data directions
+    directions (6(N−2) of an all-bond-4 chain) and any weak data directions
     below the cut (ROADMAP item 1).  Solves, the Newton decrement and the
     covariance factor work on the live eigenpairs alone, so a dropped
     direction enters no step, whatever the damping, and has no variance.
@@ -528,7 +464,7 @@ def gauss_newton_fit(
     trace = []
     fd_step = 0.1
     last_step = None  # the velocity d1 of the last accepted trial
-    # an accepted candidate is the next pass's point, its chain kept
+    # an accepted candidate is the next pass's point, its contraction kept
     current = _Point(plan, plan.base.flat[plan.free_index])
     while True:
         evals_made = 0

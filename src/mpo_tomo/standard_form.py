@@ -17,16 +17,22 @@ _TRACE_TOL = 1e-14  # smallest trace, and pivot, that standard form divides by
 
 def _template(shapes):
     """Per site, the mask of the free standard-form entries and the value of
-    every pinned entry (0 at the free ones)."""
+    every pinned entry (0 at the free ones).
+
+    Pinned: site N's Pauli column, the unit (0, 0) and sub-diagonal zeros of
+    the identity slices of sites 1..N-1, and the rest of row 0 of those of
+    sites 1..N-2, so that each of those rows is e0ᵀ (site N-1 keeps its
+    row 0 free, as site N is fully pinned).  Every product of identity
+    slices from the chain's left end is then exactly e0ᵀ.
+    """
     out = []
     for k, (dl, _, dr) in enumerate(shapes):
         mask = np.zeros((dl, 4, dr), dtype=bool)
         values = np.zeros((dl, 4, dr))
         if k < len(shapes) - 1:
-            # pinned: the identity slice's unit (0, 0) and sub-diagonal zeros
             mask[:, 1:, :] = True
             mask[:, 0, :] = np.triu(np.ones((dl, dr), dtype=bool))
-            mask[0, 0, 0] = False
+            mask[0, 0, : dr if k < len(shapes) - 2 else 1] = False
             values[0, 0, 0] = 1.0
         else:
             values[:, :, 0] = np.eye(dl, 4)  # the Pauli column [I, X, Y, Z]^T
@@ -68,8 +74,11 @@ def to_standard_form(mpo: Mpo) -> Mpo:
 
     The result has site N pinned to the Pauli column ``[I, X, Y, Z]^T``,
     upper-triangular identity slices with unit (0, 0) entries at sites
-    2..N-1, and a leading 1 in the identity slice of site 1; the represented
-    operator is unchanged up to overall normalization to trace 1.
+    1..N-1, and row 0 of the identity slice e0ᵀ at sites 1..N-2 (see
+    :func:`_template`); the represented operator is unchanged up to overall
+    normalization to trace 1.  The gauge left is one upper-triangular
+    matrix with row 0 e0ᵀ per bond but the last: 6(N-2) parameters for an
+    all-bond-4 chain.
     """
     tr = mpo.trace()
     if abs(tr) < _TRACE_TOL:
@@ -103,13 +112,27 @@ def to_standard_form(mpo: Mpo) -> Mpo:
                 f"standard-form pivot vanished at site {k + 1}; input is degenerate"
             )
         ts[k] = ts[k] / pivot
+    # One shear per bond zeroes row 0 of the identity slices of sites
+    # 1..N-2 past its unit: g = I - e0 rᵀ is unit upper-triangular, so the
+    # slices stay triangular with unit pivots.
+    for k in range(n - 2):
+        g = np.eye(ts[k].shape[2])
+        g_inv = g.copy()
+        g[0, 1:] = -ts[k][0, 0, 1:]
+        g_inv[0, 1:] = ts[k][0, 0, 1:]
+        ts[k] = np.einsum("dix,xy->diy", ts[k], g)
+        ts[k + 1] = np.einsum("xy,yiz->xiz", g_inv, ts[k + 1])
     # write the pinned values exactly (QR leaves ~1e-17 in the zeros)
     for t, (mask, values) in zip(ts, _template([t.shape for t in ts])):
         np.copyto(t, values, where=~mask)
     return Mpo(ts)
 
 
-PARAMETER_ORDERING = "site-major, then Pauli index, then row, then column over starred entries"
+# names the pinned set too, so a bundle of another standard form is refused by its header
+PARAMETER_ORDERING = (
+    "site-major, then Pauli index, then row, then column over starred entries;"
+    " identity-slice row 0 pinned to e0 at sites 1..N-2"
+)
 
 
 def free_entries(masks) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:

@@ -396,35 +396,6 @@ def slab_block(slabs, masks) -> np.ndarray:
     return np.hstack(cols)
 
 
-def boundary_fold(mpo: Mpo, start: int) -> np.ndarray:
-    """The map from a window's boundary columns Bᵀ to its derivatives by the
-    identity-slice free entries of the sites left of it.
-
-    Column (s, x, y), in packing order, is
-    ``prefix[s][0, x] (ident[s+1] ⋯ ident[first-1])[y]``, with ``ident`` the
-    Z-shifted identity slices and ``prefix`` their left products.
-
-    Returns:
-        (D, n_left) array, D the chain's largest bond as in the fit's padded
-        boundary; the rows past the window's left bond are zero.
-    """
-    masks = free_masks(mpo)
-    tensors = _zshifted_tensors(mpo)
-    ident = [t[:, 0, :] for t in tensors]
-    prefix = left_environments(ident)
-    first = start - 1
-    cols = [np.empty((tensors[first].shape[0], 0))]
-    for s in range(first):
-        x, y = np.nonzero(masks[s][:, 0, :])
-        carry = np.eye(ident[s].shape[1])
-        for t in ident[s + 1 : first]:
-            carry = carry @ t
-        cols.append((carry[y] * prefix[s][0, x, None]).T)
-    fold = np.concatenate(cols, axis=1)
-    bond = max(t.shape[0] for t in mpo.tensors)
-    return np.pad(fold, ((0, bond - len(fold)), (0, 0)))
-
-
 # --- library functions that only the tests call ------------------------------
 # Exact states and data of the library's own objects, which no pipeline
 # command computes.  They use the package's private helpers.

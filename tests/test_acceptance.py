@@ -310,7 +310,7 @@ def test_criterion_09_derivative_checks():
         m = unpack(theta, base, masks)
         # N = 5 has one window, whose own columns are every packed parameter;
         # its block is expanded from the slabs the fit assembles JᵀWJ from
-        _, slabs, _ = next(_window_slabs(point_state(m, 5)))
+        _, slabs = next(_window_slabs(point_state(m, 5)))
         jac = slab_block(slabs, masks)
         i = int(rng.integers(0, theta0.size))
         h = 1e-6

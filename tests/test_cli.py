@@ -689,6 +689,26 @@ class TestAnalyze:
         assert f"covariance_header.json: {key} is " in capsys.readouterr().err
         assert _file_list(run) == before
 
+    def test_bundle_of_the_older_standard_form_is_refused_by_its_header(
+        self, pipeline_run, tmp_path, capsys
+    ):
+        # a bundle written while row 0 of the identity slices was free: its
+        # factor has 3(N-2) more rows than today's masks give the MPO
+        from mpo_tomo.mpo import load_json
+
+        cfg, out = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(os.path.join(out, "fit"), run / "fit")
+        path = run / "fit" / "covariance_header.json"
+        header = json.loads(path.read_text())
+        n_par, n_live = header["shape"]
+        n_old = n_par + 3 * (load_json(run / "fit" / "mpo.json").n_qubits - 2)
+        np.zeros((n_old, n_live)).tofile(run / "fit" / "covariance.bin")
+        old = "site-major, then Pauli index, then row, then column over starred entries"
+        path.write_text(json.dumps({**header, "parameter_ordering": old, "shape": [n_old, n_live]}))
+        assert main(["analyze", "--config", cfg, "--out", str(run)]) == 2
+        assert "covariance_header.json: parameter_ordering is " in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "key, value",
         [

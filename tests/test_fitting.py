@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from _oracles import (
-    boundary_fold,
     dense_covariance,
     dense_window_jacobian,
     fidelity_functional,
@@ -83,14 +82,17 @@ def sf_perturbed8():
 UNEQUAL_BONDS = [(2, 5, 4), (2, 4, 3, 5, 3, 4)]
 
 
-def unequal_bond_chain(bonds):
-    """A random standard-form chain with the given bonds, then 4 and 1."""
+def random_chain(bonds):
+    """A random chain with the given interior bonds, then 4 and 1."""
     rng = np.random.default_rng(len(bonds))
     dims = [1, *bonds, 4, 1]
-    mpo = to_standard_form(
-        Mpo([rng.normal(size=(dims[k], 4, dims[k + 1])) for k in range(len(dims) - 1)])
-    )
-    assert [t.shape[2] for t in mpo.tensors] == dims[1:]
+    return Mpo([rng.normal(size=(dims[k], 4, dims[k + 1])) for k in range(len(dims) - 1)])
+
+
+def unequal_bond_chain(bonds):
+    """The standard form of :func:`random_chain`, which keeps its bonds."""
+    mpo = to_standard_form(random_chain(bonds))
+    assert [t.shape[2] for t in mpo.tensors] == [*bonds, 4, 1]
     return mpo
 
 
@@ -101,21 +103,16 @@ def dense_jacobian(mpo, window=5):
 
 
 def folded_jacobians(mpo, window=5):
-    """Each window's full-width Jacobian, rebuilt from its slabs and boundary:
-    the own columns expanded from the slabs, the identity-slice columns left
-    of the window as the boundary Bᵀ times the fold map."""
+    """Each window's full-width Jacobian, rebuilt from its slabs: the own
+    columns expanded from the slabs, the columns of the sites left of the
+    window zero."""
     masks = free_masks(mpo)
-    columns = window_columns(masks, window)
+    offsets = np.cumsum([0] + [int(m.sum()) for m in masks])
     out = {}
-    for first, slabs, boundary in _window_slabs(point_state(mpo, window)):
-        start = first + 1
-        fold = boundary_fold(mpo, start)
-        n_left = fold.shape[1]
-        cols = columns[start]  # identity-slice ones first
-        full = np.zeros((4**window, n_free_parameters(masks)))
-        full[:, cols[:n_left]] = boundary.T @ fold
-        full[:, cols[n_left:]] = slab_block(slabs, masks[start - 1 : start - 1 + window])
-        out[start] = full
+    for first, slabs in _window_slabs(point_state(mpo, window)):
+        full = np.zeros((4**window, offsets[-1]))
+        full[:, offsets[first] : offsets[first + window]] = slab_block(slabs, masks[first : first + window])
+        out[first + 1] = full
     return out
 
 
@@ -146,6 +143,38 @@ class TestStandardFormParameters:
         m2 = unpack(theta, sf_noisy6, masks)
         assert np.allclose(m2.tensors[-1][:, :, 0], np.eye(4))
         assert m2.tensors[0][0, 0, 0] == 1.0
+
+
+class TestLocalWindows:
+    """Standard form pins row 0 of the identity slice of sites 1..N-2 to
+    e0ᵀ, so every window's values depend on its own sites alone."""
+
+    @pytest.mark.parametrize("chain", ["noisy6", "noisy8", *UNEQUAL_BONDS])
+    def test_windows_depend_on_their_own_sites(self, chain, request):
+        if chain == "noisy6":
+            raw = request.getfixturevalue("noisy6")
+        elif chain == "noisy8":
+            raw = noisy_cluster_model(8, ErrorModel.uniform(8, 0.09, 0.06))
+        else:
+            raw = random_chain(chain)
+        mpo = to_standard_form(raw)
+        for t in mpo.tensors[:-2]:
+            assert np.array_equal(t[0, 0, :], np.eye(1, t.shape[2])[0])
+        # the same operator: its Pauli coefficients up to the trace normalization
+        want, got = (right_environments(m.tensors)[0][0] for m in (raw, mpo))
+        want, got = want / want[0], got / got[0]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # no window reaches the identity-slice entries of a site left of it
+        masks = free_masks(mpo)
+        offsets = np.cumsum([0] + [int(m.sum()) for m in masks])
+        n_ident = [int(m[:, 0, :].sum()) for m in masks]
+        checked = 0
+        for start, jac in dense_window_jacobian(mpo, 5).items():
+            for s in range(start - 1):
+                assert not jac[:, offsets[s] : offsets[s] + n_ident[s]].any(), (start, s)
+                checked += n_ident[s]
+        # site 1's identity slice is all pinned, so only N > 6 has a site to check
+        assert checked or mpo.n_qubits <= 6
 
 
 class TestJacobian:
@@ -538,15 +567,14 @@ class TestGaussNewton:
         assert peak <= 1.25 * (n_own**2 * 8 + 4 * n_par**2 * 8)
 
     def test_slab_shapes_do_not_depend_on_n(self):
-        # every window's slabs and boundary are sized by the padded bond D
-        # alone; the sites left of it reach it only through the boundary's D rows
+        # every window's slabs are sized by the padded bond D alone; the
+        # sites left of it do not reach it
         for n in (8, 12):
             mpo = to_standard_form(noisy_cluster_model(n, ErrorModel.uniform(n, 0.09, 0.06)))
             bond = max(t.shape[0] for t in mpo.tensors)
             n_windows = 0
-            for first, slabs, boundary in _window_slabs(point_state(mpo, 5)):
+            for first, slabs in _window_slabs(point_state(mpo, 5)):
                 assert [e.shape for e in slabs] == [(4**4, bond**2)] * 5
-                assert boundary.shape == (bond, 4**5)
                 n_windows += 1
             assert bond == 4 and n_windows == n - 4
 
@@ -668,11 +696,20 @@ class TestPassSolver:
         assert delta == pytest.approx(g @ solver.solve(g, 0.0), rel=1e-8)
 
     def test_drops_at_least_the_gauge(self, solved):
-        # the standard form of an N-site all-bond-4 chain keeps 9(N-2)
+        # the standard form of an N-site all-bond-4 chain keeps 6(N-2)
         # gauge directions; weak data directions may be dropped with them
         hess, solver = solved
         assert solver.factor().shape == (len(hess), solver.live_count)
-        assert len(hess) - solver.live_count >= 9 * (6 - 2)
+        assert len(hess) - solver.live_count >= 6 * (6 - 2)
+
+    def test_template_pins_row_0_of_the_identity_slices(self):
+        # row 0 of the identity slice is e0ᵀ at sites 1..N-2: 3 pinned
+        # entries per site beyond its unit pivot, so each bond but the last
+        # keeps 6 gauge parameters, not 9, of the 813 free entries that the
+        # pivot and sub-diagonal zeros alone leave at N = 16
+        mpo = to_standard_form(noisy_cluster_model(16, ErrorModel.uniform(16, 0.09, 0.06)))
+        assert {t.shape[2] for t in mpo.tensors[:-1]} == {4}
+        assert n_free_parameters(free_masks(mpo)) == 813 - 3 * (16 - 2) == 771
 
 
 @pytest.fixture

@@ -32,7 +32,9 @@ def _template(shapes):
         if k < len(shapes) - 1:
             mask[:, 1:, :] = True
             mask[:, 0, :] = np.triu(np.ones((dl, dr), dtype=bool))
-            mask[0, 0, : dr if k < len(shapes) - 2 else 1] = False
+            mask[0, 0, 0] = False
+            if k < len(shapes) - 2:
+                mask[0, 0, :] = False  # row 0 of the identity slice is e0ᵀ
             values[0, 0, 0] = 1.0
         else:
             values[:, :, 0] = np.eye(dl, 4)  # the Pauli column [I, X, Y, Z]^T

@@ -332,7 +332,9 @@ def dense_window_jacobian(mpo: Mpo, window: int) -> dict:
 
     Each window's derivatives are built column by column from one right
     sweep over the identity slices of the sites left of it and its own
-    sites, with no boundary fold.  Requires standard form.
+    sites.  The columns of the sites left of the window are computed from
+    the prefix there, not assumed zero, so this checks that standard form
+    makes them vanish.  Requires standard form.
 
     Returns:
         dict start -> (4**window, n_free) array; the columns outside

@@ -224,8 +224,9 @@ class TestJacobian:
 
     @pytest.mark.parametrize("mpo_name", ["sf_noisy6", "sf_perturbed8"])
     def test_assembly_matches_dense_products(self, mpo_name, request):
-        # sf_perturbed8's windows 2-4 have identity-slice parents, which the
-        # assembled JᵀWJ reaches only through each window's boundary Grams
+        # sf_perturbed8's windows 2-4 have sites left of them, whose free
+        # identity-slice entries the reference Jacobian holds as columns of
+        # exact zeros and the assembly never visits
         mpo = request.getfixturevalue(mpo_name)
         jacs = dense_window_jacobian(mpo, 5)
         starts = sorted(jacs)

@@ -5,11 +5,16 @@ wherever possible: those correlations are reachable from the measured
 moments by pure per-site scaling, which keeps their statistical errors
 independent.  Conversion to the plain Pauli basis mixes rows and is done
 only where needed.
+
+Every basis change, the inefficiency correction and the phase rotation go
+through one step, :func:`_mapped`: a linear map per chain site applied to a
+:class:`~mpo_tomo.measurement.WindowTable`, its SEs propagated through the
+squared maps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -17,11 +22,8 @@ from ._csvio import word_strings, write_csv, write_json
 from ._validation import check_efficiency
 from .channels import z_rotation
 from .errors import DataError, ValidationError
-from .measurement import MomentTable
+from .measurement import MOMENT_BASIS, PAULI_BASIS, ZSHIFTED_BASIS, WindowTable
 from .pauli import apply_site_maps
-
-PAULI_BASIS = "pauli"
-ZSHIFTED_BASIS = "z-shifted"
 
 #: 4x6 per-site map from moment letters (q^0, p^0, q, p, q^2, p^2) to the
 #: Z-shifted basis (I, X, Y, 2I - Z); the first row averages the duplicated
@@ -45,87 +47,29 @@ F_MATRIX = np.array(
     ]
 )
 
-_PAULI_NAMES = ("I", "X", "Y", "Z")
-_R_NAMES = ("R0", "R1", "R2", "R3")
-
-
-@dataclass
-class PauliCorrelationSet:
-    """Local correlations with standard errors, keyed by window start and word.
-
-    ``values[start]`` is a ``(4,)*window`` tensor over per-site letters in
-    the basis given by ``basis`` ("pauli" or "z-shifted").
-    """
-
-    n_sites: int
-    window: int
-    basis: str
-    values: dict[int, np.ndarray] = field(repr=False)
-    ses: dict[int, np.ndarray] = field(repr=False)
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.basis not in (PAULI_BASIS, ZSHIFTED_BASIS):
-            raise ValidationError(f"unknown basis tag {self.basis!r}")
-
-    @property
-    def starts(self) -> list[int]:
-        return sorted(self.values)
-
-    def marginal(self, first: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-        """Values and SEs of the correlations at sites ``first .. first+length-1``.
-
-        The only rule for which measured window supplies a marginal: the one
-        that starts at ``first``, else the last window; its other sites are
-        set to the identity.  Returns ``(4,)*length`` views into the table.
-        """
-        end = first + length - 1
-        if length > self.window or first < 1 or end > self.n_sites:
-            raise ValidationError(f"sites {first}..{end} do not fit the table")
-        w0 = min(first, self.n_sites - self.window + 1)
-        idx = [0] * self.window
-        idx[first - w0 : first - w0 + length] = [slice(None)] * length
-        idx = tuple(idx)
-        return self.values[w0][idx], self.ses[w0][idx]
-
-    def word_value(self, letters, start_site: int) -> tuple[float, float]:
-        """Value and SE of a (sub-window) word via identity padding."""
-        letters = tuple(int(a) for a in letters)
-        values, ses = self.marginal(start_site, len(letters))
-        return float(values[letters]), float(ses[letters])
-
-    def word_names(self):
-        return _PAULI_NAMES if self.basis == PAULI_BASIS else _R_NAMES
-
-
-def _apply_site_map(values, ses, maps):
-    """Contract each window with the linear maps of its sites (``maps`` holds
-    one per chain site, site s at ``maps[s - 1]``), propagating variances
+def _mapped(table: WindowTable, maps, basis: str, **meta) -> WindowTable:
+    """``table`` with each window contracted with the linear maps of its sites
+    (``maps`` holds one per chain site, site s at ``maps[s - 1]``), relabelled
+    ``basis``, and ``meta`` merged into its meta.  Variances are propagated
     under the independence assumption."""
-    out_v, out_s = {}, {}
-    for start, v in values.items():
+    values, ses = {}, {}
+    for start, v in table.values.items():
         site_maps = maps[start - 1 : start - 1 + v.ndim]
-        out_v[start] = apply_site_maps(v, site_maps)
-        out_s[start] = np.sqrt(apply_site_maps(ses[start] ** 2, [m**2 for m in site_maps]))
-    return out_v, out_s
+        values[start] = apply_site_maps(v, site_maps)
+        ses[start] = np.sqrt(apply_site_maps(table.ses[start] ** 2, [m**2 for m in site_maps]))
+    return replace(table, basis=basis, values=values, ses=ses, meta={**table.meta, **meta})
 
 
-def moments_to_zshifted(table: MomentTable) -> PauliCorrelationSet:
+def moments_to_zshifted(table: WindowTable) -> WindowTable:
     """Convert a complete moment table to Z-shifted-Pauli correlations.
 
     Applies the per-site matrix G; standard errors are propagated assuming
     independent moment errors.  Any missing row is fatal.
     """
+    if table.basis != MOMENT_BASIS:
+        raise ValidationError(f"expected a moment table, got a {table.basis} table")
     table.require_complete()
-    out_v, out_s = _apply_site_map(table.values, table.ses, [G_MATRIX] * table.n_sites)
-    return PauliCorrelationSet(
-        n_sites=table.n_sites,
-        window=table.window,
-        basis=ZSHIFTED_BASIS,
-        values=out_v,
-        ses=out_s,
-        meta={"shots": table.shots},
-    )
+    return _mapped(table, [G_MATRIX] * table.n_sites, ZSHIFTED_BASIS)
 
 
 def inverse_loss_zshifted(eta: float) -> np.ndarray:
@@ -156,9 +100,7 @@ def _inverse_loss_deta(eta: float) -> np.ndarray:
     )
 
 
-def correct_inefficiency(
-    corrs: PauliCorrelationSet, eta: float, eta_se: float = 0.0
-) -> PauliCorrelationSet:
+def correct_inefficiency(corrs: WindowTable, eta: float, eta_se: float = 0.0) -> WindowTable:
     """Undo the measurement-efficiency loss channel on Z-shifted correlations.
 
     The tensor product of per-site inverse loss maps is applied; input SEs
@@ -169,7 +111,7 @@ def correct_inefficiency(
         raise ValidationError("inefficiency correction expects z-shifted input")
     eta = check_efficiency(eta)
     einv = inverse_loss_zshifted(eta)
-    out_v, out_s = _apply_site_map(corrs.values, corrs.ses, [einv] * corrs.n_sites)
+    out = _mapped(corrs, [einv] * corrs.n_sites, ZSHIFTED_BASIS, eta=eta, eta_se=eta_se)
     if eta_se > 0.0:
         deinv = _inverse_loss_deta(eta)
         for start, v in corrs.values.items():
@@ -178,15 +120,11 @@ def correct_inefficiency(
                 dv += apply_site_maps(
                     v, [deinv if k == site else einv for k in range(v.ndim)]
                 )
-            out_s[start] = np.sqrt(out_s[start] ** 2 + (dv * eta_se) ** 2)
-    meta = dict(corrs.meta)
-    meta.update({"eta": eta, "eta_se": eta_se})
-    return PauliCorrelationSet(
-        corrs.n_sites, corrs.window, ZSHIFTED_BASIS, out_v, out_s, meta
-    )
+            out.ses[start] = np.sqrt(out.ses[start] ** 2 + (dv * eta_se) ** 2)
+    return out
 
 
-def zshifted_to_pauli(corrs: PauliCorrelationSet) -> PauliCorrelationSet:
+def zshifted_to_pauli(corrs: WindowTable) -> WindowTable:
     """Convert Z-shifted correlations to the plain Pauli basis (F per site).
 
     F is its own inverse.  SEs are propagated under the independence
@@ -195,18 +133,13 @@ def zshifted_to_pauli(corrs: PauliCorrelationSet) -> PauliCorrelationSet:
     """
     if corrs.basis != ZSHIFTED_BASIS:
         raise ValidationError("expected z-shifted input")
-    out_v, out_s = _apply_site_map(corrs.values, corrs.ses, [F_MATRIX] * corrs.n_sites)
-    meta = dict(corrs.meta)
-    meta["se_independence_assumed"] = True
-    return PauliCorrelationSet(
-        corrs.n_sites, corrs.window, PAULI_BASIS, out_v, out_s, meta
-    )
+    return _mapped(corrs, [F_MATRIX] * corrs.n_sites, PAULI_BASIS, se_independence_assumed=True)
 
 
 # --- phase alignment --------------------------------------------------------
 
 
-def _stabilizer_components(as_pauli: PauliCorrelationSet, site: int):
+def _stabilizer_components(as_pauli: WindowTable, site: int):
     """(Y-component, X-component) of the stabilizer pattern around a site."""
     n = as_pauli.n_sites
     if site == 1:
@@ -225,7 +158,7 @@ def _stabilizer_components(as_pauli: PauliCorrelationSet, site: int):
 _MIN_SIGNIFICANCE = 5.0
 
 
-def estimate_phase_angles(corrs: PauliCorrelationSet):
+def estimate_phase_angles(corrs: WindowTable):
     """Per-site rotation angles that zero the Y-flavoured stabilizer patterns.
 
     The angle for site s is ``-atan2(<Z Y Z>, <Z X Z>)`` (two-argument form,
@@ -249,18 +182,18 @@ def estimate_phase_angles(corrs: PauliCorrelationSet):
     return angles
 
 
-def rotate_sites(corrs: PauliCorrelationSet, angles) -> PauliCorrelationSet:
+def rotate_sites(corrs: WindowTable, angles) -> WindowTable:
     """Apply per-site Z-rotations to all words (X/Y components mix)."""
+    if corrs.basis == MOMENT_BASIS:
+        raise ValidationError("phase rotation expects correlations, got a moment table")
     angles = np.asarray(angles, dtype=float)
     if angles.shape != (corrs.n_sites,):
         raise ValidationError(f"need one angle per site, got {angles.shape}")
-    out_v, out_s = _apply_site_map(corrs.values, corrs.ses, [z_rotation(th) for th in angles])
-    meta = dict(corrs.meta)
-    meta["alignment_angles"] = angles.tolist()
-    return replace(corrs, values=out_v, ses=out_s, meta=meta)
+    maps = [z_rotation(th) for th in angles]
+    return _mapped(corrs, maps, corrs.basis, alignment_angles=angles.tolist())
 
 
-def align_phases(corrs: PauliCorrelationSet):
+def align_phases(corrs: WindowTable):
     """Estimate and apply the per-qubit phase correction.
 
     Returns:
@@ -274,7 +207,7 @@ def align_phases(corrs: PauliCorrelationSet):
 # --- file formats ------------------------------------------------------------
 
 
-def save_correlation_csv(corrs: PauliCorrelationSet, path, meta_path) -> None:
+def save_correlation_csv(corrs: WindowTable, path, meta_path) -> None:
     starts = corrs.starts
     words = word_strings(corrs.word_names(), corrs.window).ravel()
     columns = [
@@ -284,6 +217,5 @@ def save_correlation_csv(corrs: PauliCorrelationSet, path, meta_path) -> None:
         np.concatenate([corrs.ses[s].ravel() for s in starts]),
     ]
     write_csv(path, ["window_start", "word", "value", "se"], columns)
-    doc = {"basis": corrs.basis, "n_sites": corrs.n_sites, "window": corrs.window}
-    doc.update(corrs.meta)
-    write_json(meta_path, doc)
+    doc = {key: getattr(corrs, key) for key in ("basis", "n_sites", "window", "shots")}
+    write_json(meta_path, {**doc, **corrs.meta})

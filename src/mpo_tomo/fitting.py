@@ -33,8 +33,9 @@ import numpy as np
 
 from ._csvio import write_json
 from ._validation import is_finite, is_int
-from .correlations import F_MATRIX, ZSHIFTED_BASIS, PauliCorrelationSet, zshifted_to_pauli
+from .correlations import F_MATRIX, zshifted_to_pauli
 from .errors import CompletenessError, DataError, ValidationError
+from .measurement import ZSHIFTED_BASIS, WindowTable
 from .mpo import (
     Mpo,
     left_environments,
@@ -398,7 +399,7 @@ class FitResult:
 
 def gauss_newton_fit(
     initial: Mpo,
-    data: PauliCorrelationSet,
+    data: WindowTable,
     max_iterations: int = FIT_DEFAULTS["max_iterations"],
 ) -> FitResult:
     """Levenberg-damped Gauss-Newton weighted least squares.
@@ -576,7 +577,7 @@ def propagate_covariance(fit: FitResult, functional) -> tuple[float, float]:
 
 
 def fit_chain(
-    corrs: PauliCorrelationSet,
+    corrs: WindowTable,
     k_sigma: float = FIT_DEFAULTS["k_sigma"],
     max_iterations: int = FIT_DEFAULTS["max_iterations"],
 ):

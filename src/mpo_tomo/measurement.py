@@ -1,6 +1,9 @@
-"""Quadrature-moment observables and synthetic datasets.
+"""Per-window tables, quadrature-moment observables and synthetic datasets.
 
-Also the on-disk dataset layout: one moment CSV per measurement setting.
+One type, :class:`WindowTable`, holds the per-window data from the moment
+file to the fit: measured moments, Z-shifted correlations and Pauli
+correlations differ only in their ``basis`` tag and per-site letters.  Also
+the on-disk dataset layout: one moment CSV per measurement setting.
 
 The per-mode observable alphabet is ``q^0, p^0, q^1, p^1, q^2, p^2``
 (letters ``Q0, P0, Q1, P1, Q2, P2``, indices 0..5).  ``q^0`` and ``p^0``
@@ -60,26 +63,50 @@ def _site_tables():
 _T1, _T2 = _site_tables()
 
 
-@dataclass
-class MomentTable:
-    """Measured multivariate quadrature moments keyed by window and word.
+MOMENT_BASIS = "moments"
+ZSHIFTED_BASIS = "z-shifted"
+PAULI_BASIS = "pauli"
 
-    ``values[start]`` is a ``(6,)*window`` tensor over the per-site letters;
-    missing rows are NaN.  ``ses`` holds matching standard errors.
+#: the per-site letters of each basis a window table holds; index 0 is the
+#: identity in all three (q^0, R0 = I, I)
+_BASIS_LETTERS = {
+    MOMENT_BASIS: QUAD_LETTERS,
+    ZSHIFTED_BASIS: ("R0", "R1", "R2", "R3"),
+    PAULI_BASIS: ("I", "X", "Y", "Z"),
+}
+
+
+@dataclass
+class WindowTable:
+    """Per-window data with standard errors, keyed by window start and word.
+
+    ``values[start]`` is a ``(k,)*window`` tensor over the per-site letters
+    of ``basis``: k = 6 moment letters, or k = 4 Z-shifted or Pauli letters.
+    Missing rows are NaN; ``ses`` holds matching standard errors.  ``meta``
+    keeps the provenance of the basis changes, ``shots`` the dataset's count.
     """
 
     n_sites: int
     window: int
+    basis: str
     values: dict[int, np.ndarray] = field(repr=False)
     ses: dict[int, np.ndarray] = field(repr=False)
+    meta: dict = field(default_factory=dict)
     shots: int = 0
+
+    def __post_init__(self):
+        if self.basis not in _BASIS_LETTERS:
+            raise ValidationError(f"unknown basis tag {self.basis!r}")
 
     @property
     def starts(self) -> list[int]:
         return sorted(self.values)
 
+    def word_names(self):
+        return _BASIS_LETTERS[self.basis]
+
     def missing_rows(self):
-        words = word_strings(QUAD_LETTERS, self.window)
+        words = word_strings(self.word_names(), self.window)
         return [
             (s, w) for s in self.starts for w in words[~np.isfinite(self.values[s])].tolist()
         ]
@@ -87,11 +114,35 @@ class MomentTable:
     def require_complete(self):
         missing = self.missing_rows()
         if missing:
+            kind = "moment" if self.basis == MOMENT_BASIS else self.basis
             raise CompletenessError(
-                f"moment table is missing {len(missing)} rows "
+                f"{kind} table is missing {len(missing)} rows "
                 f"(first: start={missing[0][0]} word={missing[0][1]})",
                 missing=missing,
             )
+
+    def marginal(self, first: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+        """Values and SEs at sites ``first .. first+length-1``.
+
+        The only rule for which measured window supplies a marginal: the one
+        that starts at ``first``, else the last window; its other sites are
+        set to letter 0, the identity.  Returns ``(k,)*length`` views into
+        the table.
+        """
+        end = first + length - 1
+        if length > self.window or first < 1 or end > self.n_sites:
+            raise ValidationError(f"sites {first}..{end} do not fit the table")
+        w0 = min(first, self.n_sites - self.window + 1)
+        idx = [0] * self.window
+        idx[first - w0 : first - w0 + length] = [slice(None)] * length
+        idx = tuple(idx)
+        return self.values[w0][idx], self.ses[w0][idx]
+
+    def word_value(self, letters, start_site: int) -> tuple[float, float]:
+        """Value and SE of a (sub-window) word via identity padding."""
+        letters = tuple(int(a) for a in letters)
+        values, ses = self.marginal(start_site, len(letters))
+        return float(values[letters]), float(ses[letters])
 
 
 def _lossy_correlations(mpo: Mpo, window: int, eta: float) -> dict[int, np.ndarray]:
@@ -103,7 +154,7 @@ def _lossy_correlations(mpo: Mpo, window: int, eta: float) -> dict[int, np.ndarr
 
 def synthesize_dataset(
     mpo: Mpo, window: int, eta: float, shots: int, seed: int
-) -> MomentTable:
+) -> WindowTable:
     """Exact moments perturbed by shot noise with the matching standard errors.
 
     Every row receives independent zero-mean Gaussian noise of variance
@@ -136,13 +187,13 @@ def synthesize_dataset(
         se = np.sqrt(np.clip(second - first**2, 0.0, None) / shots)
         values[start] = first + noise[i] * se
         ses[start] = se
-    return MomentTable(mpo.n_qubits, window, values, ses, shots=shots)
+    return WindowTable(mpo.n_qubits, window, MOMENT_BASIS, values, ses, shots=shots)
 
 
 _CSV_HEADER = ["window_start", "basis_word", "value", "se", "shots"]
 
 
-def load_moment_csv(paths, n_sites: int, window: int) -> MomentTable:
+def load_moment_csv(paths, n_sites: int, window: int) -> WindowTable:
     """Merge a list of moment CSV files into a single table.
 
     Each file is read column-wise; its rows may come in any order and in
@@ -235,9 +286,8 @@ def load_moment_csv(paths, n_sites: int, window: int) -> MomentTable:
         shots = max(shots, int(rows["shots"].max(initial=0)))
     if np.count_nonzero(filled) != n_rows:
         reject_repeat()
-    return MomentTable(
-        n_sites, window, dict(enumerate(values, 1)), dict(enumerate(ses, 1)), shots
-    )
+    values, ses = dict(enumerate(values, 1)), dict(enumerate(ses, 1))
+    return WindowTable(n_sites, window, MOMENT_BASIS, values, ses, shots=shots)
 
 
 # --- dataset layout: one CSV per measurement setting -------------------------
@@ -245,7 +295,7 @@ def load_moment_csv(paths, n_sites: int, window: int) -> MomentTable:
 _SETTING_LETTERS = {"q": (0, 2, 4), "p": (1, 3, 5)}  # (Q0, Q1, Q2), (P0, P1, P2)
 
 
-def save_dataset(table: MomentTable, directory) -> None:
+def save_dataset(table: WindowTable, directory) -> None:
     """Write ``table`` as one ``setting_<label>.csv`` file per setting.
 
     A setting fixes q or p for each qubit position modulo the window, so
@@ -254,6 +304,8 @@ def save_dataset(table: MomentTable, directory) -> None:
     ``label[(start - 1 + j) % window]``: the setting's rows are the
     ``np.ix_`` slice of the moment tensor on those letters, in C order.
     """
+    if table.basis != MOMENT_BASIS:
+        raise ValidationError(f"a dataset holds moments, got a {table.basis} table")
     os.makedirs(directory, exist_ok=True)
     window = table.window
     starts = table.starts
@@ -273,7 +325,7 @@ def save_dataset(table: MomentTable, directory) -> None:
         write_csv(os.path.join(directory, f"setting_{label}.csv"), _CSV_HEADER, columns)
 
 
-def load_dataset(directory, n_sites: int, window: int) -> MomentTable:
+def load_dataset(directory, n_sites: int, window: int) -> WindowTable:
     """Merge every setting file under ``directory`` into one table.
 
     Raises:

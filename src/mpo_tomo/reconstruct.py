@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correlations import PAULI_BASIS, PauliCorrelationSet
 from .errors import DataError, ValidationError
+from .measurement import PAULI_BASIS, WindowTable
 from .mpo import Mpo
 
 _SE_FLOOR_REL = 1e-11  # absolute floor on singular-value SEs, relative to sigma_max
@@ -64,7 +64,7 @@ def _corr_matrix(corrs, first: int, rows: int, cols: int, open_site: bool = True
     return cut(v), cut(se)
 
 
-def build_corr_matrices(corrs: PauliCorrelationSet) -> CorrMatrices:
+def build_corr_matrices(corrs: WindowTable) -> CorrMatrices:
     """Assemble the B_s and their SEs from five-qubit correlations.
 
     Four-qubit entries are obtained from the five-qubit windows by identity
@@ -163,7 +163,7 @@ def _boundary_site(first: bool) -> np.ndarray:
 
 
 def invert_reconstruct(
-    corrs: PauliCorrelationSet,
+    corrs: WindowTable,
     L: int = 5,
     ranks: dict[int, int] | None = None,
     residual_tol: float = 1e-6,

@@ -20,13 +20,7 @@ import numpy as np
 
 from mpo_tomo._validation import check_positive_int
 from mpo_tomo.cluster import stabilizer_words
-from mpo_tomo.correlations import (
-    F_MATRIX,
-    PAULI_BASIS,
-    ZSHIFTED_BASIS,
-    PauliCorrelationSet,
-    _apply_site_map,
-)
+from mpo_tomo.correlations import F_MATRIX, PAULI_BASIS, ZSHIFTED_BASIS, _mapped
 from mpo_tomo.emission import (
     ProtocolSpec,
     emission_tensor,
@@ -42,7 +36,7 @@ from mpo_tomo.entanglement import (
     partial_transpose,
 )
 from mpo_tomo.errors import ValidationError
-from mpo_tomo.measurement import _T1, QUAD_LETTERS, MomentTable, _lossy_correlations
+from mpo_tomo.measurement import _T1, MOMENT_BASIS, QUAD_LETTERS, WindowTable, _lossy_correlations
 from mpo_tomo.mpo import Mpo, fidelity, fidelity_gradient, left_environments, right_environments
 from mpo_tomo.pauli import PAULIS, apply_site_maps
 from mpo_tomo.reconstruct import _split
@@ -489,10 +483,10 @@ def random_protocol(n: int, d: int, seed: int) -> ProtocolSpec:
     return ProtocolSpec(d=d, rho0=rho0, gates=gates, emissions=emissions)
 
 
-def window_correlation_set(mpo: Mpo, window: int) -> PauliCorrelationSet:
+def window_correlation_set(mpo: Mpo, window: int) -> WindowTable:
     """Exact Pauli correlation windows of an MPO (all standard errors zero)."""
     corrs = mpo.window_correlations(window)
-    return PauliCorrelationSet(
+    return WindowTable(
         n_sites=mpo.n_qubits,
         window=window,
         basis=PAULI_BASIS,
@@ -518,17 +512,14 @@ def fidelity_functional(target: Mpo):
     return run
 
 
-def pauli_to_zshifted(corrs: PauliCorrelationSet) -> PauliCorrelationSet:
+def pauli_to_zshifted(corrs: WindowTable) -> WindowTable:
     """Inverse of :func:`zshifted_to_pauli` (same map; F is an involution)."""
     if corrs.basis != PAULI_BASIS:
         raise ValidationError("expected pauli input")
-    out_v, out_s = _apply_site_map(corrs.values, corrs.ses, [F_MATRIX] * corrs.n_sites)
-    return PauliCorrelationSet(
-        corrs.n_sites, corrs.window, ZSHIFTED_BASIS, out_v, out_s, dict(corrs.meta)
-    )
+    return _mapped(corrs, [F_MATRIX] * corrs.n_sites, ZSHIFTED_BASIS)
 
 
-def window_zshifted_set(mpo: Mpo, window: int) -> PauliCorrelationSet:
+def window_zshifted_set(mpo: Mpo, window: int) -> WindowTable:
     """Exact Z-shifted correlation windows of an MPO, the fit's data basis
     (all standard errors zero)."""
     return pauli_to_zshifted(window_correlation_set(mpo, window))
@@ -577,7 +568,7 @@ def moment_word_string(word) -> str:
     return "".join(QUAD_LETTERS[k] for k in word)
 
 
-def exact_local_moments(mpo: Mpo, window: int, eta: float = 1.0) -> MomentTable:
+def exact_local_moments(mpo: Mpo, window: int, eta: float = 1.0) -> WindowTable:
     """Exact quadrature moments of every window, measured at efficiency eta.
 
     The state is pushed through a per-site loss channel of strength
@@ -587,7 +578,7 @@ def exact_local_moments(mpo: Mpo, window: int, eta: float = 1.0) -> MomentTable:
     corrs = _lossy_correlations(mpo, window, eta)
     values = {s: apply_site_maps(c, [_T1.T] * window) for s, c in corrs.items()}
     ses = {s: np.zeros((6,) * window) for s in corrs}
-    return MomentTable(mpo.n_qubits, window, values, ses, shots=0)
+    return WindowTable(mpo.n_qubits, window, MOMENT_BASIS, values, ses)
 
 
 # --- paper quantities that no pipeline command reports ------------------------

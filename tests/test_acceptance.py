@@ -394,21 +394,18 @@ def test_criterion_10_pipeline_exactness():
             )
     # loss then correction is the identity on arbitrary correlations
     rng = np.random.default_rng(10)
-    from mpo_tomo.correlations import (
-        ZSHIFTED_BASIS,
-        PauliCorrelationSet,
-        inverse_loss_zshifted,
-    )
+    from mpo_tomo.correlations import ZSHIFTED_BASIS, inverse_loss_zshifted
+    from mpo_tomo.measurement import WindowTable
 
     vals = {1: rng.normal(size=(4,) * 5)}
-    corrs = PauliCorrelationSet(
+    corrs = WindowTable(
         5, 5, ZSHIFTED_BASIS, vals, {1: np.zeros((4,) * 5)}
     )
     fwd = np.linalg.inv(inverse_loss_zshifted(eta))
     lossy = vals[1]
     for _ in range(5):
         lossy = np.tensordot(lossy, fwd, axes=([0], [1]))
-    lossy_set = PauliCorrelationSet(
+    lossy_set = WindowTable(
         5, 5, ZSHIFTED_BASIS, {1: lossy}, {1: np.zeros((4,) * 5)}
     )
     back = correct_inefficiency(lossy_set, eta)

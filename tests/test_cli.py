@@ -583,6 +583,29 @@ class TestReconstruct:
         widened = json.load(open(run / "report.json"))
         assert widened["fidelity_se"] > 1.5 * plain["fidelity_se"]
 
+    def test_correlations_meta(self, tmp_path):
+        # the provenance of the written Pauli table: shots from the dataset,
+        # eta and its SE from the correction, the angles from the alignment
+        cfg_doc = json.loads(json.dumps(CONFIG))
+        cfg_doc["protocol"]["n_qubits"] = 6
+        cfg_doc["measurement"].update(seed=1, eta=0.9, eta_se=0.005)
+        cfg = write_config(tmp_path / "cfg.json", cfg_doc)
+        out = str(tmp_path / "run")
+        assert main(["simulate", "--config", cfg, "--out", out]) == 0
+        assert main(["reconstruct", "--config", cfg, "--out", out]) == 0
+        stages = json.load(open(os.path.join(out, "fit", "stages.json")))
+        meta = json.load(open(os.path.join(out, "fit", "correlations_meta.json")))
+        assert meta == {
+            "alignment_angles": stages["alignment_angles"],
+            "basis": "pauli",
+            "n_sites": 6,
+            "window": 5,
+            "eta": 0.9,
+            "eta_se": 0.005,
+            "se_independence_assumed": True,
+            "shots": cfg_doc["measurement"]["shots"],
+        }
+
     def test_non_convergence_exit_code_with_partial_outputs(self, tmp_path):
         cfg_doc = json.loads(json.dumps(CONFIG))
         cfg_doc["fit"] = {"max_iterations": 1}

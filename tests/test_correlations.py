@@ -20,23 +20,22 @@ from mpo_tomo.correlations import (
     G_MATRIX,
     PAULI_BASIS,
     ZSHIFTED_BASIS,
-    PauliCorrelationSet,
     align_phases,
     correct_inefficiency,
     inverse_loss_zshifted,
     moments_to_zshifted,
+    rotate_sites,
     save_correlation_csv,
     zshifted_to_pauli,
 )
 from mpo_tomo.errors import CompletenessError, DataError, ValidationError
+from mpo_tomo.measurement import MOMENT_BASIS, WindowTable, save_dataset
 from mpo_tomo.mpo import apply_local_channels
 
 
-def single_site_moments(values) -> "MomentTable":
-    from mpo_tomo.measurement import MomentTable
-
+def single_site_moments(values) -> WindowTable:
     vals = np.asarray(values, dtype=float)
-    return MomentTable(1, 1, {1: vals}, {1: np.zeros(6)}, shots=0)
+    return WindowTable(1, 1, MOMENT_BASIS, {1: vals}, {1: np.zeros(6)}, shots=0)
 
 
 class TestZShiftedConversion:
@@ -88,20 +87,20 @@ class TestInefficiencyCorrection:
         eta = 0.391
         vals = {1: np.array([1.0, 0.5, 0.0, 1.0])}
         ses = {1: np.zeros(4)}
-        corrs = PauliCorrelationSet(1, 1, ZSHIFTED_BASIS, vals, ses)
+        corrs = WindowTable(1, 1, ZSHIFTED_BASIS, vals, ses)
         out = correct_inefficiency(corrs, eta)
         assert out.values[1][1] == pytest.approx(0.5 / np.sqrt(eta))
 
     def test_loss_then_correct_round_trip(self, rng):
         vals = {1: rng.normal(size=(4,) * 4)}
         ses = {1: np.abs(rng.normal(size=(4,) * 4)) * 0.01}
-        corrs = PauliCorrelationSet(4, 4, ZSHIFTED_BASIS, vals, ses)
+        corrs = WindowTable(4, 4, ZSHIFTED_BASIS, vals, ses)
         eta = 0.55
         fwd = np.linalg.inv(inverse_loss_zshifted(eta))
         lossy_vals = vals[1]
         for _ in range(4):
             lossy_vals = np.tensordot(lossy_vals, fwd, axes=([0], [1]))
-        lossy = PauliCorrelationSet(4, 4, ZSHIFTED_BASIS, {1: lossy_vals}, ses)
+        lossy = WindowTable(4, 4, ZSHIFTED_BASIS, {1: lossy_vals}, ses)
         back = correct_inefficiency(lossy, eta)
         assert np.max(np.abs(back.values[1] - vals[1])) < 1e-12
 
@@ -117,7 +116,7 @@ class TestInefficiencyCorrection:
         table = exact_local_moments(noisy5, 2, eta=eta)
         r = moments_to_zshifted(table)
         base = {1: np.full((4, 4), 1e-3)}
-        r = PauliCorrelationSet(2, 2, ZSHIFTED_BASIS, {1: r.values[1]}, base)
+        r = WindowTable(2, 2, ZSHIFTED_BASIS, {1: r.values[1]}, base)
         out = correct_inefficiency(r, eta)
         # X/Y rows scale as eta^-1/2, the R3 row as eta^-1
         assert out.ses[1][(1, 0)] == pytest.approx(1e-3 / np.sqrt(eta))
@@ -153,7 +152,7 @@ class TestInefficiencyCorrection:
 class TestPauliConversion:
     def test_ground_state_rows(self):
         vals = {1: np.array([1.0, 0, 0, 1.0])}
-        corrs = PauliCorrelationSet(1, 1, ZSHIFTED_BASIS, vals, {1: np.zeros(4)})
+        corrs = WindowTable(1, 1, ZSHIFTED_BASIS, vals, {1: np.zeros(4)})
         out = zshifted_to_pauli(corrs)
         assert out.basis == PAULI_BASIS
         assert np.allclose(out.values[1], [1.0, 0, 0, 1.0])
@@ -161,7 +160,7 @@ class TestPauliConversion:
     def test_single_photon_row(self):
         # Fock |1>: R3 = 2 - <Z> = 3 maps to <Z> = -1
         vals = {1: np.array([1.0, 0, 0, 3.0])}
-        corrs = PauliCorrelationSet(1, 1, ZSHIFTED_BASIS, vals, {1: np.zeros(4)})
+        corrs = WindowTable(1, 1, ZSHIFTED_BASIS, vals, {1: np.zeros(4)})
         out = zshifted_to_pauli(corrs)
         assert out.values[1][3] == pytest.approx(-1.0)
 
@@ -176,7 +175,7 @@ class TestPauliConversion:
 
     def test_z_row_variance_combination(self):
         ses = {1: np.array([0.1, 0.0, 0.0, 0.2])}
-        corrs = PauliCorrelationSet(
+        corrs = WindowTable(
             1, 1, ZSHIFTED_BASIS, {1: np.zeros(4)}, ses
         )
         out = zshifted_to_pauli(corrs)
@@ -186,6 +185,39 @@ class TestPauliConversion:
         p = window_correlation_set(noisy5, 3)
         with pytest.raises(ValidationError):
             zshifted_to_pauli(p)
+
+
+class TestBasisChecks:
+    # one table type holds moments and correlations, so each step checks
+    # the basis tag of what it is handed
+
+    def test_unknown_basis_tag(self):
+        with pytest.raises(ValidationError, match="unknown basis tag"):
+            WindowTable(1, 1, "fock", {1: np.zeros(4)}, {1: np.zeros(4)})
+
+    @pytest.mark.parametrize("basis", [ZSHIFTED_BASIS, PAULI_BASIS])
+    def test_moment_steps_refuse_correlations(self, noisy5, tmp_path, basis):
+        corrs = window_correlation_set(noisy5, 3)
+        if basis == ZSHIFTED_BASIS:
+            corrs = pauli_to_zshifted(corrs)
+        with pytest.raises(ValidationError):
+            moments_to_zshifted(corrs)
+        with pytest.raises(ValidationError):
+            save_dataset(corrs, tmp_path)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "step",
+        [
+            lambda t: correct_inefficiency(t, 0.9),
+            zshifted_to_pauli,
+            lambda t: rotate_sites(t, np.zeros(t.n_sites)),
+        ],
+        ids=["correct_inefficiency", "zshifted_to_pauli", "rotate_sites"],
+    )
+    def test_correlation_steps_refuse_moments(self, noisy5, step):
+        with pytest.raises(ValidationError):
+            step(exact_local_moments(noisy5, 3))
 
 
 class TestSyntheticClusterDataset:
@@ -249,7 +281,7 @@ class TestSyntheticClusterDataset:
 
 class TestPhaseAlignment:
     def _with_ses(self, corrs, se=1e-6):
-        return PauliCorrelationSet(
+        return WindowTable(
             corrs.n_sites,
             corrs.window,
             corrs.basis,
@@ -299,7 +331,7 @@ class TestPhaseAlignment:
         # fully dephased middle qubit: both stabilizer components vanish
         vals = {1: np.zeros((4,) * 5)}
         vals[1][(0,) * 5] = 1.0
-        corrs = PauliCorrelationSet(
+        corrs = WindowTable(
             5, 5, PAULI_BASIS, vals, {1: np.full((4,) * 5, 1e-4)}
         )
         with pytest.raises(DataError):

@@ -29,10 +29,7 @@ KEPT_UNREAD_MEMBERS = {
 
 # member names that several public src classes define: a read of the name
 # counts for each of them, so each is listed here with where it is read
-SHARED_MEMBER_NAMES = {
-    "starts": "MomentTable.starts in measurement.save_dataset, "
-    "PauliCorrelationSet.starts in the fit and the inversion",
-}
+SHARED_MEMBER_NAMES = {}
 
 # fields of public src dataclasses that no src statement reads, and why each stays
 KEPT_UNREAD_FIELDS = {
@@ -44,14 +41,6 @@ KEPT_UNREAD_FIELDS = {
 # counts for each of them, so each is listed here with where it is read
 SHARED_FIELD_NAMES = {
     "mpo": "FitResult.mpo in cli.cmd_analyze, InversionResult.mpo in fitting.fit_chain",
-    "values": "MomentTable.values in correlations.moments_to_zshifted, "
-    "PauliCorrelationSet.values in the fit and the inversion",
-    "ses": "MomentTable.ses in correlations.moments_to_zshifted, "
-    "PauliCorrelationSet.ses in the fit and the inversion",
-    "window": "MomentTable.window in correlations.moments_to_zshifted, "
-    "PauliCorrelationSet.window in the inversion",
-    "n_sites": "MomentTable.n_sites in correlations.moments_to_zshifted, "
-    "PauliCorrelationSet.n_sites in the inversion",
 }
 
 

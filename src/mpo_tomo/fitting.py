@@ -41,7 +41,6 @@ from .mpo import (
     left_environments,
     left_environments_vjp,
     load_json,
-    right_environments,
     save_json,
 )
 from .reconstruct import (
@@ -96,6 +95,7 @@ class _FitPlan:
         # each site's free entries are contiguous in the packing order
         self.offsets = np.cumsum([0] + [len(i) for i, _, _ in entries])
         self.bond = bond = max(dl for dl, _, _ in shapes)
+        self.edge = np.tile(np.eye(1, bond), (self.n_windows, 1, 1))  # e0ᵀ at every window's edge
         self.base = np.zeros((n, bond, 4, bond))
         for s, ((dl, _, dr), t) in enumerate(zip(shapes, template.tensors)):
             self.base[s, :dl, :, :dr] = t
@@ -116,11 +116,13 @@ class _Point:
     """One parameter point of a fit and its chain, contracted when first
     asked for and kept with the point: the padded data-basis site tensors
     and every window's left environments.  Values, JᵀWJ and every pullback
-    at the point share them.  No prefix or suffix is contracted: with the
-    standard form's pinned entries, every product of data-basis identity
-    slices from the chain's left end is exactly e0ᵀ, and every one out to
-    its right end exactly e0, at every point, so each window depends on its
-    own sites alone and reads bond index 0 at both edges."""
+    at the point share them; only JᵀWJ needs right environments, which
+    :func:`_window_slabs` sweeps for each assembly and does not keep.  No
+    prefix or suffix is contracted: with the standard form's pinned entries,
+    every product of data-basis identity slices from the chain's left end is
+    exactly e0ᵀ, and every one out to its right end exactly e0, at every
+    point, so each window depends on its own sites alone and reads bond
+    index 0 at both edges."""
 
     def __init__(self, plan: _FitPlan, theta):
         self.plan = plan
@@ -150,8 +152,7 @@ class _Point:
         """Every window's left environments, stacked on a leading window
         axis: entry k is (n_windows, 4**k, D), over the window's first k
         sites from e0ᵀ at its left edge."""
-        plan = self.plan
-        return left_environments(self.window_sites, np.tile(np.eye(1, plan.bond), (plan.n_windows, 1, 1)))
+        return left_environments(self.window_sites, self.plan.edge)
 
     @functools.cached_property
     def values(self) -> np.ndarray:
@@ -168,7 +169,11 @@ def _window_slabs(point: _Point):
     data-basis entry (x, w', y) of window site p is
     ``δ(w, w') lefts[p][a, x] rights[p+1][y, b]``, so one slab
     E_p = lefts[p] ⊗ rights[p+1] serves all four letters of the site.  The
-    left environments are the point's.
+    left environments are the point's.  The right ones are the left sweep
+    of the mirrored chain (bond axes swapped, sites reversed) over window
+    sites 1..window-1 of every window at once, from e0ᵀ at the right edge;
+    its open letters run from the right edge inwards, and one transpose
+    puts them back in site order as ``(n_windows, D, 4**k)`` rights.
 
     Yields:
         ``(first, slabs)`` in chain order: the window's 0-based first site,
@@ -178,13 +183,18 @@ def _window_slabs(point: _Point):
         bonds are zero.
     """
     plan = point.plan
-    window = plan.window
-    for first in range(plan.n_windows):
-        lefts = [env[first] for env in point.lefts]
-        rights = right_environments(point.tensors[first : first + window], np.eye(plan.bond, 1))
+    window, n_windows, bond = plan.window, plan.n_windows, plan.bond
+    mirrored = point.tensors.transpose(0, 3, 2, 1)
+    sweep = left_environments([mirrored[k : k + n_windows] for k in range(window - 1, 0, -1)], plan.edge)
+    # window site p's right environments, p = 1..window: (n_windows, D, 4**(window-p))
+    rights = []
+    for k, env in reversed(list(enumerate(sweep))):
+        env = env.reshape((n_windows,) + (4,) * k + (bond,)).transpose(0, k + 1, *range(k, 0, -1))
+        rights.append(env.reshape(n_windows, bond, -1))
+    for first in range(n_windows):
         window_slabs = [
-            (lt[:, None, :, None] * rt.T[None, :, None, :]).reshape(4 ** (window - 1), -1)
-            for lt, rt in zip(lefts, rights[1:])
+            (lt[first][:, None, :, None] * rt[first].T[None, :, None, :]).reshape(4 ** (window - 1), -1)
+            for lt, rt in zip(point.lefts, rights)
         ]
         yield first, window_slabs
 

@@ -79,26 +79,6 @@ def left_environments_vjp(maps, lefts, cotangent):
     return grads, cotangent
 
 
-def right_environments(maps, boundary=None) -> list[np.ndarray]:
-    """Right partial products of a chain of site maps.
-
-    The mirror image of :func:`left_environments`: entry ``k`` is the product
-    of maps ``k..`` and the ``(D, W)`` boundary (default ``ones((1, 1))``),
-    shaped ``(D_k, W_k)``, with its columns running over the open indices
-    from site ``k`` on in site order.
-    """
-    env = np.ones((1, 1)) if boundary is None else boundary
-    envs = [env]
-    for m in reversed(maps):
-        if m.ndim == 2:
-            env = m @ env
-        else:
-            env = (m.reshape(-1, m.shape[2]) @ env).reshape(m.shape[0], -1)
-        envs.append(env)
-    envs.reverse()
-    return envs
-
-
 class Mpo:
     """Immutable chain of real site tensors representing a density operator.
 
@@ -174,12 +154,13 @@ class Mpo:
             raise ValidationError(f"window must be in 1..{n}, got {window}")
         ident = [t[:, 0, :] for t in self.tensors]
         prefix = left_environments(ident)
-        suffix = right_environments(ident)
+        # the right products are the left sweep of the mirrored chain, as rows
+        suffix = left_environments([m.T for m in reversed(ident)])[::-1]
         out = {}
         for start in range(1, n - window + 2):
             sites = self.tensors[start - 1 : start - 1 + window]
             block = left_environments(sites, prefix[start - 1])[-1]
-            vals = block @ suffix[start - 1 + window]
+            vals = block @ suffix[start - 1 + window].T
             out[start] = vals.reshape((4,) * window)
         return out
 
@@ -296,9 +277,9 @@ def density_corner(mpo: Mpo) -> np.ndarray:
     """Density matrix on the first and last 16 basis states (N >= 5).
 
     The first 16 states have their first N - 4 bits all 0, the last 16 all 1.
-    So one environment per (bra, ket) prefix pair, followed by one sweep over
-    the last four sites with each site's (bra bit, ket bit) pair left open,
-    gives all 32 x 32 elements.
+    So one sweep over the first N - 4 sites for the four (bra, ket) prefix
+    pairs, followed by one sweep over the last four sites with each site's
+    (bra bit, ket bit) pair left open, gives all 32 x 32 elements.
 
     Returns:
         complex ``(32, 32)`` array, bra by ket, states in ascending order.
@@ -311,10 +292,10 @@ def density_corner(mpo: Mpo) -> np.ndarray:
         np.einsum("aij,dae->dije", PAULIS / 2.0, t).reshape(t.shape[0], 4, t.shape[2])
         for t in mpo.tensors
     ]
-    prefixes = np.concatenate(
-        [left_environments([m[:, k] for m in maps[:-4]])[-1] for k in range(4)]
-    )
-    block = left_environments(maps[-4:], boundary=prefixes)[-1]
+    # the four prefixes in one sweep: a batch of four 2-D maps per site, each
+    # with an open index of size 1
+    prefixes = left_environments([m.transpose(1, 0, 2)[:, :, None] for m in maps[:-4]])[-1]
+    block = left_environments(maps[-4:], boundary=prefixes[:, 0])[-1]
     # axes (bra prefix, ket prefix, i_1, j_1, ..., i_4, j_4) -> (bra, ket)
     return block.reshape((2,) * 10).transpose(0, 2, 4, 6, 8, 1, 3, 5, 7, 9).reshape(32, 32)
 

@@ -37,7 +37,7 @@ from mpo_tomo.entanglement import (
 )
 from mpo_tomo.errors import ValidationError
 from mpo_tomo.measurement import _T1, MOMENT_BASIS, QUAD_LETTERS, WindowTable, _lossy_correlations
-from mpo_tomo.mpo import Mpo, fidelity, fidelity_gradient, left_environments, right_environments
+from mpo_tomo.mpo import Mpo, fidelity, fidelity_gradient, left_environments
 from mpo_tomo.pauli import PAULIS, apply_site_maps
 from mpo_tomo.reconstruct import _split
 from mpo_tomo.standard_form import free_masks
@@ -293,6 +293,23 @@ def mps_to_dense(tensors) -> np.ndarray:
 def dense_fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
     """``<psi| rho |psi>`` for a pure target state vector."""
     return float(np.real(np.conj(psi) @ rho @ psi))
+
+
+def right_environments(maps, boundary=None) -> list[np.ndarray]:
+    """Right partial products of a chain of site maps, one plain matmul per
+    site: the reference the package's mirrored left sweep is checked by.
+
+    Entry ``k`` is the product of maps ``k..`` and the ``(D, W)`` boundary
+    (default ``ones((1, 1))``), shaped ``(D_k, W_k)``.  A 2-D map is a
+    matrix; a ``(D_l, k, D_r)`` map leaves its index of size ``k`` open, so
+    the columns run over the open indices from site ``k`` on in site order.
+    """
+    env = np.ones((1, 1)) if boundary is None else boundary
+    envs = [env]
+    for m in reversed(maps):
+        env = m @ env if m.ndim == 2 else (m.reshape(-1, m.shape[2]) @ env).reshape(m.shape[0], -1)
+        envs.append(env)
+    return envs[::-1]
 
 
 def _zshifted_tensors(mpo: Mpo) -> list[np.ndarray]:

@@ -9,6 +9,7 @@ from _oracles import (
     dense_covariance,
     dense_window_jacobian,
     fidelity_functional,
+    right_environments,
     slab_block,
     window_columns,
     window_correlation_set,
@@ -35,7 +36,7 @@ from mpo_tomo.fitting import (
     save_fit_bundle,
 )
 from mpo_tomo.measurement import synthesize_dataset
-from mpo_tomo.mpo import Mpo, correlation_gradient, fidelity, fidelity_gradient, right_environments
+from mpo_tomo.mpo import Mpo, correlation_gradient, fidelity, fidelity_gradient
 from mpo_tomo.standard_form import free_masks, n_free_parameters, pack, to_standard_form, unpack
 
 

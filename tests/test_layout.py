@@ -4,6 +4,7 @@ that only the tests call or read."""
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,23 @@ def test_only_the_pass_solver_factors_jtwj():
     (fit,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "gauss_newton_fit"]
     eigen_names = {"evecs", "evals", "live", "scale", "gproj", "cproj"}
     assert _names(fit) & eigen_names == set(), "the fit loop handles no eigenpair"
+
+
+def test_one_sweep_and_its_reverse():
+    # a right product is the left sweep of the mirrored chain (bond axes
+    # swapped, sites reversed), so src defines one forward sweep and its
+    # reverse, both in mpo, and no module defines or names a right sweep
+    defined, named = set(), set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        defined |= {
+            f"{path.stem}.{n.name}"
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and "environment" in n.name.lower()
+        }
+        named |= {f"{path.stem}:{name}" for name in _names(tree) if re.search("right_?env", name, re.I)}
+    assert defined == {"mpo.left_environments", "mpo.left_environments_vjp"}, "one sweep helper and its reverse"
+    assert named == set(), "a right product is left_environments over the mirrored chain"
 
 
 def test_kept_uncalled_is_only_the_bench_contract():

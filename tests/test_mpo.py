@@ -16,10 +16,12 @@ from _oracles import (
     mps_to_dense,
     placed,
     random_mpo,
+    random_protocol,
 )
 
 from mpo_tomo.channels import amplitude_damping, compose, pure_dephasing, z_rotation
 from mpo_tomo.cluster import ideal_cluster_mpo, stabilizer_words
+from mpo_tomo.emission import emit_mpo
 from mpo_tomo.errors import ValidationError
 from mpo_tomo.mpo import (
     Mpo,
@@ -72,6 +74,25 @@ class TestCorrelation:
                 assert wc[start][w] == pytest.approx(
                     noisy6.correlation(placed(w, start, 6)), abs=1e-12
                 )
+
+    @pytest.mark.parametrize("chain", ["emitted_d3", "unequal_bonds"])
+    def test_window_correlations_against_dense(self, chain):
+        # chains not in standard form, whose site tensors differ in shape:
+        # every window length and every start, so both chain ends are read
+        if chain == "emitted_d3":
+            m = emit_mpo(random_protocol(6, 3, seed=2))  # bonds 9
+        else:
+            rng = np.random.default_rng(4)
+            bonds = [1, 2, 5, 1, 3, 4, 1]
+            m = Mpo([rng.normal(size=(bonds[s], 4, bonds[s + 1])) for s in range(6)])
+        n = m.n_qubits
+        rho = mpo_to_dense(m)
+        for window in range(1, n + 1):
+            wc = m.window_correlations(window)
+            assert sorted(wc) == list(range(1, n - window + 2))
+            for start, vals in wc.items():
+                want = [dense_correlation(rho, placed(w, start, n)) for w in np.ndindex(vals.shape)]
+                assert np.allclose(vals.ravel(), want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
 class TestDenseConversion:
